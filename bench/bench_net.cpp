@@ -65,7 +65,8 @@ BENCHMARK(BM_FrameCodec);
 
 double Percentile(const std::vector<double>& sorted_ms, double p) {
   if (sorted_ms.empty()) return 0.0;
-  size_t index = static_cast<size_t>(p * (sorted_ms.size() - 1) + 0.5);
+  size_t index =
+      static_cast<size_t>(p * static_cast<double>(sorted_ms.size() - 1) + 0.5);
   return sorted_ms[std::min(index, sorted_ms.size() - 1)];
 }
 
@@ -109,7 +110,8 @@ WorkloadResult RunClients(
   std::sort(all_ms.begin(), all_ms.end());
   result.requests = all_ms.size();
   result.requests_per_s =
-      wall_ms > 0.0 ? all_ms.size() / (wall_ms / 1000.0) : 0.0;
+      wall_ms > 0.0 ? static_cast<double>(all_ms.size()) / (wall_ms / 1000.0)
+                    : 0.0;
   result.p99_ms = Percentile(all_ms, 0.99);
   return result;
 }

@@ -221,7 +221,8 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
     Span verify_span("migrate:verify", "archive");
     DASPOS_RETURN_IF_ERROR(source.ForEachId([&](const std::string& id) {
       if (options.faults != nullptr) {
-        DASPOS_RETURN_IF_ERROR(options.faults->Next("migrate:verify"));
+        Status fault = options.faults->Next("migrate:verify");
+        if (!fault.ok()) return fault;
       }
       auto landed = target.Get(id);
       if (!landed.ok() || Sha256::HashHex(*landed) != id) {

@@ -70,10 +70,10 @@ class ObjectStore {
       const std::vector<std::string_view>& blobs, ThreadPool* pool = nullptr);
 };
 
-/// In-memory backend (tests, benches). NOT thread-safe: unlike
-/// FileObjectStore there is no internal lock, so concurrent Put/Get require
-/// external synchronization (PutBatch's parallel override is therefore only
-/// on the file backend).
+/// In-memory backend (tests, benches). Thread-safe: one internal mutex
+/// guards the map, so concurrent Put/Get/Verify need no external locking.
+/// PutBatch keeps the base serial loop; the parallel override is only on
+/// the file backend.
 class MemoryObjectStore : public ObjectStore {
  public:
   Result<std::string> Put(std::string_view bytes) override;

@@ -417,8 +417,9 @@ Status PackObjectStore::EnsureActiveSegmentLocked(bool force_new) {
   DASPOS_RETURN_IF_ERROR(open_status_);
   const std::string segments_dir = root_ + "/segments";
   if (!force_new && next_segment_ > 0 &&
-      retired_segments_.count(next_segment_ - 1) == 0) {
-    const uint32_t tail = next_segment_ - 1;
+      retired_segments_.count(static_cast<uint32_t>(next_segment_ - 1)) ==
+          0) {
+    const uint32_t tail = static_cast<uint32_t>(next_segment_ - 1);
     std::error_code ec;
     uint64_t size =
         static_cast<uint64_t>(fs::file_size(SegmentPath(tail), ec));
@@ -467,7 +468,7 @@ Status PackObjectStore::EnsureActiveSegmentLocked(bool force_new) {
       return Status::OK();
     }
   }
-  const uint32_t segment = next_segment_;
+  const uint32_t segment = static_cast<uint32_t>(next_segment_);
   const std::string path = SegmentPath(segment);
   int fd = ::open(path.c_str(),
                   O_RDWR | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC, 0644);

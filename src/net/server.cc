@@ -23,6 +23,7 @@
 #include "support/io.h"
 #include "support/logging.h"
 #include "support/metrics_registry.h"
+#include "support/sha256.h"
 #include "support/trace.h"
 #include "workflow/steps.h"
 
@@ -409,6 +410,7 @@ std::string Server::HandleStat() {
   stat["requests_served"] = requests_served_;
   stat["draining"] = draining_;
   stat["protocol_version"] = static_cast<uint64_t>(kProtocolVersion);
+  stat["sha256_kernel"] = Sha256::KernelName();
   return stat.Dump(2);
 }
 

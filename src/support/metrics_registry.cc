@@ -38,8 +38,9 @@ Histogram::Histogram(std::vector<double> bounds)
 void Histogram::Observe(double value) {
   // First bucket whose upper bound is >= value; everything above the last
   // bound lands in the +Inf bucket (index bounds_.size()).
-  size_t bucket = std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-                  bounds_.begin();
+  size_t bucket = static_cast<size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+      bounds_.begin());
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(sum_, value);

@@ -2,10 +2,19 @@
 
 #include <cstring>
 
+#include "support/sha256_internal.h"
+
+// The SHA-NI kernel needs x86-64 and a compiler that can target the SHA
+// extensions per function, so the rest of the build keeps its baseline ISA.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define DASPOS_SHA256_SHANI 1
+#include <immintrin.h>
+#endif
+
 namespace daspos {
 namespace {
 
-constexpr uint32_t kRoundConstants[64] = {
+alignas(16) constexpr uint32_t kRoundConstants[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -22,7 +31,149 @@ inline uint32_t RotR(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
+#ifdef DASPOS_SHA256_SHANI
+#define DASPOS_SHA_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+// Four rounds: message words `w` plus their round constants at `k`. The
+// state lives as ABEF/CDGH halves, the layout SHA256RNDS2 works on.
+DASPOS_SHA_TARGET inline void FourRounds(__m128i& abef, __m128i& cdgh,
+                                         __m128i w, const uint32_t* k) {
+  const __m128i msg = _mm_add_epi32(
+      w, _mm_load_si128(reinterpret_cast<const __m128i*>(k)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(msg, 0x0E));
+}
+
+// The next four schedule words from the previous sixteen (w0 oldest).
+DASPOS_SHA_TARGET inline __m128i NextWords(__m128i w0, __m128i w1, __m128i w2,
+                                           __m128i w3) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                  _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(t, w3);
+}
+
+DASPOS_SHA_TARGET void CompressShaNi(uint32_t* state, const uint8_t* data,
+                                     size_t nblocks) {
+  // Big-endian message words: reverse the bytes of each 32-bit lane.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i* const words = reinterpret_cast<__m128i*>(state);
+  const __m128i dcba = _mm_shuffle_epi32(_mm_loadu_si128(words), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(words + 1), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const __m128i* block = reinterpret_cast<const __m128i*>(data);
+    __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128(block), byte_swap);
+    __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128(block + 1), byte_swap);
+    __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128(block + 2), byte_swap);
+    __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128(block + 3), byte_swap);
+    FourRounds(abef, cdgh, w0, kRoundConstants);
+    FourRounds(abef, cdgh, w1, kRoundConstants + 4);
+    FourRounds(abef, cdgh, w2, kRoundConstants + 8);
+    FourRounds(abef, cdgh, w3, kRoundConstants + 12);
+    for (const uint32_t* k = kRoundConstants + 16; k < kRoundConstants + 64;
+         k += 16) {
+      w0 = NextWords(w0, w1, w2, w3);
+      FourRounds(abef, cdgh, w0, k);
+      w1 = NextWords(w1, w2, w3, w0);
+      FourRounds(abef, cdgh, w1, k + 4);
+      w2 = NextWords(w2, w3, w0, w1);
+      FourRounds(abef, cdgh, w2, k + 8);
+      w3 = NextWords(w3, w0, w1, w2);
+      FourRounds(abef, cdgh, w3, k + 12);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(words, _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(words + 1, _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#undef DASPOS_SHA_TARGET
+#endif  // DASPOS_SHA256_SHANI
+
+// Resolved on first use, so hashing from static initializers is safe too.
+sha256_internal::Kernel ActiveKernel() {
+  static const sha256_internal::Kernel kernel = [] {
+    sha256_internal::Kernel sha_ni = sha256_internal::ShaNiKernel();
+    return sha_ni != nullptr ? sha_ni : sha256_internal::CompressPortable;
+  }();
+  return kernel;
+}
+
 }  // namespace
+
+namespace sha256_internal {
+
+void CompressPortable(uint32_t* state, const uint8_t* data, size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[4 * i]) << 24) |
+             (static_cast<uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = RotR(w[i - 15], 7) ^ RotR(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = RotR(w[i - 2], 17) ^ RotR(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      uint32_t s0 = RotR(a, 2) ^ RotR(a, 13) ^ RotR(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Kernel ShaNiKernel() {
+#ifdef DASPOS_SHA256_SHANI
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+      __builtin_cpu_supports("ssse3")) {
+    return CompressShaNi;
+  }
+#endif
+  return nullptr;
+}
+
+Sha256 HasherWith(Kernel kernel) { return Sha256(kernel); }
+
+}  // namespace sha256_internal
+
+Sha256::Sha256() : Sha256(ActiveKernel()) {}
+
+Sha256::Sha256(sha256_internal::Kernel kernel) : kernel_(kernel) { Reset(); }
 
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
@@ -38,62 +189,32 @@ void Sha256::Reset() {
 }
 
 void Sha256::Update(const void* data, size_t len) {
+  if (len == 0) return;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
+  // Only a partial head block goes through buffer_; whole blocks are
+  // compressed in place, in one kernel call.
+  if (buffer_len_ > 0) {
     size_t take = 64 - buffer_len_;
     if (take > len) take = len;
     std::memcpy(buffer_ + buffer_len_, p, take);
     buffer_len_ += take;
     p += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    kernel_(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
+  const size_t whole = len / 64;
+  if (whole > 0) {
+    kernel_(state_, p, whole);
+    p += whole * 64;
+    len -= whole * 64;
   }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = RotR(w[i - 15], 7) ^ RotR(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = RotR(w[i - 2], 17) ^ RotR(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  if (len > 0) {
+    std::memcpy(buffer_, p, len);
+    buffer_len_ = len;
   }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    uint32_t s0 = RotR(a, 2) ^ RotR(a, 13) ^ RotR(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Digest() {
@@ -135,6 +256,11 @@ std::string Sha256::HashHex(std::string_view data) {
   Sha256 h;
   h.Update(data);
   return h.HexDigest();
+}
+
+const char* Sha256::KernelName() {
+  return ActiveKernel() == sha256_internal::CompressPortable ? "portable"
+                                                             : "sha-ni";
 }
 
 }  // namespace daspos

@@ -12,17 +12,32 @@
 
 namespace daspos {
 
+class Sha256;
+
+namespace sha256_internal {
+/// Block-compression kernel: folds `nblocks` consecutive 64-byte blocks at
+/// `data` into the eight-word `state`.
+using Kernel = void (*)(uint32_t* state, const uint8_t* data, size_t nblocks);
+/// A hasher bound to `kernel` instead of the runtime-selected one (tests
+/// pin each kernel through this; see support/sha256_internal.h).
+Sha256 HasherWith(Kernel kernel);
+}  // namespace sha256_internal
+
 /// Incremental SHA-256 hasher.
 ///
 ///   Sha256 h;
 ///   h.Update(chunk1);
 ///   h.Update(chunk2);
 ///   std::string hex = h.HexDigest();
+///
+/// The block kernel is chosen once per process from the CPU: the x86-64
+/// SHA extensions when present, portable scalar code otherwise. Both compute
+/// the same function, so digests never depend on the host.
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
 
-  Sha256() { Reset(); }
+  Sha256();
 
   /// Resets to the initial state (empty message).
   void Reset();
@@ -41,9 +56,14 @@ class Sha256 {
   /// One-shot convenience: hex digest of `data`.
   static std::string HashHex(std::string_view data);
 
- private:
-  void ProcessBlock(const uint8_t* block);
+  /// The block kernel this process selected: "sha-ni" or "portable".
+  static const char* KernelName();
 
+ private:
+  friend Sha256 sha256_internal::HasherWith(sha256_internal::Kernel);
+  explicit Sha256(sha256_internal::Kernel kernel);
+
+  sha256_internal::Kernel kernel_;
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

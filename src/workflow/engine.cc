@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 #include <utility>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "support/fault.h"
 #include "support/metrics_registry.h"
@@ -368,8 +373,9 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
   }
 
   // Indegree-tracked dispatch: every ready step is submitted to the pool;
-  // each completion decrements its dependents and submits those that hit
-  // zero. A failure stops further dispatch (in-flight steps drain).
+  // each completion decrements its dependents, runs the first that hits
+  // zero on the same worker and submits the rest. A failure stops further
+  // dispatch (in-flight steps drain).
   std::vector<StepSlot> slots(step_count);
   DispatchState sched;
   {
@@ -390,13 +396,15 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
     // the pool is withheld so every loop takes its strictly serial path —
     // the reference each parallel width must reproduce byte for byte.
     context->set_worker_pool(threads > 1 ? &pool : nullptr);
-    std::function<void(size_t)> run_step = [&](size_t index) {
+    std::function<void(size_t)> run_chain;
+    // Runs one step; returns the dependent this worker runs next, if any.
+    auto run_step = [&](size_t index) -> std::optional<size_t> {
       {
         MutexLock lock(sched.mutex);
         if (sched.failed) {
           ++sched.settled;
           if (sched.settled == sched.scheduled) sched.settled_cv.NotifyAll();
-          return;
+          return std::nullopt;
         }
       }
       const Binding& binding = bindings_[index];
@@ -520,6 +528,7 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
       }
       slot.status = std::move(status);
 
+      std::optional<size_t> next;
       MutexLock lock(sched.mutex);
       ++sched.settled;
       if (!slot.status.ok()) {
@@ -540,11 +549,26 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
           if (--sched.remaining[dependent] == 0) {
             ++sched.scheduled;
             sched.submitted[dependent] = 1;
-            pool.Submit([&run_step, dependent] { run_step(dependent); });
+            if (next.has_value()) {
+              pool.Submit([&run_chain, dependent] { run_chain(dependent); });
+            } else {
+              next = dependent;
+            }
           }
         }
       }
       if (sched.settled == sched.scheduled) sched.settled_cv.NotifyAll();
+      return next;
+    };
+    // A worker carries on with a step it made ready rather than queueing
+    // it, so a linear chain runs start to end on one thread. A queued step
+    // goes to whichever worker wins the wake-up, and a chain that hops
+    // threads mid-run grows a second glibc arena to the size of its live
+    // events: a peak-RSS spike, in some runs and not others.
+    run_chain = [&run_step](size_t first) {
+      for (std::optional<size_t> index = first; index.has_value();
+           index = run_step(*index)) {
+      }
     };
 
     {
@@ -553,7 +577,7 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
         if (sched.remaining[i] == 0) {
           ++sched.scheduled;
           sched.submitted[i] = 1;
-          pool.Submit([&run_step, i] { run_step(i); });
+          pool.Submit([&run_chain, i] { run_chain(i); });
         }
       }
     }
@@ -578,6 +602,14 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
         1000.0;
     context->set_worker_pool(nullptr);
   }  // pool drains before slots are read below
+
+#ifdef __GLIBC__
+  // The pool's threads each allocated from their own glibc arena, and the
+  // fragments a run frees there stay mapped until something trims them.
+  // Return them now so back-to-back runs in one process (a long-lived
+  // dasposd serving CHAIN, the validate farm) do not ratchet their RSS up.
+  malloc_trim(0);
+#endif
 
   // The workers are gone, but the annotated fields still want their lock
   // held for reads; copy the final verdict out under it.

@@ -373,7 +373,8 @@ TEST(ArchiveTest, FullLifecycleOverPackBackend) {
   for (const PackageFile& file : package->content.files) {
     EXPECT_EQ(Sha256::HashHex(file.bytes),
               Sha256::HashHex(MakeSubmission()
-                                  .files[&file - package->content.files.data()]
+                                  .files[static_cast<size_t>(
+                                      &file - package->content.files.data())]
                                   .bytes));
   }
   FixityReport audit = fresh.AuditFixity();

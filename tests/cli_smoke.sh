@@ -233,7 +233,10 @@ if [ -n "$DASPOSD" ]; then
   "$DASPOS" connect "$ADDR" get "$NETID" "$WORK/z_gen_back.dspc" >/dev/null
   cmp "$WORK/z_gen.dspc" "$WORK/z_gen_back.dspc"
   "$DASPOS" connect "$ADDR" verify "$NETID" | grep -q "verified"
-  "$DASPOS" connect "$ADDR" stat | grep -q '"backend": "pack"'
+  "$DASPOS" connect "$ADDR" stat > "$WORK/stat.json"
+  grep -q '"backend": "pack"' "$WORK/stat.json"
+  grep -Eq '"sha256_kernel": "(sha-ni|portable)"' "$WORK/stat.json"
+  grep -Eq '^dasposd: sha256 kernel (sha-ni|portable)$' "$WORK/dasposd.log"
   kill -TERM "$DPID"
   DRAIN_RC=0
   wait "$DPID" || DRAIN_RC=$?

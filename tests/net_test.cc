@@ -26,6 +26,7 @@
 #include "net/server.h"
 #include "serialize/json.h"
 #include "support/metrics_registry.h"
+#include "support/sha256.h"
 
 namespace daspos {
 namespace net {
@@ -369,6 +370,9 @@ TEST_F(ServerTest, StatReportsBackendAndCounts) {
   EXPECT_EQ(json->Get("backend").as_string(), "pack");
   EXPECT_EQ(json->Get("protocol_version").as_int(), 1);
   EXPECT_GE(json->Get("requests_served").as_int(), 2);
+  const std::string kernel = json->Get("sha256_kernel").as_string();
+  EXPECT_TRUE(kernel == "sha-ni" || kernel == "portable") << kernel;
+  EXPECT_EQ(kernel, Sha256::KernelName());
 }
 
 TEST_F(ServerTest, SixteenConcurrentClientsGetTheirOwnBytesBack) {

@@ -2,11 +2,13 @@
 // string utilities, table rendering, and file IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/checksum.h"
@@ -16,6 +18,7 @@
 #include "support/retry.h"
 #include "support/rng.h"
 #include "support/sha256.h"
+#include "support/sha256_internal.h"
 #include "support/status.h"
 #include "support/strings.h"
 #include "support/table.h"
@@ -152,6 +155,85 @@ TEST(Sha256Test, ResetReusesHasher) {
   h.Update("abc");
   EXPECT_EQ(h.HexDigest(),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// Each block kernel, pinned on its own. Sha256 uses one of them per process
+// (KernelName says which); the SHA-NI arm skips on CPUs without the
+// extensions, the portable arm always runs.
+class Sha256KernelTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    kernel_ = std::string_view(GetParam()) == "portable"
+                  ? sha256_internal::CompressPortable
+                  : sha256_internal::ShaNiKernel();
+    if (kernel_ == nullptr) {
+      GTEST_SKIP() << "no SHA extensions on this CPU or build";
+    }
+  }
+
+  std::string Hash(std::string_view data) const {
+    Sha256 h = sha256_internal::HasherWith(kernel_);
+    h.Update(data);
+    return h.HexDigest();
+  }
+
+  sha256_internal::Kernel kernel_ = nullptr;
+};
+
+TEST_P(Sha256KernelTest, Fips180Vectors) {
+  EXPECT_EQ(Hash(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(Hash("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(Hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(Hash("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                 "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(Hash(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256KernelTest, RandomSplitsMatchEveryOtherPath) {
+  Rng rng(20140301);  // pinned: failures replay exactly
+  std::vector<size_t> lengths = {0,   1,   55,   56,   57,   63,   64,  65,
+                                 119, 120, 127,  128,  129,  192,  4096,
+                                 4159, 9216};
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(static_cast<size_t>(rng.UniformInt(9 * 1024 + 1)));
+  }
+  for (size_t length : lengths) {
+    std::string data(length, '\0');
+    for (char& c : data) c = static_cast<char>(rng.UniformInt(256));
+    // Feed the kernel under test through random Update split points, so
+    // head, whole-block and tail paths all run at every alignment.
+    Sha256 split = sha256_internal::HasherWith(kernel_);
+    size_t offset = 0;
+    while (offset < length) {
+      size_t take = static_cast<size_t>(
+          rng.UniformInt(std::min<size_t>(length - offset, 200) + 1));
+      split.Update(data.data() + offset, take);
+      offset += take;
+    }
+    Sha256 portable = sha256_internal::HasherWith(
+        sha256_internal::CompressPortable);
+    portable.Update(data);
+    const std::string expected = portable.HexDigest();
+    EXPECT_EQ(split.HexDigest(), expected) << "length " << length;
+    EXPECT_EQ(Sha256::HashHex(data), expected) << "length " << length;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha256KernelTest, ::testing::Values("portable", "sha_ni"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      return std::string(param_info.param);
+    });
+
+TEST(Sha256Test, KernelNameMatchesTheCpu) {
+  EXPECT_STREQ(Sha256::KernelName(), sha256_internal::ShaNiKernel() != nullptr
+                                         ? "sha-ni"
+                                         : "portable");
 }
 
 // ------------------------------------------------------------- Checksum --

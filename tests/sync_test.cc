@@ -93,7 +93,7 @@ TEST(SharedMutexTest, ManyReadersOneWriter) {
         ReaderMutexLock lock(mu);
         // Writers add 2 under the exclusive lock, so a reader must never
         // observe an odd value.
-        if (value % 2 != 0) ++observed_bad[r];
+        if (value % 2 != 0) ++observed_bad[static_cast<size_t>(r)];
       }
     });
   }

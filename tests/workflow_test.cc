@@ -366,6 +366,54 @@ TEST(WorkflowTest, ConcurrentContextAccessFromSteps) {
   EXPECT_EQ(context.DatasetNames().size(), 1u + 2u * kSteps);
 }
 
+/// Records the thread it ran on in its own slot of a shared table.
+class ThreadRecordingStep : public WorkflowStep {
+ public:
+  ThreadRecordingStep(size_t slot, std::vector<std::thread::id>* threads)
+      : slot_(slot), threads_(threads) {}
+  std::string name() const override {
+    return "record_" + std::to_string(slot_);
+  }
+  std::string version() const override { return "1"; }
+  Json Config() const override { return Json::Object(); }
+  Result<std::string> Run(const std::vector<std::string_view>& inputs,
+                          WorkflowContext*) const override {
+    (*threads_)[slot_] = std::this_thread::get_id();
+    return inputs.empty() ? std::string("x") : std::string(inputs.front());
+  }
+
+ private:
+  size_t slot_;
+  std::vector<std::thread::id>* threads_;
+};
+
+TEST(WorkflowTest, LinearChainStaysOnOneWorker) {
+  // The worker that finishes a step runs its ready dependent itself, so a
+  // chain never hops threads however many workers sit idle.
+  constexpr size_t kSteps = 24;
+  std::vector<std::thread::id> threads(kSteps);
+  Workflow workflow;
+  for (size_t i = 0; i < kSteps; ++i) {
+    std::vector<std::string> inputs;
+    if (i > 0) inputs.push_back("d" + std::to_string(i - 1));
+    ASSERT_TRUE(workflow
+                    .AddStep(std::make_shared<ThreadRecordingStep>(i, &threads),
+                             inputs, "d" + std::to_string(i))
+                    .ok());
+  }
+  ExecuteOptions options;
+  options.max_threads = 4;
+  for (int run = 0; run < 20; ++run) {
+    WorkflowContext context;
+    auto report = workflow.Execute(&context, nullptr, options);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(report->steps.size(), kSteps);
+    for (size_t i = 1; i < kSteps; ++i) {
+      ASSERT_EQ(threads[i], threads[0]) << "run " << run << ", step " << i;
+    }
+  }
+}
+
 TEST(WorkflowTest, ReportCarriesMetricsAndJson) {
   Workflow workflow;
   ASSERT_TRUE(workflow

@@ -708,22 +708,22 @@ int CmdValidate(const std::string& spec, const ValidateFlags& flags) {
   if (!recovered.ok()) return Fail(recovered.status().ToString());
 
   if (!flags.capture.empty()) {
-    validate::CampaignSpec spec;
-    spec.name = flags.capture;
+    validate::CampaignSpec campaign;
+    campaign.name = flags.capture;
     auto process = ParseProcessName(flags.process);
     if (!process.ok()) return Fail(process.status().ToString());
-    spec.process = *process;
+    campaign.process = *process;
     auto events = ParseU64(flags.events);
     if (!events.ok()) return Fail("bad --events value '" + flags.events + "'");
-    spec.events = static_cast<size_t>(*events);
+    campaign.events = static_cast<size_t>(*events);
     auto seed = ParseU64(flags.seed);
     if (!seed.ok()) return Fail("bad --seed value '" + flags.seed + "'");
-    spec.seed = *seed;
+    campaign.seed = *seed;
     for (const std::string& analysis : Split(flags.analyses, ',')) {
       std::string trimmed(Trim(analysis));
-      if (!trimmed.empty()) spec.analyses.push_back(std::move(trimmed));
+      if (!trimmed.empty()) campaign.analyses.push_back(std::move(trimmed));
     }
-    auto id = validate::CaptureCampaign(&archive, std::move(spec));
+    auto id = validate::CaptureCampaign(&archive, std::move(campaign));
     if (!id.ok()) return Fail(id.status().ToString());
     std::printf("captured campaign '%s' as %s\n", flags.capture.c_str(),
                 id->c_str());
@@ -735,9 +735,9 @@ int CmdValidate(const std::string& spec, const ValidateFlags& flags) {
   std::unique_ptr<ThreadPool> pool = MakePool(*threads);
   std::unique_ptr<FaultPlan> faults;
   if (!flags.fault_spec.empty()) {
-    auto spec = FaultSpec::Parse(flags.fault_spec);
-    if (!spec.ok()) return Fail(spec.status().ToString());
-    faults = std::make_unique<FaultPlan>(*spec);
+    auto fault_spec = FaultSpec::Parse(flags.fault_spec);
+    if (!fault_spec.ok()) return Fail(fault_spec.status().ToString());
+    faults = std::make_unique<FaultPlan>(*fault_spec);
   }
 
   validate::ValidateOptions options;

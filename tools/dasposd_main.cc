@@ -27,6 +27,7 @@
 #include "archive/backend.h"
 #include "net/server.h"
 #include "support/metrics_registry.h"
+#include "support/sha256.h"
 #include "support/strings.h"
 
 namespace {
@@ -134,6 +135,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "%u\n", static_cast<unsigned>(server.port()));
     std::fclose(f);
   }
+  std::printf("dasposd: sha256 kernel %s\n", daspos::Sha256::KernelName());
   std::printf("dasposd: serving %s (%s) listening on %s:%u\n",
               spec_text.c_str(), options.backend_name.c_str(),
               options.host.c_str(), static_cast<unsigned>(server.port()));
