@@ -204,6 +204,39 @@ if "$DASPOS" audit "pakc:$WORK/packed" >/dev/null 2>&1; then
   exit 1
 fi
 
+# Malformed invocations: each must exit exactly 1 (an unknown flag on
+# every flag-taking command, out-of-range numbers, a bad enum value).
+expect_exit1() {
+  rc=0
+  "$@" >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "expected exit 1, got $rc: $*" >&2
+    exit 1
+  fi
+}
+expect_exit1 "$DASPOS" audit "$WORK/archive" --bogus
+expect_exit1 "$DASPOS" ingest "$WORK/rejected" "title" "$WORK/z_gen.dspc" \
+  --bogus
+expect_exit1 "$DASPOS" lint --bogus "$WORK/dimuon.lhada"
+expect_exit1 "$DASPOS" chain z_ll 10 7 --bogus
+expect_exit1 "$DASPOS" validate "$WORK/farm" --bogus
+expect_exit1 "$DASPOS" scrub "$WORK/rep0" --bogus
+expect_exit1 "$DASPOS" migrate "$WORK/rep0" "$WORK/rejected-gen" --bogus
+expect_exit1 "$DASPOS" repack "$WORK/rep0" "$WORK/rejected-pack" --bogus
+expect_exit1 "$DASPOS" chain z_ll 10 7 --retries=1001
+expect_exit1 "$DASPOS" chain z_ll 10 7 --step-timeout=-1
+expect_exit1 "$DASPOS" lint --fail-on=bogus "$WORK/dimuon.lhada"
+expect_exit1 "$DASPOS" scrub "$WORK/rep0" --batch=0
+expect_exit1 "$DASPOS" scrub "$WORK/rep0" --rate=-1
+expect_exit1 "$DASPOS" migrate "$WORK/rep0" "$WORK/rejected-gen" --batch=0
+expect_exit1 "$DASPOS" validate "$WORK/farm" --warn-ks=-1
+if [ -n "$DASPOSD" ]; then
+  # The daemon rejects these before it binds a port.
+  expect_exit1 "$DASPOSD" "pack:$WORK/rejected-store" --port=70000
+  expect_exit1 "$DASPOSD" "pack:$WORK/rejected-store" --max-frame-mb=0
+  expect_exit1 "$DASPOSD" "pack:$WORK/rejected-store" --bogus
+fi
+
 # Corrupt the dataset: inspect must refuse.
 head -c 1000 "$WORK/z_gen.dspc" > "$WORK/broken.dspc"
 if "$DASPOS" inspect "$WORK/broken.dspc" 2>/dev/null; then
