@@ -32,4 +32,12 @@ const ProcessInfo& GetProcessInfo(Process process) {
   return AllProcesses().front();
 }
 
+Result<Process> ProcessFromName(std::string_view name) {
+  for (const ProcessInfo& info : AllProcesses()) {
+    if (info.name == name) return info.id;
+  }
+  return Status::InvalidArgument("unknown process '" + std::string(name) +
+                                 "'");
+}
+
 }  // namespace daspos

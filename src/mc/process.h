@@ -6,7 +6,10 @@
 #define DASPOS_MC_PROCESS_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "support/result.h"
 
 namespace daspos {
 
@@ -37,6 +40,10 @@ const ProcessInfo& GetProcessInfo(Process process);
 
 /// All catalogued processes.
 const std::vector<ProcessInfo>& AllProcesses();
+
+/// Catalog lookup by name ("z_ll"); InvalidArgument "unknown process '…'"
+/// for a name the catalog does not have.
+Result<Process> ProcessFromName(std::string_view name);
 
 }  // namespace daspos
 

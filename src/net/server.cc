@@ -375,18 +375,7 @@ Result<std::string> Server::HandleChain(std::string_view payload) {
         std::to_string(kMaxChainEvents) + "], got " +
         std::to_string(request.events));
   }
-  Process process = Process::kMinimumBias;
-  bool known = false;
-  for (const ProcessInfo& info : AllProcesses()) {
-    if (info.name == request.process) {
-      process = info.id;
-      known = true;
-    }
-  }
-  if (!known) {
-    return Status::InvalidArgument("unknown process '" + request.process +
-                                   "'");
-  }
+  DASPOS_ASSIGN_OR_RETURN(Process process, ProcessFromName(request.process));
   Workflow workflow = StandardChainWorkflow(
       process, static_cast<size_t>(request.events), request.seed);
   ConditionsDb conditions;

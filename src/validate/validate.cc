@@ -44,13 +44,6 @@ bool IsPathSafeName(const std::string& name) {
   return name != "." && name != "..";
 }
 
-Result<Process> ProcessByName(const std::string& name) {
-  for (const ProcessInfo& info : AllProcesses()) {
-    if (info.name == name) return info.id;
-  }
-  return Status::InvalidArgument("unknown process '" + name + "'");
-}
-
 /// Runs the campaign's chain strictly serially (the deterministic reference
 /// path: one thread, no intra-step pool) with the caller's retry/journal/
 /// fault knobs. The conditions database lives only for the execution, like
@@ -429,7 +422,7 @@ Result<CampaignSet> EnumerateCampaigns(const Archive& archive) {
     Campaign campaign;
     campaign.archive_id = holding.archive_id;
     campaign.spec.name = manifest.Get("name").as_string();
-    auto process = ProcessByName(manifest.Get("process").as_string());
+    auto process = ProcessFromName(manifest.Get("process").as_string());
     if (!process.ok()) {
       broken.error = process.status().ToString();
       set.broken.push_back(std::move(broken));

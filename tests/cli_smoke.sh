@@ -225,6 +225,7 @@ expect_exit1 "$DASPOS" migrate "$WORK/rep0" "$WORK/rejected-gen" --bogus
 expect_exit1 "$DASPOS" repack "$WORK/rep0" "$WORK/rejected-pack" --bogus
 expect_exit1 "$DASPOS" chain z_ll 10 7 --retries=1001
 expect_exit1 "$DASPOS" chain z_ll 10 7 --step-timeout=-1
+expect_exit1 "$DASPOS" chain z_ll 10 7 2 3  # one optional positional only
 expect_exit1 "$DASPOS" lint --fail-on=bogus "$WORK/dimuon.lhada"
 expect_exit1 "$DASPOS" scrub "$WORK/rep0" --batch=0
 expect_exit1 "$DASPOS" scrub "$WORK/rep0" --rate=-1

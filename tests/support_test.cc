@@ -13,6 +13,7 @@
 
 #include "support/checksum.h"
 #include "support/fault.h"
+#include "support/flags.h"
 #include "support/io.h"
 #include "support/result.h"
 #include "support/retry.h"
@@ -732,6 +733,132 @@ TEST(FaultPlanTest, RateModeIsDeterministicPerSeed) {
   EXPECT_GT(injected, 50);
   EXPECT_LT(injected, 150);
   EXPECT_EQ(a.injected(), static_cast<uint64_t>(injected));
+}
+
+
+// ------------------------------------------------------------------ Flags
+
+struct TestFlags {
+  bool json = false;
+  std::string journal = "unset";
+  std::string out;
+  uint64_t batch = 64;
+  double rate = 0.0;
+  std::vector<Flag> Declare() {
+    return {Flag::Bool("json", &json),
+            Flag::String("journal", &journal, "DIR"),
+            Flag::Path("out", &out, "FILE"),
+            Flag::U64("batch", &batch, 1, 1000),
+            Flag::Double("rate", &rate, 0.0, "N")};
+  }
+};
+
+Result<std::vector<std::string>> ParseTest(TestFlags* flags,
+                                           std::vector<std::string> args) {
+  return ParseFlags("test", flags->Declare(), args);
+}
+
+TEST(FlagsTest, FillsEveryKindAndKeepsPositionalOrder) {
+  TestFlags flags;
+  auto positionals =
+      ParseTest(&flags, {"a", "--json", "--batch=7", "b", "--rate=2.5",
+                         "--journal=dir", "--out=file", "c"});
+  ASSERT_TRUE(positionals.ok()) << positionals.status();
+  EXPECT_EQ(*positionals, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_TRUE(flags.json);
+  EXPECT_EQ(flags.batch, 7u);
+  EXPECT_EQ(flags.rate, 2.5);
+  EXPECT_EQ(flags.journal, "dir");
+  EXPECT_EQ(flags.out, "file");
+}
+
+TEST(FlagsTest, UnsetFlagsKeepTheirDefaults) {
+  TestFlags flags;
+  ASSERT_TRUE(ParseTest(&flags, {"only"}).ok());
+  EXPECT_FALSE(flags.json);
+  EXPECT_EQ(flags.journal, "unset");
+  EXPECT_EQ(flags.batch, 64u);
+}
+
+TEST(FlagsTest, UnknownFlagsAreRejectedByExactName) {
+  for (const char* arg : {"--bogus", "--batc=2", "--batchx=2", "-json", "-",
+                          "--", "--=1"}) {
+    TestFlags flags;
+    auto positionals = ParseTest(&flags, {"a", arg});
+    ASSERT_FALSE(positionals.ok()) << arg;
+    EXPECT_TRUE(positionals.status().IsInvalidArgument());
+    EXPECT_EQ(positionals.status().message(),
+              "unknown test flag '" + std::string(arg) + "'");
+  }
+}
+
+TEST(FlagsTest, U64BoundsAreInclusive) {
+  TestFlags flags;
+  ASSERT_TRUE(ParseTest(&flags, {"--batch=1"}).ok());
+  EXPECT_EQ(flags.batch, 1u);
+  ASSERT_TRUE(ParseTest(&flags, {"--batch=1000"}).ok());
+  EXPECT_EQ(flags.batch, 1000u);
+  for (const char* value : {"0", "1001", "-1", "x", "2.5",
+                            "99999999999999999999"}) {
+    auto positionals =
+        ParseTest(&flags, {std::string("--batch=") + value});
+    ASSERT_FALSE(positionals.ok()) << value;
+    EXPECT_EQ(positionals.status().message(),
+              "bad --batch value '" + std::string(value) + "'");
+  }
+  EXPECT_EQ(flags.batch, 1000u);  // a rejected value leaves the field alone
+}
+
+TEST(FlagsTest, DoubleMinimumIsInclusive) {
+  TestFlags flags;
+  ASSERT_TRUE(ParseTest(&flags, {"--rate=0"}).ok());
+  EXPECT_EQ(flags.rate, 0.0);
+  for (const char* value : {"-1", "-0.5", "fast"}) {
+    auto positionals = ParseTest(&flags, {std::string("--rate=") + value});
+    ASSERT_FALSE(positionals.ok()) << value;
+    EXPECT_EQ(positionals.status().message(),
+              "bad --rate value '" + std::string(value) + "'");
+  }
+}
+
+TEST(FlagsTest, DuplicateFlagsLastValueWins) {
+  TestFlags flags;
+  ASSERT_TRUE(
+      ParseTest(&flags, {"--batch=2", "--json", "--batch=3", "--json"}).ok());
+  EXPECT_EQ(flags.batch, 3u);
+  EXPECT_TRUE(flags.json);
+}
+
+TEST(FlagsTest, EmptyValues) {
+  TestFlags flags;
+  ASSERT_TRUE(ParseTest(&flags, {"--journal="}).ok());
+  EXPECT_EQ(flags.journal, "");  // a string may be empty
+  auto path = ParseTest(&flags, {"--out="});
+  ASSERT_FALSE(path.ok());
+  EXPECT_EQ(path.status().message(), "--out needs a path");
+  auto number = ParseTest(&flags, {"--batch="});
+  ASSERT_FALSE(number.ok());
+  EXPECT_EQ(number.status().message(), "bad --batch value ''");
+  EXPECT_FALSE(ParseTest(&flags, {"--rate="}).ok());
+}
+
+TEST(FlagsTest, BoolTakesNoValueAndOthersNeedOne) {
+  TestFlags flags;
+  for (const char* arg : {"--json=1", "--json=", "--batch", "--out"}) {
+    auto positionals = ParseTest(&flags, {arg});
+    ASSERT_FALSE(positionals.ok()) << arg;
+    EXPECT_EQ(positionals.status().message(),
+              "unknown test flag '" + std::string(arg) + "'");
+  }
+  EXPECT_FALSE(flags.json);
+}
+
+TEST(FlagsTest, UsageLineRendersDeclarationsAndWraps) {
+  TestFlags flags;
+  EXPECT_EQ(UsageLine("  tool command <input> <output>", flags.Declare(), 4),
+            "  tool command <input> <output> [--json] [--journal=DIR] "
+            "[--out=FILE]\n    [--batch=N] [--rate=N]\n");
+  EXPECT_EQ(UsageLine("  tool cmd", {}, 4), "  tool cmd\n");
 }
 
 }  // namespace

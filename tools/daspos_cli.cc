@@ -1,20 +1,9 @@
 // daspos — command-line companion for the preservation stack.
 //
-//   daspos inspect <file>                     identify + summarize a file
-//   daspos generate <process> <n> <seed> <out>  produce a GEN dataset
-//   daspos holdings <archive-dir>             list archive packages
-//   daspos audit <archive-dir>                fixity-audit an archive
-//   daspos ingest <archive-dir> <title> <f..> deposit files as a package
-//   daspos retrieve <archive-dir> <id> <dir>  extract a package
-//   daspos lhada-run <description> <aod>      run a cutflow
-//   daspos lhada-check <description>          validate + canonicalize
-//   daspos lint [flags] <artifact...>         static preservation checks
-//   daspos chain <process> <n> <seed>         run the standard chain
-//   daspos metrics [<process> <n> <seed>]     Prometheus metrics dump
-//   daspos scrub <replica-store...>           incremental fixity scrub+repair
-//   daspos migrate <src-store> <dst-store>    copy-verify-swap migration
-//   daspos repack <src-store> <dst-dir>       repack a store into packfiles
-//   daspos connect <host:port> <verb> [...]   talk to a running dasposd
+// Every command is one entry of the table in Commands(): its name, its
+// positionals, the flags it accepts (support/flags.h) and its handler.
+// main() dispatches through that table and Usage() renders from it, so
+// `daspos` with no arguments prints the authoritative synopsis.
 //
 // Every <archive-store> argument is a backend spec: `file:DIR` (loose
 // sharded files), `pack:DIR` (packfiles), `pack+z:DIR` (packfiles with
@@ -53,6 +42,7 @@
 #include "mc/generator.h"
 #include "net/client.h"
 #include "support/fault.h"
+#include "support/flags.h"
 #include "support/io.h"
 #include "support/metrics_registry.h"
 #include "support/parallel.h"
@@ -68,6 +58,45 @@
 using namespace daspos;
 
 namespace {
+
+using Args = std::vector<std::string>;
+
+/// Every flag any command takes; each command's table entry declares which
+/// of these it accepts, and ParseFlags fills them.
+struct CliFlags {
+  std::string threads;  // empty -> DASPOS_THREADS env -> the command default
+  bool json = false;
+  uint64_t retries = 0;
+  std::string journal_dir;
+  std::string report_path;
+  std::string fault_spec;  // --inject-faults=<spec> (deterministic chaos)
+  // lint
+  std::string fail_on = "error";
+  // chain
+  double step_timeout_s = 0.0;
+  bool keep_going = false;
+  std::string resume_dir;  // checkpoint AND restore prior checkpoints
+  std::string trace_out;   // Chrome trace_event JSON export path
+  // validate
+  std::string capture;  // campaign name; non-empty selects capture mode
+  std::string process = "z_ll";
+  uint64_t events = 200;
+  uint64_t seed = 42;
+  std::string analyses;  // comma-separated; empty = every registered one
+  std::string prometheus_path;
+  std::string campaign_filter;
+  std::string analysis_filter;
+  validate::Thresholds thresholds;
+  // scrub, migrate, repack
+  std::string cursor_dir;
+  uint64_t max_objects = 0;
+  double rate = 0.0;
+  uint64_t batch = 64;  // the ScrubOptions and MigrateOptions default
+  std::string state_dir;
+  bool compress = false;
+};
+
+int Usage();
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "daspos: %s\n", message.c_str());
@@ -103,75 +132,23 @@ std::unique_ptr<ThreadPool> MakePool(size_t threads) {
   return std::make_unique<ThreadPool>(threads);
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  daspos inspect <file>\n"
-               "  daspos generate <process> <n-events> <seed> <out-file> "
-               "[gen|raw|reco|aod]\n"
-               "  daspos holdings <archive-store>\n"
-               "  daspos audit <archive-store> [--threads=N]\n"
-               "  daspos ingest <archive-store> <title> <file...> "
-               "[--threads=N]\n"
-               "  daspos retrieve <archive-store> <archive-id> <out-dir>\n"
-               "  daspos lhada-run <description-file> <aod-file>\n"
-               "  daspos lhada-check <description-file>\n"
-               "  daspos display <reco-or-aod-file> <event-index>\n"
-               "  daspos convert <in-file> <from-exp> <to-exp> <out-file>\n"
-               "  daspos export <reco-file> <experiment> <out-file>\n"
-               "  daspos chain <process> <n-events> <seed> [threads] "
-               "[--threads=N] [--json]\n"
-               "               [--retries=N] [--step-timeout=SECONDS] "
-               "[--keep-going]\n"
-               "               [--journal=DIR] [--resume=DIR] "
-               "[--trace-out=FILE]\n"
-               "  daspos lint [--json] [--fail-on=info|warning|error] "
-               "[--threads=N] <artifact...>\n"
-               "  daspos metrics [<process> <n-events> <seed>]\n"
-               "  daspos connect <host:port> ping\n"
-               "  daspos connect <host:port> put <file>\n"
-               "  daspos connect <host:port> get <object-id> <out-file>\n"
-               "  daspos connect <host:port> verify <object-id>\n"
-               "  daspos connect <host:port> put-batch <file...>\n"
-               "  daspos connect <host:port> lint <file...>\n"
-               "  daspos connect <host:port> chain <process> <n-events> "
-               "<seed>\n"
-               "  daspos connect <host:port> stat\n"
-               "  daspos scrub <replica-store...> [--cursor=DIR] "
-               "[--max-objects=N] [--rate=N]\n"
-               "               [--batch=N] [--threads=N] [--json] "
-               "[--report=FILE]\n"
-               "  daspos migrate <source-store> <target-store> "
-               "[--state=DIR] [--batch=N]\n"
-               "               [--threads=N] [--inject-faults=SPEC] "
-               "[--json]\n"
-               "  daspos repack <source-store> <target-dir> [--compress] "
-               "[--state=DIR]\n"
-               "               [--batch=N] [--threads=N] "
-               "[--inject-faults=SPEC] [--json]\n"
-               "  daspos validate <archive-store> --capture=NAME "
-               "[--process=P] [--events=N]\n"
-               "               [--seed=N] [--analyses=A,B]\n"
-               "  daspos validate <archive-store> [--json] [--threads=N] "
-               "[--retries=N]\n"
-               "               [--journal=DIR] [--report=FILE] "
-               "[--prometheus=FILE]\n"
-               "               [--campaign=NAME] [--analysis=NAME] "
-               "[--inject-faults=SPEC]\n"
-               "               [--fail-chi2=X] [--warn-chi2=X] "
-               "[--warn-ks=X]\n"
-               "processes: minbias z_ll w_lnu h_gammagamma qcd_dijet "
-               "d_meson zprime_ll\n"
-               "threads: --threads=N (or DASPOS_THREADS env) sizes the "
-               "worker pool;\n"
-               "         0 = one per hardware thread, 1 = strictly serial\n"
-               "stores : file:DIR (loose sharded), pack:DIR (packfiles),\n"
-               "         pack+z:DIR (compressed packfiles); a bare DIR "
-               "sniffs the layout\n");
-  return 1;
+/// The --inject-faults plan, or null when the flag was not given.
+Result<std::unique_ptr<FaultPlan>> MakeFaultPlan(const std::string& spec) {
+  if (spec.empty()) return std::unique_ptr<FaultPlan>();
+  DASPOS_ASSIGN_OR_RETURN(FaultSpec parsed, FaultSpec::Parse(spec));
+  return std::make_unique<FaultPlan>(parsed);
 }
 
-int CmdInspect(const std::string& path) {
+/// The "fault injection:" report line; prints nothing without a plan.
+void PrintFaultSummary(const FaultPlan* faults) {
+  if (faults == nullptr) return;
+  std::printf("fault injection: %llu fault(s) across %llu operation(s)\n",
+              static_cast<unsigned long long>(faults->injected()),
+              static_cast<unsigned long long>(faults->operations()));
+}
+
+int CmdInspect(const Args& args, const CliFlags&) {
+  const std::string& path = args[0];
   auto bytes = ReadFileToString(path);
   if (!bytes.ok()) return Fail(bytes.status().ToString());
 
@@ -232,18 +209,14 @@ int CmdInspect(const std::string& path) {
   return Fail("unrecognized file format: " + path);
 }
 
-int CmdGenerate(const std::string& process_name, const std::string& count,
-                const std::string& seed, const std::string& out,
-                const std::string& tier_name) {
-  Process process = Process::kMinimumBias;
-  bool known = false;
-  for (const ProcessInfo& info : AllProcesses()) {
-    if (info.name == process_name) {
-      process = info.id;
-      known = true;
-    }
-  }
-  if (!known) return Fail("unknown process '" + process_name + "'");
+int CmdGenerate(const Args& args, const CliFlags&) {
+  const std::string& process_name = args[0];
+  const std::string& count = args[1];
+  const std::string& seed = args[2];
+  const std::string& out = args[3];
+  const std::string tier_name = args.size() == 5 ? args[4] : "gen";
+  auto process = ProcessFromName(process_name);
+  if (!process.ok()) return Fail(process.status().message());
   auto n = ParseU64(count);
   if (!n.ok()) return Fail("bad event count '" + count + "'");
   auto seed_value = ParseU64(seed);
@@ -254,7 +227,7 @@ int CmdGenerate(const std::string& process_name, const std::string& count,
   }
 
   GeneratorConfig config;
-  config.process = process;
+  config.process = *process;
   config.seed = *seed_value;
   EventGenerator generator(config);
   std::vector<GenEvent> truth =
@@ -263,7 +236,7 @@ int CmdGenerate(const std::string& process_name, const std::string& count,
   DatasetInfo info;
   info.name = process_name + "_seed" + seed + "_" + tier_name;
   info.producer = "daspos-cli generate";
-  info.description = GetProcessInfo(process).description;
+  info.description = GetProcessInfo(*process).description;
 
   std::string blob;
   if (tier_name == "gen") {
@@ -315,7 +288,8 @@ int CmdGenerate(const std::string& process_name, const std::string& count,
   return 0;
 }
 
-int CmdHoldings(const std::string& spec) {
+int CmdHoldings(const Args& args, const CliFlags&) {
+  const std::string& spec = args[0];
   auto store = OpenObjectStore(spec);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
@@ -332,7 +306,10 @@ int CmdHoldings(const std::string& spec) {
   return 0;
 }
 
-int CmdAudit(const std::string& spec, size_t threads) {
+int CmdAudit(const Args& args, const CliFlags& flags) {
+  const std::string& spec = args[0];
+  auto threads = ResolveThreads(flags.threads);
+  if (!threads.ok()) return Fail(threads.status().ToString());
   // Store-walk errors around catalog recovery + audit: an unreadable store
   // enumerates as empty, so without this delta the audit of a damaged
   // archive would pass vacuously.
@@ -343,7 +320,7 @@ int CmdAudit(const std::string& spec, size_t threads) {
   Archive archive(store->get());
   auto recovered = archive.RecoverCatalog();
   if (!recovered.ok()) return Fail(recovered.status().ToString());
-  std::unique_ptr<ThreadPool> pool = MakePool(threads);
+  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
   FixityReport report = archive.AuditFixity(pool.get());
   const uint64_t walk_errors =
       MetricsRegistry::Global().CounterValue(
@@ -370,8 +347,10 @@ int CmdAudit(const std::string& spec, size_t threads) {
 // Deposits local files into the archive as one package. With more than one
 // worker the blobs are hashed and stored concurrently (Archive::Deposit's
 // batched ingest); the resulting archive id is identical either way.
-int CmdIngest(const std::string& spec, const std::string& title,
-              const std::vector<std::string>& files, size_t threads) {
+int CmdIngest(const Args& args, const CliFlags& flags) {
+  const std::string& spec = args[0];
+  auto threads = ResolveThreads(flags.threads);
+  if (!threads.ok()) return Fail(threads.status().ToString());
   auto store = OpenObjectStore(spec);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
@@ -379,9 +358,10 @@ int CmdIngest(const std::string& spec, const std::string& title,
   if (!recovered.ok()) return Fail(recovered.status().ToString());
 
   SubmissionPackage package;
-  package.title = title;
+  package.title = args[1];
   package.creator = "daspos-cli ingest";
-  for (const std::string& path : files) {
+  for (size_t i = 2; i < args.size(); ++i) {
+    const std::string& path = args[i];
     auto bytes = ReadFileToString(path);
     if (!bytes.ok()) return Fail(bytes.status().ToString());
     PackageFile file;
@@ -392,7 +372,7 @@ int CmdIngest(const std::string& spec, const std::string& title,
     package.files.push_back(std::move(file));
   }
 
-  std::unique_ptr<ThreadPool> pool = MakePool(threads);
+  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
   auto archive_id = archive.Deposit(package, pool.get());
   if (!archive_id.ok()) return Fail(archive_id.status().ToString());
   uint64_t total_bytes = 0;
@@ -416,12 +396,12 @@ int CmdIngest(const std::string& spec, const std::string& title,
   return 0;
 }
 
-int CmdRetrieve(const std::string& spec, const std::string& id,
-                const std::string& out_dir) {
-  auto store = OpenObjectStore(spec);
+int CmdRetrieve(const Args& args, const CliFlags&) {
+  const std::string& out_dir = args[2];
+  auto store = OpenObjectStore(args[0]);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
-  auto package = archive.Retrieve(id);
+  auto package = archive.Retrieve(args[1]);
   if (!package.ok()) return Fail(package.status().ToString());
   std::printf("package: %s\n", package->content.title.c_str());
   for (const PackageFile& file : package->content.files) {
@@ -435,8 +415,9 @@ int CmdRetrieve(const std::string& spec, const std::string& id,
   return 0;
 }
 
-int CmdLhadaRun(const std::string& description_path,
-                const std::string& aod_path) {
+int CmdLhadaRun(const Args& args, const CliFlags&) {
+  const std::string& description_path = args[0];
+  const std::string& aod_path = args[1];
   auto description_text = ReadFileToString(description_path);
   if (!description_text.ok()) return Fail(description_text.status().ToString());
   auto description = lhada::AnalysisDescription::Parse(*description_text);
@@ -451,8 +432,8 @@ int CmdLhadaRun(const std::string& description_path,
   return 0;
 }
 
-int CmdLhadaCheck(const std::string& path) {
-  auto text = ReadFileToString(path);
+int CmdLhadaCheck(const Args& args, const CliFlags&) {
+  auto text = ReadFileToString(args[0]);
   if (!text.ok()) return Fail(text.status().ToString());
   auto description = lhada::AnalysisDescription::Parse(*text);
   if (!description.ok()) return Fail(description.status().ToString());
@@ -460,7 +441,9 @@ int CmdLhadaCheck(const std::string& path) {
   return 0;
 }
 
-int CmdDisplay(const std::string& path, const std::string& index_text) {
+int CmdDisplay(const Args& args, const CliFlags&) {
+  const std::string& path = args[0];
+  const std::string& index_text = args[1];
   auto bytes = ReadFileToString(path);
   if (!bytes.ok()) return Fail(bytes.status().ToString());
   auto index = ParseU64(index_text);
@@ -490,8 +473,11 @@ Result<Experiment> ParseExperiment(const std::string& name) {
                                  "' (Alice|Atlas|CMS|LHCb)");
 }
 
-int CmdConvert(const std::string& in, const std::string& from_name,
-               const std::string& to_name, const std::string& out) {
+int CmdConvert(const Args& args, const CliFlags&) {
+  const std::string& in = args[0];
+  const std::string& from_name = args[1];
+  const std::string& to_name = args[2];
+  const std::string& out = args[3];
   auto from = ParseExperiment(from_name);
   if (!from.ok()) return Fail(from.status().ToString());
   auto to = ParseExperiment(to_name);
@@ -509,8 +495,10 @@ int CmdConvert(const std::string& in, const std::string& from_name,
   return 0;
 }
 
-int CmdExport(const std::string& in, const std::string& experiment_name,
-              const std::string& out) {
+int CmdExport(const Args& args, const CliFlags&) {
+  const std::string& in = args[0];
+  const std::string& experiment_name = args[1];
+  const std::string& out = args[2];
   auto experiment = ParseExperiment(experiment_name);
   if (!experiment.ok()) return Fail(experiment.status().ToString());
   auto bytes = ReadFileToString(in);
@@ -532,40 +520,20 @@ int CmdExport(const std::string& in, const std::string& experiment_name,
   return 0;
 }
 
-// Flags for `daspos chain` beyond the positional process/count/seed.
-struct ChainFlags {
-  std::string threads;  // empty -> DASPOS_THREADS env -> hardware default
-  bool as_json = false;
-  int retries = 0;
-  double step_timeout_s = 0.0;
-  bool keep_going = false;
-  std::string journal_dir;  // checkpoint as the run progresses
-  std::string resume_dir;   // checkpoint AND restore prior checkpoints
-  std::string fault_spec;   // hidden: --inject-faults=<spec> (CI chaos runs)
-  std::string trace_out;    // Chrome trace_event JSON export path
-};
-
-Result<Process> ParseProcessName(const std::string& process_name) {
-  for (const ProcessInfo& info : AllProcesses()) {
-    if (info.name == process_name) return info.id;
-  }
-  return Status::InvalidArgument("unknown process '" + process_name + "'");
-}
-
 // Runs the standard GEN->RAW->RECO->AOD->derived chain in memory on the
 // parallel workflow engine and prints the per-step timing table (or, with
 // --json, the full execution report as JSON). With a journal the run is
 // checkpointed step by step; --resume restores verified checkpoints instead
 // of re-executing their steps.
-int CmdChain(const std::string& process_name, const std::string& count,
-             const std::string& seed, const ChainFlags& flags) {
-  auto process = ParseProcessName(process_name);
+int CmdChain(const Args& args, const CliFlags& flags) {
+  auto process = ProcessFromName(args[0]);
   if (!process.ok()) return Fail(process.status().ToString());
-  auto n = ParseU64(count);
-  if (!n.ok()) return Fail("bad event count '" + count + "'");
-  auto seed_value = ParseU64(seed);
-  if (!seed_value.ok()) return Fail("bad seed '" + seed + "'");
-  auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
+  auto n = ParseU64(args[1]);
+  if (!n.ok()) return Fail("bad event count '" + args[1] + "'");
+  auto seed_value = ParseU64(args[2]);
+  if (!seed_value.ok()) return Fail("bad seed '" + args[2] + "'");
+  auto threads = ResolveThreads(args.size() == 4 ? args[3] : flags.threads,
+                                /*fallback=*/0);
   if (!threads.ok()) return Fail(threads.status().ToString());
 
   Workflow workflow = StandardChainWorkflow(
@@ -582,7 +550,7 @@ int CmdChain(const std::string& process_name, const std::string& count,
   ProvenanceStore provenance;
   ExecuteOptions options;
   options.max_threads = static_cast<size_t>(*threads);
-  options.max_step_retries = flags.retries;
+  options.max_step_retries = static_cast<int>(flags.retries);
   options.step_timeout_ms = flags.step_timeout_s * 1000.0;
   options.keep_going = flags.keep_going;
 
@@ -609,13 +577,9 @@ int CmdChain(const std::string& process_name, const std::string& count,
     }
   }
 
-  std::unique_ptr<FaultPlan> faults;
-  if (!flags.fault_spec.empty()) {
-    auto spec = FaultSpec::Parse(flags.fault_spec);
-    if (!spec.ok()) return Fail(spec.status().ToString());
-    faults = std::make_unique<FaultPlan>(*spec);
-    options.step_faults = faults.get();
-  }
+  auto faults = MakeFaultPlan(flags.fault_spec);
+  if (!faults.ok()) return Fail(faults.status().ToString());
+  options.step_faults = faults->get();
 
   const bool tracing = !flags.trace_out.empty();
   if (tracing) Tracer::Global().Enable();
@@ -635,7 +599,7 @@ int CmdChain(const std::string& process_name, const std::string& count,
   }
   if (!report.ok()) return Fail(report.status().ToString());
 
-  if (flags.as_json) {
+  if (flags.json) {
     std::printf("%s\n", report->ToJson().Dump(2).c_str());
     return report->fully_succeeded() ? 0 : 1;
   }
@@ -649,11 +613,7 @@ int CmdChain(const std::string& process_name, const std::string& count,
     std::printf("resumed %zu step(s) from journal checkpoints in %s\n",
                 resumed, journal_dir.c_str());
   }
-  if (faults != nullptr) {
-    std::printf("fault injection: %llu fault(s) across %llu operation(s)\n",
-                static_cast<unsigned long long>(faults->injected()),
-                static_cast<unsigned long long>(faults->operations()));
-  }
+  PrintFaultSummary(faults->get());
   if (tracing) {
     std::printf("trace: %zu span(s) written to %s\n", span_count,
                 flags.trace_out.c_str());
@@ -673,35 +633,17 @@ int CmdChain(const std::string& process_name, const std::string& count,
   return 0;
 }
 
-struct ValidateFlags {
-  std::string capture;   // campaign name; non-empty selects capture mode
-  std::string process = "z_ll";
-  std::string events = "200";
-  std::string seed = "42";
-  std::string analyses;  // comma-separated; empty = every registered one
-  bool as_json = false;
-  std::string threads;
-  int retries = 0;
-  std::string fault_spec;       // --inject-faults=<spec> (chaos validation)
-  std::string journal_dir;      // per-campaign journals under this root
-  std::string report_path;      // JSON report file
-  std::string prometheus_path;  // metrics exposition file
-  std::string campaign_filter;
-  std::string analysis_filter;
-  validate::Thresholds thresholds;
-};
-
 // The continuous-validation farm. --capture freezes a campaign package
 // (chain config + per-analysis reference histograms + dataset digests) into
 // the archive; without it, every campaign x analysis cell is re-executed
 // through the workflow engine and compared against its archived references.
 // Exit: 0 all pass, 2 warnings only, 1 any failure (or unreadable store).
-int CmdValidate(const std::string& spec, const ValidateFlags& flags) {
+int CmdValidate(const Args& args, const CliFlags& flags) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   RegisterStandardMetrics(registry);
   const uint64_t walk_before =
       registry.CounterValue(metric_names::kArchiveWalkErrorsTotal);
-  auto store = OpenObjectStore(spec);
+  auto store = OpenObjectStore(args[0]);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
   auto recovered = archive.RecoverCatalog();
@@ -710,15 +652,11 @@ int CmdValidate(const std::string& spec, const ValidateFlags& flags) {
   if (!flags.capture.empty()) {
     validate::CampaignSpec campaign;
     campaign.name = flags.capture;
-    auto process = ParseProcessName(flags.process);
+    auto process = ProcessFromName(flags.process);
     if (!process.ok()) return Fail(process.status().ToString());
     campaign.process = *process;
-    auto events = ParseU64(flags.events);
-    if (!events.ok()) return Fail("bad --events value '" + flags.events + "'");
-    campaign.events = static_cast<size_t>(*events);
-    auto seed = ParseU64(flags.seed);
-    if (!seed.ok()) return Fail("bad --seed value '" + flags.seed + "'");
-    campaign.seed = *seed;
+    campaign.events = static_cast<size_t>(flags.events);
+    campaign.seed = flags.seed;
     for (const std::string& analysis : Split(flags.analyses, ',')) {
       std::string trimmed(Trim(analysis));
       if (!trimmed.empty()) campaign.analyses.push_back(std::move(trimmed));
@@ -733,18 +671,14 @@ int CmdValidate(const std::string& spec, const ValidateFlags& flags) {
   auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
   if (!threads.ok()) return Fail(threads.status().ToString());
   std::unique_ptr<ThreadPool> pool = MakePool(*threads);
-  std::unique_ptr<FaultPlan> faults;
-  if (!flags.fault_spec.empty()) {
-    auto fault_spec = FaultSpec::Parse(flags.fault_spec);
-    if (!fault_spec.ok()) return Fail(fault_spec.status().ToString());
-    faults = std::make_unique<FaultPlan>(*fault_spec);
-  }
+  auto faults = MakeFaultPlan(flags.fault_spec);
+  if (!faults.ok()) return Fail(faults.status().ToString());
 
   validate::ValidateOptions options;
   options.thresholds = flags.thresholds;
-  options.max_step_retries = flags.retries;
+  options.max_step_retries = static_cast<int>(flags.retries);
   options.retry_backoff_ms = flags.retries > 0 ? 1.0 : 0.0;
-  options.step_faults = faults.get();
+  options.step_faults = faults->get();
   options.journal_root = flags.journal_dir;
   options.pool = pool.get();
   options.campaign_filter = flags.campaign_filter;
@@ -767,15 +701,11 @@ int CmdValidate(const std::string& spec, const ValidateFlags& flags) {
       return Fail(status.ToString());
     }
   }
-  if (flags.as_json) {
+  if (flags.json) {
     std::printf("%s\n", report->ToJson().Dump(2).c_str());
   } else {
     std::printf("%s", report->RenderText().c_str());
-    if (faults != nullptr) {
-      std::printf("fault injection: %llu fault(s) across %llu operation(s)\n",
-                  static_cast<unsigned long long>(faults->injected()),
-                  static_cast<unsigned long long>(faults->operations()));
-    }
+    PrintFaultSummary(faults->get());
   }
   const uint64_t walk_errors =
       registry.CounterValue(metric_names::kArchiveWalkErrorsTotal) -
@@ -796,11 +726,17 @@ int CmdValidate(const std::string& spec, const ValidateFlags& flags) {
 // provenance chains, LHADA descriptions, archive directories, and
 // conditions dumps. Artifact kind is detected from content; nothing is
 // executed. Exit 0 when no finding reaches the fail-on threshold.
-int CmdLint(const std::vector<std::string>& paths, bool as_json,
-            lint::Severity fail_on, size_t threads) {
+int CmdLint(const Args& paths, const CliFlags& flags) {
+  lint::Severity fail_on = lint::Severity::kError;
+  if (!lint::ParseSeverity(flags.fail_on, &fail_on)) {
+    return Fail("bad --fail-on value '" + flags.fail_on +
+                "' (info|warning|error)");
+  }
+  auto threads = ResolveThreads(flags.threads);
+  if (!threads.ok()) return Fail(threads.status().ToString());
   // Artifacts lint independently; merge in argument order so the report is
   // identical at any thread count.
-  std::unique_ptr<ThreadPool> pool = MakePool(threads);
+  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
   std::vector<lint::LintReport> parts = ParallelMap<lint::LintReport>(
       pool.get(), paths.size(),
       [&paths](size_t i) { return lint::LintPath(paths[i]); });
@@ -808,7 +744,7 @@ int CmdLint(const std::vector<std::string>& paths, bool as_json,
   for (lint::LintReport& part : parts) {
     report.Merge(std::move(part));
   }
-  if (as_json) {
+  if (flags.json) {
     std::printf("%s\n", report.ToJson().Dump(2).c_str());
   } else if (report.empty()) {
     std::printf("lint: %zu artifact(s) clean\n", paths.size());
@@ -822,10 +758,11 @@ int CmdLint(const std::vector<std::string>& paths, bool as_json,
 // With the optional positional workload (process, events, seed) the standard
 // chain runs first so the dump shows real traffic; without it every
 // instrument is present but zero — useful for discovering metric names.
-int CmdMetrics(const std::vector<std::string>& args) {
+int CmdMetrics(const Args& args, const CliFlags&) {
+  if (args.size() != 0 && args.size() != 3) return Usage();
   RegisterStandardMetrics();
   if (!args.empty()) {
-    auto process = ParseProcessName(args[0]);
+    auto process = ProcessFromName(args[0]);
     if (!process.ok()) return Fail(process.status().ToString());
     auto n = ParseU64(args[1]);
     if (!n.ok()) return Fail("bad event count '" + args[1] + "'");
@@ -854,21 +791,11 @@ int CmdMetrics(const std::vector<std::string>& args) {
   return 0;
 }
 
-struct ScrubFlags {
-  std::string cursor_dir;
-  std::string max_objects;
-  std::string rate;
-  std::string batch;
-  std::string threads;
-  std::string report_path;
-  bool as_json = false;
-};
-
 // Incremental bit-preservation scrub over N replica stores: verify every
 // object on every replica, heal rot/holes from a healthy replica, resume an
 // interrupted pass from the --cursor directory. Exit mirrors validate:
 // 0 pass, 2 warn (truncated pass), 1 fail (unrepairable object or error).
-int CmdScrub(const std::vector<std::string>& roots, const ScrubFlags& flags) {
+int CmdScrub(const Args& roots, const CliFlags& flags) {
   RegisterStandardMetrics();
   std::vector<std::unique_ptr<ObjectStore>> stores;
   std::vector<ObjectStore*> replicas;
@@ -881,27 +808,9 @@ int CmdScrub(const std::vector<std::string>& roots, const ScrubFlags& flags) {
   }
   ScrubOptions options;
   options.cursor_dir = flags.cursor_dir;
-  if (!flags.max_objects.empty()) {
-    auto value = ParseU64(flags.max_objects);
-    if (!value.ok()) {
-      return Fail("bad --max-objects value '" + flags.max_objects + "'");
-    }
-    options.max_objects = static_cast<size_t>(*value);
-  }
-  if (!flags.rate.empty()) {
-    auto value = ParseDouble(flags.rate);
-    if (!value.ok() || *value < 0.0) {
-      return Fail("bad --rate value '" + flags.rate + "'");
-    }
-    options.rate_limit_per_s = *value;
-  }
-  if (!flags.batch.empty()) {
-    auto value = ParseU64(flags.batch);
-    if (!value.ok() || *value == 0) {
-      return Fail("bad --batch value '" + flags.batch + "'");
-    }
-    options.batch_size = static_cast<size_t>(*value);
-  }
+  options.max_objects = static_cast<size_t>(flags.max_objects);
+  options.rate_limit_per_s = flags.rate;
+  options.batch_size = static_cast<size_t>(flags.batch);
   auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
   if (!threads.ok()) return Fail(threads.status().ToString());
   std::unique_ptr<ThreadPool> pool = MakePool(*threads);
@@ -916,7 +825,7 @@ int CmdScrub(const std::vector<std::string>& roots, const ScrubFlags& flags) {
       return Fail(status.ToString());
     }
   }
-  if (flags.as_json) {
+  if (flags.json) {
     std::printf("%s\n", report->ToJson().Dump(2).c_str());
   } else {
     std::printf("%s", report->RenderText().c_str());
@@ -929,141 +838,74 @@ int CmdScrub(const std::vector<std::string>& roots, const ScrubFlags& flags) {
   return 1;
 }
 
-struct MigrateFlags {
-  std::string state_dir;
-  std::string batch;
-  std::string threads;
-  std::string fault_spec;
-  bool as_json = false;
-};
-
-// Copy-verify-swap generation migration from one store root to another.
-// Durable state (cursor + generation marker) defaults to
-// <target>/migrate-state; a crashed or fault-aborted run resumes from it.
-// Exit 0 only after every object re-verified on the target and the
-// generation marker swapped.
-int CmdMigrate(const std::string& source_spec, const std::string& target_spec,
-               const MigrateFlags& flags) {
+// Copy-verify-swap generation migration of `source` into `target`, whose
+// root directory is `target_root`. Durable state (cursor + generation
+// marker) defaults to <target_root>/migrate-state; a crashed or
+// fault-aborted run resumes from it. Returns 0 only after every object
+// re-verified on the target and the generation marker swapped.
+int Migrate(ObjectStore& source, ObjectStore& target,
+            const std::string& target_root, const CliFlags& flags) {
   RegisterStandardMetrics();
-  auto source = OpenObjectStore(source_spec);
-  if (!source.ok()) return Fail(source.status().ToString());
-  auto parsed_target = ParseStoreSpec(target_spec);
-  if (!parsed_target.ok()) return Fail(parsed_target.status().ToString());
-  std::unique_ptr<ObjectStore> target = OpenObjectStore(*parsed_target);
   MigrateOptions options;
   // Durable state lands inside the target's root directory (both backends
   // ignore unknown subdirectories), so `migrate pack:dst` needs no --state.
   options.state_dir = flags.state_dir.empty()
-                          ? parsed_target->root + "/migrate-state"
+                          ? target_root + "/migrate-state"
                           : flags.state_dir;
-  if (!flags.batch.empty()) {
-    auto value = ParseU64(flags.batch);
-    if (!value.ok() || *value == 0) {
-      return Fail("bad --batch value '" + flags.batch + "'");
-    }
-    options.batch_size = static_cast<size_t>(*value);
-  }
+  options.batch_size = static_cast<size_t>(flags.batch);
   auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
   if (!threads.ok()) return Fail(threads.status().ToString());
   std::unique_ptr<ThreadPool> pool = MakePool(*threads);
   options.pool = pool.get();
-  std::unique_ptr<FaultPlan> faults;
-  if (!flags.fault_spec.empty()) {
-    auto spec = FaultSpec::Parse(flags.fault_spec);
-    if (!spec.ok()) return Fail(spec.status().ToString());
-    faults = std::make_unique<FaultPlan>(*spec);
-    options.faults = faults.get();
-  }
+  auto faults = MakeFaultPlan(flags.fault_spec);
+  if (!faults.ok()) return Fail(faults.status().ToString());
+  options.faults = faults->get();
 
-  auto report = MigrateGeneration(*source->get(), *target, options);
+  auto report = MigrateGeneration(source, target, options);
   if (!report.ok()) {
     // Progress survives in the state dir; rerunning resumes the copy.
     return Fail(report.status().ToString() +
                 " (state preserved; rerun to resume)");
   }
-  if (auto* pack = dynamic_cast<PackObjectStore*>(target.get())) {
+  if (auto* pack = dynamic_cast<PackObjectStore*>(&target)) {
     // Seal the final segment so the next open skips the rebuild scan.
     if (auto status = pack->Flush(); !status.ok()) {
       return Fail(status.ToString());
     }
   }
-  if (flags.as_json) {
+  if (flags.json) {
     std::printf("%s\n", report->ToJson().Dump(2).c_str());
   } else {
     std::printf("%s", report->RenderText().c_str());
-    if (faults != nullptr) {
-      std::printf("fault injection: %llu fault(s) across %llu operation(s)\n",
-                  static_cast<unsigned long long>(faults->injected()),
-                  static_cast<unsigned long long>(faults->operations()));
-    }
+    PrintFaultSummary(faults->get());
   }
   return 0;
 }
 
-struct RepackFlags {
-  std::string state_dir;
-  std::string batch;
-  std::string threads;
-  std::string fault_spec;
-  bool compress = false;
-  bool as_json = false;
-};
+int CmdMigrate(const Args& args, const CliFlags& flags) {
+  auto source = OpenObjectStore(args[0]);
+  if (!source.ok()) return Fail(source.status().ToString());
+  auto target_spec = ParseStoreSpec(args[1]);
+  if (!target_spec.ok()) return Fail(target_spec.status().ToString());
+  std::unique_ptr<ObjectStore> target = OpenObjectStore(*target_spec);
+  return Migrate(**source, *target, target_spec->root, flags);
+}
 
-// Repacks any store into the packfile backend: the copy-verify-swap
-// migrator drives the copy (so an interrupted repack resumes from its
-// cursor), then the final segment is sealed and the space accounting
-// printed. `daspos repack file:src dst` is the upgrade path for stores
+// Repacks any store into the packfile backend: Migrate drives the copy (so
+// an interrupted repack resumes from its cursor), then the space accounting
+// is printed. `daspos repack file:src dst` is the upgrade path for stores
 // created before the packfile backend existed.
-int CmdRepack(const std::string& source_spec, const std::string& target_dir,
-              const RepackFlags& flags) {
-  RegisterStandardMetrics();
-  auto source = OpenObjectStore(source_spec);
+int CmdRepack(const Args& args, const CliFlags& flags) {
+  auto source = OpenObjectStore(args[0]);
   if (!source.ok()) return Fail(source.status().ToString());
   PackOptions pack_options;
   pack_options.compress = flags.compress;
-  PackObjectStore target(target_dir, pack_options);
-  MigrateOptions options;
-  options.state_dir = flags.state_dir.empty() ? target_dir + "/migrate-state"
-                                              : flags.state_dir;
-  if (!flags.batch.empty()) {
-    auto value = ParseU64(flags.batch);
-    if (!value.ok() || *value == 0) {
-      return Fail("bad --batch value '" + flags.batch + "'");
-    }
-    options.batch_size = static_cast<size_t>(*value);
-  }
-  auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
-  if (!threads.ok()) return Fail(threads.status().ToString());
-  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
-  options.pool = pool.get();
-  std::unique_ptr<FaultPlan> faults;
-  if (!flags.fault_spec.empty()) {
-    auto spec = FaultSpec::Parse(flags.fault_spec);
-    if (!spec.ok()) return Fail(spec.status().ToString());
-    faults = std::make_unique<FaultPlan>(*spec);
-    options.faults = faults.get();
-  }
-
-  auto report = MigrateGeneration(*source->get(), target, options);
-  if (!report.ok()) {
-    return Fail(report.status().ToString() +
-                " (state preserved; rerun to resume)");
-  }
-  if (auto status = target.Flush(); !status.ok()) {
-    return Fail(status.ToString());
+  PackObjectStore target(args[1], pack_options);
+  if (int code = Migrate(**source, target, args[1], flags); code != 0) {
+    return code;
   }
   const uint64_t raw = target.TotalBytes();
   const uint64_t stored = target.StoredBytes();
-  if (flags.as_json) {
-    std::printf("%s\n", report->ToJson().Dump(2).c_str());
-  } else {
-    std::printf("%s", report->RenderText().c_str());
-    if (faults != nullptr) {
-      std::printf("fault injection: %llu fault(s) across %llu operation(s)\n",
-                  static_cast<unsigned long long>(faults->injected()),
-                  static_cast<unsigned long long>(faults->operations()));
-    }
-  }
   std::printf("packed %zu object(s) into %zu segment(s): %s raw",
               target.Ids().size(), target.SegmentCount(),
               FormatBytes(raw).c_str());
@@ -1078,9 +920,9 @@ int CmdRepack(const std::string& source_spec, const std::string& target_dir,
 
 /// `daspos connect <host:port> <verb> [...]` — the network client face of
 /// the archive verbs, speaking docs/PROTOCOL.md to a running dasposd.
-int CmdConnect(const std::string& host_port,
-               const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
+int CmdConnect(const Args& positionals, const CliFlags&) {
+  const std::string& host_port = positionals[0];
+  const Args args(positionals.begin() + 1, positionals.end());
   auto client = net::Client::Connect(host_port);
   if (!client.ok()) return Fail(client.status().ToString());
   const std::string& verb = args[0];
@@ -1169,277 +1011,133 @@ int CmdConnect(const std::string& host_port,
   return Usage();
 }
 
+
+/// One `daspos` command: its positionals (as the usage shows them and as
+/// an arity range), the flags it accepts, and its handler.
+struct Command {
+  const char* name;
+  const char* synopsis;
+  size_t min_args;
+  size_t max_args;
+  std::vector<Flag> flags;
+  int (*run)(const Args& args, const CliFlags& flags);
+};
+
+constexpr size_t kVariadic = SIZE_MAX;
+
+/// The command table, with every flag bound to its field in `f`.
+std::vector<Command> Commands(CliFlags* f) {
+  const Flag threads = Flag::String("threads", &f->threads, "N");
+  const Flag json = Flag::Bool("json", &f->json);
+  const Flag retries = Flag::U64("retries", &f->retries, 0, 1000);
+  const Flag journal = Flag::String("journal", &f->journal_dir, "DIR");
+  const Flag report = Flag::String("report", &f->report_path, "FILE");
+  const Flag faults = Flag::String("inject-faults", &f->fault_spec, "SPEC");
+  const Flag state = Flag::String("state", &f->state_dir, "DIR");
+  const Flag batch = Flag::U64("batch", &f->batch, 1);
+  return {
+      {"inspect", "<file>", 1, 1, {}, CmdInspect},
+      {"generate", "<process> <n-events> <seed> <out-file> [gen|raw|reco|aod]",
+       4, 5, {}, CmdGenerate},
+      {"holdings", "<archive-store>", 1, 1, {}, CmdHoldings},
+      {"audit", "<archive-store>", 1, 1, {threads}, CmdAudit},
+      {"ingest", "<archive-store> <title> <file...>", 3, kVariadic, {threads},
+       CmdIngest},
+      {"retrieve", "<archive-store> <archive-id> <out-dir>", 3, 3, {},
+       CmdRetrieve},
+      {"lhada-run", "<description-file> <aod-file>", 2, 2, {}, CmdLhadaRun},
+      {"lhada-check", "<description-file>", 1, 1, {}, CmdLhadaCheck},
+      {"display", "<reco-or-aod-file> <event-index>", 2, 2, {}, CmdDisplay},
+      {"convert", "<in-file> <from-exp> <to-exp> <out-file>", 4, 4, {},
+       CmdConvert},
+      {"export", "<reco-file> <experiment> <out-file>", 3, 3, {}, CmdExport},
+      {"chain", "<process> <n-events> <seed> [threads]", 3, 4,
+       {threads, json, retries,
+        Flag::Double("step-timeout", &f->step_timeout_s, 0.0, "SECONDS"),
+        Flag::Bool("keep-going", &f->keep_going), journal,
+        Flag::String("resume", &f->resume_dir, "DIR"),
+        Flag::Path("trace-out", &f->trace_out, "FILE"), faults},
+       CmdChain},
+      {"lint", "<artifact...>", 1, kVariadic,
+       {json, Flag::String("fail-on", &f->fail_on, "info|warning|error"),
+        threads},
+       CmdLint},
+      {"metrics", "[<process> <n-events> <seed>]", 0, 3, {}, CmdMetrics},
+      {"connect", "<host:port> <verb> [args...]", 2, kVariadic, {},
+       CmdConnect},
+      {"scrub", "<replica-store...>", 1, kVariadic,
+       {Flag::String("cursor", &f->cursor_dir, "DIR"),
+        Flag::U64("max-objects", &f->max_objects),
+        Flag::Double("rate", &f->rate, 0.0, "N"), batch, threads, json,
+        report},
+       CmdScrub},
+      {"migrate", "<source-store> <target-store>", 2, 2,
+       {state, batch, threads, faults, json}, CmdMigrate},
+      {"repack", "<source-store> <target-dir>", 2, 2,
+       {Flag::Bool("compress", &f->compress), state, batch, threads, faults,
+        json},
+       CmdRepack},
+      {"validate", "<archive-store>", 1, 1,
+       {Flag::String("capture", &f->capture, "NAME"),
+        Flag::String("process", &f->process, "P"),
+        Flag::U64("events", &f->events),
+        Flag::U64("seed", &f->seed),
+        Flag::String("analyses", &f->analyses, "A,B"), json, threads, retries,
+        journal, report,
+        Flag::String("prometheus", &f->prometheus_path, "FILE"),
+        Flag::String("campaign", &f->campaign_filter, "NAME"),
+        Flag::String("analysis", &f->analysis_filter, "NAME"), faults,
+        Flag::Double("fail-chi2", &f->thresholds.fail_chi2, 0.0, "X"),
+        Flag::Double("warn-chi2", &f->thresholds.warn_chi2, 0.0, "X"),
+        Flag::Double("warn-ks", &f->thresholds.warn_ks, 0.0, "X")},
+       CmdValidate},
+  };
+}
+
+int Usage() {
+  CliFlags unused;
+  std::string text = "usage:\n";
+  for (const Command& command : Commands(&unused)) {
+    text += UsageLine(std::string("  daspos ") + command.name + " " +
+                          command.synopsis,
+                      command.flags, 15);
+  }
+  text +=
+      "connect verbs: ping | put <file> | get <object-id> <out-file> |\n"
+      "               verify <object-id> | put-batch <file...> |\n"
+      "               lint <file...> | chain <process> <n-events> <seed> | "
+      "stat\n"
+      "processes: minbias z_ll w_lnu h_gammagamma qcd_dijet d_meson "
+      "zprime_ll\n"
+      "threads: --threads=N (or DASPOS_THREADS env) sizes the worker pool;\n"
+      "         0 = one per hardware thread, 1 = strictly serial\n"
+      "stores : file:DIR (loose sharded), pack:DIR (packfiles),\n"
+      "         pack+z:DIR (compressed packfiles); a bare DIR sniffs the "
+      "layout\n";
+  std::fputs(text.c_str(), stderr);
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string command = argv[1];
-  if (command == "inspect" && argc == 3) return CmdInspect(argv[2]);
-  if (command == "generate" && (argc == 6 || argc == 7)) {
-    return CmdGenerate(argv[2], argv[3], argv[4], argv[5],
-                       argc == 7 ? argv[6] : "gen");
-  }
-  if (command == "holdings" && argc == 3) return CmdHoldings(argv[2]);
-  if (command == "audit" && (argc == 3 || argc == 4)) {
-    std::string threads_text;
-    if (argc == 4) {
-      std::string arg = argv[3];
-      if (arg.rfind("--threads=", 0) != 0) {
-        return Fail("unknown audit flag '" + arg + "'");
-      }
-      threads_text = arg.substr(10);
+  const std::string name = argv[1];
+  const Args args(argv + 2, argv + argc);
+  CliFlags flags;
+  for (const Command& command : Commands(&flags)) {
+    if (name != command.name) continue;
+    // A command without flags takes its arguments verbatim, so a file name
+    // may start with '-'.
+    auto positionals = command.flags.empty()
+                           ? Result<Args>(args)
+                           : ParseFlags(name, command.flags, args);
+    if (!positionals.ok()) return Fail(positionals.status().message());
+    if (positionals->size() < command.min_args ||
+        positionals->size() > command.max_args) {
+      return Usage();
     }
-    auto threads = ResolveThreads(threads_text);
-    if (!threads.ok()) return Fail(threads.status().ToString());
-    return CmdAudit(argv[2], *threads);
-  }
-  if (command == "ingest" && argc >= 5) {
-    std::string threads_text;
-    std::vector<std::string> files;
-    for (int i = 4; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--threads=", 0) == 0) {
-        threads_text = arg.substr(10);
-      } else if (!arg.empty() && arg[0] == '-') {
-        return Fail("unknown ingest flag '" + arg + "'");
-      } else {
-        files.push_back(std::move(arg));
-      }
-    }
-    if (files.empty()) return Usage();
-    auto threads = ResolveThreads(threads_text);
-    if (!threads.ok()) return Fail(threads.status().ToString());
-    return CmdIngest(argv[2], argv[3], files, *threads);
-  }
-  if (command == "retrieve" && argc == 5) {
-    return CmdRetrieve(argv[2], argv[3], argv[4]);
-  }
-  if (command == "lhada-run" && argc == 4) {
-    return CmdLhadaRun(argv[2], argv[3]);
-  }
-  if (command == "lhada-check" && argc == 3) return CmdLhadaCheck(argv[2]);
-  if (command == "display" && argc == 4) return CmdDisplay(argv[2], argv[3]);
-  if (command == "convert" && argc == 6) {
-    return CmdConvert(argv[2], argv[3], argv[4], argv[5]);
-  }
-  if (command == "export" && argc == 5) {
-    return CmdExport(argv[2], argv[3], argv[4]);
-  }
-  if (command == "lint" && argc >= 3) {
-    bool as_json = false;
-    lint::Severity fail_on = lint::Severity::kError;
-    std::string threads_text;
-    std::vector<std::string> paths;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        as_json = true;
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        threads_text = arg.substr(10);
-      } else if (arg.rfind("--fail-on=", 0) == 0) {
-        if (!lint::ParseSeverity(arg.substr(10), &fail_on)) {
-          return Fail("bad --fail-on value '" + arg.substr(10) +
-                      "' (info|warning|error)");
-        }
-      } else if (!arg.empty() && arg[0] == '-') {
-        return Fail("unknown lint flag '" + arg + "'");
-      } else {
-        paths.push_back(std::move(arg));
-      }
-    }
-    if (paths.empty()) return Usage();
-    auto threads = ResolveThreads(threads_text);
-    if (!threads.ok()) return Fail(threads.status().ToString());
-    return CmdLint(paths, as_json, fail_on, *threads);
-  }
-  if (command == "chain" && argc >= 5) {
-    ChainFlags flags;
-    for (int i = 5; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        flags.as_json = true;
-      } else if (arg == "--keep-going") {
-        flags.keep_going = true;
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        flags.threads = arg.substr(10);
-      } else if (arg.rfind("--retries=", 0) == 0) {
-        auto retries = ParseU64(arg.substr(10));
-        if (!retries.ok() || *retries > 1000) {
-          return Fail("bad --retries value '" + arg.substr(10) + "'");
-        }
-        flags.retries = static_cast<int>(*retries);
-      } else if (arg.rfind("--step-timeout=", 0) == 0) {
-        auto seconds = ParseDouble(arg.substr(15));
-        if (!seconds.ok() || *seconds < 0.0) {
-          return Fail("bad --step-timeout value '" + arg.substr(15) + "'");
-        }
-        flags.step_timeout_s = *seconds;
-      } else if (arg.rfind("--journal=", 0) == 0) {
-        flags.journal_dir = arg.substr(10);
-      } else if (arg.rfind("--resume=", 0) == 0) {
-        flags.resume_dir = arg.substr(9);
-      } else if (arg.rfind("--inject-faults=", 0) == 0) {
-        flags.fault_spec = arg.substr(16);
-      } else if (arg.rfind("--trace-out=", 0) == 0) {
-        flags.trace_out = arg.substr(12);
-        if (flags.trace_out.empty()) {
-          return Fail("--trace-out needs a file path");
-        }
-      } else if (!arg.empty() && arg[0] == '-') {
-        return Fail("unknown chain flag '" + arg + "'");
-      } else {
-        flags.threads = std::move(arg);
-      }
-    }
-    return CmdChain(argv[2], argv[3], argv[4], flags);
-  }
-  if (command == "validate" && argc >= 3) {
-    ValidateFlags flags;
-    for (int i = 3; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        flags.as_json = true;
-      } else if (arg.rfind("--capture=", 0) == 0) {
-        flags.capture = arg.substr(10);
-      } else if (arg.rfind("--process=", 0) == 0) {
-        flags.process = arg.substr(10);
-      } else if (arg.rfind("--events=", 0) == 0) {
-        flags.events = arg.substr(9);
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        flags.seed = arg.substr(7);
-      } else if (arg.rfind("--analyses=", 0) == 0) {
-        flags.analyses = arg.substr(11);
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        flags.threads = arg.substr(10);
-      } else if (arg.rfind("--retries=", 0) == 0) {
-        auto retries = ParseU64(arg.substr(10));
-        if (!retries.ok() || *retries > 1000) {
-          return Fail("bad --retries value '" + arg.substr(10) + "'");
-        }
-        flags.retries = static_cast<int>(*retries);
-      } else if (arg.rfind("--inject-faults=", 0) == 0) {
-        flags.fault_spec = arg.substr(16);
-      } else if (arg.rfind("--journal=", 0) == 0) {
-        flags.journal_dir = arg.substr(10);
-      } else if (arg.rfind("--report=", 0) == 0) {
-        flags.report_path = arg.substr(9);
-      } else if (arg.rfind("--prometheus=", 0) == 0) {
-        flags.prometheus_path = arg.substr(13);
-      } else if (arg.rfind("--campaign=", 0) == 0) {
-        flags.campaign_filter = arg.substr(11);
-      } else if (arg.rfind("--analysis=", 0) == 0) {
-        flags.analysis_filter = arg.substr(11);
-      } else if (arg.rfind("--fail-chi2=", 0) == 0) {
-        auto value = ParseDouble(arg.substr(12));
-        if (!value.ok() || *value < 0.0) {
-          return Fail("bad --fail-chi2 value '" + arg.substr(12) + "'");
-        }
-        flags.thresholds.fail_chi2 = *value;
-      } else if (arg.rfind("--warn-chi2=", 0) == 0) {
-        auto value = ParseDouble(arg.substr(12));
-        if (!value.ok() || *value < 0.0) {
-          return Fail("bad --warn-chi2 value '" + arg.substr(12) + "'");
-        }
-        flags.thresholds.warn_chi2 = *value;
-      } else if (arg.rfind("--warn-ks=", 0) == 0) {
-        auto value = ParseDouble(arg.substr(10));
-        if (!value.ok() || *value < 0.0) {
-          return Fail("bad --warn-ks value '" + arg.substr(10) + "'");
-        }
-        flags.thresholds.warn_ks = *value;
-      } else {
-        return Fail("unknown validate flag '" + arg + "'");
-      }
-    }
-    return CmdValidate(argv[2], flags);
-  }
-  if (command == "scrub" && argc >= 3) {
-    ScrubFlags flags;
-    std::vector<std::string> roots;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        flags.as_json = true;
-      } else if (arg.rfind("--cursor=", 0) == 0) {
-        flags.cursor_dir = arg.substr(9);
-      } else if (arg.rfind("--max-objects=", 0) == 0) {
-        flags.max_objects = arg.substr(14);
-      } else if (arg.rfind("--rate=", 0) == 0) {
-        flags.rate = arg.substr(7);
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        flags.batch = arg.substr(8);
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        flags.threads = arg.substr(10);
-      } else if (arg.rfind("--report=", 0) == 0) {
-        flags.report_path = arg.substr(9);
-      } else if (!arg.empty() && arg[0] == '-') {
-        return Fail("unknown scrub flag '" + arg + "'");
-      } else {
-        roots.push_back(std::move(arg));
-      }
-    }
-    if (roots.empty()) return Usage();
-    return CmdScrub(roots, flags);
-  }
-  if (command == "migrate" && argc >= 4) {
-    MigrateFlags flags;
-    std::vector<std::string> dirs;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        flags.as_json = true;
-      } else if (arg.rfind("--state=", 0) == 0) {
-        flags.state_dir = arg.substr(8);
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        flags.batch = arg.substr(8);
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        flags.threads = arg.substr(10);
-      } else if (arg.rfind("--inject-faults=", 0) == 0) {
-        flags.fault_spec = arg.substr(16);
-      } else if (!arg.empty() && arg[0] == '-') {
-        return Fail("unknown migrate flag '" + arg + "'");
-      } else {
-        dirs.push_back(std::move(arg));
-      }
-    }
-    if (dirs.size() != 2) return Usage();
-    return CmdMigrate(dirs[0], dirs[1], flags);
-  }
-  if (command == "repack" && argc >= 4) {
-    RepackFlags flags;
-    std::vector<std::string> dirs;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        flags.as_json = true;
-      } else if (arg == "--compress") {
-        flags.compress = true;
-      } else if (arg.rfind("--state=", 0) == 0) {
-        flags.state_dir = arg.substr(8);
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        flags.batch = arg.substr(8);
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        flags.threads = arg.substr(10);
-      } else if (arg.rfind("--inject-faults=", 0) == 0) {
-        flags.fault_spec = arg.substr(16);
-      } else if (!arg.empty() && arg[0] == '-') {
-        return Fail("unknown repack flag '" + arg + "'");
-      } else {
-        dirs.push_back(std::move(arg));
-      }
-    }
-    if (dirs.size() != 2) return Usage();
-    return CmdRepack(dirs[0], dirs[1], flags);
-  }
-  if (command == "connect" && argc >= 4) {
-    std::vector<std::string> args;
-    for (int i = 3; i < argc; ++i) args.emplace_back(argv[i]);
-    return CmdConnect(argv[2], args);
-  }
-  if (command == "metrics" && (argc == 2 || argc == 5)) {
-    std::vector<std::string> args;
-    for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
-    return CmdMetrics(args);
+    return command.run(*positionals, flags);
   }
   return Usage();
 }

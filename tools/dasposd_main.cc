@@ -23,12 +23,13 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "archive/backend.h"
 #include "net/server.h"
+#include "support/flags.h"
 #include "support/metrics_registry.h"
 #include "support/sha256.h"
-#include "support/strings.h"
 
 namespace {
 
@@ -37,18 +38,38 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+/// The daemon's settings as parsed from the command line; the sizes are in
+/// the units the flags use and are scaled into ServerOptions in main().
+struct DaemonFlags {
+  std::string host = daspos::net::ServerOptions{}.host;
+  uint64_t port = daspos::net::ServerOptions{}.port;
+  std::string port_file;
+  uint64_t max_frame_mb = daspos::net::ServerOptions{}.max_frame_bytes >> 20;
+  uint64_t outbox_kb = daspos::net::ServerOptions{}.max_outbox_bytes >> 10;
+  uint64_t max_connections = daspos::net::ServerOptions{}.max_connections;
+};
+
+std::vector<daspos::Flag> Flags(DaemonFlags* f) {
+  using daspos::Flag;
+  return {Flag::String("host", &f->host, "ADDR"),
+          Flag::U64("port", &f->port, 0, 65535),
+          Flag::Path("port-file", &f->port_file, "FILE"),
+          Flag::U64("max-frame-mb", &f->max_frame_mb, 1, 4096),
+          Flag::U64("outbox-kb", &f->outbox_kb, 1, 4u << 20),
+          Flag::U64("max-connections", &f->max_connections, 1, 65536)};
+}
+
 int Usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  dasposd <archive-store> [--host=ADDR] [--port=N] "
-               "[--port-file=FILE]\n"
-               "          [--max-frame-mb=N] [--outbox-kb=N] "
-               "[--max-connections=N]\n"
-               "stores : file:DIR (loose sharded), pack:DIR (packfiles),\n"
-               "         pack+z:DIR (compressed packfiles); a bare DIR "
-               "sniffs the layout\n"
-               "drain  : SIGTERM/SIGINT finishes in-flight requests, "
-               "flushes, exits 0\n");
+  DaemonFlags unused;
+  std::string text = "usage:\n";
+  text += daspos::UsageLine("  dasposd <archive-store>", Flags(&unused), 10);
+  text +=
+      "stores : file:DIR (loose sharded), pack:DIR (packfiles),\n"
+      "         pack+z:DIR (compressed packfiles); a bare DIR sniffs the "
+      "layout\n"
+      "drain  : SIGTERM/SIGINT finishes in-flight requests, flushes, exits "
+      "0\n";
+  std::fputs(text.c_str(), stderr);
   return 1;
 }
 
@@ -70,44 +91,19 @@ void OnSignal(int) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
 
-  std::string spec_text = argv[1];
+  DaemonFlags flags;
+  auto positionals =
+      daspos::ParseFlags("dasposd", Flags(&flags),
+                         std::vector<std::string>(argv + 1, argv + argc));
+  if (!positionals.ok()) return Fail(positionals.status().message());
+  if (positionals->size() != 1) return Usage();
+  const std::string& spec_text = (*positionals)[0];
   daspos::net::ServerOptions options;
-  std::string port_file;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--host=", 0) == 0) {
-      options.host = arg.substr(7);
-    } else if (arg.rfind("--port=", 0) == 0) {
-      auto port = daspos::ParseU64(arg.substr(7));
-      if (!port.ok() || *port > 65535) {
-        return Fail("bad --port value '" + arg.substr(7) + "'");
-      }
-      options.port = static_cast<uint16_t>(*port);
-    } else if (arg.rfind("--port-file=", 0) == 0) {
-      port_file = arg.substr(12);
-      if (port_file.empty()) return Fail("--port-file needs a path");
-    } else if (arg.rfind("--max-frame-mb=", 0) == 0) {
-      auto mb = daspos::ParseU64(arg.substr(15));
-      if (!mb.ok() || *mb == 0 || *mb > 4096) {
-        return Fail("bad --max-frame-mb value '" + arg.substr(15) + "'");
-      }
-      options.max_frame_bytes = static_cast<size_t>(*mb) << 20;
-    } else if (arg.rfind("--outbox-kb=", 0) == 0) {
-      auto kb = daspos::ParseU64(arg.substr(12));
-      if (!kb.ok() || *kb == 0 || *kb > (4u << 20)) {
-        return Fail("bad --outbox-kb value '" + arg.substr(12) + "'");
-      }
-      options.max_outbox_bytes = static_cast<size_t>(*kb) << 10;
-    } else if (arg.rfind("--max-connections=", 0) == 0) {
-      auto n = daspos::ParseU64(arg.substr(18));
-      if (!n.ok() || *n == 0 || *n > 65536) {
-        return Fail("bad --max-connections value '" + arg.substr(18) + "'");
-      }
-      options.max_connections = static_cast<size_t>(*n);
-    } else {
-      return Fail("unknown flag '" + arg + "'");
-    }
-  }
+  options.host = flags.host;
+  options.port = static_cast<uint16_t>(flags.port);
+  options.max_frame_bytes = static_cast<size_t>(flags.max_frame_mb) << 20;
+  options.max_outbox_bytes = static_cast<size_t>(flags.outbox_kb) << 10;
+  options.max_connections = static_cast<size_t>(flags.max_connections);
 
   auto spec = daspos::ParseStoreSpec(spec_text);
   if (!spec.ok()) return Fail(spec.status().ToString());
@@ -129,9 +125,11 @@ int main(int argc, char** argv) {
   sigaction(SIGINT, &action, nullptr);
   signal(SIGPIPE, SIG_IGN);  // write errors surface as EPIPE, not death
 
-  if (!port_file.empty()) {
-    std::FILE* f = std::fopen(port_file.c_str(), "w");
-    if (f == nullptr) return Fail("cannot write --port-file " + port_file);
+  if (!flags.port_file.empty()) {
+    std::FILE* f = std::fopen(flags.port_file.c_str(), "w");
+    if (f == nullptr) {
+      return Fail("cannot write --port-file " + flags.port_file);
+    }
     std::fprintf(f, "%u\n", static_cast<unsigned>(server.port()));
     std::fclose(f);
   }
