@@ -191,7 +191,7 @@ bool PrintParallelReduction() {
   context.set_conditions(&conditions);
   auto gen_blob = generation.Run({}, &context);
   if (!gen_blob.ok()) return false;
-  auto raw_blob = simulation.Run({*gen_blob}, &context);
+  auto raw_blob = simulation.Run({gen_blob->blob}, &context);
   if (!raw_blob.ok()) return false;
 
   auto run_pipeline = [&](ThreadPool* pool) {
@@ -200,19 +200,19 @@ bool PrintParallelReduction() {
     std::string derived;
     for (int rep = 0; rep < 3; ++rep) {
       auto start = std::chrono::steady_clock::now();
-      auto reco = reconstruction.Run({*raw_blob}, &context);
+      auto reco = reconstruction.Run({raw_blob->blob}, &context);
       if (!reco.ok()) {
         std::fprintf(stderr, "reconstruction failed: %s\n",
                      reco.status().ToString().c_str());
         std::exit(1);
       }
-      auto aod = aod_reduction.Run({*reco}, &context);
+      auto aod = aod_reduction.Run({reco->blob}, &context);
       if (!aod.ok()) {
         std::fprintf(stderr, "aod reduction failed: %s\n",
                      aod.status().ToString().c_str());
         std::exit(1);
       }
-      auto result = derivation.Run({*aod}, &context);
+      auto result = derivation.Run({aod->blob}, &context);
       double ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - start)
                       .count();
@@ -221,7 +221,7 @@ bool PrintParallelReduction() {
                      result.status().ToString().c_str());
         std::exit(1);
       }
-      derived = std::move(*result);
+      derived = std::move(result->blob);
       if (rep == 0 || ms < best_ms) best_ms = ms;
     }
     context.set_worker_pool(nullptr);

@@ -114,14 +114,14 @@ class ShardStep : public WorkflowStep {
     json["sleep_ms"] = sleep_ms_;
     return json;
   }
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext*) const override {
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext*) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
     uint64_t checksum = static_cast<uint64_t>(shard_);
     for (std::string_view input : inputs) {
       for (char c : input) checksum = checksum * 131 + static_cast<uint8_t>(c);
     }
-    return std::to_string(checksum);
+    return StepOutput{std::to_string(checksum)};
   }
 
  private:
@@ -135,14 +135,14 @@ class JoinStep : public WorkflowStep {
   std::string name() const override { return "join"; }
   std::string version() const override { return "1"; }
   Json Config() const override { return Json::Object(); }
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext*) const override {
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext*) const override {
     std::string out;
     for (std::string_view input : inputs) {
       out += std::string(input);
       out += '\n';
     }
-    return out;
+    return StepOutput{std::move(out)};
   }
 };
 

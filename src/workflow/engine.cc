@@ -437,7 +437,7 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
           }
           inputs.push_back(*blob);
         }
-        std::string produced;
+        StepOutput produced;
         if (status.ok()) {
           // One retry loop per step: transient failures (injected faults,
           // I/O hiccups, blown deadlines) are re-attempted with exponential
@@ -481,8 +481,8 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
           }
         }
         if (status.ok()) {
-          slot.bytes = produced.size();
-          slot.events = binding.step->last_output_events();
+          slot.bytes = produced.blob.size();
+          slot.events = produced.events;
           if (options.journal != nullptr) {
             // Checkpoint before publishing: a crash after Append re-runs
             // nothing on resume, a crash before it re-runs this step.
@@ -493,13 +493,13 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
                 Sha256::HashHex(binding.step->Config().Dump());
             record.bytes = slot.bytes;
             record.events = slot.events;
-            status = options.journal->Append(std::move(record), produced);
+            status =
+                options.journal->Append(std::move(record), produced.blob);
           }
           if (status.ok()) {
-            status = context->PutDataset(binding.output, std::move(produced));
+            status = context->PutDataset(binding.output,
+                                         std::move(produced.blob));
           }
-        } else {
-          slot.events = binding.step->last_output_events();
         }
       }
       if (status.ok() && provenance != nullptr) {

@@ -70,6 +70,13 @@ class WorkflowContext {
   ThreadPool* worker_pool_ = nullptr;
 };
 
+/// What one step run produced: the output dataset blob and the number of
+/// events in it (for provenance accounting; 0 when the step cannot tell).
+struct StepOutput {
+  std::string blob;
+  uint64_t events = 0;
+};
+
 /// One processing step. Implementations are in steps.h; anything honoring
 /// this interface can join a workflow. Run must be safe to call while other
 /// steps run on different threads (it may only touch its own state and the
@@ -82,12 +89,9 @@ class WorkflowStep {
   virtual std::string version() const = 0;
   /// Canonical configuration capture; hashed into provenance.
   virtual Json Config() const = 0;
-  /// Consumes the input blobs and returns the output dataset blob.
-  virtual Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                                  WorkflowContext* context) const = 0;
-  /// Number of events in the produced blob (for provenance accounting);
-  /// steps that cannot tell return 0.
-  virtual uint64_t last_output_events() const { return 0; }
+  /// Consumes the input blobs and returns the output dataset.
+  virtual Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                                 WorkflowContext* context) const = 0;
 };
 
 /// Report of one executed workflow. Steps are ordered by their stable

@@ -155,7 +155,7 @@ Json GenerationStep::Config() const {
   return json;
 }
 
-Result<std::string> GenerationStep::Run(
+Result<StepOutput> GenerationStep::Run(
     const std::vector<std::string_view>& inputs,
     WorkflowContext* context) const {
   (void)context;
@@ -164,14 +164,13 @@ Result<std::string> GenerationStep::Run(
   }
   EventGenerator generator(config_);
   std::vector<GenEvent> events = generator.GenerateMany(event_count_);
-  last_events_ = events.size();
 
   DatasetInfo info;
   info.tier = DataTier::kGen;
   info.name = dataset_name_;
   info.producer = "generation v1.0";
   info.description = GetProcessInfo(config_.process).description;
-  return WriteGenDataset(info, events);
+  return StepOutput{WriteGenDataset(info, events), events.size()};
 }
 
 // ------------------------------------------------------------- Simulation
@@ -189,7 +188,7 @@ Json SimulationStep::Config() const {
   return json;
 }
 
-Result<std::string> SimulationStep::Run(
+Result<StepOutput> SimulationStep::Run(
     const std::vector<std::string_view>& inputs,
     WorkflowContext* context) const {
   if (inputs.size() != 1) {
@@ -207,7 +206,6 @@ Result<std::string> SimulationStep::Run(
         return simulation.Simulate(truth[i], run_number_);
       },
       /*grain=*/1);
-  last_events_ = raw.size();
 
   DatasetInfo info;
   info.tier = DataTier::kRaw;
@@ -215,7 +213,7 @@ Result<std::string> SimulationStep::Run(
   info.producer = "simulation v1.0";
   info.parents = {gen_info.name};
   info.description = "digitized detector response";
-  return WriteRawDataset(info, raw);
+  return StepOutput{WriteRawDataset(info, raw), raw.size()};
 }
 
 // --------------------------------------------------------- Reconstruction
@@ -231,7 +229,7 @@ Json ReconstructionStep::Config() const {
   return json;
 }
 
-Result<std::string> ReconstructionStep::Run(
+Result<StepOutput> ReconstructionStep::Run(
     const std::vector<std::string_view>& inputs,
     WorkflowContext* context) const {
   if (inputs.size() != 1) {
@@ -263,7 +261,6 @@ Result<std::string> ReconstructionStep::Run(
 
   std::vector<RecoEvent> reco =
       reconstructor.ReconstructAll(raw, context->worker_pool());
-  last_events_ = reco.size();
 
   DatasetInfo info;
   info.tier = DataTier::kReco;
@@ -272,7 +269,7 @@ Result<std::string> ReconstructionStep::Run(
                   std::to_string(calib.version) + ")";
   info.parents = {raw_info.name};
   info.description = "tracks, clusters, candidate physics objects";
-  return WriteRecoDataset(info, reco);
+  return StepOutput{WriteRecoDataset(info, reco), reco.size()};
 }
 
 // ------------------------------------------------------------- AOD
@@ -286,7 +283,7 @@ Json AodReductionStep::Config() const {
   return json;
 }
 
-Result<std::string> AodReductionStep::Run(
+Result<StepOutput> AodReductionStep::Run(
     const std::vector<std::string_view>& inputs,
     WorkflowContext* context) const {
   if (inputs.size() != 1) {
@@ -300,7 +297,6 @@ Result<std::string> AodReductionStep::Run(
       context != nullptr ? context->worker_pool() : nullptr, reco.size(),
       [&reco](size_t i) { return AodEvent::FromReco(reco[i]); },
       /*grain=*/8);
-  last_events_ = aod.size();
 
   DatasetInfo info;
   info.tier = DataTier::kAod;
@@ -308,7 +304,7 @@ Result<std::string> AodReductionStep::Run(
   info.producer = "aod_reduction v1.0";
   info.parents = {reco_info.name};
   info.description = "refined physics objects only";
-  return WriteAodDataset(info, aod);
+  return StepOutput{WriteAodDataset(info, aod), aod.size()};
 }
 
 // ------------------------------------------------------------- Derivation
@@ -326,7 +322,7 @@ Json DerivationStep::Config() const {
   return json;
 }
 
-Result<std::string> DerivationStep::Run(
+Result<StepOutput> DerivationStep::Run(
     const std::vector<std::string_view>& inputs,
     WorkflowContext* context) const {
   if (inputs.size() != 1) {
@@ -337,8 +333,7 @@ Result<std::string> DerivationStep::Run(
       std::string blob,
       DeriveDataset(inputs[0], dataset_name_, skim_, slim_, &stats,
                     context != nullptr ? context->worker_pool() : nullptr));
-  last_events_ = stats.output_events;
-  return blob;
+  return StepOutput{std::move(blob), stats.output_events};
 }
 
 // ------------------------------------------------------------------ Merge
@@ -352,7 +347,7 @@ Json MergeStep::Config() const {
   return json;
 }
 
-Result<std::string> MergeStep::Run(
+Result<StepOutput> MergeStep::Run(
     const std::vector<std::string_view>& inputs,
     WorkflowContext* context) const {
   (void)context;
@@ -394,8 +389,7 @@ Result<std::string> MergeStep::Run(
       ++events;
     }
   }
-  last_events_ = events;
-  return writer.Finish();
+  return StepOutput{writer.Finish(), events};
 }
 
 Workflow StandardChainWorkflow(Process process, size_t event_count,

@@ -27,15 +27,13 @@ class GenerationStep : public WorkflowStep {
   std::string name() const override { return "generation[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext* context) const override;
-  uint64_t last_output_events() const override { return last_events_; }
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext* context) const override;
 
  private:
   GeneratorConfig config_;
   size_t event_count_;
   std::string dataset_name_;
-  mutable uint64_t last_events_ = 0;
 };
 
 /// GEN -> RAW digitization.
@@ -47,15 +45,13 @@ class SimulationStep : public WorkflowStep {
   std::string name() const override { return "simulation[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext* context) const override;
-  uint64_t last_output_events() const override { return last_events_; }
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext* context) const override;
 
  private:
   SimulationConfig config_;
   uint32_t run_number_;
   std::string dataset_name_;
-  mutable uint64_t last_events_ = 0;
 };
 
 /// RAW -> RECO. Fetches calibration from the context's conditions provider
@@ -68,14 +64,12 @@ class ReconstructionStep : public WorkflowStep {
   std::string name() const override { return "reconstruction[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext* context) const override;
-  uint64_t last_output_events() const override { return last_events_; }
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext* context) const override;
 
  private:
   DetectorGeometry geometry_;
   std::string dataset_name_;
-  mutable uint64_t last_events_ = 0;
 };
 
 /// RECO -> AOD: drops basic and intermediate data categories.
@@ -86,13 +80,11 @@ class AodReductionStep : public WorkflowStep {
   std::string name() const override { return "aod_reduction[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext* context) const override;
-  uint64_t last_output_events() const override { return last_events_; }
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext* context) const override;
 
  private:
   std::string dataset_name_;
-  mutable uint64_t last_events_ = 0;
 };
 
 /// AOD -> derived format (skim + slim).
@@ -103,15 +95,13 @@ class DerivationStep : public WorkflowStep {
   std::string name() const override { return "derivation[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext* context) const override;
-  uint64_t last_output_events() const override { return last_events_; }
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext* context) const override;
 
  private:
   SkimSpec skim_;
   SlimSpec slim_;
   std::string dataset_name_;
-  mutable uint64_t last_events_ = 0;
 };
 
 /// Merges several datasets of the same tier into one (the §3.1 reality
@@ -125,13 +115,11 @@ class MergeStep : public WorkflowStep {
   std::string name() const override { return "merge[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext* context) const override;
-  uint64_t last_output_events() const override { return last_events_; }
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext* context) const override;
 
  private:
   std::string dataset_name_;
-  mutable uint64_t last_events_ = 0;
 };
 
 /// The standard GEN->RAW->RECO->AOD->derived chain of §3.2 over dataset

@@ -740,11 +740,11 @@ class NamedStep : public WorkflowStep {
   std::string name() const override { return name_; }
   std::string version() const override { return "1"; }
   Json Config() const override { return Json::Object(); }
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext*) const override {
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext*) const override {
     std::string out = name_ + ":";
     for (std::string_view input : inputs) out += std::string(input);
-    return out;
+    return StepOutput{std::move(out)};
   }
 
  private:

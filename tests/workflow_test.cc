@@ -15,6 +15,7 @@
 #include "conditions/store.h"
 #include "event/pdg.h"
 #include "support/fault.h"
+#include "support/sha256.h"
 #include "tiers/dataset.h"
 #include "workflow/engine.h"
 #include "workflow/journal.h"
@@ -127,15 +128,15 @@ class TagStep : public WorkflowStep {
     json["tag"] = tag_;
     return json;
   }
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext*) const override {
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext*) const override {
     if (sleep_ms_ > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
     }
     if (fail_) return Status::IOError("step failed deliberately");
     std::string out;
     for (std::string_view input : inputs) out += std::string(input) + "|";
-    return out + tag_;
+    return StepOutput{out + tag_};
   }
 
  private:
@@ -327,15 +328,15 @@ class SideEffectStep : public WorkflowStep {
     json["tag"] = tag_;
     return json;
   }
-  Result<std::string> Run(const std::vector<std::string_view>&,
-                          WorkflowContext* context) const override {
+  Result<StepOutput> Run(const std::vector<std::string_view>&,
+                         WorkflowContext* context) const override {
     auto shared = context->GetDataset("shared");
     if (!shared.ok()) return shared.status();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     auto put = context->PutDataset("extra_" + tag_, std::string(*shared));
     if (!put.ok()) return put;
     (void)context->TotalBytes();  // concurrent read-side traversal
-    return std::string(*shared) + ":" + tag_;
+    return StepOutput{std::string(*shared) + ":" + tag_};
   }
 
  private:
@@ -376,10 +377,11 @@ class ThreadRecordingStep : public WorkflowStep {
   }
   std::string version() const override { return "1"; }
   Json Config() const override { return Json::Object(); }
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext*) const override {
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext*) const override {
     (*threads_)[slot_] = std::this_thread::get_id();
-    return inputs.empty() ? std::string("x") : std::string(inputs.front());
+    return StepOutput{inputs.empty() ? std::string("x")
+                                     : std::string(inputs.front())};
   }
 
  private:
@@ -534,6 +536,46 @@ TEST(StandardChainTest, RunsEndToEndWithProvenance) {
   EXPECT_GT(conditions.lookup_count(), 0u);
 }
 
+TEST(WorkflowTest, ConcurrentExecuteOfOneWorkflow) {
+  // Execute is const, so two callers may run one Workflow at once; each run
+  // must report its own event counts and produce the same bytes.
+  const Workflow workflow = StandardChainWorkflow(Process::kZToLL, 50, 7);
+  struct Outcome {
+    Status status;
+    std::vector<uint64_t> events;
+    std::string derived_digest;
+  };
+  auto run = [&workflow](Outcome* out) {
+    CalibrationSet calib;
+    ConditionsDb conditions = StandardConditions(calib);
+    WorkflowContext context;
+    context.set_conditions(&conditions);
+    ExecuteOptions options;
+    options.max_threads = 2;
+    auto report = workflow.Execute(&context, nullptr, options);
+    if (!report.ok()) {
+      out->status = report.status();
+      return;
+    }
+    for (const WorkflowReport::StepResult& step : report->steps) {
+      out->events.push_back(step.output_events);
+    }
+    out->derived_digest = Sha256::HashHex(*context.GetDataset("derived"));
+  };
+  Outcome first;
+  Outcome second;
+  std::thread a(run, &first);
+  std::thread b(run, &second);
+  a.join();
+  b.join();
+  ASSERT_TRUE(first.status.ok()) << first.status;
+  ASSERT_TRUE(second.status.ok()) << second.status;
+  ASSERT_EQ(first.events.size(), 5u);
+  EXPECT_EQ(first.events.front(), 50u);  // generation
+  EXPECT_EQ(first.events, second.events);
+  EXPECT_EQ(first.derived_digest, second.derived_digest);
+}
+
 TEST(StandardChainTest, ReconstructionFailsWithoutConditions) {
   WorkflowContext context;  // no conditions provider
   Workflow workflow = StandardChain(82, 5);
@@ -563,7 +605,7 @@ TEST(StandardChainTest, ReproductionFromCapturedConfig) {
   GenerationStep replay(*config, events, "zmm_gen");
   auto replayed = replay.Run({}, &context);
   ASSERT_TRUE(replayed.ok());
-  EXPECT_EQ(*replayed, *context.GetDataset("zmm_gen"));
+  EXPECT_EQ(replayed->blob, *context.GetDataset("zmm_gen"));
 }
 
 TEST(MergeStepTest, ConcatenatesSameTierDatasets) {
@@ -622,17 +664,18 @@ TEST(MergeStepTest, RejectsMixedTiersAndEmptyInput) {
   // A RAW dataset to mix in.
   SimulationConfig sim_config;
   SimulationStep simulate(sim_config, 1, "raw");
-  auto raw_blob = simulate.Run({*gen_blob}, &context);
+  auto raw_blob = simulate.Run({gen_blob->blob}, &context);
   ASSERT_TRUE(raw_blob.ok());
 
   MergeStep merge("merged");
   EXPECT_TRUE(merge.Run({}, &context).status().IsInvalidArgument());
-  auto mixed = merge.Run({*gen_blob, *raw_blob}, &context);
+  auto mixed = merge.Run({gen_blob->blob, raw_blob->blob}, &context);
   EXPECT_TRUE(mixed.status().IsInvalidArgument());
   // Single input is a valid (if trivial) merge.
-  auto single = merge.Run({*gen_blob}, &context);
+  auto single = merge.Run({gen_blob->blob}, &context);
   ASSERT_TRUE(single.ok());
-  auto events = ReadGenDataset(*single);
+  EXPECT_EQ(single->events, 5u);
+  auto events = ReadGenDataset(single->blob);
   ASSERT_TRUE(events.ok());
   EXPECT_EQ(events->size(), 5u);
 }
@@ -674,8 +717,8 @@ class FlakyStep : public WorkflowStep {
     json["tag"] = tag_;
     return json;
   }
-  Result<std::string> Run(const std::vector<std::string_view>& inputs,
-                          WorkflowContext*) const override {
+  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+                         WorkflowContext*) const override {
     int attempt = ++*runs_;
     if (attempt <= failures_before_success_) {
       return Status::IOError("transient hiccup on attempt " +
@@ -683,7 +726,7 @@ class FlakyStep : public WorkflowStep {
     }
     std::string out;
     for (std::string_view input : inputs) out += std::string(input) + "|";
-    return out + tag_;
+    return StepOutput{out + tag_};
   }
 
  private:
