@@ -3,7 +3,6 @@
 #include "event/pdg.h"
 #include "mc/generator.h"
 #include "rivet/projections.h"
-#include "stats/limits.h"
 #include "workflow/steps.h"
 
 namespace daspos {
@@ -82,55 +81,26 @@ Result<recast::RecastResult> RivetBridgeBackEnd::Process(
     return Status::NotFound("no bridged search '" + request.search_name +
                             "'");
   }
-  if (request.model_cross_section_pb <= 0.0) {
-    return Status::InvalidArgument(
-        "request must state the model cross section");
-  }
-  if (request.event_count == 0) {
-    return Status::InvalidArgument("request must ask for at least one event");
-  }
+  DASPOS_RETURN_IF_ERROR(recast::ValidateRequest(request));
   const BridgedSearch& search = it->second;
 
   DASPOS_ASSIGN_OR_RETURN(GeneratorConfig model,
                           GeneratorConfigFromJson(request.model));
   EventGenerator generator(model);
 
-  std::vector<uint64_t> passed(search.regions.size(), 0);
+  std::vector<recast::RegionCount> counts;
+  for (const BridgedRegion& region : search.regions) {
+    counts.push_back({region.name, region.observed, region.background, 0});
+  }
   for (size_t i = 0; i < request.event_count; ++i) {
     GenEvent truth = generator.Generate();
     for (size_t r = 0; r < search.regions.size(); ++r) {
-      if (search.regions[r].truth_selection(truth)) ++passed[r];
+      if (search.regions[r].truth_selection(truth)) ++counts[r].passed;
     }
   }
   events_generated_ += request.event_count;
-
-  recast::RecastResult result;
-  result.search_name = search.name;
-  result.events_processed = request.event_count;
-  for (size_t r = 0; r < search.regions.size(); ++r) {
-    const BridgedRegion& region = search.regions[r];
-    recast::RegionResult region_result;
-    region_result.region = region.name;
-    region_result.efficiency = static_cast<double>(passed[r]) /
-                               static_cast<double>(request.event_count);
-    region_result.signal_per_mu = region_result.efficiency *
-                                  request.model_cross_section_pb *
-                                  search.luminosity_pb;
-    region_result.observed = region.observed;
-    region_result.background = region.background;
-    if (region_result.signal_per_mu > 0.0) {
-      CountingExperiment experiment;
-      experiment.observed = region.observed;
-      experiment.background = region.background;
-      experiment.signal_per_mu = region_result.signal_per_mu;
-      DASPOS_ASSIGN_OR_RETURN(region_result.upper_limit_mu,
-                              UpperLimit(experiment));
-      DASPOS_ASSIGN_OR_RETURN(region_result.expected_limit_mu,
-                              ExpectedLimit(experiment));
-    }
-    result.regions.push_back(std::move(region_result));
-  }
-  return result;
+  return recast::ResultFromCounts(request, search.name, search.luminosity_pb,
+                                  counts);
 }
 
 }  // namespace daspos

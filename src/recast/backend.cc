@@ -9,6 +9,49 @@
 namespace daspos {
 namespace recast {
 
+Status ValidateRequest(const RecastRequest& request) {
+  if (request.model_cross_section_pb <= 0.0) {
+    return Status::InvalidArgument(
+        "request must state the model cross section");
+  }
+  if (request.event_count == 0) {
+    return Status::InvalidArgument("request must ask for at least one event");
+  }
+  return Status::OK();
+}
+
+Result<RecastResult> ResultFromCounts(const RecastRequest& request,
+                                      const std::string& search_name,
+                                      double luminosity_pb,
+                                      const std::vector<RegionCount>& regions) {
+  RecastResult result;
+  result.search_name = search_name;
+  result.events_processed = request.event_count;
+  for (const RegionCount& region : regions) {
+    RegionResult region_result;
+    region_result.region = region.name;
+    region_result.efficiency = static_cast<double>(region.passed) /
+                               static_cast<double>(request.event_count);
+    region_result.signal_per_mu = region_result.efficiency *
+                                  request.model_cross_section_pb *
+                                  luminosity_pb;
+    region_result.observed = region.observed;
+    region_result.background = region.background;
+    if (region_result.signal_per_mu > 0.0) {
+      CountingExperiment experiment;
+      experiment.observed = region.observed;
+      experiment.background = region.background;
+      experiment.signal_per_mu = region_result.signal_per_mu;
+      DASPOS_ASSIGN_OR_RETURN(region_result.upper_limit_mu,
+                              UpperLimit(experiment));
+      DASPOS_ASSIGN_OR_RETURN(region_result.expected_limit_mu,
+                              ExpectedLimit(experiment));
+    }
+    result.regions.push_back(std::move(region_result));
+  }
+  return result;
+}
+
 Status RecastBackEnd::RegisterSearch(PreservedSearch search) {
   if (search.name.empty()) {
     return Status::InvalidArgument("search needs a name");
@@ -41,13 +84,7 @@ Result<RecastResult> RecastBackEnd::Process(const RecastRequest& request) {
     return Status::NotFound("no preserved search '" + request.search_name +
                             "'");
   }
-  if (request.model_cross_section_pb <= 0.0) {
-    return Status::InvalidArgument(
-        "request must state the model cross section");
-  }
-  if (request.event_count == 0) {
-    return Status::InvalidArgument("request must ask for at least one event");
-  }
+  DASPOS_RETURN_IF_ERROR(ValidateRequest(request));
   const PreservedSearch& search = it->second;
 
   DASPOS_ASSIGN_OR_RETURN(GeneratorConfig model,
@@ -61,44 +98,20 @@ Result<RecastResult> RecastBackEnd::Process(const RecastRequest& request) {
   reco_config.calib = search.sim_config.calib;
   Reconstructor reconstructor(reco_config);
 
-  std::vector<uint64_t> passed(search.regions.size(), 0);
+  std::vector<RegionCount> counts;
+  for (const SignalRegion& region : search.regions) {
+    counts.push_back({region.name, region.observed, region.background, 0});
+  }
   for (size_t i = 0; i < request.event_count; ++i) {
     GenEvent truth = generator.Generate();
     RawEvent raw = simulation.Simulate(truth, /*run_number=*/1);
     AodEvent aod = AodEvent::FromReco(reconstructor.Reconstruct(raw));
     for (size_t r = 0; r < search.regions.size(); ++r) {
-      if (search.regions[r].selection(aod)) ++passed[r];
+      if (search.regions[r].selection(aod)) ++counts[r].passed;
     }
   }
   events_simulated_ += request.event_count;
-
-  RecastResult result;
-  result.search_name = search.name;
-  result.events_processed = request.event_count;
-  for (size_t r = 0; r < search.regions.size(); ++r) {
-    const SignalRegion& region = search.regions[r];
-    RegionResult region_result;
-    region_result.region = region.name;
-    region_result.efficiency = static_cast<double>(passed[r]) /
-                               static_cast<double>(request.event_count);
-    region_result.signal_per_mu = region_result.efficiency *
-                                  request.model_cross_section_pb *
-                                  search.luminosity_pb;
-    region_result.observed = region.observed;
-    region_result.background = region.background;
-    if (region_result.signal_per_mu > 0.0) {
-      CountingExperiment experiment;
-      experiment.observed = region.observed;
-      experiment.background = region.background;
-      experiment.signal_per_mu = region_result.signal_per_mu;
-      DASPOS_ASSIGN_OR_RETURN(region_result.upper_limit_mu,
-                              UpperLimit(experiment));
-      DASPOS_ASSIGN_OR_RETURN(region_result.expected_limit_mu,
-                              ExpectedLimit(experiment));
-    }
-    result.regions.push_back(std::move(region_result));
-  }
-  return result;
+  return ResultFromCounts(request, search.name, search.luminosity_pb, counts);
 }
 
 Result<std::vector<RecastBackEnd::DatasetCounts>>

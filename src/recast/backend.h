@@ -17,6 +17,28 @@
 namespace daspos {
 namespace recast {
 
+/// One signal region as a back end counted it: the preserved observed and
+/// background yields plus how many generated events of the model it
+/// selected.
+struct RegionCount {
+  std::string name;
+  double observed = 0.0;
+  double background = 0.0;
+  uint64_t passed = 0;
+};
+
+/// Rejects a request that states no model cross section or asks for no
+/// events; back ends call it before running anything.
+Status ValidateRequest(const RecastRequest& request);
+
+/// The response to `request` from per-region pass counts: the selection
+/// efficiency, the expected signal at mu = 1 over `luminosity_pb`, and the
+/// observed and expected 95% limits wherever that signal is non-zero.
+Result<RecastResult> ResultFromCounts(const RecastRequest& request,
+                                      const std::string& search_name,
+                                      double luminosity_pb,
+                                      const std::vector<RegionCount>& regions);
+
 /// Interface so alternative back ends (e.g. the core/ RIVET bridge) can
 /// serve the same front end.
 class BackEnd {
