@@ -6,6 +6,7 @@
 #include "event/pdg.h"
 #include "mc/generator.h"
 #include "reco/reconstruction.h"
+#include "support/sha256.h"
 #include "tiers/dataset.h"
 #include "tiers/skimslim.h"
 #include "tiers/tier.h"
@@ -18,6 +19,120 @@ TEST(TierTest, NamesAndSchemas) {
   EXPECT_EQ(TierName(DataTier::kAod), "AOD");
   EXPECT_EQ(TierSchema(DataTier::kGen), "daspos.gen.v1");
   EXPECT_EQ(TierSchema(DataTier::kDerived), "daspos.derived.v1");
+}
+
+// ------------------------------------------------------------- Codec pins
+//
+// One fixed event per tier, built from literal integers and dyadic
+// fractions (exact in binary: no libm, no RNG), written through the tier
+// writer with fixed metadata. The digests pin the record codecs and the
+// container format byte for byte, so a codec rewrite that changes any byte
+// (byte order, field order, varint layout) fails here. Changing a digest is
+// a format change: it needs a schema_version bump and a reader for the old
+// bytes.
+
+DatasetInfo PinnedInfo(DataTier tier) {
+  DatasetInfo info;
+  info.tier = tier;
+  info.name = "pinned";
+  info.producer = "codec pin v1";
+  info.parents = {"pinned_parent"};
+  info.description = "fixed literal events";
+  return info;
+}
+
+PhysicsObject PinnedObject(ObjectType type, int charge) {
+  PhysicsObject object;
+  object.type = type;
+  object.momentum = FourVector(24.5, -7.25, 130.0, 132.625);
+  object.charge = charge;
+  object.isolation = 0.125;
+  object.quality = 0.9375;
+  object.displacement_mm = 0.03125;
+  return object;
+}
+
+GenEvent PinnedGenEvent() {
+  GenEvent event;
+  event.event_number = 0x0102030405060708ull;
+  event.process_id = 1;
+  event.weight = 0.5;
+  GenParticle boson;
+  boson.pdg_id = 23;
+  boson.status = 2;
+  boson.mother = -1;
+  boson.momentum = FourVector(1.5, -2.25, 300.0, 320.75);
+  GenParticle muon;
+  muon.pdg_id = -13;
+  muon.status = 1;
+  muon.mother = 0;
+  muon.momentum = FourVector(45.5, 10.25, -80.0, 92.875);
+  muon.vertex_mm = 0.0625;
+  event.particles = {boson, muon};
+  return event;
+}
+
+RawEvent PinnedRawEvent() {
+  RawEvent event;
+  event.run_number = 0x01020304u;
+  event.event_number = 0x0102030405060708ull;
+  event.trigger_bits = 0x80000005u;
+  event.hits = {{SubDetector::kEcal, 70000u, 1023, 1.5f},
+                {SubDetector::kMuon, 3u, 65535, -0.25f}};
+  return event;
+}
+
+RecoEvent PinnedRecoEvent() {
+  RecoEvent event;
+  event.run_number = 0x01020304u;
+  event.event_number = 0x0102030405060708ull;
+  event.trigger_bits = 3;
+  event.weight = 0.75;
+  Track track;
+  track.momentum = FourVector(20.0, -5.5, 12.25, 24.0625);
+  track.charge = -1;
+  track.hit_count = 12;
+  track.chi2 = 1.25;
+  track.d0_mm = -0.015625;
+  event.tracks = {track};
+  CaloCluster cluster;
+  cluster.energy = 50.5;
+  cluster.eta = -1.25;
+  cluster.phi = 2.5;
+  cluster.em_fraction = 0.875;
+  cluster.cell_count = 9;
+  event.clusters = {cluster};
+  event.objects = {PinnedObject(ObjectType::kMuon, -1),
+                   PinnedObject(ObjectType::kMet, 0)};
+  event.vertex_count = 3;
+  return event;
+}
+
+AodEvent PinnedAodEvent() {
+  AodEvent event;
+  event.run_number = 0x01020304u;
+  event.event_number = 0x0102030405060708ull;
+  event.trigger_bits = 3;
+  event.weight = 0.75;
+  event.vertex_count = 3;
+  event.objects = {PinnedObject(ObjectType::kElectron, 1),
+                   PinnedObject(ObjectType::kJet, 0)};
+  return event;
+}
+
+TEST(CodecPinTest, TierBlobsMatchPinnedDigests) {
+  EXPECT_EQ(Sha256::HashHex(WriteGenDataset(PinnedInfo(DataTier::kGen),
+                                            {PinnedGenEvent()})),
+            "00189cd8b635e54f0843291764a39fc4363cc7db670fb5fab039a233b2c4b3fa");
+  EXPECT_EQ(Sha256::HashHex(WriteRawDataset(PinnedInfo(DataTier::kRaw),
+                                            {PinnedRawEvent()})),
+            "5724616863ba3b092607b53d418854275dc80c8bd3b35cef0b003ec4dae0cc11");
+  EXPECT_EQ(Sha256::HashHex(WriteRecoDataset(PinnedInfo(DataTier::kReco),
+                                             {PinnedRecoEvent()})),
+            "7cf6e5cd8fd644bf449fdca9eb0d825b195604ccebe62db01f399ad37351cf00");
+  EXPECT_EQ(Sha256::HashHex(WriteAodDataset(PinnedInfo(DataTier::kAod),
+                                            {PinnedAodEvent()})),
+            "553257418c68d69e38a7ad9e01fd848ee20d4f28fca776e85355929b8d5f82b0");
 }
 
 // ----------------------------------------------------------------- Dataset
