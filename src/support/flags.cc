@@ -5,49 +5,25 @@
 namespace daspos {
 
 Flag Flag::Bool(std::string name, bool* field) {
-  Flag flag;
-  flag.name = std::move(name);
-  flag.kind = Kind::kBool;
-  flag.field = field;
-  return flag;
+  return {std::move(name), Kind::kBool, "", field};
 }
 
 Flag Flag::String(std::string name, std::string* field, std::string help) {
-  Flag flag;
-  flag.name = std::move(name);
-  flag.kind = Kind::kString;
-  flag.help = std::move(help);
-  flag.field = field;
-  return flag;
+  return {std::move(name), Kind::kString, std::move(help), field};
 }
 
 Flag Flag::Path(std::string name, std::string* field, std::string help) {
-  Flag flag = String(std::move(name), field, std::move(help));
-  flag.kind = Kind::kPath;
-  return flag;
+  return {std::move(name), Kind::kPath, std::move(help), field};
 }
 
 Flag Flag::U64(std::string name, uint64_t* field, uint64_t min, uint64_t max,
                std::string help) {
-  Flag flag;
-  flag.name = std::move(name);
-  flag.kind = Kind::kU64;
-  flag.help = std::move(help);
-  flag.field = field;
-  flag.min_u64 = min;
-  flag.max_u64 = max;
-  return flag;
+  return {std::move(name), Kind::kU64, std::move(help), field, min, max};
 }
 
 Flag Flag::Double(std::string name, double* field, double min,
                   std::string help) {
-  Flag flag;
-  flag.name = std::move(name);
-  flag.kind = Kind::kDouble;
-  flag.help = std::move(help);
-  flag.field = field;
-  flag.min_double = min;
-  return flag;
+  return {std::move(name), Kind::kDouble, std::move(help), field, 0, 0, min};
 }
 
 Result<std::vector<std::string>> ParseFlags(

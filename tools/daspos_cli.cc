@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,7 +50,6 @@
 #include "support/threadpool.h"
 #include "support/trace.h"
 #include "tiers/dataset.h"
-#include "tiers/skimslim.h"
 #include "validate/validate.h"
 #include "workflow/journal.h"
 #include "workflow/steps.h"
@@ -122,13 +121,16 @@ Result<size_t> ResolveThreads(const std::string& flag_value,
   return static_cast<size_t>(*parsed);
 }
 
-/// A pool sized for `threads` workers, or null (serial) for threads <= 1.
-/// 0 expands to the hardware concurrency.
-std::unique_ptr<ThreadPool> MakePool(size_t threads) {
+/// The worker pool for a command's --threads value (see ResolveThreads),
+/// or null (serial) for one thread. 0 expands to the hardware concurrency.
+Result<std::unique_ptr<ThreadPool>> MakePool(const std::string& flag_value,
+                                             size_t fallback = 1) {
+  DASPOS_ASSIGN_OR_RETURN(size_t threads,
+                          ResolveThreads(flag_value, fallback));
   if (threads == 0) {
     threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  if (threads <= 1) return nullptr;
+  if (threads <= 1) return std::unique_ptr<ThreadPool>();
   return std::make_unique<ThreadPool>(threads);
 }
 
@@ -307,21 +309,19 @@ int CmdHoldings(const Args& args, const CliFlags&) {
 }
 
 int CmdAudit(const Args& args, const CliFlags& flags) {
-  const std::string& spec = args[0];
-  auto threads = ResolveThreads(flags.threads);
-  if (!threads.ok()) return Fail(threads.status().ToString());
+  auto pool = MakePool(flags.threads);
+  if (!pool.ok()) return Fail(pool.status().ToString());
   // Store-walk errors around catalog recovery + audit: an unreadable store
   // enumerates as empty, so without this delta the audit of a damaged
   // archive would pass vacuously.
   const uint64_t walk_before = MetricsRegistry::Global().CounterValue(
       metric_names::kArchiveWalkErrorsTotal);
-  auto store = OpenObjectStore(spec);
+  auto store = OpenObjectStore(args[0]);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
   auto recovered = archive.RecoverCatalog();
   if (!recovered.ok()) return Fail(recovered.status().ToString());
-  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
-  FixityReport report = archive.AuditFixity(pool.get());
+  FixityReport report = archive.AuditFixity(pool->get());
   const uint64_t walk_errors =
       MetricsRegistry::Global().CounterValue(
           metric_names::kArchiveWalkErrorsTotal) -
@@ -348,10 +348,9 @@ int CmdAudit(const Args& args, const CliFlags& flags) {
 // worker the blobs are hashed and stored concurrently (Archive::Deposit's
 // batched ingest); the resulting archive id is identical either way.
 int CmdIngest(const Args& args, const CliFlags& flags) {
-  const std::string& spec = args[0];
-  auto threads = ResolveThreads(flags.threads);
-  if (!threads.ok()) return Fail(threads.status().ToString());
-  auto store = OpenObjectStore(spec);
+  auto pool = MakePool(flags.threads);
+  if (!pool.ok()) return Fail(pool.status().ToString());
+  auto store = OpenObjectStore(args[0]);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
   auto recovered = archive.RecoverCatalog();
@@ -372,8 +371,7 @@ int CmdIngest(const Args& args, const CliFlags& flags) {
     package.files.push_back(std::move(file));
   }
 
-  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
-  auto archive_id = archive.Deposit(package, pool.get());
+  auto archive_id = archive.Deposit(package, pool->get());
   if (!archive_id.ok()) return Fail(archive_id.status().ToString());
   uint64_t total_bytes = 0;
   for (const PackageFile& file : package.files) {
@@ -520,31 +518,35 @@ int CmdExport(const Args& args, const CliFlags&) {
   return 0;
 }
 
+/// The standard chain for the <process> <n-events> <seed> positionals of
+/// `chain` and `metrics`; `conditions` receives the default calibration
+/// constants its reconstruction step reads.
+Result<Workflow> StandardChain(const Args& args, ConditionsDb* conditions) {
+  DASPOS_ASSIGN_OR_RETURN(Process process, ProcessFromName(args[0]));
+  auto n = ParseU64(args[1]);
+  if (!n.ok()) {
+    return Status::InvalidArgument("bad event count '" + args[1] + "'");
+  }
+  auto seed = ParseU64(args[2]);
+  if (!seed.ok()) return Status::InvalidArgument("bad seed '" + args[2] + "'");
+  DASPOS_RETURN_IF_ERROR(conditions->Append(kCalibrationTag, 1,
+                                            CalibrationSet().ToPayload()));
+  return StandardChainWorkflow(process, static_cast<size_t>(*n), *seed);
+}
+
 // Runs the standard GEN->RAW->RECO->AOD->derived chain in memory on the
 // parallel workflow engine and prints the per-step timing table (or, with
 // --json, the full execution report as JSON). With a journal the run is
 // checkpointed step by step; --resume restores verified checkpoints instead
 // of re-executing their steps.
 int CmdChain(const Args& args, const CliFlags& flags) {
-  auto process = ProcessFromName(args[0]);
-  if (!process.ok()) return Fail(process.status().ToString());
-  auto n = ParseU64(args[1]);
-  if (!n.ok()) return Fail("bad event count '" + args[1] + "'");
-  auto seed_value = ParseU64(args[2]);
-  if (!seed_value.ok()) return Fail("bad seed '" + args[2] + "'");
+  ConditionsDb conditions;
+  auto workflow = StandardChain(args, &conditions);
+  if (!workflow.ok()) return Fail(workflow.status().ToString());
   auto threads = ResolveThreads(args.size() == 4 ? args[3] : flags.threads,
                                 /*fallback=*/0);
   if (!threads.ok()) return Fail(threads.status().ToString());
 
-  Workflow workflow = StandardChainWorkflow(
-      *process, static_cast<size_t>(*n), *seed_value);
-
-  ConditionsDb conditions;
-  CalibrationSet calib;
-  if (auto status = conditions.Append(kCalibrationTag, 1, calib.ToPayload());
-      !status.ok()) {
-    return Fail(status.ToString());
-  }
   WorkflowContext context;
   context.set_conditions(&conditions);
   ProvenanceStore provenance;
@@ -570,7 +572,7 @@ int CmdChain(const Args& args, const CliFlags& flags) {
     auto lines = ReadFileToString(RunJournal::LinesPath(journal_dir));
     if (lines.ok()) {
       lint::LintReport journal_lint = lint::CheckJournal(
-          lint::JournalSpec::FromJsonLines(*lines), workflow.GraphSpec());
+          lint::JournalSpec::FromJsonLines(*lines), workflow->GraphSpec());
       for (const lint::Diagnostic& diagnostic : journal_lint.diagnostics()) {
         std::fprintf(stderr, "daspos: %s\n", diagnostic.Render().c_str());
       }
@@ -583,7 +585,7 @@ int CmdChain(const Args& args, const CliFlags& flags) {
 
   const bool tracing = !flags.trace_out.empty();
   if (tracing) Tracer::Global().Enable();
-  auto report = workflow.Execute(&context, &provenance, options);
+  auto report = workflow->Execute(&context, &provenance, options);
   size_t span_count = 0;
   if (tracing) {
     // Export even when the run failed — a trace of the failure is exactly
@@ -668,9 +670,8 @@ int CmdValidate(const Args& args, const CliFlags& flags) {
     return 0;
   }
 
-  auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
-  if (!threads.ok()) return Fail(threads.status().ToString());
-  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
+  auto pool = MakePool(flags.threads, /*fallback=*/0);
+  if (!pool.ok()) return Fail(pool.status().ToString());
   auto faults = MakeFaultPlan(flags.fault_spec);
   if (!faults.ok()) return Fail(faults.status().ToString());
 
@@ -680,7 +681,7 @@ int CmdValidate(const Args& args, const CliFlags& flags) {
   options.retry_backoff_ms = flags.retries > 0 ? 1.0 : 0.0;
   options.step_faults = faults->get();
   options.journal_root = flags.journal_dir;
-  options.pool = pool.get();
+  options.pool = pool->get();
   options.campaign_filter = flags.campaign_filter;
   options.analysis_filter = flags.analysis_filter;
 
@@ -732,13 +733,12 @@ int CmdLint(const Args& paths, const CliFlags& flags) {
     return Fail("bad --fail-on value '" + flags.fail_on +
                 "' (info|warning|error)");
   }
-  auto threads = ResolveThreads(flags.threads);
-  if (!threads.ok()) return Fail(threads.status().ToString());
+  auto pool = MakePool(flags.threads);
+  if (!pool.ok()) return Fail(pool.status().ToString());
   // Artifacts lint independently; merge in argument order so the report is
   // identical at any thread count.
-  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
   std::vector<lint::LintReport> parts = ParallelMap<lint::LintReport>(
-      pool.get(), paths.size(),
+      pool->get(), paths.size(),
       [&paths](size_t i) { return lint::LintPath(paths[i]); });
   lint::LintReport report;
   for (lint::LintReport& part : parts) {
@@ -762,29 +762,16 @@ int CmdMetrics(const Args& args, const CliFlags&) {
   if (args.size() != 0 && args.size() != 3) return Usage();
   RegisterStandardMetrics();
   if (!args.empty()) {
-    auto process = ProcessFromName(args[0]);
-    if (!process.ok()) return Fail(process.status().ToString());
-    auto n = ParseU64(args[1]);
-    if (!n.ok()) return Fail("bad event count '" + args[1] + "'");
-    auto seed = ParseU64(args[2]);
-    if (!seed.ok()) return Fail("bad seed '" + args[2] + "'");
+    ConditionsDb conditions;
+    auto workflow = StandardChain(args, &conditions);
+    if (!workflow.ok()) return Fail(workflow.status().ToString());
     auto threads = ResolveThreads("", /*fallback=*/0);
     if (!threads.ok()) return Fail(threads.status().ToString());
-
-    Workflow workflow =
-        StandardChainWorkflow(*process, static_cast<size_t>(*n), *seed);
-    ConditionsDb conditions;
-    CalibrationSet calib;
-    if (auto status =
-            conditions.Append(kCalibrationTag, 1, calib.ToPayload());
-        !status.ok()) {
-      return Fail(status.ToString());
-    }
     WorkflowContext context;
     context.set_conditions(&conditions);
     ExecuteOptions options;
     options.max_threads = *threads;
-    auto report = workflow.Execute(&context, nullptr, options);
+    auto report = workflow->Execute(&context, nullptr, options);
     if (!report.ok()) return Fail(report.status().ToString());
   }
   std::printf("%s", MetricsRegistry::Global().RenderPrometheus().c_str());
@@ -811,10 +798,9 @@ int CmdScrub(const Args& roots, const CliFlags& flags) {
   options.max_objects = static_cast<size_t>(flags.max_objects);
   options.rate_limit_per_s = flags.rate;
   options.batch_size = static_cast<size_t>(flags.batch);
-  auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
-  if (!threads.ok()) return Fail(threads.status().ToString());
-  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
-  options.pool = pool.get();
+  auto pool = MakePool(flags.threads, /*fallback=*/0);
+  if (!pool.ok()) return Fail(pool.status().ToString());
+  options.pool = pool->get();
 
   auto report = ScrubReplicas(replicas, options);
   if (!report.ok()) return Fail(report.status().ToString());
@@ -853,10 +839,9 @@ int Migrate(ObjectStore& source, ObjectStore& target,
                           ? target_root + "/migrate-state"
                           : flags.state_dir;
   options.batch_size = static_cast<size_t>(flags.batch);
-  auto threads = ResolveThreads(flags.threads, /*fallback=*/0);
-  if (!threads.ok()) return Fail(threads.status().ToString());
-  std::unique_ptr<ThreadPool> pool = MakePool(*threads);
-  options.pool = pool.get();
+  auto pool = MakePool(flags.threads, /*fallback=*/0);
+  if (!pool.ok()) return Fail(pool.status().ToString());
+  options.pool = pool->get();
   auto faults = MakeFaultPlan(flags.fault_spec);
   if (!faults.ok()) return Fail(faults.status().ToString());
   options.faults = faults->get();

@@ -38,20 +38,20 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-/// The daemon's settings as parsed from the command line; the sizes are in
-/// the units the flags use and are scaled into ServerOptions in main().
+/// The daemon's command line. The numbers stay in the flags' units, with
+/// ServerOptions' defaults, until main() converts them into `server`.
 struct DaemonFlags {
-  std::string host = daspos::net::ServerOptions{}.host;
-  uint64_t port = daspos::net::ServerOptions{}.port;
+  daspos::net::ServerOptions server;
+  uint64_t port = server.port;
   std::string port_file;
-  uint64_t max_frame_mb = daspos::net::ServerOptions{}.max_frame_bytes >> 20;
-  uint64_t outbox_kb = daspos::net::ServerOptions{}.max_outbox_bytes >> 10;
-  uint64_t max_connections = daspos::net::ServerOptions{}.max_connections;
+  uint64_t max_frame_mb = server.max_frame_bytes >> 20;
+  uint64_t outbox_kb = server.max_outbox_bytes >> 10;
+  uint64_t max_connections = server.max_connections;
 };
 
 std::vector<daspos::Flag> Flags(DaemonFlags* f) {
   using daspos::Flag;
-  return {Flag::String("host", &f->host, "ADDR"),
+  return {Flag::String("host", &f->server.host, "ADDR"),
           Flag::U64("port", &f->port, 0, 65535),
           Flag::Path("port-file", &f->port_file, "FILE"),
           Flag::U64("max-frame-mb", &f->max_frame_mb, 1, 4096),
@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
   if (!positionals.ok()) return Fail(positionals.status().message());
   if (positionals->size() != 1) return Usage();
   const std::string& spec_text = (*positionals)[0];
-  daspos::net::ServerOptions options;
-  options.host = flags.host;
+  daspos::net::ServerOptions options = flags.server;
   options.port = static_cast<uint16_t>(flags.port);
   options.max_frame_bytes = static_cast<size_t>(flags.max_frame_mb) << 20;
   options.max_outbox_bytes = static_cast<size_t>(flags.outbox_kb) << 10;
