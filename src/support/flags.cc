@@ -50,38 +50,40 @@ Result<std::vector<std::string>> ParseFlags(
                                      " flag '" + arg + "'");
     }
     const std::string value = has_value ? arg.substr(eq + 1) : "";
-    const Status bad = Status::InvalidArgument("bad --" + flag->name +
-                                               " value '" + value + "'");
     switch (flag->kind) {
       case Flag::Kind::kBool:
         *std::get<bool*>(flag->field) = true;
-        break;
+        continue;
       case Flag::Kind::kPath:
         if (value.empty()) {
           return Status::InvalidArgument("--" + flag->name +
                                          " needs a path");
         }
         *std::get<std::string*>(flag->field) = value;
-        break;
+        continue;
       case Flag::Kind::kString:
         *std::get<std::string*>(flag->field) = value;
-        break;
+        continue;
       case Flag::Kind::kU64: {
         auto parsed = ParseU64(value);
-        if (!parsed.ok() || *parsed < flag->min_u64 ||
-            *parsed > flag->max_u64) {
-          return bad;
+        if (parsed.ok() && *parsed >= flag->min_u64 &&
+            *parsed <= flag->max_u64) {
+          *std::get<uint64_t*>(flag->field) = *parsed;
+          continue;
         }
-        *std::get<uint64_t*>(flag->field) = *parsed;
         break;
       }
       case Flag::Kind::kDouble: {
         auto parsed = ParseDouble(value);
-        if (!parsed.ok() || *parsed < flag->min_double) return bad;
-        *std::get<double*>(flag->field) = *parsed;
+        if (parsed.ok() && *parsed >= flag->min_double) {
+          *std::get<double*>(flag->field) = *parsed;
+          continue;
+        }
         break;
       }
     }
+    return Status::InvalidArgument("bad --" + flag->name + " value '" +
+                                   value + "'");
   }
   return positionals;
 }

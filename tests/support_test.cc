@@ -813,7 +813,7 @@ TEST(FlagsTest, DoubleMinimumIsInclusive) {
   TestFlags flags;
   ASSERT_TRUE(ParseTest(&flags, {"--rate=0"}).ok());
   EXPECT_EQ(flags.rate, 0.0);
-  for (const char* value : {"-1", "-0.5", "fast"}) {
+  for (const char* value : {"-1", "-0.5", "fast", "nan"}) {
     auto positionals = ParseTest(&flags, {std::string("--rate=") + value});
     ASSERT_FALSE(positionals.ok()) << value;
     EXPECT_EQ(positionals.status().message(),

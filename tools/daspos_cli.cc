@@ -996,7 +996,6 @@ int CmdConnect(const Args& positionals, const CliFlags&) {
   return Usage();
 }
 
-
 /// One `daspos` command: its positionals (as the usage shows them and as
 /// an arity range), the flags it accepts, and its handler.
 struct Command {
