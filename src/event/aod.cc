@@ -44,8 +44,7 @@ Result<AodEvent> AodEvent::Deserialize(BinaryReader* reader) {
   DASPOS_ASSIGN_OR_RETURN(event.event_number, reader->GetVarint());
   DASPOS_ASSIGN_OR_RETURN(event.trigger_bits, reader->GetU32());
   DASPOS_ASSIGN_OR_RETURN(event.weight, reader->GetDouble());
-  DASPOS_ASSIGN_OR_RETURN(int64_t vertex_count, reader->GetSVarint());
-  event.vertex_count = static_cast<int>(vertex_count);
+  DASPOS_ASSIGN_OR_RETURN(event.vertex_count, reader->GetSVarint32());
   DASPOS_ASSIGN_OR_RETURN(uint64_t count, reader->GetVarint());
   // Allocation guard: see GenEvent::Deserialize.
   if (count > reader->remaining()) {

@@ -1,6 +1,27 @@
 #include "event/raw.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 namespace daspos {
+
+namespace {
+
+/// True when `value` is exactly some float widened to double — the only
+/// doubles the encoder writes for a hit time, and the only ones that
+/// narrow and re-encode to the same bytes. Out-of-range values are checked
+/// first: narrowing them would overflow.
+bool IsWidenedFloat(double value) {
+  if (std::isfinite(value) &&
+      std::fabs(value) > std::numeric_limits<float>::max()) {
+    return false;
+  }
+  const double widened = static_cast<double>(static_cast<float>(value));
+  return std::memcmp(&widened, &value, sizeof(value)) == 0;
+}
+
+}  // namespace
 
 void RawEvent::Serialize(BinaryWriter* writer) const {
   writer->PutU32(run_number);
@@ -34,11 +55,15 @@ Result<RawEvent> RawEvent::Deserialize(BinaryReader* reader) {
       return Status::Corruption("bad subdetector id in raw hit");
     }
     hit.detector = static_cast<SubDetector>(det);
-    DASPOS_ASSIGN_OR_RETURN(uint64_t channel, reader->GetVarint());
+    DASPOS_ASSIGN_OR_RETURN(uint64_t channel,
+                            reader->GetVarintAtMost(UINT32_MAX));
     hit.channel = static_cast<uint32_t>(channel);
-    DASPOS_ASSIGN_OR_RETURN(uint64_t adc, reader->GetVarint());
+    DASPOS_ASSIGN_OR_RETURN(uint64_t adc, reader->GetVarintAtMost(UINT16_MAX));
     hit.adc = static_cast<uint16_t>(adc);
     DASPOS_ASSIGN_OR_RETURN(double time, reader->GetDouble());
+    if (!IsWidenedFloat(time)) {
+      return Status::Corruption("raw hit time is not a float value");
+    }
     hit.time_ns = static_cast<float>(time);
     event.hits.push_back(hit);
   }

@@ -64,8 +64,7 @@ Result<PhysicsObject> PhysicsObject::Deserialize(BinaryReader* reader) {
   }
   obj.type = static_cast<ObjectType>(type);
   DASPOS_ASSIGN_OR_RETURN(obj.momentum, GetFourVector(reader));
-  DASPOS_ASSIGN_OR_RETURN(int64_t charge, reader->GetSVarint());
-  obj.charge = static_cast<int>(charge);
+  DASPOS_ASSIGN_OR_RETURN(obj.charge, reader->GetSVarint32());
   DASPOS_ASSIGN_OR_RETURN(obj.isolation, reader->GetDouble());
   DASPOS_ASSIGN_OR_RETURN(obj.quality, reader->GetDouble());
   DASPOS_ASSIGN_OR_RETURN(obj.displacement_mm, reader->GetDouble());
@@ -107,8 +106,7 @@ Result<RecoEvent> RecoEvent::Deserialize(BinaryReader* reader) {
   DASPOS_ASSIGN_OR_RETURN(event.event_number, reader->GetVarint());
   DASPOS_ASSIGN_OR_RETURN(event.trigger_bits, reader->GetU32());
   DASPOS_ASSIGN_OR_RETURN(event.weight, reader->GetDouble());
-  DASPOS_ASSIGN_OR_RETURN(int64_t vertex_count, reader->GetSVarint());
-  event.vertex_count = static_cast<int>(vertex_count);
+  DASPOS_ASSIGN_OR_RETURN(event.vertex_count, reader->GetSVarint32());
 
   DASPOS_ASSIGN_OR_RETURN(uint64_t n_tracks, reader->GetVarint());
   // Allocation guards on all three counts: see GenEvent::Deserialize.
@@ -119,10 +117,8 @@ Result<RecoEvent> RecoEvent::Deserialize(BinaryReader* reader) {
   for (uint64_t i = 0; i < n_tracks; ++i) {
     Track t;
     DASPOS_ASSIGN_OR_RETURN(t.momentum, GetFourVector(reader));
-    DASPOS_ASSIGN_OR_RETURN(int64_t charge, reader->GetSVarint());
-    t.charge = static_cast<int>(charge);
-    DASPOS_ASSIGN_OR_RETURN(int64_t hits, reader->GetSVarint());
-    t.hit_count = static_cast<int>(hits);
+    DASPOS_ASSIGN_OR_RETURN(t.charge, reader->GetSVarint32());
+    DASPOS_ASSIGN_OR_RETURN(t.hit_count, reader->GetSVarint32());
     DASPOS_ASSIGN_OR_RETURN(t.chi2, reader->GetDouble());
     DASPOS_ASSIGN_OR_RETURN(t.d0_mm, reader->GetDouble());
     event.tracks.push_back(t);
@@ -139,8 +135,7 @@ Result<RecoEvent> RecoEvent::Deserialize(BinaryReader* reader) {
     DASPOS_ASSIGN_OR_RETURN(c.eta, reader->GetDouble());
     DASPOS_ASSIGN_OR_RETURN(c.phi, reader->GetDouble());
     DASPOS_ASSIGN_OR_RETURN(c.em_fraction, reader->GetDouble());
-    DASPOS_ASSIGN_OR_RETURN(int64_t cells, reader->GetSVarint());
-    c.cell_count = static_cast<int>(cells);
+    DASPOS_ASSIGN_OR_RETURN(c.cell_count, reader->GetSVarint32());
     event.clusters.push_back(c);
   }
 

@@ -30,8 +30,7 @@ void GenEvent::Serialize(BinaryWriter* writer) const {
 Result<GenEvent> GenEvent::Deserialize(BinaryReader* reader) {
   GenEvent event;
   DASPOS_ASSIGN_OR_RETURN(event.event_number, reader->GetVarint());
-  DASPOS_ASSIGN_OR_RETURN(int64_t process_id, reader->GetSVarint());
-  event.process_id = static_cast<int>(process_id);
+  DASPOS_ASSIGN_OR_RETURN(event.process_id, reader->GetSVarint32());
   DASPOS_ASSIGN_OR_RETURN(event.weight, reader->GetDouble());
   DASPOS_ASSIGN_OR_RETURN(uint64_t count, reader->GetVarint());
   // Guard the allocation: every particle needs bytes in the stream, so a
@@ -42,12 +41,9 @@ Result<GenEvent> GenEvent::Deserialize(BinaryReader* reader) {
   event.particles.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     GenParticle p;
-    DASPOS_ASSIGN_OR_RETURN(int64_t pdg_id, reader->GetSVarint());
-    DASPOS_ASSIGN_OR_RETURN(int64_t status, reader->GetSVarint());
-    DASPOS_ASSIGN_OR_RETURN(int64_t mother, reader->GetSVarint());
-    p.pdg_id = static_cast<int>(pdg_id);
-    p.status = static_cast<int>(status);
-    p.mother = static_cast<int>(mother);
+    DASPOS_ASSIGN_OR_RETURN(p.pdg_id, reader->GetSVarint32());
+    DASPOS_ASSIGN_OR_RETURN(p.status, reader->GetSVarint32());
+    DASPOS_ASSIGN_OR_RETURN(p.mother, reader->GetSVarint32());
     DASPOS_ASSIGN_OR_RETURN(double px, reader->GetDouble());
     DASPOS_ASSIGN_OR_RETURN(double py, reader->GetDouble());
     DASPOS_ASSIGN_OR_RETURN(double pz, reader->GetDouble());

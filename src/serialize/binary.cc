@@ -1,24 +1,48 @@
 #include "serialize/binary.h"
 
 #include <cstring>
+#include <limits>
 
 namespace daspos {
 
-void BinaryWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+namespace {
+
+template <size_t N>
+void AppendLittleEndian(std::string& out, uint64_t v) {
+  char bytes[N];
+  for (size_t i = 0; i < N; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out.append(bytes, N);
 }
 
-void BinaryWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void BinaryWriter::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    PutU8(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
+template <size_t N>
+uint64_t LoadLittleEndian(const char* p) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < N; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
   }
-  PutU8(static_cast<uint8_t>(v));
+  return v;
 }
+
+}  // namespace
+
+void AppendVarint(std::string& out, uint64_t value) {
+  if (value < 0x80) {
+    out.push_back(static_cast<char>(value));
+    return;
+  }
+  char bytes[kMaxVarintBytes];
+  size_t n = 0;
+  while (value >= 0x80) {
+    bytes[n++] = static_cast<char>((value & 0x7f) | 0x80);
+    value >>= 7;
+  }
+  bytes[n++] = static_cast<char>(value);
+  out.append(bytes, n);
+}
+
+void BinaryWriter::PutU32(uint32_t v) { AppendLittleEndian<4>(buffer_, v); }
+
+void BinaryWriter::PutU64(uint64_t v) { AppendLittleEndian<8>(buffer_, v); }
 
 void BinaryWriter::PutSVarint(int64_t v) {
   uint64_t zz = (static_cast<uint64_t>(v) << 1) ^
@@ -48,25 +72,22 @@ Result<uint8_t> BinaryReader::GetU8() {
 
 Result<uint32_t> BinaryReader::GetU32() {
   if (remaining() < 4) return Status::Corruption("truncated: u32");
-  uint32_t v = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-  }
+  uint32_t v = static_cast<uint32_t>(LoadLittleEndian<4>(data_.data() + pos_));
   pos_ += 4;
   return v;
 }
 
 Result<uint64_t> BinaryReader::GetU64() {
   if (remaining() < 8) return Status::Corruption("truncated: u64");
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-  }
+  uint64_t v = LoadLittleEndian<8>(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
 
 Result<uint64_t> BinaryReader::GetVarint() {
+  if (pos_ < data_.size() && static_cast<uint8_t>(data_[pos_]) < 0x80) {
+    return static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]));
+  }
   uint64_t v = 0;
   int shift = 0;
   for (;;) {
@@ -77,7 +98,14 @@ Result<uint64_t> BinaryReader::GetVarint() {
     }
     if (shift > 63) return Status::Corruption("varint too long");
     v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) == 0) {
+      // A zero final group after a continuation is a longer spelling of a
+      // shorter varint; only the minimal encoding is accepted.
+      if (byte == 0 && shift > 0) {
+        return Status::Corruption("non-minimal varint");
+      }
+      return v;
+    }
     shift += 7;
   }
 }
@@ -85,6 +113,21 @@ Result<uint64_t> BinaryReader::GetVarint() {
 Result<int64_t> BinaryReader::GetSVarint() {
   DASPOS_ASSIGN_OR_RETURN(uint64_t zz, GetVarint());
   return static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
+}
+
+Result<int32_t> BinaryReader::GetSVarint32() {
+  DASPOS_ASSIGN_OR_RETURN(int64_t v, GetSVarint());
+  if (v < std::numeric_limits<int32_t>::min() ||
+      v > std::numeric_limits<int32_t>::max()) {
+    return Status::Corruption("svarint out of 32-bit range");
+  }
+  return static_cast<int32_t>(v);
+}
+
+Result<uint64_t> BinaryReader::GetVarintAtMost(uint64_t max) {
+  DASPOS_ASSIGN_OR_RETURN(uint64_t v, GetVarint());
+  if (v > max) return Status::Corruption("varint out of range");
+  return v;
 }
 
 Result<double> BinaryReader::GetDouble() {

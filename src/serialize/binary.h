@@ -14,14 +14,22 @@
 
 namespace daspos {
 
-/// Appends encoded values to an owned byte buffer.
+/// Longest LEB128 encoding of a uint64_t.
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/// Appends the LEB128 varint encoding of `value` to `out` — the bytes
+/// BinaryWriter::PutVarint writes, for framing records without a writer.
+void AppendVarint(std::string& out, uint64_t value);
+
+/// Appends encoded values to an owned byte buffer. Fixed-width values are
+/// built in a local array and appended once, not byte by byte.
 class BinaryWriter {
  public:
   void PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   /// LEB128-style varint.
-  void PutVarint(uint64_t v);
+  void PutVarint(uint64_t v) { AppendVarint(buffer_, v); }
   /// Zigzag-mapped signed varint.
   void PutSVarint(int64_t v);
   /// IEEE-754 double, 8 bytes little-endian.
@@ -37,6 +45,10 @@ class BinaryWriter {
     buffer_.reserve(buffer_.size() + upcoming_bytes);
   }
 
+  /// Empties the buffer but keeps its capacity, so one writer can encode
+  /// record after record without reallocating.
+  void Clear() { buffer_.clear(); }
+
   const std::string& buffer() const { return buffer_; }
   std::string TakeBuffer() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }
@@ -46,7 +58,10 @@ class BinaryWriter {
 };
 
 /// Decodes values from a byte range. All getters fail with Corruption on
-/// truncated or malformed input instead of reading past the end.
+/// truncated or malformed input instead of reading past the end. Varints
+/// must be minimal (no redundant trailing zero groups), so every accepted
+/// value has exactly one encoding and decoding then re-encoding gives the
+/// same bytes.
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
@@ -56,6 +71,11 @@ class BinaryReader {
   Result<uint64_t> GetU64();
   Result<uint64_t> GetVarint();
   Result<int64_t> GetSVarint();
+  /// GetSVarint narrowed to 32 bits; a value outside int32_t is Corruption
+  /// rather than silently truncated.
+  Result<int32_t> GetSVarint32();
+  /// GetVarint bounded by `max`; a larger value is Corruption.
+  Result<uint64_t> GetVarintAtMost(uint64_t max);
   Result<double> GetDouble();
   Result<std::string> GetString();
   /// Reads exactly `n` raw bytes.

@@ -11,16 +11,9 @@ namespace {
 constexpr char kHeaderMagic[] = "DSPC";
 constexpr char kFooterMagic[] = "DSPE";
 constexpr size_t kMagicLen = 4;
-
-/// LEB128 varint straight into `out` — record framing without a temporary
-/// BinaryWriter per record.
-void AppendVarint(std::string& out, uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out.push_back(static_cast<char>(value));
-}
+/// Appended bytes are hashed once this many are pending: the hash then runs
+/// on bytes that are still in cache, and Finish only digests the tail.
+constexpr size_t kHashBatchBytes = 64 * 1024;
 
 }  // namespace
 
@@ -37,6 +30,7 @@ void ContainerWriter::AddRecord(std::string_view record) {
   AppendVarint(buffer_, record.size());
   buffer_.append(record.data(), record.size());
   ++record_count_;
+  HashPending(kHashBatchBytes);
 }
 
 void ContainerWriter::AppendEncodedRecords(std::string_view encoded,
@@ -44,6 +38,13 @@ void ContainerWriter::AppendEncodedRecords(std::string_view encoded,
   assert(!finished_);
   buffer_.append(encoded.data(), encoded.size());
   record_count_ += count;
+  HashPending(kHashBatchBytes);
+}
+
+void ContainerWriter::HashPending(size_t min_bytes) {
+  if (buffer_.size() - hashed_bytes_ < min_bytes) return;
+  hasher_.Update(std::string_view(buffer_).substr(hashed_bytes_));
+  hashed_bytes_ = buffer_.size();
 }
 
 void ContainerWriter::Reserve(size_t payload_bytes) {
@@ -53,9 +54,8 @@ void ContainerWriter::Reserve(size_t payload_bytes) {
 std::string ContainerWriter::Finish() {
   assert(!finished_);
   finished_ = true;
-  Sha256 hasher;
-  hasher.Update(buffer_);
-  auto digest = hasher.Digest();
+  HashPending(0);
+  auto digest = hasher_.Digest();
 
   BinaryWriter w;
   w.PutRaw(std::string_view(kFooterMagic, kMagicLen));

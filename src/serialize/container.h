@@ -21,13 +21,15 @@
 
 #include "serialize/json.h"
 #include "support/result.h"
+#include "support/sha256.h"
 
 namespace daspos {
 
 /// Current container layout version.
 inline constexpr uint32_t kContainerVersion = 1;
 
-/// Builds a container in memory.
+/// Builds a container in memory. The fixity hash is computed incrementally
+/// as records are appended, so Finish only digests the last few bytes.
 class ContainerWriter {
  public:
   /// `metadata` should carry at least "schema" and "schema_version"; callers
@@ -53,7 +55,13 @@ class ContainerWriter {
   std::string Finish();
 
  private:
+  /// Feeds the unhashed tail of buffer_ to the hasher once at least
+  /// `min_bytes` of it are pending.
+  void HashPending(size_t min_bytes);
+
   std::string buffer_;
+  Sha256 hasher_;
+  size_t hashed_bytes_ = 0;
   size_t record_count_ = 0;
   bool finished_ = false;
 };

@@ -1,8 +1,14 @@
 #include "tiers/dataset.h"
 
+#include "support/parallel.h"
+
 namespace daspos {
 
 namespace {
+
+/// Minimum events per codec chunk: an event encodes or decodes in about a
+/// microsecond, so smaller chunks would spend more on dispatch than work.
+constexpr size_t kCodecGrain = 16;
 
 DataTier TierFromSchema(const std::string& schema, bool* ok) {
   *ok = true;
@@ -24,16 +30,46 @@ Json MakeMetadata(const DatasetInfo& info) {
 
 template <typename Event>
 std::string WriteDataset(const DatasetInfo& info,
-                         const std::vector<Event>& events) {
+                         const std::vector<Event>& events, ThreadPool* pool) {
   ContainerWriter writer(MakeMetadata(info));
-  for (const Event& event : events) writer.AddRecord(event.ToRecord());
+  AppendRecords(&writer, events.size(), pool,
+                [&events](size_t i, BinaryWriter* record) {
+                  events[i].Serialize(record);
+                  return true;
+                });
   return writer.Finish();
+}
+
+/// Decodes every record, chunked over `pool`. Each chunk stops at its first
+/// bad record; the lowest chunk's error wins, which is the error the serial
+/// loop would have stopped at.
+template <typename Event>
+Result<std::vector<Event>> DecodeRecords(
+    const std::vector<std::string_view>& records, ThreadPool* pool) {
+  std::vector<Event> events(records.size());
+  std::vector<Status> errors(PlanChunks(records.size(), kCodecGrain).chunk_count);
+  ForEachChunk(pool, records.size(), kCodecGrain,
+               [&](size_t chunk, size_t begin, size_t end) {
+                 for (size_t i = begin; i < end; ++i) {
+                   Result<Event> event = Event::FromRecord(records[i]);
+                   if (!event.ok()) {
+                     errors[chunk] = event.status();
+                     return;
+                   }
+                   events[i] = std::move(*event);
+                 }
+               });
+  for (Status& error : errors) {
+    if (!error.ok()) return std::move(error);
+  }
+  return events;
 }
 
 template <typename Event>
 Result<std::vector<Event>> ReadDataset(std::string_view blob,
                                        std::initializer_list<DataTier> allowed,
-                                       DatasetInfo* info_out) {
+                                       DatasetInfo* info_out,
+                                       ThreadPool* pool) {
   DASPOS_ASSIGN_OR_RETURN(ContainerReader reader, ContainerReader::Open(blob));
   DASPOS_ASSIGN_OR_RETURN(DatasetInfo info,
                           DatasetInfo::FromJson(reader.metadata()));
@@ -46,17 +82,34 @@ Result<std::vector<Event>> ReadDataset(std::string_view blob,
         "dataset '" + info.name + "' has tier " +
         std::string(TierName(info.tier)) + ", not the expected one");
   }
-  std::vector<Event> events;
-  events.reserve(reader.records().size());
-  for (std::string_view record : reader.records()) {
-    DASPOS_ASSIGN_OR_RETURN(Event event, Event::FromRecord(record));
-    events.push_back(std::move(event));
-  }
+  DASPOS_ASSIGN_OR_RETURN(std::vector<Event> events,
+                          DecodeRecords<Event>(reader.records(), pool));
   if (info_out != nullptr) *info_out = std::move(info);
   return events;
 }
 
 }  // namespace
+
+void AppendRecords(ContainerWriter* writer, size_t count, ThreadPool* pool,
+                   const std::function<bool(size_t, BinaryWriter*)>& encode) {
+  ChunkSequencer sequencer;
+  ForEachChunk(pool, count, kCodecGrain,
+               [&](size_t chunk, size_t begin, size_t end) {
+                 BinaryWriter record;
+                 std::string framed;
+                 size_t kept = 0;
+                 for (size_t i = begin; i < end; ++i) {
+                   record.Clear();
+                   if (!encode(i, &record)) continue;
+                   AppendVarint(framed, record.size());
+                   framed += record.buffer();
+                   ++kept;
+                 }
+                 sequencer.Run(chunk, [&] {
+                   writer->AppendEncodedRecords(framed, kept);
+                 });
+               });
+}
 
 Json DatasetInfo::ToJson() const {
   Json json = Json::Object();
@@ -102,39 +155,47 @@ Result<DatasetInfo> DatasetInfo::FromJson(const Json& json) {
 }
 
 std::string WriteGenDataset(const DatasetInfo& info,
-                            const std::vector<GenEvent>& events) {
-  return WriteDataset(info, events);
+                            const std::vector<GenEvent>& events,
+                            ThreadPool* pool) {
+  return WriteDataset(info, events, pool);
 }
 std::string WriteRawDataset(const DatasetInfo& info,
-                            const std::vector<RawEvent>& events) {
-  return WriteDataset(info, events);
+                            const std::vector<RawEvent>& events,
+                            ThreadPool* pool) {
+  return WriteDataset(info, events, pool);
 }
 std::string WriteRecoDataset(const DatasetInfo& info,
-                             const std::vector<RecoEvent>& events) {
-  return WriteDataset(info, events);
+                             const std::vector<RecoEvent>& events,
+                             ThreadPool* pool) {
+  return WriteDataset(info, events, pool);
 }
 std::string WriteAodDataset(const DatasetInfo& info,
-                            const std::vector<AodEvent>& events) {
-  return WriteDataset(info, events);
+                            const std::vector<AodEvent>& events,
+                            ThreadPool* pool) {
+  return WriteDataset(info, events, pool);
 }
 
 Result<std::vector<GenEvent>> ReadGenDataset(std::string_view blob,
-                                             DatasetInfo* info) {
-  return ReadDataset<GenEvent>(blob, {DataTier::kGen}, info);
+                                             DatasetInfo* info,
+                                             ThreadPool* pool) {
+  return ReadDataset<GenEvent>(blob, {DataTier::kGen}, info, pool);
 }
 Result<std::vector<RawEvent>> ReadRawDataset(std::string_view blob,
-                                             DatasetInfo* info) {
-  return ReadDataset<RawEvent>(blob, {DataTier::kRaw}, info);
+                                             DatasetInfo* info,
+                                             ThreadPool* pool) {
+  return ReadDataset<RawEvent>(blob, {DataTier::kRaw}, info, pool);
 }
 Result<std::vector<RecoEvent>> ReadRecoDataset(std::string_view blob,
-                                               DatasetInfo* info) {
-  return ReadDataset<RecoEvent>(blob, {DataTier::kReco}, info);
+                                               DatasetInfo* info,
+                                               ThreadPool* pool) {
+  return ReadDataset<RecoEvent>(blob, {DataTier::kReco}, info, pool);
 }
 Result<std::vector<AodEvent>> ReadAodDataset(std::string_view blob,
-                                             DatasetInfo* info) {
+                                             DatasetInfo* info,
+                                             ThreadPool* pool) {
   // Derived datasets keep the AOD record layout.
   return ReadDataset<AodEvent>(blob, {DataTier::kAod, DataTier::kDerived},
-                               info);
+                               info, pool);
 }
 
 Result<DatasetInfo> ReadDatasetInfo(std::string_view blob) {

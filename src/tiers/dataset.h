@@ -5,6 +5,7 @@
 #ifndef DASPOS_TIERS_DATASET_H_
 #define DASPOS_TIERS_DATASET_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "tiers/tier.h"
 
 namespace daspos {
+
+class ThreadPool;
 
 /// Descriptive metadata every dataset file carries.
 struct DatasetInfo {
@@ -38,25 +41,48 @@ struct DatasetInfo {
 
 /// Serializes events of tier-appropriate type into a container blob.
 /// The unparameterized record type keeps one writer per tier trivial.
+///
+/// The codecs take the calling step's pool: with one, events are encoded
+/// and decoded in parallel chunks. Records are spliced and returned in
+/// event order, so the bytes, the events and the first error reported never
+/// depend on the pool width (null means serial on the calling thread).
 std::string WriteGenDataset(const DatasetInfo& info,
-                            const std::vector<GenEvent>& events);
+                            const std::vector<GenEvent>& events,
+                            ThreadPool* pool = nullptr);
 std::string WriteRawDataset(const DatasetInfo& info,
-                            const std::vector<RawEvent>& events);
+                            const std::vector<RawEvent>& events,
+                            ThreadPool* pool = nullptr);
 std::string WriteRecoDataset(const DatasetInfo& info,
-                             const std::vector<RecoEvent>& events);
+                             const std::vector<RecoEvent>& events,
+                             ThreadPool* pool = nullptr);
 std::string WriteAodDataset(const DatasetInfo& info,
-                            const std::vector<AodEvent>& events);
+                            const std::vector<AodEvent>& events,
+                            ThreadPool* pool = nullptr);
 
 /// Opens a dataset blob, checks the expected tier schema, and decodes all
-/// events. Fixity and structure errors surface as Corruption.
+/// events. Fixity and structure errors surface as Corruption; a bad record
+/// fails the read with the error of the lowest-index bad record.
 Result<std::vector<GenEvent>> ReadGenDataset(std::string_view blob,
-                                             DatasetInfo* info = nullptr);
+                                             DatasetInfo* info = nullptr,
+                                             ThreadPool* pool = nullptr);
 Result<std::vector<RawEvent>> ReadRawDataset(std::string_view blob,
-                                             DatasetInfo* info = nullptr);
+                                             DatasetInfo* info = nullptr,
+                                             ThreadPool* pool = nullptr);
 Result<std::vector<RecoEvent>> ReadRecoDataset(std::string_view blob,
-                                               DatasetInfo* info = nullptr);
+                                               DatasetInfo* info = nullptr,
+                                               ThreadPool* pool = nullptr);
 Result<std::vector<AodEvent>> ReadAodDataset(std::string_view blob,
-                                             DatasetInfo* info = nullptr);
+                                             DatasetInfo* info = nullptr,
+                                             ThreadPool* pool = nullptr);
+
+/// Appends `count` records to `writer`, encoded in parallel chunks over
+/// `pool`. encode(i, record) serializes item i into the empty `record`, or
+/// returns false to skip the item. Each chunk frames its records into a
+/// buffer of its own and splices it into the container in chunk order, so
+/// the container bytes equal the serial loop's and only one chunk buffer
+/// per worker is alive at a time.
+void AppendRecords(ContainerWriter* writer, size_t count, ThreadPool* pool,
+                   const std::function<bool(size_t, BinaryWriter*)>& encode);
 
 /// Reads only the metadata of any dataset blob.
 Result<DatasetInfo> ReadDatasetInfo(std::string_view blob);

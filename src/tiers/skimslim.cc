@@ -3,7 +3,6 @@
 #include "serialize/binary.h"
 #include "serialize/container.h"
 #include "support/metrics_registry.h"
-#include "support/parallel.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -161,7 +160,7 @@ Result<std::string> DeriveDataset(std::string_view aod_blob,
   span.AddAttribute("output", output_name);
   DatasetInfo input_info;
   DASPOS_ASSIGN_OR_RETURN(std::vector<AodEvent> events,
-                          ReadAodDataset(aod_blob, &input_info));
+                          ReadAodDataset(aod_blob, &input_info, pool));
 
   DatasetInfo output_info;
   output_info.tier = DataTier::kDerived;
@@ -182,36 +181,16 @@ Result<std::string> DeriveDataset(std::string_view aod_blob,
   derivation["slim"] = slim.ToJson();
   meta["derivation"] = std::move(derivation);
 
-  // Each chunk filters and re-encodes its events into a pre-framed record
-  // buffer (exactly the bytes AddRecord would emit); the buffers splice in
-  // chunk order, so the blob matches the serial loop byte for byte.
-  struct ChunkRecords {
-    std::string encoded;
-    uint64_t kept = 0;
-  };
-  ChunkPlan plan = PlanChunks(events.size(), /*grain=*/16);
-  std::vector<ChunkRecords> parts(plan.chunk_count);
-  ForEachChunk(pool, events.size(), /*grain=*/16,
-               [&](size_t chunk, size_t begin, size_t end) {
-                 ChunkRecords& part = parts[chunk];
-                 BinaryWriter w;
-                 for (size_t i = begin; i < end; ++i) {
-                   if (!skim.predicate(events[i])) continue;
-                   w.PutString(slim.Apply(events[i]).ToRecord());
-                   ++part.kept;
-                 }
-                 part.encoded = w.TakeBuffer();
-               });
-
+  // Chunks filter and re-encode their events in parallel and splice them
+  // in chunk order, so the blob matches the serial loop byte for byte.
   ContainerWriter writer(meta);
-  uint64_t kept = 0;
-  size_t total_encoded = 0;
-  for (const ChunkRecords& part : parts) total_encoded += part.encoded.size();
-  writer.Reserve(total_encoded);
-  for (const ChunkRecords& part : parts) {
-    writer.AppendEncodedRecords(part.encoded, static_cast<size_t>(part.kept));
-    kept += part.kept;
-  }
+  AppendRecords(&writer, events.size(), pool,
+                [&](size_t i, BinaryWriter* record) {
+                  if (!skim.predicate(events[i])) return false;
+                  slim.Apply(events[i]).Serialize(record);
+                  return true;
+                });
+  const uint64_t kept = writer.record_count();
   std::string blob = writer.Finish();
   span.AddAttribute("input_events", static_cast<uint64_t>(events.size()));
   span.AddAttribute("output_events", kept);

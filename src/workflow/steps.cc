@@ -5,6 +5,16 @@
 
 namespace daspos {
 
+namespace {
+
+/// The engine's worker pool for a step's parallel loops and codecs; null
+/// (serial) without a context.
+ThreadPool* PoolOf(const WorkflowContext* context) {
+  return context != nullptr ? context->worker_pool() : nullptr;
+}
+
+}  // namespace
+
 Json GeneratorConfigToJson(const GeneratorConfig& config) {
   Json json = Json::Object();
   json["process"] = static_cast<int>(config.process);
@@ -158,7 +168,6 @@ Json GenerationStep::Config() const {
 Result<StepOutput> GenerationStep::Run(
     const std::vector<std::string_view>& inputs,
     WorkflowContext* context) const {
-  (void)context;
   if (!inputs.empty()) {
     return Status::InvalidArgument("generation takes no inputs");
   }
@@ -170,7 +179,8 @@ Result<StepOutput> GenerationStep::Run(
   info.name = dataset_name_;
   info.producer = "generation v1.0";
   info.description = GetProcessInfo(config_.process).description;
-  return StepOutput{WriteGenDataset(info, events), events.size()};
+  return StepOutput{WriteGenDataset(info, events, PoolOf(context)),
+                    events.size()};
 }
 
 // ------------------------------------------------------------- Simulation
@@ -194,14 +204,15 @@ Result<StepOutput> SimulationStep::Run(
   if (inputs.size() != 1) {
     return Status::InvalidArgument("simulation takes exactly one GEN input");
   }
+  ThreadPool* pool = PoolOf(context);
   DatasetInfo gen_info;
   DASPOS_ASSIGN_OR_RETURN(std::vector<GenEvent> truth,
-                          ReadGenDataset(inputs[0], &gen_info));
+                          ReadGenDataset(inputs[0], &gen_info, pool));
   DetectorSimulation simulation(config_);
   // Simulate's randomness is event-local (seeded from the event number), so
   // events digitize independently and in parallel with identical output.
   std::vector<RawEvent> raw = ParallelMap<RawEvent>(
-      context != nullptr ? context->worker_pool() : nullptr, truth.size(),
+      pool, truth.size(),
       [&simulation, &truth, this](size_t i) {
         return simulation.Simulate(truth[i], run_number_);
       },
@@ -213,7 +224,7 @@ Result<StepOutput> SimulationStep::Run(
   info.producer = "simulation v1.0";
   info.parents = {gen_info.name};
   info.description = "digitized detector response";
-  return StepOutput{WriteRawDataset(info, raw), raw.size()};
+  return StepOutput{WriteRawDataset(info, raw, pool), raw.size()};
 }
 
 // --------------------------------------------------------- Reconstruction
@@ -241,9 +252,10 @@ Result<StepOutput> ReconstructionStep::Run(
         "reconstruction requires a conditions provider (calibration "
         "constants), §3.2");
   }
+  ThreadPool* pool = context->worker_pool();
   DatasetInfo raw_info;
   DASPOS_ASSIGN_OR_RETURN(std::vector<RawEvent> raw,
-                          ReadRawDataset(inputs[0], &raw_info));
+                          ReadRawDataset(inputs[0], &raw_info, pool));
   if (raw.empty()) {
     return Status::InvalidArgument("RAW dataset is empty");
   }
@@ -259,8 +271,7 @@ Result<StepOutput> ReconstructionStep::Run(
   config.calib = calib;
   Reconstructor reconstructor(config);
 
-  std::vector<RecoEvent> reco =
-      reconstructor.ReconstructAll(raw, context->worker_pool());
+  std::vector<RecoEvent> reco = reconstructor.ReconstructAll(raw, pool);
 
   DatasetInfo info;
   info.tier = DataTier::kReco;
@@ -269,7 +280,7 @@ Result<StepOutput> ReconstructionStep::Run(
                   std::to_string(calib.version) + ")";
   info.parents = {raw_info.name};
   info.description = "tracks, clusters, candidate physics objects";
-  return StepOutput{WriteRecoDataset(info, reco), reco.size()};
+  return StepOutput{WriteRecoDataset(info, reco, pool), reco.size()};
 }
 
 // ------------------------------------------------------------- AOD
@@ -290,11 +301,12 @@ Result<StepOutput> AodReductionStep::Run(
     return Status::InvalidArgument(
         "AOD reduction takes exactly one RECO input");
   }
+  ThreadPool* pool = PoolOf(context);
   DatasetInfo reco_info;
   DASPOS_ASSIGN_OR_RETURN(std::vector<RecoEvent> reco,
-                          ReadRecoDataset(inputs[0], &reco_info));
+                          ReadRecoDataset(inputs[0], &reco_info, pool));
   std::vector<AodEvent> aod = ParallelMap<AodEvent>(
-      context != nullptr ? context->worker_pool() : nullptr, reco.size(),
+      pool, reco.size(),
       [&reco](size_t i) { return AodEvent::FromReco(reco[i]); },
       /*grain=*/8);
 
@@ -304,7 +316,7 @@ Result<StepOutput> AodReductionStep::Run(
   info.producer = "aod_reduction v1.0";
   info.parents = {reco_info.name};
   info.description = "refined physics objects only";
-  return StepOutput{WriteAodDataset(info, aod), aod.size()};
+  return StepOutput{WriteAodDataset(info, aod, pool), aod.size()};
 }
 
 // ------------------------------------------------------------- Derivation
@@ -332,7 +344,7 @@ Result<StepOutput> DerivationStep::Run(
   DASPOS_ASSIGN_OR_RETURN(
       std::string blob,
       DeriveDataset(inputs[0], dataset_name_, skim_, slim_, &stats,
-                    context != nullptr ? context->worker_pool() : nullptr));
+                    PoolOf(context)));
   return StepOutput{std::move(blob), stats.output_events};
 }
 

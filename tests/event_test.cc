@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "event/aod.h"
 #include "event/experiment.h"
@@ -198,6 +200,61 @@ TEST(RawEventTest, BadDetectorIdRejected) {
   size_t detector_offset = 4 + 1 + 4 + 1;
   record[detector_offset] = 9;
   EXPECT_TRUE(RawEvent::FromRecord(record).status().IsCorruption());
+}
+
+/// A raw record with one hit, hand-encoded so fields can go out of range.
+std::string RawRecordWithHit(uint64_t channel, uint64_t adc, double time) {
+  BinaryWriter w;
+  w.PutU32(1);
+  w.PutVarint(2);
+  w.PutU32(0);
+  w.PutVarint(1);
+  w.PutU8(static_cast<uint8_t>(SubDetector::kEcal));
+  w.PutVarint(channel);
+  w.PutVarint(adc);
+  w.PutDouble(time);
+  return w.TakeBuffer();
+}
+
+TEST(RawEventTest, OutOfRangeFieldsRejectedNotNarrowed) {
+  // In range: decodes and re-encodes to the same bytes.
+  std::string good = RawRecordWithHit(UINT32_MAX, UINT16_MAX, 1.5);
+  auto decoded = RawEvent::FromRecord(good);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->ToRecord(), good);
+  // A channel or ADC one past its field, or a time no float can hold,
+  // would decode to a different value than the one stored.
+  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1ull << 32, 1, 1.5))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 65536, 1.5))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(
+      RawEvent::FromRecord(RawRecordWithHit(1, 1, 0.1)).status().IsCorruption());
+  EXPECT_TRUE(
+      RawEvent::FromRecord(RawRecordWithHit(1, 1, 1e300)).status().IsCorruption());
+  // Infinities are floats too.
+  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(
+                                       1, 1, std::numeric_limits<double>::infinity()))
+                  .ok());
+}
+
+TEST(GenEventTest, OutOfRangeIntegersRejectedNotNarrowed) {
+  GenEvent event = MakeTruthEvent();
+  event.particles[0].pdg_id = std::numeric_limits<int>::max();
+  ASSERT_TRUE(GenEvent::FromRecord(event.ToRecord()).ok());
+  // Re-encode the first particle's pdg_id one past int32 by hand.
+  BinaryWriter w;
+  w.PutVarint(event.event_number);
+  w.PutSVarint(event.process_id);
+  w.PutDouble(event.weight);
+  w.PutVarint(1);
+  w.PutSVarint(int64_t{std::numeric_limits<int>::max()} + 1);
+  w.PutSVarint(1);
+  w.PutSVarint(-1);
+  for (int i = 0; i < 5; ++i) w.PutDouble(0.0);
+  EXPECT_TRUE(GenEvent::FromRecord(w.buffer()).status().IsCorruption());
 }
 
 // ------------------------------------------------------------- RecoEvent --

@@ -10,11 +10,16 @@
 #include "conditions/snapshot.h"
 #include "conditions/store.h"
 #include "detsim/calib.h"
+#include "detsim/simulation.h"
+#include "event/aod.h"
+#include "event/raw.h"
+#include "event/reco.h"
 #include "event/truth.h"
 #include "hist/yoda_io.h"
 #include "level2/dialects.h"
 #include "lhada/lhada.h"
 #include "mc/generator.h"
+#include "reco/reconstruction.h"
 #include "serialize/container.h"
 #include "serialize/json.h"
 #include "support/compress.h"
@@ -108,19 +113,72 @@ TEST(FuzzTest, ContainerOpenNeverCrashesAndNeverLies) {
   }
 }
 
+/// Feeds mutants and random bytes to Event::FromRecord. Nothing may crash,
+/// and every record the decoder accepts must re-encode to exactly its own
+/// bytes: a decoder that narrows or normalizes a field would let two
+/// different preserved files decode to the same event. Returns how many
+/// mutants were accepted.
+template <typename Event>
+int FuzzRecordDecoder(const std::string& record, Rng* rng) {
+  int accepted = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    std::string mutant = Mutate(record, rng);
+    auto event = Event::FromRecord(mutant);
+    if (!event.ok()) continue;
+    ++accepted;
+    EXPECT_TRUE(event->ToRecord() == mutant)
+        << "accepted mutant " << i << " re-encodes differently";
+  }
+  for (int i = 0; i < kRounds; ++i) {
+    std::string junk = RandomBytes(rng->UniformInt(200), rng);
+    auto event = Event::FromRecord(junk);
+    if (event.ok()) {
+      EXPECT_TRUE(event->ToRecord() == junk) << "accepted junk " << i;
+    }
+  }
+  return accepted;
+}
+
+/// One realistic event per tier, from the generator through the detector
+/// simulation and reconstruction.
+struct TierRecords {
+  std::string gen, raw, reco, aod;
+};
+
+TierRecords MakeTierRecords() {
+  GeneratorConfig gen_config;
+  gen_config.process = Process::kZToLL;
+  gen_config.seed = 10;
+  GenEvent truth = EventGenerator(gen_config).Generate();
+  SimulationConfig sim_config;
+  RawEvent raw = DetectorSimulation(sim_config).Simulate(truth, 1);
+  ReconstructionConfig reco_config;
+  reco_config.geometry = sim_config.geometry;
+  reco_config.calib = sim_config.calib;
+  RecoEvent reco = Reconstructor(reco_config).Reconstruct(raw);
+  return {truth.ToRecord(), raw.ToRecord(), reco.ToRecord(),
+          AodEvent::FromReco(reco).ToRecord()};
+}
+
 TEST(FuzzTest, EventRecordDecodersNeverCrash) {
   Rng rng(103);
   GeneratorConfig config;
   config.process = Process::kQcdDijet;
   config.seed = 10;
   EventGenerator generator(config);
-  std::string record = generator.Generate().ToRecord();
-  for (int i = 0; i < kRounds; ++i) {
-    (void)GenEvent::FromRecord(Mutate(record, &rng));
-  }
-  for (int i = 0; i < kRounds; ++i) {
-    (void)GenEvent::FromRecord(RandomBytes(rng.UniformInt(200), &rng));
-  }
+  (void)FuzzRecordDecoder<GenEvent>(generator.Generate().ToRecord(), &rng);
+}
+
+TEST(FuzzTest, EveryAcceptedRecordReencodesByteIdentically) {
+  Rng rng(112);
+  const TierRecords records = MakeTierRecords();
+  ASSERT_FALSE(records.reco.empty());
+  // Flips inside doubles decode to other valid doubles, so each tier has
+  // accepted mutants for the property to bite on.
+  EXPECT_GT(FuzzRecordDecoder<GenEvent>(records.gen, &rng), 0);
+  EXPECT_GT(FuzzRecordDecoder<RawEvent>(records.raw, &rng), 0);
+  EXPECT_GT(FuzzRecordDecoder<RecoEvent>(records.reco, &rng), 0);
+  EXPECT_GT(FuzzRecordDecoder<AodEvent>(records.aod, &rng), 0);
 }
 
 TEST(FuzzTest, YodaReaderNeverCrashes) {

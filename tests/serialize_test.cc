@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "serialize/binary.h"
 #include "serialize/container.h"
@@ -229,6 +231,133 @@ INSTANTIATE_TEST_SUITE_P(
                       std::numeric_limits<int64_t>::max(),
                       std::numeric_limits<int64_t>::min()));
 
+// Pinned encodings: the preserved formats depend on these exact bytes, so a
+// byte-order or framing change fails here before any digest moves.
+TEST(BinaryTest, FixedWidthBytesArePinnedLittleEndian) {
+  BinaryWriter w;
+  w.PutU32(0xdeadbeef);
+  EXPECT_EQ(w.buffer(), std::string("\xef\xbe\xad\xde", 4));
+  w.Clear();
+  w.PutU64(0x0123456789abcdefull);
+  EXPECT_EQ(w.buffer(), std::string("\xef\xcd\xab\x89\x67\x45\x23\x01", 8));
+  w.Clear();
+  w.PutDouble(1.0);  // IEEE-754 0x3ff0000000000000
+  EXPECT_EQ(w.buffer(), std::string("\x00\x00\x00\x00\x00\x00\xf0\x3f", 8));
+  w.Clear();
+  w.PutDouble(-2.5);  // 0xc004000000000000
+  EXPECT_EQ(w.buffer(), std::string("\x00\x00\x00\x00\x00\x00\x04\xc0", 8));
+}
+
+TEST(BinaryTest, ClearKeepsCapacity) {
+  BinaryWriter w;
+  w.PutRaw(std::string(1000, 'x'));
+  const size_t capacity = w.buffer().capacity();
+  w.Clear();
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.buffer().capacity(), capacity);
+  w.PutU8(7);
+  EXPECT_EQ(w.buffer(), std::string("\x07", 1));
+}
+
+TEST(BinaryTest, FixedWidthTruncationAtEveryOffsetDetected) {
+  BinaryWriter w;
+  w.PutU64(0x0123456789abcdefull);
+  for (size_t n = 0; n < 8; ++n) {
+    BinaryReader u64(std::string_view(w.buffer()).substr(0, n));
+    EXPECT_TRUE(u64.GetU64().status().IsCorruption()) << n;
+    BinaryReader dbl(std::string_view(w.buffer()).substr(0, n));
+    EXPECT_TRUE(dbl.GetDouble().status().IsCorruption()) << n;
+  }
+  for (size_t n = 0; n < 4; ++n) {
+    BinaryReader u32(std::string_view(w.buffer()).substr(0, n));
+    EXPECT_TRUE(u32.GetU32().status().IsCorruption()) << n;
+  }
+}
+
+struct VarintCase {
+  uint64_t value;
+  std::string bytes;
+};
+
+class VarintEncoding : public ::testing::TestWithParam<VarintCase> {};
+
+TEST_P(VarintEncoding, BytesArePinnedAndRoundTrip) {
+  const VarintCase& c = GetParam();
+  BinaryWriter w;
+  w.PutVarint(c.value);
+  EXPECT_EQ(w.buffer(), c.bytes);
+  std::string framed;
+  AppendVarint(framed, c.value);
+  EXPECT_EQ(framed, c.bytes);
+  BinaryReader r(w.buffer());
+  auto decoded = r.GetVarint();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, c.value);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST_P(VarintEncoding, TruncationAtEveryOffsetDetected) {
+  const std::string& bytes = GetParam().bytes;
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    BinaryReader r(std::string_view(bytes).substr(0, n));
+    EXPECT_TRUE(r.GetVarint().status().IsCorruption()) << "prefix " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boundaries, VarintEncoding,
+    ::testing::Values(
+        VarintCase{0, std::string("\x00", 1)},
+        VarintCase{0x7f, "\x7f"},
+        VarintCase{0x80, "\x80\x01"},
+        VarintCase{(1ull << 14) - 1, "\xff\x7f"},
+        VarintCase{1ull << 14, "\x80\x80\x01"},
+        VarintCase{1ull << 63, "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01"},
+        VarintCase{std::numeric_limits<uint64_t>::max(),
+                   "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"}));
+
+TEST(BinaryTest, NonMinimalVarintRejected) {
+  // Zero in the final group after a continuation: a longer spelling of a
+  // shorter value, which would re-encode to different bytes.
+  for (std::string bad : {std::string("\x80\x00", 2),
+                          std::string("\xff\x00", 2),
+                          std::string("\x80\x80\x00", 3),
+                          std::string("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00",
+                                      10)}) {
+    BinaryReader r(bad);
+    EXPECT_TRUE(r.GetVarint().status().IsCorruption()) << bad.size();
+  }
+}
+
+TEST(BinaryTest, OverflowingAndElevenByteVarintsRejected) {
+  // Ten bytes whose last group carries bits beyond 2^64.
+  std::string overflow("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02", 10);
+  BinaryReader r1(overflow);
+  EXPECT_TRUE(r1.GetVarint().status().IsCorruption());
+  // Eleven bytes: the tenth still has its continuation bit set.
+  std::string eleven("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01", 11);
+  BinaryReader r2(eleven);
+  EXPECT_TRUE(r2.GetVarint().status().IsCorruption());
+}
+
+TEST(BinaryTest, NarrowingGettersRejectOutOfRangeValues) {
+  BinaryWriter w;
+  w.PutSVarint(std::numeric_limits<int32_t>::max());
+  w.PutSVarint(std::numeric_limits<int32_t>::min());
+  w.PutSVarint(int64_t{std::numeric_limits<int32_t>::max()} + 1);
+  w.PutSVarint(int64_t{std::numeric_limits<int32_t>::min()} - 1);
+  w.PutVarint(65535);
+  w.PutVarint(65536);
+  BinaryReader r(w.buffer());
+  EXPECT_EQ(*r.GetSVarint32(), std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(*r.GetSVarint32(), std::numeric_limits<int32_t>::min());
+  EXPECT_TRUE(r.GetSVarint32().status().IsCorruption());
+  EXPECT_TRUE(r.GetSVarint32().status().IsCorruption());
+  EXPECT_EQ(*r.GetVarintAtMost(65535), 65535u);
+  EXPECT_TRUE(r.GetVarintAtMost(65535).status().IsCorruption());
+  EXPECT_TRUE(r.AtEnd());
+}
+
 // ------------------------------------------------------------- Container --
 
 Json TestMetadata() {
@@ -312,6 +441,36 @@ TEST(ContainerTest, ManyRecords) {
   ASSERT_TRUE(reader.ok());
   ASSERT_EQ(reader->record_count(), static_cast<uint64_t>(n));
   EXPECT_EQ(reader->records()[999], "record-999");
+}
+
+TEST(ContainerTest, SplicedAndLargeContainersMatchRecordByRecord) {
+  // Well past the writer's hash batch, so the fixity hash is fed in several
+  // increments; splicing pre-framed records must give the same bytes.
+  std::vector<std::string> records;
+  for (int i = 0; i < 300; ++i) {
+    records.push_back(std::string(static_cast<size_t>(700 + i), 'a' + i % 26));
+  }
+  ContainerWriter one_by_one(TestMetadata());
+  for (const std::string& record : records) one_by_one.AddRecord(record);
+  const std::string expected = one_by_one.Finish();
+
+  ContainerWriter spliced(TestMetadata());
+  std::string framed;
+  for (size_t i = 0; i < records.size(); ++i) {
+    AppendVarint(framed, records[i].size());
+    framed += records[i];
+    if (i % 37 == 36 || i + 1 == records.size()) {
+      spliced.AppendEncodedRecords(framed, i % 37 + 1);
+      framed.clear();
+    }
+  }
+  EXPECT_EQ(spliced.record_count(), records.size());
+  EXPECT_EQ(spliced.Finish(), expected);
+
+  auto reader = ContainerReader::Open(expected);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->records().size(), records.size());
+  EXPECT_EQ(reader->records()[299], records[299]);
 }
 
 }  // namespace

@@ -2,11 +2,16 @@
 // skim/slim derivation engine with its reduction accounting.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "detsim/simulation.h"
 #include "event/pdg.h"
 #include "mc/generator.h"
 #include "reco/reconstruction.h"
 #include "support/sha256.h"
+#include "support/threadpool.h"
 #include "tiers/dataset.h"
 #include "tiers/skimslim.h"
 #include "tiers/tier.h"
@@ -120,19 +125,51 @@ AodEvent PinnedAodEvent() {
   return event;
 }
 
+/// Writes `event` through the tier writer, reads the blob back, and writes
+/// the decoded events again, all through `pool`; returns both digests.
+template <typename Event, typename Write, typename Read>
+std::pair<std::string, std::string> PinnedDigests(DataTier tier,
+                                                  const Event& event,
+                                                  Write write, Read read,
+                                                  ThreadPool* pool) {
+  std::string blob = write(PinnedInfo(tier), std::vector<Event>{event}, pool);
+  auto decoded = read(blob, nullptr, pool);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (!decoded.ok()) return {Sha256::HashHex(blob), ""};
+  return {Sha256::HashHex(blob),
+          Sha256::HashHex(write(PinnedInfo(tier), *decoded, pool))};
+}
+
 TEST(CodecPinTest, TierBlobsMatchPinnedDigests) {
-  EXPECT_EQ(Sha256::HashHex(WriteGenDataset(PinnedInfo(DataTier::kGen),
-                                            {PinnedGenEvent()})),
-            "00189cd8b635e54f0843291764a39fc4363cc7db670fb5fab039a233b2c4b3fa");
-  EXPECT_EQ(Sha256::HashHex(WriteRawDataset(PinnedInfo(DataTier::kRaw),
-                                            {PinnedRawEvent()})),
-            "5724616863ba3b092607b53d418854275dc80c8bd3b35cef0b003ec4dae0cc11");
-  EXPECT_EQ(Sha256::HashHex(WriteRecoDataset(PinnedInfo(DataTier::kReco),
-                                             {PinnedRecoEvent()})),
-            "7cf6e5cd8fd644bf449fdca9eb0d825b195604ccebe62db01f399ad37351cf00");
-  EXPECT_EQ(Sha256::HashHex(WriteAodDataset(PinnedInfo(DataTier::kAod),
-                                            {PinnedAodEvent()})),
-            "553257418c68d69e38a7ad9e01fd848ee20d4f28fca776e85355929b8d5f82b0");
+  // Serial, and through a 4-worker pool: the bytes never depend on it.
+  ThreadPool pool(4);
+  for (ThreadPool* width : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string label = width == nullptr ? "serial" : "pool of 4";
+    const std::string gen =
+        "00189cd8b635e54f0843291764a39fc4363cc7db670fb5fab039a233b2c4b3fa";
+    const std::string raw =
+        "5724616863ba3b092607b53d418854275dc80c8bd3b35cef0b003ec4dae0cc11";
+    const std::string reco =
+        "7cf6e5cd8fd644bf449fdca9eb0d825b195604ccebe62db01f399ad37351cf00";
+    const std::string aod =
+        "553257418c68d69e38a7ad9e01fd848ee20d4f28fca776e85355929b8d5f82b0";
+    EXPECT_EQ(PinnedDigests(DataTier::kGen, PinnedGenEvent(), WriteGenDataset,
+                            ReadGenDataset, width),
+              std::make_pair(gen, gen))
+        << label;
+    EXPECT_EQ(PinnedDigests(DataTier::kRaw, PinnedRawEvent(), WriteRawDataset,
+                            ReadRawDataset, width),
+              std::make_pair(raw, raw))
+        << label;
+    EXPECT_EQ(PinnedDigests(DataTier::kReco, PinnedRecoEvent(),
+                            WriteRecoDataset, ReadRecoDataset, width),
+              std::make_pair(reco, reco))
+        << label;
+    EXPECT_EQ(PinnedDigests(DataTier::kAod, PinnedAodEvent(), WriteAodDataset,
+                            ReadAodDataset, width),
+              std::make_pair(aod, aod))
+        << label;
+  }
 }
 
 // ----------------------------------------------------------------- Dataset
@@ -193,6 +230,67 @@ TEST(DatasetTest, ReadDatasetInfoOnly) {
   EXPECT_EQ(peeked->name, "peek");
   ASSERT_EQ(peeked->parents.size(), 2u);
   EXPECT_EQ(peeked->parents[1], "parent_b");
+}
+
+TEST(DatasetTest, ParallelCodecsMatchTheRecordByRecordContainer) {
+  // Many events, so the pooled writer and reader really split into chunks;
+  // the reference is the plain container loop, independent of both.
+  std::vector<GenEvent> events = SmallSample(200);
+  DatasetInfo info;
+  info.tier = DataTier::kGen;
+  info.name = "chunked";
+  Json meta = info.ToJson();
+  meta["schema"] = std::string(TierSchema(DataTier::kGen));
+  meta["schema_version"] = 1;
+  ContainerWriter reference(meta);
+  for (const GenEvent& event : events) reference.AddRecord(event.ToRecord());
+  const std::string expected = reference.Finish();
+
+  for (size_t width : {1, 2, 4}) {
+    ThreadPool pool(width);
+    const std::string blob = WriteGenDataset(info, events, &pool);
+    EXPECT_EQ(blob, expected) << "pool width " << width;
+    auto decoded = ReadGenDataset(blob, nullptr, &pool);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(decoded->size(), events.size());
+    for (size_t i = 0; i < events.size(); ++i) {
+      ASSERT_EQ((*decoded)[i].ToRecord(), events[i].ToRecord()) << i;
+    }
+  }
+}
+
+TEST(DatasetTest, BadRecordGivesTheSameStatusAtEveryPoolWidth) {
+  // A valid container (fixity holds) with a truncated record at `bad`, and,
+  // after it, a record with a trailing byte: the read must fail with the
+  // truncated record's error, exactly as the serial loop does.
+  std::vector<GenEvent> events = SmallSample(100);
+  DatasetInfo info;
+  info.tier = DataTier::kGen;
+  info.name = "damaged";
+  Json meta = info.ToJson();
+  meta["schema"] = std::string(TierSchema(DataTier::kGen));
+  meta["schema_version"] = 1;
+  for (size_t bad : {size_t{0}, events.size() / 2, events.size() - 1}) {
+    ContainerWriter writer(meta);
+    for (size_t i = 0; i < events.size(); ++i) {
+      std::string record = events[i].ToRecord();
+      if (i == bad) record.resize(record.size() / 2);
+      if (i > bad && i % 10 == 9) record.push_back('\0');
+      writer.AddRecord(record);
+    }
+    const std::string blob = writer.Finish();
+    const Status expected =
+        GenEvent::FromRecord(ContainerReader::Open(blob)->records()[bad])
+            .status();
+    ASSERT_TRUE(expected.IsCorruption());
+    EXPECT_EQ(ReadGenDataset(blob).status().ToString(), expected.ToString());
+    for (size_t width : {1, 2, 4}) {
+      ThreadPool pool(width);
+      EXPECT_EQ(ReadGenDataset(blob, nullptr, &pool).status().ToString(),
+                expected.ToString())
+          << "bad record " << bad << ", pool width " << width;
+    }
+  }
 }
 
 // ------------------------------------------------------ full-chain fixture
