@@ -1,7 +1,6 @@
 #include "serialize/binary.h"
 
 #include <cstring>
-#include <limits>
 
 namespace daspos {
 
@@ -12,15 +11,6 @@ void AppendLittleEndian(std::string& out, uint64_t v) {
   char bytes[N];
   for (size_t i = 0; i < N; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
   out.append(bytes, N);
-}
-
-template <size_t N>
-uint64_t LoadLittleEndian(const char* p) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < N; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
 }
 
 }  // namespace
@@ -65,33 +55,19 @@ void BinaryWriter::PutRaw(std::string_view bytes) {
   buffer_.append(bytes.data(), bytes.size());
 }
 
-Result<uint8_t> BinaryReader::GetU8() {
-  if (pos_ >= data_.size()) return Status::Corruption("truncated: u8");
-  return static_cast<uint8_t>(data_[pos_++]);
+Status BinaryReader::Truncated(const char* what) {
+  return Status::Corruption(std::string("truncated: ") + what);
 }
 
-Result<uint32_t> BinaryReader::GetU32() {
-  if (remaining() < 4) return Status::Corruption("truncated: u32");
-  uint32_t v = static_cast<uint32_t>(LoadLittleEndian<4>(data_.data() + pos_));
-  pos_ += 4;
-  return v;
+Status BinaryReader::OutOfRange(const char* what) {
+  return Status::Corruption(std::string(what) + " out of range");
 }
 
-Result<uint64_t> BinaryReader::GetU64() {
-  if (remaining() < 8) return Status::Corruption("truncated: u64");
-  uint64_t v = LoadLittleEndian<8>(data_.data() + pos_);
-  pos_ += 8;
-  return v;
-}
-
-Result<uint64_t> BinaryReader::GetVarint() {
-  if (pos_ < data_.size() && static_cast<uint8_t>(data_[pos_]) < 0x80) {
-    return static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]));
-  }
+Result<uint64_t> BinaryReader::GetMultiByteVarint() {
   uint64_t v = 0;
   int shift = 0;
   for (;;) {
-    if (pos_ >= data_.size()) return Status::Corruption("truncated: varint");
+    if (pos_ >= data_.size()) return Truncated("varint");
     uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
     if (shift == 63 && (byte & 0x7e) != 0) {
       return Status::Corruption("varint overflow");
@@ -108,33 +84,6 @@ Result<uint64_t> BinaryReader::GetVarint() {
     }
     shift += 7;
   }
-}
-
-Result<int64_t> BinaryReader::GetSVarint() {
-  DASPOS_ASSIGN_OR_RETURN(uint64_t zz, GetVarint());
-  return static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
-}
-
-Result<int32_t> BinaryReader::GetSVarint32() {
-  DASPOS_ASSIGN_OR_RETURN(int64_t v, GetSVarint());
-  if (v < std::numeric_limits<int32_t>::min() ||
-      v > std::numeric_limits<int32_t>::max()) {
-    return Status::Corruption("svarint out of 32-bit range");
-  }
-  return static_cast<int32_t>(v);
-}
-
-Result<uint64_t> BinaryReader::GetVarintAtMost(uint64_t max) {
-  DASPOS_ASSIGN_OR_RETURN(uint64_t v, GetVarint());
-  if (v > max) return Status::Corruption("varint out of range");
-  return v;
-}
-
-Result<double> BinaryReader::GetDouble() {
-  DASPOS_ASSIGN_OR_RETURN(uint64_t bits, GetU64());
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 Result<std::string> BinaryReader::GetString() {

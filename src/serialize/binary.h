@@ -6,6 +6,7 @@
 #define DASPOS_SERIALIZE_BINARY_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,17 +67,54 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  Result<uint8_t> GetU8();
-  Result<uint32_t> GetU32();
-  Result<uint64_t> GetU64();
-  Result<uint64_t> GetVarint();
-  Result<int64_t> GetSVarint();
+  // The fixed-width getters and the one-byte varint are inline: records
+  // decode a value per call, and out of line each call costs more than the
+  // decode itself.
+  Result<uint8_t> GetU8() {
+    if (pos_ >= data_.size()) return Truncated("u8");
+    return static_cast<uint8_t>(data_[pos_++]);
+  }
+  Result<uint32_t> GetU32() {
+    if (remaining() < 4) return Truncated("u32");
+    uint32_t v = static_cast<uint32_t>(LoadLittleEndian<4>(data_.data() + pos_));
+    pos_ += 4;
+    return v;
+  }
+  Result<uint64_t> GetU64() {
+    if (remaining() < 8) return Truncated("u64");
+    uint64_t v = LoadLittleEndian<8>(data_.data() + pos_);
+    pos_ += 8;
+    return v;
+  }
+  Result<uint64_t> GetVarint() {
+    if (pos_ < data_.size() && static_cast<uint8_t>(data_[pos_]) < 0x80) {
+      return static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]));
+    }
+    return GetMultiByteVarint();
+  }
+  Result<int64_t> GetSVarint() {
+    DASPOS_ASSIGN_OR_RETURN(uint64_t zz, GetVarint());
+    return static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
+  }
   /// GetSVarint narrowed to 32 bits; a value outside int32_t is Corruption
   /// rather than silently truncated.
-  Result<int32_t> GetSVarint32();
+  Result<int32_t> GetSVarint32() {
+    DASPOS_ASSIGN_OR_RETURN(int64_t v, GetSVarint());
+    if (v < INT32_MIN || v > INT32_MAX) return OutOfRange("svarint");
+    return static_cast<int32_t>(v);
+  }
   /// GetVarint bounded by `max`; a larger value is Corruption.
-  Result<uint64_t> GetVarintAtMost(uint64_t max);
-  Result<double> GetDouble();
+  Result<uint64_t> GetVarintAtMost(uint64_t max) {
+    DASPOS_ASSIGN_OR_RETURN(uint64_t v, GetVarint());
+    if (v > max) return OutOfRange("varint");
+    return v;
+  }
+  Result<double> GetDouble() {
+    DASPOS_ASSIGN_OR_RETURN(uint64_t bits, GetU64());
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  }
   Result<std::string> GetString();
   /// Reads exactly `n` raw bytes.
   Result<std::string> GetRaw(size_t n);
@@ -88,6 +126,19 @@ class BinaryReader {
   size_t position() const { return pos_; }
 
  private:
+  template <size_t N>
+  static uint64_t LoadLittleEndian(const char* p) {
+    uint64_t v = 0;
+    for (size_t i = 0; i < N; ++i) {
+      v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+    }
+    return v;
+  }
+  // Out of line: the error paths and the rarer multi-byte varint.
+  static Status Truncated(const char* what);
+  static Status OutOfRange(const char* what);
+  Result<uint64_t> GetMultiByteVarint();
+
   std::string_view data_;
   size_t pos_ = 0;
 };

@@ -11,6 +11,7 @@ namespace {
 constexpr char kHeaderMagic[] = "DSPC";
 constexpr char kFooterMagic[] = "DSPE";
 constexpr size_t kMagicLen = 4;
+constexpr size_t kFooterSize = kMagicLen + 8 + Sha256::kDigestSize;
 /// Appended bytes are hashed once this many are pending: the hash then runs
 /// on bytes that are still in cache, and Finish only digests the tail.
 constexpr size_t kHashBatchBytes = 64 * 1024;
@@ -74,9 +75,23 @@ Result<ContainerReader> ContainerReader::OpenUnverified(std::string_view data) {
   return OpenImpl(data, /*verify=*/false);
 }
 
+Status ContainerReader::VerifyFixity(std::string_view data) {
+  if (data.size() < kMagicLen + 4 + kFooterSize) {
+    return Status::Corruption("container too small");
+  }
+  Sha256 hasher;
+  hasher.Update(data.substr(0, data.size() - kFooterSize));
+  auto digest = hasher.Digest();
+  if (std::string_view(reinterpret_cast<const char*>(digest.data()),
+                       digest.size()) !=
+      data.substr(data.size() - Sha256::kDigestSize)) {
+    return Status::Corruption("container fixity hash mismatch");
+  }
+  return Status::OK();
+}
+
 Result<ContainerReader> ContainerReader::OpenImpl(std::string_view data,
                                                   bool verify) {
-  constexpr size_t kFooterSize = kMagicLen + 8 + Sha256::kDigestSize;
   if (data.size() < kMagicLen + 4 + kFooterSize) {
     return Status::Corruption("container too small");
   }
@@ -90,20 +105,9 @@ Result<ContainerReader> ContainerReader::OpenImpl(std::string_view data,
 
   BinaryReader footer_reader(footer.substr(kMagicLen));
   DASPOS_ASSIGN_OR_RETURN(uint64_t record_count, footer_reader.GetU64());
-  DASPOS_ASSIGN_OR_RETURN(std::string stored_hash,
-                          footer_reader.GetRaw(Sha256::kDigestSize));
+  if (verify) DASPOS_RETURN_IF_ERROR(VerifyFixity(data));
 
   std::string_view body = data.substr(0, data.size() - kFooterSize);
-  if (verify) {
-    Sha256 hasher;
-    hasher.Update(body);
-    auto digest = hasher.Digest();
-    if (std::string_view(reinterpret_cast<const char*>(digest.data()),
-                         digest.size()) != stored_hash) {
-      return Status::Corruption("container fixity hash mismatch");
-    }
-  }
-
   ContainerReader reader;
   reader.record_count_ = record_count;
 

@@ -73,8 +73,14 @@ class ContainerReader {
   /// Parses and verifies `data` (which must outlive the reader).
   static Result<ContainerReader> Open(std::string_view data);
 
-  /// Opens without verifying the fixity hash (for salvage tooling).
+  /// Opens without verifying the fixity hash (for salvage tooling, or to
+  /// work on the records while VerifyFixity runs).
   static Result<ContainerReader> OpenUnverified(std::string_view data);
+
+  /// Checks only the fixity hash of `data`. Open is OpenUnverified plus
+  /// this check: when OpenUnverified succeeds, Open fails exactly when
+  /// VerifyFixity does, with the same error.
+  static Status VerifyFixity(std::string_view data);
 
   const Json& metadata() const { return metadata_; }
   uint64_t record_count() const { return record_count_; }

@@ -1,5 +1,8 @@
 #include "tiers/dataset.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "support/parallel.h"
 
 namespace daspos {
@@ -40,39 +43,52 @@ std::string WriteDataset(const DatasetInfo& info,
   return writer.Finish();
 }
 
-/// Decodes every record, chunked over `pool`. Each chunk stops at its first
-/// bad record; the lowest chunk's error wins, which is the error the serial
-/// loop would have stopped at.
-template <typename Event>
-Result<std::vector<Event>> DecodeRecords(
-    const std::vector<std::string_view>& records, ThreadPool* pool) {
-  std::vector<Event> events(records.size());
-  std::vector<Status> errors(PlanChunks(records.size(), kCodecGrain).chunk_count);
-  ForEachChunk(pool, records.size(), kCodecGrain,
-               [&](size_t chunk, size_t begin, size_t end) {
-                 for (size_t i = begin; i < end; ++i) {
-                   Result<Event> event = Event::FromRecord(records[i]);
-                   if (!event.ok()) {
-                     errors[chunk] = event.status();
-                     return;
-                   }
-                   events[i] = std::move(*event);
-                 }
-               });
-  for (Status& error : errors) {
-    if (!error.ok()) return std::move(error);
-  }
-  return events;
-}
-
+/// Opens `blob` and decodes every record, chunked over `pool`. The fixity
+/// hash runs as one more task beside the decode, so it no longer precedes
+/// it on one thread; the decode is speculative and its result is dropped
+/// unless the hash matches. Errors are those of the serial read: a hash
+/// mismatch wins over everything after it, then the metadata and tier
+/// checks, then the lowest-index bad record (each chunk stops at its
+/// first, and the lowest chunk's error wins).
 template <typename Event>
 Result<std::vector<Event>> ReadDataset(std::string_view blob,
                                        std::initializer_list<DataTier> allowed,
                                        DatasetInfo* info_out,
                                        ThreadPool* pool) {
-  DASPOS_ASSIGN_OR_RETURN(ContainerReader reader, ContainerReader::Open(blob));
+  Result<ContainerReader> reader = ContainerReader::OpenUnverified(blob);
+  // A structural error: Open reports it, or the hash mismatch before it.
+  if (!reader.ok()) return ContainerReader::Open(blob).status();
+  const std::vector<std::string_view>& records = reader->records();
+
+  // Task 0 hashes; tasks 1.. decode. At most kMaxChunks tasks in all, so
+  // each task is a chunk of its own.
+  ChunkPlan plan = PlanChunks(records.size(), kCodecGrain);
+  plan.chunk_count = std::min(plan.chunk_count, ChunkPlan::kMaxChunks - 1);
+  Status fixity;
+  std::atomic<bool> fixity_failed{false};
+  std::vector<Event> events(records.size());
+  std::vector<Status> errors(plan.chunk_count);
+  ParallelFor(pool, 1 + plan.chunk_count, [&](size_t task) {
+    if (task == 0) {
+      fixity = ContainerReader::VerifyFixity(blob);
+      if (!fixity.ok()) fixity_failed.store(true, std::memory_order_relaxed);
+      return;
+    }
+    auto [begin, end] = plan.Bounds(task - 1);
+    for (size_t i = begin; i < end; ++i) {
+      if (fixity_failed.load(std::memory_order_relaxed)) return;
+      Result<Event> event = Event::FromRecord(records[i]);
+      if (!event.ok()) {
+        errors[task - 1] = event.status();
+        return;
+      }
+      events[i] = std::move(*event);
+    }
+  });
+  DASPOS_RETURN_IF_ERROR(fixity);
+
   DASPOS_ASSIGN_OR_RETURN(DatasetInfo info,
-                          DatasetInfo::FromJson(reader.metadata()));
+                          DatasetInfo::FromJson(reader->metadata()));
   bool tier_ok = false;
   for (DataTier tier : allowed) {
     if (info.tier == tier) tier_ok = true;
@@ -82,8 +98,9 @@ Result<std::vector<Event>> ReadDataset(std::string_view blob,
         "dataset '" + info.name + "' has tier " +
         std::string(TierName(info.tier)) + ", not the expected one");
   }
-  DASPOS_ASSIGN_OR_RETURN(std::vector<Event> events,
-                          DecodeRecords<Event>(reader.records(), pool));
+  for (Status& error : errors) {
+    if (!error.ok()) return std::move(error);
+  }
   if (info_out != nullptr) *info_out = std::move(info);
   return events;
 }

@@ -284,10 +284,19 @@ TEST(DatasetTest, BadRecordGivesTheSameStatusAtEveryPoolWidth) {
             .status();
     ASSERT_TRUE(expected.IsCorruption());
     EXPECT_EQ(ReadGenDataset(blob).status().ToString(), expected.ToString());
+    // With the fixity hash broken as well, the hash mismatch wins over the
+    // bad records, although the decode may already have run.
+    std::string rotten = blob;
+    rotten.back() = static_cast<char>(rotten.back() ^ 0x01);
+    const std::string mismatch = ContainerReader::Open(rotten).status().ToString();
+    EXPECT_NE(mismatch.find("fixity hash mismatch"), std::string::npos);
     for (size_t width : {1, 2, 4}) {
       ThreadPool pool(width);
       EXPECT_EQ(ReadGenDataset(blob, nullptr, &pool).status().ToString(),
                 expected.ToString())
+          << "bad record " << bad << ", pool width " << width;
+      EXPECT_EQ(ReadGenDataset(rotten, nullptr, &pool).status().ToString(),
+                mismatch)
           << "bad record " << bad << ", pool width " << width;
     }
   }

@@ -5,14 +5,14 @@
 #   tools/check.sh --all      # tier-1 + ASan + UBSan full suite + TSan
 #   tools/check.sh --asan     # ASan build + full ctest suite
 #   tools/check.sh --ubsan    # UBSan build + full ctest suite (halt-on-error)
-#   tools/check.sh --tsan     # TSan build + workflow_test
+#   tools/check.sh --tsan     # TSan build + workflow/parallel/codec suites
 #   tools/check.sh --chaos    # TSan build + fault-injection/resume suite
 #   tools/check.sh --tier1    # tier-1 only
 #   tools/check.sh --no-tsan  # legacy spelling of --tier1
 #
 # Run from the repository root. Build trees: build/ (tier-1), build-asan/,
-# build-ubsan/ (full suite), build-tsan/ (workflow_test only; the rest of
-# the suite is single-threaded).
+# build-ubsan/ (full suite), build-tsan/ (the suites that run pool-parallel
+# code; the rest of the suite is single-threaded).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,12 +56,17 @@ if [ "$RUN_UBSAN" = 1 ]; then
 fi
 
 if [ "$RUN_TSAN" = 1 ]; then
-  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + trace_test + sync_test + net_test"
+  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + tiers_test + serialize_test + event_test + trace_test + sync_test + net_test"
   cmake -B build-tsan -S . -DDASPOS_SANITIZE=thread >/dev/null
-  cmake --build build-tsan --target workflow_test parallel_test trace_test \
-    sync_test net_test -j"$JOBS"
+  cmake --build build-tsan --target workflow_test parallel_test tiers_test \
+    serialize_test event_test trace_test sync_test net_test -j"$JOBS"
   ./build-tsan/tests/workflow_test
   ./build-tsan/tests/parallel_test
+  # The tier codecs encode and decode in pool-parallel chunks and splice
+  # encoded chunks into one container in chunk order.
+  ./build-tsan/tests/tiers_test
+  ./build-tsan/tests/serialize_test
+  ./build-tsan/tests/event_test
   ./build-tsan/tests/trace_test
   # The annotated sync layer itself: CondVar wakeups and scoped-lock
   # semantics under the race detector.
