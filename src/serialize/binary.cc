@@ -1,17 +1,15 @@
 #include "serialize/binary.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace daspos {
 
 namespace {
 
-template <size_t N>
-void AppendLittleEndian(std::string& out, uint64_t v) {
-  char bytes[N];
-  for (size_t i = 0; i < N; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.append(bytes, N);
-}
+/// Spare room added per growth. std::string's own capacity still grows
+/// geometrically; this only bounds how much is zero-filled ahead of use.
+constexpr size_t kGrowBytes = 256;
 
 }  // namespace
 
@@ -21,38 +19,25 @@ void AppendVarint(std::string& out, uint64_t value) {
     return;
   }
   char bytes[kMaxVarintBytes];
-  size_t n = 0;
-  while (value >= 0x80) {
-    bytes[n++] = static_cast<char>((value & 0x7f) | 0x80);
-    value >>= 7;
-  }
-  bytes[n++] = static_cast<char>(value);
-  out.append(bytes, n);
+  out.append(bytes, EncodeVarint(value, bytes));
 }
 
-void BinaryWriter::PutU32(uint32_t v) { AppendLittleEndian<4>(buffer_, v); }
-
-void BinaryWriter::PutU64(uint64_t v) { AppendLittleEndian<8>(buffer_, v); }
-
-void BinaryWriter::PutSVarint(int64_t v) {
-  uint64_t zz = (static_cast<uint64_t>(v) << 1) ^
-                static_cast<uint64_t>(v >> 63);
-  PutVarint(zz);
-}
-
-void BinaryWriter::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void BinaryWriter::PutString(std::string_view s) {
-  PutVarint(s.size());
-  PutRaw(s);
+void BinaryWriter::Grow(size_t n) {
+  buffer_.resize(size_ + std::max(n, kGrowBytes));
 }
 
 void BinaryWriter::PutRaw(std::string_view bytes) {
+  if (buffer_.size() - size_ >= bytes.size()) {
+    if (!bytes.empty()) {
+      std::memcpy(buffer_.data() + size_, bytes.data(), bytes.size());
+    }
+    size_ += bytes.size();
+    return;
+  }
+  // Large payloads are appended directly rather than zero-filled first.
+  buffer_.resize(size_);
   buffer_.append(bytes.data(), bytes.size());
+  size_ = buffer_.size();
 }
 
 Status BinaryReader::Truncated(const char* what) {

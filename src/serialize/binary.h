@@ -18,44 +18,98 @@ namespace daspos {
 /// Longest LEB128 encoding of a uint64_t.
 inline constexpr size_t kMaxVarintBytes = 10;
 
+/// Writes the LEB128 varint encoding of `value` to `out`, which must have
+/// room for kMaxVarintBytes; returns the number of bytes written.
+inline size_t EncodeVarint(uint64_t value, char* out) {
+  size_t n = 0;
+  while (value >= 0x80) {
+    out[n++] = static_cast<char>((value & 0x7f) | 0x80);
+    value >>= 7;
+  }
+  out[n++] = static_cast<char>(value);
+  return n;
+}
+
 /// Appends the LEB128 varint encoding of `value` to `out` — the bytes
 /// BinaryWriter::PutVarint writes, for framing records without a writer.
 void AppendVarint(std::string& out, uint64_t value);
 
-/// Appends encoded values to an owned byte buffer. Fixed-width values are
-/// built in a local array and appended once, not byte by byte.
+/// Appends encoded values to an owned byte buffer. Values are stored
+/// straight into spare room at the end of the buffer: the hot puts are
+/// inline and touch the std::string only when that room runs out.
 class BinaryWriter {
  public:
-  void PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  void PutU8(uint8_t v) { *Extend(1) = static_cast<char>(v); }
+  void PutU32(uint32_t v) { StoreLittleEndian<4>(Extend(4), v); }
+  void PutU64(uint64_t v) { StoreLittleEndian<8>(Extend(8), v); }
   /// LEB128-style varint.
-  void PutVarint(uint64_t v) { AppendVarint(buffer_, v); }
+  void PutVarint(uint64_t v) {
+    if (v < 0x80) {
+      PutU8(static_cast<uint8_t>(v));
+      return;
+    }
+    char* out = Extend(kMaxVarintBytes);
+    size_ -= kMaxVarintBytes - EncodeVarint(v, out);
+  }
   /// Zigzag-mapped signed varint.
-  void PutSVarint(int64_t v);
+  void PutSVarint(int64_t v) {
+    PutVarint((static_cast<uint64_t>(v) << 1) ^
+              static_cast<uint64_t>(v >> 63));
+  }
   /// IEEE-754 double, 8 bytes little-endian.
-  void PutDouble(double v);
+  void PutDouble(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    PutU64(bits);
+  }
   /// Varint length followed by raw bytes.
-  void PutString(std::string_view s);
+  void PutString(std::string_view s) {
+    PutVarint(s.size());
+    PutRaw(s);
+  }
   /// Raw bytes, no length prefix.
   void PutRaw(std::string_view bytes);
 
   /// Pre-allocates room for about `upcoming_bytes` more output — size it
   /// from input counts (records * typical size) to avoid regrowth copies.
   void Reserve(size_t upcoming_bytes) {
-    buffer_.reserve(buffer_.size() + upcoming_bytes);
+    buffer_.reserve(size_ + upcoming_bytes);
   }
 
-  /// Empties the buffer but keeps its capacity, so one writer can encode
+  /// Empties the output but keeps the allocation, so one writer can encode
   /// record after record without reallocating.
-  void Clear() { buffer_.clear(); }
+  void Clear() { size_ = 0; }
 
-  const std::string& buffer() const { return buffer_; }
-  std::string TakeBuffer() { return std::move(buffer_); }
-  size_t size() const { return buffer_.size(); }
+  /// The bytes written so far; valid until the next put.
+  std::string_view buffer() const {
+    return std::string_view(buffer_.data(), size_);
+  }
+  std::string TakeBuffer() {
+    buffer_.resize(size_);
+    size_ = 0;
+    return std::move(buffer_);
+  }
+  size_t size() const { return size_; }
 
  private:
+  template <size_t N>
+  static void StoreLittleEndian(char* out, uint64_t v) {
+    for (size_t i = 0; i < N; ++i) out[i] = static_cast<char>(v >> (8 * i));
+  }
+  /// Claims `n` bytes at the end of the output and returns where they
+  /// start.
+  char* Extend(size_t n) {
+    if (buffer_.size() - size_ < n) Grow(n);
+    char* out = buffer_.data() + size_;
+    size_ += n;
+    return out;
+  }
+  /// Makes room for at least `n` more bytes (out of line, amortized).
+  void Grow(size_t n);
+
+  /// buffer_[0, size_) is the output; the rest is spare room.
   std::string buffer_;
+  size_t size_ = 0;
 };
 
 /// Decodes values from a byte range. All getters fail with Corruption on

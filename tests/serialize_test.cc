@@ -171,7 +171,7 @@ TEST(BinaryTest, StringRoundTrip) {
 TEST(BinaryTest, TruncationDetected) {
   BinaryWriter w;
   w.PutU64(7);
-  std::string data = w.buffer().substr(0, 4);
+  std::string data(w.buffer().substr(0, 4));
   BinaryReader r(data);
   EXPECT_TRUE(r.GetU64().status().IsCorruption());
 }
@@ -248,15 +248,39 @@ TEST(BinaryTest, FixedWidthBytesArePinnedLittleEndian) {
   EXPECT_EQ(w.buffer(), std::string("\x00\x00\x00\x00\x00\x00\x04\xc0", 8));
 }
 
-TEST(BinaryTest, ClearKeepsCapacity) {
+TEST(BinaryTest, ClearKeepsTheAllocation) {
   BinaryWriter w;
   w.PutRaw(std::string(1000, 'x'));
-  const size_t capacity = w.buffer().capacity();
+  const char* data = w.buffer().data();
   w.Clear();
   EXPECT_EQ(w.size(), 0u);
-  EXPECT_EQ(w.buffer().capacity(), capacity);
+  EXPECT_TRUE(w.buffer().empty());
   w.PutU8(7);
   EXPECT_EQ(w.buffer(), std::string("\x07", 1));
+  w.PutRaw(std::string(999, 'y'));
+  EXPECT_EQ(w.buffer().data(), data);
+  EXPECT_EQ(w.TakeBuffer(), "\x07" + std::string(999, 'y'));
+}
+
+TEST(BinaryTest, MixedSmallAndLargePutsKeepOrder) {
+  // Small puts go to spare room, large raw payloads are appended directly;
+  // the output must be the plain concatenation either way.
+  BinaryWriter w;
+  w.Reserve(16);
+  std::string expected;
+  for (int i = 0; i < 50; ++i) {
+    const std::string payload(static_cast<size_t>(i * 37 % 700), 'a' + i % 26);
+    w.PutString(payload);
+    w.PutU32(static_cast<uint32_t>(i));
+    AppendVarint(expected, payload.size());
+    expected += payload;
+    expected += std::string("\0\0\0\0", 4);
+    expected[expected.size() - 4] = static_cast<char>(i);
+  }
+  EXPECT_EQ(w.size(), expected.size());
+  EXPECT_EQ(w.buffer(), expected);
+  EXPECT_EQ(w.TakeBuffer(), expected);
+  EXPECT_EQ(w.size(), 0u);
 }
 
 TEST(BinaryTest, FixedWidthTruncationAtEveryOffsetDetected) {
