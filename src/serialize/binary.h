@@ -130,7 +130,7 @@ class BinaryReader {
   }
   Result<uint32_t> GetU32() {
     if (remaining() < 4) return Truncated("u32");
-    uint32_t v = static_cast<uint32_t>(LoadLittleEndian<4>(data_.data() + pos_));
+    auto v = static_cast<uint32_t>(LoadLittleEndian<4>(data_.data() + pos_));
     pos_ += 4;
     return v;
   }

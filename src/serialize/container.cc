@@ -48,10 +48,6 @@ void ContainerWriter::HashPending(size_t min_bytes) {
   hashed_bytes_ = buffer_.size();
 }
 
-void ContainerWriter::Reserve(size_t payload_bytes) {
-  buffer_.reserve(buffer_.size() + payload_bytes);
-}
-
 std::string ContainerWriter::Finish() {
   assert(!finished_);
   finished_ = true;

@@ -45,9 +45,6 @@ class ContainerWriter {
   /// per-chunk record buffers without re-framing.
   void AppendEncodedRecords(std::string_view encoded, size_t count);
 
-  /// Pre-allocates room for about `payload_bytes` of upcoming records.
-  void Reserve(size_t payload_bytes);
-
   size_t record_count() const { return record_count_; }
 
   /// Seals the container (writes the footer) and returns the bytes.

@@ -230,14 +230,15 @@ TEST(RawEventTest, OutOfRangeFieldsRejectedNotNarrowed) {
   EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 65536, 1.5))
                   .status()
                   .IsCorruption());
-  EXPECT_TRUE(
-      RawEvent::FromRecord(RawRecordWithHit(1, 1, 0.1)).status().IsCorruption());
-  EXPECT_TRUE(
-      RawEvent::FromRecord(RawRecordWithHit(1, 1, 1e300)).status().IsCorruption());
+  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 1, 0.1))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 1, 1e300))
+                  .status()
+                  .IsCorruption());
   // Infinities are floats too.
-  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(
-                                       1, 1, std::numeric_limits<double>::infinity()))
-                  .ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 1, inf)).ok());
 }
 
 TEST(GenEventTest, OutOfRangeIntegersRejectedNotNarrowed) {

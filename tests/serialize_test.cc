@@ -269,7 +269,8 @@ TEST(BinaryTest, MixedSmallAndLargePutsKeepOrder) {
   w.Reserve(16);
   std::string expected;
   for (int i = 0; i < 50; ++i) {
-    const std::string payload(static_cast<size_t>(i * 37 % 700), 'a' + i % 26);
+    const std::string payload(static_cast<size_t>(i * 37 % 700),
+                              static_cast<char>('a' + i % 26));
     w.PutString(payload);
     w.PutU32(static_cast<uint32_t>(i));
     AppendVarint(expected, payload.size());
@@ -343,11 +344,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BinaryTest, NonMinimalVarintRejected) {
   // Zero in the final group after a continuation: a longer spelling of a
   // shorter value, which would re-encode to different bytes.
+  const std::string ten_bytes("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00",
+                              10);
   for (std::string bad : {std::string("\x80\x00", 2),
                           std::string("\xff\x00", 2),
-                          std::string("\x80\x80\x00", 3),
-                          std::string("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00",
-                                      10)}) {
+                          std::string("\x80\x80\x00", 3), ten_bytes}) {
     BinaryReader r(bad);
     EXPECT_TRUE(r.GetVarint().status().IsCorruption()) << bad.size();
   }
@@ -472,7 +473,8 @@ TEST(ContainerTest, SplicedAndLargeContainersMatchRecordByRecord) {
   // increments; splicing pre-framed records must give the same bytes.
   std::vector<std::string> records;
   for (int i = 0; i < 300; ++i) {
-    records.push_back(std::string(static_cast<size_t>(700 + i), 'a' + i % 26));
+    records.push_back(std::string(static_cast<size_t>(700 + i),
+                                  static_cast<char>('a' + i % 26)));
   }
   ContainerWriter one_by_one(TestMetadata());
   for (const std::string& record : records) one_by_one.AddRecord(record);

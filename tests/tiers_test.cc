@@ -232,6 +232,15 @@ TEST(DatasetTest, ReadDatasetInfoOnly) {
   EXPECT_EQ(peeked->parents[1], "parent_b");
 }
 
+/// The metadata the tier writers put in a container, for building
+/// containers record by record.
+Json DatasetMetadata(const DatasetInfo& info) {
+  Json meta = info.ToJson();
+  meta["schema"] = std::string(TierSchema(info.tier));
+  meta["schema_version"] = 1;
+  return meta;
+}
+
 TEST(DatasetTest, ParallelCodecsMatchTheRecordByRecordContainer) {
   // Many events, so the pooled writer and reader really split into chunks;
   // the reference is the plain container loop, independent of both.
@@ -239,14 +248,11 @@ TEST(DatasetTest, ParallelCodecsMatchTheRecordByRecordContainer) {
   DatasetInfo info;
   info.tier = DataTier::kGen;
   info.name = "chunked";
-  Json meta = info.ToJson();
-  meta["schema"] = std::string(TierSchema(DataTier::kGen));
-  meta["schema_version"] = 1;
-  ContainerWriter reference(meta);
+  ContainerWriter reference(DatasetMetadata(info));
   for (const GenEvent& event : events) reference.AddRecord(event.ToRecord());
   const std::string expected = reference.Finish();
 
-  for (size_t width : {1, 2, 4}) {
+  for (size_t width : {size_t{1}, size_t{2}, size_t{4}}) {
     ThreadPool pool(width);
     const std::string blob = WriteGenDataset(info, events, &pool);
     EXPECT_EQ(blob, expected) << "pool width " << width;
@@ -267,11 +273,8 @@ TEST(DatasetTest, BadRecordGivesTheSameStatusAtEveryPoolWidth) {
   DatasetInfo info;
   info.tier = DataTier::kGen;
   info.name = "damaged";
-  Json meta = info.ToJson();
-  meta["schema"] = std::string(TierSchema(DataTier::kGen));
-  meta["schema_version"] = 1;
   for (size_t bad : {size_t{0}, events.size() / 2, events.size() - 1}) {
-    ContainerWriter writer(meta);
+    ContainerWriter writer(DatasetMetadata(info));
     for (size_t i = 0; i < events.size(); ++i) {
       std::string record = events[i].ToRecord();
       if (i == bad) record.resize(record.size() / 2);
@@ -288,9 +291,10 @@ TEST(DatasetTest, BadRecordGivesTheSameStatusAtEveryPoolWidth) {
     // bad records, although the decode may already have run.
     std::string rotten = blob;
     rotten.back() = static_cast<char>(rotten.back() ^ 0x01);
-    const std::string mismatch = ContainerReader::Open(rotten).status().ToString();
+    const std::string mismatch =
+        ContainerReader::Open(rotten).status().ToString();
     EXPECT_NE(mismatch.find("fixity hash mismatch"), std::string::npos);
-    for (size_t width : {1, 2, 4}) {
+    for (size_t width : {size_t{1}, size_t{2}, size_t{4}}) {
       ThreadPool pool(width);
       EXPECT_EQ(ReadGenDataset(blob, nullptr, &pool).status().ToString(),
                 expected.ToString())
