@@ -9,8 +9,8 @@ namespace daspos {
 
 namespace {
 
-/// Minimum events per codec chunk: an event encodes or decodes in about a
-/// microsecond, so smaller chunks would spend more on dispatch than work.
+/// Minimum events per codec chunk: an event encodes or decodes in a few
+/// microseconds, so smaller chunks would spend more on dispatch than work.
 constexpr size_t kCodecGrain = 16;
 
 DataTier TierFromSchema(const std::string& schema, bool* ok) {

@@ -141,18 +141,18 @@ std::pair<std::string, std::string> PinnedDigests(DataTier tier,
 }
 
 TEST(CodecPinTest, TierBlobsMatchPinnedDigests) {
+  const std::string gen =
+      "00189cd8b635e54f0843291764a39fc4363cc7db670fb5fab039a233b2c4b3fa";
+  const std::string raw =
+      "5724616863ba3b092607b53d418854275dc80c8bd3b35cef0b003ec4dae0cc11";
+  const std::string reco =
+      "7cf6e5cd8fd644bf449fdca9eb0d825b195604ccebe62db01f399ad37351cf00";
+  const std::string aod =
+      "553257418c68d69e38a7ad9e01fd848ee20d4f28fca776e85355929b8d5f82b0";
   // Serial, and through a 4-worker pool: the bytes never depend on it.
   ThreadPool pool(4);
   for (ThreadPool* width : {static_cast<ThreadPool*>(nullptr), &pool}) {
     const std::string label = width == nullptr ? "serial" : "pool of 4";
-    const std::string gen =
-        "00189cd8b635e54f0843291764a39fc4363cc7db670fb5fab039a233b2c4b3fa";
-    const std::string raw =
-        "5724616863ba3b092607b53d418854275dc80c8bd3b35cef0b003ec4dae0cc11";
-    const std::string reco =
-        "7cf6e5cd8fd644bf449fdca9eb0d825b195604ccebe62db01f399ad37351cf00";
-    const std::string aod =
-        "553257418c68d69e38a7ad9e01fd848ee20d4f28fca776e85355929b8d5f82b0";
     EXPECT_EQ(PinnedDigests(DataTier::kGen, PinnedGenEvent(), WriteGenDataset,
                             ReadGenDataset, width),
               std::make_pair(gen, gen))
