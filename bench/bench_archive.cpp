@@ -3,27 +3,15 @@
 // format migration, over realistic dataset payloads.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "archive/archive.h"
-#include "archive/migrate.h"
 #include "archive/object_store.h"
-#include "archive/pack_store.h"
-#include "archive/scrub.h"
-#include "bench_json.h"
 #include "mc/generator.h"
-#include "support/metrics_registry.h"
-#include "support/mmap.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "support/threadpool.h"
 #include "tiers/dataset.h"
 
 using namespace daspos;
@@ -155,395 +143,6 @@ void PrintSummary() {
               report.clean() ? "yes" : "NO");
 }
 
-/// Deterministic pseudo-random payload; incompressible enough that read
-/// cost is honest and unique per (seed) so PutBatch blobs do not dedupe.
-std::string RandomBlob(size_t bytes, uint64_t seed) {
-  std::string out;
-  out.resize(bytes);
-  uint64_t x = seed * 2654435761u + 1;
-  for (size_t i = 0; i < bytes; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    out[i] = static_cast<char>(x & 0xff);
-  }
-  return out;
-}
-
-double TimeMs(const std::function<void()>& body) {
-  auto start = std::chrono::steady_clock::now();
-  body();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-double MiBPerSec(size_t bytes, double ms) {
-  if (ms <= 0.0) return 0.0;
-  return (static_cast<double>(bytes) / (1024.0 * 1024.0)) / (ms / 1000.0);
-}
-
-/// Archive read fast path (PR 4): cold Get (full SHA-256 re-hash) vs warm
-/// Get (verified-digest cache hit: stat check + plain read), plus batched
-/// ingest at several pool widths. Returns false if the rotted-blob
-/// re-detection check fails. Writes the honestly-cold loose Get time to
-/// `loose_cold_ms_out` for the backend comparison section.
-bool PrintFastPath(double* loose_cold_ms_out) {
-  int blob_mb = daspos_bench::EnvInt("DASPOS_BENCH_BLOB_MB", 32);
-  size_t blob_bytes = static_cast<size_t>(blob_mb) * 1024 * 1024;
-  std::string root = (std::filesystem::temp_directory_path() /
-                      "daspos_bench_archive_store")
-                         .string();
-  std::filesystem::remove_all(root);
-  std::string blob = RandomBlob(blob_bytes, 42);
-
-  FileObjectStore warm_store(root);
-  auto id = warm_store.Put(blob);
-  if (!id.ok()) {
-    std::fprintf(stderr, "put failed: %s\n",
-                 id.status().ToString().c_str());
-    std::exit(1);
-  }
-
-  // Cold: a fresh store directory per rep — write the blob, evict it from
-  // the OS page cache, then Get through a fresh instance. Earlier revisions
-  // only refreshed the instance, so "cold" replayed warm pages and measured
-  // the hash alone; this pays the real read path too.
-  double cold_ms = 0.0;
-  for (int rep = 0; rep < 5; ++rep) {
-    std::string cold_root = root + "_cold" + std::to_string(rep);
-    std::filesystem::remove_all(cold_root);
-    {
-      FileObjectStore put_store(cold_root);
-      (void)put_store.Put(blob);
-    }
-    std::string cold_path =
-        cold_root + "/" + id->substr(0, 2) + "/" + id->substr(2);
-    (void)DropFileCache(cold_path);
-    FileObjectStore cold_store(cold_root);
-    double ms = TimeMs([&] {
-      auto got = cold_store.Get(*id);
-      benchmark::DoNotOptimize(got);
-    });
-    if (rep == 0 || ms < cold_ms) cold_ms = ms;
-    std::filesystem::remove_all(cold_root);
-  }
-  *loose_cold_ms_out = cold_ms;
-  // Warm: same instance; one priming Get records the verified fingerprint,
-  // then every timed Get is a cache hit (stat check + read, no hash).
-  (void)warm_store.Get(*id);
-  double warm_ms = 0.0;
-  for (int rep = 0; rep < 5; ++rep) {
-    double ms = TimeMs([&] {
-      auto got = warm_store.Get(*id);
-      benchmark::DoNotOptimize(got);
-    });
-    if (rep == 0 || ms < warm_ms) warm_ms = ms;
-  }
-  double warm_speedup = cold_ms / warm_ms;
-  const MetricsRegistry& registry = MetricsRegistry::Global();
-  uint64_t cache_hits =
-      registry.CounterValue(metric_names::kArchiveCacheHitsTotal);
-  uint64_t cache_misses =
-      registry.CounterValue(metric_names::kArchiveCacheMissesTotal);
-  uint64_t cache_invalidations =
-      registry.CounterValue(metric_names::kArchiveCacheInvalidationsTotal);
-
-  TextTable table;
-  table.SetTitle("\nVerified-digest cache fast path (" +
-                 std::to_string(blob_mb) + " MiB blob):");
-  table.SetHeader({"path", "wall ms", "MiB/s", "speedup"});
-  table.AddRow({"cold Get (read + re-hash)", FormatDouble(cold_ms, 2),
-                FormatDouble(MiBPerSec(blob_bytes, cold_ms), 1), "1.00"});
-  table.AddRow({"warm Get (cache hit)", FormatDouble(warm_ms, 2),
-                FormatDouble(MiBPerSec(blob_bytes, warm_ms), 1),
-                FormatDouble(warm_speedup, 2)});
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("cache counters: %llu hit(s), %llu miss(es), "
-              "%llu invalidation(s)\n",
-              static_cast<unsigned long long>(cache_hits),
-              static_cast<unsigned long long>(cache_misses),
-              static_cast<unsigned long long>(cache_invalidations));
-  daspos_bench::AppendBenchJson("bench_archive", "cold_get_ms", cold_ms, 1);
-  daspos_bench::AppendBenchJson("bench_archive", "cold_get_mib_s",
-                                MiBPerSec(blob_bytes, cold_ms), 1);
-  daspos_bench::AppendBenchJson("bench_archive", "warm_get_ms", warm_ms, 1);
-  daspos_bench::AppendBenchJson("bench_archive", "warm_get_speedup",
-                                warm_speedup, 1);
-
-  // Rot-after-cache: modify the blob behind the warm cache; the stat
-  // mismatch must force a re-hash that catches and quarantines the rot.
-  std::string path = root + "/" + id->substr(0, 2) + "/" + id->substr(2);
-  {
-    std::string rotted = blob;
-    rotted[rotted.size() / 2] ^= 0x01;
-    rotted.push_back('!');  // size change guarantees a stat mismatch
-    (void)std::filesystem::remove(path);
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f != nullptr) {
-      std::fwrite(rotted.data(), 1, rotted.size(), f);
-      std::fclose(f);
-    }
-  }
-  bool rot_caught = warm_store.Get(*id).status().IsCorruption() &&
-                    warm_store.QuarantinedIds().size() == 1;
-  std::printf("rot after cache: %s\n",
-              rot_caught ? "caught and quarantined" : "MISSED");
-
-  // Batched ingest: PutBatch over a pool vs the serial loop.
-  int batch = daspos_bench::EnvInt("DASPOS_BENCH_BATCH_BLOBS", 16);
-  size_t each = blob_bytes / 8;
-  std::vector<std::string> payloads;
-  payloads.reserve(static_cast<size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    payloads.push_back(RandomBlob(each, 1000 + static_cast<uint64_t>(i)));
-  }
-  std::vector<std::string_view> blobs(payloads.begin(), payloads.end());
-  TextTable ingest_table;
-  ingest_table.SetTitle("\nBatched ingest (" + std::to_string(batch) +
-                        " blobs x " + FormatBytes(each) + "):");
-  ingest_table.SetHeader({"threads", "wall ms", "speedup"});
-  std::filesystem::remove_all(root + "_serial");
-  FileObjectStore serial_store(root + "_serial");
-  double serial_ms = TimeMs([&] {
-    auto ids = serial_store.PutBatch(blobs, nullptr);
-    benchmark::DoNotOptimize(ids);
-  });
-  ingest_table.AddRow({"1 (serial)", FormatDouble(serial_ms, 2), "1.00"});
-  daspos_bench::AppendBenchJson("bench_archive", "putbatch_ms", serial_ms,
-                                1);
-  for (size_t threads : {2u, 4u}) {
-    std::string tree = root + "_t" + std::to_string(threads);
-    std::filesystem::remove_all(tree);
-    FileObjectStore store(tree);
-    ThreadPool pool(threads);
-    double ms = TimeMs([&] {
-      auto ids = store.PutBatch(blobs, &pool);
-      benchmark::DoNotOptimize(ids);
-    });
-    ingest_table.AddRow({std::to_string(threads), FormatDouble(ms, 2),
-                         FormatDouble(serial_ms / ms, 2)});
-    daspos_bench::AppendBenchJson("bench_archive", "putbatch_ms", ms,
-                                  static_cast<int>(threads));
-    daspos_bench::AppendBenchJson("bench_archive", "putbatch_speedup",
-                                  serial_ms / ms,
-                                  static_cast<int>(threads));
-    std::filesystem::remove_all(tree);
-  }
-  std::printf("%s\n", ingest_table.Render().c_str());
-  std::filesystem::remove_all(root);
-  std::filesystem::remove_all(root + "_serial");
-  return rot_caught;
-}
-
-/// Packfile backend vs loose files (PR 9): honestly-cold Get with the
-/// segment evicted from the page cache (mmap + XXH64 gate vs open + read +
-/// full SHA-256 re-hash), warm mmap Get, replica scrub throughput over each
-/// layout, and repack (loose -> pack migration) throughput. Returns false
-/// if any cross-backend identity self-check fails.
-bool PrintPackBench(double loose_cold_ms) {
-  int blob_mb = daspos_bench::EnvInt("DASPOS_BENCH_BLOB_MB", 32);
-  size_t blob_bytes = static_cast<size_t>(blob_mb) * 1024 * 1024;
-  std::string base = (std::filesystem::temp_directory_path() /
-                      "daspos_bench_pack")
-                         .string();
-  std::string blob = RandomBlob(blob_bytes, 42);
-  bool ok = true;
-
-  // Cold: a fresh pack per rep, sealed (Flush) so the reopened store
-  // serves it via mmap, with the segment dropped from the page cache.
-  double pack_cold_ms = 0.0;
-  std::string pack_id;
-  for (int rep = 0; rep < 5; ++rep) {
-    std::string pack_root = base + "_cold" + std::to_string(rep);
-    std::filesystem::remove_all(pack_root);
-    {
-      PackObjectStore store(pack_root);
-      auto id = store.Put(blob);
-      if (!id.ok()) {
-        std::fprintf(stderr, "pack put failed: %s\n",
-                     id.status().ToString().c_str());
-        return false;
-      }
-      pack_id = *id;
-      (void)store.Flush();
-    }
-    (void)DropFileCache(pack_root + "/segments/000000.seg");
-    PackObjectStore cold(pack_root);
-    double ms = TimeMs([&] {
-      auto got = cold.Get(pack_id);
-      if (!got.ok() || *got != blob) ok = false;
-      benchmark::DoNotOptimize(got);
-    });
-    if (rep == 0 || ms < pack_cold_ms) pack_cold_ms = ms;
-    std::filesystem::remove_all(pack_root);
-  }
-
-  // Warm: repeated Gets through one open store — the segment stays mapped
-  // and the kernel pages stay hot, so this is memcpy + checksum.
-  double pack_warm_ms = 0.0;
-  {
-    std::string pack_root = base + "_warm";
-    std::filesystem::remove_all(pack_root);
-    PackObjectStore store(pack_root);
-    (void)store.Put(blob);
-    (void)store.Flush();
-    PackObjectStore warm(pack_root);
-    (void)warm.Get(pack_id);
-    for (int rep = 0; rep < 5; ++rep) {
-      double ms = TimeMs([&] {
-        auto got = warm.Get(pack_id);
-        benchmark::DoNotOptimize(got);
-      });
-      if (rep == 0 || ms < pack_warm_ms) pack_warm_ms = ms;
-    }
-    std::filesystem::remove_all(pack_root);
-  }
-
-  // Both backends must mint the same SHA-256 id for the same bytes.
-  {
-    std::string loose_root = base + "_ident";
-    std::filesystem::remove_all(loose_root);
-    FileObjectStore loose(loose_root);
-    auto loose_id = loose.Put(blob);
-    if (!loose_id.ok() || *loose_id != pack_id) ok = false;
-    std::filesystem::remove_all(loose_root);
-  }
-
-  double cold_speedup =
-      pack_cold_ms > 0.0 ? loose_cold_ms / pack_cold_ms : 0.0;
-  TextTable table;
-  table.SetTitle("\nPackfile backend vs loose files (" +
-                 std::to_string(blob_mb) + " MiB blob, page cache "
-                 "dropped for cold reps):");
-  table.SetHeader({"path", "wall ms", "MiB/s", "vs loose cold"});
-  table.AddRow({"loose cold Get (read + SHA-256)",
-                FormatDouble(loose_cold_ms, 2),
-                FormatDouble(MiBPerSec(blob_bytes, loose_cold_ms), 1),
-                "1.00"});
-  table.AddRow({"pack cold Get (mmap + XXH64)",
-                FormatDouble(pack_cold_ms, 2),
-                FormatDouble(MiBPerSec(blob_bytes, pack_cold_ms), 1),
-                FormatDouble(cold_speedup, 2)});
-  table.AddRow({"pack warm Get (mapped)", FormatDouble(pack_warm_ms, 2),
-                FormatDouble(MiBPerSec(blob_bytes, pack_warm_ms), 1),
-                FormatDouble(pack_warm_ms > 0.0
-                                 ? loose_cold_ms / pack_warm_ms
-                                 : 0.0,
-                             2)});
-  std::printf("%s\n", table.Render().c_str());
-  daspos_bench::AppendBenchJson("bench_archive", "pack_cold_get_ms",
-                                pack_cold_ms, 1);
-  daspos_bench::AppendBenchJson("bench_archive", "pack_cold_get_mib_s",
-                                MiBPerSec(blob_bytes, pack_cold_ms), 1);
-  daspos_bench::AppendBenchJson("bench_archive", "pack_warm_get_ms",
-                                pack_warm_ms, 1);
-  daspos_bench::AppendBenchJson("bench_archive",
-                                "pack_cold_speedup_vs_loose", cold_speedup,
-                                1);
-
-  // Scrub throughput: the same holdings replicated twice per layout, one
-  // stateless full pass each (serial, so the layouts compare like for
-  // like). Pack replicas are sealed first so the scrub walks mmap reads.
-  int objects = daspos_bench::EnvInt("DASPOS_BENCH_SCRUB_OBJECTS", 256);
-  int object_kb = daspos_bench::EnvInt("DASPOS_BENCH_OBJECT_KB", 64);
-  size_t object_bytes = static_cast<size_t>(object_kb) * 1024;
-  std::vector<std::string> payloads;
-  payloads.reserve(static_cast<size_t>(objects));
-  for (int i = 0; i < objects; ++i) {
-    payloads.push_back(
-        RandomBlob(object_bytes, 7000 + static_cast<uint64_t>(i)));
-  }
-  std::vector<std::string_view> blobs(payloads.begin(), payloads.end());
-
-  auto scrub_pass = [&](ObjectStore* a, ObjectStore* b,
-                        double* out_ms) -> bool {
-    ScrubOptions options;  // stateless full pass, serial
-    double ms = TimeMs([&] {
-      auto report = ScrubReplicas({a, b}, options);
-      if (!report.ok() || report->Verdict() != ScrubVerdict::kPass ||
-          report->objects_checked != static_cast<uint64_t>(objects)) {
-        ok = false;
-      }
-      benchmark::DoNotOptimize(report);
-    });
-    *out_ms = ms;
-    return ok;
-  };
-
-  double loose_scrub_ms = 0.0;
-  double pack_scrub_ms = 0.0;
-  std::string l0 = base + "_scrub_l0", l1 = base + "_scrub_l1";
-  std::string p0 = base + "_scrub_p0", p1 = base + "_scrub_p1";
-  for (const std::string& dir : {l0, l1, p0, p1}) {
-    std::filesystem::remove_all(dir);
-  }
-  FileObjectStore loose0(l0), loose1(l1);
-  (void)loose0.PutBatch(blobs, nullptr);
-  (void)loose1.PutBatch(blobs, nullptr);
-  scrub_pass(&loose0, &loose1, &loose_scrub_ms);
-  PackObjectStore pack0(p0), pack1(p1);
-  (void)pack0.PutBatch(blobs, nullptr);
-  (void)pack1.PutBatch(blobs, nullptr);
-  (void)pack0.Flush();
-  (void)pack1.Flush();
-  scrub_pass(&pack0, &pack1, &pack_scrub_ms);
-  double loose_obj_s =
-      loose_scrub_ms > 0.0 ? objects / (loose_scrub_ms / 1000.0) : 0.0;
-  double pack_obj_s =
-      pack_scrub_ms > 0.0 ? objects / (pack_scrub_ms / 1000.0) : 0.0;
-
-  // Repack throughput: migrate the loose replica into a fresh packfile
-  // store via copy-verify-swap, the same path `daspos repack` drives.
-  std::string repack_root = base + "_repack";
-  std::filesystem::remove_all(repack_root);
-  double repack_ms = 0.0;
-  uint64_t repack_bytes = 0;
-  {
-    PackObjectStore target(repack_root);
-    MigrateOptions options;
-    options.state_dir = repack_root + "/migrate-state";
-    repack_ms = TimeMs([&] {
-      auto report = MigrateGeneration(loose0, target, options);
-      if (!report.ok() ||
-          report->verified != static_cast<uint64_t>(objects)) {
-        ok = false;
-      } else {
-        repack_bytes = report->bytes_copied;
-      }
-    });
-    (void)target.Flush();
-  }
-  double repack_mib_s = MiBPerSec(repack_bytes, repack_ms);
-
-  TextTable ops;
-  ops.SetTitle("\nScrub + repack throughput (" + std::to_string(objects) +
-               " objects x " + FormatBytes(object_bytes) +
-               ", 2 replicas, serial):");
-  ops.SetHeader({"operation", "wall ms", "rate"});
-  ops.AddRow({"scrub loose replicas", FormatDouble(loose_scrub_ms, 2),
-              FormatDouble(loose_obj_s, 1) + " obj/s"});
-  ops.AddRow({"scrub pack replicas", FormatDouble(pack_scrub_ms, 2),
-              FormatDouble(pack_obj_s, 1) + " obj/s"});
-  ops.AddRow({"repack loose -> pack", FormatDouble(repack_ms, 2),
-              FormatDouble(repack_mib_s, 1) + " MiB/s"});
-  std::printf("%s\n", ops.Render().c_str());
-  std::printf("backend identity: %s\n",
-              ok ? "ids and bytes match across backends"
-                 : "MISMATCH (see above)");
-  daspos_bench::AppendBenchJson("bench_archive", "scrub_loose_obj_s",
-                                loose_obj_s, 1);
-  daspos_bench::AppendBenchJson("bench_archive", "scrub_pack_obj_s",
-                                pack_obj_s, 1);
-  daspos_bench::AppendBenchJson("bench_archive", "repack_mib_s",
-                                repack_mib_s, 1);
-
-  for (const std::string& dir : {l0, l1, p0, p1, repack_root}) {
-    std::filesystem::remove_all(dir);
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -552,8 +151,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   PrintSummary();
-  double loose_cold_ms = 0.0;
-  bool ok = PrintFastPath(&loose_cold_ms);
-  ok = PrintPackBench(loose_cold_ms) && ok;
-  return ok ? 0 : 1;
+  return 0;
 }

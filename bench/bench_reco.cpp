@@ -3,22 +3,17 @@
 // levels, with the physics yield counters that make the numbers meaningful.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "bench_json.h"
 #include "detsim/simulation.h"
 #include "event/pdg.h"
 #include "mc/generator.h"
 #include "reco/clustering.h"
 #include "reco/reconstruction.h"
 #include "reco/tracking.h"
-#include "support/sha256.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "support/threadpool.h"
 
 using namespace daspos;
 
@@ -134,71 +129,6 @@ void PrintYields() {
       "occupancy (pileup), which the tracking benchmark sweep shows.\n");
 }
 
-std::string RecoDigest(const std::vector<RecoEvent>& events) {
-  Sha256 hasher;
-  for (const RecoEvent& event : events) hasher.Update(event.ToRecord());
-  return hasher.HexDigest();
-}
-
-/// Intra-step data parallelism (PR 4): ReconstructAll over a shared pool vs
-/// the serial loop, with a digest check proving the parallel output is
-/// byte-identical at every width. Returns false if determinism is broken.
-bool PrintParallelScaling() {
-  int n = daspos_bench::EnvInt("DASPOS_BENCH_EVENTS", 2000);
-  auto sample = MakeRawSample(Process::kZToLL, 10.0, n);
-  Reconstructor reconstructor(DefaultReco());
-
-  auto time_run = [&](ThreadPool* pool) {
-    double best_ms = 0.0;
-    std::vector<RecoEvent> out;
-    for (int rep = 0; rep < 3; ++rep) {
-      auto start = std::chrono::steady_clock::now();
-      out = reconstructor.ReconstructAll(sample, pool);
-      double ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-      if (rep == 0 || ms < best_ms) best_ms = ms;
-    }
-    return std::make_pair(best_ms, RecoDigest(out));
-  };
-
-  auto [serial_ms, serial_digest] = time_run(nullptr);
-  daspos_bench::AppendBenchJson("bench_reco", "reconstruct_ms", serial_ms, 1);
-  daspos_bench::AppendBenchJson("bench_reco", "events_per_s",
-                                1000.0 * n / serial_ms, 1);
-
-  TextTable table;
-  table.SetTitle("\nIntra-step parallel reconstruction (" +
-                 std::to_string(n) + " events, byte-identical output):");
-  table.SetHeader({"threads", "wall ms", "events/s", "speedup", "digest"});
-  table.AddRow({"1 (serial)", FormatDouble(serial_ms, 2),
-                FormatDouble(1000.0 * n / serial_ms, 1), "1.00",
-                serial_digest.substr(0, 12)});
-  bool deterministic = true;
-  for (size_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    auto [ms, digest] = time_run(&pool);
-    double speedup = serial_ms / ms;
-    table.AddRow({std::to_string(threads), FormatDouble(ms, 2),
-                  FormatDouble(1000.0 * n / ms, 1),
-                  FormatDouble(speedup, 2), digest.substr(0, 12)});
-    daspos_bench::AppendBenchJson("bench_reco", "reconstruct_ms", ms,
-                                  static_cast<int>(threads));
-    daspos_bench::AppendBenchJson("bench_reco", "events_per_s",
-                                  1000.0 * n / ms,
-                                  static_cast<int>(threads));
-    daspos_bench::AppendBenchJson("bench_reco", "speedup_vs_serial", speedup,
-                                  static_cast<int>(threads));
-    if (digest != serial_digest) deterministic = false;
-  }
-  std::printf("%s\n", table.Render().c_str());
-  if (!deterministic) {
-    std::fprintf(stderr,
-                 "bench_reco: parallel output diverged from serial!\n");
-  }
-  return deterministic;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -207,5 +137,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   PrintYields();
-  return PrintParallelScaling() ? 0 : 1;
+  return 0;
 }

@@ -4,20 +4,16 @@
 // throughput of each processing step.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
 #include "conditions/store.h"
 #include "event/pdg.h"
-#include "support/sha256.h"
 #include "support/strings.h"
 #include "support/table.h"
-#include "support/threadpool.h"
 #include "tiers/dataset.h"
 #include "workflow/steps.h"
 
@@ -160,105 +156,6 @@ void PrintReductionTable(double pileup) {
   std::printf("%s\n", table.Render().c_str());
 }
 
-/// Intra-step parallelism over the reduction pipeline (PR 4): the
-/// RAW -> RECO -> AOD -> derived steps re-run against a shared worker pool
-/// via the workflow context, timing the pipeline at several widths and
-/// digest-checking that every width produces the same derived blob.
-bool PrintParallelReduction() {
-  int n = daspos_bench::EnvInt("DASPOS_BENCH_EVENTS", 2000);
-
-  // One serial pass prepares the RAW input (generation is stateful RNG and
-  // stays serial by design).
-  GeneratorConfig gen_config;
-  gen_config.process = Process::kZToLL;
-  gen_config.lepton_flavor = pdg::kMuon;
-  gen_config.seed = 11;
-  gen_config.pileup_mean = 10.0;
-  SimulationConfig sim_config;
-  sim_config.seed = 12;
-  GenerationStep generation(gen_config, static_cast<size_t>(n), "gen");
-  SimulationStep simulation(sim_config, kRun, "raw");
-  ReconstructionStep reconstruction(sim_config.geometry, "reco");
-  AodReductionStep aod_reduction("aod");
-  DerivationStep derivation(SkimSpec::RequireObjects(ObjectType::kMuon, 2,
-                                                     15.0),
-                            SlimSpec::LeptonsOnly(15.0), "derived");
-
-  ConditionsDb conditions;
-  CalibrationSet calib;
-  (void)conditions.Append(kCalibrationTag, 1, calib.ToPayload());
-  WorkflowContext context;
-  context.set_conditions(&conditions);
-  auto gen_blob = generation.Run({}, &context);
-  if (!gen_blob.ok()) return false;
-  auto raw_blob = simulation.Run({gen_blob->blob}, &context);
-  if (!raw_blob.ok()) return false;
-
-  auto run_pipeline = [&](ThreadPool* pool) {
-    context.set_worker_pool(pool);
-    double best_ms = 0.0;
-    std::string derived;
-    for (int rep = 0; rep < 3; ++rep) {
-      auto start = std::chrono::steady_clock::now();
-      auto reco = reconstruction.Run({raw_blob->blob}, &context);
-      if (!reco.ok()) {
-        std::fprintf(stderr, "reconstruction failed: %s\n",
-                     reco.status().ToString().c_str());
-        std::exit(1);
-      }
-      auto aod = aod_reduction.Run({reco->blob}, &context);
-      if (!aod.ok()) {
-        std::fprintf(stderr, "aod reduction failed: %s\n",
-                     aod.status().ToString().c_str());
-        std::exit(1);
-      }
-      auto result = derivation.Run({aod->blob}, &context);
-      double ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-      if (!result.ok()) {
-        std::fprintf(stderr, "derivation failed: %s\n",
-                     result.status().ToString().c_str());
-        std::exit(1);
-      }
-      derived = std::move(result->blob);
-      if (rep == 0 || ms < best_ms) best_ms = ms;
-    }
-    context.set_worker_pool(nullptr);
-    return std::make_pair(best_ms, Sha256::HashHex(derived));
-  };
-
-  auto [serial_ms, serial_digest] = run_pipeline(nullptr);
-  daspos_bench::AppendBenchJson("bench_tier_reduction", "reduction_ms",
-                                serial_ms, 1);
-  TextTable table;
-  table.SetTitle("\nParallel tier reduction (RAW->RECO->AOD->derived, " +
-                 std::to_string(n) + " events, byte-identical output):");
-  table.SetHeader({"threads", "wall ms", "speedup", "derived digest"});
-  table.AddRow({"1 (serial)", FormatDouble(serial_ms, 2), "1.00",
-                serial_digest.substr(0, 12)});
-  bool deterministic = true;
-  for (size_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    auto [ms, digest] = run_pipeline(&pool);
-    double speedup = serial_ms / ms;
-    table.AddRow({std::to_string(threads), FormatDouble(ms, 2),
-                  FormatDouble(speedup, 2), digest.substr(0, 12)});
-    daspos_bench::AppendBenchJson("bench_tier_reduction", "reduction_ms", ms,
-                                  static_cast<int>(threads));
-    daspos_bench::AppendBenchJson("bench_tier_reduction",
-                                  "speedup_vs_serial", speedup,
-                                  static_cast<int>(threads));
-    if (digest != serial_digest) deterministic = false;
-  }
-  std::printf("%s\n", table.Render().c_str());
-  if (!deterministic) {
-    std::fprintf(stderr,
-                 "bench_tier_reduction: parallel output diverged!\n");
-  }
-  return deterministic;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -273,5 +170,5 @@ int main(int argc, char** argv) {
       "Shape to reproduce (§3.2): RAW is the largest tier; AOD keeps only\n"
       "refined objects; skimming+slimming shrink it further; pileup inflates\n"
       "RAW/RECO far more than AOD/derived.\n");
-  return PrintParallelReduction() ? 0 : 1;
+  return 0;
 }

@@ -6,7 +6,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 
@@ -21,16 +20,6 @@ using namespace daspos;
 namespace {
 
 constexpr int kEvents = 60;
-
-// Thread-count knob for the chain benchmarks: DASPOS_THREADS=N in the
-// environment (0 or unset = one worker per hardware thread).
-ExecuteOptions OptionsFromEnv() {
-  ExecuteOptions options;
-  if (const char* env = std::getenv("DASPOS_THREADS")) {
-    options.max_threads = static_cast<size_t>(std::atoi(env));
-  }
-  return options;
-}
 
 Workflow BuildChain() {
   GeneratorConfig gen_config;
@@ -70,11 +59,10 @@ ConditionsDb MakeConditions() {
 void BM_ChainWithoutProvenance(benchmark::State& state) {
   Workflow workflow = BuildChain();
   ConditionsDb conditions = MakeConditions();
-  ExecuteOptions options = OptionsFromEnv();
   for (auto _ : state) {
     WorkflowContext context;
     context.set_conditions(&conditions);
-    auto report = workflow.Execute(&context, nullptr, options);
+    auto report = workflow.Execute(&context);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kEvents);
@@ -84,12 +72,11 @@ BENCHMARK(BM_ChainWithoutProvenance)->Unit(benchmark::kMillisecond);
 void BM_ChainWithProvenance(benchmark::State& state) {
   Workflow workflow = BuildChain();
   ConditionsDb conditions = MakeConditions();
-  ExecuteOptions options = OptionsFromEnv();
   for (auto _ : state) {
     WorkflowContext context;
     context.set_conditions(&conditions);
     ProvenanceStore provenance;
-    auto report = workflow.Execute(&context, &provenance, options);
+    auto report = workflow.Execute(&context, &provenance);
     benchmark::DoNotOptimize(provenance);
     benchmark::DoNotOptimize(report);
   }
@@ -205,7 +192,7 @@ void PrintProvenanceReport() {
   WorkflowContext context;
   context.set_conditions(&conditions);
   ProvenanceStore provenance;
-  auto report = workflow.Execute(&context, &provenance, OptionsFromEnv());
+  auto report = workflow.Execute(&context, &provenance);
   if (report.ok()) {
     std::printf("%s\n",
                 report->RenderTimingTable("per-step chain timing:").c_str());

@@ -46,16 +46,6 @@ Status ValidateObjectId(const std::string& id) {
   return Status::OK();
 }
 
-Status ObjectStore::ForEachId(
-    const std::function<Status(const std::string&)>& fn) const {
-  // Fallback for backends without an incremental walk: correctness over
-  // memory. Backends with a streamable layout override this.
-  for (const std::string& id : Ids()) {
-    DASPOS_RETURN_IF_ERROR(fn(id));
-  }
-  return Status::OK();
-}
-
 Result<std::vector<std::string>> ObjectStore::PutBatch(
     const std::vector<std::string_view>& blobs, ThreadPool* pool) {
   (void)pool;  // The sequential fallback ignores the pool.
@@ -105,15 +95,21 @@ Status MemoryObjectStore::Verify(const std::string& id) const {
   return Status::OK();
 }
 
-std::vector<std::string> MemoryObjectStore::Ids() const {
-  MutexLock lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(objects_.size());
-  for (const auto& [id, bytes] : objects_) {
-    (void)bytes;
-    out.push_back(id);
+Status MemoryObjectStore::ForEachId(
+    const std::function<Status(const std::string&)>& fn) const {
+  std::vector<std::string> ids;
+  {
+    MutexLock lock(mutex_);
+    ids.reserve(objects_.size());
+    for (const auto& [id, bytes] : objects_) {
+      (void)bytes;
+      ids.push_back(id);
+    }
   }
-  return out;
+  for (const std::string& id : ids) {
+    DASPOS_RETURN_IF_ERROR(fn(id));
+  }
+  return Status::OK();
 }
 
 uint64_t MemoryObjectStore::TotalBytes() const {
@@ -392,19 +388,6 @@ void FileObjectStore::CountWalkError(const std::string& what,
   walk_errors_->Increment();
   DASPOS_LOG(kError) << "object-store walk error at " << what << ": "
                      << ec.message();
-}
-
-std::vector<std::string> FileObjectStore::Ids() const {
-  std::vector<std::string> out;
-  // Walk errors (if any) were already counted and logged inside ForEachId;
-  // this legacy vector interface has no error channel, so the partial
-  // listing stands — audits that need the distinction stream ForEachId
-  // directly and see the status.
-  (void)ForEachId([&out](const std::string& id) {
-    out.push_back(id);
-    return Status::OK();
-  });
-  return out;
 }
 
 Status FileObjectStore::ForEachId(

@@ -40,21 +40,16 @@ class ObjectStore {
   /// mismatch (bit rot), NotFound if absent.
   virtual Status Verify(const std::string& id) const = 0;
 
-  /// All stored ids (sorted).
-  virtual std::vector<std::string> Ids() const = 0;
-
-  /// Streams every stored id in ascending order WITHOUT materializing the
-  /// full list — on large stores this is the O(1)-memory alternative to
-  /// Ids() for scrubs, audits, and migrations. `fn` returning non-OK aborts
-  /// the walk immediately and that status is returned. A store whose walk
-  /// partially failed keeps going, then returns the first walk error after
-  /// visiting everything reachable: callers can heal what they can, but an
-  /// unreadable store is never mistaken for an empty one. Callbacks may call
-  /// back into the store (Get/Verify/Has) — implementations must not hold
-  /// internal locks while invoking `fn`. The base implementation adapts
-  /// Ids().
+  /// Streams every stored id in ascending order — the one way to enumerate
+  /// a store (scrubs, audits, migrations, lint). `fn` returning non-OK
+  /// aborts the walk immediately and that status is returned. A store whose
+  /// walk partially failed keeps going, then returns the first walk error
+  /// after visiting everything reachable: callers can heal what they can,
+  /// but an unreadable store is never mistaken for an empty one. Callbacks
+  /// may call back into the store (Get/Verify/Has) — implementations must
+  /// not hold internal locks while invoking `fn`.
   virtual Status ForEachId(
-      const std::function<Status(const std::string&)>& fn) const;
+      const std::function<Status(const std::string&)>& fn) const = 0;
 
   virtual uint64_t TotalBytes() const = 0;
 
@@ -80,7 +75,9 @@ class MemoryObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
-  std::vector<std::string> Ids() const override;
+  /// Snapshots the keys under the lock, then calls `fn` unlocked.
+  Status ForEachId(const std::function<Status(const std::string&)>& fn)
+      const override;
   uint64_t TotalBytes() const override;
 
   /// Test hook: silently corrupt a stored object (fixity must catch it).
@@ -124,7 +121,6 @@ class FileObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
-  std::vector<std::string> Ids() const override;
   /// Streams shard directories one at a time ("00".."ff" in order, ids
   /// sorted within each shard), so peak memory is one shard's worth of
   /// names — ~1/256th of the store — instead of the whole id list.
@@ -158,7 +154,7 @@ class FileObjectStore : public ObjectStore {
 
   std::string PathFor(const std::string& id) const;
   /// Records one store-walk failure (directory unreadable, stat failed)
-  /// during Ids()/TotalBytes(): logs it and bumps
+  /// during ForEachId()/TotalBytes(): logs it and bumps
   /// daspos_archive_walk_errors_total so an unreadable store can never be
   /// mistaken for an empty one by audits reading the walk results.
   void CountWalkError(const std::string& what,

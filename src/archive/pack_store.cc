@@ -932,27 +932,21 @@ Status PackObjectStore::Verify(const std::string& id) const {
   return Status::OK();
 }
 
-std::vector<std::string> PackObjectStore::Ids() const {
-  MutexLock lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(index_.size());
-  for (const auto& [id, entry] : index_) {
-    (void)entry;
-    out.push_back(id);
-  }
-  return out;  // std::map iteration order: already sorted
-}
-
 Status PackObjectStore::ForEachId(
     const std::function<Status(const std::string&)>& fn) const {
   // Snapshot the (in-memory, already resident) key set so callbacks can
   // freely call back into the store without holding its lock.
-  std::vector<std::string> ids = Ids();
+  std::vector<std::string> ids;
   {
     MutexLock lock(mutex_);
     // An unopenable store has an empty index; report the open failure
     // rather than letting an audit mistake it for an empty store.
     DASPOS_RETURN_IF_ERROR(open_status_);
+    ids.reserve(index_.size());
+    for (const auto& [id, entry] : index_) {
+      (void)entry;
+      ids.push_back(id);  // std::map iteration order: already sorted
+    }
   }
   for (const std::string& id : ids) {
     DASPOS_RETURN_IF_ERROR(fn(id));

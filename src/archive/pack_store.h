@@ -122,7 +122,6 @@ class PackObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
-  std::vector<std::string> Ids() const override;
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override;
   /// Logical (uncompressed) bytes, mirroring the loose backend's semantics.

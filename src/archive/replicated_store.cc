@@ -130,15 +130,23 @@ Status ReplicatedObjectStore::Verify(const std::string& id) const {
   return last_error;
 }
 
-std::vector<std::string> ReplicatedObjectStore::Ids() const {
-  std::vector<std::string> out;
+Status ReplicatedObjectStore::ForEachId(
+    const std::function<Status(const std::string&)>& fn) const {
+  std::vector<std::string> ids;
+  Status walk = Status::OK();
   for (ObjectStore* replica : replicas_) {
-    std::vector<std::string> ids = replica->Ids();
-    out.insert(out.end(), ids.begin(), ids.end());
+    Status status = replica->ForEachId([&ids](const std::string& id) {
+      ids.push_back(id);
+      return Status::OK();
+    });
+    if (walk.ok()) walk = status;
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (const std::string& id : ids) {
+    DASPOS_RETURN_IF_ERROR(fn(id));
+  }
+  return walk;
 }
 
 uint64_t ReplicatedObjectStore::TotalBytes() const {

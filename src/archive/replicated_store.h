@@ -36,9 +36,9 @@ namespace daspos {
 ///
 /// `Verify` is an audit: it checks every replica and is clean only when at
 /// least one replica verifies; it never repairs (scrub does that).
-/// Enumeration unions the replicas: Ids/QuarantinedIds merge and dedupe,
-/// TotalBytes reports the most complete replica (healthy replication makes
-/// them equal; during rot or backfill the max is the logical holdings).
+/// Enumeration unions the replicas: ForEachId/QuarantinedIds merge and
+/// dedupe, TotalBytes reports the most complete replica (healthy replication
+/// makes them equal; during rot or backfill the max is the logical holdings).
 class ReplicatedObjectStore : public ObjectStore {
  public:
   explicit ReplicatedObjectStore(std::vector<ObjectStore*> replicas);
@@ -51,7 +51,10 @@ class ReplicatedObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
-  std::vector<std::string> Ids() const override;
+  /// Visits the sorted union of the replicas' walks; returns the first
+  /// replica walk error after visiting everything reachable.
+  Status ForEachId(const std::function<Status(const std::string&)>& fn)
+      const override;
   uint64_t TotalBytes() const override;
   std::vector<std::string> QuarantinedIds() const override;
 

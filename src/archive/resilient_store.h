@@ -29,9 +29,8 @@ class FaultyObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
-  std::vector<std::string> Ids() const override { return backend_->Ids(); }
-  // Enumeration is bookkeeping, not a keyed operation: like Ids(), it passes
-  // through without drawing fault-plan ordinals.
+  // Enumeration is bookkeeping, not a keyed operation: it passes through
+  // without drawing fault-plan ordinals.
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override {
     return backend_->ForEachId(fn);
@@ -66,7 +65,6 @@ class RetryingObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override { return backend_->Has(id); }
   Status Verify(const std::string& id) const override;
-  std::vector<std::string> Ids() const override { return backend_->Ids(); }
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override {
     return backend_->ForEachId(fn);

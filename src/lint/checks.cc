@@ -402,7 +402,14 @@ LintReport CheckLhada(const std::string& text, const std::string& artifact) {
 LintReport CheckArchive(const ObjectStore& store,
                         const std::string& artifact) {
   LintReport report;
-  const std::vector<std::string> ids = store.Ids();
+  // A store that cannot be walked must not lint clean: the objects it did
+  // reach are still checked, and the walk failure itself is a finding.
+  std::vector<std::string> ids;
+  Status walk = store.ForEachId([&ids](const std::string& id) {
+    ids.push_back(id);
+    return Status::OK();
+  });
+  if (!walk.ok()) report.Add("G002", artifact, "", walk.message());
 
   // Fixity pass over everything, and manifest discovery by shape.
   std::set<std::string> manifest_ids;

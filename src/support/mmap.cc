@@ -73,20 +73,4 @@ MemoryMappedFile& MemoryMappedFile::operator=(
   return *this;
 }
 
-Status DropFileCache(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IOError("drop-cache open failed for " + path + ": " +
-                           std::strerror(errno));
-  }
-#if defined(POSIX_FADV_DONTNEED)
-  // Dirty pages cannot be evicted, so flush them first; both calls are
-  // advisory and their failure only means the next read may be warm.
-  (void)::fdatasync(fd);
-  (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-#endif
-  ::close(fd);
-  return Status::OK();
-}
-
 }  // namespace daspos

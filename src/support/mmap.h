@@ -44,12 +44,6 @@ class MemoryMappedFile {
   bool mapped_ = false;
 };
 
-/// Best-effort hint to evict `path` from the OS page cache
-/// (posix_fadvise(DONTNEED) after an fdatasync so dirty pages are not
-/// pinned). Used by benchmarks to measure honestly-cold reads; a no-op
-/// Status::OK on platforms without the advice. Missing files are an error.
-Status DropFileCache(const std::string& path);
-
 }  // namespace daspos
 
 #endif  // DASPOS_SUPPORT_MMAP_H_

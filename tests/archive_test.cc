@@ -3,8 +3,10 @@
 // migration with lineage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "archive/archive.h"
 #include "support/compress.h"
@@ -16,6 +18,7 @@
 #include "support/retry.h"
 #include "support/sha256.h"
 #include "support/threadpool.h"
+#include "store_test_util.h"
 
 namespace daspos {
 namespace {
@@ -64,7 +67,7 @@ TEST(MemoryObjectStoreTest, DeduplicatesIdenticalContent) {
   auto id2 = store.Put("same bytes");
   ASSERT_TRUE(id1.ok());
   EXPECT_EQ(*id1, *id2);
-  EXPECT_EQ(store.Ids().size(), 1u);
+  EXPECT_EQ(CollectIds(store).size(), 1u);
   EXPECT_EQ(store.TotalBytes(), 10u);
 }
 
@@ -91,6 +94,34 @@ TEST(MemoryObjectStoreTest, VerifyCatchesCorruption) {
   EXPECT_TRUE(store.Verify("00ff").IsNotFound());
 }
 
+TEST(MemoryObjectStoreTest, ForEachIdRunsBesideConcurrentPuts) {
+  // Each walk sees a consistent sorted snapshot while another thread keeps
+  // writing. The callback re-enters the store, which would self-deadlock if
+  // the walk held the lock; under TSan the test also shows the snapshot is
+  // taken under it.
+  MemoryObjectStore store;
+  std::thread writer([&store] {
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_TRUE(store.Put("concurrent " + std::to_string(i)).ok());
+    }
+  });
+  size_t last_size = 0;
+  for (int pass = 0; pass < 50; ++pass) {
+    std::vector<std::string> walked;
+    ASSERT_TRUE(store
+                    .ForEachId([&](const std::string& id) {
+                      walked.push_back(id);
+                      return store.Verify(id);
+                    })
+                    .ok());
+    EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
+    EXPECT_GE(walked.size(), last_size);  // objects are never removed
+    last_size = walked.size();
+  }
+  writer.join();
+  EXPECT_EQ(CollectIds(store).size(), 200u);
+}
+
 class FileObjectStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -109,8 +140,8 @@ TEST_F(FileObjectStoreTest, PutGetVerifyOnDisk) {
   EXPECT_TRUE(store.Has(*id));
   EXPECT_EQ(*store.Get(*id), "on-disk object");
   EXPECT_TRUE(store.Verify(*id).ok());
-  ASSERT_EQ(store.Ids().size(), 1u);
-  EXPECT_EQ(store.Ids()[0], *id);
+  ASSERT_EQ(CollectIds(store).size(), 1u);
+  EXPECT_EQ(CollectIds(store)[0], *id);
   EXPECT_EQ(store.TotalBytes(), 14u);
 }
 
@@ -406,7 +437,7 @@ TEST_F(FileObjectStoreTest, MissingRootEnumeratesEmptyWithoutWalkErrors) {
   const uint64_t before =
       registry.CounterValue(metric_names::kArchiveWalkErrorsTotal);
   FileObjectStore store(root_);  // nothing was ever Put: legitimately empty
-  EXPECT_TRUE(store.Ids().empty());
+  EXPECT_TRUE(CollectIds(store).empty());
   EXPECT_EQ(store.TotalBytes(), 0u);
   EXPECT_TRUE(store.QuarantinedIds().empty());
   EXPECT_EQ(registry.CounterValue(metric_names::kArchiveWalkErrorsTotal),
@@ -425,7 +456,7 @@ TEST_F(FileObjectStoreTest, UnreadableRootCountsWalkErrors) {
   const uint64_t before =
       registry.CounterValue(metric_names::kArchiveWalkErrorsTotal);
   FileObjectStore store(root_);
-  EXPECT_TRUE(store.Ids().empty());
+  EXPECT_TRUE(CollectIds(store).empty());
   const uint64_t after_ids =
       registry.CounterValue(metric_names::kArchiveWalkErrorsTotal);
   EXPECT_GE(after_ids - before, 1u);
@@ -480,7 +511,7 @@ TEST_F(FileObjectStoreTest, AtomicPutLeavesNoTempFiles) {
     }
   }
   EXPECT_EQ(stray, 0u);
-  EXPECT_EQ(store.Ids().size(), 8u);
+  EXPECT_EQ(CollectIds(store).size(), 8u);
 }
 
 // --------------------------------------------- Quarantine on read (PR 3) --
@@ -497,7 +528,7 @@ TEST_F(FileObjectStoreTest, CorruptBlobIsQuarantinedOnRead) {
   EXPECT_NE(got.status().message().find("quarantine"), std::string::npos);
   // The rotten copy moved aside: the store no longer claims the object...
   EXPECT_FALSE(store.Has(*id));
-  EXPECT_TRUE(store.Ids().empty());
+  EXPECT_TRUE(CollectIds(store).empty());
   EXPECT_EQ(store.TotalBytes(), 0u);
   // ...but keeps the evidence for forensics.
   ASSERT_EQ(store.QuarantinedIds().size(), 1u);
@@ -551,7 +582,7 @@ TEST(ResilientStoreTest, RetryingOverFaultyConvergesToFaultFree) {
     EXPECT_TRUE(store.Verify(*id).ok());
   }
   EXPECT_GT(plan.injected(), 0u);
-  EXPECT_EQ(store.Ids().size(), reference.Ids().size());
+  EXPECT_EQ(CollectIds(store).size(), CollectIds(reference).size());
   EXPECT_EQ(store.TotalBytes(), reference.TotalBytes());
 }
 
@@ -688,7 +719,7 @@ TEST_F(FileObjectStoreTest, PutBatchStoresAllBlobsInInputOrder) {
     EXPECT_EQ((*ids)[i], Sha256::HashHex(payloads[i]));
     EXPECT_EQ(*store.Get((*ids)[i]), payloads[i]);
   }
-  EXPECT_EQ(store.Ids().size(), payloads.size());
+  EXPECT_EQ(CollectIds(store).size(), payloads.size());
 }
 
 TEST_F(FileObjectStoreTest, PutBatchSerialAndParallelAgree) {

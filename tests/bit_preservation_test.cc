@@ -5,6 +5,7 @@
 // swap on verification failure).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -19,6 +20,7 @@
 #include "support/metrics_registry.h"
 #include "support/sha256.h"
 #include "support/threadpool.h"
+#include "store_test_util.h"
 
 namespace daspos {
 namespace {
@@ -187,8 +189,35 @@ TEST_F(BitPreservationTest, ReplicatedPutBatchReachesEveryReplica) {
     }
   }
   // Enumeration views the union, deduped.
-  EXPECT_EQ(store.Ids().size(), payloads.size());
+  EXPECT_EQ(CollectIds(store).size(), payloads.size());
   EXPECT_EQ(store.TotalBytes(), r0.TotalBytes());
+}
+
+TEST_F(BitPreservationTest, ReplicatedForEachIdUnionsAndReportsWalkErrors) {
+  MemoryObjectStore a, b;
+  auto only_a = a.Put("only on a");
+  auto only_b = b.Put("only on b");
+  ASSERT_TRUE(only_a.ok());
+  ASSERT_TRUE(only_b.ok());
+  ASSERT_TRUE(a.Put("on both").ok());
+  ASSERT_TRUE(b.Put("on both").ok());
+  // A replica whose root is a regular file cannot be walked.
+  fs::create_directories(base_);
+  std::ofstream(Dir("not_a_dir")) << "not a directory";
+  FileObjectStore broken(Dir("not_a_dir"));
+  ReplicatedObjectStore store({&a, &broken, &b});
+
+  std::vector<std::string> walked;
+  Status walk = store.ForEachId([&walked](const std::string& id) {
+    walked.push_back(id);
+    return Status::OK();
+  });
+  // Everything reachable is visited once, in order, before the error.
+  EXPECT_TRUE(walk.IsIOError()) << walk.ToString();
+  EXPECT_EQ(walked.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
+  EXPECT_NE(std::find(walked.begin(), walked.end(), *only_a), walked.end());
+  EXPECT_NE(std::find(walked.begin(), walked.end(), *only_b), walked.end());
 }
 
 // ----------------------------------------------------------- Scrub farm --
@@ -348,36 +377,43 @@ TEST_F(BitPreservationTest, ScrubSerialAndParallelAgree) {
 // ------------------------------------------------- Generation migration --
 
 TEST_F(BitPreservationTest, MigrateCopiesVerifiesAndSwapsGeneration) {
-  FileObjectStore source(Dir("gen1"));
-  std::vector<std::string> ids;
-  for (int i = 0; i < 10; ++i) {
-    auto id = source.Put("generation payload " + std::to_string(i));
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
+  // Serial and pooled copy+verify must agree: same counts, same generation.
+  ThreadPool pool(4);
+  for (ThreadPool* migrate_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string tag = migrate_pool == nullptr ? "serial" : "pool4";
+    SCOPED_TRACE(tag);
+    FileObjectStore source(Dir(tag + "_gen1"));
+    std::vector<std::string> ids;
+    for (int i = 0; i < 10; ++i) {
+      auto id = source.Put("generation payload " + std::to_string(i));
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    FileObjectStore target(Dir(tag + "_gen2"));
+    MigrateOptions options;
+    options.state_dir = Dir(tag + "_state");
+    options.pool = migrate_pool;
+    auto report = MigrateGeneration(source, target, options);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->generation, 1u);
+    EXPECT_EQ(report->copied, 10u);
+    EXPECT_EQ(report->skipped, 0u);
+    EXPECT_EQ(report->verified, 10u);
+    EXPECT_FALSE(report->resumed);
+    EXPECT_EQ(ReadGeneration(options.state_dir), 1u);
+    for (const std::string& id : ids) {
+      EXPECT_TRUE(target.Verify(id).ok());
+      EXPECT_TRUE(source.Verify(id).ok());  // source retained, untouched
+    }
+    // A second migration (same holdings) skips everything and bumps the
+    // generation again.
+    auto again = MigrateGeneration(source, target, options);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->generation, 2u);
+    EXPECT_EQ(again->copied, 0u);
+    EXPECT_EQ(again->skipped, 10u);
+    EXPECT_EQ(again->verified, 10u);
   }
-  FileObjectStore target(Dir("gen2"));
-  MigrateOptions options;
-  options.state_dir = Dir("state");
-  auto report = MigrateGeneration(source, target, options);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->generation, 1u);
-  EXPECT_EQ(report->copied, 10u);
-  EXPECT_EQ(report->skipped, 0u);
-  EXPECT_EQ(report->verified, 10u);
-  EXPECT_FALSE(report->resumed);
-  EXPECT_EQ(ReadGeneration(Dir("state")), 1u);
-  for (const std::string& id : ids) {
-    EXPECT_TRUE(target.Verify(id).ok());
-    EXPECT_TRUE(source.Verify(id).ok());  // source retained, untouched
-  }
-  // A second migration (same holdings) skips everything and bumps the
-  // generation again.
-  auto again = MigrateGeneration(source, target, options);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->generation, 2u);
-  EXPECT_EQ(again->copied, 0u);
-  EXPECT_EQ(again->skipped, 10u);
-  EXPECT_EQ(again->verified, 10u);
 }
 
 // The PR-8 acceptance test: fault injection kills the migration mid-copy; a

@@ -13,6 +13,8 @@
 
 #include "archive/archive.h"
 #include "archive/object_store.h"
+#include "archive/pack_store.h"
+#include "archive/replicated_store.h"
 #include "conditions/store.h"
 #include "lint/checks.h"
 #include "lint/diagnostics.h"
@@ -21,6 +23,7 @@
 #include "support/strings.h"
 #include "workflow/engine.h"
 #include "workflow/provenance.h"
+#include "store_test_util.h"
 
 namespace daspos {
 namespace lint {
@@ -418,7 +421,7 @@ TEST(ArchiveCheckTest, A002DigestMismatch) {
   ASSERT_TRUE(archive.Deposit(MakeSubmission("pkg")).ok());
   // Corrupt the data blob (not the manifest, whose JSON must stay parsable).
   std::string data_id;
-  for (const std::string& id : store.Ids()) {
+  for (const std::string& id : CollectIds(store)) {
     auto bytes = store.Get(id);
     if (bytes.ok() && !Json::Parse(*bytes).ok()) data_id = id;
   }
@@ -485,6 +488,54 @@ TEST(ArchiveCheckTest, A006QuarantinedBlob) {
     ASSERT_TRUE(store.Put("healthy bytes").ok());
     EXPECT_TRUE(store.Verify(*id).ok());
   }
+  std::filesystem::remove_all(root);
+}
+
+// A store that cannot be walked must never lint clean: an empty walk over
+// an unreadable store would certify the archive vacuously.
+TEST(ArchiveCheckTest, G002UnreadableFileStoreRoot) {
+  std::string root = (std::filesystem::temp_directory_path() /
+                      ("daspos_lint_g002_" + std::to_string(::getpid())))
+                         .string();
+  std::filesystem::remove_all(root);
+  ASSERT_TRUE(WriteStringToFile(root, "not a directory").ok());
+  FileObjectStore store(root);
+  LintReport report = CheckArchive(store, "broken-archive");
+  ASSERT_EQ(CodesOf(report), (std::vector<std::string>{"G002"}));
+  EXPECT_TRUE(report.HasErrors());
+  EXPECT_EQ(report.diagnostics()[0].artifact, "broken-archive");
+  EXPECT_NE(report.diagnostics()[0].message.find("unreadable"),
+            std::string::npos);
+  std::filesystem::remove_all(root);
+}
+
+TEST(ArchiveCheckTest, G002PackStoreThatFailedToOpen) {
+  std::string root = (std::filesystem::temp_directory_path() /
+                      ("daspos_lint_g002_pack_" + std::to_string(::getpid())))
+                         .string();
+  std::filesystem::remove_all(root);
+  ASSERT_TRUE(WriteStringToFile(root, "not a directory").ok());
+  PackObjectStore store(root);
+  LintReport report = CheckArchive(store);
+  EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"G002"}));
+  EXPECT_TRUE(report.HasErrors());
+  std::filesystem::remove_all(root);
+}
+
+TEST(ArchiveCheckTest, G002KeepsFindingsForTheObjectsItReached) {
+  // One healthy replica and one unreadable one: the union walk still visits
+  // every reachable object, so the stray blob is reported next to G002.
+  std::string root = (std::filesystem::temp_directory_path() /
+                      ("daspos_lint_g002_rep_" + std::to_string(::getpid())))
+                         .string();
+  std::filesystem::remove_all(root);
+  ASSERT_TRUE(WriteStringToFile(root, "not a directory").ok());
+  MemoryObjectStore healthy;
+  ASSERT_TRUE(healthy.Put("stray blob nobody claims").ok());
+  FileObjectStore broken(root);
+  ReplicatedObjectStore store({&healthy, &broken});
+  LintReport report = CheckArchive(store);
+  EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"A003", "G002"}));
   std::filesystem::remove_all(root);
 }
 

@@ -408,6 +408,24 @@ TEST_F(ServerTest, SixteenConcurrentClientsGetTheirOwnBytesBack) {
           failures.fetch_add(1);
           return;
         }
+        // One PutBatch per round: every id comes back in input order.
+        std::vector<std::string> batch;
+        for (int k = 0; k < 4; ++k) {
+          batch.push_back("client-" + std::to_string(c) + "-round-" +
+                          std::to_string(round) + "-batch-" +
+                          std::to_string(k));
+        }
+        auto batch_ids = client->PutBatch(batch);
+        if (!batch_ids.ok() || batch_ids->size() != batch.size()) {
+          failures.fetch_add(1);
+          return;
+        }
+        for (size_t k = 0; k < batch.size(); ++k) {
+          if ((*batch_ids)[k] != Sha256::HashHex(batch[k])) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
       }
     });
   }

@@ -22,6 +22,7 @@
 #include "support/metrics_registry.h"
 #include "support/sha256.h"
 #include "support/threadpool.h"
+#include "store_test_util.h"
 
 namespace daspos {
 namespace {
@@ -118,7 +119,7 @@ TEST_F(PackStoreTest, DeduplicatesIdenticalContent) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
   EXPECT_EQ(CounterNow("daspos_pack_appends_total"), appends_before + 1);
-  EXPECT_EQ(store.Ids().size(), 1u);
+  EXPECT_EQ(CollectIds(store).size(), 1u);
 }
 
 TEST_F(PackStoreTest, ReopenServesSealedSegmentsViaMmap) {
@@ -628,7 +629,8 @@ TEST_F(PackStoreTest, ForEachIdAscendingAndAbortable) {
                     return Status::OK();
                   })
                   .ok());
-  std::vector<std::string> ids = store.Ids();
+  std::vector<std::string> ids = CollectIds(store);
+  EXPECT_EQ(ids.size(), 8u);
   EXPECT_EQ(walked, ids);
   EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
 

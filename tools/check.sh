@@ -5,7 +5,7 @@
 #   tools/check.sh --all      # tier-1 + ASan + UBSan full suite + TSan
 #   tools/check.sh --asan     # ASan build + full ctest suite
 #   tools/check.sh --ubsan    # UBSan build + full ctest suite (halt-on-error)
-#   tools/check.sh --tsan     # TSan build + workflow/parallel/codec suites
+#   tools/check.sh --tsan     # TSan build + workflow/parallel/codec/store-walk suites
 #   tools/check.sh --chaos    # TSan build + fault-injection/resume suite
 #   tools/check.sh --tier1    # tier-1 only
 #   tools/check.sh --no-tsan  # legacy spelling of --tier1
@@ -56,10 +56,11 @@ if [ "$RUN_UBSAN" = 1 ]; then
 fi
 
 if [ "$RUN_TSAN" = 1 ]; then
-  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + tiers_test + serialize_test + event_test + trace_test + sync_test + net_test"
+  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + tiers_test + serialize_test + event_test + trace_test + sync_test + net_test + archive_test + bit_preservation_test"
   cmake -B build-tsan -S . -DDASPOS_SANITIZE=thread >/dev/null
   cmake --build build-tsan --target workflow_test parallel_test tiers_test \
-    serialize_test event_test trace_test sync_test net_test -j"$JOBS"
+    serialize_test event_test trace_test sync_test net_test archive_test \
+    bit_preservation_test -j"$JOBS"
   ./build-tsan/tests/workflow_test
   ./build-tsan/tests/parallel_test
   # The tier codecs encode and decode in pool-parallel chunks and splice
@@ -75,6 +76,10 @@ if [ "$RUN_TSAN" = 1 ]; then
   # loop — single-threaded by design, and TSan proves no state leaked across
   # the loop/client boundary.
   ./build-tsan/tests/net_test
+  # Store enumeration: ForEachId snapshots under the store lock and calls
+  # back unlocked, beside concurrent writers and across replicas.
+  ./build-tsan/tests/archive_test --gtest_filter='MemoryObjectStoreTest.*'
+  ./build-tsan/tests/bit_preservation_test --gtest_filter='*ForEachId*'
 fi
 
 if [ "$RUN_CHAOS" = 1 ]; then

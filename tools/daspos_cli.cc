@@ -889,10 +889,16 @@ int CmdRepack(const Args& args, const CliFlags& flags) {
   if (int code = Migrate(**source, target, args[1], flags); code != 0) {
     return code;
   }
+  size_t objects = 0;
+  Status walk = target.ForEachId([&objects](const std::string&) {
+    ++objects;
+    return Status::OK();
+  });
+  if (!walk.ok()) return Fail(walk.ToString());
   const uint64_t raw = target.TotalBytes();
   const uint64_t stored = target.StoredBytes();
   std::printf("packed %zu object(s) into %zu segment(s): %s raw",
-              target.Ids().size(), target.SegmentCount(),
+              objects, target.SegmentCount(),
               FormatBytes(raw).c_str());
   if (flags.compress && raw > 0) {
     std::printf(", %s stored (%.1f%% saved)", FormatBytes(stored).c_str(),
