@@ -492,13 +492,19 @@ TEST(ArchiveCheckTest, A006QuarantinedBlob) {
 }
 
 // A store that cannot be walked must never lint clean: an empty walk over
-// an unreadable store would certify the archive vacuously.
-TEST(ArchiveCheckTest, G002UnreadableFileStoreRoot) {
+// an unreadable store would certify the archive vacuously. Each case puts a
+// regular file where the store expects its root directory.
+std::string FileInPlaceOfStoreRoot(const std::string& name) {
   std::string root = (std::filesystem::temp_directory_path() /
-                      ("daspos_lint_g002_" + std::to_string(::getpid())))
+                      (name + "_" + std::to_string(::getpid())))
                          .string();
   std::filesystem::remove_all(root);
-  ASSERT_TRUE(WriteStringToFile(root, "not a directory").ok());
+  EXPECT_TRUE(WriteStringToFile(root, "not a directory").ok());
+  return root;
+}
+
+TEST(ArchiveCheckTest, G002UnreadableFileStoreRoot) {
+  std::string root = FileInPlaceOfStoreRoot("daspos_lint_g002");
   FileObjectStore store(root);
   LintReport report = CheckArchive(store, "broken-archive");
   ASSERT_EQ(CodesOf(report), (std::vector<std::string>{"G002"}));
@@ -510,11 +516,7 @@ TEST(ArchiveCheckTest, G002UnreadableFileStoreRoot) {
 }
 
 TEST(ArchiveCheckTest, G002PackStoreThatFailedToOpen) {
-  std::string root = (std::filesystem::temp_directory_path() /
-                      ("daspos_lint_g002_pack_" + std::to_string(::getpid())))
-                         .string();
-  std::filesystem::remove_all(root);
-  ASSERT_TRUE(WriteStringToFile(root, "not a directory").ok());
+  std::string root = FileInPlaceOfStoreRoot("daspos_lint_g002_pack");
   PackObjectStore store(root);
   LintReport report = CheckArchive(store);
   EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"G002"}));
@@ -525,11 +527,7 @@ TEST(ArchiveCheckTest, G002PackStoreThatFailedToOpen) {
 TEST(ArchiveCheckTest, G002KeepsFindingsForTheObjectsItReached) {
   // One healthy replica and one unreadable one: the union walk still visits
   // every reachable object, so the stray blob is reported next to G002.
-  std::string root = (std::filesystem::temp_directory_path() /
-                      ("daspos_lint_g002_rep_" + std::to_string(::getpid())))
-                         .string();
-  std::filesystem::remove_all(root);
-  ASSERT_TRUE(WriteStringToFile(root, "not a directory").ok());
+  std::string root = FileInPlaceOfStoreRoot("daspos_lint_g002_rep");
   MemoryObjectStore healthy;
   ASSERT_TRUE(healthy.Put("stray blob nobody claims").ok());
   FileObjectStore broken(root);
