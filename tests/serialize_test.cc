@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -303,6 +304,13 @@ struct VarintCase {
   uint64_t value;
   std::string bytes;
 };
+
+// Names each case by its value. Without this gtest prints the raw bytes of
+// the struct, std::string's heap pointer included, and the test names would
+// change from one build to the next.
+void PrintTo(const VarintCase& c, std::ostream* os) {
+  *os << "0x" << std::hex << c.value;
+}
 
 class VarintEncoding : public ::testing::TestWithParam<VarintCase> {};
 
