@@ -3,6 +3,10 @@
 // experiment approval gate, and the closed-system properties.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <string>
+
 #include "event/pdg.h"
 #include "recast/backend.h"
 #include "recast/frontend.h"
@@ -109,6 +113,27 @@ TEST(BackEndTest, HeavyResonancePopulatesHighMassRegion) {
   EXPECT_GT(high->signal_per_mu, 0.0);
   EXPECT_GT(high->upper_limit_mu, 0.0);
   EXPECT_EQ(backend.events_simulated(), 300u);
+}
+
+/// Events each region selected: efficiency x event count, by region name.
+std::map<std::string, uint64_t> PassCounts(const RecastResult& result) {
+  std::map<std::string, uint64_t> passed;
+  for (const RegionResult& region : result.regions) {
+    passed[region.region] = static_cast<uint64_t>(std::llround(
+        region.efficiency * static_cast<double>(result.events_processed)));
+  }
+  return passed;
+}
+
+// Exact selections of the full chain for a fixed model and seed, so that a
+// change in how the back end runs the chain cannot move them unnoticed.
+TEST(BackEndTest, PassCountsArePinned) {
+  RecastBackEnd backend = MakeBackEnd();
+  auto result = backend.Process(ZPrimeRequest(1200.0));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(PassCounts(*result),
+            (std::map<std::string, uint64_t>{{"SR_mll_400", 27},
+                                             {"SR_mll_800", 161}}));
 }
 
 TEST(BackEndTest, MediumResonancePopulatesLowMassRegion) {
@@ -276,6 +301,22 @@ TEST(GridScanTest, ProducesAcceptanceAndLimitGrids) {
   if (eff_low > 0.0) {
     EXPECT_LE(mu_high, scan->upper_limit.BinContent(0, 0));
   }
+}
+
+// One grid point through the full chain: model seed 77, mass 1 TeV.
+TEST(GridScanTest, PointPassCountIsPinned) {
+  RecastBackEnd backend = MakeBackEnd();
+  GridScanConfig config;
+  config.mass_lo = 900.0;
+  config.mass_hi = 1100.0;
+  config.mass_points = 1;
+  config.width_points = 1;
+  config.events_per_point = 120;
+  config.region = "SR_mll_800";
+  config.seed = 77;
+  auto scan = ScanZPrimeGrid(&backend, "DASPOS_EXO_14_001", config);
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_EQ(std::llround(scan->efficiency.BinContent(0, 0) * 120.0), 46);
 }
 
 TEST(GridScanTest, Validation) {
