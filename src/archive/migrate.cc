@@ -27,21 +27,6 @@ std::string CursorPath(const std::string& dir) {
   return dir + "/" + kCursorFile;
 }
 
-/// Appends one progress line to the migration cursor (journal idiom:
-/// append + fsync; WriteStringToFile would not be append-safe, so this
-/// rewrites atomically via read-modify-write only for the *first* line).
-Status AppendCursorLine(const std::string& dir, const Json& record) {
-  const std::string path = CursorPath(dir);
-  std::string existing;
-  if (auto text = ReadFileToString(path); text.ok()) {
-    existing = std::move(*text);
-  }
-  existing += record.Dump() + "\n";
-  // AtomicWriteFile fsyncs bytes and directory entry: the cursor is never
-  // torn, and a crash keeps either the old or the new checkpoint.
-  return AtomicWriteFile(path, existing);
-}
-
 /// Per-object outcome inside a batch (folded serially in input order).
 struct CopySlot {
   Status status;
@@ -199,7 +184,8 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
     record["last_id"] = batch.back();
     record["copied"] = report.copied;
     record["skipped"] = report.skipped;
-    DASPOS_RETURN_IF_ERROR(AppendCursorLine(options.state_dir, record));
+    DASPOS_RETURN_IF_ERROR(AppendDurable(CursorPath(options.state_dir),
+                                         record.Dump() + "\n"));
     batch.clear();
     return Status::OK();
   };

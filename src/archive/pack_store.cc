@@ -87,29 +87,6 @@ void HexToRaw(const std::string& id, char* out) {
   }
 }
 
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  while (size > 0) {
-    ssize_t written = ::write(fd, data, size);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pack append failed: " + path + ": " +
-                             std::strerror(errno));
-    }
-    data += written;
-    size -= static_cast<size_t>(written);
-  }
-  return Status::OK();
-}
-
-Status FsyncFd(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) {
-    return Status::IOError("pack fsync failed: " + path + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 PackObjectStore::PackObjectStore(std::string root, PackOptions options)
@@ -450,8 +427,9 @@ Status PackObjectStore::EnsureActiveSegmentLocked(bool force_new) {
         char header[kPackSegmentHeaderSize] = {};
         std::memcpy(header, kPackSegmentMagic, sizeof(kPackSegmentMagic));
         PutU32(header + 8, kPackFormatVersion);
-        Status stamped = WriteAll(it->second, header, sizeof(header),
-                                  SegmentPath(tail));
+        Status stamped =
+            WriteAll(it->second, std::string_view(header, sizeof(header)),
+                     SegmentPath(tail));
         if (!stamped.ok()) {
           // Cut a partial header away so the next attempt (or a rebuild
           // scan) starts from a clean prefix; the segment stays inactive.
@@ -479,8 +457,9 @@ Status PackObjectStore::EnsureActiveSegmentLocked(bool force_new) {
   char header[kPackSegmentHeaderSize] = {};
   std::memcpy(header, kPackSegmentMagic, sizeof(kPackSegmentMagic));
   PutU32(header + 8, kPackFormatVersion);
-  Status written = WriteAll(fd, header, sizeof(header), path);
-  if (written.ok()) written = FsyncFd(fd, path);
+  Status written =
+      WriteAll(fd, std::string_view(header, sizeof(header)), path);
+  if (written.ok()) written = FsyncFile(fd, path);
   // The file NAME must survive a crash too, not just its bytes.
   if (written.ok()) written = FsyncDir(segments_dir);
   if (!written.ok()) {
@@ -541,11 +520,9 @@ Status PackObjectStore::AppendLocked(const Prepared& blob) {
   PutU64(header + kPackRecordChecksumOffset, blob.checksum);
   // Header and payload in one logical append; O_APPEND + the store mutex
   // keep records contiguous.
-  Status appended = WriteAll(fd_it->second, header, sizeof(header), path);
-  if (appended.ok()) {
-    appended =
-        WriteAll(fd_it->second, blob.stored.data(), blob.stored.size(), path);
-  }
+  Status appended = WriteAll(
+      fd_it->second, std::string_view(header, sizeof(header)), path);
+  if (appended.ok()) appended = WriteAll(fd_it->second, blob.stored, path);
   if (!appended.ok()) {
     // Partial record bytes may have landed at the true EOF while
     // active_size_ stayed put — without repair, every later append would
@@ -579,7 +556,7 @@ Status PackObjectStore::SyncActiveLocked() {
   if (!has_active_) return Status::OK();
   auto it = segment_fds_.find(active_segment_);
   if (it == segment_fds_.end()) return Status::OK();
-  return FsyncFd(it->second, SegmentPath(active_segment_));
+  return FsyncFile(it->second, SegmentPath(active_segment_));
 }
 
 Status PackObjectStore::FlushLocked() {
@@ -847,23 +824,11 @@ void PackObjectStore::QuarantineRecord(const std::string& id,
   line["offset"] = entry.offset;
   line["stored_len"] = entry.stored_len;
   line["detail"] = detail;
-  const std::string path = root_ + "/" + kQuarantineLog;
-  const bool created = !FileExists(path);
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                  0644);
-  if (fd < 0) {
-    DASPOS_LOG(kError) << "pack quarantine log append failed: " << path
-                       << ": " << std::strerror(errno);
-  } else {
-    std::string text = line.Dump() + "\n";
-    Status written = WriteAll(fd, text.data(), text.size(), path);
-    if (written.ok()) written = FsyncFd(fd, path);
-    ::close(fd);
-    if (written.ok() && created) written = FsyncDir(root_);
-    if (!written.ok()) {
-      DASPOS_LOG(kError) << "pack quarantine log append failed: "
-                         << written.ToString();
-    }
+  if (Status written =
+          AppendDurable(root_ + "/" + kQuarantineLog, line.Dump() + "\n");
+      !written.ok()) {
+    DASPOS_LOG(kError) << "pack quarantine log append failed: "
+                       << written.ToString();
   }
   MutexLock lock(mutex_);
   auto it = index_.find(id);

@@ -1,13 +1,8 @@
 #include "archive/scrub.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <thread>
 
@@ -92,8 +87,7 @@ CursorRecord LoadCursor(const std::string& dir, bool* found) {
   return state;
 }
 
-/// Appends one fsynced cursor line; the first append also fsyncs the
-/// directory so a freshly created cursor survives a crash (PR-6 lesson).
+/// Appends one durable cursor line (see AppendDurable).
 Status AppendCursor(const std::string& dir, const CursorRecord& record) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -101,37 +95,8 @@ Status AppendCursor(const std::string& dir, const CursorRecord& record) {
     return Status::IOError("cannot create scrub cursor directory " + dir +
                            ": " + ec.message());
   }
-  const std::string path = dir + "/" + kCursorFile;
-  const bool created = !FileExists(path);
-  std::string line = CursorToJson(record).Dump() + "\n";
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open scrub cursor for append: " + path +
-                           ": " + std::strerror(errno));
-  }
-  const char* cursor = line.data();
-  size_t remaining = line.size();
-  while (remaining > 0) {
-    ssize_t written = ::write(fd, cursor, remaining);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      int saved = errno;
-      ::close(fd);
-      return Status::IOError("scrub cursor append failed: " + path + ": " +
-                             std::strerror(saved));
-    }
-    cursor += written;
-    remaining -= static_cast<size_t>(written);
-  }
-  if (::fsync(fd) != 0) {
-    int saved = errno;
-    ::close(fd);
-    return Status::IOError("scrub cursor fsync failed: " + path + ": " +
-                           std::strerror(saved));
-  }
-  ::close(fd);
-  if (created) DASPOS_RETURN_IF_ERROR(FsyncDir(dir));
-  return Status::OK();
+  return AppendDurable(dir + "/" + kCursorFile,
+                       CursorToJson(record).Dump() + "\n");
 }
 
 /// Outcome of scrubbing one object across all replicas.

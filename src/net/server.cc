@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "archive/object_store.h"
-#include "conditions/store.h"
 #include "detsim/calib.h"
 #include "lint/diagnostics.h"
 #include "lint/linter.h"
@@ -378,16 +377,12 @@ Result<std::string> Server::HandleChain(std::string_view payload) {
   DASPOS_ASSIGN_OR_RETURN(Process process, ProcessFromName(request.process));
   Workflow workflow = StandardChainWorkflow(
       process, static_cast<size_t>(request.events), request.seed);
-  ConditionsDb conditions;
-  CalibrationSet calib;
-  DASPOS_RETURN_IF_ERROR(
-      conditions.Append(kCalibrationTag, 1, calib.ToPayload()));
   WorkflowContext context;
-  context.set_conditions(&conditions);
   ExecuteOptions options;
   options.max_threads = 1;  // inline on the loop thread; serial by contract
-  DASPOS_ASSIGN_OR_RETURN(WorkflowReport report,
-                          workflow.Execute(&context, nullptr, options));
+  DASPOS_ASSIGN_OR_RETURN(
+      WorkflowReport report,
+      ExecuteChain(workflow, CalibrationSet(), &context, nullptr, options));
   return report.ToJson().Dump(2);
 }
 

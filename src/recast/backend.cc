@@ -1,7 +1,5 @@
 #include "recast/backend.h"
 
-#include "mc/generator.h"
-#include "reco/reconstruction.h"
 #include "stats/limits.h"
 #include "tiers/dataset.h"
 #include "workflow/steps.h"
@@ -90,33 +88,23 @@ Result<RecastResult> RecastBackEnd::Process(const RecastRequest& request) {
   DASPOS_ASSIGN_OR_RETURN(GeneratorConfig model,
                           GeneratorConfigFromJson(request.model));
 
-  // The encapsulated full chain, exactly as preserved.
-  EventGenerator generator(model);
-  DetectorSimulation simulation(search.sim_config);
-  ReconstructionConfig reco_config;
-  reco_config.geometry = search.sim_config.geometry;
-  reco_config.calib = search.sim_config.calib;
-  Reconstructor reconstructor(reco_config);
-
-  std::vector<RegionCount> counts;
-  for (const SignalRegion& region : search.regions) {
-    counts.push_back({region.name, region.observed, region.background, 0});
-  }
-  for (size_t i = 0; i < request.event_count; ++i) {
-    GenEvent truth = generator.Generate();
-    RawEvent raw = simulation.Simulate(truth, /*run_number=*/1);
-    AodEvent aod = AodEvent::FromReco(reconstructor.Reconstruct(raw));
-    for (size_t r = 0; r < search.regions.size(); ++r) {
-      if (search.regions[r].selection(aod)) ++counts[r].passed;
-    }
-  }
+  // The encapsulated full chain, exactly as preserved, run to AOD on the
+  // workflow engine; the preserved selections then count its events.
+  WorkflowContext context;
+  DASPOS_RETURN_IF_ERROR(
+      ExecuteChain(ChainWorkflow(model, search.sim_config,
+                                 request.event_count, DataTier::kAod),
+                   search.sim_config.calib, &context)
+          .status());
+  DASPOS_ASSIGN_OR_RETURN(std::string_view aod, context.GetDataset("aod"));
+  DASPOS_ASSIGN_OR_RETURN(std::vector<RegionCount> counts,
+                          ProcessDataset(search.name, aod));
   events_simulated_ += request.event_count;
   return ResultFromCounts(request, search.name, search.luminosity_pb, counts);
 }
 
-Result<std::vector<RecastBackEnd::DatasetCounts>>
-RecastBackEnd::ProcessDataset(const std::string& search_name,
-                              std::string_view aod_blob) const {
+Result<std::vector<RegionCount>> RecastBackEnd::ProcessDataset(
+    const std::string& search_name, std::string_view aod_blob) const {
   auto it = searches_.find(search_name);
   if (it == searches_.end()) {
     return Status::NotFound("no preserved search '" + search_name + "'");
@@ -124,13 +112,10 @@ RecastBackEnd::ProcessDataset(const std::string& search_name,
   const PreservedSearch& search = it->second;
   DASPOS_ASSIGN_OR_RETURN(std::vector<AodEvent> events,
                           ReadAodDataset(aod_blob));
-  std::vector<DatasetCounts> out;
+  std::vector<RegionCount> out;
   out.reserve(search.regions.size());
   for (const SignalRegion& region : search.regions) {
-    DatasetCounts counts;
-    counts.region = region.name;
-    counts.preserved_observed = region.observed;
-    counts.preserved_background = region.background;
+    RegionCount counts{region.name, region.observed, region.background, 0};
     for (const AodEvent& event : events) {
       if (region.selection(event)) ++counts.passed;
     }

@@ -18,8 +18,7 @@ namespace daspos {
 namespace recast {
 
 /// One signal region as a back end counted it: the preserved observed and
-/// background yields plus how many generated events of the model it
-/// selected.
+/// background yields plus how many of the counted events it selected.
 struct RegionCount {
   std::string name;
   double observed = 0.0;
@@ -66,15 +65,9 @@ class RecastBackEnd : public BackEnd {
   /// §2.4 extension: "it would also be possible with some re-configuration
   /// to re-run the analysis on different or new data." Applies the
   /// preserved signal-region selections to a supplied AOD dataset and
-  /// returns the per-region observed counts — re-deriving the "observed"
-  /// column from new data while background expectations stay preserved.
-  struct DatasetCounts {
-    std::string region;
-    uint64_t passed = 0;
-    double preserved_observed = 0.0;
-    double preserved_background = 0.0;
-  };
-  Result<std::vector<DatasetCounts>> ProcessDataset(
+  /// returns the per-region pass counts beside the preserved observed and
+  /// background yields. Process counts its own chain's AOD through this.
+  Result<std::vector<RegionCount>> ProcessDataset(
       const std::string& search_name, std::string_view aod_blob) const;
 
  private:

@@ -113,29 +113,14 @@ Status AtomicWriteFile(const std::string& path, std::string_view data) {
     return Status::IOError("cannot open for write: " + tmp + ": " +
                            std::strerror(errno));
   }
-  const char* cursor = data.data();
-  size_t remaining = data.size();
-  while (remaining > 0) {
-    ssize_t written = ::write(fd, cursor, remaining);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      int saved = errno;
-      ::close(fd);
-      (void)::unlink(tmp.c_str());
-      return Status::IOError("short write: " + tmp + ": " +
-                             std::strerror(saved));
-    }
-    cursor += written;
-    remaining -= static_cast<size_t>(written);
-  }
+  Status written = WriteAll(fd, data, tmp);
   // Durability point: the bytes must be on stable storage before the rename
   // publishes them, or a crash could leave a renamed-but-empty file.
-  if (::fsync(fd) != 0) {
-    int saved = errno;
+  if (written.ok()) written = FsyncFile(fd, tmp);
+  if (!written.ok()) {
     ::close(fd);
     (void)::unlink(tmp.c_str());
-    return Status::IOError("fsync failed: " + tmp + ": " +
-                           std::strerror(saved));
+    return written;
   }
   if (::close(fd) != 0) {
     (void)::unlink(tmp.c_str());
@@ -155,6 +140,48 @@ Status AtomicWriteFile(const std::string& path, std::string_view data) {
     DASPOS_RETURN_IF_ERROR(FsyncDir(target.parent_path().string()));
   }
   return Status::OK();
+}
+
+Status WriteAll(int fd, std::string_view data, const std::string& path) {
+  while (!data.empty()) {
+    ssize_t written = ::write(fd, data.data(), data.size());
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("write failed: " + path + ": " +
+                             std::strerror(errno));
+    }
+    data.remove_prefix(static_cast<size_t>(written));
+  }
+  return Status::OK();
+}
+
+Status FsyncFile(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) {
+    return Status::IOError("fsync failed: " + path + ": " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status AppendDurable(const std::string& path, std::string_view data) {
+  const bool created = !FileExists(path);
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
+  if (fd < 0) {
+    return Status::IOError("cannot open for append: " + path + ": " +
+                           std::strerror(errno));
+  }
+  Status status = WriteAll(fd, data, path);
+  if (status.ok()) status = FsyncFile(fd, path);
+  ::close(fd);
+  // Fsyncing the file makes its bytes durable, but a fresh file's name
+  // lives in the directory, which has its own durability point. Without
+  // this a crash can lose the whole file although the append returned OK.
+  if (status.ok() && created) {
+    const fs::path parent = fs::path(path).parent_path();
+    status = FsyncDir(parent.empty() ? "." : parent.string());
+  }
+  return status;
 }
 
 Status FsyncDir(const std::string& dir) {

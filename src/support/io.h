@@ -34,6 +34,20 @@ Status WriteStringToFile(const std::string& path, std::string_view data);
 /// `path`, never a partial file.
 Status AtomicWriteFile(const std::string& path, std::string_view data);
 
+/// Writes all of `data` to `fd`, resuming after short writes and EINTR.
+/// Errors name `path`, the file behind `fd`.
+Status WriteAll(int fd, std::string_view data, const std::string& path);
+
+/// Fsyncs `fd`, the open file at `path` (named in the error).
+Status FsyncFile(int fd, const std::string& path);
+
+/// Durable append of `data` to the file at `path`: opens it with O_APPEND
+/// (creating it if absent), writes every byte, fsyncs, and, when this call
+/// created the file, fsyncs the parent directory so the new name survives a
+/// crash too. The run journal, the scrub and migrate cursors and the pack
+/// quarantine log are append-only JSONL files written through this path.
+Status AppendDurable(const std::string& path, std::string_view data);
+
 /// Fsyncs the directory at `dir` so directory-entry mutations (a freshly
 /// created file, a rename) survive a crash. Creating a file and fsyncing its
 /// fd makes the *bytes* durable, but the *name* lives in the directory, which

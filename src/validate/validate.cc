@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "conditions/store.h"
 #include "detsim/calib.h"
 #include "hist/compare.h"
 #include "hist/yoda_io.h"
@@ -46,22 +45,16 @@ bool IsPathSafeName(const std::string& name) {
 
 /// Runs the campaign's chain strictly serially (the deterministic reference
 /// path: one thread, no intra-step pool) with the caller's retry/journal/
-/// fault knobs. The conditions database lives only for the execution, like
-/// the capturing run's did.
+/// fault knobs. The conditions live only for the execution, like the
+/// capturing run's did.
 Status RunCampaignChain(const CampaignSpec& spec, ExecuteOptions options,
                         WorkflowContext* context,
                         ProvenanceStore* provenance) {
-  Workflow workflow = StandardChainWorkflow(spec.process, spec.events,
-                                            spec.seed);
-  ConditionsDb conditions;
-  CalibrationSet calib;
-  DASPOS_RETURN_IF_ERROR(
-      conditions.Append(kCalibrationTag, 1, calib.ToPayload()));
-  context->set_conditions(&conditions);
   options.max_threads = 1;
-  auto report = workflow.Execute(context, provenance, options);
-  context->set_conditions(nullptr);
-  return report.status();
+  return ExecuteChain(
+             StandardChainWorkflow(spec.process, spec.events, spec.seed),
+             CalibrationSet(), context, provenance, options)
+      .status();
 }
 
 /// Handles on every validation instrument, resolved once per farm run.

@@ -1,11 +1,6 @@
 #include "workflow/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 
 #include "serialize/json.h"
@@ -105,44 +100,10 @@ Status RunJournal::Append(Record record, std::string_view blob) {
   // Held across the file I/O on purpose: the lock also serializes appends,
   // so journal lines never interleave and records_ mirrors file order.
   MutexLock lock(mu_);
-  const std::string lines_path = LinesPath(dir_);
-  // O_CREAT on a fresh journal adds a directory entry, which has its own
-  // durability point: fsyncing the file makes the first record's bytes
-  // durable, but only a directory fsync makes the *name* durable. Without
-  // it a crash can lose the whole journal even though Append returned OK.
-  const bool created = !FileExists(lines_path);
-  int fd = ::open(lines_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open journal for append: " + dir_ + ": " +
-                           std::strerror(errno));
-  }
-  const char* cursor = line.data();
-  size_t remaining = line.size();
-  while (remaining > 0) {
-    ssize_t written = ::write(fd, cursor, remaining);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      int saved = errno;
-      ::close(fd);
-      return Status::IOError("journal append failed: " + dir_ + ": " +
-                             std::strerror(saved));
-    }
-    cursor += written;
-    remaining -= static_cast<size_t>(written);
-  }
-  if (::fsync(fd) != 0) {
-    int saved = errno;
-    ::close(fd);
-    return Status::IOError("journal fsync failed: " + dir_ + ": " +
-                           std::strerror(saved));
-  }
-  ::close(fd);
-  if (created) {
-    // The record is not checkpointed until its file is reachable after a
-    // crash; surface the failure rather than remembering a record the disk
-    // may not have.
-    DASPOS_RETURN_IF_ERROR(FsyncDir(dir_));
-  }
+  // The record is not checkpointed until its line is durable and the file
+  // reachable after a crash; surface any failure rather than remembering a
+  // record the disk may not have.
+  DASPOS_RETURN_IF_ERROR(AppendDurable(LinesPath(dir_), line));
   records_.push_back(std::move(record));
   return Status::OK();
 }

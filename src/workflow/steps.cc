@@ -1,5 +1,6 @@
 #include "workflow/steps.h"
 
+#include "conditions/store.h"
 #include "support/parallel.h"
 #include "tiers/dataset.h"
 
@@ -404,31 +405,55 @@ Result<StepOutput> MergeStep::Run(
   return StepOutput{writer.Finish(), events};
 }
 
-Workflow StandardChainWorkflow(Process process, size_t event_count,
-                               uint64_t seed) {
-  GeneratorConfig gen_config;
-  gen_config.process = process;
-  gen_config.seed = seed;
-  SimulationConfig sim_config;
-  sim_config.seed = seed + 1;
-
+Workflow ChainWorkflow(const GeneratorConfig& generator,
+                       const SimulationConfig& simulation, size_t event_count,
+                       DataTier last_tier) {
   Workflow workflow;
   (void)workflow.AddStep(
-      std::make_shared<GenerationStep>(gen_config, event_count, "gen"), {},
+      std::make_shared<GenerationStep>(generator, event_count, "gen"), {},
       "gen");
+  if (last_tier == DataTier::kGen) return workflow;
   (void)workflow.AddStep(
-      std::make_shared<SimulationStep>(sim_config, 1, "raw"), {"gen"}, "raw");
+      std::make_shared<SimulationStep>(simulation, 1, "raw"), {"gen"}, "raw");
+  if (last_tier == DataTier::kRaw) return workflow;
   (void)workflow.AddStep(
-      std::make_shared<ReconstructionStep>(sim_config.geometry, "reco"),
+      std::make_shared<ReconstructionStep>(simulation.geometry, "reco"),
       {"raw"}, "reco");
+  if (last_tier == DataTier::kReco) return workflow;
   (void)workflow.AddStep(std::make_shared<AodReductionStep>("aod"), {"reco"},
                          "aod");
+  if (last_tier == DataTier::kAod) return workflow;
   (void)workflow.AddStep(
       std::make_shared<DerivationStep>(
           SkimSpec::RequireObjects(ObjectType::kMuon, 2, 10.0),
           SlimSpec::LeptonsOnly(10.0), "derived"),
       {"aod"}, "derived");
   return workflow;
+}
+
+Workflow StandardChainWorkflow(Process process, size_t event_count,
+                               uint64_t seed, DataTier last_tier) {
+  GeneratorConfig generator;
+  generator.process = process;
+  generator.seed = seed;
+  SimulationConfig simulation;
+  simulation.seed = seed + 1;
+  return ChainWorkflow(generator, simulation, event_count, last_tier);
+}
+
+Result<WorkflowReport> ExecuteChain(const Workflow& workflow,
+                                    const CalibrationSet& calib,
+                                    WorkflowContext* context,
+                                    ProvenanceStore* provenance,
+                                    const ExecuteOptions& options) {
+  ConditionsDb conditions;
+  DASPOS_RETURN_IF_ERROR(
+      conditions.Append(kCalibrationTag, 1, calib.ToPayload()));
+  context->set_conditions(&conditions);
+  Result<WorkflowReport> report =
+      workflow.Execute(context, provenance, options);
+  context->set_conditions(nullptr);
+  return report;
 }
 
 }  // namespace daspos

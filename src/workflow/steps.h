@@ -11,6 +11,7 @@
 #include "mc/generator.h"
 #include "reco/reconstruction.h"
 #include "tiers/skimslim.h"
+#include "tiers/tier.h"
 #include "workflow/engine.h"
 
 namespace daspos {
@@ -122,13 +123,32 @@ class MergeStep : public WorkflowStep {
   std::string dataset_name_;
 };
 
-/// The standard GEN->RAW->RECO->AOD->derived chain of §3.2 over dataset
-/// names "gen"/"raw"/"reco"/"aod"/"derived", shared by the CLI and the
-/// continuous-validation farm so a preserved campaign re-executes exactly
-/// the chain that produced it. Reconstruction reads kCalibrationTag from the
-/// context's conditions provider at run 1.
+/// The GEN->RAW->RECO->AOD->derived chain of §3.2 over dataset names
+/// "gen"/"raw"/"reco"/"aod"/"derived", stopped after `last_tier`:
+/// `event_count` events of `generator`, digitized by `simulation` at run 1
+/// and reconstructed with its geometry. Reconstruction reads
+/// kCalibrationTag from the context's conditions provider at run 1, which
+/// ExecuteChain serves.
+Workflow ChainWorkflow(const GeneratorConfig& generator,
+                       const SimulationConfig& simulation, size_t event_count,
+                       DataTier last_tier);
+
+/// The standard chain: `process` at `seed` through the default detector
+/// (simulation seed `seed + 1`), stopped after `last_tier`. Shared by the
+/// CLI, the service and the continuous-validation farm, so a preserved
+/// campaign re-executes exactly the chain that produced it.
 Workflow StandardChainWorkflow(Process process, size_t event_count,
-                               uint64_t seed);
+                               uint64_t seed,
+                               DataTier last_tier = DataTier::kDerived);
+
+/// Executes a chain with `calib` served under kCalibrationTag at run 1 for
+/// exactly the duration of the run; `context` is left with no conditions
+/// provider, so it keeps no pointer to the run's conditions database.
+Result<WorkflowReport> ExecuteChain(const Workflow& workflow,
+                                    const CalibrationSet& calib,
+                                    WorkflowContext* context,
+                                    ProvenanceStore* provenance = nullptr,
+                                    const ExecuteOptions& options = {});
 
 /// JSON captures of the substrate configurations (shared with recast/ and
 /// the provenance-replay machinery in core/). All are lossless round trips.

@@ -1,9 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test of the daspos CLI. First argument: path to the
 # binary; optional second argument: path to the dasposd daemon (enables the
-# network-service lifecycle section). Exercises generate (gen + aod tiers),
-# inspect, lhada-check, lhada-run, and display; any non-zero exit fails the
-# test.
+# network-service lifecycle section). Exercises generate (gen, reco and aod
+# tiers, checked against the chain's journal), inspect, lhada-check,
+# lhada-run, and display; any non-zero exit fails the test.
 set -e
 DASPOS="$1"
 DASPOSD="$2"
@@ -18,6 +18,20 @@ trap 'rm -rf "$WORK"' EXIT
 
 "$DASPOS" generate z_ll 10 42 "$WORK/z_reco.dspc" reco
 "$DASPOS" display "$WORK/z_reco.dspc" 0 | grep -q '"tracks"'
+
+# generate runs the engine's chain stopped at the requested tier, so each
+# file it writes is that step's journaled dataset, byte for byte.
+"$DASPOS" chain z_ll 20 7 --journal="$WORK/j" >/dev/null
+for tier in reco aod; do
+  "$DASPOS" generate z_ll 20 7 "$WORK/engine_$tier.dspc" "$tier" >/dev/null
+  want=$(grep "\"output\":\"$tier\"" "$WORK/j/journal.jsonl" |
+         sed 's/.*"digest":"\([0-9a-f]*\)".*/\1/')
+  got=$(sha256sum "$WORK/engine_$tier.dspc" | cut -d' ' -f1)
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "generate $tier wrote sha256 $got; the chain journaled '$want'" >&2
+    exit 1
+  fi
+done
 
 cat > "$WORK/dimuon.lhada" <<'LHADA'
 analysis smoke

@@ -1,5 +1,6 @@
-// Golden chain manifest: regenerates StandardChainWorkflow(z_ll, 50, 7) and
-// compares every tier's SHA-256 with tests/golden/chain_z_ll_50_seed7.json.
+// Golden chain manifest: regenerates StandardChainWorkflow(z_ll, 50, 7),
+// stopped after each tier in turn, and compares every tier's SHA-256 with
+// tests/golden/chain_z_ll_50_seed7.json.
 // Other determinism checks compare one build with itself; this one pins the
 // bytes across builds, so a codec rewrite that changes any tier fails here.
 //
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "conditions/store.h"
 #include "detsim/calib.h"
 #include "serialize/json.h"
 #include "support/io.h"
@@ -58,25 +58,24 @@ Json ToolchainFingerprint() {
   return fingerprint;
 }
 
-/// Runs the chain at `threads` and returns each tier's digest, in kTiers
-/// order (empty on an execution failure, which is reported).
-std::vector<std::string> ChainDigests(size_t threads) {
-  CalibrationSet calib;
-  ConditionsDb conditions;
-  EXPECT_TRUE(conditions.Append(kCalibrationTag, 1, calib.ToPayload()).ok());
+/// Runs the chain stopped after `last_tier` at `threads` and returns the
+/// digest of each tier it produced, in kTiers order (empty on an execution
+/// failure, which is reported).
+std::vector<std::string> ChainDigests(size_t threads, DataTier last_tier) {
   WorkflowContext context;
-  context.set_conditions(&conditions);
   ExecuteOptions options;
   options.max_threads = threads;
-  const Workflow workflow = StandardChainWorkflow(Process::kZToLL, 50, 7);
-  auto report = workflow.Execute(&context, nullptr, options);
+  auto report = ExecuteChain(
+      StandardChainWorkflow(Process::kZToLL, 50, 7, last_tier),
+      CalibrationSet(), &context, nullptr, options);
   if (!report.ok() || !report->fully_succeeded()) {
-    ADD_FAILURE() << "chain did not complete at threads=" << threads;
+    ADD_FAILURE() << "chain to " << TierName(last_tier)
+                  << " did not complete at threads=" << threads;
     return {};
   }
   std::vector<std::string> digests;
-  for (const std::string& tier : kTiers) {
-    digests.push_back(Sha256::HashHex(*context.GetDataset(tier)));
+  for (size_t i = 0; i <= static_cast<size_t>(last_tier); ++i) {
+    digests.push_back(Sha256::HashHex(*context.GetDataset(kTiers[i])));
   }
   return digests;
 }
@@ -89,6 +88,8 @@ std::string DescribeDigests(const std::vector<std::string>& digests) {
   return tiers.Dump(2);
 }
 
+/// Every chain length, from generation alone to the full chain, must
+/// reproduce the manifest's digest for each tier it produces.
 void ExpectChainMatchesManifest(size_t threads) {
   auto text = ReadFileToString(std::string(DASPOS_GOLDEN_DIR) +
                                "/chain_z_ll_50_seed7.json");
@@ -102,18 +103,22 @@ void ExpectChainMatchesManifest(size_t threads) {
                  << " differs from the manifest's "
                  << manifest->Get("toolchain").Dump()
                  << "; digests on this toolchain: "
-                 << DescribeDigests(ChainDigests(threads));
+                 << DescribeDigests(ChainDigests(threads, DataTier::kDerived));
   }
 
-  const std::vector<std::string> digests = ChainDigests(threads);
-  ASSERT_EQ(digests.size(), kTiers.size());
   const Json& pinned = manifest->Get("tiers");
-  for (size_t i = 0; i < kTiers.size(); ++i) {
-    if (digests[i] != pinned.Get(kTiers[i]).as_string()) {
-      FAIL() << "threads=" << threads << ": first diverging tier is '"
-             << kTiers[i] << "' (got " << digests[i] << ", pinned "
-             << pinned.Get(kTiers[i]).as_string()
-             << "); all digests: " << DescribeDigests(digests);
+  for (DataTier last_tier : {DataTier::kGen, DataTier::kRaw, DataTier::kReco,
+                             DataTier::kAod, DataTier::kDerived}) {
+    const std::vector<std::string> digests = ChainDigests(threads, last_tier);
+    ASSERT_EQ(digests.size(), static_cast<size_t>(last_tier) + 1);
+    for (size_t i = 0; i < digests.size(); ++i) {
+      if (digests[i] != pinned.Get(kTiers[i]).as_string()) {
+        FAIL() << "threads=" << threads << ", chain to "
+               << TierName(last_tier) << ": first diverging tier is '"
+               << kTiers[i] << "' (got " << digests[i] << ", pinned "
+               << pinned.Get(kTiers[i]).as_string()
+               << "); all digests: " << DescribeDigests(digests);
+      }
     }
   }
 }

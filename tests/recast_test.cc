@@ -258,7 +258,7 @@ TEST(BackEndTest, ProcessDatasetReRunsOnNewData) {
   ASSERT_EQ(counts->size(), 2u);
   uint64_t total_passed = 0;
   for (const auto& region : *counts) {
-    EXPECT_GT(region.preserved_background, 0.0);
+    EXPECT_GT(region.background, 0.0);
     total_passed += region.passed;
   }
   EXPECT_GT(total_passed, 10u);  // a 1 TeV signal populates the regions

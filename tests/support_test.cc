@@ -544,6 +544,24 @@ TEST(IoTest, FsyncDirSucceedsOnDirFailsOnMissingOrFile) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(IoTest, AppendDurableCreatesThenAppends) {
+  auto dir = std::filesystem::temp_directory_path() / "daspos_io_append";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "log.jsonl").string();
+  ASSERT_TRUE(AppendDurable(path, "{\"n\":1}\n").ok());
+  ASSERT_TRUE(AppendDurable(path, "{\"n\":2}\n").ok());
+  auto read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, "{\"n\":1}\n{\"n\":2}\n");
+  // A missing parent is not created; the error names the file.
+  const std::string orphan = (dir / "absent" / "log.jsonl").string();
+  Status missing = AppendDurable(orphan, "x");
+  EXPECT_TRUE(missing.IsIOError());
+  EXPECT_NE(missing.message().find(orphan), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
 // ----------------------------------------------------------------- Retry --
 
 RetryPolicy FastPolicy() {

@@ -584,6 +584,19 @@ TEST(StandardChainTest, ReconstructionFailsWithoutConditions) {
   EXPECT_NE(report.status().message().find("conditions"), std::string::npos);
 }
 
+TEST(StandardChainTest, ExecuteChainStopsAtTierAndClearsConditions) {
+  WorkflowContext context;
+  const Workflow workflow =
+      StandardChainWorkflow(Process::kZToLL, 10, 7, DataTier::kAod);
+  EXPECT_EQ(workflow.step_count(), 4u);
+  auto report = ExecuteChain(workflow, CalibrationSet(), &context);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(context.HasDataset("aod"));
+  EXPECT_FALSE(context.HasDataset("derived"));
+  // The run's conditions database is gone; the context must not point at it.
+  EXPECT_EQ(context.conditions(), nullptr);
+}
+
 TEST(StandardChainTest, ReproductionFromCapturedConfig) {
   // Run the chain, capture provenance, then re-run generation from the
   // captured config: byte-identical output (the preservation property).

@@ -56,11 +56,11 @@ if [ "$RUN_UBSAN" = 1 ]; then
 fi
 
 if [ "$RUN_TSAN" = 1 ]; then
-  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + tiers_test + serialize_test + event_test + trace_test + sync_test + net_test + archive_test + bit_preservation_test"
+  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + tiers_test + serialize_test + event_test + trace_test + sync_test + net_test + archive_test + bit_preservation_test + recast_test"
   cmake -B build-tsan -S . -DDASPOS_SANITIZE=thread >/dev/null
   cmake --build build-tsan --target workflow_test parallel_test tiers_test \
     serialize_test event_test trace_test sync_test net_test archive_test \
-    bit_preservation_test -j"$JOBS"
+    bit_preservation_test recast_test -j"$JOBS"
   ./build-tsan/tests/workflow_test
   ./build-tsan/tests/parallel_test
   # The tier codecs encode and decode in pool-parallel chunks and splice
@@ -80,6 +80,8 @@ if [ "$RUN_TSAN" = 1 ]; then
   # back unlocked, beside concurrent writers and across replicas.
   ./build-tsan/tests/archive_test --gtest_filter='MemoryObjectStoreTest.*'
   ./build-tsan/tests/bit_preservation_test --gtest_filter='*ForEachId*'
+  # The RECAST back end runs its chain on the engine's worker pool.
+  ./build-tsan/tests/recast_test --gtest_filter='BackEndTest.*'
 fi
 
 if [ "$RUN_CHAOS" = 1 ]; then

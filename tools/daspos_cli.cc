@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,9 +29,6 @@
 #include "archive/pack_store.h"
 #include "archive/scrub.h"
 #include "conditions/snapshot.h"
-#include "conditions/store.h"
-#include "detsim/simulation.h"
-#include "reco/reconstruction.h"
 #include "hist/yoda_io.h"
 #include "level2/common.h"
 #include "level2/display.h"
@@ -39,7 +37,7 @@
 #include "lint/checks.h"
 #include "lint/diagnostics.h"
 #include "lint/linter.h"
-#include "mc/generator.h"
+#include "mc/process.h"
 #include "net/client.h"
 #include "support/fault.h"
 #include "support/flags.h"
@@ -211,82 +209,53 @@ int CmdInspect(const Args& args, const CliFlags&) {
   return Fail("unrecognized file format: " + path);
 }
 
+/// The standard chain for the <process> <n-events> <seed> positionals of
+/// `generate`, `chain` and `metrics`, stopped after `last_tier`.
+Result<Workflow> StandardChain(const Args& args,
+                               DataTier last_tier = DataTier::kDerived) {
+  DASPOS_ASSIGN_OR_RETURN(Process process, ProcessFromName(args[0]));
+  auto n = ParseU64(args[1]);
+  if (!n.ok()) {
+    return Status::InvalidArgument("bad event count '" + args[1] + "'");
+  }
+  auto seed = ParseU64(args[2]);
+  if (!seed.ok()) return Status::InvalidArgument("bad seed '" + args[2] + "'");
+  return StandardChainWorkflow(process, static_cast<size_t>(*n), *seed,
+                               last_tier);
+}
+
+// Runs the standard chain on the workflow engine, stopped at the requested
+// tier, and writes that tier's dataset: the same bytes, metadata included,
+// that `chain` produces for the tier.
 int CmdGenerate(const Args& args, const CliFlags&) {
-  const std::string& process_name = args[0];
-  const std::string& count = args[1];
-  const std::string& seed = args[2];
   const std::string& out = args[3];
   const std::string tier_name = args.size() == 5 ? args[4] : "gen";
-  auto process = ProcessFromName(process_name);
-  if (!process.ok()) return Fail(process.status().message());
-  auto n = ParseU64(count);
-  if (!n.ok()) return Fail("bad event count '" + count + "'");
-  auto seed_value = ParseU64(seed);
-  if (!seed_value.ok()) return Fail("bad seed '" + seed + "'");
-  if (tier_name != "gen" && tier_name != "raw" && tier_name != "reco" &&
-      tier_name != "aod") {
-    return Fail("tier must be gen, raw, reco, or aod");
-  }
+  const std::map<std::string, DataTier> tiers = {{"gen", DataTier::kGen},
+                                                 {"raw", DataTier::kRaw},
+                                                 {"reco", DataTier::kReco},
+                                                 {"aod", DataTier::kAod}};
+  auto tier = tiers.find(tier_name);
+  if (tier == tiers.end()) return Fail("tier must be gen, raw, reco, or aod");
+  auto workflow = StandardChain(args, tier->second);
+  if (!workflow.ok()) return Fail(workflow.status().message());
+  auto threads = ResolveThreads("", /*fallback=*/0);
+  if (!threads.ok()) return Fail(threads.status().ToString());
 
-  GeneratorConfig config;
-  config.process = *process;
-  config.seed = *seed_value;
-  EventGenerator generator(config);
-  std::vector<GenEvent> truth =
-      generator.GenerateMany(static_cast<size_t>(*n));
-
-  DatasetInfo info;
-  info.name = process_name + "_seed" + seed + "_" + tier_name;
-  info.producer = "daspos-cli generate";
-  info.description = GetProcessInfo(*process).description;
-
-  std::string blob;
-  if (tier_name == "gen") {
-    info.tier = DataTier::kGen;
-    blob = WriteGenDataset(info, truth);
-  } else {
-    // Run the default detector chain to the requested tier.
-    SimulationConfig sim_config;
-    sim_config.seed = *seed_value + 1;
-    DetectorSimulation simulation(sim_config);
-    std::vector<RawEvent> raw;
-    raw.reserve(truth.size());
-    for (const GenEvent& event : truth) {
-      raw.push_back(simulation.Simulate(event, /*run_number=*/1));
-    }
-    if (tier_name == "raw") {
-      info.tier = DataTier::kRaw;
-      blob = WriteRawDataset(info, raw);
-    } else {
-      ReconstructionConfig reco_config;
-      reco_config.geometry = sim_config.geometry;
-      reco_config.calib = sim_config.calib;
-      Reconstructor reconstructor(reco_config);
-      std::vector<RecoEvent> reco;
-      reco.reserve(raw.size());
-      for (const RawEvent& event : raw) {
-        reco.push_back(reconstructor.Reconstruct(event));
-      }
-      if (tier_name == "reco") {
-        info.tier = DataTier::kReco;
-        blob = WriteRecoDataset(info, reco);
-      } else {
-        std::vector<AodEvent> aod;
-        aod.reserve(reco.size());
-        for (const RecoEvent& event : reco) {
-          aod.push_back(AodEvent::FromReco(event));
-        }
-        info.tier = DataTier::kAod;
-        blob = WriteAodDataset(info, aod);
-      }
-    }
-  }
-  if (auto status = WriteStringToFile(out, blob); !status.ok()) {
+  WorkflowContext context;
+  ExecuteOptions options;
+  options.max_threads = *threads;
+  auto report = ExecuteChain(*workflow, CalibrationSet(), &context, nullptr,
+                             options);
+  if (!report.ok()) return Fail(report.status().ToString());
+  auto blob = context.GetDataset(tier_name);
+  if (!blob.ok()) return Fail(blob.status().ToString());
+  if (auto status = WriteStringToFile(out, *blob); !status.ok()) {
     return Fail(status.ToString());
   }
+  const uint64_t events = report->steps.back().output_events;
   std::printf("wrote %s: %llu events at tier %s, %s\n", out.c_str(),
-              static_cast<unsigned long long>(*n), tier_name.c_str(),
-              FormatBytes(blob.size()).c_str());
+              static_cast<unsigned long long>(events), tier_name.c_str(),
+              FormatBytes(blob->size()).c_str());
   return 0;
 }
 
@@ -518,37 +487,19 @@ int CmdExport(const Args& args, const CliFlags&) {
   return 0;
 }
 
-/// The standard chain for the <process> <n-events> <seed> positionals of
-/// `chain` and `metrics`; `conditions` receives the default calibration
-/// constants its reconstruction step reads.
-Result<Workflow> StandardChain(const Args& args, ConditionsDb* conditions) {
-  DASPOS_ASSIGN_OR_RETURN(Process process, ProcessFromName(args[0]));
-  auto n = ParseU64(args[1]);
-  if (!n.ok()) {
-    return Status::InvalidArgument("bad event count '" + args[1] + "'");
-  }
-  auto seed = ParseU64(args[2]);
-  if (!seed.ok()) return Status::InvalidArgument("bad seed '" + args[2] + "'");
-  DASPOS_RETURN_IF_ERROR(conditions->Append(kCalibrationTag, 1,
-                                            CalibrationSet().ToPayload()));
-  return StandardChainWorkflow(process, static_cast<size_t>(*n), *seed);
-}
-
 // Runs the standard GEN->RAW->RECO->AOD->derived chain in memory on the
 // parallel workflow engine and prints the per-step timing table (or, with
 // --json, the full execution report as JSON). With a journal the run is
 // checkpointed step by step; --resume restores verified checkpoints instead
 // of re-executing their steps.
 int CmdChain(const Args& args, const CliFlags& flags) {
-  ConditionsDb conditions;
-  auto workflow = StandardChain(args, &conditions);
+  auto workflow = StandardChain(args);
   if (!workflow.ok()) return Fail(workflow.status().ToString());
   auto threads = ResolveThreads(args.size() == 4 ? args[3] : flags.threads,
                                 /*fallback=*/0);
   if (!threads.ok()) return Fail(threads.status().ToString());
 
   WorkflowContext context;
-  context.set_conditions(&conditions);
   ProvenanceStore provenance;
   ExecuteOptions options;
   options.max_threads = static_cast<size_t>(*threads);
@@ -585,7 +536,8 @@ int CmdChain(const Args& args, const CliFlags& flags) {
 
   const bool tracing = !flags.trace_out.empty();
   if (tracing) Tracer::Global().Enable();
-  auto report = workflow->Execute(&context, &provenance, options);
+  auto report = ExecuteChain(*workflow, CalibrationSet(), &context,
+                             &provenance, options);
   size_t span_count = 0;
   if (tracing) {
     // Export even when the run failed — a trace of the failure is exactly
@@ -762,16 +714,15 @@ int CmdMetrics(const Args& args, const CliFlags&) {
   if (args.size() != 0 && args.size() != 3) return Usage();
   RegisterStandardMetrics();
   if (!args.empty()) {
-    ConditionsDb conditions;
-    auto workflow = StandardChain(args, &conditions);
+    auto workflow = StandardChain(args);
     if (!workflow.ok()) return Fail(workflow.status().ToString());
     auto threads = ResolveThreads("", /*fallback=*/0);
     if (!threads.ok()) return Fail(threads.status().ToString());
     WorkflowContext context;
-    context.set_conditions(&conditions);
     ExecuteOptions options;
     options.max_threads = *threads;
-    auto report = workflow->Execute(&context, nullptr, options);
+    auto report = ExecuteChain(*workflow, CalibrationSet(), &context,
+                               nullptr, options);
     if (!report.ok()) return Fail(report.status().ToString());
   }
   std::printf("%s", MetricsRegistry::Global().RenderPrometheus().c_str());
