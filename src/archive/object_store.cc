@@ -48,12 +48,35 @@ Status ValidateObjectId(const std::string& id) {
 
 Result<std::vector<std::string>> ObjectStore::PutBatch(
     const std::vector<std::string_view>& blobs, ThreadPool* pool) {
-  (void)pool;  // The sequential fallback ignores the pool.
+  Span span("archive:putbatch", "archive");
+  span.AddAttribute("blobs", static_cast<uint64_t>(blobs.size()));
+  // Each slot runs the full Put (a decorator's retry loop or quorum write
+  // included) on its own; duplicate blobs in one batch are safe because
+  // Put is idempotent.
+  struct Slot {
+    Status status;
+    std::string id;
+  };
+  std::vector<Slot> slots = ParallelMap<Slot>(
+      pool, blobs.size(),
+      [this, &blobs](size_t i) {
+        Slot slot;
+        auto put = Put(blobs[i]);
+        if (put.ok()) {
+          slot.id = std::move(put).value();
+        } else {
+          slot.status = put.status();
+        }
+        return slot;
+      },
+      /*grain=*/1);
   std::vector<std::string> ids;
-  ids.reserve(blobs.size());
-  for (std::string_view blob : blobs) {
-    DASPOS_ASSIGN_OR_RETURN(std::string id, Put(blob));
-    ids.push_back(std::move(id));
+  ids.reserve(slots.size());
+  for (Slot& slot : slots) {
+    // Deterministic error reporting: the first failing input wins, whatever
+    // order the pool ran the slots in.
+    DASPOS_RETURN_IF_ERROR(slot.status);
+    ids.push_back(std::move(slot.id));
   }
   return ids;
 }
@@ -70,12 +93,20 @@ Result<std::string> MemoryObjectStore::Put(std::string_view bytes) {
 }
 
 Result<std::string> MemoryObjectStore::Get(const std::string& id) const {
-  MutexLock lock(mutex_);
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
-    return Status::NotFound("object " + id + " not in store");
+  std::string bytes;
+  {
+    MutexLock lock(mutex_);
+    auto it = objects_.find(id);
+    if (it == objects_.end()) {
+      return Status::NotFound("object " + id + " not in store");
+    }
+    bytes = it->second;
   }
-  return it->second;
+  // Bytes that no longer hash to their id must never reach a consumer.
+  if (Sha256::HashHex(bytes) != id) {
+    return Status::Corruption("fixity mismatch for object " + id);
+  }
+  return bytes;
 }
 
 bool MemoryObjectStore::Has(const std::string& id) const {
@@ -349,40 +380,6 @@ Status FileObjectStore::VerifyImpl(const std::string& id) const {
   return Status::OK();
 }
 
-Result<std::vector<std::string>> FileObjectStore::PutBatch(
-    const std::vector<std::string_view>& blobs, ThreadPool* pool) {
-  Span span("archive:putbatch", "archive");
-  span.AddAttribute("blobs", static_cast<uint64_t>(blobs.size()));
-  // Each slot hashes and writes independently; duplicate blobs in one batch
-  // land on the same path via atomic renames, which is safe.
-  struct Slot {
-    Status status;
-    std::string id;
-  };
-  std::vector<Slot> slots = ParallelMap<Slot>(
-      pool, blobs.size(),
-      [this, &blobs](size_t i) {
-        Slot slot;
-        auto put = Put(blobs[i]);
-        if (put.ok()) {
-          slot.id = std::move(put).value();
-        } else {
-          slot.status = put.status();
-        }
-        return slot;
-      },
-      /*grain=*/1);
-  std::vector<std::string> ids;
-  ids.reserve(slots.size());
-  for (Slot& slot : slots) {
-    // Deterministic error reporting: the first failing input wins, exactly
-    // as in the sequential loop.
-    DASPOS_RETURN_IF_ERROR(slot.status);
-    ids.push_back(std::move(slot.id));
-  }
-  return ids;
-}
-
 void FileObjectStore::CountWalkError(const std::string& what,
                                      const std::error_code& ec) const {
   walk_errors_->Increment();
@@ -395,10 +392,12 @@ Status FileObjectStore::ForEachId(
   std::error_code ec;
   // A root that does not exist yet is a legitimately empty store (nothing
   // was ever Put); a root that exists but cannot be iterated is an error —
-  // reporting it as "empty" would let a fixity audit pass vacuously.
+  // reporting it as "empty" would let a fixity audit pass vacuously. The
+  // error code decides, not a second lookup: a concurrent first Put may
+  // create the root in between.
   fs::directory_iterator root_it(root_, ec);
   if (ec) {
-    if (!fs::exists(root_)) return Status::OK();
+    if (ec == std::errc::no_such_file_or_directory) return Status::OK();
     CountWalkError(root_, ec);
     return Status::IOError("object store root unreadable: " + root_);
   }
@@ -427,7 +426,10 @@ Status FileObjectStore::ForEachId(
     batch.clear();
     for (const auto& entry : shard_it) {
       if (!entry.is_regular_file()) continue;
-      batch.push_back(prefix + entry.path().filename().string());
+      std::string id = prefix + entry.path().filename().string();
+      // An in-flight Put's temp file (<id>.tmp.*) shares the shard, but it
+      // is not an object until the rename publishes it.
+      if (ValidateObjectId(id).ok()) batch.push_back(std::move(id));
     }
     std::sort(batch.begin(), batch.end());
     for (const std::string& id : batch) {
@@ -442,12 +444,13 @@ uint64_t FileObjectStore::TotalBytes() const {
   std::error_code ec;
   fs::directory_iterator root_it(root_, ec);
   if (ec) {
-    if (fs::exists(root_)) CountWalkError(root_, ec);
+    if (ec != std::errc::no_such_file_or_directory) CountWalkError(root_, ec);
     return total;
   }
   for (const auto& shard : root_it) {
     if (!shard.is_directory()) continue;
-    if (!IsShardName(shard.path().filename().string())) continue;
+    const std::string prefix = shard.path().filename().string();
+    if (!IsShardName(prefix)) continue;
     fs::directory_iterator shard_it(shard.path(), ec);
     if (ec) {
       CountWalkError(shard.path().string(), ec);
@@ -455,6 +458,9 @@ uint64_t FileObjectStore::TotalBytes() const {
     }
     for (const auto& entry : shard_it) {
       if (!entry.is_regular_file()) continue;
+      if (!ValidateObjectId(prefix + entry.path().filename().string()).ok()) {
+        continue;  // an in-flight Put's temp file, as in ForEachId
+      }
       uintmax_t size = entry.file_size(ec);
       if (ec) {
         // file_size's error value is uintmax_t(-1); adding it would turn an
@@ -477,7 +483,9 @@ std::vector<std::string> FileObjectStore::QuarantinedIds() const {
   if (ec) {
     // No quarantine directory means nothing was ever quarantined; an
     // existing-but-unreadable one hides rotted blobs from the linter.
-    if (fs::exists(quarantine)) CountWalkError(quarantine.string(), ec);
+    if (ec != std::errc::no_such_file_or_directory) {
+      CountWalkError(quarantine.string(), ec);
+    }
     return out;
   }
   for (const auto& entry : it) {

@@ -57,18 +57,20 @@ class ObjectStore {
   /// without a quarantine area return an empty list.
   virtual std::vector<std::string> QuarantinedIds() const { return {}; }
 
-  /// Stores every blob and returns their ids in input order; the first Put
-  /// failure aborts the batch. The base implementation loops over Put, so
-  /// decorators (fault injection, retry) keep their semantics; backends with
-  /// thread-safe Put may override to hash/write on `pool`.
+  /// Stores every blob and returns their ids in input order; when Puts
+  /// fail, the first failing input's status is returned. The one fan-out:
+  /// runs the virtual Put on `pool`, one blob per task (serially when
+  /// `pool` is null), so every implementation's Put must be thread-safe.
+  /// Only two stores override it: the packfile backend (one fsync per
+  /// batch) and the fault injector (serial, so plan ordinals stay fixed).
   virtual Result<std::vector<std::string>> PutBatch(
       const std::vector<std::string_view>& blobs, ThreadPool* pool = nullptr);
 };
 
 /// In-memory backend (tests, benches). Thread-safe: one internal mutex
 /// guards the map, so concurrent Put/Get/Verify need no external locking.
-/// PutBatch keeps the base serial loop; the parallel override is only on
-/// the file backend.
+/// Get is fixity-gated like every other backend: it re-hashes and refuses
+/// bytes that no longer match their id.
 class MemoryObjectStore : public ObjectStore {
  public:
   Result<std::string> Put(std::string_view bytes) override;
@@ -84,9 +86,8 @@ class MemoryObjectStore : public ObjectStore {
   Status CorruptForTesting(const std::string& id, size_t byte_index);
 
  private:
-  // Decorated stores fan per-object Puts over a pool (RetryingObjectStore::
-  // PutBatch), so the map must tolerate concurrent mutation like
-  // FileObjectStore does.
+  // The base PutBatch fans Puts out over a pool, so the map must tolerate
+  // concurrent mutation.
   mutable Mutex mutex_;
   std::map<std::string, std::string> objects_ DASPOS_GUARDED_BY(mutex_);
 };
@@ -105,9 +106,9 @@ class MemoryObjectStore : public ObjectStore {
 /// read re-hashes from scratch. Verify never consults the cache — an audit
 /// must always touch the real bytes.
 ///
-/// Put, Get, and Verify are safe to call concurrently (PutBatch relies on
-/// this): the cache is mutex-guarded and on-disk publication is an atomic
-/// rename.
+/// Put, Get, and Verify are safe to call concurrently (the base PutBatch
+/// relies on this): the cache is mutex-guarded and on-disk publication is
+/// an atomic rename.
 ///
 /// Every operation publishes to MetricsRegistry::Global()
 /// (daspos_archive_*: op counts, byte totals, digest-cache hits/misses/
@@ -128,12 +129,6 @@ class FileObjectStore : public ObjectStore {
       const override;
   uint64_t TotalBytes() const override;
   std::vector<std::string> QuarantinedIds() const override;
-
-  /// Hashes and writes the blobs concurrently on `pool` (caller
-  /// participates; ids still returned in input order).
-  Result<std::vector<std::string>> PutBatch(
-      const std::vector<std::string_view>& blobs,
-      ThreadPool* pool = nullptr) override;
 
  private:
   /// Stat fingerprint of a verified blob. A later stat that differs means

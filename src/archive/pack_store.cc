@@ -87,6 +87,25 @@ void HexToRaw(const std::string& id, char* out) {
   }
 }
 
+/// True when `header` (a record header) carries the record magic and
+/// names `id`, a validated object id.
+bool HeaderNames(const char* header, const std::string& id) {
+  char raw[32];
+  HexToRaw(id, raw);
+  return std::memcmp(header, kPackRecordMagic, sizeof(kPackRecordMagic)) ==
+             0 &&
+         std::memcmp(header + kPackRecordIdOffset, raw, sizeof(raw)) == 0;
+}
+
+/// True when the raw bytes of `stored` (decompressed when `compressed`)
+/// are `raw_len` long and hash to `id`.
+bool PayloadHashesTo(std::string_view stored, bool compressed,
+                     uint64_t raw_len, const std::string& id) {
+  if (!compressed) return Sha256::HashHex(stored) == id;
+  auto raw = Decompress(stored);
+  return raw.ok() && raw->size() == raw_len && Sha256::HashHex(*raw) == id;
+}
+
 }  // namespace
 
 PackObjectStore::PackObjectStore(std::string root, PackOptions options)
@@ -254,8 +273,9 @@ Status PackObjectStore::LoadIndex(uint32_t segment, uint64_t segment_size) {
       return Status::Corruption("unsorted pack index: " + IndexPath(segment));
     }
     if ((entry.flags & ~kPackFlagCompressed) != 0 ||
-        entry.offset < kPackSegmentHeaderSize ||
-        entry.offset + entry.stored_len > segment_size ||
+        entry.offset < kPackSegmentHeaderSize + kPackRecordHeaderSize ||
+        entry.offset > segment_size ||
+        entry.stored_len > segment_size - entry.offset ||
         (!(entry.flags & kPackFlagCompressed) &&
          entry.raw_len != entry.stored_len)) {
       return Status::Corruption("invalid pack index entry: " +
@@ -312,8 +332,19 @@ Status PackObjectStore::ScanSegment(uint32_t segment,
         std::string_view payload =
             data.substr(entry.offset, entry.stored_len);
         if (Checksum64(payload) != entry.checksum) break;
-        index_.insert_or_assign(
-            RawToHex(header + kPackRecordIdOffset), entry);
+        // The checksum does not cover the header, so only SHA-256 binds the
+        // header's id to the payload. A record whose id rotted is skipped
+        // (its framing held, so the scan goes on) rather than indexed under
+        // another object's name.
+        std::string id = RawToHex(header + kPackRecordIdOffset);
+        if (PayloadHashesTo(payload, entry.flags & kPackFlagCompressed,
+                            entry.raw_len, id)) {
+          index_.insert_or_assign(std::move(id), entry);
+        } else {
+          DASPOS_LOG(kError) << "pack segment " << path << ": record at "
+                             << offset << " does not hash to its header id "
+                             << id << "; skipped";
+        }
         offset = entry.offset + entry.stored_len;
         valid_end = offset;
       }
@@ -737,7 +768,11 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
       DASPOS_ASSIGN_OR_RETURN(mapped, SealedMappingLocked(entry.segment));
     }
   }
+  // The header sits right before the payload; index and scan offsets
+  // always leave room for it.
+  const uint64_t header_offset = entry.offset - kPackRecordHeaderSize;
   std::string buffer;
+  std::string_view header;
   std::string_view stored;
   if (mapped != nullptr) {
     std::string_view view = mapped->view();
@@ -767,14 +802,16 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
     }
     // Zero-copy: checksum and decompression read straight from the page
     // cache through the mapping; no read buffer is ever allocated.
+    header = view.substr(header_offset, kPackRecordHeaderSize);
     stored = view.substr(entry.offset, entry.stored_len);
     *via_mmap = true;
   } else {
-    buffer.resize(entry.stored_len);
+    // One pread for the header and the payload together.
+    buffer.resize(kPackRecordHeaderSize + entry.stored_len);
     size_t done = 0;
     while (done < buffer.size()) {
       ssize_t got = ::pread(fd, buffer.data() + done, buffer.size() - done,
-                            static_cast<off_t>(entry.offset + done));
+                            static_cast<off_t>(header_offset + done));
       if (got < 0) {
         if (errno == EINTR) continue;
         return Status::IOError("pack pread failed: " +
@@ -788,7 +825,16 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
       }
       done += static_cast<size_t>(got);
     }
-    stored = buffer;
+    header = std::string_view(buffer).substr(0, kPackRecordHeaderSize);
+    stored = std::string_view(buffer).substr(kPackRecordHeaderSize);
+  }
+  // The index says where `id` lives, and the record header there must
+  // agree: the checksum covers the payload only, so an index entry whose id
+  // rotted would otherwise pass the gate with another object's bytes.
+  if (!HeaderNames(header.data(), id)) {
+    QuarantineRecord(id, entry, "record header names another object");
+    return Status::Corruption("fixity mismatch for object " + id +
+                              " (quarantined)");
   }
   if (Checksum64(stored) != entry.checksum) {
     checksum_failures_->Increment();
@@ -806,6 +852,7 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
     return std::move(*raw);
   }
   if (mapped != nullptr) return std::string(stored);
+  buffer.erase(0, kPackRecordHeaderSize);
   return buffer;
 }
 

@@ -5,7 +5,6 @@
 
 #include "support/logging.h"
 #include "support/metrics_registry.h"
-#include "support/parallel.h"
 #include "support/sha256.h"
 #include "support/trace.h"
 
@@ -65,8 +64,8 @@ Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
   for (size_t i = 0; i < replicas_.size(); ++i) {
     auto got = replicas_[i]->Get(id);
     if (got.ok()) {
-      // The replication layer's own fixity gate: a backend that does not
-      // hash on read (MemoryObjectStore) must still never leak rot.
+      // The replication layer's own SHA-256 gate: a backend whose Get gate
+      // is weaker (the packfile checksum) must still never leak rot.
       if (Sha256::HashHex(*got) != id) {
         unhealthy.push_back(i);
         fallbacks_->Increment();
@@ -166,38 +165,6 @@ std::vector<std::string> ReplicatedObjectStore::QuarantinedIds() const {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-Result<std::vector<std::string>> ReplicatedObjectStore::PutBatch(
-    const std::vector<std::string_view>& blobs, ThreadPool* pool) {
-  Span span("replica:putbatch", "archive");
-  span.AddAttribute("blobs", static_cast<uint64_t>(blobs.size()));
-  // Each object independently gets the full quorum treatment; slots keep
-  // the deterministic first-failure-wins contract of the base class.
-  struct Slot {
-    Status status;
-    std::string id;
-  };
-  std::vector<Slot> slots = ParallelMap<Slot>(
-      pool, blobs.size(),
-      [this, &blobs](size_t i) {
-        Slot slot;
-        auto put = Put(blobs[i]);
-        if (put.ok()) {
-          slot.id = std::move(put).value();
-        } else {
-          slot.status = put.status();
-        }
-        return slot;
-      },
-      /*grain=*/1);
-  std::vector<std::string> ids;
-  ids.reserve(slots.size());
-  for (Slot& slot : slots) {
-    DASPOS_RETURN_IF_ERROR(slot.status);
-    ids.push_back(std::move(slot.id));
-  }
-  return ids;
 }
 
 }  // namespace daspos

@@ -19,20 +19,20 @@ namespace daspos {
 /// Write path: `Put` writes to every replica and succeeds when at least a
 /// quorum (N/2 + 1) of them accepted the bytes; per-replica failures are
 /// counted (daspos_archive_replica_put_failures_total) but do not fail the
-/// operation while the quorum holds. `PutBatch` forwards per object so each
-/// blob gets full quorum semantics.
+/// operation while the quorum holds. `PutBatch` is the base fan-out over
+/// `Put`, so each blob gets full quorum semantics.
 ///
 /// Read path: `Get` walks the replicas in order and serves the first copy
-/// whose bytes re-hash to the id — the fixity gate lives in this layer too,
-/// so a backend without its own gate (MemoryObjectStore) can never leak
-/// rotted bytes through replication. Every replica that failed before the
-/// healthy one — missing the object or holding rot — is then *read-repaired*
-/// in place by re-putting the healthy bytes (re-Put heals, per the PR-3
-/// store semantics); a FileObjectStore replica keeps its quarantined
-/// forensic copy. When the serving replica is in the minority (the read fell
-/// past >= quorum unhealthy replicas), the read still succeeds but is
-/// counted in daspos_archive_degraded_reads_total and logged — degraded
-/// mode serves with warnings rather than refusing.
+/// whose bytes re-hash to the id. The SHA-256 gate lives in this layer too
+/// because a backend's own Get gate may be weaker: the packfile backend
+/// checks a 64-bit checksum, which a forged record can match. Every replica
+/// that failed before the healthy one — missing the object or holding rot —
+/// is then *read-repaired* in place by re-putting the healthy bytes (re-Put
+/// heals); a FileObjectStore replica keeps its quarantined forensic copy.
+/// When the serving replica is in the minority (the read fell past >=
+/// quorum unhealthy replicas), the read still succeeds but is counted in
+/// daspos_archive_degraded_reads_total and logged — degraded mode serves
+/// with warnings rather than refusing.
 ///
 /// `Verify` is an audit: it checks every replica and is clean only when at
 /// least one replica verifies; it never repairs (scrub does that).
@@ -57,12 +57,6 @@ class ReplicatedObjectStore : public ObjectStore {
       const override;
   uint64_t TotalBytes() const override;
   std::vector<std::string> QuarantinedIds() const override;
-
-  /// Per-object quorum writes, fanned out on `pool` (deterministic
-  /// first-failure-wins error reporting, ids in input order).
-  Result<std::vector<std::string>> PutBatch(
-      const std::vector<std::string_view>& blobs,
-      ThreadPool* pool = nullptr) override;
 
  private:
   std::vector<ObjectStore*> replicas_;

@@ -1,6 +1,6 @@
 #include "archive/resilient_store.h"
 
-#include "support/parallel.h"
+#include <algorithm>
 
 namespace daspos {
 
@@ -53,40 +53,18 @@ Result<std::string> RetryingObjectStore::Get(const std::string& id) const {
       policy_, [&]() { return backend_->Get(id); }, "object-store get " + id);
 }
 
+bool RetryingObjectStore::Has(const std::string& id) const {
+  const int attempts = std::max(policy_.max_attempts, 1);
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    if (backend_->Has(id)) return true;
+  }
+  return false;
+}
+
 Status RetryingObjectStore::Verify(const std::string& id) const {
   return RetryCall(
       policy_, [&]() { return backend_->Verify(id); },
       "object-store verify " + id);
-}
-
-Result<std::vector<std::string>> RetryingObjectStore::PutBatch(
-    const std::vector<std::string_view>& blobs, ThreadPool* pool) {
-  struct Slot {
-    Status status;
-    std::string id;
-  };
-  std::vector<Slot> slots = ParallelMap<Slot>(
-      pool, blobs.size(),
-      [this, &blobs](size_t i) {
-        Slot slot;
-        auto put = RetryResult<std::string>(
-            policy_, [&]() { return backend_->Put(blobs[i]); },
-            "object-store put (batch slot " + std::to_string(i) + ")");
-        if (put.ok()) {
-          slot.id = std::move(put).value();
-        } else {
-          slot.status = put.status();
-        }
-        return slot;
-      },
-      /*grain=*/1);
-  std::vector<std::string> ids;
-  ids.reserve(slots.size());
-  for (Slot& slot : slots) {
-    DASPOS_RETURN_IF_ERROR(slot.status);
-    ids.push_back(std::move(slot.id));
-  }
-  return ids;
 }
 
 }  // namespace daspos

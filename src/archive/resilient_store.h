@@ -55,6 +55,8 @@ class FaultyObjectStore : public ObjectStore {
 
 /// Wraps a backend and retries transient failures per the policy. Permanent
 /// failures (NotFound, InvalidArgument, Corruption) pass through untouched.
+/// PutBatch is the base fan-out, so each blob runs its own retry loop and
+/// one flaky object never burns the retry budget of its batchmates.
 /// The backend is not owned and must outlive the decorator.
 class RetryingObjectStore : public ObjectStore {
  public:
@@ -63,7 +65,10 @@ class RetryingObjectStore : public ObjectStore {
 
   Result<std::string> Put(std::string_view bytes) override;
   Result<std::string> Get(const std::string& id) const override;
-  bool Has(const std::string& id) const override { return backend_->Has(id); }
+  /// Has has no error channel, so a transient backend failure reads as
+  /// "absent": a false is asked again, up to the policy's attempt count and
+  /// without backoff, before it is believed.
+  bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override {
@@ -73,13 +78,6 @@ class RetryingObjectStore : public ObjectStore {
   std::vector<std::string> QuarantinedIds() const override {
     return backend_->QuarantinedIds();
   }
-
-  /// Per-object retry fanned out on `pool`: each blob independently runs
-  /// the full retry loop, so one slow/flaky object never burns the retry
-  /// budget of its batchmates. Deterministic first-failure-wins reporting.
-  Result<std::vector<std::string>> PutBatch(
-      const std::vector<std::string_view>& blobs,
-      ThreadPool* pool = nullptr) override;
 
  private:
   ObjectStore* backend_;

@@ -138,20 +138,33 @@ TEST_F(BitPreservationTest, DegradedReadServesWithWarningCounter) {
   EXPECT_TRUE(b.Has(*id));
 }
 
-TEST_F(BitPreservationTest, ReplicationFixityGateBlocksMemoryStoreRot) {
-  // MemoryObjectStore has no fixity gate on Get; the replication layer must
-  // supply one so rot can never leak through a replica set.
-  MemoryObjectStore a, b;
-  auto id = a.Put("gated bytes");
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(b.Put("gated bytes").ok());
-  ASSERT_TRUE(a.CorruptForTesting(*id, 0).ok());
+TEST_F(BitPreservationTest, ReplicationFixityGateBlocksForgedPackRecord) {
+  // A pack replica's Get gate is a 64-bit checksum, and a forged record
+  // matches it. The replication layer's own SHA-256 gate must refuse the
+  // forgery and serve a healthy replica instead.
+  const std::string payload = "gated bytes";
+  std::string id;
+  {
+    PackObjectStore sealed(Dir("pack"));
+    auto put = sealed.Put(payload);
+    ASSERT_TRUE(put.ok());
+    id = *put;
+    ASSERT_TRUE(sealed.Flush().ok());
+  }
+  const std::string forged = ForgeFirstPackRecord(Dir("pack"), payload);
+  PackObjectStore a(Dir("pack"));
+  MemoryObjectStore b;
+  ASSERT_TRUE(b.Put(payload).ok());
+  ASSERT_EQ(*a.Get(id), forged);
   ReplicatedObjectStore store({&a, &b});
-  auto got = store.Get(*id);
+  auto got = store.Get(id);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "gated bytes");
-  // Read-repair re-put the healthy bytes into the rotted replica.
-  EXPECT_TRUE(a.Verify(*id).ok());
+  EXPECT_EQ(*got, payload);
+  // Read-repair's re-Put dedupes on the same checksum, so the forged copy
+  // stands until an audit condemns it; the next read then repairs it.
+  EXPECT_TRUE(a.Verify(id).IsCorruption());
+  EXPECT_EQ(*store.Get(id), payload);
+  EXPECT_TRUE(a.Verify(id).ok());
 }
 
 TEST_F(BitPreservationTest, VerifyIsAuditNotRepair) {
@@ -500,18 +513,8 @@ TEST_F(BitPreservationTest, MigrateFromReplicatedSourceHealsWhileMoving) {
 /// Flips a payload byte of the first record in a pack store's first
 /// segment (simulated media rot on the packed copy).
 void RotPack(const std::string& root) {
-  const std::string path = root + "/segments/000000.seg";
-  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(file.good()) << path;
-  const std::streamoff payload =
-      static_cast<std::streamoff>(kPackSegmentHeaderSize) +
-      static_cast<std::streamoff>(kPackRecordHeaderSize);
-  file.seekg(payload);
-  char byte = 0;
-  file.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0x5a);
-  file.seekp(payload);
-  file.write(&byte, 1);
+  FlipByte(PackSegmentPath(root),
+           kPackSegmentHeaderSize + kPackRecordHeaderSize);
 }
 
 TEST_F(BitPreservationTest, ReadRepairHealsRottedPackReplica) {

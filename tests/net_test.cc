@@ -562,17 +562,26 @@ TEST_F(ServerTest, BackpressurePausesReadsUntilSlowClientCatchesUp) {
   constexpr int kFrames = 64;
   const std::string payload(64 << 10, 'b');
   // Writer thread pipelines 4 MiB of pings; the main thread starts reading
-  // only after a beat, so responses pile up behind the tiny receive window
-  // and the outbox blows past its cap. Two threads because a paused server
-  // would otherwise deadlock against a blocked writer — exactly the
-  // scenario backpressure creates on purpose.
+  // only once the server has paused this client, so responses pile up
+  // behind the tiny receive window and the outbox blows past its cap. Two
+  // threads because a paused server would otherwise deadlock against a
+  // blocked writer — exactly the scenario backpressure creates on purpose.
   std::thread writer([&raw, &payload] {
     for (int i = 0; i < kFrames; ++i) {
       raw.Send(EncodeFrame(MessageType::kPing,
                            static_cast<uint64_t>(i), payload));
     }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (NetCounter(metric_names::kNetBackpressureStallsTotal) <= before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Not an ASSERT: the reads below must still drain the writer.
+  EXPECT_GT(NetCounter(metric_names::kNetBackpressureStallsTotal), before)
+      << "the outbox cap was never hit within 10 s; lower it or pipeline "
+         "more";
   std::string all;
   const size_t want =
       static_cast<size_t>(kFrames) * (kFrameHeaderSize + payload.size());
@@ -594,8 +603,6 @@ TEST_F(ServerTest, BackpressurePausesReadsUntilSlowClientCatchesUp) {
     EXPECT_EQ(header->type, static_cast<uint8_t>(MessageType::kPingOk));
     EXPECT_EQ(header->request_id, static_cast<uint64_t>(i));
   }
-  EXPECT_GT(NetCounter(metric_names::kNetBackpressureStallsTotal), before)
-      << "the outbox cap was never hit; lower it or pipeline more";
 }
 
 // ---------------------------------------------------------------------------

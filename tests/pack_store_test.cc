@@ -17,7 +17,6 @@
 #include "archive/backend.h"
 #include "archive/object_store.h"
 #include "archive/pack_store.h"
-#include "support/checksum.h"
 #include "support/io.h"
 #include "support/metrics_registry.h"
 #include "support/sha256.h"
@@ -48,46 +47,6 @@ class PackStoreTest : public ::testing::Test {
 
   std::string Dir(const std::string& name) const { return base_ + "/" + name; }
 
-  static std::string SegPath(const std::string& root, unsigned segment = 0) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "%06u.seg", segment);
-    return root + "/segments/" + name;
-  }
-  static std::string IdxPath(const std::string& root, unsigned segment = 0) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "%06u.idx", segment);
-    return root + "/segments/" + name;
-  }
-
-  /// XORs one byte of a file in place (simulated media rot).
-  static void FlipByte(const std::string& path, uint64_t offset) {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good()) << path;
-    file.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5a);
-    file.seekp(static_cast<std::streamoff>(offset));
-    file.write(&byte, 1);
-  }
-
-  static void WriteAt(const std::string& path, uint64_t offset,
-                      const std::string& bytes) {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.good()) << path;
-    file.seekp(static_cast<std::streamoff>(offset));
-    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  static std::string EncodeU64(uint64_t value) {
-    std::string out(8, '\0');
-    for (int i = 0; i < 8; ++i) {
-      out[static_cast<size_t>(i)] =
-          static_cast<char>((value >> (8 * i)) & 0xff);
-    }
-    return out;
-  }
-
   std::string base_;
 };
 
@@ -98,28 +57,26 @@ constexpr uint64_t kFirstPayload =
 
 // ---------------------------------------------------------- Roundtrips --
 
-TEST_F(PackStoreTest, PutGetRoundtripContentAddressed) {
-  PackObjectStore store(Dir("pack"));
-  auto id = store.Put("packed preservation payload");
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(*id, Sha256::HashHex("packed preservation payload"));
-  EXPECT_TRUE(store.Has(*id));
-  EXPECT_EQ(*store.Get(*id), "packed preservation payload");
-  EXPECT_TRUE(store.Verify(*id).ok());
-  EXPECT_TRUE(store.Get(std::string(64, 'f')).status().IsNotFound());
-  EXPECT_FALSE(store.Get("not-an-id").ok());
-}
-
-TEST_F(PackStoreTest, DeduplicatesIdenticalContent) {
+// Dedupe is the index's job: a re-Put or a re-batch of stored bytes
+// appends no record. The store contract suite checks the ids and sizes.
+TEST_F(PackStoreTest, DedupedPutsAppendNoRecord) {
   PackObjectStore store(Dir("pack"));
   const uint64_t appends_before = CounterNow("daspos_pack_appends_total");
-  auto first = store.Put("same bytes");
-  auto second = store.Put("same bytes");
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*first, *second);
+  ASSERT_TRUE(store.Put("same bytes").ok());
+  ASSERT_TRUE(store.Put("same bytes").ok());
   EXPECT_EQ(CounterNow("daspos_pack_appends_total"), appends_before + 1);
-  EXPECT_EQ(CollectIds(store).size(), 1u);
+
+  std::vector<std::string> blobs;
+  for (int i = 0; i < 24; ++i) {
+    blobs.push_back("batched blob " + std::to_string(i * i));
+  }
+  std::vector<std::string_view> views(blobs.begin(), blobs.end());
+  ThreadPool pool(4);
+  ASSERT_TRUE(store.PutBatch(views, &pool).ok());
+  const uint64_t batched = CounterNow("daspos_pack_appends_total");
+  EXPECT_EQ(batched, appends_before + 1 + blobs.size());
+  ASSERT_TRUE(store.PutBatch(views, &pool).ok());
+  EXPECT_EQ(CounterNow("daspos_pack_appends_total"), batched);
 }
 
 TEST_F(PackStoreTest, ReopenServesSealedSegmentsViaMmap) {
@@ -133,7 +90,7 @@ TEST_F(PackStoreTest, ReopenServesSealedSegmentsViaMmap) {
     }
     ASSERT_TRUE(store.Flush().ok());
   }
-  ASSERT_TRUE(FileExists(IdxPath(Dir("pack"))));
+  ASSERT_TRUE(FileExists(PackIndexPath(Dir("pack"))));
 
   PackObjectStore reopened(Dir("pack"));
   const uint64_t mmap_before = CounterNow("daspos_pack_mmap_reads_total");
@@ -159,7 +116,7 @@ TEST_F(PackStoreTest, MissingSidecarTriggersRebuildScan) {
     id = *put;
     ASSERT_TRUE(store.Flush().ok());
   }
-  ASSERT_TRUE(RemoveFile(IdxPath(Dir("pack"))).ok());
+  ASSERT_TRUE(RemoveFile(PackIndexPath(Dir("pack"))).ok());
 
   const uint64_t rebuilds_before =
       CounterNow("daspos_pack_index_rebuilds_total");
@@ -178,7 +135,7 @@ TEST_F(PackStoreTest, GarbageSidecarTriggersRebuildScan) {
     id = *put;
     ASSERT_TRUE(store.Flush().ok());
   }
-  std::ofstream(IdxPath(Dir("pack")), std::ios::binary)
+  std::ofstream(PackIndexPath(Dir("pack")), std::ios::binary)
       << "not a pack index at all";
 
   PackObjectStore reopened(Dir("pack"));
@@ -256,7 +213,7 @@ TEST_F(PackStoreTest, ChecksumGateQuarantinesRotThenRePutHeals) {
   // Rot one payload byte behind the store's back, then reopen (the sealed
   // sidecar still indexes the record — rot is found at read time, exactly
   // like the loose backend).
-  FlipByte(SegPath(Dir("pack")), kFirstPayload + 3);
+  FlipByte(PackSegmentPath(Dir("pack")), kFirstPayload + 3);
   PackObjectStore store(Dir("pack"));
   const uint64_t failures_before =
       CounterNow("daspos_pack_checksum_failures_total");
@@ -292,7 +249,7 @@ TEST_F(PackStoreTest, QuarantineStandsAcrossReopen) {
     id = *put;
     ASSERT_TRUE(store.Flush().ok());
   }
-  FlipByte(SegPath(Dir("pack")), kFirstPayload);
+  FlipByte(PackSegmentPath(Dir("pack")), kFirstPayload);
   {
     PackObjectStore store(Dir("pack"));
     EXPECT_TRUE(store.Get(id).status().IsCorruption());
@@ -327,17 +284,7 @@ TEST_F(PackStoreTest, VerifyCatchesForgedChecksumThatGetMisses) {
     ASSERT_TRUE(store.Flush().ok());
   }
 
-  // Forge: flip a payload byte, recompute the 64-bit checksum over the
-  // forged payload, and patch it into the record header; drop the sidecar
-  // so the rebuild scan (which trusts the header checksum) re-indexes it.
-  std::string forged = payload;
-  forged[5] = static_cast<char>(forged[5] ^ 0x5a);
-  WriteAt(SegPath(Dir("pack")), kFirstPayload, forged);
-  WriteAt(SegPath(Dir("pack")),
-          kPackSegmentHeaderSize + kPackRecordChecksumOffset,
-          EncodeU64(Checksum64(forged)));
-  ASSERT_TRUE(RemoveFile(IdxPath(Dir("pack"))).ok());
-
+  const std::string forged = ForgeFirstPackRecord(Dir("pack"), payload);
   PackObjectStore store(Dir("pack"));
   auto got = store.Get(id);
   ASSERT_TRUE(got.ok());      // the gate passes...
@@ -389,7 +336,7 @@ TEST_F(PackStoreTest, PutBatchRePutHealsRottedRecord) {
     id = *put;
     ASSERT_TRUE(store.Flush().ok());
   }
-  FlipByte(SegPath(Dir("pack")), kFirstPayload + 1);
+  FlipByte(PackSegmentPath(Dir("pack")), kFirstPayload + 1);
 
   PackObjectStore store(Dir("pack"));
   std::vector<std::string_view> batch{payload};
@@ -417,9 +364,9 @@ TEST_F(PackStoreTest, TornTailTruncatedAndAppendsResume) {
     // No Flush: simulate a crash mid-append by truncating the last record's
     // payload and leaving no sidecar behind.
   }
-  ASSERT_TRUE(RemoveFile(IdxPath(Dir("pack"))).ok());
-  const uint64_t full_size = fs::file_size(SegPath(Dir("pack")));
-  fs::resize_file(SegPath(Dir("pack")), full_size - 3);
+  ASSERT_TRUE(RemoveFile(PackIndexPath(Dir("pack"))).ok());
+  const uint64_t full_size = fs::file_size(PackSegmentPath(Dir("pack")));
+  fs::resize_file(PackSegmentPath(Dir("pack")), full_size - 3);
 
   const uint64_t torn_before = CounterNow("daspos_pack_torn_records_total");
   PackObjectStore store(Dir("pack"));
@@ -446,7 +393,7 @@ TEST_F(PackStoreTest, FailedAppendDoesNotDesyncLaterOffsets) {
   PackObjectStore store(Dir("pack"));
   auto committed = store.Put("committed before the failure");
   ASSERT_TRUE(committed.ok());
-  const uint64_t good_size = fs::file_size(SegPath(Dir("pack")));
+  const uint64_t good_size = fs::file_size(PackSegmentPath(Dir("pack")));
 
   // Cap the file size so the 64-byte record header fits but the payload
   // write fails after a few bytes. SIGXFSZ must be ignored for write() to
@@ -465,7 +412,7 @@ TEST_F(PackStoreTest, FailedAppendDoesNotDesyncLaterOffsets) {
   // The partial record was cut away: the segment is byte-identical to its
   // last good state and every subsequent append lands where its index
   // entry says.
-  EXPECT_EQ(fs::file_size(SegPath(Dir("pack"))), good_size);
+  EXPECT_EQ(fs::file_size(PackSegmentPath(Dir("pack"))), good_size);
   auto a = store.Put("appended after the failure");
   auto b = store.Put(std::string(2000, 'y'));
   ASSERT_TRUE(a.ok());
@@ -480,7 +427,7 @@ TEST_F(PackStoreTest, FailedAppendDoesNotDesyncLaterOffsets) {
   // And the segment log is still internally consistent: a rebuild scan
   // (sidecar dropped) re-indexes everything.
   ASSERT_TRUE(store.Flush().ok());
-  ASSERT_TRUE(RemoveFile(IdxPath(Dir("pack"))).ok());
+  ASSERT_TRUE(RemoveFile(PackIndexPath(Dir("pack"))).ok());
   PackObjectStore reopened(Dir("pack"));
   EXPECT_EQ(*reopened.Get(*a), "appended after the failure");
   EXPECT_EQ(*reopened.Get(*b), std::string(2000, 'y'));
@@ -503,21 +450,21 @@ TEST_F(PackStoreTest, SealedSegmentDamageIsLeftInPlaceAsEvidence) {
     }
     ASSERT_TRUE(store.Flush().ok());
   }
-  ASSERT_EQ(fs::file_size(SegPath(Dir("pack"), 1)),
-            fs::file_size(SegPath(Dir("pack"), 0)));
+  ASSERT_EQ(fs::file_size(PackSegmentPath(Dir("pack"), 1)),
+            fs::file_size(PackSegmentPath(Dir("pack"), 0)));
 
   // Smash the record header magic inside sealed (non-tail) segment 1 and
   // force rebuild scans everywhere.
-  WriteAt(SegPath(Dir("pack"), 1), kPackSegmentHeaderSize, "XXXX");
-  const uint64_t damaged_size = fs::file_size(SegPath(Dir("pack"), 1));
+  WriteAt(PackSegmentPath(Dir("pack"), 1), kPackSegmentHeaderSize, "XXXX");
+  const uint64_t damaged_size = fs::file_size(PackSegmentPath(Dir("pack"), 1));
   for (unsigned segment = 0; segment < 3; ++segment) {
-    ASSERT_TRUE(RemoveFile(IdxPath(Dir("pack"), segment)).ok());
+    ASSERT_TRUE(RemoveFile(PackIndexPath(Dir("pack"), segment)).ok());
   }
 
   PackObjectStore store(Dir("pack"), options);
   // Only the tail segment may be truncated; the damaged sealed segment
   // keeps its bytes on disk for forensics.
-  EXPECT_EQ(fs::file_size(SegPath(Dir("pack"), 1)), damaged_size);
+  EXPECT_EQ(fs::file_size(PackSegmentPath(Dir("pack"), 1)), damaged_size);
   EXPECT_EQ(*store.Get(ids[0]), payload(0));
   EXPECT_TRUE(store.Get(ids[1]).status().IsNotFound());
   EXPECT_EQ(*store.Get(ids[2]), payload(2));
@@ -551,7 +498,7 @@ TEST_F(PackStoreTest, SegmentsRollOverAtSizeCap) {
   EXPECT_EQ(*reopened.Get(*big), std::string(1000, 'Z'));
   // Every sealed segment has its sidecar.
   for (size_t segment = 0; segment < reopened.SegmentCount(); ++segment) {
-    EXPECT_TRUE(FileExists(IdxPath(Dir("pack"),
+    EXPECT_TRUE(FileExists(PackIndexPath(Dir("pack"),
                                    static_cast<unsigned>(segment))))
         << segment;
   }
@@ -575,8 +522,8 @@ TEST_F(PackStoreTest, SegmentCountTracksActualFilesNotNumbering) {
     EXPECT_EQ(store.SegmentCount(), 3u);
   }
   // Simulate external compaction deleting the middle segment.
-  fs::remove(SegPath(Dir("pack"), 1));
-  fs::remove(IdxPath(Dir("pack"), 1));
+  fs::remove(PackSegmentPath(Dir("pack"), 1));
+  fs::remove(PackIndexPath(Dir("pack"), 1));
 
   PackObjectStore reopened(Dir("pack"), options);
   EXPECT_EQ(reopened.SegmentCount(), 2u);
@@ -587,61 +534,6 @@ TEST_F(PackStoreTest, SegmentCountTracksActualFilesNotNumbering) {
   ASSERT_TRUE(more.ok());
   EXPECT_EQ(reopened.SegmentCount(), 3u);
   EXPECT_EQ(*reopened.Get(*more), std::string(150, 'q'));
-}
-
-// ------------------------------------------------------------ PutBatch --
-
-TEST_F(PackStoreTest, PutBatchMatchesSerialIdsAtAnyThreadCount) {
-  std::vector<std::string> blobs;
-  for (int i = 0; i < 24; ++i) {
-    blobs.push_back("batched blob " + std::to_string(i * i));
-  }
-  std::vector<std::string_view> views(blobs.begin(), blobs.end());
-
-  PackObjectStore store(Dir("pack"));
-  ThreadPool pool(4);
-  auto ids = store.PutBatch(views, &pool);
-  ASSERT_TRUE(ids.ok());
-  ASSERT_EQ(ids->size(), blobs.size());
-  for (size_t i = 0; i < blobs.size(); ++i) {
-    EXPECT_EQ((*ids)[i], Sha256::HashHex(blobs[i]));
-    EXPECT_EQ(*store.Get((*ids)[i]), blobs[i]);
-  }
-  // Re-batching identical content appends nothing.
-  const uint64_t appends_before = CounterNow("daspos_pack_appends_total");
-  auto again = store.PutBatch(views, &pool);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, *ids);
-  EXPECT_EQ(CounterNow("daspos_pack_appends_total"), appends_before);
-}
-
-// ----------------------------------------------------------- ForEachId --
-
-TEST_F(PackStoreTest, ForEachIdAscendingAndAbortable) {
-  PackObjectStore store(Dir("pack"));
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(store.Put("enumerate " + std::to_string(i)).ok());
-  }
-  std::vector<std::string> walked;
-  ASSERT_TRUE(store
-                  .ForEachId([&walked](const std::string& id) {
-                    walked.push_back(id);
-                    return Status::OK();
-                  })
-                  .ok());
-  std::vector<std::string> ids = CollectIds(store);
-  EXPECT_EQ(ids.size(), 8u);
-  EXPECT_EQ(walked, ids);
-  EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
-
-  // A non-OK callback aborts the walk immediately and surfaces verbatim.
-  size_t visited = 0;
-  Status aborted = store.ForEachId([&visited](const std::string&) {
-    if (++visited == 3) return Status::Corruption("stop here");
-    return Status::OK();
-  });
-  EXPECT_TRUE(aborted.IsCorruption());
-  EXPECT_EQ(visited, 3u);
 }
 
 // -------------------------------------------------------- Backend spec --
@@ -702,37 +594,6 @@ TEST_F(PackStoreTest, BareDirSniffsLayout) {
   auto fresh = ParseStoreSpec(Dir("does-not-exist"));
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->backend, StoreSpec::Backend::kFile);
-}
-
-TEST_F(PackStoreTest, OpenObjectStoreRoundtripsAcrossBackends) {
-  // The same bytes land under the same id on every backend — the digest is
-  // the contract that makes migration and replication backend-agnostic.
-  const std::string payload = "identical digests everywhere";
-  std::string file_id, pack_id, packz_id;
-  {
-    auto file_store = OpenObjectStore("file:" + Dir("f"));
-    ASSERT_TRUE(file_store.ok());
-    auto id = (*file_store)->Put(payload);
-    ASSERT_TRUE(id.ok());
-    file_id = *id;
-  }
-  {
-    auto pack_store = OpenObjectStore("pack:" + Dir("p"));
-    ASSERT_TRUE(pack_store.ok());
-    auto id = (*pack_store)->Put(payload);
-    ASSERT_TRUE(id.ok());
-    pack_id = *id;
-  }
-  {
-    auto packz_store = OpenObjectStore("pack+z:" + Dir("z"));
-    ASSERT_TRUE(packz_store.ok());
-    auto id = (*packz_store)->Put(payload);
-    ASSERT_TRUE(id.ok());
-    packz_id = *id;
-  }
-  EXPECT_EQ(file_id, pack_id);
-  EXPECT_EQ(pack_id, packz_id);
-  EXPECT_EQ(file_id, Sha256::HashHex(payload));
 }
 
 }  // namespace

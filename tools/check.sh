@@ -39,6 +39,19 @@ sanitizer_pass() {
   ctest --test-dir "$tree" --output-on-failure -j"$JOBS"
 }
 
+# Runs a gtest binary under --gtest_filter. gtest 1.12 has no
+# --gtest_fail_if_no_test_selected, so a filter that matches nothing (after
+# a rename, say) would pass silently: count the selected tests first.
+run_filtered() {
+  local binary="$1" filter="$2" listed
+  listed=$("$binary" --gtest_list_tests --gtest_filter="$filter")
+  if ! grep -q '^  ' <<<"$listed"; then
+    echo "check.sh: --gtest_filter='$filter' selects no test in $binary" >&2
+    exit 1
+  fi
+  "$binary" --gtest_filter="$filter"
+}
+
 if [ "$RUN_TIER1" = 1 ]; then
   echo "==> tier-1: configure + build + ctest"
   cmake -B build -S . >/dev/null
@@ -77,11 +90,12 @@ if [ "$RUN_TSAN" = 1 ]; then
   # the loop/client boundary.
   ./build-tsan/tests/net_test
   # Store enumeration: ForEachId snapshots under the store lock and calls
-  # back unlocked, beside concurrent writers and across replicas.
-  ./build-tsan/tests/archive_test --gtest_filter='MemoryObjectStoreTest.*'
-  ./build-tsan/tests/bit_preservation_test --gtest_filter='*ForEachId*'
+  # back unlocked, beside concurrent writers and across replicas — the
+  # store contract's walk properties, on every backend and decorator.
+  run_filtered ./build-tsan/tests/archive_test 'ObjectStoreContractTest/*.ForEachId*'
+  run_filtered ./build-tsan/tests/bit_preservation_test '*ForEachId*'
   # The RECAST back end runs its chain on the engine's worker pool.
-  ./build-tsan/tests/recast_test --gtest_filter='BackEndTest.*'
+  run_filtered ./build-tsan/tests/recast_test 'BackEndTest.*'
 fi
 
 if [ "$RUN_CHAOS" = 1 ]; then
@@ -95,11 +109,13 @@ if [ "$RUN_CHAOS" = 1 ]; then
   cmake --build build-tsan --target workflow_test parallel_test archive_test \
     pack_store_test bit_preservation_test torture_test trace_test \
     validate_test sync_test net_test -j"$JOBS"
-  ./build-tsan/tests/workflow_test \
-    --gtest_filter='ChaosTest.*:JournalTest.*:WorkflowRetryTest.*:WorkflowKeepGoingTest.*'
+  run_filtered ./build-tsan/tests/workflow_test \
+    'ChaosTest.*:JournalTest.*:WorkflowRetryTest.*:WorkflowKeepGoingTest.*'
   ./build-tsan/tests/parallel_test
-  ./build-tsan/tests/archive_test \
-    --gtest_filter='DigestCacheTest.*:PutBatchTest.*:FileObjectStoreTest.*'
+  # The store contract on every backend, the base PutBatch fan-out on the
+  # pool included.
+  run_filtered ./build-tsan/tests/archive_test \
+    'ObjectStoreContractTest/*:DigestCacheTest.*:PutBatchTest.*:FileObjectStoreTest.*'
   # The packfile backend under the race detector: concurrent PutBatch
   # preparation on pool workers, lock-free mmap reads of sealed segments,
   # and the const quarantine path all share the store mutex.
