@@ -10,10 +10,6 @@
 // computed, which is what a manifest for that toolchain would hold.
 #include <gtest/gtest.h>
 
-#if defined(__GLIBC__)
-#include <gnu/libc-version.h>
-#endif
-
 #include <string>
 #include <vector>
 
@@ -21,6 +17,7 @@
 #include "serialize/json.h"
 #include "support/io.h"
 #include "support/sha256.h"
+#include "toolchain_fingerprint.h"
 #include "workflow/engine.h"
 #include "workflow/steps.h"
 
@@ -30,33 +27,6 @@ namespace {
 /// Tier datasets of the standard chain, in production order.
 const std::vector<std::string> kTiers = {"gen", "raw", "reco", "aod",
                                          "derived"};
-
-/// The parts of the toolchain the chain's bytes can depend on.
-Json ToolchainFingerprint() {
-  Json fingerprint = Json::Object();
-#if defined(__clang__)
-  fingerprint["compiler"] = std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  fingerprint["compiler"] = "gcc " + std::to_string(__GNUC__) + "." +
-                            std::to_string(__GNUC_MINOR__) + "." +
-                            std::to_string(__GNUC_PATCHLEVEL__);
-#else
-  fingerprint["compiler"] = "unknown";
-#endif
-#if defined(__GLIBC__)
-  fingerprint["libm"] = std::string("glibc ") + gnu_get_libc_version();
-#else
-  fingerprint["libm"] = "unknown";
-#endif
-#if defined(__x86_64__)
-  fingerprint["arch"] = "x86_64";
-#elif defined(__aarch64__)
-  fingerprint["arch"] = "aarch64";
-#else
-  fingerprint["arch"] = "unknown";
-#endif
-  return fingerprint;
-}
 
 /// Runs the chain stopped after `last_tier` at `threads` and returns the
 /// digest of each tier it produced, in kTiers order (empty on an execution
