@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdint>
 
 namespace daspos {
 
@@ -16,8 +16,47 @@ struct Cell {
   double eta;
   double phi;
   double energy;
+  /// Position in ascending channel order, where the neighbour index finds
+  /// the cell.
+  uint32_t rank = 0;
   bool used = false;
 };
+
+/// One calorimeter hit's energy, tagged with its position in the event.
+struct Deposit {
+  uint32_t channel;
+  uint32_t ordinal;
+  double energy;
+};
+
+/// Sums deposits per channel into cells in ascending channel order. Equal
+/// channels add up in hit order from 0.0, so each sum is bit-identical to a
+/// running per-channel sum over the hits. `make_cell(channel, energy)`
+/// decodes one cell; `channels` receives each cell's channel beside it.
+template <typename MakeCell>
+std::vector<Cell> SumCells(std::vector<Deposit>& deposits,
+                           std::vector<int64_t>* channels,
+                           MakeCell make_cell) {
+  std::sort(deposits.begin(), deposits.end(),
+            [](const Deposit& a, const Deposit& b) {
+              return a.channel != b.channel ? a.channel < b.channel
+                                            : a.ordinal < b.ordinal;
+            });
+  std::vector<Cell> cells;
+  channels->clear();
+  for (size_t i = 0; i < deposits.size();) {
+    const uint32_t channel = deposits[i].channel;
+    double energy = 0.0;
+    for (; i < deposits.size() && deposits[i].channel == channel; ++i) {
+      energy += deposits[i].energy;
+    }
+    Cell cell = make_cell(channel, energy);
+    cell.rank = static_cast<uint32_t>(cells.size());
+    cells.push_back(cell);
+    channels->push_back(channel);
+  }
+  return cells;
+}
 
 double AngularDistance(double eta1, double phi1, double eta2, double phi2) {
   double deta = eta1 - eta2;
@@ -35,14 +74,19 @@ struct ProtoCluster {
   int cell_count = 0;
 };
 
+/// `cells` arrive in ascending channel order, with `channels` beside them.
+/// A cell's channel is eta_cell * phi_cells + phi_cell, so a neighbour is
+/// found by binary search for its channel (64-bit: a neighbour of an edge
+/// cell may fall outside uint32).
 std::vector<ProtoCluster> ClusterGrid(std::vector<Cell>& cells,
+                                      const std::vector<int64_t>& channels,
                                       double seed_threshold, int phi_cells) {
   std::sort(cells.begin(), cells.end(),
             [](const Cell& a, const Cell& b) { return a.energy > b.energy; });
-  // Index for neighbourhood lookups.
-  std::map<std::pair<int, int>, size_t> index;
+  // slot[rank]: where the cell of that channel rank now sits.
+  std::vector<uint32_t> slot(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
-    index[{cells[i].eta_cell, cells[i].phi_cell}] = i;
+    slot[cells[i].rank] = static_cast<uint32_t>(i);
   }
 
   std::vector<ProtoCluster> out;
@@ -57,9 +101,10 @@ std::vector<ProtoCluster> ClusterGrid(std::vector<Cell>& cells,
         int pc = seed.phi_cell + dphi;
         if (pc < 0) pc += phi_cells;
         if (pc >= phi_cells) pc -= phi_cells;
-        auto it = index.find({seed.eta_cell + deta, pc});
-        if (it == index.end()) continue;
-        Cell& member = cells[it->second];
+        const int64_t key = int64_t{seed.eta_cell + deta} * phi_cells + pc;
+        auto it = std::lower_bound(channels.begin(), channels.end(), key);
+        if (it == channels.end() || *it != key) continue;
+        Cell& member = cells[slot[static_cast<size_t>(it - channels.begin())]];
         if (member.used) continue;
         member.used = true;
         cluster.energy += member.energy;
@@ -80,40 +125,40 @@ std::vector<ProtoCluster> ClusterGrid(std::vector<Cell>& cells,
 }  // namespace
 
 std::vector<CaloCluster> CaloClusterer::Cluster(const RawEvent& raw) const {
-  // Accumulate per-cell energies (several hits can share a cell).
-  std::map<uint32_t, double> ecal_energy;
-  std::map<uint32_t, double> hcal_energy;
-  for (const RawHit& hit : raw.hits) {
+  // Per-cell energies (several hits can share a cell).
+  std::vector<Deposit> ecal_deposits;
+  std::vector<Deposit> hcal_deposits;
+  for (size_t i = 0; i < raw.hits.size(); ++i) {
+    const RawHit& hit = raw.hits[i];
+    const auto ordinal = static_cast<uint32_t>(i);
     if (hit.detector == SubDetector::kEcal) {
-      ecal_energy[hit.channel] += hit.adc * calib_.ecal_gain;
+      ecal_deposits.push_back(
+          {hit.channel, ordinal, hit.adc * calib_.ecal_gain});
     } else if (hit.detector == SubDetector::kHcal) {
-      hcal_energy[hit.channel] += hit.adc * calib_.hcal_gain;
+      hcal_deposits.push_back(
+          {hit.channel, ordinal, hit.adc * calib_.hcal_gain});
     }
   }
 
-  std::vector<Cell> ecal_cells;
-  ecal_cells.reserve(ecal_energy.size());
-  for (const auto& [channel, energy] : ecal_energy) {
+  auto ecal_cell = [this](uint32_t channel, double energy) {
     int eta_cell, phi_cell;
     geometry_.DecodeEcalChannel(channel, &eta_cell, &phi_cell);
-    ecal_cells.push_back({eta_cell, phi_cell,
-                          geometry_.EcalEtaCellCenter(eta_cell),
-                          geometry_.EcalPhiCellCenter(phi_cell), energy});
-  }
-  std::vector<Cell> hcal_cells;
-  hcal_cells.reserve(hcal_energy.size());
-  for (const auto& [channel, energy] : hcal_energy) {
+    return Cell{eta_cell, phi_cell, geometry_.EcalEtaCellCenter(eta_cell),
+                geometry_.EcalPhiCellCenter(phi_cell), energy};
+  };
+  auto hcal_cell = [this](uint32_t channel, double energy) {
     int eta_cell, phi_cell;
     geometry_.DecodeHcalChannel(channel, &eta_cell, &phi_cell);
-    hcal_cells.push_back({eta_cell, phi_cell,
-                          geometry_.HcalEtaCellCenter(eta_cell),
-                          geometry_.HcalPhiCellCenter(phi_cell), energy});
-  }
-
-  std::vector<ProtoCluster> em = ClusterGrid(ecal_cells, config_.ecal_seed_gev,
-                                             geometry_.ecal_phi_cells);
+    return Cell{eta_cell, phi_cell, geometry_.HcalEtaCellCenter(eta_cell),
+                geometry_.HcalPhiCellCenter(phi_cell), energy};
+  };
+  std::vector<int64_t> channels;
+  std::vector<Cell> ecal_cells = SumCells(ecal_deposits, &channels, ecal_cell);
+  std::vector<ProtoCluster> em = ClusterGrid(
+      ecal_cells, channels, config_.ecal_seed_gev, geometry_.ecal_phi_cells);
+  std::vector<Cell> hcal_cells = SumCells(hcal_deposits, &channels, hcal_cell);
   std::vector<ProtoCluster> had = ClusterGrid(
-      hcal_cells, config_.hcal_seed_gev, geometry_.hcal_phi_cells);
+      hcal_cells, channels, config_.hcal_seed_gev, geometry_.hcal_phi_cells);
 
   // Match: each hadronic cluster attaches to the nearest EM cluster within
   // match_dr; leftovers become EM-poor clusters on their own.
@@ -160,23 +205,44 @@ std::vector<CaloCluster> CaloClusterer::Cluster(const RawEvent& raw) const {
 std::vector<MuonSegment> CaloClusterer::MuonSegments(
     const RawEvent& raw) const {
   // Group muon hits by tower (eta, phi cell); require >= 2 distinct layers.
-  std::map<std::pair<int, int>, uint32_t> layer_mask;
+  struct TowerHit {
+    int eta_cell;
+    int phi_cell;
+    uint32_t layer_bit;
+  };
+  std::vector<TowerHit> tower_hits;
   for (const RawHit& hit : raw.hits) {
     if (hit.detector != SubDetector::kMuon) continue;
     int layer, eta_cell, phi_cell;
     geometry_.DecodeMuonChannel(hit.channel, &layer, &eta_cell, &phi_cell);
-    layer_mask[{eta_cell, phi_cell}] |= (1u << layer);
+    // Any uint32 channel decodes, so a layer can pass 31: it shares bit
+    // layer % 32, the bit the shift has always set for it on x86-64 and
+    // AArch64.
+    tower_hits.push_back({eta_cell, phi_cell, 1u << (layer % 32)});
   }
+  auto same_tower = [](const TowerHit& a, const TowerHit& b) {
+    return a.eta_cell == b.eta_cell && a.phi_cell == b.phi_cell;
+  };
+  std::sort(tower_hits.begin(), tower_hits.end(),
+            [](const TowerHit& a, const TowerHit& b) {
+              return a.eta_cell != b.eta_cell ? a.eta_cell < b.eta_cell
+                                              : a.phi_cell < b.phi_cell;
+            });
   std::vector<MuonSegment> out;
-  for (const auto& [tower, mask] : layer_mask) {
+  for (size_t i = 0; i < tower_hits.size();) {
+    const TowerHit& tower = tower_hits[i];
+    uint32_t mask = 0;
+    for (; i < tower_hits.size() && same_tower(tower_hits[i], tower); ++i) {
+      mask |= tower_hits[i].layer_bit;
+    }
     int layers = 0;
     for (uint32_t m = mask; m != 0; m >>= 1u) {
       layers += static_cast<int>(m & 1u);
     }
     if (layers < 2) continue;
     MuonSegment segment;
-    segment.eta = geometry_.MuonEtaCellCenter(tower.first);
-    segment.phi = geometry_.MuonPhiCellCenter(tower.second);
+    segment.eta = geometry_.MuonEtaCellCenter(tower.eta_cell);
+    segment.phi = geometry_.MuonPhiCellCenter(tower.phi_cell);
     segment.layer_count = layers;
     out.push_back(segment);
   }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdint>
+#include <span>
 
 #include "event/pdg.h"
 
@@ -23,6 +24,9 @@ double WrapToReference(double phi, double reference) {
 }
 
 struct RoadHit {
+  /// The road coordinate, and the hit's position in the event.
+  int eta_cell;
+  uint32_t ordinal;
   int layer;
   double r;
   double phi;
@@ -31,15 +35,15 @@ struct RoadHit {
 
 /// 3-parameter least squares of phi = a + b*r + c/r. Returns false when the
 /// normal equations are singular (degenerate hit configuration).
-bool FitHelixModel(const std::vector<const RoadHit*>& hits, double* a,
-                   double* b, double* c) {
+bool FitHelixModel(const std::vector<RoadHit>& hits, double* a, double* b,
+                   double* c) {
   // Normal equations: M p = v with basis functions f = (1, r, 1/r).
   double m[3][3] = {{0}};
   double v[3] = {0};
-  for (const RoadHit* hit : hits) {
-    double f[3] = {1.0, hit->r, 1.0 / hit->r};
+  for (const RoadHit& hit : hits) {
+    double f[3] = {1.0, hit.r, 1.0 / hit.r};
     for (int i = 0; i < 3; ++i) {
-      v[i] += f[i] * hit->phi;
+      v[i] += f[i] * hit.phi;
       for (int j = 0; j < 3; ++j) m[i][j] += f[i] * f[j];
     }
   }
@@ -66,27 +70,47 @@ bool FitHelixModel(const std::vector<const RoadHit*>& hits, double* a,
 }  // namespace
 
 std::vector<Track> TrackFinder::FindTracks(const RawEvent& raw) const {
-  // Decode and bucket hits by eta cell (the road coordinate).
-  std::map<int, std::vector<RoadHit>> roads;
-  for (const RawHit& hit : raw.hits) {
+  // Decode the hits and bucket them by eta cell (the road coordinate): a
+  // road's hits stay in event order.
+  std::vector<RoadHit> road_hits;
+  for (size_t i = 0; i < raw.hits.size(); ++i) {
+    const RawHit& hit = raw.hits[i];
     if (hit.detector != SubDetector::kTracker) continue;
     int layer, eta_cell, phi_cell;
     geometry_.DecodeTrackerChannel(hit.channel, &layer, &eta_cell, &phi_cell);
     RoadHit road_hit;
+    road_hit.eta_cell = eta_cell;
+    road_hit.ordinal = static_cast<uint32_t>(i);
     road_hit.layer = layer;
     road_hit.r = geometry_.TrackerLayerRadius(layer);
     // Undo the alignment constant applied at digitization.
     road_hit.phi = geometry_.TrackerPhiCellCenter(phi_cell) -
                    calib_.tracker_phi_offset;
-    roads[eta_cell].push_back(road_hit);
+    road_hits.push_back(road_hit);
   }
+  std::sort(road_hits.begin(), road_hits.end(),
+            [](const RoadHit& x, const RoadHit& y) {
+              return x.eta_cell != y.eta_cell ? x.eta_cell < y.eta_cell
+                                              : x.ordinal < y.ordinal;
+            });
 
   const double cell_width = kTwoPi / geometry_.tracker_phi_cells;
   const double seed_tol = config_.seed_tolerance_cells * cell_width;
   const int min_hits = std::max(4, config_.min_hits);
 
+  // Per-candidate scratch, reused across seeds and roads.
+  std::vector<RoadHit*> members;
+  std::vector<RoadHit*> by_layer;  // one hit per layer, sorted by layer
+  std::vector<RoadHit> local;
+
   std::vector<Track> tracks;
-  for (auto& [eta_cell, hits] : roads) {
+  for (auto road_begin = road_hits.begin(); road_begin != road_hits.end();) {
+    const int eta_cell = road_begin->eta_cell;
+    auto road_end = std::find_if(
+        road_begin, road_hits.end(),
+        [eta_cell](const RoadHit& hit) { return hit.eta_cell != eta_cell; });
+    std::span<RoadHit> hits(road_begin, road_end);
+    road_begin = road_end;
     if (static_cast<int>(hits.size()) < min_hits) continue;
     std::sort(hits.begin(), hits.end(),
               [](const RoadHit& x, const RoadHit& y) {
@@ -106,8 +130,8 @@ std::vector<Track> TrackFinder::FindTracks(const RawEvent& raw) const {
         double b = (phi_j - phi_i) / (hits[j].r - hits[i].r);
         double a = phi_i - b * hits[i].r;
 
-        std::vector<const RoadHit*> members;
-        for (const RoadHit& hit : hits) {
+        members.clear();
+        for (RoadHit& hit : hits) {
           if (hit.used) continue;
           double predicted = a + b * hit.r;
           double observed = WrapToReference(hit.phi, predicted);
@@ -116,41 +140,36 @@ std::vector<Track> TrackFinder::FindTracks(const RawEvent& raw) const {
           }
         }
         if (static_cast<int>(members.size()) < min_hits) continue;
-        // One hit per layer at most: keep the closest to the prediction.
-        std::map<int, const RoadHit*> by_layer;
-        for (const RoadHit* hit : members) {
-          auto it = by_layer.find(hit->layer);
-          auto residual = [&](const RoadHit* h) {
-            double predicted = a + b * h->r;
-            return std::fabs(WrapToReference(h->phi, predicted) - predicted);
-          };
-          if (it == by_layer.end() || residual(hit) < residual(it->second)) {
-            by_layer[hit->layer] = hit;
+        // One hit per layer at most: keep the closest to the prediction
+        // (the first of equals).
+        auto residual = [&](const RoadHit* h) {
+          double predicted = a + b * h->r;
+          return std::fabs(WrapToReference(h->phi, predicted) - predicted);
+        };
+        by_layer.clear();
+        for (RoadHit* hit : members) {
+          auto it = std::lower_bound(
+              by_layer.begin(), by_layer.end(), hit->layer,
+              [](const RoadHit* h, int layer) { return h->layer < layer; });
+          if (it == by_layer.end() || (*it)->layer != hit->layer) {
+            by_layer.insert(it, hit);
+          } else if (residual(hit) < residual(*it)) {
+            *it = hit;
           }
         }
         if (static_cast<int>(by_layer.size()) < min_hits) continue;
 
-        std::vector<const RoadHit*> fit_hits;
-        fit_hits.reserve(by_layer.size());
-        double reference = phi_i;
-        for (auto& [layer, hit] : by_layer) {
-          (void)layer;
-          fit_hits.push_back(hit);
-        }
         // Re-express phis near the seed phi so the fit is wrap-free.
-        std::vector<RoadHit> local;
-        local.reserve(fit_hits.size());
-        std::vector<const RoadHit*> local_ptrs;
-        for (const RoadHit* hit : fit_hits) {
+        double reference = phi_i;
+        local.clear();
+        for (const RoadHit* hit : by_layer) {
           RoadHit copy = *hit;
           copy.phi = WrapToReference(copy.phi, reference);
           local.push_back(copy);
         }
-        local_ptrs.reserve(local.size());
-        for (const RoadHit& hit : local) local_ptrs.push_back(&hit);
 
         double fa, fb, fc;
-        if (!FitHelixModel(local_ptrs, &fa, &fb, &fc)) continue;
+        if (!FitHelixModel(local, &fa, &fb, &fc)) continue;
 
         // Chi2 against the quantization scale.
         double chi2 = 0.0;
@@ -180,10 +199,7 @@ std::vector<Track> TrackFinder::FindTracks(const RawEvent& raw) const {
         tracks.push_back(track);
 
         // Mark members used.
-        for (auto& [layer, hit] : by_layer) {
-          (void)layer;
-          const_cast<RoadHit*>(hit)->used = true;
-        }
+        for (RoadHit* hit : by_layer) hit->used = true;
         break;  // take the next unused seed hit i
       }
     }
