@@ -59,7 +59,11 @@ Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
   Span span("replica:get", "archive");
   // Walk replicas in order; remember every replica that failed so the
   // healthy bytes can heal them before the read returns.
-  std::vector<size_t> unhealthy;
+  struct Unhealthy {
+    size_t replica;
+    bool served_forgery;  // bytes that passed its own gate but not SHA-256
+  };
+  std::vector<Unhealthy> unhealthy;
   Status last_error = Status::NotFound("object " + id + " not in any replica");
   for (size_t i = 0; i < replicas_.size(); ++i) {
     auto got = replicas_[i]->Get(id);
@@ -67,7 +71,7 @@ Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
       // The replication layer's own SHA-256 gate: a backend whose Get gate
       // is weaker (the packfile checksum) must still never leak rot.
       if (Sha256::HashHex(*got) != id) {
-        unhealthy.push_back(i);
+        unhealthy.push_back({i, true});
         fallbacks_->Increment();
         last_error =
             Status::Corruption("fixity mismatch for object " + id +
@@ -76,15 +80,22 @@ Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
       }
       // Read-repair: re-Put the verified bytes into every replica the read
       // fell past (missing the object or holding rot). Re-Put heals in
-      // place; a FileObjectStore keeps its quarantined forensic copy.
-      for (size_t bad : unhealthy) {
-        auto healed = replicas_[bad]->Put(*got);
-        if (healed.ok()) {
+      // place; a FileObjectStore keeps its quarantined forensic copy. A
+      // replica that served a forgery is audited first: its Put would
+      // dedupe on the gate the forgery passes, and the audit quarantines
+      // the forged copy so the Put appends a good one. A repair counts
+      // only once the replica verifies.
+      for (const Unhealthy& bad : unhealthy) {
+        ObjectStore* replica = replicas_[bad.replica];
+        if (bad.served_forgery) (void)replica->Verify(id);
+        auto healed = replica->Put(*got);
+        Status verified = healed.ok() ? replica->Verify(id) : healed.status();
+        if (verified.ok()) {
           read_repairs_->Increment();
         } else {
           DASPOS_LOG(kWarning)
-              << "read-repair of object " << id << " on replica " << bad
-              << " failed: " << healed.status().ToString();
+              << "read-repair of object " << id << " on replica "
+              << bad.replica << " failed: " << verified.ToString();
         }
       }
       // Degraded mode: the serving replica is in the minority once the
@@ -99,7 +110,7 @@ Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
       }
       return got;
     }
-    unhealthy.push_back(i);
+    unhealthy.push_back({i, false});
     fallbacks_->Increment();
     last_error = got.status();
   }
