@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 namespace daspos {
@@ -21,7 +22,9 @@ void AtomicAdd(std::atomic<double>& target, double delta) {
 /// "1000"); %g keeps golden outputs stable and human-readable.
 std::string FormatNumber(double value) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  // Ten significant digits render every default bucket bound exactly
+  // (0.001 * 2^k up to 8388.608).
+  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
   return buffer;
 }
 
@@ -57,9 +60,13 @@ void Histogram::Reset() {
 }
 
 const std::vector<double>& Histogram::DefaultLatencyBucketsMs() {
-  static const std::vector<double> kBuckets = {
-      0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-      1000.0, 2500.0, 5000.0};
+  // Base-2 bounds from 1 us (0.001 ms) to 8388.608 ms: a small Get takes
+  // 2-90 us, a chain step up to seconds.
+  static const std::vector<double> kBuckets = [] {
+    std::vector<double> bounds;
+    for (int k = 0; k < 24; ++k) bounds.push_back(std::ldexp(0.001, k));
+    return bounds;
+  }();
   return kBuckets;
 }
 

@@ -68,8 +68,21 @@ TEST(MetricsRegistryTest, DefaultLatencyBucketsAreAscending) {
   const std::vector<double>& bounds = Histogram::DefaultLatencyBucketsMs();
   ASSERT_FALSE(bounds.empty());
   EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
-  EXPECT_DOUBLE_EQ(bounds.front(), 0.25);
-  EXPECT_DOUBLE_EQ(bounds.back(), 5000.0);
+  // Base-2 from 1 us to past 8 s, so sub-millisecond Gets resolve.
+  EXPECT_DOUBLE_EQ(bounds.front(), 0.001);
+  EXPECT_GE(bounds.back(), 8192.0);
+  for (size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_EQ(bounds[i], 2.0 * bounds[i - 1]) << i;
+  }
+  MetricsRegistry registry;
+  registry.GetHistogram("daspos_demo_wall_ms", bounds).Observe(0.0025);
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("daspos_demo_wall_ms_bucket{le=\"0.002\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("daspos_demo_wall_ms_bucket{le=\"0.004\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("daspos_demo_wall_ms_bucket{le=\"8388.608\"} 1\n"),
+            std::string::npos);
 }
 
 TEST(MetricsRegistryTest, KindMismatchReturnsDetachedDummy) {
