@@ -5,7 +5,7 @@
 #   tools/check.sh --all      # tier-1 + ASan + UBSan full suite + TSan
 #   tools/check.sh --asan     # ASan build + full ctest suite
 #   tools/check.sh --ubsan    # UBSan build + full ctest suite (halt-on-error)
-#   tools/check.sh --tsan     # TSan build + workflow/parallel/codec/store-walk suites
+#   tools/check.sh --tsan     # TSan build + workflow/parallel/codec/store-walk/reco-pin suites
 #   tools/check.sh --chaos    # TSan build + fault-injection/resume suite
 #   tools/check.sh --tier1    # tier-1 only
 #   tools/check.sh --no-tsan  # legacy spelling of --tier1
@@ -69,11 +69,11 @@ if [ "$RUN_UBSAN" = 1 ]; then
 fi
 
 if [ "$RUN_TSAN" = 1 ]; then
-  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + tiers_test + serialize_test + event_test + trace_test + sync_test + net_test + archive_test + bit_preservation_test + recast_test"
+  echo "==> TSan: DASPOS_SANITIZE=thread build of workflow_test + parallel_test + tiers_test + serialize_test + event_test + trace_test + sync_test + net_test + archive_test + bit_preservation_test + recast_test + reco_test"
   cmake -B build-tsan -S . -DDASPOS_SANITIZE=thread >/dev/null
   cmake --build build-tsan --target workflow_test parallel_test tiers_test \
     serialize_test event_test trace_test sync_test net_test archive_test \
-    bit_preservation_test recast_test -j"$JOBS"
+    bit_preservation_test recast_test reco_test -j"$JOBS"
   ./build-tsan/tests/workflow_test
   ./build-tsan/tests/parallel_test
   # The tier codecs encode and decode in pool-parallel chunks and splice
@@ -96,6 +96,10 @@ if [ "$RUN_TSAN" = 1 ]; then
   run_filtered ./build-tsan/tests/bit_preservation_test '*ForEachId*'
   # The RECAST back end runs its chain on the engine's worker pool.
   run_filtered ./build-tsan/tests/recast_test 'BackEndTest.*'
+  # Reconstruction on a 4-worker pool: the pileup pins run ReconstructAll
+  # at 1 and 4 threads, so any scratch state shared across events would
+  # race here.
+  run_filtered ./build-tsan/tests/reco_test 'ReconstructionPinTest.*'
 fi
 
 if [ "$RUN_CHAOS" = 1 ]; then
