@@ -32,10 +32,9 @@ struct Deposit {
 /// Sums deposits per channel into cells in ascending channel order. Equal
 /// channels add up in hit order from 0.0, so each sum is bit-identical to a
 /// running per-channel sum over the hits. `make_cell(channel, energy)`
-/// decodes one cell; `channels` receives each cell's channel beside it.
+/// decodes one cell.
 template <typename MakeCell>
 std::vector<Cell> SumCells(std::vector<Deposit>& deposits,
-                           std::vector<int64_t>* channels,
                            MakeCell make_cell) {
   std::sort(deposits.begin(), deposits.end(),
             [](const Deposit& a, const Deposit& b) {
@@ -43,17 +42,13 @@ std::vector<Cell> SumCells(std::vector<Deposit>& deposits,
                                             : a.ordinal < b.ordinal;
             });
   std::vector<Cell> cells;
-  channels->clear();
   for (size_t i = 0; i < deposits.size();) {
     const uint32_t channel = deposits[i].channel;
     double energy = 0.0;
     for (; i < deposits.size() && deposits[i].channel == channel; ++i) {
       energy += deposits[i].energy;
     }
-    Cell cell = make_cell(channel, energy);
-    cell.rank = static_cast<uint32_t>(cells.size());
-    cells.push_back(cell);
-    channels->push_back(channel);
+    cells.push_back(make_cell(channel, energy));
   }
   return cells;
 }
@@ -74,13 +69,17 @@ struct ProtoCluster {
   int cell_count = 0;
 };
 
-/// `cells` arrive in ascending channel order, with `channels` beside them.
-/// A cell's channel is eta_cell * phi_cells + phi_cell, so a neighbour is
-/// found by binary search for its channel (64-bit: a neighbour of an edge
-/// cell may fall outside uint32).
+/// `cells` arrive in ascending channel order. A cell's channel is
+/// eta_cell * phi_cells + phi_cell, so a neighbour is found by binary search
+/// for its channel (64-bit: a neighbour of an edge cell may fall outside
+/// uint32).
 std::vector<ProtoCluster> ClusterGrid(std::vector<Cell>& cells,
-                                      const std::vector<int64_t>& channels,
                                       double seed_threshold, int phi_cells) {
+  std::vector<int64_t> channels(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    channels[i] = int64_t{cells[i].eta_cell} * phi_cells + cells[i].phi_cell;
+    cells[i].rank = static_cast<uint32_t>(i);
+  }
   std::sort(cells.begin(), cells.end(),
             [](const Cell& a, const Cell& b) { return a.energy > b.energy; });
   // slot[rank]: where the cell of that channel rank now sits.
@@ -152,13 +151,12 @@ std::vector<CaloCluster> CaloClusterer::Cluster(const RawEvent& raw) const {
     return Cell{eta_cell, phi_cell, geometry_.HcalEtaCellCenter(eta_cell),
                 geometry_.HcalPhiCellCenter(phi_cell), energy};
   };
-  std::vector<int64_t> channels;
-  std::vector<Cell> ecal_cells = SumCells(ecal_deposits, &channels, ecal_cell);
-  std::vector<ProtoCluster> em = ClusterGrid(
-      ecal_cells, channels, config_.ecal_seed_gev, geometry_.ecal_phi_cells);
-  std::vector<Cell> hcal_cells = SumCells(hcal_deposits, &channels, hcal_cell);
+  std::vector<Cell> ecal_cells = SumCells(ecal_deposits, ecal_cell);
+  std::vector<Cell> hcal_cells = SumCells(hcal_deposits, hcal_cell);
+  std::vector<ProtoCluster> em = ClusterGrid(ecal_cells, config_.ecal_seed_gev,
+                                             geometry_.ecal_phi_cells);
   std::vector<ProtoCluster> had = ClusterGrid(
-      hcal_cells, channels, config_.hcal_seed_gev, geometry_.hcal_phi_cells);
+      hcal_cells, config_.hcal_seed_gev, geometry_.hcal_phi_cells);
 
   // Match: each hadronic cluster attaches to the nearest EM cluster within
   // match_dr; leftovers become EM-poor clusters on their own.
@@ -215,9 +213,9 @@ std::vector<MuonSegment> CaloClusterer::MuonSegments(
     if (hit.detector != SubDetector::kMuon) continue;
     int layer, eta_cell, phi_cell;
     geometry_.DecodeMuonChannel(hit.channel, &layer, &eta_cell, &phi_cell);
-    // Any uint32 channel decodes, so a layer can pass 31: it shares bit
-    // layer % 32, the bit the shift has always set for it on x86-64 and
-    // AArch64.
+    // Any uint32 channel decodes, so a layer can pass 31. It sets bit
+    // layer % 32, as a 32-bit shift by the layer does on x86-64 and
+    // AArch64, which keeps such records' pinned RECO bytes.
     tower_hits.push_back({eta_cell, phi_cell, 1u << (layer % 32)});
   }
   auto same_tower = [](const TowerHit& a, const TowerHit& b) {

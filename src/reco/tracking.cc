@@ -160,11 +160,10 @@ std::vector<Track> TrackFinder::FindTracks(const RawEvent& raw) const {
         if (static_cast<int>(by_layer.size()) < min_hits) continue;
 
         // Re-express phis near the seed phi so the fit is wrap-free.
-        double reference = phi_i;
         local.clear();
         for (const RoadHit* hit : by_layer) {
           RoadHit copy = *hit;
-          copy.phi = WrapToReference(copy.phi, reference);
+          copy.phi = WrapToReference(copy.phi, phi_i);
           local.push_back(copy);
         }
 
