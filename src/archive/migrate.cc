@@ -7,10 +7,8 @@
 #include "support/fault.h"
 #include "support/io.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/metrics_registry.h"
 #include "support/parallel.h"
-#include "support/sha256.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -95,7 +93,6 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
   Counter& verify_failures = registry.GetCounter(kMigrateVerifyFailuresTotal);
 
   Span span("migrate:run", "archive");
-  WallTimer timer;
   MigrateReport report;
   report.generation = ReadGeneration(options.state_dir) + 1;
 
@@ -146,18 +143,10 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
             slot.status = put.status();
             return slot;
           }
-          // Copy-verify: read the target's copy back and re-hash it; a
-          // torn or bit-flipped landing must never count as migrated.
-          auto landed = target.Get(id);
-          if (!landed.ok()) {
-            slot.status = landed.status();
-            return slot;
-          }
-          if (Sha256::HashHex(*landed) != id) {
-            slot.status = Status::Corruption(
-                "object " + id + " failed re-hash on migration target");
-            return slot;
-          }
+          // Copy-verify: re-hash the target's copy; a torn or bit-flipped
+          // landing must never count as migrated.
+          slot.status = target.Verify(id);
+          if (!slot.status.ok()) return slot;
           slot.copied = true;
           slot.bytes = bytes->size();
           return slot;
@@ -210,13 +199,13 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
         Status fault = options.faults->Next("migrate:verify");
         if (!fault.ok()) return fault;
       }
-      auto landed = target.Get(id);
-      if (!landed.ok() || Sha256::HashHex(*landed) != id) {
+      Status landed = target.Verify(id);
+      if (!landed.ok()) {
         verify_failures.Increment();
-        return Status::Corruption(
-            "final sweep: object " + id + " does not verify on target (" +
-            (landed.ok() ? "hash mismatch" : landed.status().ToString()) +
-            "); generation swap refused");
+        return Status::Corruption("final sweep: object " + id +
+                                  " does not verify on target (" +
+                                  landed.ToString() +
+                                  "); generation swap refused");
       }
       ++report.verified;
       return Status::OK();
@@ -235,7 +224,7 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
   // migration starts fresh instead of reporting a spurious resume.
   DASPOS_RETURN_IF_ERROR(RemoveFile(CursorPath(options.state_dir)));
 
-  report.wall_ms = timer.ElapsedMillis();
+  report.wall_ms = span.ElapsedMillis();
   return report;
 }
 

@@ -1,13 +1,11 @@
 #include "archive/object_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <utility>
 
 #include "support/io.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/metrics_registry.h"
 #include "support/parallel.h"
 #include "support/sha256.h"
@@ -172,36 +170,16 @@ Status MemoryObjectStore::CorruptForTesting(const std::string& id,
 FileObjectStore::FileObjectStore(std::string root) : root_(std::move(root)) {
   using namespace metric_names;
   MetricsRegistry& registry = MetricsRegistry::Global();
-  const std::vector<double>& latency = Histogram::DefaultLatencyBucketsMs();
-  put_total_ = &registry.GetCounter(kArchivePutTotal, "object-store Put calls");
-  get_total_ = &registry.GetCounter(kArchiveGetTotal, "object-store Get calls");
-  verify_total_ =
-      &registry.GetCounter(kArchiveVerifyTotal, "object-store Verify calls");
-  put_bytes_total_ =
-      &registry.GetCounter(kArchivePutBytesTotal, "bytes written by Put");
-  get_bytes_total_ =
-      &registry.GetCounter(kArchiveGetBytesTotal, "bytes returned by Get");
-  cache_hits_ = &registry.GetCounter(kArchiveCacheHitsTotal,
-                                     "warm Gets that skipped the re-hash");
-  cache_misses_ = &registry.GetCounter(kArchiveCacheMissesTotal,
-                                       "cold Gets that hashed the full blob");
-  cache_invalidations_ =
-      &registry.GetCounter(kArchiveCacheInvalidationsTotal,
-                           "verified-digest cache entries dropped");
-  quarantines_ =
-      &registry.GetCounter(kArchiveQuarantinesTotal,
-                           "blobs moved aside after a fixity mismatch");
-  quarantine_errors_ = &registry.GetCounter(
-      kArchiveQuarantineErrorsTotal,
-      "quarantine moves that failed (mkdir or rename error)");
-  walk_errors_ = &registry.GetCounter(
-      kArchiveWalkErrorsTotal,
-      "store-walk iteration/stat failures (an unreadable store must not "
-      "report as empty)");
-  get_wall_ms_ =
-      &registry.GetHistogram(kArchiveGetWallMs, latency, "Get wall time");
-  put_wall_ms_ =
-      &registry.GetHistogram(kArchivePutWallMs, latency, "Put wall time");
+  put_total_ = &registry.GetCounter(kArchivePutTotal);
+  get_total_ = &registry.GetCounter(kArchiveGetTotal);
+  verify_total_ = &registry.GetCounter(kArchiveVerifyTotal);
+  put_bytes_total_ = &registry.GetCounter(kArchivePutBytesTotal);
+  get_bytes_total_ = &registry.GetCounter(kArchiveGetBytesTotal);
+  quarantines_ = &registry.GetCounter(kArchiveQuarantinesTotal);
+  quarantine_errors_ = &registry.GetCounter(kArchiveQuarantineErrorsTotal);
+  walk_errors_ = &registry.GetCounter(kArchiveWalkErrorsTotal);
+  get_wall_ms_ = &registry.GetHistogram(kArchiveGetWallMs);
+  put_wall_ms_ = &registry.GetHistogram(kArchivePutWallMs);
 }
 
 std::string FileObjectStore::PathFor(const std::string& id) const {
@@ -210,7 +188,6 @@ std::string FileObjectStore::PathFor(const std::string& id) const {
 
 void FileObjectStore::Quarantine(const std::string& id) const {
   quarantines_->Increment();
-  CacheDrop(id);
   std::error_code ec;
   const fs::path quarantine = fs::path(root_) / "quarantine";
   fs::create_directories(quarantine, ec);
@@ -236,56 +213,14 @@ void FileObjectStore::Quarantine(const std::string& id) const {
   }
 }
 
-Result<FileObjectStore::VerifiedStat> FileObjectStore::StatFingerprint(
-    const std::string& path) {
-  std::error_code ec;
-  uintmax_t size = fs::file_size(path, ec);
-  if (ec) return Status::NotFound("cannot stat: " + path);
-  auto mtime = fs::last_write_time(path, ec);
-  if (ec) return Status::NotFound("cannot stat: " + path);
-  VerifiedStat fp;
-  fp.size = static_cast<uint64_t>(size);
-  fp.mtime_ns = static_cast<int64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          mtime.time_since_epoch())
-          .count());
-  return fp;
-}
-
-bool FileObjectStore::CacheMatches(const std::string& id,
-                                   const VerifiedStat& current) const {
-  MutexLock lock(cache_mutex_);
-  auto it = verified_.find(id);
-  if (it == verified_.end()) return false;
-  if (it->second == current) return true;
-  // The file changed behind the cache: the old verdict is worthless. Drop
-  // it here so even an aborted read leaves no stale entry.
-  verified_.erase(it);
-  cache_invalidations_->Increment();
-  return false;
-}
-
-void FileObjectStore::CacheStore(const std::string& id,
-                                 const VerifiedStat& fp) const {
-  MutexLock lock(cache_mutex_);
-  verified_.insert_or_assign(id, fp);
-}
-
-void FileObjectStore::CacheDrop(const std::string& id) const {
-  MutexLock lock(cache_mutex_);
-  if (verified_.erase(id) > 0) cache_invalidations_->Increment();
-}
-
 Result<std::string> FileObjectStore::Put(std::string_view bytes) {
-  Span span("archive:put", "archive");
+  Span span("archive:put", "archive", put_wall_ms_);
   span.AddAttribute("bytes", static_cast<uint64_t>(bytes.size()));
-  WallTimer timer;
   Result<std::string> result = PutImpl(bytes);
   put_total_->Increment();
   if (result.ok()) {
     put_bytes_total_->Increment(static_cast<uint64_t>(bytes.size()));
   }
-  put_wall_ms_->Observe(timer.ElapsedMillis());
   return result;
 }
 
@@ -296,15 +231,11 @@ Result<std::string> FileObjectStore::PutImpl(std::string_view bytes) {
   // good bytes heals a rotted object (Verify quarantines the bad copy).
   if (FileExists(path) && Verify(id).ok()) return id;
   DASPOS_RETURN_IF_ERROR(AtomicWriteFile(path, bytes));
-  // A write replaces whatever the cache knew about this id; the next read
-  // re-verifies the published copy from scratch.
-  CacheDrop(id);
   return id;
 }
 
 Result<std::string> FileObjectStore::Get(const std::string& id) const {
-  Span span("archive:get", "archive");
-  WallTimer timer;
+  Span span("archive:get", "archive", get_wall_ms_);
   Result<std::string> result = GetImpl(id);
   get_total_->Increment();
   if (result.ok()) {
@@ -312,43 +243,22 @@ Result<std::string> FileObjectStore::Get(const std::string& id) const {
     get_bytes_total_->Increment(bytes);
     span.AddAttribute("bytes", bytes);
   }
-  get_wall_ms_->Observe(timer.ElapsedMillis());
   return result;
 }
 
 Result<std::string> FileObjectStore::GetImpl(const std::string& id) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
-  std::string path = PathFor(id);
-  // Warm path: a previous successful hash check recorded this exact
-  // {size, mtime}. If the stat still matches, skip the re-hash and only
-  // read the bytes. The fingerprint is taken BEFORE the read, so a writer
-  // racing the read can only make the next lookup conservative (re-hash),
-  // never let stale bytes through unverified.
-  auto fp = StatFingerprint(path);
-  if (fp.ok() && CacheMatches(id, *fp)) {
-    auto read = ReadFileToString(path);
-    if (read.ok()) {
-      cache_hits_->Increment();
-      return read;
-    }
-    // The file vanished between stat and read; fall through to the cold
-    // path for a coherent NotFound.
-    CacheDrop(id);
-  }
-  // Cold path: one streaming pass reads and hashes together. Bytes that no
-  // longer hash to their id must never reach a consumer: the rotted blob is
-  // moved aside so future reads fail fast and the linter can report it
-  // (A006).
+  // One streaming pass reads and hashes together. Bytes that no longer hash
+  // to their id must never reach a consumer: the rotted blob is moved aside
+  // so future reads fail fast and the linter can report it (A006).
   std::string hex;
-  auto read = ReadFileHashed(path, &hex);
+  auto read = ReadFileHashed(PathFor(id), &hex);
   if (!read.ok()) return Status::NotFound("object " + id + " not in store");
   if (hex != id) {
     Quarantine(id);
     return Status::Corruption("fixity mismatch for object " + id +
                               " (moved to quarantine)");
   }
-  cache_misses_->Increment();
-  if (fp.ok()) CacheStore(id, *fp);
   return read;
 }
 
@@ -359,24 +269,14 @@ bool FileObjectStore::Has(const std::string& id) const {
 Status FileObjectStore::Verify(const std::string& id) const {
   Span span("archive:verify", "archive");
   verify_total_->Increment();
-  return VerifyImpl(id);
-}
-
-Status FileObjectStore::VerifyImpl(const std::string& id) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
-  std::string path = PathFor(id);
-  // An audit is the authority the cache defers to, so it must always hash
-  // the real bytes — never trust (or consult) the cache.
-  auto fp = StatFingerprint(path);
-  auto hex = HashFileHex(path);
+  auto hex = HashFileHex(PathFor(id));
   if (!hex.ok()) return Status::NotFound("object " + id + " not in store");
   if (*hex != id) {
     Quarantine(id);
     return Status::Corruption("fixity mismatch for object " + id +
                               " (moved to quarantine)");
   }
-  // A clean audit refreshes the cache for free.
-  if (fp.ok()) CacheStore(id, *fp);
   return Status::OK();
 }
 

@@ -99,21 +99,17 @@ class MemoryObjectStore : public ObjectStore {
 /// validate the id first, so a hostile id ("../../etc/passwd") can never
 /// address a path outside the store root.
 ///
-/// Read fast path: after a successful hash check, Get records the blob's
-/// {size, mtime} in an in-memory verified-digest cache. A warm Get whose
-/// stat still matches skips the re-hash and just reads the bytes; any
-/// mismatch (or a Put / quarantine on the id) drops the entry and the next
-/// read re-hashes from scratch. Verify never consults the cache — an audit
-/// must always touch the real bytes.
+/// Every Get hashes the bytes it reads in the same streaming pass: media
+/// rot changes neither a file's size nor its mtime, so no stat-based
+/// shortcut can stand in for the hash.
 ///
 /// Put, Get, and Verify are safe to call concurrently (the base PutBatch
-/// relies on this): the cache is mutex-guarded and on-disk publication is
-/// an atomic rename.
+/// relies on this): the store keeps no mutable state of its own and on-disk
+/// publication is an atomic rename.
 ///
 /// Every operation publishes to MetricsRegistry::Global()
-/// (daspos_archive_*: op counts, byte totals, digest-cache hits/misses/
-/// invalidations, quarantines, get/put latency) and opens an "archive:*"
-/// trace span when the tracer is enabled.
+/// (daspos_archive_*: op counts, byte totals, quarantines, get/put latency)
+/// and opens an "archive:*" span.
 class FileObjectStore : public ObjectStore {
  public:
   explicit FileObjectStore(std::string root);
@@ -131,21 +127,9 @@ class FileObjectStore : public ObjectStore {
   std::vector<std::string> QuarantinedIds() const override;
 
  private:
-  /// Stat fingerprint of a verified blob. A later stat that differs means
-  /// the file changed behind the cache and the verdict is stale.
-  struct VerifiedStat {
-    uint64_t size = 0;
-    int64_t mtime_ns = 0;
-
-    bool operator==(const VerifiedStat& other) const {
-      return size == other.size && mtime_ns == other.mtime_ns;
-    }
-  };
-
   /// Op bodies behind the instrumented public wrappers.
   Result<std::string> PutImpl(std::string_view bytes);
   Result<std::string> GetImpl(const std::string& id) const;
-  Status VerifyImpl(const std::string& id) const;
 
   std::string PathFor(const std::string& id) const;
   /// Records one store-walk failure (directory unreadable, stat failed)
@@ -154,28 +138,15 @@ class FileObjectStore : public ObjectStore {
   /// mistaken for an empty one by audits reading the walk results.
   void CountWalkError(const std::string& what,
                       const std::error_code& ec) const;
-  /// Moves the blob at PathFor(id) into the quarantine area and drops its
-  /// cache entry. A prior forensic copy of the same id is never clobbered:
+  /// Moves the blob at PathFor(id) into the quarantine area. A prior
+  /// forensic copy of the same id is never clobbered:
   /// repeat quarantines land at `<id>.1`, `<id>.2`, ... . Failures (mkdir,
   /// rename) are logged and counted in
   /// daspos_archive_quarantine_errors_total — a rotted blob that could not
   /// be moved aside must not vanish silently.
   void Quarantine(const std::string& id) const;
-  /// Stat fingerprint of the file at `path`, or !ok if it cannot be statted.
-  static Result<VerifiedStat> StatFingerprint(const std::string& path);
-  /// True when the cache holds `id` with exactly `current`.
-  bool CacheMatches(const std::string& id, const VerifiedStat& current) const
-      DASPOS_EXCLUDES(cache_mutex_);
-  /// Records `id` as verified at fingerprint `fp`.
-  void CacheStore(const std::string& id, const VerifiedStat& fp) const
-      DASPOS_EXCLUDES(cache_mutex_);
-  /// Drops `id` from the cache, counting an invalidation if it was present.
-  void CacheDrop(const std::string& id) const DASPOS_EXCLUDES(cache_mutex_);
 
   std::string root_;
-  mutable Mutex cache_mutex_;
-  mutable std::map<std::string, VerifiedStat> verified_
-      DASPOS_GUARDED_BY(cache_mutex_);
   // Registry handles resolved once at construction (stable for process
   // life); the instruments themselves are owned by the global registry.
   Counter* put_total_;
@@ -183,9 +154,6 @@ class FileObjectStore : public ObjectStore {
   Counter* verify_total_;
   Counter* put_bytes_total_;
   Counter* get_bytes_total_;
-  Counter* cache_hits_;
-  Counter* cache_misses_;
-  Counter* cache_invalidations_;
   Counter* quarantines_;
   Counter* quarantine_errors_;
   Counter* walk_errors_;

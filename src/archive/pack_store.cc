@@ -16,7 +16,6 @@
 #include "support/compress.h"
 #include "support/io.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/metrics_registry.h"
 #include "support/parallel.h"
 #include "support/sha256.h"
@@ -112,43 +111,23 @@ PackObjectStore::PackObjectStore(std::string root, PackOptions options)
     : root_(std::move(root)), options_(options) {
   using namespace metric_names;
   MetricsRegistry& registry = MetricsRegistry::Global();
-  const std::vector<double>& latency = Histogram::DefaultLatencyBucketsMs();
-  appends_total_ = &registry.GetCounter(
-      kPackAppendsTotal, "records appended to packfile segments");
-  append_bytes_total_ = &registry.GetCounter(
-      kPackAppendBytesTotal, "stored payload bytes appended to segments");
-  reads_total_ = &registry.GetCounter(kPackReadsTotal, "packfile record reads");
-  read_bytes_total_ = &registry.GetCounter(
-      kPackReadBytesTotal, "raw (uncompressed) bytes served by packfile reads");
-  mmap_reads_total_ = &registry.GetCounter(
-      kPackMmapReadsTotal,
-      "packfile reads served zero-copy from a sealed-segment mapping");
-  compressed_total_ = &registry.GetCounter(
-      kPackCompressedBlobsTotal, "blobs stored block-compressed in packfiles");
-  compression_saved_bytes_ = &registry.GetCounter(
-      kPackCompressionSavedBytesTotal,
-      "raw-minus-stored bytes saved by block compression");
-  checksum_failures_ = &registry.GetCounter(
-      kPackChecksumFailuresTotal,
-      "packfile records whose stored checksum no longer matches (rot or torn "
-      "write)");
-  index_rebuilds_ = &registry.GetCounter(
-      kPackIndexRebuildsTotal,
-      "segment indexes rebuilt by scanning the segment");
-  torn_records_ = &registry.GetCounter(
-      kPackTornRecordsTotal,
-      "trailing torn records dropped during tail recovery");
-  segments_created_ = &registry.GetCounter(kPackSegmentsCreatedTotal,
-                                           "packfile segments created");
-  quarantines_ = &registry.GetCounter(
-      kPackQuarantinesTotal,
-      "packfile records quarantined after a fixity or checksum mismatch");
+  appends_total_ = &registry.GetCounter(kPackAppendsTotal);
+  append_bytes_total_ = &registry.GetCounter(kPackAppendBytesTotal);
+  reads_total_ = &registry.GetCounter(kPackReadsTotal);
+  read_bytes_total_ = &registry.GetCounter(kPackReadBytesTotal);
+  mmap_reads_total_ = &registry.GetCounter(kPackMmapReadsTotal);
+  compressed_total_ = &registry.GetCounter(kPackCompressedBlobsTotal);
+  compression_saved_bytes_ =
+      &registry.GetCounter(kPackCompressionSavedBytesTotal);
+  checksum_failures_ = &registry.GetCounter(kPackChecksumFailuresTotal);
+  index_rebuilds_ = &registry.GetCounter(kPackIndexRebuildsTotal);
+  torn_records_ = &registry.GetCounter(kPackTornRecordsTotal);
+  segments_created_ = &registry.GetCounter(kPackSegmentsCreatedTotal);
+  quarantines_ = &registry.GetCounter(kPackQuarantinesTotal);
   // Op latency lands in the shared archive histograms: they time store-level
   // Get/Put regardless of which backend served them.
-  get_wall_ms_ =
-      &registry.GetHistogram(kArchiveGetWallMs, latency, "Get wall time");
-  put_wall_ms_ =
-      &registry.GetHistogram(kArchivePutWallMs, latency, "Put wall time");
+  get_wall_ms_ = &registry.GetHistogram(kArchiveGetWallMs);
+  put_wall_ms_ = &registry.GetHistogram(kArchivePutWallMs);
   Open();
 }
 
@@ -627,9 +606,8 @@ Status PackObjectStore::Flush() {
 }
 
 Result<std::string> PackObjectStore::Put(std::string_view bytes) {
-  Span span("pack:put", "archive");
+  Span span("pack:put", "archive", put_wall_ms_);
   span.AddAttribute("bytes", static_cast<uint64_t>(bytes.size()));
-  WallTimer timer;
   Prepared prepared = PrepareBlob(bytes);  // hash + compress outside the lock
   bool have_existing = false;
   Entry existing;
@@ -648,25 +626,20 @@ Result<std::string> PackObjectStore::Put(std::string_view bytes) {
     // backend's Put semantics). The checksum gate is cheap; no SHA needed
     // because identity was established when the record was written.
     bool via_mmap = false;
-    if (ReadRecord(prepared.id, existing, &via_mmap).ok()) {
-      put_wall_ms_->Observe(timer.ElapsedMillis());
-      return prepared.id;
-    }
+    if (ReadRecord(prepared.id, existing, &via_mmap).ok()) return prepared.id;
     // ReadRecord quarantined the rotted record; fall through and append a
     // superseding one.
   }
   MutexLock lock(mutex_);
   DASPOS_RETURN_IF_ERROR(AppendLocked(prepared));
   DASPOS_RETURN_IF_ERROR(SyncActiveLocked());
-  put_wall_ms_->Observe(timer.ElapsedMillis());
   return prepared.id;
 }
 
 Result<std::vector<std::string>> PackObjectStore::PutBatch(
     const std::vector<std::string_view>& blobs, ThreadPool* pool) {
-  Span span("pack:putbatch", "archive");
+  Span span("pack:putbatch", "archive", put_wall_ms_);
   span.AddAttribute("blobs", static_cast<uint64_t>(blobs.size()));
-  WallTimer timer;
   // Hashing and compression dominate and parallelize perfectly; the
   // appends then serialize under one lock with a single fsync for the
   // whole batch instead of one per blob.
@@ -719,7 +692,6 @@ Result<std::vector<std::string>> PackObjectStore::PutBatch(
     }
     DASPOS_RETURN_IF_ERROR(SyncActiveLocked());
   }
-  put_wall_ms_->Observe(timer.ElapsedMillis());
   return ids;
 }
 
@@ -890,8 +862,7 @@ void PackObjectStore::QuarantineRecord(const std::string& id,
 }
 
 Result<std::string> PackObjectStore::Get(const std::string& id) const {
-  Span span("pack:get", "archive");
-  WallTimer timer;
+  Span span("pack:get", "archive", get_wall_ms_);
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
   Entry entry;
   {
@@ -910,7 +881,6 @@ Result<std::string> PackObjectStore::Get(const std::string& id) const {
     if (via_mmap) mmap_reads_total_->Increment();
     span.AddAttribute("bytes", static_cast<uint64_t>(bytes->size()));
   }
-  get_wall_ms_->Observe(timer.ElapsedMillis());
   return bytes;
 }
 

@@ -15,17 +15,10 @@ ReplicatedObjectStore::ReplicatedObjectStore(std::vector<ObjectStore*> replicas)
   assert(!replicas_.empty() && "a replicated store needs >= 1 replica");
   using namespace metric_names;
   MetricsRegistry& registry = MetricsRegistry::Global();
-  read_repairs_ =
-      &registry.GetCounter(kArchiveReadRepairsTotal,
-                           "rotted/missing replica copies healed during Get");
-  degraded_reads_ = &registry.GetCounter(
-      kArchiveDegradedReadsTotal,
-      "reads served while only a minority of replicas was healthy");
-  put_failures_ =
-      &registry.GetCounter(kArchiveReplicaPutFailuresTotal,
-                           "per-replica Put failures inside quorum writes");
-  fallbacks_ = &registry.GetCounter(
-      kArchiveReplicaFallbacksTotal, "reads that fell past an unhealthy replica");
+  read_repairs_ = &registry.GetCounter(kArchiveReadRepairsTotal);
+  degraded_reads_ = &registry.GetCounter(kArchiveDegradedReadsTotal);
+  put_failures_ = &registry.GetCounter(kArchiveReplicaPutFailuresTotal);
+  fallbacks_ = &registry.GetCounter(kArchiveReplicaFallbacksTotal);
 }
 
 Result<std::string> ReplicatedObjectStore::Put(std::string_view bytes) {

@@ -14,12 +14,8 @@ namespace {
 /// Publishes one linted artifact and its finding count to the registry.
 void RecordLintMetrics(const LintReport& report) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry
-      .GetCounter(metric_names::kLintArtifactsTotal, "artifacts linted")
-      .Increment();
-  registry
-      .GetCounter(metric_names::kLintFindingsTotal,
-                  "lint diagnostics emitted")
+  registry.GetCounter(metric_names::kLintArtifactsTotal).Increment();
+  registry.GetCounter(metric_names::kLintFindingsTotal)
       .Increment(static_cast<uint64_t>(report.diagnostics().size()));
 }
 

@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -60,32 +59,19 @@ Status ValidateArtifactName(const std::string& name) {
 
 Server::Server(ObjectStore* store, ServerOptions options)
     : store_(store), options_(std::move(options)) {
+  using namespace metric_names;
   MetricsRegistry& registry = MetricsRegistry::Global();
-  connections_total_ = &registry.GetCounter(
-      metric_names::kNetConnectionsTotal, "client connections accepted");
-  active_connections_ = &registry.GetGauge(
-      metric_names::kNetActiveConnections, "client connections open now");
-  requests_total_ = &registry.GetCounter(metric_names::kNetRequestsTotal,
-                                         "request frames dispatched");
-  request_errors_total_ =
-      &registry.GetCounter(metric_names::kNetRequestErrorsTotal,
-                           "requests answered with an ERROR frame");
-  protocol_errors_total_ = &registry.GetCounter(
-      metric_names::kNetProtocolErrorsTotal, "malformed frames");
-  bytes_read_total_ = &registry.GetCounter(metric_names::kNetBytesReadTotal,
-                                           "bytes read from client sockets");
-  bytes_written_total_ =
-      &registry.GetCounter(metric_names::kNetBytesWrittenTotal,
-                           "bytes written to client sockets");
+  connections_total_ = &registry.GetCounter(kNetConnectionsTotal);
+  active_connections_ = &registry.GetGauge(kNetActiveConnections);
+  requests_total_ = &registry.GetCounter(kNetRequestsTotal);
+  request_errors_total_ = &registry.GetCounter(kNetRequestErrorsTotal);
+  protocol_errors_total_ = &registry.GetCounter(kNetProtocolErrorsTotal);
+  bytes_read_total_ = &registry.GetCounter(kNetBytesReadTotal);
+  bytes_written_total_ = &registry.GetCounter(kNetBytesWrittenTotal);
   backpressure_stalls_total_ =
-      &registry.GetCounter(metric_names::kNetBackpressureStallsTotal,
-                           "reads paused by a full outbox");
-  drains_total_ = &registry.GetCounter(metric_names::kNetDrainsTotal,
-                                       "graceful drains begun");
-  request_wall_ms_ =
-      &registry.GetHistogram(metric_names::kNetRequestWallMs,
-                             Histogram::DefaultLatencyBucketsMs(),
-                             "per-request wall time");
+      &registry.GetCounter(kNetBackpressureStallsTotal);
+  drains_total_ = &registry.GetCounter(kNetDrainsTotal);
+  request_wall_ms_ = &registry.GetHistogram(kNetRequestWallMs);
 }
 
 Server::~Server() {
@@ -271,19 +257,13 @@ void Server::DispatchRequest(Connection& conn, const FrameHeader& header,
   requests_total_->Increment();
   ++conn.requests;
   ++requests_served_;
-  const auto start = std::chrono::steady_clock::now();
   Result<std::string> response = [&]() -> Result<std::string> {
-    Span span("net:request", "net");
+    Span span("net:request", "net", request_wall_ms_);
     span.AddAttribute("type", MessageTypeName(type));
     span.AddAttribute("bytes", static_cast<uint64_t>(payload.size()));
     span.AddAttribute("peer", conn.peer);
     return HandleRequest(type, payload);
   }();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  request_wall_ms_->Observe(wall_ms);
   if (response.ok()) {
     Enqueue(conn, EncodeFrame(ResponseTypeFor(type), header.request_id,
                               *response));

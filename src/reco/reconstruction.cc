@@ -15,7 +15,7 @@ std::vector<RecoEvent> Reconstructor::ReconstructAll(
   Span span("reco:reconstruct_all", "reco");
   span.AddAttribute("events", static_cast<uint64_t>(raw.size()));
   MetricsRegistry::Global()
-      .GetCounter(metric_names::kRecoEventsTotal, "events reconstructed")
+      .GetCounter(metric_names::kRecoEventsTotal)
       .Increment(static_cast<uint64_t>(raw.size()));
   return ParallelMap<RecoEvent>(
       pool, raw.size(), [this, &raw](size_t i) { return Reconstruct(raw[i]); },

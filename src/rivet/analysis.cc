@@ -38,8 +38,7 @@ void AnalysisHandler::Run(const std::vector<GenEvent>& events,
   span.AddAttribute("events", static_cast<uint64_t>(events.size()));
   span.AddAttribute("analyses", static_cast<uint64_t>(analyses_.size()));
   MetricsRegistry::Global()
-      .GetCounter(metric_names::kRivetEventsTotal,
-                  "generator events run through rivet analyses")
+      .GetCounter(metric_names::kRivetEventsTotal)
       .Increment(static_cast<uint64_t>(events.size()));
   if (!initialized_) {
     for (auto& analysis : analyses_) analysis->Init();

@@ -9,6 +9,8 @@ namespace daspos {
 
 namespace {
 
+using namespace metric_names;
+
 /// Portable atomic add for doubles (atomic<double>::fetch_add is not
 /// guaranteed lock-free everywhere; the CAS loop is).
 void AtomicAdd(std::atomic<double>& target, double delta) {
@@ -26,6 +28,142 @@ std::string FormatNumber(double value) {
   // (0.001 * 2^k up to 8388.608).
   std::snprintf(buffer, sizeof(buffer), "%.10g", value);
   return buffer;
+}
+
+/// The standard catalogue: the one place each standard metric gets its
+/// kind and HELP. Every catalogued histogram uses the default latency
+/// buckets.
+struct StandardMetric {
+  std::string_view name;
+  MetricKind kind;
+  std::string_view help;
+};
+
+constexpr StandardMetric kStandardMetrics[] = {
+    {kWorkflowExecutionsTotal, MetricKind::kCounter,
+     "Workflow::Execute invocations"},
+    {kWorkflowStepsTotal, MetricKind::kCounter,
+     "workflow steps settled successfully"},
+    {kWorkflowStepFailuresTotal, MetricKind::kCounter,
+     "workflow steps that exhausted their attempts"},
+    {kWorkflowStepRetriesTotal, MetricKind::kCounter,
+     "step attempts beyond each step's first"},
+    {kWorkflowCheckpointRestoresTotal, MetricKind::kCounter,
+     "steps restored from a run-journal checkpoint"},
+    {kWorkflowStepWallMs, MetricKind::kHistogram,
+     "per-step wall time (gather + run + store)"},
+    {kPoolTasksTotal, MetricKind::kCounter, "tasks executed by thread pools"},
+    {kPoolBusyUsTotal, MetricKind::kCounter,
+     "microseconds spent inside pool task bodies"},
+    {kPoolQueueDepth, MetricKind::kGauge, "tasks queued but not yet running"},
+    {kPoolTaskWallMs, MetricKind::kHistogram, "per-task wall time"},
+    {kArchivePutTotal, MetricKind::kCounter, "object-store Put calls"},
+    {kArchiveGetTotal, MetricKind::kCounter, "object-store Get calls"},
+    {kArchiveVerifyTotal, MetricKind::kCounter, "object-store Verify calls"},
+    {kArchivePutBytesTotal, MetricKind::kCounter, "bytes written by Put"},
+    {kArchiveGetBytesTotal, MetricKind::kCounter, "bytes returned by Get"},
+    {kArchiveQuarantinesTotal, MetricKind::kCounter,
+     "blobs moved aside after a fixity mismatch"},
+    {kArchiveGetWallMs, MetricKind::kHistogram, "Get wall time"},
+    {kArchivePutWallMs, MetricKind::kHistogram, "Put wall time"},
+    {kArchiveWalkErrorsTotal, MetricKind::kCounter,
+     "store-walk iteration/stat failures (an unreadable store must not "
+     "report as empty)"},
+    {kArchiveQuarantineErrorsTotal, MetricKind::kCounter,
+     "quarantine moves that failed (forensic copy may be lost)"},
+    {kArchiveReadRepairsTotal, MetricKind::kCounter,
+     "rotted/missing replica copies healed during Get"},
+    {kArchiveDegradedReadsTotal, MetricKind::kCounter,
+     "reads served while only a minority of replicas was healthy"},
+    {kArchiveReplicaPutFailuresTotal, MetricKind::kCounter,
+     "per-replica Put failures inside quorum writes"},
+    {kArchiveReplicaFallbacksTotal, MetricKind::kCounter,
+     "reads that fell past an unhealthy replica"},
+    {kScrubPassesTotal, MetricKind::kCounter, "scrub passes completed"},
+    {kScrubObjectsTotal, MetricKind::kCounter, "objects fixity-scrubbed"},
+    {kScrubRepairsTotal, MetricKind::kCounter,
+     "replica copies repaired by the scrubber"},
+    {kScrubUnrepairableTotal, MetricKind::kCounter,
+     "objects with no healthy copy on any replica"},
+    {kScrubBatchWallMs, MetricKind::kHistogram, "per-batch scrub wall time"},
+    {kMigrateObjectsTotal, MetricKind::kCounter,
+     "objects processed by store-generation migration"},
+    {kMigrateBytesTotal, MetricKind::kCounter, "bytes copied by migration"},
+    {kMigrateResumedTotal, MetricKind::kCounter,
+     "migration runs resumed from an interrupted cursor"},
+    {kMigrateVerifyFailuresTotal, MetricKind::kCounter,
+     "target copies that failed the post-copy or final-sweep fixity check"},
+    {kPackAppendsTotal, MetricKind::kCounter,
+     "records appended to packfile segments"},
+    {kPackAppendBytesTotal, MetricKind::kCounter,
+     "stored payload bytes appended to segments"},
+    {kPackReadsTotal, MetricKind::kCounter, "packfile record reads"},
+    {kPackReadBytesTotal, MetricKind::kCounter,
+     "raw (uncompressed) bytes served by packfile reads"},
+    {kPackMmapReadsTotal, MetricKind::kCounter,
+     "packfile reads served zero-copy from a sealed-segment mapping"},
+    {kPackCompressedBlobsTotal, MetricKind::kCounter,
+     "blobs stored block-compressed in packfiles"},
+    {kPackCompressionSavedBytesTotal, MetricKind::kCounter,
+     "raw-minus-stored bytes saved by block compression"},
+    {kPackChecksumFailuresTotal, MetricKind::kCounter,
+     "packfile records whose stored checksum no longer matches (rot or torn "
+     "write)"},
+    {kPackIndexRebuildsTotal, MetricKind::kCounter,
+     "segment indexes rebuilt by scanning the segment"},
+    {kPackTornRecordsTotal, MetricKind::kCounter,
+     "trailing torn records dropped during tail recovery"},
+    {kPackSegmentsCreatedTotal, MetricKind::kCounter,
+     "packfile segments created"},
+    {kPackQuarantinesTotal, MetricKind::kCounter,
+     "packfile records quarantined after a fixity or checksum mismatch"},
+    {kValidationRunsTotal, MetricKind::kCounter, "validation farm runs"},
+    {kValidationCellsTotal, MetricKind::kCounter,
+     "campaign x analysis cells validated"},
+    {kValidationPassTotal, MetricKind::kCounter,
+     "validation cells that passed"},
+    {kValidationWarnTotal, MetricKind::kCounter,
+     "validation cells that warned"},
+    {kValidationFailTotal, MetricKind::kCounter,
+     "validation cells that failed"},
+    {kValidationHistogramsTotal, MetricKind::kCounter,
+     "histograms compared against archived references"},
+    {kValidationCellWallMs, MetricKind::kHistogram,
+     "per-cell wall time (chain + analysis + compare)"},
+    {kNetConnectionsTotal, MetricKind::kCounter, "client connections accepted"},
+    {kNetActiveConnections, MetricKind::kGauge, "client connections open now"},
+    {kNetRequestsTotal, MetricKind::kCounter, "request frames dispatched"},
+    {kNetRequestErrorsTotal, MetricKind::kCounter,
+     "requests answered with an ERROR frame"},
+    {kNetProtocolErrorsTotal, MetricKind::kCounter,
+     "malformed frames (bad magic/version, oversized declared length, "
+     "unknown type, mid-frame disconnect)"},
+    {kNetBytesReadTotal, MetricKind::kCounter,
+     "bytes read from client sockets"},
+    {kNetBytesWrittenTotal, MetricKind::kCounter,
+     "bytes written to client sockets"},
+    {kNetBackpressureStallsTotal, MetricKind::kCounter,
+     "times a connection's reads were paused because its outbox hit the "
+     "backpressure cap"},
+    {kNetDrainsTotal, MetricKind::kCounter, "graceful drains begun (SIGTERM)"},
+    {kNetRequestWallMs, MetricKind::kHistogram,
+     "per-request wall time (decode + handle + encode)"},
+    {kLintArtifactsTotal, MetricKind::kCounter, "artifacts linted"},
+    {kLintFindingsTotal, MetricKind::kCounter, "lint diagnostics emitted"},
+    {kRecoEventsTotal, MetricKind::kCounter, "events reconstructed"},
+    {kTiersInputEventsTotal, MetricKind::kCounter,
+     "AOD events read by derivation"},
+    {kTiersOutputEventsTotal, MetricKind::kCounter,
+     "derived events written by derivation"},
+    {kRivetEventsTotal, MetricKind::kCounter,
+     "generator events run through rivet analyses"},
+};
+
+const StandardMetric* FindStandardMetric(std::string_view name) {
+  for (const StandardMetric& metric : kStandardMetrics) {
+    if (metric.name == name) return &metric;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -77,57 +215,67 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-MetricsRegistry::Entry& MetricsRegistry::EntryFor(std::string_view name,
+MetricsRegistry::Entry* MetricsRegistry::EntryFor(std::string_view name,
+                                                  MetricKind kind,
                                                   std::string_view help) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
+    const StandardMetric* standard = FindStandardMetric(name);
+    if (standard != nullptr) {
+      if (standard->kind != kind) return nullptr;
+      help = standard->help;
+    }
     Entry entry;
     entry.help = help;
     it = entries_.emplace(std::string(name), std::move(entry)).first;
   }
-  return it->second;
+  return &it->second;
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name,
                                      std::string_view help) {
   MutexLock lock(mutex_);
-  Entry& entry = EntryFor(name, help);
-  if (!entry.has_instrument()) entry.counter.reset(new Counter());
-  if (entry.counter == nullptr) {
+  Entry* entry = EntryFor(name, MetricKind::kCounter, help);
+  if (entry != nullptr && !entry->has_instrument()) {
+    entry->counter.reset(new Counter());
+  }
+  if (entry == nullptr || entry->counter == nullptr) {
     // Kind mismatch: keep the original registration, hand back a detached
     // instrument so the caller still has something safe to increment.
     static Counter* mismatch = new Counter();
     return *mismatch;
   }
-  return *entry.counter;
+  return *entry->counter;
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name,
                                  std::string_view help) {
   MutexLock lock(mutex_);
-  Entry& entry = EntryFor(name, help);
-  if (!entry.has_instrument()) entry.gauge.reset(new Gauge());
-  if (entry.gauge == nullptr) {
+  Entry* entry = EntryFor(name, MetricKind::kGauge, help);
+  if (entry != nullptr && !entry->has_instrument()) {
+    entry->gauge.reset(new Gauge());
+  }
+  if (entry == nullptr || entry->gauge == nullptr) {
     static Gauge* mismatch = new Gauge();
     return *mismatch;
   }
-  return *entry.gauge;
+  return *entry->gauge;
 }
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name,
                                          std::vector<double> bounds,
                                          std::string_view help) {
   MutexLock lock(mutex_);
-  Entry& entry = EntryFor(name, help);
-  if (!entry.has_instrument()) {
-    entry.histogram.reset(new Histogram(std::move(bounds)));
+  Entry* entry = EntryFor(name, MetricKind::kHistogram, help);
+  if (entry != nullptr && !entry->has_instrument()) {
+    entry->histogram.reset(new Histogram(std::move(bounds)));
   }
-  if (entry.histogram == nullptr) {
+  if (entry == nullptr || entry->histogram == nullptr) {
     static Histogram* mismatch =
         new Histogram(Histogram::DefaultLatencyBucketsMs());
     return *mismatch;
   }
-  return *entry.histogram;
+  return *entry->histogram;
 }
 
 uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
@@ -253,132 +401,13 @@ void MetricsRegistry::ResetForTesting() {
 }
 
 void RegisterStandardMetrics(MetricsRegistry& registry) {
-  using namespace metric_names;
-  const std::vector<double>& latency = Histogram::DefaultLatencyBucketsMs();
-  registry.GetCounter(kWorkflowExecutionsTotal,
-                      "Workflow::Execute invocations");
-  registry.GetCounter(kWorkflowStepsTotal,
-                      "workflow steps settled successfully");
-  registry.GetCounter(kWorkflowStepFailuresTotal,
-                      "workflow steps that exhausted their attempts");
-  registry.GetCounter(kWorkflowStepRetriesTotal,
-                      "step attempts beyond each step's first");
-  registry.GetCounter(kWorkflowCheckpointRestoresTotal,
-                      "steps restored from a run-journal checkpoint");
-  registry.GetHistogram(kWorkflowStepWallMs, latency,
-                        "per-step wall time (gather + run + store)");
-  registry.GetCounter(kPoolTasksTotal, "tasks executed by thread pools");
-  registry.GetCounter(kPoolBusyUsTotal,
-                      "microseconds spent inside pool task bodies");
-  registry.GetGauge(kPoolQueueDepth, "tasks queued but not yet running");
-  registry.GetHistogram(kPoolTaskWallMs, latency, "per-task wall time");
-  registry.GetCounter(kArchivePutTotal, "object-store Put calls");
-  registry.GetCounter(kArchiveGetTotal, "object-store Get calls");
-  registry.GetCounter(kArchiveVerifyTotal, "object-store Verify calls");
-  registry.GetCounter(kArchivePutBytesTotal, "bytes written by Put");
-  registry.GetCounter(kArchiveGetBytesTotal, "bytes returned by Get");
-  registry.GetCounter(kArchiveCacheHitsTotal,
-                      "warm Gets that skipped the re-hash");
-  registry.GetCounter(kArchiveCacheMissesTotal,
-                      "cold Gets that hashed the full blob");
-  registry.GetCounter(kArchiveCacheInvalidationsTotal,
-                      "verified-digest cache entries dropped");
-  registry.GetCounter(kArchiveQuarantinesTotal,
-                      "blobs moved aside after a fixity mismatch");
-  registry.GetHistogram(kArchiveGetWallMs, latency, "Get wall time");
-  registry.GetHistogram(kArchivePutWallMs, latency, "Put wall time");
-  registry.GetCounter(kArchiveWalkErrorsTotal,
-                      "store-walk iteration/stat failures (an unreadable "
-                      "store must not report as empty)");
-  registry.GetCounter(kArchiveQuarantineErrorsTotal,
-                      "quarantine moves that failed (forensic copy may be "
-                      "lost)");
-  registry.GetCounter(kArchiveReadRepairsTotal,
-                      "rotted/missing replica copies healed during Get");
-  registry.GetCounter(kArchiveDegradedReadsTotal,
-                      "reads served while only a minority of replicas was "
-                      "healthy");
-  registry.GetCounter(kArchiveReplicaPutFailuresTotal,
-                      "per-replica Put failures inside quorum writes");
-  registry.GetCounter(kArchiveReplicaFallbacksTotal,
-                      "reads that fell past an unhealthy replica");
-  registry.GetCounter(kScrubPassesTotal, "scrub passes completed");
-  registry.GetCounter(kScrubObjectsTotal, "objects fixity-scrubbed");
-  registry.GetCounter(kScrubRepairsTotal,
-                      "replica copies repaired by the scrubber");
-  registry.GetCounter(kScrubUnrepairableTotal,
-                      "objects with no healthy copy on any replica");
-  registry.GetHistogram(kScrubBatchWallMs, latency,
-                        "per-batch scrub wall time");
-  registry.GetCounter(kMigrateObjectsTotal,
-                      "objects processed by store-generation migration");
-  registry.GetCounter(kMigrateBytesTotal, "bytes copied by migration");
-  registry.GetCounter(kMigrateResumedTotal,
-                      "migration runs resumed from an interrupted cursor");
-  registry.GetCounter(kMigrateVerifyFailuresTotal,
-                      "target copies that failed the post-copy re-hash");
-  registry.GetCounter(kPackAppendsTotal,
-                      "records appended to packfile segments");
-  registry.GetCounter(kPackAppendBytesTotal,
-                      "stored payload bytes appended to segments");
-  registry.GetCounter(kPackReadsTotal, "packfile record reads");
-  registry.GetCounter(kPackReadBytesTotal,
-                      "raw (uncompressed) bytes served by packfile reads");
-  registry.GetCounter(kPackMmapReadsTotal,
-                      "packfile reads served zero-copy from a sealed-segment "
-                      "mapping");
-  registry.GetCounter(kPackCompressedBlobsTotal,
-                      "blobs stored block-compressed in packfiles");
-  registry.GetCounter(kPackCompressionSavedBytesTotal,
-                      "raw-minus-stored bytes saved by block compression");
-  registry.GetCounter(kPackChecksumFailuresTotal,
-                      "packfile records whose stored checksum no longer "
-                      "matches (rot or torn write)");
-  registry.GetCounter(kPackIndexRebuildsTotal,
-                      "segment indexes rebuilt by scanning the segment");
-  registry.GetCounter(kPackTornRecordsTotal,
-                      "trailing torn records dropped during tail recovery");
-  registry.GetCounter(kPackSegmentsCreatedTotal,
-                      "packfile segments created");
-  registry.GetCounter(kPackQuarantinesTotal,
-                      "packfile records quarantined after a fixity or "
-                      "checksum mismatch");
-  registry.GetCounter(kValidationRunsTotal, "validation farm runs");
-  registry.GetCounter(kValidationCellsTotal,
-                      "campaign x analysis cells validated");
-  registry.GetCounter(kValidationPassTotal, "validation cells that passed");
-  registry.GetCounter(kValidationWarnTotal, "validation cells that warned");
-  registry.GetCounter(kValidationFailTotal, "validation cells that failed");
-  registry.GetCounter(kValidationHistogramsTotal,
-                      "histograms compared against archived references");
-  registry.GetHistogram(kValidationCellWallMs, latency,
-                        "per-cell wall time (chain + analysis + compare)");
-  registry.GetCounter(kNetConnectionsTotal, "client connections accepted");
-  registry.GetGauge(kNetActiveConnections, "client connections open now");
-  registry.GetCounter(kNetRequestsTotal, "request frames dispatched");
-  registry.GetCounter(kNetRequestErrorsTotal,
-                      "requests answered with an ERROR frame");
-  registry.GetCounter(kNetProtocolErrorsTotal,
-                      "malformed frames (bad magic/version, oversized "
-                      "declared length, unknown type, mid-frame disconnect)");
-  registry.GetCounter(kNetBytesReadTotal, "bytes read from client sockets");
-  registry.GetCounter(kNetBytesWrittenTotal,
-                      "bytes written to client sockets");
-  registry.GetCounter(kNetBackpressureStallsTotal,
-                      "times a connection's reads were paused because its "
-                      "outbox hit the backpressure cap");
-  registry.GetCounter(kNetDrainsTotal, "graceful drains begun (SIGTERM)");
-  registry.GetHistogram(kNetRequestWallMs, latency,
-                        "per-request wall time (decode + handle + encode)");
-  registry.GetCounter(kLintArtifactsTotal, "artifacts linted");
-  registry.GetCounter(kLintFindingsTotal, "lint diagnostics emitted");
-  registry.GetCounter(kRecoEventsTotal, "events reconstructed");
-  registry.GetCounter(kTiersInputEventsTotal,
-                      "AOD events read by derivation");
-  registry.GetCounter(kTiersOutputEventsTotal,
-                      "derived events written by derivation");
-  registry.GetCounter(kRivetEventsTotal,
-                      "generator events run through rivet analyses");
+  for (const StandardMetric& metric : kStandardMetrics) {
+    switch (metric.kind) {
+      case MetricKind::kCounter: registry.GetCounter(metric.name); break;
+      case MetricKind::kGauge: registry.GetGauge(metric.name); break;
+      case MetricKind::kHistogram: registry.GetHistogram(metric.name); break;
+    }
+  }
 }
 
 }  // namespace daspos

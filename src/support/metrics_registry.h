@@ -78,7 +78,8 @@ class Histogram {
     return counts_[i].load(std::memory_order_relaxed);
   }
 
-  /// The default latency scale, in milliseconds: 0.25 ms .. 5 s.
+  /// The default latency scale, in milliseconds: 24 base-2 bounds from
+  /// 0.001 ms (1 us) to 8388.608 ms.
   static const std::vector<double>& DefaultLatencyBucketsMs();
 
  private:
@@ -120,6 +121,8 @@ struct MetricsSnapshot {
   std::vector<HistogramValue> histograms;
 };
 
+enum class MetricKind { kCounter, kGauge, kHistogram };
+
 /// Thread-safe name -> instrument registry. Use Global() for the process
 /// registry; local instances exist for tests. Getting a handle takes the
 /// registry mutex once; the returned reference is valid forever.
@@ -133,18 +136,21 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   /// Returns the instrument registered under `name`, creating it on first
-  /// use. `help` is recorded on creation (later calls may pass "").
-  /// Registering the same name as two different kinds keeps the first kind
-  /// and returns a detached dummy instrument for the mismatched request —
-  /// a programming error surfaced by the dummy's absence from exports.
+  /// use. A name in the standard catalogue (metric_names) takes its kind
+  /// and HELP from the catalogue, so its callers pass no `help`; any other
+  /// name records `help` on creation (later calls may pass ""). Asking for
+  /// a name as a kind other than its registered or catalogued one returns
+  /// a detached dummy instrument — a programming error surfaced by the
+  /// dummy's absence from exports.
   Counter& GetCounter(std::string_view name, std::string_view help = "")
       DASPOS_EXCLUDES(mutex_);
   Gauge& GetGauge(std::string_view name, std::string_view help = "")
       DASPOS_EXCLUDES(mutex_);
   /// `bounds` must be ascending; they are fixed on first registration.
-  Histogram& GetHistogram(std::string_view name, std::vector<double> bounds,
-                          std::string_view help = "")
-      DASPOS_EXCLUDES(mutex_);
+  Histogram& GetHistogram(
+      std::string_view name,
+      std::vector<double> bounds = Histogram::DefaultLatencyBucketsMs(),
+      std::string_view help = "") DASPOS_EXCLUDES(mutex_);
 
   /// Current value of a counter/gauge by name; 0 when not registered.
   /// (Tests use before/after deltas of these.)
@@ -175,9 +181,11 @@ class MetricsRegistry {
   };
 
   /// Finds (creating a bare, instrument-less entry if absent) the entry for
-  /// `name`. The caller holds the registry mutex and attaches the right
-  /// instrument kind.
-  Entry& EntryFor(std::string_view name, std::string_view help)
+  /// `name`, or returns nullptr when the catalogue gives `name` a kind other
+  /// than `kind`. The caller holds the registry mutex and attaches the
+  /// right instrument kind.
+  Entry* EntryFor(std::string_view name, MetricKind kind,
+                  std::string_view help)
       DASPOS_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
@@ -186,7 +194,8 @@ class MetricsRegistry {
 
 /// Canonical metric names — the single source both the instrumented
 /// subsystems and RegisterStandardMetrics use, so exposition and
-/// documentation cannot drift from the code.
+/// documentation cannot drift from the code. Each name's kind and HELP live
+/// once, in the catalogue in metrics_registry.cc.
 namespace metric_names {
 // Workflow engine.
 inline constexpr char kWorkflowExecutionsTotal[] =
@@ -212,12 +221,6 @@ inline constexpr char kArchivePutBytesTotal[] =
     "daspos_archive_put_bytes_total";
 inline constexpr char kArchiveGetBytesTotal[] =
     "daspos_archive_get_bytes_total";
-inline constexpr char kArchiveCacheHitsTotal[] =
-    "daspos_archive_digest_cache_hits_total";
-inline constexpr char kArchiveCacheMissesTotal[] =
-    "daspos_archive_digest_cache_misses_total";
-inline constexpr char kArchiveCacheInvalidationsTotal[] =
-    "daspos_archive_digest_cache_invalidations_total";
 inline constexpr char kArchiveQuarantinesTotal[] =
     "daspos_archive_quarantines_total";
 inline constexpr char kArchiveGetWallMs[] = "daspos_archive_get_wall_ms";

@@ -9,17 +9,10 @@ namespace daspos {
 
 ThreadPool::ThreadPool(size_t thread_count) {
   MetricsRegistry& registry = MetricsRegistry::Global();
-  tasks_total_ = &registry.GetCounter(metric_names::kPoolTasksTotal,
-                                      "tasks executed by thread pools");
-  busy_us_total_ =
-      &registry.GetCounter(metric_names::kPoolBusyUsTotal,
-                           "microseconds spent inside pool task bodies");
-  queue_depth_ = &registry.GetGauge(metric_names::kPoolQueueDepth,
-                                    "tasks queued but not yet running");
-  task_wall_ms_ =
-      &registry.GetHistogram(metric_names::kPoolTaskWallMs,
-                             Histogram::DefaultLatencyBucketsMs(),
-                             "per-task wall time");
+  tasks_total_ = &registry.GetCounter(metric_names::kPoolTasksTotal);
+  busy_us_total_ = &registry.GetCounter(metric_names::kPoolBusyUsTotal);
+  queue_depth_ = &registry.GetGauge(metric_names::kPoolQueueDepth);
+  task_wall_ms_ = &registry.GetHistogram(metric_names::kPoolTaskWallMs);
   if (thread_count == 0) thread_count = 1;
   workers_.reserve(thread_count);
   for (size_t i = 0; i < thread_count; ++i) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <map>
 
+#include "support/metrics_registry.h"
+
 namespace daspos {
 
 namespace {
@@ -116,22 +118,28 @@ std::vector<SpanEvent> Tracer::Drain() {
 
 // ---------------------------------------------------------------------- Span
 
-Span::Span(std::string_view name, std::string_view category) {
+Span::Span(std::string_view name, std::string_view category,
+           Histogram* histogram)
+    : histogram_(histogram) {
   Tracer& tracer = Tracer::Global();
-  if (!tracer.enabled()) return;
-  active_ = true;
-  event_.name = std::string(name);
-  event_.category = std::string(category);
-  event_.id = tracer.NextSpanId();
-  event_.parent_id = tls_current_span;
-  prev_current_ = tls_current_span;
-  tls_current_span = event_.id;
+  if (tracer.enabled()) {
+    active_ = true;
+    event_.name = std::string(name);
+    event_.category = std::string(category);
+    event_.id = tracer.NextSpanId();
+    event_.parent_id = tls_current_span;
+    prev_current_ = tls_current_span;
+    tls_current_span = event_.id;
+  }
   start_ = std::chrono::steady_clock::now();
 }
 
 Span::~Span() {
+  if (!active_ && histogram_ == nullptr) return;
+  const auto end = std::chrono::steady_clock::now();
+  const std::chrono::duration<double, std::micro> elapsed = end - start_;
+  if (histogram_ != nullptr) histogram_->Observe(elapsed.count() / 1000.0);
   if (!active_) return;
-  auto end = std::chrono::steady_clock::now();
   int64_t start_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                          start_.time_since_epoch())
                          .count();
@@ -139,13 +147,18 @@ Span::~Span() {
       static_cast<double>(start_ns -
                           g_epoch_ns.load(std::memory_order_relaxed)) /
       1000.0;
-  event_.duration_us =
-      std::chrono::duration<double, std::micro>(end - start_).count();
+  event_.duration_us = elapsed.count();
   tls_current_span = prev_current_;
   Tracer::ThreadBuffer* buffer = Tracer::Global().BufferForThisThread();
   event_.thread_index = buffer->thread_index;
   MutexLock lock(buffer->mutex);
   buffer->events.push_back(std::move(event_));
+}
+
+double Span::ElapsedMillis() const {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start_)
+      .count();
 }
 
 void Span::AddAttribute(std::string_view key, std::string_view value) {

@@ -1,6 +1,8 @@
-// Span-based tracing for the preservation runtime. A Span is an RAII region:
-// construction stamps the start, destruction stamps the duration and appends
-// a finished SpanEvent to the recording thread's own buffer — the hot path
+// Span-based tracing for the preservation runtime. A Span is an RAII region
+// and the stack's one clock: construction stamps the start, ElapsedMillis()
+// reads the time so far, and destruction observes the span's latency
+// histogram (if it was given one) and, while the tracer is on, appends a
+// finished SpanEvent to the recording thread's own buffer — the hot path
 // never touches a shared lock, so tracing a wide workflow run does not
 // serialize it. Buffers are drained at export into Chrome trace_event JSON
 // (loadable in about://tracing and ui.perfetto.dev) via `daspos chain
@@ -33,6 +35,8 @@
 
 namespace daspos {
 
+class Histogram;
+
 /// One finished span, as drained from a thread buffer.
 struct SpanEvent {
   std::string name;
@@ -52,7 +56,8 @@ struct SpanEvent {
 };
 
 /// Process-wide span collector. Disabled by default: a Span constructed
-/// while the tracer is disabled is inert (one relaxed atomic load).
+/// while the tracer is disabled records nothing (one relaxed atomic load;
+/// it still reads the clock, see Span).
 class Tracer {
  public:
   static Tracer& Global();
@@ -98,16 +103,24 @@ class Tracer {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_ DASPOS_GUARDED_BY(mutex_);
 };
 
-/// RAII trace region recording to Tracer::Global(). Construct on the stack;
-/// the span closes when it goes out of scope. No-op while the tracer is
-/// disabled.
+/// RAII timed region. Construct on the stack; the span closes when it goes
+/// out of scope. The start is always stamped, so ElapsedMillis() works
+/// whether or not the tracer is on. A span given a `histogram` observes its
+/// wall time in milliseconds exactly once, at close, on every path out of
+/// the scope. Recording to Tracer::Global() happens only while the tracer
+/// is enabled; a disabled-tracer span without a histogram costs one clock
+/// read.
 class Span {
  public:
-  explicit Span(std::string_view name, std::string_view category = "daspos");
+  explicit Span(std::string_view name, std::string_view category = "daspos",
+                Histogram* histogram = nullptr);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
+
+  /// Milliseconds since construction.
+  double ElapsedMillis() const;
 
   void AddAttribute(std::string_view key, std::string_view value);
   void AddAttribute(std::string_view key, uint64_t value);
@@ -116,6 +129,7 @@ class Span {
  private:
   bool active_ = false;
   uint64_t prev_current_ = 0;
+  Histogram* histogram_ = nullptr;
   std::chrono::steady_clock::time_point start_{};
   SpanEvent event_;
 };

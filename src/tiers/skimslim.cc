@@ -195,14 +195,9 @@ Result<std::string> DeriveDataset(std::string_view aod_blob,
   span.AddAttribute("input_events", static_cast<uint64_t>(events.size()));
   span.AddAttribute("output_events", kept);
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry
-      .GetCounter(metric_names::kTiersInputEventsTotal,
-                  "AOD events read by derivation")
+  registry.GetCounter(metric_names::kTiersInputEventsTotal)
       .Increment(static_cast<uint64_t>(events.size()));
-  registry
-      .GetCounter(metric_names::kTiersOutputEventsTotal,
-                  "derived events written by derivation")
-      .Increment(kept);
+  registry.GetCounter(metric_names::kTiersOutputEventsTotal).Increment(kept);
   if (stats != nullptr) {
     stats->input_events = events.size();
     stats->output_events = kept;

@@ -11,7 +11,6 @@
 #include "rivet/analysis.h"
 #include "rivet/registry.h"
 #include "support/fault.h"
-#include "support/metrics.h"
 #include "support/metrics_registry.h"
 #include "support/parallel.h"
 #include "support/sha256.h"
@@ -76,8 +75,7 @@ struct Instruments {
         &reg.GetCounter(metric_names::kValidationWarnTotal),
         &reg.GetCounter(metric_names::kValidationFailTotal),
         &reg.GetCounter(metric_names::kValidationHistogramsTotal),
-        &reg.GetHistogram(metric_names::kValidationCellWallMs,
-                          Histogram::DefaultLatencyBucketsMs()),
+        &reg.GetHistogram(metric_names::kValidationCellWallMs),
     };
   }
 
@@ -142,7 +140,6 @@ CellResult ValidateCell(const Campaign& campaign, const std::string& analysis,
   Span span("validate:cell", "validate");
   span.AddAttribute("campaign", campaign.spec.name);
   span.AddAttribute("analysis", analysis);
-  WallTimer timer;
 
   CellResult cell;
   cell.campaign = campaign.spec.name;
@@ -152,7 +149,7 @@ CellResult ValidateCell(const Campaign& campaign, const std::string& analysis,
   auto finish = [&](Verdict verdict, std::string detail) {
     cell.verdict = verdict;
     cell.detail = std::move(detail);
-    cell.wall_ms = timer.ElapsedMillis();
+    cell.wall_ms = span.ElapsedMillis();
     return cell;
   };
 
@@ -525,7 +522,6 @@ Result<ValidationReport> ValidateArchive(const Archive& archive,
   Instruments instruments = Instruments::Resolve();
   instruments.runs->Increment();
   Span span("validate:matrix", "validate");
-  WallTimer timer;
 
   DASPOS_ASSIGN_OR_RETURN(CampaignSet set, EnumerateCampaigns(archive));
 
@@ -584,7 +580,7 @@ Result<ValidationReport> ValidateArchive(const Archive& archive,
       case Verdict::kFail: ++report.failed; break;
     }
   }
-  report.wall_ms = timer.ElapsedMillis();
+  report.wall_ms = span.ElapsedMillis();
   return report;
 }
 

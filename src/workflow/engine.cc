@@ -16,6 +16,7 @@
 #include "support/sha256.h"
 #include "support/strings.h"
 #include "support/sync.h"
+#include "support/table.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
 #include "workflow/journal.h"
@@ -146,13 +147,28 @@ Json WorkflowReport::ToJson() const {
 }
 
 std::string WorkflowReport::RenderTimingTable(const std::string& title) const {
-  std::vector<StepMetrics> metrics;
-  metrics.reserve(steps.size());
+  TextTable table;
+  if (!title.empty()) table.SetTitle(title);
+  table.SetHeader({"step", "wall", "share", "bytes", "events"});
+  double total_ms = 0.0;
+  uint64_t total_bytes = 0;
+  uint64_t total_events = 0;
   for (const StepResult& result : steps) {
-    metrics.push_back({result.step + " -> " + result.output, result.wall_ms,
-                       result.output_bytes, result.output_events});
+    total_ms += result.wall_ms;
+    total_bytes += result.output_bytes;
+    total_events += result.output_events;
   }
-  return RenderStepMetricsTable(metrics, title);
+  for (const StepResult& result : steps) {
+    double share = total_ms > 0.0 ? 100.0 * result.wall_ms / total_ms : 0.0;
+    table.AddRow({result.step + " -> " + result.output,
+                  FormatDouble(result.wall_ms, 3) + " ms",
+                  FormatDouble(share, 3) + "%",
+                  FormatBytes(result.output_bytes),
+                  std::to_string(result.output_events)});
+  }
+  table.AddRow({"TOTAL", FormatDouble(total_ms, 3) + " ms", "",
+                FormatBytes(total_bytes), std::to_string(total_events)});
+  return table.Render();
 }
 
 Status Workflow::AddStep(std::shared_ptr<WorkflowStep> step,
@@ -245,28 +261,19 @@ lint::WorkflowGraphSpec Workflow::GraphSpec(
 Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
                                          ProvenanceStore* provenance,
                                          const ExecuteOptions& options) const {
-  WallTimer total_timer;
+  Span execute_span("workflow:execute", "workflow");
   const size_t step_count = bindings_.size();
+  execute_span.AddAttribute("steps", static_cast<uint64_t>(step_count));
 
   using namespace metric_names;
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter(kWorkflowExecutionsTotal, "Workflow::Execute invocations")
-      .Increment();
-  Counter& steps_total = registry.GetCounter(
-      kWorkflowStepsTotal, "workflow steps settled successfully");
-  Counter& step_failures = registry.GetCounter(
-      kWorkflowStepFailuresTotal,
-      "workflow steps that exhausted their attempts");
-  Counter& step_retries = registry.GetCounter(
-      kWorkflowStepRetriesTotal, "step attempts beyond each step's first");
-  Counter& checkpoint_restores = registry.GetCounter(
-      kWorkflowCheckpointRestoresTotal,
-      "steps restored from a run-journal checkpoint");
-  Histogram& step_wall_ms = registry.GetHistogram(
-      kWorkflowStepWallMs, Histogram::DefaultLatencyBucketsMs(),
-      "per-step wall time (gather + run + store)");
-  Span execute_span("workflow:execute", "workflow");
-  execute_span.AddAttribute("steps", static_cast<uint64_t>(step_count));
+  registry.GetCounter(kWorkflowExecutionsTotal).Increment();
+  Counter& steps_total = registry.GetCounter(kWorkflowStepsTotal);
+  Counter& step_failures = registry.GetCounter(kWorkflowStepFailuresTotal);
+  Counter& step_retries = registry.GetCounter(kWorkflowStepRetriesTotal);
+  Counter& checkpoint_restores =
+      registry.GetCounter(kWorkflowCheckpointRestoresTotal);
+  Histogram& step_wall_ms = registry.GetHistogram(kWorkflowStepWallMs);
 
   // Dependency graph over bindings: an input either comes from another
   // step's output (an edge) or must pre-exist in the context (external).
@@ -411,9 +418,9 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
       StepSlot& slot = slots[index];
       // The step span opens on the worker thread, so attempt spans and any
       // archive/pool spans its body opens on that worker nest under it.
-      Span step_span("step:" + binding.step->name(), "workflow");
+      Span step_span("step:" + binding.step->name(), "workflow",
+                     &step_wall_ms);
       step_span.AddAttribute("output", binding.output);
-      WallTimer timer;
       Status status = Status::OK();
       if (checkpointed[index]) {
         // Restore from the journal: the blob already passed its digest
@@ -455,7 +462,6 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
                                   "workflow");
                 attempt_span.AddAttribute(
                     "attempt", static_cast<uint64_t>(attempts_used));
-                WallTimer attempt_timer;
                 if (options.step_faults != nullptr) {
                   DASPOS_RETURN_IF_ERROR(options.step_faults->Next(
                       "step:" + binding.step->name()));
@@ -463,7 +469,7 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
                 auto output = binding.step->Run(inputs, context);
                 if (!output.ok()) return output.status();
                 if (options.step_timeout_ms > 0.0 &&
-                    attempt_timer.ElapsedMillis() > options.step_timeout_ms) {
+                    attempt_span.ElapsedMillis() > options.step_timeout_ms) {
                   // A step cannot be killed mid-Run; enforce the budget as
                   // a post-hoc deadline and discard the late output.
                   return Status::DeadlineExceeded(
@@ -514,11 +520,10 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
         record.output_events = slot.events;
         slot.record = std::move(record);
       }
-      slot.wall_ms = timer.ElapsedMillis();
+      slot.wall_ms = step_span.ElapsedMillis();
       slot.ran = status.ok();
       if (status.ok()) {
         steps_total.Increment();
-        step_wall_ms.Observe(slot.wall_ms);
         step_span.AddAttribute("bytes", slot.bytes);
         step_span.AddAttribute("attempts",
                                static_cast<uint64_t>(slot.attempts));
@@ -650,7 +655,7 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
     }
   }
 
-  report.wall_ms = total_timer.ElapsedMillis();
+  report.wall_ms = execute_span.ElapsedMillis();
   report.pool.wall_ms = report.wall_ms;
   return report;
 }

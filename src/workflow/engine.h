@@ -19,7 +19,6 @@
 #include "conditions/provider.h"
 #include "lint/checks.h"
 #include "serialize/json.h"
-#include "support/metrics.h"
 #include "support/result.h"
 #include "support/sync.h"
 #include "workflow/provenance.h"
@@ -149,7 +148,8 @@ struct WorkflowReport {
   /// every instrument in MetricsRegistry::Global().
   Json ToJson() const;
 
-  /// Per-step timing table (support/metrics renderer).
+  /// Per-step timing table: label, wall time, share of the summed wall
+  /// time, output bytes and events, plus a totals row.
   std::string RenderTimingTable(const std::string& title = "") const;
 };
 

@@ -64,10 +64,10 @@ if "$DASPOS" chain z_ll 10 7 --threads=bogus 2>/dev/null; then
 fi
 
 # Batched archive ingest: deposit files in parallel, then audit and
-# retrieve them; digest-cache counters are reported.
+# retrieve them.
 "$DASPOS" ingest "$WORK/archive" "smoke package" \
   "$WORK/z_gen.dspc" "$WORK/z_aod.dspc" "$WORK/z_reco.dspc" --threads=4 \
-  | grep -q "digest cache:"
+  | grep -q "ingested 3 file(s)"
 "$DASPOS" holdings "$WORK/archive" | grep -q "smoke package"
 "$DASPOS" audit "$WORK/archive" --threads=2 | grep -q "verdict: CLEAN"
 
@@ -85,7 +85,7 @@ grep -q '"step"' "$WORK/run1/journal.jsonl"
 # Observability: --trace-out writes a Chrome trace_event JSON with one span
 # per workflow step; the JSON report carries the registry snapshot; and the
 # metrics command emits Prometheus text exposition (with and without a
-# workload, including the archive cache counters at zero).
+# workload, including the archive quarantine counter at zero).
 "$DASPOS" chain z_ll 10 7 2 --trace-out="$WORK/trace.json" \
   | grep -q "span(s) written to"
 grep -q '"displayTimeUnit":"ms"' "$WORK/trace.json"
@@ -96,7 +96,7 @@ if "$DASPOS" chain z_ll 10 7 2 --trace-out= 2>/dev/null; then
   echo "chain accepted an empty --trace-out path" >&2
   exit 1
 fi
-"$DASPOS" metrics | grep -q "daspos_archive_digest_cache_hits_total 0"
+"$DASPOS" metrics | grep -q "daspos_archive_quarantines_total 0"
 "$DASPOS" metrics | grep -q "# TYPE daspos_workflow_step_wall_ms histogram"
 "$DASPOS" metrics z_ll 10 7 | grep -q "daspos_workflow_steps_total 5"
 

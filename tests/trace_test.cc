@@ -3,6 +3,7 @@
 // tracer (nesting, per-thread buffers, Chrome trace_event export).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -167,20 +168,73 @@ TEST(MetricsRegistryTest, RegisterStandardMetricsPreregistersCatalogue) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
   EXPECT_TRUE(has(metric_names::kWorkflowStepsTotal));
-  EXPECT_TRUE(has(metric_names::kArchiveCacheHitsTotal));
-  EXPECT_TRUE(has(metric_names::kArchiveCacheMissesTotal));
+  EXPECT_TRUE(has(metric_names::kArchiveQuarantinesTotal));
+  EXPECT_TRUE(has(metric_names::kArchiveGetWallMs));
   EXPECT_TRUE(has(metric_names::kPoolQueueDepth));
   EXPECT_TRUE(has(metric_names::kPoolTaskWallMs));
   EXPECT_TRUE(has(metric_names::kLintFindingsTotal));
   // Everything starts at zero; the exposition renders without touching
   // any subsystem.
-  EXPECT_EQ(registry.CounterValue(metric_names::kArchiveCacheHitsTotal), 0u);
+  EXPECT_EQ(registry.CounterValue(metric_names::kArchiveQuarantinesTotal), 0u);
   EXPECT_NE(registry.RenderPrometheus().find(
-                "daspos_archive_digest_cache_hits_total 0"),
+                "daspos_archive_quarantines_total 0"),
             std::string::npos);
   // Idempotent: a second registration neither throws nor duplicates.
   RegisterStandardMetrics(registry);
   EXPECT_EQ(registry.Snapshot().counters.size(), snapshot.counters.size());
+}
+
+TEST(MetricsRegistryTest, CataloguedNameTakesHelpFromTheCatalogue) {
+  // No RegisterStandardMetrics: the first Get* alone fixes the HELP, and a
+  // stale HELP passed by a later caller changes nothing.
+  MetricsRegistry registry;
+  registry.GetCounter(metric_names::kArchiveQuarantineErrorsTotal);
+  registry.GetCounter(metric_names::kArchiveQuarantineErrorsTotal,
+                      "quarantine moves that failed (mkdir or rename error)");
+  EXPECT_EQ(registry.RenderPrometheus(),
+            "# HELP daspos_archive_quarantine_errors_total quarantine moves "
+            "that failed (forensic copy may be lost)\n"
+            "# TYPE daspos_archive_quarantine_errors_total counter\n"
+            "daspos_archive_quarantine_errors_total 0\n");
+}
+
+TEST(MetricsRegistryTest, CataloguedNameKeepsItsCataloguedKind) {
+  MetricsRegistry registry;
+  // The catalogue says counter: a gauge request gets the detached dummy and
+  // registers nothing, so the real counter is still there to be had.
+  registry.GetGauge(metric_names::kPoolTasksTotal).Set(9);
+  EXPECT_TRUE(registry.Snapshot().gauges.empty());
+  registry.GetCounter(metric_names::kPoolTasksTotal).Increment(2);
+  EXPECT_EQ(registry.CounterValue(metric_names::kPoolTasksTotal), 2u);
+}
+
+TEST(MetricsRegistryTest, ExpositionIndependentOfRegistrationOrder) {
+  // Names and kinds come from the catalogue itself, via a registry that
+  // holds nothing else.
+  MetricsRegistry catalogue;
+  RegisterStandardMetrics(catalogue);
+  const MetricsSnapshot standard = catalogue.Snapshot();
+  ASSERT_FALSE(standard.counters.empty());
+  ASSERT_FALSE(standard.gauges.empty());
+  ASSERT_FALSE(standard.histograms.empty());
+  // What a subsystem does: Get* by name, no HELP, default buckets.
+  auto subsystem_gets = [&standard](MetricsRegistry& registry) {
+    for (const auto& c : standard.counters) registry.GetCounter(c.name);
+    for (const auto& g : standard.gauges) registry.GetGauge(g.name);
+    for (const auto& h : standard.histograms) registry.GetHistogram(h.name);
+  };
+  MetricsRegistry catalogue_first;
+  RegisterStandardMetrics(catalogue_first);
+  subsystem_gets(catalogue_first);
+  MetricsRegistry subsystems_first;
+  subsystem_gets(subsystems_first);
+  RegisterStandardMetrics(subsystems_first);
+  const std::string exposition = catalogue.RenderPrometheus();
+  EXPECT_EQ(catalogue_first.RenderPrometheus(), exposition);
+  EXPECT_EQ(subsystems_first.RenderPrometheus(), exposition);
+  for (const auto& c : standard.counters) {
+    EXPECT_FALSE(c.help.empty()) << c.name;
+  }
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsAreLossless) {
@@ -315,6 +369,61 @@ TEST(TracerTest, SpansNestPerThreadAcrossPoolWorkers) {
                                return a.start_us < b.start_us ||
                                       (a.start_us == b.start_us && a.id < b.id);
                              }));
+}
+
+TEST(SpanTest, ElapsedMillisRunsWithTheTracerOff) {
+  Tracer::Global().Disable();
+  Span span("clock");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const double first = span.ElapsedMillis();
+  EXPECT_GE(first, 2.0);
+  EXPECT_GE(span.ElapsedMillis(), first);
+}
+
+TEST(SpanTest, HistogramObservedExactlyOnceAtClose) {
+  MetricsRegistry registry;
+  Histogram& histogram = registry.GetHistogram("test_span_ms");
+  for (bool traced : {false, true}) {
+    if (traced) {
+      Tracer::Global().Enable();
+    } else {
+      Tracer::Global().Disable();
+    }
+    const uint64_t before = histogram.count();
+    {
+      Span span("timed", "test", &histogram);
+      span.ElapsedMillis();  // reading the clock observes nothing
+      EXPECT_EQ(histogram.count(), before);
+    }
+    EXPECT_EQ(histogram.count(), before + 1) << "traced=" << traced;
+  }
+  Tracer::Global().Disable();
+  std::vector<SpanEvent> spans = Tracer::Global().Drain();
+  ASSERT_EQ(spans.size(), 1u);  // only the traced pass records an event
+  EXPECT_EQ(spans[0].name, "timed");
+  EXPECT_GE(histogram.sum(), 0.0);
+}
+
+TEST(SpanTest, SpansClosingOnPoolWorkersObserveOnceEach) {
+  MetricsRegistry registry;
+  Histogram& histogram = registry.GetHistogram("test_pool_span_ms");
+  constexpr size_t kTasks = 64;
+  for (bool traced : {false, true}) {
+    if (traced) {
+      Tracer::Global().Enable();
+    } else {
+      Tracer::Global().Disable();
+    }
+    const uint64_t before = histogram.count();
+    ThreadPool pool(4);
+    for (size_t i = 0; i < kTasks; ++i) {
+      pool.Submit([&histogram] { Span span("task", "test", &histogram); });
+    }
+    pool.Wait();
+    EXPECT_EQ(histogram.count(), before + kTasks) << "traced=" << traced;
+  }
+  Tracer::Global().Disable();
+  EXPECT_EQ(Tracer::Global().Drain().size(), kTasks);
 }
 
 // ---------------------------------------------------------------------------

@@ -106,8 +106,8 @@ if [ "$RUN_CHAOS" = 1 ]; then
   # The fault-injection, retry, timeout, keep-going, and checkpoint/resume
   # tests, run wide under TSan: injected faults and retries must not open
   # races in the dispatcher or the journal. The intra-step parallelism and
-  # digest-cache suites join the pass: chunked hot loops and the mutex-
-  # guarded cache are exactly where new races would hide.
+  # concurrent file-store suites join the pass: chunked hot loops and
+  # concurrent store ops are exactly where new races would hide.
   echo "==> chaos: DASPOS_SANITIZE=thread build + fault-tolerance suite"
   cmake -B build-tsan -S . -DDASPOS_SANITIZE=thread >/dev/null
   cmake --build build-tsan --target workflow_test parallel_test archive_test \

@@ -346,20 +346,9 @@ int CmdIngest(const Args& args, const CliFlags& flags) {
   for (const PackageFile& file : package.files) {
     total_bytes += file.bytes.size();
   }
-  // This process touched exactly one store, so the global registry totals
-  // are this ingest's digest-cache activity.
-  const MetricsRegistry& registry = MetricsRegistry::Global();
   std::printf("ingested %zu file(s), %s, as package %s\n",
               package.files.size(), FormatBytes(total_bytes).c_str(),
               archive_id->c_str());
-  std::printf(
-      "digest cache: %llu hit(s), %llu miss(es), %llu invalidation(s)\n",
-      static_cast<unsigned long long>(
-          registry.CounterValue(metric_names::kArchiveCacheHitsTotal)),
-      static_cast<unsigned long long>(
-          registry.CounterValue(metric_names::kArchiveCacheMissesTotal)),
-      static_cast<unsigned long long>(registry.CounterValue(
-          metric_names::kArchiveCacheInvalidationsTotal)));
   return 0;
 }
 
