@@ -16,33 +16,38 @@ Result<std::string> Archive::Deposit(const SubmissionPackage& submission,
   if (submission.files.empty()) {
     return Status::InvalidArgument("deposit requires at least one file");
   }
-
-  Json manifest = Json::Object();
-  manifest["aip_version"] = 1;
-  manifest["title"] = submission.title;
-  manifest["creator"] = submission.creator;
-  manifest["description"] = submission.description;
-  Json keywords = Json::Array();
-  for (const std::string& keyword : submission.keywords) {
-    keywords.push_back(keyword);
-  }
-  manifest["keywords"] = std::move(keywords);
-  manifest["context"] = submission.context;
-
-  std::vector<std::string_view> blobs;
-  blobs.reserve(submission.files.size());
   for (const PackageFile& file : submission.files) {
     if (file.logical_name.empty()) {
       return Status::InvalidArgument("package file needs a logical name");
     }
-    blobs.push_back(file.bytes);
   }
+  return Store(submission, Json::Object(), pool);
+}
+
+Result<std::string> Archive::Store(const SubmissionPackage& package,
+                                   const Json& lineage, ThreadPool* pool) {
+  Json manifest = Json::Object();
+  manifest["aip_version"] = 1;
+  manifest["title"] = package.title;
+  manifest["creator"] = package.creator;
+  manifest["description"] = package.description;
+  Json keywords = Json::Array();
+  for (const std::string& keyword : package.keywords) {
+    keywords.push_back(keyword);
+  }
+  manifest["keywords"] = std::move(keywords);
+  manifest["context"] = package.context;
+  for (const auto& [key, value] : lineage.members()) manifest[key] = value;
+
+  std::vector<std::string_view> blobs;
+  blobs.reserve(package.files.size());
+  for (const PackageFile& file : package.files) blobs.push_back(file.bytes);
   DASPOS_ASSIGN_OR_RETURN(std::vector<std::string> object_ids,
                           store_->PutBatch(blobs, pool));
 
   Json files = Json::Array();
-  for (size_t i = 0; i < submission.files.size(); ++i) {
-    const PackageFile& file = submission.files[i];
+  for (size_t i = 0; i < package.files.size(); ++i) {
+    const PackageFile& file = package.files[i];
     Json entry = Json::Object();
     entry["name"] = file.logical_name;
     entry["media_type"] = file.media_type;
@@ -198,52 +203,14 @@ Result<std::string> Archive::Migrate(const std::string& archive_id,
   DASPOS_ASSIGN_OR_RETURN(DisseminationPackage original,
                           Retrieve(archive_id));
 
-  SubmissionPackage migrated;
-  migrated.title = original.content.title;
-  migrated.creator = original.content.creator;
-  migrated.description = original.content.description;
-  migrated.keywords = original.content.keywords;
-  migrated.context = original.content.context;
-  for (const PackageFile& file : original.content.files) {
-    DASPOS_ASSIGN_OR_RETURN(PackageFile transformed, transform(file));
-    migrated.files.push_back(std::move(transformed));
+  SubmissionPackage migrated = std::move(original.content);
+  for (PackageFile& file : migrated.files) {
+    DASPOS_ASSIGN_OR_RETURN(file, transform(file));
   }
-
-  // Deposit, then rewrite the manifest with migration lineage. Simplest
-  // correct path: build the manifest via Deposit semantics but add the
-  // lineage fields first — so we inline a tweaked deposit here.
-  Json manifest = Json::Object();
-  manifest["aip_version"] = 1;
-  manifest["title"] = migrated.title;
-  manifest["creator"] = migrated.creator;
-  manifest["description"] = migrated.description;
-  Json keywords = Json::Array();
-  for (const std::string& keyword : migrated.keywords) {
-    keywords.push_back(keyword);
-  }
-  manifest["keywords"] = std::move(keywords);
-  manifest["context"] = migrated.context;
-  manifest["migrated_from"] = archive_id;
-  manifest["migration_note"] = migration_note;
-
-  Json files = Json::Array();
-  for (const PackageFile& file : migrated.files) {
-    DASPOS_ASSIGN_OR_RETURN(std::string object_id, store_->Put(file.bytes));
-    Json entry = Json::Object();
-    entry["name"] = file.logical_name;
-    entry["media_type"] = file.media_type;
-    entry["bytes"] = static_cast<uint64_t>(file.bytes.size());
-    entry["sha256"] = object_id;
-    files.push_back(std::move(entry));
-  }
-  manifest["files"] = std::move(files);
-
-  DASPOS_ASSIGN_OR_RETURN(std::string new_id, store_->Put(manifest.Dump(2)));
-  if (sequences_.count(new_id) == 0) {
-    sequences_[new_id] = next_sequence_++;
-    catalog_.push_back(new_id);
-  }
-  return new_id;
+  Json lineage = Json::Object();
+  lineage["migrated_from"] = archive_id;
+  lineage["migration_note"] = migration_note;
+  return Store(migrated, lineage, /*pool=*/nullptr);
 }
 
 }  // namespace daspos

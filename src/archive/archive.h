@@ -110,6 +110,10 @@ class Archive {
 
  private:
   Result<Json> LoadManifest(const std::string& archive_id) const;
+  /// Stores a checked `package`'s files and AIP manifest and catalogs it
+  /// once per archive id; `lineage` members land just before "files".
+  Result<std::string> Store(const SubmissionPackage& package,
+                            const Json& lineage, ThreadPool* pool);
 
   ObjectStore* store_;
   /// Catalog: archive ids in deposit order (the manifest itself lives in

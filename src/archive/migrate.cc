@@ -38,10 +38,7 @@ uint64_t ReadGeneration(const std::string& state_dir) {
   auto text = ReadFileToString(state_dir + "/" + kGenerationFile);
   if (!text.ok()) return 0;
   auto parsed = Json::Parse(*text);
-  if (!parsed.ok() || !parsed->is_object()) return 0;
-  const Json& generation = parsed->Get("generation");
-  if (!generation.is_number() || generation.as_number() < 0.0) return 0;
-  return static_cast<uint64_t>(generation.as_number());
+  return parsed.ok() ? parsed->Get("generation").as_uint().value_or(0) : 0;
 }
 
 std::string MigrateReport::RenderText() const {
@@ -173,8 +170,8 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
     record["last_id"] = batch.back();
     record["copied"] = report.copied;
     record["skipped"] = report.skipped;
-    DASPOS_RETURN_IF_ERROR(AppendDurable(CursorPath(options.state_dir),
-                                         record.Dump() + "\n"));
+    DASPOS_RETURN_IF_ERROR(
+        AppendJsonLine(CursorPath(options.state_dir), record));
     batch.clear();
     return Status::OK();
   };

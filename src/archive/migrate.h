@@ -76,7 +76,8 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
                                         const MigrateOptions& options);
 
 /// Reads the current generation from `state_dir`'s marker; 0 when no
-/// migration has completed yet.
+/// migration has completed yet, or when the marker does not parse or its
+/// generation is not a valid uint (Json::as_uint).
 uint64_t ReadGeneration(const std::string& state_dir);
 
 }  // namespace daspos

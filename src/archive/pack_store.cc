@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <utility>
 
 #include "serialize/json.h"
@@ -352,17 +353,14 @@ Status PackObjectStore::ScanSegment(uint32_t segment,
 void PackObjectStore::ReplayQuarantineLog() {
   auto text = ReadFileToString(root_ + "/" + kQuarantineLog);
   if (!text.ok()) return;
-  for (const std::string& line : Split(*text, '\n')) {
-    if (Trim(line).empty()) continue;
-    auto parsed = Json::Parse(line);
-    // Journal idiom: parsing stops at the first malformed (crash-truncated)
-    // line; everything before it is usable.
-    if (!parsed.ok() || !parsed->is_object()) break;
-    const Json& id_json = parsed->Get("id");
-    const Json& segment_json = parsed->Get("segment");
-    const Json& offset_json = parsed->Get("offset");
-    if (!id_json.is_string() || !segment_json.is_number() ||
-        !offset_json.is_number()) {
+  // Replay stops at the first line that is not a valid record
+  // (ParseJsonLines): everything before a crash-truncated tail is usable.
+  for (const Json& line : ParseJsonLines(*text)) {
+    const Json& id_json = line.Get("id");
+    std::optional<uint64_t> segment = line.Get("segment").as_uint();
+    std::optional<uint64_t> offset = line.Get("offset").as_uint();
+    if (!id_json.is_string() || !segment || !offset ||
+        *segment > std::numeric_limits<uint32_t>::max()) {
       break;
     }
     const std::string id = id_json.as_string();
@@ -370,10 +368,8 @@ void PackObjectStore::ReplayQuarantineLog() {
     auto it = index_.find(id);
     // The quarantine only stands while the index still points at the exact
     // record it condemned; a later record for the same id is a heal.
-    if (it != index_.end() &&
-        it->second.segment ==
-            static_cast<uint32_t>(segment_json.as_number()) &&
-        it->second.offset == static_cast<uint64_t>(offset_json.as_number())) {
+    if (it != index_.end() && it->second.segment == *segment &&
+        it->second.offset == *offset) {
       index_.erase(it);
       quarantined_.insert(id);
     }
@@ -843,8 +839,7 @@ void PackObjectStore::QuarantineRecord(const std::string& id,
   line["offset"] = entry.offset;
   line["stored_len"] = entry.stored_len;
   line["detail"] = detail;
-  if (Status written =
-          AppendDurable(root_ + "/" + kQuarantineLog, line.Dump() + "\n");
+  if (Status written = AppendJsonLine(root_ + "/" + kQuarantineLog, line);
       !written.ok()) {
     DASPOS_LOG(kError) << "pack quarantine log append failed: "
                        << written.ToString();

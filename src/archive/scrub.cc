@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <thread>
 
 #include "archive/object_store.h"
+#include "archive/replicated_store.h"
 #include "support/io.h"
 #include "support/logging.h"
 #include "support/metrics_registry.h"
@@ -43,50 +43,45 @@ Json CursorToJson(const CursorRecord& record) {
   return json;
 }
 
+/// `pass` must be at least 1; `checked` and `repaired` may be absent (zero),
+/// but a present count must be a valid uint (Json::as_uint).
 bool CursorFromJson(const Json& json, CursorRecord* out) {
-  if (!json.is_object()) return false;
-  const Json& pass = json.Get("pass");
-  if (!pass.is_number() || pass.as_number() < 1.0 ||
-      pass.as_number() != std::floor(pass.as_number())) {
-    return false;
-  }
+  std::optional<uint64_t> pass = json.Get("pass").as_uint();
+  if (!pass || *pass < 1) return false;
   if (!json.Get("last_id").is_string() || !json.Get("complete").is_bool()) {
     return false;
   }
-  out->pass = static_cast<uint64_t>(pass.as_number());
+  out->pass = *pass;
   out->last_id = json.Get("last_id").as_string();
   out->complete = json.Get("complete").as_bool();
-  const Json& checked = json.Get("checked");
-  if (checked.is_number()) {
-    out->checked = static_cast<uint64_t>(checked.as_number());
-  }
-  const Json& repaired = json.Get("repaired");
-  if (repaired.is_number()) {
-    out->repaired = static_cast<uint64_t>(repaired.as_number());
-  }
-  return true;
+  auto read_count = [&json](const char* key, uint64_t* count) {
+    if (!json.Has(key)) return true;
+    std::optional<uint64_t> value = json.Get(key).as_uint();
+    if (value) *count = *value;
+    return value.has_value();
+  };
+  return read_count("checked", &out->checked) &&
+         read_count("repaired", &out->repaired);
 }
 
-/// Latest valid cursor record, or a fresh pass-1 state. Parsing stops at
-/// the first malformed line (journal idiom): everything before a
-/// crash-truncated tail is still usable.
-CursorRecord LoadCursor(const std::string& dir, bool* found) {
-  *found = false;
+/// Where the next invocation starts: the latest valid cursor record of an
+/// interrupted pass, the top of the next pass after a completed one, or a
+/// fresh pass 1. Loading stops at the first line that is not a valid record
+/// (ParseJsonLines): everything before a crash-truncated tail is usable.
+CursorRecord LoadCursor(const std::string& dir) {
   CursorRecord state;
   auto text = ReadFileToString(dir + "/" + kCursorFile);
   if (!text.ok()) return state;
-  for (const std::string& line : Split(*text, '\n')) {
-    if (Trim(line).empty()) continue;
-    auto parsed = Json::Parse(line);
+  for (const Json& line : ParseJsonLines(*text)) {
     CursorRecord record;
-    if (!parsed.ok() || !CursorFromJson(*parsed, &record)) break;
+    if (!CursorFromJson(line, &record)) break;
     state = record;
-    *found = true;
   }
+  if (state.complete) state = {state.pass + 1, "", 0, 0, false};
   return state;
 }
 
-/// Appends one durable cursor line (see AppendDurable).
+/// Appends one durable cursor line (AppendJsonLine).
 Status AppendCursor(const std::string& dir, const CursorRecord& record) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -94,8 +89,7 @@ Status AppendCursor(const std::string& dir, const CursorRecord& record) {
     return Status::IOError("cannot create scrub cursor directory " + dir +
                            ": " + ec.message());
   }
-  return AppendDurable(dir + "/" + kCursorFile,
-                       CursorToJson(record).Dump() + "\n");
+  return AppendJsonLine(dir + "/" + kCursorFile, CursorToJson(record));
 }
 
 /// Outcome of scrubbing one object across all replicas.
@@ -237,44 +231,30 @@ Result<ScrubReport> ScrubReplicas(const std::vector<ObjectStore*>& replicas,
   }
 
   ScrubReport report;
-  // Union of holdings across replicas, sorted: a hole on one replica is a
-  // scrub finding (backfill), not an enumeration gap. Each replica streams
-  // its ids in order (ForEachId), so the union is a sequence of in-place
-  // merges — no per-replica full copies alongside the union. A replica
-  // whose walk partially failed still contributes everything reachable;
-  // its missing objects surface through the other replicas' listings.
+  // Union of holdings across replicas, sorted and deduplicated: a hole on
+  // one replica is a scrub finding (backfill), not an enumeration gap. A
+  // replica whose walk partially failed still contributes everything
+  // reachable; its missing objects surface through the other replicas'
+  // listings.
   std::vector<std::string> ids;
-  for (ObjectStore* replica : replicas) {
-    const auto before = static_cast<std::ptrdiff_t>(ids.size());
-    Status walk = replica->ForEachId([&ids](const std::string& id) {
-      ids.push_back(id);
-      return Status::OK();
-    });
-    if (!walk.ok()) {
-      DASPOS_LOG(kWarning) << "scrub: replica enumeration incomplete: "
-                           << walk.ToString();
-    }
-    std::inplace_merge(ids.begin(), ids.begin() + before, ids.end());
+  Status walk = ReplicatedObjectStore(replicas).ForEachId(
+      [&ids](const std::string& id) {
+        ids.push_back(id);
+        return Status::OK();
+      });
+  if (!walk.ok()) {
+    DASPOS_LOG(kWarning) << "scrub: replica enumeration incomplete: "
+                         << walk.ToString();
   }
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   report.objects_total = ids.size();
 
   // Resume position from the persistent cursor: an interrupted pass picks
-  // up after the last checkpointed id; a completed pass starts the next.
-  size_t begin = 0;
+  // up after the last checkpointed id; a new pass (empty last_id) starts
+  // at the top.
   CursorRecord cursor;
-  if (!options.cursor_dir.empty()) {
-    bool found = false;
-    cursor = LoadCursor(options.cursor_dir, &found);
-    if (found && !cursor.complete) {
-      auto it = std::upper_bound(ids.begin(), ids.end(), cursor.last_id);
-      begin = static_cast<size_t>(it - ids.begin());
-    } else if (found && cursor.complete) {
-      cursor.pass += 1;
-      cursor.checked = 0;
-      cursor.repaired = 0;
-    }
-  }
+  if (!options.cursor_dir.empty()) cursor = LoadCursor(options.cursor_dir);
+  const size_t begin = static_cast<size_t>(
+      std::upper_bound(ids.begin(), ids.end(), cursor.last_id) - ids.begin());
   report.pass_number = cursor.pass;
   span.AddAttribute("pass", cursor.pass);
   span.AddAttribute("objects", static_cast<uint64_t>(ids.size()));

@@ -253,22 +253,6 @@ LintReport CheckProvenance(const ProvenanceSpec& spec,
 
 // ------------------------------------------------------------ run journal
 
-JournalSpec JournalSpec::FromJsonLines(const std::string& text) {
-  JournalSpec spec;
-  for (const std::string& line : Split(text, '\n')) {
-    if (Trim(line).empty()) continue;
-    auto parsed = Json::Parse(line);
-    if (!parsed.ok() || !parsed->is_object() ||
-        !parsed->Get("step").is_string()) {
-      // Crash-truncated tail: everything before it is still meaningful.
-      break;
-    }
-    spec.entries.push_back({parsed->Get("step").as_string(),
-                            parsed->Get("output").as_string()});
-  }
-  return spec;
-}
-
 LintReport CheckJournal(const JournalSpec& journal,
                         const WorkflowGraphSpec& workflow,
                         const std::string& artifact) {

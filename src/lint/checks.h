@@ -67,17 +67,14 @@ LintReport CheckProvenance(const ProvenanceSpec& spec,
                            const std::string& artifact = "provenance");
 
 /// Execution-free view of a run journal (the JSONL checkpoint file written
-/// during Workflow::Execute): one entry per checkpointed step.
+/// during Workflow::Execute): one entry per checkpointed step. Callers build
+/// it from RunJournal::records(), the records resume itself reads.
 struct JournalSpec {
   struct Entry {
     std::string step;
     std::string output;
   };
   std::vector<Entry> entries;
-
-  /// Parses journal.jsonl content. Tolerates a truncated tail exactly like
-  /// the resume path does: parsing stops at the first malformed line.
-  static JournalSpec FromJsonLines(const std::string& text);
 };
 
 /// W104: journal entries naming steps the workflow no longer contains —

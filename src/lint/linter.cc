@@ -11,66 +11,44 @@ namespace lint {
 
 namespace {
 
-/// Publishes one linted artifact and its finding count to the registry.
-void RecordLintMetrics(const LintReport& report) {
+/// Runs one artifact's `check` under a lint span and publishes the artifact
+/// and its finding count to the registry.
+template <typename Check>
+LintReport Traced(const std::string& name, Check check) {
+  Span span("lint:path", "lint");
+  span.AddAttribute("path", name);
+  LintReport report = check();
+  const auto findings = static_cast<uint64_t>(report.diagnostics().size());
+  span.AddAttribute("findings", findings);
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter(metric_names::kLintArtifactsTotal).Increment();
-  registry.GetCounter(metric_names::kLintFindingsTotal)
-      .Increment(static_cast<uint64_t>(report.diagnostics().size()));
-}
-
-LintReport LintPathImpl(const std::string& path);
-
-}  // namespace
-
-LintReport LintPath(const std::string& path) {
-  Span span("lint:path", "lint");
-  span.AddAttribute("path", path);
-  LintReport report = LintPathImpl(path);
-  span.AddAttribute("findings",
-                    static_cast<uint64_t>(report.diagnostics().size()));
-  RecordLintMetrics(report);
+  registry.GetCounter(metric_names::kLintFindingsTotal).Increment(findings);
   return report;
 }
 
-namespace {
-
-LintReport LintPathImpl(const std::string& path) {
-  std::error_code ec;
-  if (std::filesystem::is_directory(path, ec)) {
-    FileObjectStore store(path);
-    return CheckArchive(store, path);
-  }
-
-  auto bytes = ReadFileToString(path);
-  if (!bytes.ok()) {
-    LintReport report;
-    report.Add("G002", path, "", bytes.status().message());
-    return report;
-  }
-
+LintReport SniffAndCheck(const std::string& name, const std::string& bytes) {
   // JSON artifacts: provenance chains are arrays of records, conditions
   // dumps are objects with a tag map.
-  if (auto json = Json::Parse(*bytes); json.ok()) {
+  if (auto json = Json::Parse(bytes); json.ok()) {
     if (json->is_array()) {
       auto spec = ProvenanceSpec::FromJson(*json);
-      if (spec.ok()) return CheckProvenance(*spec, path);
+      if (spec.ok()) return CheckProvenance(*spec, name);
       LintReport report;
-      report.Add("G001", path, "", spec.status().message(),
+      report.Add("G001", name, "", spec.status().message(),
                  "expected a provenance chain (array of records)");
       return report;
     }
     if (json->is_object() &&
         (json->Has("tags") || json->Has("conditions_version"))) {
       auto spec = ConditionsSpec::FromJson(*json);
-      if (spec.ok()) return CheckConditions(*spec, path);
+      if (spec.ok()) return CheckConditions(*spec, name);
       LintReport report;
-      report.Add("G001", path, "", spec.status().message(),
+      report.Add("G001", name, "", spec.status().message(),
                  "expected a conditions dump");
       return report;
     }
     LintReport report;
-    report.Add("G001", path, "",
+    report.Add("G001", name, "",
                "JSON document is neither a provenance chain nor a "
                "conditions dump");
     return report;
@@ -78,10 +56,31 @@ LintReport LintPathImpl(const std::string& path) {
 
   // Everything else is treated as LHADA text; CheckLhada turns parse
   // failures into L000 findings.
-  return CheckLhada(*bytes, path);
+  return CheckLhada(bytes, name);
 }
 
 }  // namespace
+
+LintReport LintBytes(const std::string& name, const std::string& bytes) {
+  return Traced(name, [&] { return SniffAndCheck(name, bytes); });
+}
+
+LintReport LintPath(const std::string& path) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    return Traced(path, [&] {
+      FileObjectStore store(path);
+      return CheckArchive(store, path);
+    });
+  }
+  auto bytes = ReadFileToString(path);
+  if (bytes.ok()) return LintBytes(path, *bytes);
+  return Traced(path, [&] {
+    LintReport report;
+    report.Add("G002", path, "", bytes.status().message());
+    return report;
+  });
+}
 
 ConditionsSpec DumpConditions(const ConditionsDb& db,
                               const GlobalTagRegistry* registry) {

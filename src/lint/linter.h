@@ -16,13 +16,16 @@ namespace lint {
 
 /// Lints one artifact path. Type detection:
 ///   directory                         -> archive (FileObjectStore root)
-///   JSON array of provenance records  -> provenance chain
-///   JSON object with "tags"           -> conditions dump
-///   anything else                     -> LHADA analysis description
-/// Unreadable or unrecognized artifacts yield G002/G001 findings — the
-/// call itself never fails, so one broken path cannot hide findings from
-/// the others.
+///   anything else                     -> the file's bytes, via LintBytes
+/// Unreadable artifacts yield a G002 finding — the call itself never
+/// fails, so one broken path cannot hide findings from the others.
 LintReport LintPath(const std::string& path);
+
+/// Lints one artifact's bytes, without disk I/O; findings name it `name`.
+///   JSON array of provenance records  -> provenance chain
+///   JSON object with "tags"           -> conditions dump (other JSON: G001)
+///   anything else                     -> LHADA analysis description
+LintReport LintBytes(const std::string& name, const std::string& bytes);
 
 /// Builds a lintable conditions dump from a live store (plus, optionally,
 /// every global tag in a registry).

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <vector>
 
 #include "archive/object_store.h"
@@ -18,7 +17,6 @@
 #include "lint/linter.h"
 #include "mc/process.h"
 #include "serialize/json.h"
-#include "support/io.h"
 #include "support/logging.h"
 #include "support/metrics_registry.h"
 #include "support/sha256.h"
@@ -40,8 +38,8 @@ std::string PeerName(const sockaddr_in& addr) {
   return std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
 }
 
-/// Artifact names become temp-file names; anything that could traverse out
-/// of the scratch directory is rejected before any byte lands on disk.
+/// Artifact names come from the client and name every finding in the
+/// report; anything path-like is rejected.
 Status ValidateArtifactName(const std::string& name) {
   if (name.empty() || name.size() > 255) {
     return Status::InvalidArgument("bad artifact name length");
@@ -316,33 +314,12 @@ Result<std::string> Server::HandleLint(std::string_view payload) {
   for (const LintArtifact& artifact : artifacts) {
     DASPOS_RETURN_IF_ERROR(ValidateArtifactName(artifact.name));
   }
-  // The linter sniffs artifact kinds from disk paths, so the submitted
-  // bytes land in a per-request scratch directory that is removed before
-  // the response is framed (the no-orphaned-temp-files drain contract).
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::path scratch =
-      fs::temp_directory_path(ec) /
-      ("dasposd-lint-" + std::to_string(getpid()) + "-" +
-       std::to_string(requests_served_));
-  if (ec) return Status::IOError("no temp directory: " + ec.message());
-  fs::create_directories(scratch, ec);
-  if (ec) {
-    return Status::IOError("cannot create lint scratch dir: " + ec.message());
-  }
+  // Lints the submitted bytes in memory: no disk I/O on the loop thread,
+  // and findings name the artifact as submitted.
   lint::LintReport report;
-  Status failure = Status::OK();
   for (const LintArtifact& artifact : artifacts) {
-    const std::string path = (scratch / artifact.name).string();
-    if (Status written = WriteStringToFile(path, artifact.bytes);
-        !written.ok()) {
-      failure = written;
-      break;
-    }
-    report.Merge(lint::LintPath(path));
+    report.Merge(lint::LintBytes(artifact.name, artifact.bytes));
   }
-  fs::remove_all(scratch, ec);  // best effort; scratch is per-request
-  if (!failure.ok()) return failure;
   return report.ToJson().Dump(2);
 }
 

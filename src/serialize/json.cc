@@ -4,9 +4,25 @@
 #include <cmath>
 #include <cstdio>
 
+#include "support/io.h"
 #include "support/strings.h"
 
 namespace daspos {
+
+// The range tests are written so that NaN fails them; 2^63 and 2^64 are
+// exact doubles.
+int64_t Json::as_int() const {
+  const double n = as_number();
+  return n >= -0x1p63 && n < 0x1p63 ? static_cast<int64_t>(n) : 0;
+}
+
+std::optional<uint64_t> Json::as_uint() const {
+  const double n = as_number();
+  if (!is_number() || !(n >= 0.0 && n < 0x1p64) || n != std::floor(n)) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(n);
+}
 
 size_t Json::size() const {
   if (is_array()) return array_.size();
@@ -441,6 +457,21 @@ class Parser {
 Result<Json> Json::Parse(std::string_view text) {
   Parser parser(text);
   return parser.Parse();
+}
+
+std::vector<Json> ParseJsonLines(std::string_view text) {
+  std::vector<Json> documents;
+  for (const std::string& line : Split(text, '\n')) {
+    if (Trim(line).empty()) continue;
+    auto parsed = Json::Parse(line);
+    if (!parsed.ok()) break;
+    documents.push_back(std::move(*parsed));
+  }
+  return documents;
+}
+
+Status AppendJsonLine(const std::string& path, const Json& json) {
+  return AppendDurable(path, json.Dump() + "\n");
 }
 
 }  // namespace daspos

@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "support/result.h"
+#include "support/status.h"
 
 namespace daspos {
 
@@ -58,10 +60,14 @@ class Json {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  /// Typed accessors; calling the wrong one returns a zero value.
+  /// Typed accessors; calling the wrong one returns a zero value, as does
+  /// as_int for a number outside int64_t (fractions truncate).
   bool as_bool() const { return is_bool() ? bool_ : false; }
   double as_number() const { return is_number() ? number_ : 0.0; }
-  int64_t as_int() const { return static_cast<int64_t>(as_number()); }
+  int64_t as_int() const;
+  /// The integer rule for state read back from disk: a value only for an
+  /// integral number in [0, 2^64); anything else is corruption, not zero.
+  std::optional<uint64_t> as_uint() const;
   const std::string& as_string() const {
     static const std::string kEmpty;
     return is_string() ? string_ : kEmpty;
@@ -103,6 +109,15 @@ class Json {
   std::vector<Json> array_;
   std::vector<std::pair<std::string, Json>> object_;
 };
+
+/// The one reader of the append-only JSON-lines state files (run journal,
+/// scrub cursor, pack quarantine log): one document per non-blank line. It
+/// stops at the first line that does not parse, the crash-truncated tail;
+/// callers stop at the first record their own checks reject.
+std::vector<Json> ParseJsonLines(std::string_view text);
+
+/// Their one writer: a durable append (AppendDurable) of Dump() + "\n".
+Status AppendJsonLine(const std::string& path, const Json& json);
 
 }  // namespace daspos
 

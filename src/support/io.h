@@ -44,8 +44,9 @@ Status FsyncFile(int fd, const std::string& path);
 /// Durable append of `data` to the file at `path`: opens it with O_APPEND
 /// (creating it if absent), writes every byte, fsyncs, and, when this call
 /// created the file, fsyncs the parent directory so the new name survives a
-/// crash too. The run journal, the scrub and migrate cursors and the pack
-/// quarantine log are append-only JSONL files written through this path.
+/// crash too. The append-only JSONL state files (run journal, scrub and
+/// migrate cursors, pack quarantine log) reach it only through
+/// AppendJsonLine (serialize/json.h), their one writer.
 Status AppendDurable(const std::string& path, std::string_view data);
 
 /// Fsyncs the directory at `dir` so directory-entry mutations (a freshly

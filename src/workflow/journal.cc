@@ -1,11 +1,9 @@
 #include "workflow/journal.h"
 
-#include <cmath>
 #include <filesystem>
 
 #include "serialize/json.h"
 #include "support/io.h"
-#include "support/strings.h"
 
 namespace daspos {
 
@@ -24,29 +22,20 @@ Json RecordToJson(const RunJournal::Record& record) {
   return json;
 }
 
-/// Reads a non-negative integer field. A missing, non-numeric, negative, or
-/// fractional value is corruption, not zero: a crash-truncated or bit-rotted
-/// line must read as "not a record", never as a record with bytes=0.
-bool ReadU64Field(const Json& json, std::string_view key, uint64_t* out) {
-  const Json& field = json.Get(key);
-  if (!field.is_number()) return false;
-  double value = field.as_number();
-  if (value < 0.0 || value != std::floor(value)) return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
+/// A missing, non-numeric, negative or fractional count is corruption, not
+/// zero: a crash-truncated or bit-rotted line must read as "not a record",
+/// never as a record with bytes=0.
 bool RecordFromJson(const Json& json, RunJournal::Record* out) {
-  if (!json.is_object()) return false;
   if (!json.Get("step").is_string() || !json.Get("output").is_string() ||
       !json.Get("digest").is_string() ||
       !json.Get("config_hash").is_string()) {
     return false;
   }
-  if (!ReadU64Field(json, "bytes", &out->bytes) ||
-      !ReadU64Field(json, "events", &out->events)) {
-    return false;
-  }
+  std::optional<uint64_t> bytes = json.Get("bytes").as_uint();
+  std::optional<uint64_t> events = json.Get("events").as_uint();
+  if (!bytes || !events) return false;
+  out->bytes = *bytes;
+  out->events = *events;
   out->step = json.Get("step").as_string();
   out->output = json.Get("output").as_string();
   out->digest = json.Get("digest").as_string();
@@ -78,13 +67,11 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(const std::string& dir) {
     // the analysis has no "not yet shared" notion — taking the lock here is
     // free and keeps the invariant unconditional.
     MutexLock lock(journal->mu_);
-    for (const std::string& line : Split(text, '\n')) {
-      if (Trim(line).empty()) continue;
-      auto parsed = Json::Parse(line);
+    for (const Json& line : ParseJsonLines(text)) {
       RunJournal::Record record;
       // A malformed line is a crash-truncated tail: keep everything before
       // it, ignore the rest. Resume re-executes from that point.
-      if (!parsed.ok() || !RecordFromJson(*parsed, &record)) break;
+      if (!RecordFromJson(line, &record)) break;
       journal->records_.push_back(std::move(record));
     }
   }
@@ -95,7 +82,6 @@ Status RunJournal::Append(Record record, std::string_view blob) {
   // Blob first: the journal line must never reference bytes that are not
   // yet durable. FileObjectStore writes atomically (temp + fsync + rename).
   DASPOS_ASSIGN_OR_RETURN(record.digest, objects_.Put(blob));
-  std::string line = RecordToJson(record).Dump() + "\n";
 
   // Held across the file I/O on purpose: the lock also serializes appends,
   // so journal lines never interleave and records_ mirrors file order.
@@ -103,7 +89,7 @@ Status RunJournal::Append(Record record, std::string_view blob) {
   // The record is not checkpointed until its line is durable and the file
   // reachable after a crash; surface any failure rather than remembering a
   // record the disk may not have.
-  DASPOS_RETURN_IF_ERROR(AppendDurable(LinesPath(dir_), line));
+  DASPOS_RETURN_IF_ERROR(AppendJsonLine(LinesPath(dir_), RecordToJson(record)));
   records_.push_back(std::move(record));
   return Status::OK();
 }

@@ -511,6 +511,30 @@ TEST(ArchiveTest, MigrationCreatesLinkedPackage) {
             "config/analysis.json.v2");
 }
 
+TEST(ArchiveTest, MigratedManifestPutsLineageJustBeforeFiles) {
+  // Migrate shares Deposit's manifest assembly; the lineage members land
+  // just before "files", so migrated archive ids stay what they were.
+  MemoryObjectStore store;
+  Archive archive(&store);
+  auto original_id = archive.Deposit(MakeSubmission());
+  ASSERT_TRUE(original_id.ok());
+  auto migrated_id = archive.Migrate(
+      *original_id,
+      [](const PackageFile& file) -> Result<PackageFile> { return file; },
+      "identity");
+  ASSERT_TRUE(migrated_id.ok());
+  auto manifest = Json::Parse(*store.Get(*migrated_id));
+  ASSERT_TRUE(manifest.ok());
+  std::vector<std::string> keys;
+  for (const auto& member : manifest->members()) keys.push_back(member.first);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "aip_version", "title", "creator", "description",
+                      "keywords", "context", "migrated_from",
+                      "migration_note", "files"}));
+  EXPECT_EQ(manifest->Get("migrated_from").as_string(), *original_id);
+  EXPECT_EQ(manifest->Get("migration_note").as_string(), "identity");
+}
+
 TEST(ArchiveTest, CompressionMigration) {
   // A real format migration: compress every payload; the original stays
   // retrievable, the migrated package round-trips through Decompress.

@@ -340,6 +340,36 @@ TEST_F(BitPreservationTest, ScrubCursorResumesInterruptedPass) {
   EXPECT_EQ(third->objects_checked, 7u);
 }
 
+TEST_F(BitPreservationTest, ScrubCursorLineWithNegativeCountEndsThePrefix) {
+  FileObjectStore r0(Dir("r0")), r1(Dir("r1"));
+  ReplicatedObjectStore store({&r0, &r1});
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(store.Put("cursor object " + std::to_string(i)).ok());
+  }
+  ScrubOptions options;
+  options.cursor_dir = Dir("cursor");
+  options.max_objects = 4;
+  options.batch_size = 2;
+  ASSERT_TRUE(ScrubReplicas({&r0, &r1}, options).ok());
+
+  // Two checkpoints (after 2 and after 4 objects); corrupt the second's
+  // count. Resume must start after the first: 5 objects remain, not 3.
+  const std::string cursor_path = Dir("cursor") + "/scrub_cursor.jsonl";
+  auto text = ReadFileToString(cursor_path);
+  ASSERT_TRUE(text.ok());
+  const size_t count = text->find("\"checked\":4,");
+  ASSERT_NE(count, std::string::npos);
+  std::string corrupted = *text;
+  corrupted.replace(count, 12, "\"checked\":-1,");
+  ASSERT_TRUE(WriteStringToFile(cursor_path, corrupted).ok());
+  options.max_objects = 0;
+  auto resumed = ScrubReplicas({&r0, &r1}, options);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed->pass_number, 1u);
+  EXPECT_EQ(resumed->objects_checked, 5u);
+  EXPECT_TRUE(resumed->complete);
+}
+
 TEST_F(BitPreservationTest, ScrubRateLimiterSleepsBetweenBatches) {
   MemoryObjectStore a, b;
   ReplicatedObjectStore store({&a, &b});

@@ -77,6 +77,21 @@ fi
 "$DASPOS" chain z_ll 10 7 2 --journal="$WORK/run1" >/dev/null
 grep -q '"step"' "$WORK/run1/journal.jsonl"
 "$DASPOS" chain z_ll 10 7 2 --resume="$WORK/run1" | grep -q "resumed 5 step(s)"
+# --resume lints the records resume itself reads: a stale checkpoint before
+# a line resume rejects (no digest) draws W104, one after it does not.
+mkdir -p "$WORK/run2"
+{
+  head -n 1 "$WORK/run1/journal.jsonl"
+  echo '{"step":"stale_before","output":"x","digest":"d","config_hash":"c","bytes":1,"events":1}'
+  echo '{"step":"no_digest","output":"y","config_hash":"c","bytes":1,"events":1}'
+  echo '{"step":"stale_after","output":"z","digest":"d","config_hash":"c","bytes":1,"events":1}'
+} >"$WORK/run2/journal.jsonl"
+"$DASPOS" chain z_ll 10 7 2 --resume="$WORK/run2" >/dev/null 2>"$WORK/run2.err"
+grep -q "W104.*stale_before" "$WORK/run2.err"
+if grep -q "stale_after" "$WORK/run2.err"; then
+  echo "chain --resume warned about a checkpoint resume never reads" >&2
+  exit 1
+fi
 # Chaos mode: injected faults are reported, and with retries the chain
 # still completes.
 "$DASPOS" chain z_ll 10 7 2 --retries=50 --inject-faults=seed=3,rate=0.2 \

@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "archive/migrate.h"
+#include "archive/object_store.h"
 #include "archive/pack_store.h"
+#include "archive/replicated_store.h"
+#include "archive/scrub.h"
 #include "conditions/global_tag.h"
 #include "conditions/snapshot.h"
 #include "conditions/store.h"
@@ -31,6 +37,7 @@
 #include "support/sha256.h"
 #include "store_test_util.h"
 #include "tiers/dataset.h"
+#include "workflow/journal.h"
 
 namespace daspos {
 namespace {
@@ -350,6 +357,241 @@ TEST(FuzzTest, PackStoreReopenNeverServesWrongBytes) {
     }
   }
   std::filesystem::remove_all(base);
+}
+
+// ------------------------------------------------ durable JSON-lines state
+//
+// The run journal, the scrub cursor and the pack quarantine log are written
+// by AppendJsonLine and read back by ParseJsonLines; the GENERATION marker
+// is one document. Each is written here by its production writer, then
+// truncated at every byte offset (a crash mid-append) and bit-flipped (rot)
+// and opened through its public reader. A truncated file must read as a
+// prefix of what was written; a flipped one must never crash the reader.
+
+/// Flips one seeded bit of `text`.
+std::string FlipBit(std::string text, Rng* rng) {
+  const size_t pos = static_cast<size_t>(rng->UniformInt(text.size()));
+  text[pos] = static_cast<char>(static_cast<unsigned char>(text[pos]) ^
+                                (1u << rng->UniformInt(8)));
+  return text;
+}
+
+/// How many of `text`'s lines are whole within its first `size` bytes (the
+/// trailing newline need not be).
+size_t WholeLines(const std::string& text, size_t size) {
+  size_t whole = 0;
+  for (size_t end = text.find('\n'); end != std::string::npos;
+       end = text.find('\n', end + 1)) {
+    if (end <= size) ++whole;
+  }
+  return whole;
+}
+
+class DurableStateFuzzTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = std::filesystem::temp_directory_path().string() +
+            "/daspos_fuzz_state_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid());
+    std::filesystem::remove_all(base_);
+  }
+  void TearDown() override { std::filesystem::remove_all(base_); }
+
+  std::string Dir(const std::string& name) const { return base_ + "/" + name; }
+
+  std::string base_;
+};
+
+TEST_F(DurableStateFuzzTest, JournalReadsAPrefixOfItsRecords) {
+  std::vector<RunJournal::Record> written;
+  {
+    auto journal = RunJournal::Open(Dir("written"));
+    ASSERT_TRUE(journal.ok());
+    for (int i = 0; i < 3; ++i) {
+      RunJournal::Record record;
+      record.step = "step" + std::to_string(i);
+      record.output = "out" + std::to_string(i);
+      record.config_hash = std::string(64, static_cast<char>('a' + i));
+      record.bytes = 1000u * static_cast<uint64_t>(i + 1);
+      record.events = static_cast<uint64_t>(10 * i);
+      ASSERT_TRUE((*journal)->Append(record, "blob " + record.step).ok());
+    }
+    written = (*journal)->records();
+  }
+  auto text = ReadFileToString(RunJournal::LinesPath(Dir("written")));
+  ASSERT_TRUE(text.ok());
+  const std::string lines_path = RunJournal::LinesPath(Dir("read"));
+  auto read_back = [&](const std::string& bytes) {
+    EXPECT_TRUE(WriteStringToFile(lines_path, bytes).ok());
+    auto journal = RunJournal::Open(Dir("read"));
+    EXPECT_TRUE(journal.ok());
+    return journal.ok() ? (*journal)->records()
+                        : std::vector<RunJournal::Record>{};
+  };
+  for (size_t size = 0; size <= text->size(); ++size) {
+    std::vector<RunJournal::Record> records =
+        read_back(text->substr(0, size));
+    ASSERT_EQ(records.size(), WholeLines(*text, size)) << "size " << size;
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].step, written[i].step);
+      EXPECT_EQ(records[i].output, written[i].output);
+      EXPECT_EQ(records[i].digest, written[i].digest);
+      EXPECT_EQ(records[i].config_hash, written[i].config_hash);
+      EXPECT_EQ(records[i].bytes, written[i].bytes);
+      EXPECT_EQ(records[i].events, written[i].events);
+    }
+  }
+  Rng rng(114);
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_LE(read_back(FlipBit(*text, &rng)).size(), written.size());
+  }
+}
+
+TEST_F(DurableStateFuzzTest, ScrubCursorResumesFromAPrefix) {
+  MemoryObjectStore r0, r1;
+  ReplicatedObjectStore store({&r0, &r1});
+  std::vector<std::string> ids;
+  for (int i = 0; i < 6; ++i) {
+    auto id = store.Put("scrubbed object " + std::to_string(i));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ScrubOptions options;
+  options.cursor_dir = Dir("cursor");
+  options.batch_size = 2;
+  // One full pass: checkpoints after ids[1], ids[3] and ids[5] (complete).
+  ASSERT_TRUE(ScrubReplicas({&r0, &r1}, options).ok());
+  const std::string cursor_path = Dir("cursor") + "/scrub_cursor.jsonl";
+  auto text = ReadFileToString(cursor_path);
+  ASSERT_TRUE(text.ok());
+  ASSERT_EQ(WholeLines(*text, text->size()), 3u);
+
+  // Each probe scrubs one object and appends its checkpoint after the
+  // bytes it was given; that line says where the probe resumed.
+  options.batch_size = 1;
+  options.max_objects = 1;
+  for (size_t size = 0; size <= text->size(); ++size) {
+    ASSERT_TRUE(WriteStringToFile(cursor_path, text->substr(0, size)).ok());
+    ASSERT_TRUE(ScrubReplicas({&r0, &r1}, options).ok());
+    auto after = ReadFileToString(cursor_path);
+    ASSERT_TRUE(after.ok());
+    auto line = Json::Parse(after->substr(size));
+    ASSERT_TRUE(line.ok()) << "size " << size;
+    // Pass 1 resumes after batch `whole`; all three mean pass 2 begins.
+    const size_t whole = WholeLines(*text, size);
+    const uint64_t pass = whole == 3 ? 2 : 1;
+    const size_t resume_at = whole == 3 ? 0 : 2 * whole;
+    EXPECT_EQ(line->Get("pass").as_uint(), pass) << "size " << size;
+    EXPECT_EQ(line->Get("last_id").as_string(), ids[resume_at])
+        << "size " << size;
+    EXPECT_EQ(line->Get("checked").as_uint(), resume_at + 1)
+        << "size " << size;
+  }
+  Rng rng(115);
+  for (int i = 0; i < kRounds / 4; ++i) {
+    ASSERT_TRUE(WriteStringToFile(cursor_path, FlipBit(*text, &rng)).ok());
+    EXPECT_TRUE(ScrubReplicas({&r0, &r1}, options).ok()) << "round " << i;
+  }
+}
+
+TEST_F(DurableStateFuzzTest, QuarantineLogReplaysAPrefix) {
+  // Three healthy records; a copy of the store with all three rotted
+  // writes the quarantine log (one line per Get, in id order below).
+  const std::string payload = "quarantine fuzz payload #";
+  std::vector<std::string> ids;
+  {
+    PackObjectStore store(Dir("pristine"));
+    for (int i = 0; i < 3; ++i) {
+      auto id = store.Put(payload + std::to_string(i));
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  std::filesystem::copy(Dir("pristine"), Dir("rotted"),
+                        std::filesystem::copy_options::recursive);
+  const uint64_t stride = kPackRecordHeaderSize + payload.size() + 1;
+  for (uint64_t i = 0; i < 3; ++i) {
+    FlipByte(PackSegmentPath(Dir("rotted")),
+             kPackSegmentHeaderSize + kPackRecordHeaderSize + i * stride);
+  }
+  {
+    PackObjectStore rotted(Dir("rotted"));
+    for (const std::string& id : ids) {
+      ASSERT_TRUE(rotted.Get(id).status().IsCorruption());
+    }
+  }
+  auto text = ReadFileToString(Dir("rotted") + "/quarantine.jsonl");
+  ASSERT_TRUE(text.ok());
+  ASSERT_EQ(WholeLines(*text, text->size()), 3u);
+
+  const std::string log_path = Dir("pristine") + "/quarantine.jsonl";
+  for (size_t size = 0; size <= text->size(); ++size) {
+    ASSERT_TRUE(WriteStringToFile(log_path, text->substr(0, size)).ok());
+    PackObjectStore store(Dir("pristine"));
+    const size_t whole = WholeLines(*text, size);
+    std::vector<std::string> condemned(
+        ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(whole));
+    std::sort(condemned.begin(), condemned.end());
+    EXPECT_EQ(store.QuarantinedIds(), condemned) << "size " << size;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto got = store.Get(ids[i]);
+      if (i < whole) {
+        EXPECT_TRUE(got.status().IsNotFound()) << "size " << size;
+      } else {
+        EXPECT_EQ(got.ok() ? *got : "", payload + std::to_string(i))
+            << "size " << size;
+      }
+    }
+  }
+  Rng rng(116);
+  for (int i = 0; i < kRounds; ++i) {
+    ASSERT_TRUE(WriteStringToFile(log_path, FlipBit(*text, &rng)).ok());
+    PackObjectStore store(Dir("pristine"));
+    EXPECT_LE(store.QuarantinedIds().size(), ids.size());
+    for (const std::string& id : ids) {
+      auto got = store.Get(id);
+      if (got.ok()) {
+        EXPECT_EQ(Sha256::HashHex(*got), id) << "round " << i;
+      }
+    }
+  }
+}
+
+TEST_F(DurableStateFuzzTest, GenerationMarkerReadsWhollyOrAsZero) {
+  MemoryObjectStore source, target;
+  ASSERT_TRUE(source.Put("migrated object").ok());
+  MigrateOptions options;
+  options.state_dir = Dir("state");
+  ASSERT_TRUE(MigrateGeneration(source, target, options).ok());
+  ASSERT_TRUE(MigrateGeneration(source, target, options).ok());
+  const std::string marker_path = Dir("state") + "/GENERATION";
+  auto text = ReadFileToString(marker_path);
+  ASSERT_TRUE(text.ok());
+  ASSERT_EQ(ReadGeneration(Dir("state")), 2u);
+
+  const size_t close = text->rfind('}');
+  ASSERT_NE(close, std::string::npos);
+  for (size_t size = 0; size <= text->size(); ++size) {
+    ASSERT_TRUE(WriteStringToFile(marker_path, text->substr(0, size)).ok());
+    EXPECT_EQ(ReadGeneration(Dir("state")), size > close ? 2u : 0u)
+        << "size " << size;
+  }
+  Rng rng(117);
+  for (int i = 0; i < kRounds; ++i) {
+    ASSERT_TRUE(WriteStringToFile(marker_path, FlipBit(*text, &rng)).ok());
+    (void)ReadGeneration(Dir("state"));
+  }
+  // A generation that is not a valid uint reads as 0, never as a wrapped
+  // or truncated value.
+  for (const char* bad : {"-1", "2.5", "1e300", "-1e300",
+                          "18446744073709551616", "\"2\"", "null"}) {
+    const std::string marker = std::string("{\"generation\": ") + bad + "}";
+    ASSERT_TRUE(WriteStringToFile(marker_path, marker).ok());
+    EXPECT_EQ(ReadGeneration(Dir("state")), 0u) << bad;
+  }
 }
 
 }  // namespace

@@ -539,18 +539,6 @@ TEST(ArchiveCheckTest, G002KeepsFindingsForTheObjectsItReached) {
 
 // ---------------------------------------------------------- run journal
 
-TEST(JournalCheckTest, FromJsonLinesParsesRecordsAndStopsAtGarbage) {
-  std::string text =
-      "{\"step\": \"gen\", \"output\": \"gen_out\"}\n"
-      "\n"
-      "{\"step\": \"sim\", \"output\": \"raw\"}\n"
-      "{\"step\": \"tr";  // crash-truncated tail
-  JournalSpec spec = JournalSpec::FromJsonLines(text);
-  ASSERT_EQ(spec.entries.size(), 2u);
-  EXPECT_EQ(spec.entries[0].step, "gen");
-  EXPECT_EQ(spec.entries[1].output, "raw");
-}
-
 TEST(JournalCheckTest, CleanJournalHasNoFindings) {
   WorkflowGraphSpec workflow;
   workflow.steps.push_back(MakeStep("gen", {}, "gen_out"));

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -337,6 +338,33 @@ TEST_F(ServerTest, RemoteLintReturnsReportAndRejectsHostileNames) {
   artifacts[0].name = "a/b";
   EXPECT_EQ(client->Lint(artifacts).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(ServerTest, RemoteLintIsByteStableAndNamesTheSubmittedArtifacts) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  // A provenance chain with a parentage gap (W101) and LHADA text that does
+  // not parse (L000): both artifacts draw findings.
+  std::vector<LintArtifact> artifacts(2);
+  artifacts[0].name = "chain.json";
+  artifacts[0].bytes = "[{\"dataset\": \"aod\", \"parents\": [\"gone\"]}]";
+  artifacts[1].name = "cuts.lhada";
+  artifacts[1].bytes = "this is not an analysis description";
+  auto first = client->Lint(artifacts);
+  auto second = client->Lint(artifacts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*first, *second);
+
+  auto json = Json::Parse(*first);
+  ASSERT_TRUE(json.ok());
+  std::set<std::string> named;
+  for (const Json& finding : json->Get("findings").items()) {
+    named.insert(finding.Get("artifact").as_string());
+  }
+  EXPECT_EQ(named, (std::set<std::string>{"chain.json", "cuts.lhada"}));
 }
 
 TEST_F(ServerTest, ChainSubmissionRunsTheStandardChain) {

@@ -17,6 +17,7 @@
 #include "archive/backend.h"
 #include "archive/object_store.h"
 #include "archive/pack_store.h"
+#include "serialize/json.h"
 #include "support/io.h"
 #include "support/metrics_registry.h"
 #include "support/sha256.h"
@@ -266,6 +267,44 @@ TEST_F(PackStoreTest, QuarantineStandsAcrossReopen) {
   ASSERT_TRUE(reopened.Flush().ok());
   PackObjectStore healed(Dir("pack"));
   EXPECT_EQ(*healed.Get(id), "rot me");
+}
+
+// A quarantine line whose position breaks the integer rule (Json::as_uint;
+// a segment must also fit uint32_t) is the end of the valid log: it
+// condemns nothing, and neither does any line after it.
+TEST_F(PackStoreTest, QuarantineReplayStopsAtAnInvalidPosition) {
+  std::string id;
+  {
+    PackObjectStore store(Dir("pack"));
+    auto put = store.Put("healthy bytes");
+    ASSERT_TRUE(put.ok());
+    id = *put;
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  auto line = [&id](Json segment, Json offset) {
+    Json json = Json::Object();
+    json["id"] = id;
+    json["segment"] = std::move(segment);
+    json["offset"] = std::move(offset);
+    return json.Dump() + "\n";
+  };
+  const Json exact_offset(kFirstPayload);
+  for (const std::string& log :
+       {line(-1, exact_offset) + line(0, exact_offset),
+        line(uint64_t{1} << 32, exact_offset) + line(0, exact_offset),
+        line(0, static_cast<double>(kFirstPayload) + 0.5)}) {
+    ASSERT_TRUE(
+        WriteStringToFile(Dir("pack") + "/quarantine.jsonl", log).ok());
+    PackObjectStore reopened(Dir("pack"));
+    EXPECT_EQ(*reopened.Get(id), "healthy bytes") << log;
+    EXPECT_TRUE(reopened.QuarantinedIds().empty()) << log;
+  }
+  // Control: the well-formed line alone does condemn the record.
+  ASSERT_TRUE(WriteStringToFile(Dir("pack") + "/quarantine.jsonl",
+                                line(0, exact_offset))
+                  .ok());
+  PackObjectStore condemned(Dir("pack"));
+  EXPECT_TRUE(condemned.Get(id).status().IsNotFound());
 }
 
 // The two-tier model's deliberate gap, pinned down: an adversarial (or

@@ -2,8 +2,12 @@
 // self-describing container (including corruption injection).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -11,6 +15,7 @@
 #include "serialize/binary.h"
 #include "serialize/container.h"
 #include "serialize/json.h"
+#include "support/io.h"
 
 namespace daspos {
 namespace {
@@ -125,6 +130,69 @@ TEST(JsonTest, PrettyDumpParsesBack) {
   auto parsed = Json::Parse(pretty);
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(*parsed == j);
+}
+
+TEST(JsonTest, AsIntReadsZeroOutsideInt64Range) {
+  EXPECT_EQ(Json::Parse("1e300")->as_int(), 0);
+  EXPECT_EQ(Json::Parse("-1e300")->as_int(), 0);
+  EXPECT_EQ(Json(9223372036854775808.0).as_int(), 0);  // 2^63
+  EXPECT_EQ(Json(std::nan("")).as_int(), 0);
+  EXPECT_EQ(Json(-9223372036854775808.0).as_int(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Json(-7).as_int(), -7);
+  EXPECT_EQ(Json(2.9).as_int(), 2);
+  EXPECT_EQ(Json("12").as_int(), 0);
+}
+
+TEST(JsonTest, AsUintTakesOnlyIntegralNumbersInRange) {
+  EXPECT_EQ(Json(0).as_uint(), std::optional<uint64_t>(0));
+  EXPECT_EQ(Json(uint64_t{1} << 53).as_uint(),
+            std::optional<uint64_t>(uint64_t{1} << 53));
+  EXPECT_EQ(Json(18446744073709549568.0).as_uint(),  // largest double < 2^64
+            std::optional<uint64_t>(18446744073709549568u));
+  EXPECT_EQ(Json(18446744073709551616.0).as_uint(), std::nullopt);  // 2^64
+  EXPECT_EQ(Json::Parse("1e300")->as_uint(), std::nullopt);
+  EXPECT_EQ(Json(-1).as_uint(), std::nullopt);
+  EXPECT_EQ(Json(1.5).as_uint(), std::nullopt);
+  EXPECT_EQ(Json(std::nan("")).as_uint(), std::nullopt);
+  EXPECT_EQ(Json("7").as_uint(), std::nullopt);
+  EXPECT_EQ(Json().as_uint(), std::nullopt);
+}
+
+TEST(JsonLinesTest, StopsAtFirstUnparsableLine) {
+  std::string text =
+      "{\"step\": \"gen\", \"output\": \"gen_out\"}\n"
+      "\n"
+      "{\"step\": \"sim\", \"output\": \"raw\"}\n"
+      "{\"step\": \"tr\n"  // crash-truncated tail
+      "{\"step\": \"after\"}\n";
+  std::vector<Json> lines = ParseJsonLines(text);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].Get("step").as_string(), "gen");
+  EXPECT_EQ(lines[1].Get("output").as_string(), "raw");
+  EXPECT_TRUE(ParseJsonLines("").empty());
+  EXPECT_EQ(ParseJsonLines("1\r\n [2] \n").size(), 2u);
+}
+
+TEST(JsonLinesTest, AppendJsonLineWritesCompactLinesThatReadBack) {
+  const std::string dir = std::filesystem::temp_directory_path().string() +
+                          "/daspos_json_lines_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/state.jsonl";
+  Json first = Json::Object();
+  first["id"] = "a";
+  first["n"] = uint64_t{3};
+  Json second = Json::Object();
+  second["nested"] = Json::Array();
+  second["nested"].push_back(1.5);
+  ASSERT_TRUE(AppendJsonLine(path, first).ok());
+  ASSERT_TRUE(AppendJsonLine(path, second).ok());
+  auto text = ReadFileToString(path);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(*text, "{\"id\":\"a\",\"n\":3}\n{\"nested\":[1.5]}\n");
+  EXPECT_EQ(ParseJsonLines(*text), (std::vector<Json>{first, second}));
+  std::filesystem::remove_all(dir);
 }
 
 // Round-trip property over a sweep of doubles.

@@ -509,13 +509,14 @@ int CmdChain(const Args& args, const CliFlags& flags) {
   if (options.resume) {
     // Warn (W104) about checkpoints for steps this workflow does not have;
     // resume ignores them, but the operator should know they exist.
-    auto lines = ReadFileToString(RunJournal::LinesPath(journal_dir));
-    if (lines.ok()) {
-      lint::LintReport journal_lint = lint::CheckJournal(
-          lint::JournalSpec::FromJsonLines(*lines), workflow->GraphSpec());
-      for (const lint::Diagnostic& diagnostic : journal_lint.diagnostics()) {
-        std::fprintf(stderr, "daspos: %s\n", diagnostic.Render().c_str());
-      }
+    lint::JournalSpec spec;
+    for (const RunJournal::Record& record : journal->records()) {
+      spec.entries.push_back({record.step, record.output});
+    }
+    lint::LintReport journal_lint =
+        lint::CheckJournal(spec, workflow->GraphSpec());
+    for (const lint::Diagnostic& diagnostic : journal_lint.diagnostics()) {
+      std::fprintf(stderr, "daspos: %s\n", diagnostic.Render().c_str());
     }
   }
 
