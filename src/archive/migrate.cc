@@ -18,12 +18,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kCursorFile[] = "migrate_cursor.jsonl";
+constexpr char kMarkerFile[] = "MIGRATING";
 constexpr char kGenerationFile[] = "GENERATION";
-
-std::string CursorPath(const std::string& dir) {
-  return dir + "/" + kCursorFile;
-}
 
 /// Per-object outcome inside a batch (folded serially in input order).
 struct CopySlot {
@@ -93,13 +89,20 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
   MigrateReport report;
   report.generation = ReadGeneration(options.state_dir) + 1;
 
-  // A surviving cursor means a previous invocation died mid-copy; the
-  // target-presence checks below skip whatever it completed.
-  if (FileExists(CursorPath(options.state_dir))) {
+  // The in-progress marker is written before the first copy and removed at
+  // the swap, so a surviving one means a previous invocation died mid-run;
+  // the target-presence checks below skip whatever it completed.
+  const std::string marker_path = options.state_dir + "/" + kMarkerFile;
+  if (FileExists(marker_path)) {
     report.resumed = true;
     resumed_counter.Increment();
     DASPOS_LOG(kWarning) << "resuming interrupted migration to generation "
                          << report.generation;
+  } else {
+    Json in_progress = Json::Object();
+    in_progress["generation"] = report.generation;
+    DASPOS_RETURN_IF_ERROR(
+        AtomicWriteFile(marker_path, in_progress.Dump() + "\n"));
   }
 
   span.AddAttribute("generation", report.generation);
@@ -152,8 +155,8 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
     for (const CopySlot& slot : slots) {
       if (!slot.status.ok()) {
         if (slot.status.IsCorruption()) verify_failures.Increment();
-        // No cursor append for a failed batch: the resume path re-checks
-        // target presence, so no completed copy is lost.
+        // The resume path re-checks target presence, so no completed copy
+        // is lost.
         return slot.status;
       }
       if (slot.copied) {
@@ -165,13 +168,6 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
     }
     objects_counter.Increment(batch.size());
     report.objects_total += batch.size();
-    Json record = Json::Object();
-    record["generation"] = report.generation;
-    record["last_id"] = batch.back();
-    record["copied"] = report.copied;
-    record["skipped"] = report.skipped;
-    DASPOS_RETURN_IF_ERROR(
-        AppendJsonLine(CursorPath(options.state_dir), record));
     batch.clear();
     return Status::OK();
   };
@@ -217,9 +213,9 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
   marker["bytes"] = target.TotalBytes();
   DASPOS_RETURN_IF_ERROR(AtomicWriteFile(
       options.state_dir + "/" + kGenerationFile, marker.Dump(2) + "\n"));
-  // The migration is complete: drop the cursor so the next generation's
+  // The migration is complete: drop the marker so the next generation's
   // migration starts fresh instead of reporting a spurious resume.
-  DASPOS_RETURN_IF_ERROR(RemoveFile(CursorPath(options.state_dir)));
+  DASPOS_RETURN_IF_ERROR(RemoveFile(marker_path));
 
   report.wall_ms = span.ElapsedMillis();
   return report;

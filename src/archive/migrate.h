@@ -21,11 +21,11 @@ class ObjectStore;
 class ThreadPool;
 
 struct MigrateOptions {
-  /// Directory holding the migration's durable state: the JSONL copy cursor
-  /// (`migrate_cursor.jsonl`) and the generation marker (`GENERATION`).
+  /// Directory holding the migration's durable state: the in-progress
+  /// marker (`MIGRATING`) and the generation marker (`GENERATION`).
   /// Required — a migration without durable state cannot resume or swap.
   std::string state_dir;
-  /// Objects per batch: granularity of cursor checkpoints and sharding.
+  /// Objects per copy batch: the granularity of sharding over the pool.
   size_t batch_size = 64;
   /// Pool for intra-batch parallel copy+verify (not owned; null = serial).
   ThreadPool* pool = nullptr;
@@ -47,7 +47,8 @@ struct MigrateReport {
   /// Objects re-verified in the final full sweep before the swap (always
   /// == objects_total on success: every object, copied or skipped).
   uint64_t verified = 0;
-  /// True when a prior interrupted migration's cursor was found.
+  /// True when a prior interrupted migration's in-progress marker was
+  /// found.
   bool resumed = false;
   double wall_ms = 0.0;
 
@@ -59,18 +60,19 @@ struct MigrateReport {
 ///
 ///  1. Copy: each source object is fetched (fixity-gated), written to the
 ///     target, and the *target's* copy is read back and re-hashed before the
-///     object counts as migrated. Progress checkpoints to a JSONL cursor
-///     after every batch, so a crash at any point resumes — objects already
+///     object counts as migrated. An in-progress marker is written before
+///     the first copy, so a crash at any point resumes — objects already
 ///     verifying on the target are skipped, anything else is re-copied.
 ///  2. Verify: a final sweep re-verifies every object on the target —
 ///     including ones skipped as already-present — so the swap never
 ///     certifies stale or rotted bytes.
 ///  3. Swap: the generation marker in `state_dir` is atomically replaced
 ///     (temp + fsync + rename) with generation N+1 and the verified object
-///     count. The source store is left untouched.
+///     count, and the in-progress marker is removed. The source store is
+///     left untouched.
 ///
 /// Fails without swapping if any object cannot be copied or verified; the
-/// cursor preserves progress for the next attempt.
+/// copies on the target preserve progress for the next attempt.
 Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
                                         ObjectStore& target,
                                         const MigrateOptions& options);

@@ -314,6 +314,15 @@ Result<ScrubReport> ScrubReplicas(const std::vector<ObjectStore*>& replicas,
     }
   }
 
+  // A pass whose remainder is empty (the objects after last_id were
+  // removed) still closes: without this line no batch would ever record
+  // the end, and every later run would report the same pass.
+  if (begin == ids.size() && !cursor.last_id.empty() &&
+      !options.cursor_dir.empty()) {
+    cursor.complete = true;
+    DASPOS_RETURN_IF_ERROR(AppendCursor(options.cursor_dir, cursor));
+  }
+
   report.complete = end == ids.size();
   report.wall_ms = span.ElapsedMillis();
   repairs.Increment(report.repaired);

@@ -5,12 +5,9 @@
 #define DASPOS_EVENT_AOD_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "event/reco.h"
-#include "serialize/binary.h"
-#include "support/result.h"
 
 namespace daspos {
 
@@ -36,11 +33,20 @@ struct AodEvent {
   /// Missing transverse energy object, if present.
   const PhysicsObject* Met() const;
 
-  void Serialize(BinaryWriter* writer) const;
-  static Result<AodEvent> Deserialize(BinaryReader* reader);
-  std::string ToRecord() const;
-  static Result<AodEvent> FromRecord(std::string_view record);
+  bool operator==(const AodEvent&) const = default;
 };
+
+// AOD record layout (serialize/record.h, docs/FORMAT.md); derived datasets
+// keep it.
+constexpr auto RecordLayout(const AodEvent*) {
+  return Record(
+      "AodEvent", Field<&AodEvent::run_number, wire::U32>("run_number"),
+      Field<&AodEvent::event_number, wire::Varint>("event_number"),
+      Field<&AodEvent::trigger_bits, wire::U32>("trigger_bits"),
+      Field<&AodEvent::weight, wire::F64>("weight"),
+      Field<&AodEvent::vertex_count, wire::SVarint32>("vertex_count"),
+      Field<&AodEvent::objects, wire::List<PhysicsObject>>("objects"));
+}
 
 }  // namespace daspos
 

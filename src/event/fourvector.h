@@ -50,9 +50,7 @@ class FourVector {
     return FourVector(k * px_, k * py_, k * pz_, k * e_);
   }
 
-  bool operator==(const FourVector& o) const {
-    return px_ == o.px_ && py_ == o.py_ && pz_ == o.pz_ && e_ == o.e_;
-  }
+  bool operator==(const FourVector&) const = default;
 
  private:
   double px_ = 0.0;

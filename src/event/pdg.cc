@@ -92,65 +92,6 @@ double Charge(int pdg_id) {
   return pdg_id >= 0 ? q : -q;
 }
 
-std::string Name(int pdg_id) {
-  int a = std::abs(pdg_id);
-  bool anti = pdg_id < 0;
-  switch (a) {
-    case kElectron:
-      return anti ? "e+" : "e-";
-    case kMuon:
-      return anti ? "mu+" : "mu-";
-    case kTau:
-      return anti ? "tau+" : "tau-";
-    case kNuE:
-      return anti ? "nu_e~" : "nu_e";
-    case kNuMu:
-      return anti ? "nu_mu~" : "nu_mu";
-    case kNuTau:
-      return anti ? "nu_tau~" : "nu_tau";
-    case kDown:
-      return anti ? "d~" : "d";
-    case kUp:
-      return anti ? "u~" : "u";
-    case kStrange:
-      return anti ? "s~" : "s";
-    case kCharm:
-      return anti ? "c~" : "c";
-    case kBottom:
-      return anti ? "b~" : "b";
-    case kTop:
-      return anti ? "t~" : "t";
-    case kGluon:
-      return "g";
-    case kPhoton:
-      return "gamma";
-    case kZ:
-      return "Z";
-    case kWPlus:
-      return anti ? "W-" : "W+";
-    case kHiggs:
-      return "H";
-    case kZPrime:
-      return "Z'";
-    case kPiPlus:
-      return anti ? "pi-" : "pi+";
-    case kPiZero:
-      return "pi0";
-    case kKPlus:
-      return anti ? "K-" : "K+";
-    case kD0:
-      return anti ? "D0~" : "D0";
-    case kDPlus:
-      return anti ? "D-" : "D+";
-    case kProton:
-      return anti ? "p~" : "p";
-    case kNeutron:
-      return anti ? "n~" : "n";
-    default:
-      return "id:" + std::to_string(pdg_id);
-  }
-}
-
 bool IsChargedLepton(int pdg_id) {
   int a = std::abs(pdg_id);
   return a == kElectron || a == kMuon || a == kTau;

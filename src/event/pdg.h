@@ -4,7 +4,6 @@
 #define DASPOS_EVENT_PDG_H_
 
 #include <cstdint>
-#include <string>
 
 namespace daspos {
 namespace pdg {
@@ -47,9 +46,6 @@ double Mass(int pdg_id);
 
 /// Electric charge in units of e (handles antiparticles by sign).
 double Charge(int pdg_id);
-
-/// Short name like "mu-", "Z", "pi+"; "id:<n>" for unknown ids.
-std::string Name(int pdg_id);
 
 bool IsChargedLepton(int pdg_id);
 bool IsNeutrino(int pdg_id);

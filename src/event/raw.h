@@ -6,11 +6,9 @@
 #define DASPOS_EVENT_RAW_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "serialize/binary.h"
-#include "support/result.h"
+#include "serialize/record.h"
 
 namespace daspos {
 
@@ -32,6 +30,8 @@ struct RawHit {
   uint16_t adc = 0;
   /// Hit time relative to the bunch crossing, in nanoseconds.
   float time_ns = 0.0f;
+
+  bool operator==(const RawHit&) const = default;
 };
 
 /// One triggered readout of the whole detector.
@@ -42,11 +42,26 @@ struct RawEvent {
   uint32_t trigger_bits = 0;
   std::vector<RawHit> hits;
 
-  void Serialize(BinaryWriter* writer) const;
-  static Result<RawEvent> Deserialize(BinaryReader* reader);
-  std::string ToRecord() const;
-  static Result<RawEvent> FromRecord(std::string_view record);
+  bool operator==(const RawEvent&) const = default;
 };
+
+// RAW record layouts (serialize/record.h, docs/FORMAT.md).
+constexpr auto RecordLayout(const RawHit*) {
+  return Record(
+      "RawHit",
+      Field<&RawHit::detector, wire::EnumU8<SubDetector::kMuon>>("detector"),
+      Field<&RawHit::channel, wire::UVarint<32>>("channel"),
+      Field<&RawHit::adc, wire::UVarint<16>>("adc"),
+      Field<&RawHit::time_ns, wire::F32AsF64>("time_ns"));
+}
+
+constexpr auto RecordLayout(const RawEvent*) {
+  return Record("RawEvent",
+                Field<&RawEvent::run_number, wire::U32>("run_number"),
+                Field<&RawEvent::event_number, wire::Varint>("event_number"),
+                Field<&RawEvent::trigger_bits, wire::U32>("trigger_bits"),
+                Field<&RawEvent::hits, wire::List<RawHit>>("hits"));
+}
 
 }  // namespace daspos
 

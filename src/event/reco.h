@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "event/fourvector.h"
-#include "serialize/binary.h"
+#include "serialize/record.h"
 #include "support/result.h"
 
 namespace daspos {
@@ -24,6 +24,8 @@ struct Track {
   double chi2 = 0.0;
   /// Transverse impact parameter, millimetres (displaced-vertex physics).
   double d0_mm = 0.0;
+
+  bool operator==(const Track&) const = default;
 };
 
 /// A cluster of energy depositions in a calorimeter.
@@ -35,6 +37,8 @@ struct CaloCluster {
   /// discriminates electrons/photons (high) from hadrons (low).
   double em_fraction = 0.0;
   int cell_count = 0;
+
+  bool operator==(const CaloCluster&) const = default;
 };
 
 /// Candidate physics-object types.
@@ -63,8 +67,7 @@ struct PhysicsObject {
   /// Displacement of the associated vertex, millimetres (0 = prompt).
   double displacement_mm = 0.0;
 
-  void Serialize(BinaryWriter* writer) const;
-  static Result<PhysicsObject> Deserialize(BinaryReader* reader);
+  bool operator==(const PhysicsObject&) const = default;
 };
 
 /// Full reconstruction output: basic + intermediate + refined content.
@@ -81,11 +84,51 @@ struct RecoEvent {
   /// Reconstructed primary-vertex count (pileup estimate).
   int vertex_count = 0;
 
-  void Serialize(BinaryWriter* writer) const;
-  static Result<RecoEvent> Deserialize(BinaryReader* reader);
-  std::string ToRecord() const;
-  static Result<RecoEvent> FromRecord(std::string_view record);
+  bool operator==(const RecoEvent&) const = default;
 };
+
+// RECO record layouts (serialize/record.h, docs/FORMAT.md). RecoEvent's
+// wire order differs from its member order: vertex_count precedes the lists.
+constexpr auto RecordLayout(const Track*) {
+  return Record("Track",
+                Field<&Track::momentum, wire::FourVec>("momentum"),
+                Field<&Track::charge, wire::SVarint32>("charge"),
+                Field<&Track::hit_count, wire::SVarint32>("hit_count"),
+                Field<&Track::chi2, wire::F64>("chi2"),
+                Field<&Track::d0_mm, wire::F64>("d0_mm"));
+}
+
+constexpr auto RecordLayout(const CaloCluster*) {
+  return Record("CaloCluster",
+                Field<&CaloCluster::energy, wire::F64>("energy"),
+                Field<&CaloCluster::eta, wire::F64>("eta"),
+                Field<&CaloCluster::phi, wire::F64>("phi"),
+                Field<&CaloCluster::em_fraction, wire::F64>("em_fraction"),
+                Field<&CaloCluster::cell_count, wire::SVarint32>("cell_count"));
+}
+
+constexpr auto RecordLayout(const PhysicsObject*) {
+  return Record(
+      "PhysicsObject",
+      Field<&PhysicsObject::type, wire::EnumU8<ObjectType::kMet>>("type"),
+      Field<&PhysicsObject::momentum, wire::FourVec>("momentum"),
+      Field<&PhysicsObject::charge, wire::SVarint32>("charge"),
+      Field<&PhysicsObject::isolation, wire::F64>("isolation"),
+      Field<&PhysicsObject::quality, wire::F64>("quality"),
+      Field<&PhysicsObject::displacement_mm, wire::F64>("displacement_mm"));
+}
+
+constexpr auto RecordLayout(const RecoEvent*) {
+  return Record(
+      "RecoEvent", Field<&RecoEvent::run_number, wire::U32>("run_number"),
+      Field<&RecoEvent::event_number, wire::Varint>("event_number"),
+      Field<&RecoEvent::trigger_bits, wire::U32>("trigger_bits"),
+      Field<&RecoEvent::weight, wire::F64>("weight"),
+      Field<&RecoEvent::vertex_count, wire::SVarint32>("vertex_count"),
+      Field<&RecoEvent::tracks, wire::List<Track>>("tracks"),
+      Field<&RecoEvent::clusters, wire::List<CaloCluster>>("clusters"),
+      Field<&RecoEvent::objects, wire::List<PhysicsObject>>("objects"));
+}
 
 }  // namespace daspos
 

@@ -5,12 +5,10 @@
 #define DASPOS_EVENT_TRUTH_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "event/fourvector.h"
-#include "serialize/binary.h"
-#include "support/result.h"
+#include "serialize/record.h"
 
 namespace daspos {
 
@@ -27,6 +25,7 @@ struct GenParticle {
   double vertex_mm = 0.0;
 
   bool IsFinalState() const { return status == 1; }
+  bool operator==(const GenParticle&) const = default;
 };
 
 /// One generated collision.
@@ -41,12 +40,27 @@ struct GenEvent {
   /// Final-state (status 1) particles.
   std::vector<GenParticle> FinalState() const;
 
-  /// Binary record round-trip for container storage.
-  void Serialize(BinaryWriter* writer) const;
-  static Result<GenEvent> Deserialize(BinaryReader* reader);
-  std::string ToRecord() const;
-  static Result<GenEvent> FromRecord(std::string_view record);
+  bool operator==(const GenEvent&) const = default;
 };
+
+// GEN record layouts (serialize/record.h, docs/FORMAT.md).
+constexpr auto RecordLayout(const GenParticle*) {
+  return Record("GenParticle",
+                Field<&GenParticle::pdg_id, wire::SVarint32>("pdg_id"),
+                Field<&GenParticle::status, wire::SVarint32>("status"),
+                Field<&GenParticle::mother, wire::SVarint32>("mother"),
+                Field<&GenParticle::momentum, wire::FourVec>("momentum"),
+                Field<&GenParticle::vertex_mm, wire::F64>("vertex_mm"));
+}
+
+constexpr auto RecordLayout(const GenEvent*) {
+  return Record("GenEvent",
+                Field<&GenEvent::event_number, wire::Varint>("event_number"),
+                Field<&GenEvent::process_id, wire::SVarint32>("process_id"),
+                Field<&GenEvent::weight, wire::F64>("weight"),
+                Field<&GenEvent::particles, wire::List<GenParticle>>(
+                    "particles"));
+}
 
 }  // namespace daspos
 

@@ -37,7 +37,7 @@ std::string WriteDataset(const DatasetInfo& info,
   ContainerWriter writer(MakeMetadata(info));
   AppendRecords(&writer, events.size(), pool,
                 [&events](size_t i, BinaryWriter* record) {
-                  events[i].Serialize(record);
+                  EncodeRecord(events[i], record);
                   return true;
                 });
   return writer.Finish();
@@ -77,12 +77,11 @@ Result<std::vector<Event>> ReadDataset(std::string_view blob,
     auto [begin, end] = plan.Bounds(task - 1);
     for (size_t i = begin; i < end; ++i) {
       if (fixity_failed.load(std::memory_order_relaxed)) return;
-      Result<Event> event = Event::FromRecord(records[i]);
-      if (!event.ok()) {
-        errors[task - 1] = event.status();
+      Status decoded = DecodeRecord(records[i], &events[i]);
+      if (!decoded.ok()) {
+        errors[task - 1] = std::move(decoded);
         return;
       }
-      events[i] = std::move(*event);
     }
   });
   DASPOS_RETURN_IF_ERROR(fixity);

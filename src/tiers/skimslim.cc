@@ -187,7 +187,7 @@ Result<std::string> DeriveDataset(std::string_view aod_blob,
   AppendRecords(&writer, events.size(), pool,
                 [&](size_t i, BinaryWriter* record) {
                   if (!skim.predicate(events[i])) return false;
-                  slim.Apply(events[i]).Serialize(record);
+                  EncodeRecord(slim.Apply(events[i]), record);
                   return true;
                 });
   const uint64_t kept = writer.record_count();

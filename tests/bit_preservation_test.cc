@@ -340,6 +340,43 @@ TEST_F(BitPreservationTest, ScrubCursorResumesInterruptedPass) {
   EXPECT_EQ(third->objects_checked, 7u);
 }
 
+TEST_F(BitPreservationTest, ScrubPassEndsWhenObjectsPastTheCursorAreGone) {
+  FileObjectStore r0(Dir("r0")), r1(Dir("r1"));
+  ReplicatedObjectStore store({&r0, &r1});
+  std::vector<std::string> ids;
+  for (int i = 0; i < 4; ++i) {
+    auto id = store.Put("vanishing object " + std::to_string(i));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ScrubOptions options;
+  options.cursor_dir = Dir("cursor");
+  options.max_objects = 2;
+  options.batch_size = 1;
+  ASSERT_TRUE(ScrubReplicas({&r0, &r1}, options).ok());
+
+  // The cursor stops at ids[1]; then everything after it is removed, so
+  // the rest of pass 1 is empty.
+  for (size_t i = 2; i < ids.size(); ++i) {
+    fs::remove(BlobPath(Dir("r0"), ids[i]));
+    fs::remove(BlobPath(Dir("r1"), ids[i]));
+  }
+  options.max_objects = 0;
+  auto closing = ScrubReplicas({&r0, &r1}, options);
+  ASSERT_TRUE(closing.ok());
+  EXPECT_EQ(closing->pass_number, 1u);
+  EXPECT_EQ(closing->objects_checked, 0u);
+  EXPECT_TRUE(closing->complete);
+
+  // The empty remainder closed pass 1: the next run scrubs pass 2.
+  auto next = ScrubReplicas({&r0, &r1}, options);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->pass_number, 2u);
+  EXPECT_EQ(next->objects_checked, 2u);
+  EXPECT_EQ(next->Verdict(), ScrubVerdict::kPass);
+}
+
 TEST_F(BitPreservationTest, ScrubCursorLineWithNegativeCountEndsThePrefix) {
   FileObjectStore r0(Dir("r0")), r1(Dir("r1"));
   ReplicatedObjectStore store({&r0, &r1});
@@ -488,6 +525,9 @@ TEST_F(BitPreservationTest, MigrateResumesAfterMidCopyCrash) {
   auto crashed = MigrateGeneration(source, target, options);
   EXPECT_FALSE(crashed.ok());
   EXPECT_EQ(ReadGeneration(Dir("state")), 0u);  // no swap
+  // The only other state is the in-progress marker: no per-batch cursor.
+  EXPECT_TRUE(FileExists(Dir("state") + "/MIGRATING"));
+  EXPECT_FALSE(FileExists(Dir("state") + "/migrate_cursor.jsonl"));
 
   // The resumed run (no faults) completes: already-copied objects skip,
   // the rest copy, and EVERY object is re-hashed on the target.
@@ -500,11 +540,38 @@ TEST_F(BitPreservationTest, MigrateResumesAfterMidCopyCrash) {
   EXPECT_EQ(resumed->verified, 9u);
   EXPECT_EQ(resumed->generation, 1u);
   EXPECT_EQ(ReadGeneration(Dir("state")), 1u);
+  EXPECT_FALSE(FileExists(Dir("state") + "/MIGRATING"));
   for (const std::string& id : ids) {
     auto bytes = target.Get(id);
     ASSERT_TRUE(bytes.ok());
     EXPECT_EQ(Sha256::HashHex(*bytes), id);
   }
+}
+
+TEST_F(BitPreservationTest, MigrateCrashBeforeAnyBatchCompletesResumes) {
+  // The marker precedes the first copy, so even a run that dies on it is
+  // reported as resumed by the next invocation.
+  FileObjectStore source(Dir("old"));
+  ASSERT_TRUE(source.Put("first copy fails").ok());
+  ASSERT_TRUE(source.Put("second copy never starts").ok());
+  FileObjectStore target(Dir("new"));
+  MigrateOptions options;
+  options.state_dir = Dir("state");
+  auto spec = FaultSpec::Parse("nth=1");
+  ASSERT_TRUE(spec.ok());
+  FaultPlan plan(*spec);
+  options.faults = &plan;
+  ASSERT_FALSE(MigrateGeneration(source, target, options).ok());
+  options.faults = nullptr;
+  auto resumed = MigrateGeneration(source, target, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->resumed);
+  EXPECT_EQ(resumed->verified, 2u);
+  // A clean run after the swap starts fresh.
+  auto next = MigrateGeneration(source, target, options);
+  ASSERT_TRUE(next.ok());
+  EXPECT_FALSE(next->resumed);
+  EXPECT_EQ(next->generation, 2u);
 }
 
 TEST_F(BitPreservationTest, MigrateRefusesSwapWhenFinalVerifyFails) {

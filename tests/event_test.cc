@@ -86,13 +86,6 @@ TEST(PdgTest, Charges) {
   EXPECT_NEAR(pdg::Charge(pdg::kUp), 2.0 / 3.0, 1e-12);
 }
 
-TEST(PdgTest, Names) {
-  EXPECT_EQ(pdg::Name(pdg::kMuon), "mu-");
-  EXPECT_EQ(pdg::Name(-pdg::kMuon), "mu+");
-  EXPECT_EQ(pdg::Name(pdg::kZPrime), "Z'");
-  EXPECT_EQ(pdg::Name(123456), "id:123456");
-}
-
 TEST(PdgTest, Classification) {
   EXPECT_TRUE(pdg::IsChargedLepton(pdg::kElectron));
   EXPECT_TRUE(pdg::IsNeutrino(-pdg::kNuMu));
@@ -138,7 +131,7 @@ GenEvent MakeTruthEvent() {
 
 TEST(GenEventTest, RecordRoundTrip) {
   GenEvent event = MakeTruthEvent();
-  auto restored = GenEvent::FromRecord(event.ToRecord());
+  auto restored = DecodeRecord<GenEvent>(EncodeRecord(event));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->event_number, 42u);
   EXPECT_EQ(restored->process_id, 1);
@@ -159,13 +152,13 @@ TEST(GenEventTest, FinalStateFilters) {
 }
 
 TEST(GenEventTest, TrailingBytesRejected) {
-  std::string record = MakeTruthEvent().ToRecord() + "junk";
-  EXPECT_TRUE(GenEvent::FromRecord(record).status().IsCorruption());
+  std::string record = EncodeRecord(MakeTruthEvent()) + "junk";
+  EXPECT_TRUE(DecodeRecord<GenEvent>(record).status().IsCorruption());
 }
 
 TEST(GenEventTest, TruncatedRecordRejected) {
-  std::string record = MakeTruthEvent().ToRecord();
-  EXPECT_FALSE(GenEvent::FromRecord(record.substr(0, 10)).ok());
+  std::string record = EncodeRecord(MakeTruthEvent());
+  EXPECT_FALSE(DecodeRecord<GenEvent>(record.substr(0, 10)).ok());
 }
 
 // -------------------------------------------------------------- RawEvent --
@@ -179,7 +172,7 @@ TEST(RawEventTest, RecordRoundTrip) {
   raw.hits.push_back({SubDetector::kEcal, 99, 500, -0.25f});
   raw.hits.push_back({SubDetector::kMuon, 7, 65535, 15.0f});
 
-  auto restored = RawEvent::FromRecord(raw.ToRecord());
+  auto restored = DecodeRecord<RawEvent>(EncodeRecord(raw));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->run_number, 7u);
   EXPECT_EQ(restored->event_number, 1234567u);
@@ -194,12 +187,12 @@ TEST(RawEventTest, RecordRoundTrip) {
 TEST(RawEventTest, BadDetectorIdRejected) {
   RawEvent raw;
   raw.hits.push_back({SubDetector::kTracker, 1, 1, 0.0f});
-  std::string record = raw.ToRecord();
+  std::string record = EncodeRecord(raw);
   // The detector byte of the first hit follows the fixed header
   // (u32 run + varint event_number(1 byte) + u32 trigger + varint count).
   size_t detector_offset = 4 + 1 + 4 + 1;
   record[detector_offset] = 9;
-  EXPECT_TRUE(RawEvent::FromRecord(record).status().IsCorruption());
+  EXPECT_TRUE(DecodeRecord<RawEvent>(record).status().IsCorruption());
 }
 
 /// A raw record with one hit, hand-encoded so fields can go out of range.
@@ -219,32 +212,32 @@ std::string RawRecordWithHit(uint64_t channel, uint64_t adc, double time) {
 TEST(RawEventTest, OutOfRangeFieldsRejectedNotNarrowed) {
   // In range: decodes and re-encodes to the same bytes.
   std::string good = RawRecordWithHit(UINT32_MAX, UINT16_MAX, 1.5);
-  auto decoded = RawEvent::FromRecord(good);
+  auto decoded = DecodeRecord<RawEvent>(good);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->ToRecord(), good);
+  EXPECT_EQ(EncodeRecord(*decoded), good);
   // A channel or ADC one past its field, or a time no float can hold,
   // would decode to a different value than the one stored.
-  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1ull << 32, 1, 1.5))
+  EXPECT_TRUE(DecodeRecord<RawEvent>(RawRecordWithHit(1ull << 32, 1, 1.5))
                   .status()
                   .IsCorruption());
-  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 65536, 1.5))
+  EXPECT_TRUE(DecodeRecord<RawEvent>(RawRecordWithHit(1, 65536, 1.5))
                   .status()
                   .IsCorruption());
-  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 1, 0.1))
+  EXPECT_TRUE(DecodeRecord<RawEvent>(RawRecordWithHit(1, 1, 0.1))
                   .status()
                   .IsCorruption());
-  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 1, 1e300))
+  EXPECT_TRUE(DecodeRecord<RawEvent>(RawRecordWithHit(1, 1, 1e300))
                   .status()
                   .IsCorruption());
   // Infinities are floats too.
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_TRUE(RawEvent::FromRecord(RawRecordWithHit(1, 1, inf)).ok());
+  EXPECT_TRUE(DecodeRecord<RawEvent>(RawRecordWithHit(1, 1, inf)).ok());
 }
 
 TEST(GenEventTest, OutOfRangeIntegersRejectedNotNarrowed) {
   GenEvent event = MakeTruthEvent();
   event.particles[0].pdg_id = std::numeric_limits<int>::max();
-  ASSERT_TRUE(GenEvent::FromRecord(event.ToRecord()).ok());
+  ASSERT_TRUE(DecodeRecord<GenEvent>(EncodeRecord(event)).ok());
   // Re-encode the first particle's pdg_id one past int32 by hand.
   BinaryWriter w;
   w.PutVarint(event.event_number);
@@ -255,7 +248,7 @@ TEST(GenEventTest, OutOfRangeIntegersRejectedNotNarrowed) {
   w.PutSVarint(1);
   w.PutSVarint(-1);
   for (int i = 0; i < 5; ++i) w.PutDouble(0.0);
-  EXPECT_TRUE(GenEvent::FromRecord(w.buffer()).status().IsCorruption());
+  EXPECT_TRUE(DecodeRecord<GenEvent>(w.buffer()).status().IsCorruption());
 }
 
 // ------------------------------------------------------------- RecoEvent --
@@ -293,7 +286,7 @@ RecoEvent MakeRecoEvent() {
 
 TEST(RecoEventTest, RecordRoundTrip) {
   RecoEvent event = MakeRecoEvent();
-  auto restored = RecoEvent::FromRecord(event.ToRecord());
+  auto restored = DecodeRecord<RecoEvent>(EncodeRecord(event));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->vertex_count, 4);
   ASSERT_EQ(restored->tracks.size(), 1u);
@@ -318,12 +311,12 @@ TEST(AodEventTest, FromRecoDropsIntermediateData) {
   EXPECT_EQ(aod.event_number, reco.event_number);
   EXPECT_EQ(aod.objects.size(), reco.objects.size());
   // AOD records are much smaller than RECO records (the §3.2 reduction).
-  EXPECT_LT(aod.ToRecord().size(), reco.ToRecord().size());
+  EXPECT_LT(EncodeRecord(aod).size(), EncodeRecord(reco).size());
 }
 
 TEST(AodEventTest, RecordRoundTrip) {
   AodEvent aod = AodEvent::FromReco(MakeRecoEvent());
-  auto restored = AodEvent::FromRecord(aod.ToRecord());
+  auto restored = DecodeRecord<AodEvent>(EncodeRecord(aod));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->objects.size(), 1u);
   EXPECT_EQ(restored->objects[0].type, ObjectType::kElectron);

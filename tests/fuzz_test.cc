@@ -126,7 +126,7 @@ TEST(FuzzTest, ContainerOpenNeverCrashesAndNeverLies) {
   }
 }
 
-/// Feeds mutants and random bytes to Event::FromRecord. Nothing may crash,
+/// Feeds mutants and random bytes to DecodeRecord<Event>. Nothing may crash,
 /// and every record the decoder accepts must re-encode to exactly its own
 /// bytes: a decoder that narrows or normalizes a field would let two
 /// different preserved files decode to the same event. Returns how many
@@ -136,17 +136,17 @@ int FuzzRecordDecoder(const std::string& record, Rng* rng) {
   int accepted = 0;
   for (int i = 0; i < kRounds; ++i) {
     std::string mutant = Mutate(record, rng);
-    auto event = Event::FromRecord(mutant);
+    auto event = DecodeRecord<Event>(mutant);
     if (!event.ok()) continue;
     ++accepted;
-    EXPECT_TRUE(event->ToRecord() == mutant)
+    EXPECT_TRUE(EncodeRecord(*event) == mutant)
         << "accepted mutant " << i << " re-encodes differently";
   }
   for (int i = 0; i < kRounds; ++i) {
     std::string junk = RandomBytes(rng->UniformInt(200), rng);
-    auto event = Event::FromRecord(junk);
+    auto event = DecodeRecord<Event>(junk);
     if (event.ok()) {
-      EXPECT_TRUE(event->ToRecord() == junk) << "accepted junk " << i;
+      EXPECT_TRUE(EncodeRecord(*event) == junk) << "accepted junk " << i;
     }
   }
   return accepted;
@@ -169,8 +169,8 @@ TierRecords MakeTierRecords() {
   reco_config.geometry = sim_config.geometry;
   reco_config.calib = sim_config.calib;
   RecoEvent reco = Reconstructor(reco_config).Reconstruct(raw);
-  return {truth.ToRecord(), raw.ToRecord(), reco.ToRecord(),
-          AodEvent::FromReco(reco).ToRecord()};
+  return {EncodeRecord(truth), EncodeRecord(raw), EncodeRecord(reco),
+          EncodeRecord(AodEvent::FromReco(reco))};
 }
 
 TEST(FuzzTest, EventRecordDecodersNeverCrash) {
@@ -179,7 +179,7 @@ TEST(FuzzTest, EventRecordDecodersNeverCrash) {
   config.process = Process::kQcdDijet;
   config.seed = 10;
   EventGenerator generator(config);
-  (void)FuzzRecordDecoder<GenEvent>(generator.Generate().ToRecord(), &rng);
+  (void)FuzzRecordDecoder<GenEvent>(EncodeRecord(generator.Generate()), &rng);
 }
 
 TEST(FuzzTest, EveryAcceptedRecordReencodesByteIdentically) {

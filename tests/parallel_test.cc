@@ -226,7 +226,7 @@ TEST(DeterminismTest, ReconstructAllMatchesSerialAtAnyWidth) {
     std::vector<RecoEvent> wide = reconstructor.ReconstructAll(raw, &pool);
     ASSERT_EQ(wide.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(wide[i].ToRecord(), serial[i].ToRecord())
+      EXPECT_EQ(EncodeRecord(wide[i]), EncodeRecord(serial[i]))
           << "event " << i << " at " << threads << " threads";
     }
   }

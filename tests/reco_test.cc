@@ -449,7 +449,7 @@ std::string PinDigest(const ReconstructionConfig& config,
   CaloClusterer clusterer(config.geometry, config.calib, config.clustering);
   BinaryWriter writer;
   for (const RawEvent& event : raw) {
-    reco.Reconstruct(event).Serialize(&writer);
+    EncodeRecord(reco.Reconstruct(event), &writer);
     SerializeSegments(clusterer.MuonSegments(event), &writer);
   }
   return Sha256::HashHex(writer.buffer());
@@ -713,7 +713,7 @@ std::string PileupDigest(Process process, size_t threads) {
   Reconstructor reco(MatchingReco(sim_config));
   BinaryWriter writer;
   for (const RecoEvent& event : reco.ReconstructAll(raw, &pool)) {
-    event.Serialize(&writer);
+    EncodeRecord(event, &writer);
   }
   return Sha256::HashHex(writer.buffer());
 }

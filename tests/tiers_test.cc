@@ -249,7 +249,7 @@ TEST(DatasetTest, ParallelCodecsMatchTheRecordByRecordContainer) {
   info.tier = DataTier::kGen;
   info.name = "chunked";
   ContainerWriter reference(DatasetMetadata(info));
-  for (const GenEvent& event : events) reference.AddRecord(event.ToRecord());
+  for (const GenEvent& event : events) reference.AddRecord(EncodeRecord(event));
   const std::string expected = reference.Finish();
 
   for (size_t width : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -260,7 +260,7 @@ TEST(DatasetTest, ParallelCodecsMatchTheRecordByRecordContainer) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ASSERT_EQ(decoded->size(), events.size());
     for (size_t i = 0; i < events.size(); ++i) {
-      ASSERT_EQ((*decoded)[i].ToRecord(), events[i].ToRecord()) << i;
+      ASSERT_EQ(EncodeRecord((*decoded)[i]), EncodeRecord(events[i])) << i;
     }
   }
 }
@@ -276,14 +276,14 @@ TEST(DatasetTest, BadRecordGivesTheSameStatusAtEveryPoolWidth) {
   for (size_t bad : {size_t{0}, events.size() / 2, events.size() - 1}) {
     ContainerWriter writer(DatasetMetadata(info));
     for (size_t i = 0; i < events.size(); ++i) {
-      std::string record = events[i].ToRecord();
+      std::string record = EncodeRecord(events[i]);
       if (i == bad) record.resize(record.size() / 2);
       if (i > bad && i % 10 == 9) record.push_back('\0');
       writer.AddRecord(record);
     }
     const std::string blob = writer.Finish();
     const Status expected =
-        GenEvent::FromRecord(ContainerReader::Open(blob)->records()[bad])
+        DecodeRecord<GenEvent>(ContainerReader::Open(blob)->records()[bad])
             .status();
     ASSERT_TRUE(expected.IsCorruption());
     EXPECT_EQ(ReadGenDataset(blob).status().ToString(), expected.ToString());

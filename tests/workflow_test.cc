@@ -658,7 +658,7 @@ TEST(MergeStepTest, ConcatenatesSameTierDatasets) {
   // Events from both batches survive byte-identically.
   auto batch_a = ReadGenDataset(*context.GetDataset("batch_a"));
   ASSERT_TRUE(batch_a.ok());
-  EXPECT_EQ((*merged)[0].ToRecord(), (*batch_a)[0].ToRecord());
+  EXPECT_EQ(EncodeRecord((*merged)[0]), EncodeRecord((*batch_a)[0]));
   // Provenance records the two-parent merge.
   auto record = provenance.Get("merged");
   ASSERT_TRUE(record.ok());
