@@ -136,7 +136,7 @@ void PrintSummary() {
               FormatBytes(package_total).c_str());
   std::printf("physical store bytes  : %s  (content addressing "
               "deduplicates the shared payload)\n",
-              FormatBytes(store.TotalBytes()).c_str());
+              FormatBytes(*store.TotalBytes()).c_str());
   FixityReport report = archive.AuditFixity();
   std::printf("fixity: %llu objects checked, clean=%s\n",
               static_cast<unsigned long long>(report.objects_checked),

@@ -207,10 +207,11 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
 
   // Phase 3 — swap: atomically install the new generation marker. The
   // source store is untouched; rollback is "keep reading generation N".
+  DASPOS_ASSIGN_OR_RETURN(uint64_t target_bytes, target.TotalBytes());
   Json marker = Json::Object();
   marker["generation"] = report.generation;
   marker["objects"] = report.objects_total;
-  marker["bytes"] = target.TotalBytes();
+  marker["bytes"] = target_bytes;
   DASPOS_RETURN_IF_ERROR(AtomicWriteFile(
       options.state_dir + "/" + kGenerationFile, marker.Dump(2) + "\n"));
   // The migration is complete: drop the marker so the next generation's

@@ -141,7 +141,7 @@ Status MemoryObjectStore::ForEachId(
   return Status::OK();
 }
 
-uint64_t MemoryObjectStore::TotalBytes() const {
+Result<uint64_t> MemoryObjectStore::TotalBytes() const {
   MutexLock lock(mutex_);
   uint64_t total = 0;
   for (const auto& [id, bytes] : objects_) {
@@ -339,54 +339,36 @@ Status FileObjectStore::ForEachId(
   return walk;
 }
 
-uint64_t FileObjectStore::TotalBytes() const {
+Result<uint64_t> FileObjectStore::TotalBytes() const {
   uint64_t total = 0;
-  std::error_code ec;
-  fs::directory_iterator root_it(root_, ec);
-  if (ec) {
-    if (ec != std::errc::no_such_file_or_directory) CountWalkError(root_, ec);
-    return total;
-  }
-  for (const auto& shard : root_it) {
-    if (!shard.is_directory()) continue;
-    const std::string prefix = shard.path().filename().string();
-    if (!IsShardName(prefix)) continue;
-    fs::directory_iterator shard_it(shard.path(), ec);
+  DASPOS_RETURN_IF_ERROR(ForEachId([&](const std::string& id) {
+    std::error_code ec;
+    const std::string path = PathFor(id);
+    const uintmax_t size = fs::file_size(path, ec);
+    // A blob quarantined since the walk listed it is no longer held.
+    if (ec == std::errc::no_such_file_or_directory) return Status::OK();
     if (ec) {
-      CountWalkError(shard.path().string(), ec);
-      continue;
+      CountWalkError(path, ec);
+      return Status::IOError("object store blob unstattable: " + path);
     }
-    for (const auto& entry : shard_it) {
-      if (!entry.is_regular_file()) continue;
-      if (!ValidateObjectId(prefix + entry.path().filename().string()).ok()) {
-        continue;  // an in-flight Put's temp file, as in ForEachId
-      }
-      uintmax_t size = entry.file_size(ec);
-      if (ec) {
-        // file_size's error value is uintmax_t(-1); adding it would turn an
-        // unstattable blob into a wildly wrong total instead of an error.
-        CountWalkError(entry.path().string(), ec);
-        ec.clear();
-        continue;
-      }
-      total += static_cast<uint64_t>(size);
-    }
-  }
+    total += static_cast<uint64_t>(size);
+    return Status::OK();
+  }));
   return total;
 }
 
-std::vector<std::string> FileObjectStore::QuarantinedIds() const {
+Result<std::vector<std::string>> FileObjectStore::QuarantinedIds() const {
   std::vector<std::string> out;
   std::error_code ec;
   const fs::path quarantine = fs::path(root_) / "quarantine";
   fs::directory_iterator it(quarantine, ec);
   if (ec) {
     // No quarantine directory means nothing was ever quarantined; an
-    // existing-but-unreadable one hides rotted blobs from the linter.
-    if (ec != std::errc::no_such_file_or_directory) {
-      CountWalkError(quarantine.string(), ec);
-    }
-    return out;
+    // existing-but-unreadable one would hide rotted blobs from the linter.
+    if (ec == std::errc::no_such_file_or_directory) return out;
+    CountWalkError(quarantine.string(), ec);
+    return Status::IOError("object store quarantine unreadable: " +
+                           quarantine.string());
   }
   for (const auto& entry : it) {
     if (!entry.is_regular_file()) continue;

@@ -51,11 +51,15 @@ class ObjectStore {
   virtual Status ForEachId(
       const std::function<Status(const std::string&)>& fn) const = 0;
 
-  virtual uint64_t TotalBytes() const = 0;
+  /// Bytes held, or the error that kept the store from counting them all.
+  virtual Result<uint64_t> TotalBytes() const = 0;
 
-  /// Ids of blobs that failed fixity and were moved aside (sorted). Backends
-  /// without a quarantine area return an empty list.
-  virtual std::vector<std::string> QuarantinedIds() const { return {}; }
+  /// Ids of blobs that failed fixity and were moved aside (sorted), or the
+  /// error that kept the store from listing them all. Backends without a
+  /// quarantine area return an empty list.
+  virtual Result<std::vector<std::string>> QuarantinedIds() const {
+    return std::vector<std::string>{};
+  }
 
   /// Stores every blob and returns their ids in input order; when Puts
   /// fail, the first failing input's status is returned. The one fan-out:
@@ -80,7 +84,7 @@ class MemoryObjectStore : public ObjectStore {
   /// Snapshots the keys under the lock, then calls `fn` unlocked.
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override;
-  uint64_t TotalBytes() const override;
+  Result<uint64_t> TotalBytes() const override;
 
   /// Test hook: silently corrupt a stored object (fixity must catch it).
   Status CorruptForTesting(const std::string& id, size_t byte_index);
@@ -123,8 +127,9 @@ class FileObjectStore : public ObjectStore {
   /// names — ~1/256th of the store — instead of the whole id list.
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override;
-  uint64_t TotalBytes() const override;
-  std::vector<std::string> QuarantinedIds() const override;
+  /// Sums the sizes of the objects ForEachId visits; fails as it does.
+  Result<uint64_t> TotalBytes() const override;
+  Result<std::vector<std::string>> QuarantinedIds() const override;
 
  private:
   /// Op bodies behind the instrumented public wrappers.
@@ -132,10 +137,9 @@ class FileObjectStore : public ObjectStore {
   Result<std::string> GetImpl(const std::string& id) const;
 
   std::string PathFor(const std::string& id) const;
-  /// Records one store-walk failure (directory unreadable, stat failed)
-  /// during ForEachId()/TotalBytes(): logs it and bumps
-  /// daspos_archive_walk_errors_total so an unreadable store can never be
-  /// mistaken for an empty one by audits reading the walk results.
+  /// Records one store-walk failure (directory unreadable, stat failed):
+  /// logs it and bumps daspos_archive_walk_errors_total for operators. The
+  /// walk itself reports the failure to its caller.
   void CountWalkError(const std::string& what,
                       const std::error_code& ec) const;
   /// Moves the blob at PathFor(id) into the quarantine area. A prior

@@ -931,8 +931,9 @@ Status PackObjectStore::ForEachId(
   return Status::OK();
 }
 
-uint64_t PackObjectStore::TotalBytes() const {
+Result<uint64_t> PackObjectStore::TotalBytes() const {
   MutexLock lock(mutex_);
+  DASPOS_RETURN_IF_ERROR(open_status_);
   uint64_t total = 0;
   for (const auto& [id, entry] : index_) {
     (void)id;
@@ -958,8 +959,9 @@ size_t PackObjectStore::SegmentCount() const {
   return segment_count_;
 }
 
-std::vector<std::string> PackObjectStore::QuarantinedIds() const {
+Result<std::vector<std::string>> PackObjectStore::QuarantinedIds() const {
   MutexLock lock(mutex_);
+  DASPOS_RETURN_IF_ERROR(open_status_);
   return std::vector<std::string>(quarantine_log_.begin(),
                                   quarantine_log_.end());
 }

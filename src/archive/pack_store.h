@@ -125,8 +125,8 @@ class PackObjectStore : public ObjectStore {
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override;
   /// Logical (uncompressed) bytes, mirroring the loose backend's semantics.
-  uint64_t TotalBytes() const override;
-  std::vector<std::string> QuarantinedIds() const override;
+  Result<uint64_t> TotalBytes() const override;
+  Result<std::vector<std::string>> QuarantinedIds() const override;
 
   /// Hashes (and compresses) blobs concurrently on `pool`, then appends
   /// them under one lock with a single fsync for the whole batch.

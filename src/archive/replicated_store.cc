@@ -152,18 +152,21 @@ Status ReplicatedObjectStore::ForEachId(
   return walk;
 }
 
-uint64_t ReplicatedObjectStore::TotalBytes() const {
+Result<uint64_t> ReplicatedObjectStore::TotalBytes() const {
   uint64_t max_bytes = 0;
   for (ObjectStore* replica : replicas_) {
-    max_bytes = std::max(max_bytes, replica->TotalBytes());
+    DASPOS_ASSIGN_OR_RETURN(uint64_t bytes, replica->TotalBytes());
+    max_bytes = std::max(max_bytes, bytes);
   }
   return max_bytes;
 }
 
-std::vector<std::string> ReplicatedObjectStore::QuarantinedIds() const {
+Result<std::vector<std::string>> ReplicatedObjectStore::QuarantinedIds()
+    const {
   std::vector<std::string> out;
   for (ObjectStore* replica : replicas_) {
-    std::vector<std::string> ids = replica->QuarantinedIds();
+    DASPOS_ASSIGN_OR_RETURN(std::vector<std::string> ids,
+                            replica->QuarantinedIds());
     out.insert(out.end(), ids.begin(), ids.end());
   }
   std::sort(out.begin(), out.end());

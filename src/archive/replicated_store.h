@@ -55,8 +55,9 @@ class ReplicatedObjectStore : public ObjectStore {
   /// replica walk error after visiting everything reachable.
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override;
-  uint64_t TotalBytes() const override;
-  std::vector<std::string> QuarantinedIds() const override;
+  /// Both fail with the first replica error.
+  Result<uint64_t> TotalBytes() const override;
+  Result<std::vector<std::string>> QuarantinedIds() const override;
 
  private:
   std::vector<ObjectStore*> replicas_;

@@ -35,8 +35,10 @@ class FaultyObjectStore : public ObjectStore {
       const override {
     return backend_->ForEachId(fn);
   }
-  uint64_t TotalBytes() const override { return backend_->TotalBytes(); }
-  std::vector<std::string> QuarantinedIds() const override {
+  Result<uint64_t> TotalBytes() const override {
+    return backend_->TotalBytes();
+  }
+  Result<std::vector<std::string>> QuarantinedIds() const override {
     return backend_->QuarantinedIds();
   }
 
@@ -74,8 +76,10 @@ class RetryingObjectStore : public ObjectStore {
       const override {
     return backend_->ForEachId(fn);
   }
-  uint64_t TotalBytes() const override { return backend_->TotalBytes(); }
-  std::vector<std::string> QuarantinedIds() const override {
+  Result<uint64_t> TotalBytes() const override {
+    return backend_->TotalBytes();
+  }
+  Result<std::vector<std::string>> QuarantinedIds() const override {
     return backend_->QuarantinedIds();
   }
 

@@ -13,6 +13,8 @@
 #ifndef DASPOS_CONDITIONS_SNAPSHOT_H_
 #define DASPOS_CONDITIONS_SNAPSHOT_H_
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,6 +26,22 @@ namespace daspos {
 
 class ConditionsSnapshot : public ConditionsProvider {
  public:
+  ConditionsSnapshot() = default;
+  // Copyable despite the atomic lookup counter (Capture and Parse return
+  // by value); the counter value carries over.
+  ConditionsSnapshot(const ConditionsSnapshot& other)
+      : run_(other.run_),
+        source_(other.source_),
+        payloads_(other.payloads_),
+        lookup_count_(other.lookup_count_.load()) {}
+  ConditionsSnapshot& operator=(const ConditionsSnapshot& other) {
+    run_ = other.run_;
+    source_ = other.source_;
+    payloads_ = other.payloads_;
+    lookup_count_ = other.lookup_count_.load();
+    return *this;
+  }
+
   /// Captures the payloads of `tags` valid at `run` from `source`.
   /// Fails if any tag has no payload at that run.
   static Result<ConditionsSnapshot> Capture(
@@ -45,13 +63,15 @@ class ConditionsSnapshot : public ConditionsProvider {
 
   uint32_t run() const { return run_; }
   std::vector<std::string> Tags() const;
-  uint64_t lookup_count() const { return lookup_count_; }
+  /// GetPayload calls served so far. Atomic: steps of a parallel workflow
+  /// may consult conditions concurrently.
+  uint64_t lookup_count() const { return lookup_count_.load(); }
 
  private:
   uint32_t run_ = 0;
   std::string source_ = "unknown";
   std::map<std::string, std::string> payloads_;
-  mutable uint64_t lookup_count_ = 0;
+  mutable std::atomic<uint64_t> lookup_count_{0};
 };
 
 }  // namespace daspos

@@ -75,8 +75,8 @@ Result<PreservedAnalysis> PreservedAnalysis::FromPackage(
   DASPOS_ASSIGN_OR_RETURN(
       analysis.generator_config,
       GeneratorConfigFromJson(manifest.Get("generator")));
-  analysis.event_count =
-      static_cast<size_t>(manifest.Get("event_count").as_int());
+  DASPOS_ASSIGN_OR_RETURN(analysis.event_count,
+                          ReadInteger<size_t>(manifest, "event_count"));
 
   for (const PackageFile& file : package.content.files) {
     if (file.logical_name == "analysis/reference.yoda") {

@@ -15,7 +15,8 @@ Result<std::shared_ptr<WorkflowStep>> RebuildStep(
   if (kind == "generation") {
     DASPOS_ASSIGN_OR_RETURN(GeneratorConfig generator,
                             GeneratorConfigFromJson(config.Get("generator")));
-    size_t events = static_cast<size_t>(config.Get("event_count").as_int());
+    DASPOS_ASSIGN_OR_RETURN(size_t events,
+                            ReadInteger<size_t>(config, "event_count"));
     return std::shared_ptr<WorkflowStep>(
         std::make_shared<GenerationStep>(generator, events, record.dataset));
   }
@@ -23,7 +24,8 @@ Result<std::shared_ptr<WorkflowStep>> RebuildStep(
     DASPOS_ASSIGN_OR_RETURN(
         SimulationConfig simulation,
         SimulationConfigFromJson(config.Get("simulation")));
-    uint32_t run = static_cast<uint32_t>(config.Get("run_number").as_int());
+    DASPOS_ASSIGN_OR_RETURN(uint32_t run,
+                            ReadInteger<uint32_t>(config, "run_number"));
     return std::shared_ptr<WorkflowStep>(
         std::make_shared<SimulationStep>(simulation, run, record.dataset));
   }

@@ -456,8 +456,17 @@ LintReport CheckArchive(const ObjectStore& store,
                "garbage-collect it or deposit a package that claims it");
   }
 
-  // A006: blobs the store moved aside after a failed fixity check.
-  for (const std::string& id : store.QuarantinedIds()) {
+  // A006: blobs the store moved aside after a failed fixity check. An
+  // unreadable quarantine area is a G002 of its own unless the walk
+  // already reported the store unreadable.
+  auto quarantined = store.QuarantinedIds();
+  if (!quarantined.ok()) {
+    if (walk.ok()) {
+      report.Add("G002", artifact, "", quarantined.status().message());
+    }
+    return report;
+  }
+  for (const std::string& id : *quarantined) {
     report.Add("A006", artifact, id,
                "blob failed fixity on read and sits in quarantine",
                "restore it from a replica (re-Put the original bytes heals "

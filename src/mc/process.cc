@@ -40,4 +40,11 @@ Result<Process> ProcessFromName(std::string_view name) {
                                  "'");
 }
 
+Result<Process> ProcessFromId(int64_t id) {
+  for (const ProcessInfo& info : AllProcesses()) {
+    if (static_cast<int64_t>(info.id) == id) return info.id;
+  }
+  return Status::InvalidArgument("unknown process id " + std::to_string(id));
+}
+
 }  // namespace daspos

@@ -5,6 +5,7 @@
 #ifndef DASPOS_MC_PROCESS_H_
 #define DASPOS_MC_PROCESS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +45,10 @@ const std::vector<ProcessInfo>& AllProcesses();
 /// Catalog lookup by name ("z_ll"); InvalidArgument "unknown process '…'"
 /// for a name the catalog does not have.
 Result<Process> ProcessFromName(std::string_view name);
+
+/// Catalog lookup by numeric id, as stored in configs; InvalidArgument for
+/// an id the catalog does not have.
+Result<Process> ProcessFromId(int64_t id);
 
 }  // namespace daspos
 

@@ -343,10 +343,11 @@ Result<std::string> Server::HandleChain(std::string_view payload) {
   return report.ToJson().Dump(2);
 }
 
-std::string Server::HandleStat() {
+Result<std::string> Server::HandleStat() {
+  DASPOS_ASSIGN_OR_RETURN(uint64_t total_bytes, store_->TotalBytes());
   Json stat = Json::Object();
   stat["backend"] = options_.backend_name;
-  stat["total_bytes"] = store_->TotalBytes();
+  stat["total_bytes"] = total_bytes;
   stat["connections"] = static_cast<uint64_t>(connections_.size());
   stat["requests_served"] = requests_served_;
   stat["draining"] = draining_;

@@ -106,7 +106,7 @@ class Server {
   Result<std::string> HandleRequest(MessageType type, std::string_view payload);
   Result<std::string> HandleLint(std::string_view payload);
   Result<std::string> HandleChain(std::string_view payload);
-  std::string HandleStat();
+  Result<std::string> HandleStat();
 
   void Enqueue(Connection& conn, std::string frame);
   void UpdateInterest(Connection& conn);

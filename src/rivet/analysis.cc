@@ -1,5 +1,7 @@
 #include "rivet/analysis.h"
 
+#include <algorithm>
+
 #include "support/metrics_registry.h"
 #include "support/parallel.h"
 #include "support/trace.h"
@@ -93,10 +95,11 @@ Result<ValidationResult> CompareToReference(
     a.Normalize();
     b.Normalize();
     DASPOS_ASSIGN_OR_RETURN(Chi2Result chi2, Chi2Test(a, b));
+    DASPOS_ASSIGN_OR_RETURN(double ks, KolmogorovDistance(*match, ref));
     ++result.histograms_compared;
-    if (chi2.reduced() > result.worst_reduced_chi2) {
-      result.worst_reduced_chi2 = chi2.reduced();
-    }
+    result.worst_reduced_chi2 =
+        std::max(result.worst_reduced_chi2, chi2.reduced());
+    result.worst_ks = std::max(result.worst_ks, ks);
   }
   return result;
 }

@@ -86,6 +86,9 @@ struct ValidationResult {
   int histograms_compared = 0;
   int histograms_missing = 0;
   double worst_reduced_chi2 = 0.0;
+  /// Largest Kolmogorov distance between a produced histogram and its
+  /// reference (informational; Compatible does not gate on it).
+  double worst_ks = 0.0;
   bool Compatible(double max_reduced_chi2 = 3.0) const {
     return histograms_missing == 0 &&
            worst_reduced_chi2 <= max_reduced_chi2;
@@ -93,8 +96,10 @@ struct ValidationResult {
 };
 
 /// Shape-compares (after normalization) each produced histogram with the
-/// reference histogram of the same path. References with no produced
-/// counterpart count as missing.
+/// reference histogram of the same path: reduced chi2 and Kolmogorov
+/// distance. References with no produced counterpart count as missing; a
+/// compared pair that is empty on either side fails, since its KS
+/// distance is undefined.
 Result<ValidationResult> CompareToReference(
     const std::vector<Histo1D>& produced,
     const std::vector<Histo1D>& reference);

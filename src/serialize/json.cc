@@ -9,19 +9,10 @@
 
 namespace daspos {
 
-// The range tests are written so that NaN fails them; 2^63 and 2^64 are
-// exact doubles.
+// The range test is written so that NaN fails it; 2^63 is an exact double.
 int64_t Json::as_int() const {
   const double n = as_number();
   return n >= -0x1p63 && n < 0x1p63 ? static_cast<int64_t>(n) : 0;
-}
-
-std::optional<uint64_t> Json::as_uint() const {
-  const double n = as_number();
-  if (!is_number() || !(n >= 0.0 && n < 0x1p64) || n != std::floor(n)) {
-    return std::nullopt;
-  }
-  return static_cast<uint64_t>(n);
 }
 
 size_t Json::size() const {

@@ -8,12 +8,15 @@
 #ifndef DASPOS_SERIALIZE_JSON_H_
 #define DASPOS_SERIALIZE_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,9 +68,24 @@ class Json {
   bool as_bool() const { return is_bool() ? bool_ : false; }
   double as_number() const { return is_number() ? number_ : 0.0; }
   int64_t as_int() const;
-  /// The integer rule for state read back from disk: a value only for an
-  /// integral number in [0, 2^64); anything else is corruption, not zero.
-  std::optional<uint64_t> as_uint() const;
+  /// The integer rule for state read back from disk or from a config: a
+  /// value only for an integral number that T holds; anything else is
+  /// corruption, not zero.
+  template <typename T>
+  std::optional<T> as_integer() const {
+    static_assert(std::is_integral_v<T>);
+    // Both bounds are exact doubles: the minimum is 0 or -2^k, and the end
+    // of the range, max + 1, is 2^k. The tests are written so NaN fails.
+    constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double kEnd =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    const double n = as_number();
+    if (!is_number() || !(n >= kMin && n < kEnd) || n != std::floor(n)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(n);
+  }
+  std::optional<uint64_t> as_uint() const { return as_integer<uint64_t>(); }
   const std::string& as_string() const {
     static const std::string kEmpty;
     return is_string() ? string_ : kEmpty;
@@ -109,6 +127,21 @@ class Json {
   std::vector<Json> array_;
   std::vector<std::pair<std::string, Json>> object_;
 };
+
+/// Member `key` of a config object as a T (Json::as_integer), or
+/// InvalidArgument naming the key. A number past 2^53 was already rounded
+/// when it was written.
+template <typename T>
+Result<T> ReadInteger(const Json& object, std::string_view key) {
+  const Json& value = object.Get(key);
+  std::optional<T> n = value.as_integer<T>();
+  if (!n.has_value()) {
+    return Status::InvalidArgument("'" + std::string(key) +
+                                   "' is not an integer in range: " +
+                                   value.Dump());
+  }
+  return *n;
+}
 
 /// The one reader of the append-only JSON-lines state files (run journal,
 /// scrub cursor, pack quarantine log): one document per non-blank line. It

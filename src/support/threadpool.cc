@@ -44,6 +44,16 @@ void ThreadPool::Wait() {
   while (!(queue_.empty() && active_ == 0)) idle_.Wait(mutex_);
 }
 
+uint64_t ThreadPool::tasks_executed() const {
+  MutexLock lock(mutex_);
+  return tasks_executed_;
+}
+
+uint64_t ThreadPool::busy_us() const {
+  MutexLock lock(mutex_);
+  return busy_us_;
+}
+
 size_t ThreadPool::DefaultThreadCount() {
   size_t hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : hardware;
@@ -71,10 +81,13 @@ void ThreadPool::WorkerLoop() {
     double task_us = std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - task_start)
                          .count();
+    const uint64_t whole_us = static_cast<uint64_t>(task_us);
     tasks_total_->Increment();
-    busy_us_total_->Increment(static_cast<uint64_t>(task_us));
+    busy_us_total_->Increment(whole_us);
     task_wall_ms_->Observe(task_us / 1000.0);
     mutex_.Lock();
+    ++tasks_executed_;
+    busy_us_ += whole_us;
     --active_;
     if (queue_.empty() && active_ == 0) idle_.NotifyAll();
   }

@@ -2,13 +2,15 @@
 // workflow engine's parallel DAG dispatch but generic: any subsystem that
 // needs "run these closures on N threads and wait" can use it.
 //
-// Activity is published to MetricsRegistry::Global() (task count, busy time,
-// queue depth, per-task latency) instead of per-pool counters — see
-// docs/OBSERVABILITY.md for the metric names.
+// Each pool counts its own tasks and busy time for the caller that owns it
+// (the workflow report's pool block); it also publishes task count, busy
+// time, queue depth and per-task latency to MetricsRegistry::Global() for
+// export — see docs/OBSERVABILITY.md for the metric names.
 #ifndef DASPOS_SUPPORT_THREADPOOL_H_
 #define DASPOS_SUPPORT_THREADPOOL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -44,6 +46,11 @@ class ThreadPool {
 
   size_t thread_count() const { return workers_.size(); }
 
+  /// Tasks this pool has run, and their summed wall time in µs, since
+  /// construction. Every task that finished before Wait() returned is in.
+  uint64_t tasks_executed() const DASPOS_EXCLUDES(mutex_);
+  uint64_t busy_us() const DASPOS_EXCLUDES(mutex_);
+
   /// One worker per hardware thread, and at least one.
   static size_t DefaultThreadCount();
 
@@ -56,6 +63,8 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ DASPOS_GUARDED_BY(mutex_);
   size_t active_ DASPOS_GUARDED_BY(mutex_) = 0;
   bool stopping_ DASPOS_GUARDED_BY(mutex_) = false;
+  uint64_t tasks_executed_ DASPOS_GUARDED_BY(mutex_) = 0;
+  uint64_t busy_us_ DASPOS_GUARDED_BY(mutex_) = 0;
   std::vector<std::thread> workers_;
   // Registry handles resolved once at construction (stable for process life).
   Counter* tasks_total_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "detsim/calib.h"
-#include "hist/compare.h"
 #include "hist/yoda_io.h"
 #include "rivet/analysis.h"
 #include "rivet/registry.h"
@@ -101,36 +100,6 @@ CellResult FailedCell(const std::string& campaign, const std::string& analysis,
   return cell;
 }
 
-/// Compares produced vs reference histograms path by path. chi^2 is a shape
-/// comparison (normalized copies); KS normalizes internally.
-Status CompareHistograms(const std::vector<Histo1D>& produced,
-                         const std::vector<Histo1D>& reference,
-                         CellResult* cell) {
-  for (const Histo1D& ref : reference) {
-    const Histo1D* match = nullptr;
-    for (const Histo1D& histo : produced) {
-      if (histo.path() == ref.path()) {
-        match = &histo;
-        break;
-      }
-    }
-    if (match == nullptr) {
-      ++cell->histograms_missing;
-      continue;
-    }
-    Histo1D a = *match;
-    Histo1D b = ref;
-    a.Normalize();
-    b.Normalize();
-    DASPOS_ASSIGN_OR_RETURN(Chi2Result chi2, Chi2Test(a, b));
-    DASPOS_ASSIGN_OR_RETURN(double ks, KolmogorovDistance(*match, ref));
-    cell->worst_chi2 = std::max(cell->worst_chi2, chi2.reduced());
-    cell->worst_ks = std::max(cell->worst_ks, ks);
-    ++cell->histograms_compared;
-  }
-  return Status::OK();
-}
-
 /// One matrix cell: run the analysis over the re-generated events and gate
 /// the comparison through the thresholds.
 CellResult ValidateCell(const Campaign& campaign, const std::string& analysis,
@@ -174,10 +143,15 @@ CellResult ValidateCell(const Campaign& campaign, const std::string& analysis,
   handler.Run(events, nullptr);
   std::vector<Histo1D> produced = handler.Finalize();
 
-  if (auto status = CompareHistograms(produced, *reference, &cell);
-      !status.ok()) {
-    return finish(Verdict::kFail, "comparison failed: " + status.ToString());
+  auto comparison = rivet::CompareToReference(produced, *reference);
+  if (!comparison.ok()) {
+    return finish(Verdict::kFail,
+                  "comparison failed: " + comparison.status().ToString());
   }
+  cell.histograms_compared = comparison->histograms_compared;
+  cell.histograms_missing = comparison->histograms_missing;
+  cell.worst_chi2 = comparison->worst_reduced_chi2;
+  cell.worst_ks = comparison->worst_ks;
   if (cell.histograms_missing > 0) {
     return finish(Verdict::kFail,
                   "missing " + std::to_string(cell.histograms_missing) +
@@ -350,7 +324,7 @@ Result<std::string> CaptureCampaign(Archive* archive, CampaignSpec spec) {
   manifest["name"] = spec.name;
   manifest["process"] = GetProcessInfo(spec.process).name;
   manifest["events"] = static_cast<int64_t>(spec.events);
-  manifest["seed"] = static_cast<int64_t>(spec.seed);
+  manifest["seed"] = spec.seed;
   Json analyses_json = Json::Array();
   for (const std::string& analysis : spec.analyses) {
     analyses_json.push_back(Json(analysis));
@@ -402,10 +376,21 @@ Result<CampaignSet> EnumerateCampaigns(const Archive& archive) {
     const Json& manifest = package->content.context.Get(kManifestKey);
     if (!manifest.is_object() || !manifest.Get("name").is_string() ||
         !manifest.Get("process").is_string() ||
-        !manifest.Get("events").is_number() ||
-        !manifest.Get("seed").is_number() ||
         !manifest.Get("analyses").is_array()) {
       broken.error = "malformed campaign manifest";
+      set.broken.push_back(std::move(broken));
+      continue;
+    }
+    auto events = ReadInteger<size_t>(manifest, "events");
+    auto seed = ReadInteger<uint64_t>(manifest, "seed");
+    // Earlier captures wrote a seed >= 2^63 as its int64 bit pattern.
+    if (auto legacy = ReadInteger<int64_t>(manifest, "seed");
+        !seed.ok() && legacy.ok()) {
+      seed = static_cast<uint64_t>(*legacy);
+    }
+    const Status invalid = !events.ok() ? events.status() : seed.status();
+    if (!invalid.ok()) {
+      broken.error = "malformed campaign manifest: " + invalid.message();
       set.broken.push_back(std::move(broken));
       continue;
     }
@@ -419,9 +404,8 @@ Result<CampaignSet> EnumerateCampaigns(const Archive& archive) {
       continue;
     }
     campaign.spec.process = *process;
-    campaign.spec.events =
-        static_cast<size_t>(manifest.Get("events").as_int());
-    campaign.spec.seed = static_cast<uint64_t>(manifest.Get("seed").as_int());
+    campaign.spec.events = *events;
+    campaign.spec.seed = *seed;
     const Json& analyses = manifest.Get("analyses");
     for (size_t i = 0; i < analyses.size(); ++i) {
       campaign.spec.analyses.push_back(analyses.at(i).as_string());

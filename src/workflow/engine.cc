@@ -23,44 +23,6 @@
 
 namespace daspos {
 
-namespace {
-
-/// The registry snapshot as JSON for the chain report: counters and gauges
-/// as name -> value objects, histograms as name -> {buckets, count, sum}.
-/// Built here rather than in support/ because support sits below serialize
-/// in the layer order.
-Json MetricsSnapshotJson() {
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  Json json = Json::Object();
-  Json counters = Json::Object();
-  for (const auto& counter : snapshot.counters) {
-    counters[counter.name] = counter.value;
-  }
-  json["counters"] = std::move(counters);
-  Json gauges = Json::Object();
-  for (const auto& gauge : snapshot.gauges) {
-    gauges[gauge.name] = static_cast<double>(gauge.value);
-  }
-  json["gauges"] = std::move(gauges);
-  Json histograms = Json::Object();
-  for (const auto& histogram : snapshot.histograms) {
-    Json entry = Json::Object();
-    Json bounds = Json::Array();
-    for (double bound : histogram.bounds) bounds.push_back(bound);
-    entry["le"] = std::move(bounds);
-    Json buckets = Json::Array();
-    for (uint64_t count : histogram.bucket_counts) buckets.push_back(count);
-    entry["buckets"] = std::move(buckets);
-    entry["count"] = histogram.count;
-    entry["sum"] = histogram.sum;
-    histograms[histogram.name] = std::move(entry);
-  }
-  json["histograms"] = std::move(histograms);
-  return json;
-}
-
-}  // namespace
-
 Status WorkflowContext::PutDataset(const std::string& name,
                                    std::string blob) {
   if (name.empty()) {
@@ -118,10 +80,13 @@ Json WorkflowReport::ToJson() const {
   json["threads"] = static_cast<uint64_t>(threads_used);
   json["wall_ms"] = wall_ms;
   Json pool_json = Json::Object();
-  pool_json["threads"] = static_cast<uint64_t>(pool.threads);
+  pool_json["threads"] = static_cast<uint64_t>(threads_used);
   pool_json["tasks_executed"] = pool.tasks_executed;
   pool_json["busy_ms"] = pool.busy_ms;
-  pool_json["utilization"] = pool.Utilization();
+  pool_json["utilization"] =
+      threads_used > 0 && wall_ms > 0.0
+          ? pool.busy_ms / (static_cast<double>(threads_used) * wall_ms)
+          : 0.0;
   json["pool"] = std::move(pool_json);
   Json step_list = Json::Array();
   for (const StepResult& result : steps) {
@@ -142,7 +107,6 @@ Json WorkflowReport::ToJson() const {
   Json skipped_list = Json::Array();
   for (const std::string& name : skipped_steps) skipped_list.push_back(name);
   json["skipped"] = std::move(skipped_list);
-  json["metrics"] = MetricsSnapshotJson();
   return json;
 }
 
@@ -391,12 +355,6 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
     sched.submitted.assign(step_count, 0);
   }
 
-  // The pool publishes cumulative counters to the global registry; deltas
-  // around this execution give the report its pool-activity block.
-  const uint64_t pool_tasks_before = registry.CounterValue(kPoolTasksTotal);
-  const uint64_t pool_busy_us_before =
-      registry.CounterValue(kPoolBusyUsTotal);
-
   {
     ThreadPool pool(threads);
     // Steps share this pool for their intra-step event loops. At one thread
@@ -595,16 +553,10 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
       }
     }
     // All steps are settled, but the worker that ran the last one may not
-    // have recorded its registry updates yet; Wait() flushes that (the
-    // counter updates happen before the active-count decrement Wait sees).
+    // have counted its task yet; Wait() returns after it has.
     pool.Wait();
-    report.pool.threads = threads;
-    report.pool.tasks_executed =
-        registry.CounterValue(kPoolTasksTotal) - pool_tasks_before;
-    report.pool.busy_ms =
-        static_cast<double>(registry.CounterValue(kPoolBusyUsTotal) -
-                            pool_busy_us_before) /
-        1000.0;
+    report.pool.tasks_executed = pool.tasks_executed();
+    report.pool.busy_ms = static_cast<double>(pool.busy_us()) / 1000.0;
     context->set_worker_pool(nullptr);
   }  // pool drains before slots are read below
 
@@ -656,7 +608,6 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
   }
 
   report.wall_ms = execute_span.ElapsedMillis();
-  report.pool.wall_ms = report.wall_ms;
   return report;
 }
 

@@ -121,21 +121,12 @@ struct WorkflowReport {
   /// Wall-clock time of the whole Execute, and the worker count used.
   double wall_ms = 0.0;
   size_t threads_used = 0;
-  /// Worker-pool activity over this execution (tasks = dispatched steps
-  /// plus intra-step parallel chunks), computed from registry counter
-  /// deltas around the pool's lifetime. busy_ms sums task wall time across
-  /// workers, so Utilization() is the fraction of thread-seconds spent in
-  /// task bodies.
+  /// Activity of this execution's own worker pool: tasks = dispatched steps
+  /// plus intra-step parallel chunks, busy_ms = task wall time summed
+  /// across workers. Pools a step creates for itself are not counted.
   struct PoolActivity {
-    size_t threads = 0;
     uint64_t tasks_executed = 0;
     double busy_ms = 0.0;
-    double wall_ms = 0.0;
-
-    double Utilization() const {
-      if (threads == 0 || wall_ms <= 0.0) return 0.0;
-      return busy_ms / (static_cast<double>(threads) * wall_ms);
-    }
   };
   PoolActivity pool;
 
@@ -144,8 +135,8 @@ struct WorkflowReport {
   }
 
   /// The report as JSON (for `daspos chain --json` and archival next to the
-  /// provenance chain). Includes a `metrics` block — the current state of
-  /// every instrument in MetricsRegistry::Global().
+  /// provenance chain). It describes this execution only; the pool block's
+  /// utilization is busy_ms over threads x wall_ms.
   Json ToJson() const;
 
   /// Per-step timing table: label, wall time, share of the summed wall

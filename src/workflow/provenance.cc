@@ -36,11 +36,12 @@ Result<ProvenanceRecord> ProvenanceRecord::FromJson(const Json& json) {
   for (size_t i = 0; i < parents.size(); ++i) {
     record.parents.push_back(parents.at(i).as_string());
   }
-  record.sequence = static_cast<uint64_t>(json.Get("sequence").as_int());
-  record.output_bytes =
-      static_cast<uint64_t>(json.Get("output_bytes").as_int());
-  record.output_events =
-      static_cast<uint64_t>(json.Get("output_events").as_int());
+  DASPOS_ASSIGN_OR_RETURN(record.sequence,
+                          ReadInteger<uint64_t>(json, "sequence"));
+  DASPOS_ASSIGN_OR_RETURN(record.output_bytes,
+                          ReadInteger<uint64_t>(json, "output_bytes"));
+  DASPOS_ASSIGN_OR_RETURN(record.output_events,
+                          ReadInteger<uint64_t>(json, "output_events"));
   return record;
 }
 

@@ -34,8 +34,10 @@ Result<GeneratorConfig> GeneratorConfigFromJson(const Json& json) {
     return Status::InvalidArgument("generator config JSON missing 'process'");
   }
   GeneratorConfig config;
-  config.process = static_cast<Process>(json.Get("process").as_int());
-  config.seed = static_cast<uint64_t>(json.Get("seed").as_int());
+  DASPOS_ASSIGN_OR_RETURN(int64_t process,
+                          ReadInteger<int64_t>(json, "process"));
+  DASPOS_ASSIGN_OR_RETURN(config.process, ProcessFromId(process));
+  DASPOS_ASSIGN_OR_RETURN(config.seed, ReadInteger<uint64_t>(json, "seed"));
   config.pileup_mean = json.Get("pileup_mean").as_number();
   if (json.Has("zprime_mass")) {
     config.zprime_mass = json.Get("zprime_mass").as_number();
@@ -47,7 +49,8 @@ Result<GeneratorConfig> GeneratorConfigFromJson(const Json& json) {
     config.tune_activity = json.Get("tune_activity").as_number();
   }
   if (json.Has("lepton_flavor")) {
-    config.lepton_flavor = static_cast<int>(json.Get("lepton_flavor").as_int());
+    DASPOS_ASSIGN_OR_RETURN(config.lepton_flavor,
+                            ReadInteger<int>(json, "lepton_flavor"));
   }
   return config;
 }
@@ -88,32 +91,40 @@ Result<DetectorGeometry> GeometryFromJson(const Json& json) {
   }
   DetectorGeometry g;
   g.name = json.Get("name").as_string();
-  g.tracker_layers = static_cast<int>(json.Get("tracker_layers").as_int());
+  DASPOS_ASSIGN_OR_RETURN(g.tracker_layers,
+                          ReadInteger<int>(json, "tracker_layers"));
   g.tracker_inner_radius_m = json.Get("tracker_inner_radius_m").as_number();
   g.tracker_layer_spacing_m =
       json.Get("tracker_layer_spacing_m").as_number();
   g.tracker_eta_max = json.Get("tracker_eta_max").as_number();
-  g.tracker_eta_cells =
-      static_cast<int>(json.Get("tracker_eta_cells").as_int());
-  g.tracker_phi_cells =
-      static_cast<int>(json.Get("tracker_phi_cells").as_int());
+  DASPOS_ASSIGN_OR_RETURN(g.tracker_eta_cells,
+                          ReadInteger<int>(json, "tracker_eta_cells"));
+  DASPOS_ASSIGN_OR_RETURN(g.tracker_phi_cells,
+                          ReadInteger<int>(json, "tracker_phi_cells"));
   g.field_tesla = json.Get("field_tesla").as_number();
   g.tracker_hit_efficiency =
       json.Get("tracker_hit_efficiency").as_number();
   g.ecal_eta_max = json.Get("ecal_eta_max").as_number();
-  g.ecal_eta_cells = static_cast<int>(json.Get("ecal_eta_cells").as_int());
-  g.ecal_phi_cells = static_cast<int>(json.Get("ecal_phi_cells").as_int());
+  DASPOS_ASSIGN_OR_RETURN(g.ecal_eta_cells,
+                          ReadInteger<int>(json, "ecal_eta_cells"));
+  DASPOS_ASSIGN_OR_RETURN(g.ecal_phi_cells,
+                          ReadInteger<int>(json, "ecal_phi_cells"));
   g.ecal_stochastic = json.Get("ecal_stochastic").as_number();
   g.ecal_constant = json.Get("ecal_constant").as_number();
   g.hcal_eta_max = json.Get("hcal_eta_max").as_number();
-  g.hcal_eta_cells = static_cast<int>(json.Get("hcal_eta_cells").as_int());
-  g.hcal_phi_cells = static_cast<int>(json.Get("hcal_phi_cells").as_int());
+  DASPOS_ASSIGN_OR_RETURN(g.hcal_eta_cells,
+                          ReadInteger<int>(json, "hcal_eta_cells"));
+  DASPOS_ASSIGN_OR_RETURN(g.hcal_phi_cells,
+                          ReadInteger<int>(json, "hcal_phi_cells"));
   g.hcal_stochastic = json.Get("hcal_stochastic").as_number();
   g.hcal_constant = json.Get("hcal_constant").as_number();
-  g.muon_layers = static_cast<int>(json.Get("muon_layers").as_int());
+  DASPOS_ASSIGN_OR_RETURN(g.muon_layers,
+                          ReadInteger<int>(json, "muon_layers"));
   g.muon_eta_max = json.Get("muon_eta_max").as_number();
-  g.muon_eta_cells = static_cast<int>(json.Get("muon_eta_cells").as_int());
-  g.muon_phi_cells = static_cast<int>(json.Get("muon_phi_cells").as_int());
+  DASPOS_ASSIGN_OR_RETURN(g.muon_eta_cells,
+                          ReadInteger<int>(json, "muon_eta_cells"));
+  DASPOS_ASSIGN_OR_RETURN(g.muon_phi_cells,
+                          ReadInteger<int>(json, "muon_phi_cells"));
   g.muon_hit_efficiency = json.Get("muon_hit_efficiency").as_number();
   return g;
 }
@@ -141,13 +152,13 @@ Result<SimulationConfig> SimulationConfigFromJson(const Json& json) {
   DASPOS_ASSIGN_OR_RETURN(
       config.calib,
       CalibrationSet::FromPayload(json.Get("calib_payload").as_string()));
-  config.seed = static_cast<uint64_t>(json.Get("seed").as_int());
+  DASPOS_ASSIGN_OR_RETURN(config.seed, ReadInteger<uint64_t>(json, "seed"));
   config.noise_cells_mean = json.Get("noise_cells_mean").as_number();
   config.trig_egamma_et = json.Get("trig_egamma_et").as_number();
   config.trig_muon_pt = json.Get("trig_muon_pt").as_number();
   config.trig_ht = json.Get("trig_ht").as_number();
-  config.minbias_prescale =
-      static_cast<uint32_t>(json.Get("minbias_prescale").as_int());
+  DASPOS_ASSIGN_OR_RETURN(config.minbias_prescale,
+                          ReadInteger<uint32_t>(json, "minbias_prescale"));
   return config;
 }
 

@@ -179,7 +179,7 @@ TYPED_TEST(ObjectStoreContractTest, PutGetVerifyIsContentAddressed) {
   EXPECT_EQ(*store.Get(*id), payload);
   EXPECT_TRUE(store.Verify(*id).ok());
   EXPECT_EQ(CollectIds(store), std::vector<std::string>{*id});
-  EXPECT_EQ(store.TotalBytes(), payload.size());
+  EXPECT_EQ(store.TotalBytes().value(), payload.size());
 
   const std::string absent = Sha256::HashHex("never stored");
   EXPECT_TRUE(store.Get(absent).status().IsNotFound());
@@ -195,7 +195,7 @@ TYPED_TEST(ObjectStoreContractTest, IdenticalBytesDeduplicate) {
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_EQ(*first, *second);
   EXPECT_EQ(CollectIds(store), std::vector<std::string>{*first});
-  EXPECT_EQ(store.TotalBytes(), 10u);
+  EXPECT_EQ(store.TotalBytes().value(), 10u);
 }
 
 // 3. Get refuses rotted bytes, Verify reports them, and a re-Put of the
@@ -256,13 +256,13 @@ TYPED_TEST(ObjectStoreContractTest, PutBatchKeepsInputOrderAtAnyPoolSize) {
   }
   const std::vector<std::string> stored = CollectIds(store);
   EXPECT_EQ(stored.size(), 24u);
-  const uint64_t bytes = store.TotalBytes();
+  const uint64_t bytes = store.TotalBytes().value();
 
   // Each batch again, at the other pool size: same ids, nothing new stored.
   EXPECT_EQ(*store.PutBatch(first_views, &pool), *serial);
   EXPECT_EQ(*store.PutBatch(second_views, nullptr), *parallel);
   EXPECT_EQ(CollectIds(store), stored);
-  EXPECT_EQ(store.TotalBytes(), bytes);
+  EXPECT_EQ(store.TotalBytes().value(), bytes);
 }
 
 // 5a. The walk is ascending; a callback error stops it and comes back
@@ -687,8 +687,8 @@ TEST_F(FileObjectStoreTest, MissingRootEnumeratesEmptyWithoutWalkErrors) {
       registry.CounterValue(metric_names::kArchiveWalkErrorsTotal);
   FileObjectStore store(root_);  // nothing was ever Put: legitimately empty
   EXPECT_TRUE(CollectIds(store).empty());
-  EXPECT_EQ(store.TotalBytes(), 0u);
-  EXPECT_TRUE(store.QuarantinedIds().empty());
+  EXPECT_EQ(store.TotalBytes().value(), 0u);
+  EXPECT_TRUE(store.QuarantinedIds().value().empty());
   EXPECT_EQ(registry.CounterValue(metric_names::kArchiveWalkErrorsTotal),
             before);
 }
@@ -709,10 +709,27 @@ TEST_F(FileObjectStoreTest, UnreadableRootCountsWalkErrors) {
   const uint64_t after_ids =
       registry.CounterValue(metric_names::kArchiveWalkErrorsTotal);
   EXPECT_GE(after_ids - before, 1u);
-  EXPECT_EQ(store.TotalBytes(), 0u);
+  // The accessors fail too, instead of reading as an empty store.
+  EXPECT_TRUE(store.TotalBytes().status().IsIOError());
+  EXPECT_TRUE(store.QuarantinedIds().status().IsIOError());
   EXPECT_GE(registry.CounterValue(metric_names::kArchiveWalkErrorsTotal) -
                 after_ids,
             1u);
+}
+
+TEST_F(FileObjectStoreTest, UnreadableQuarantineAreaIsAnError) {
+  FileObjectStore store(root_);
+  ASSERT_TRUE(store.Put("held bytes").ok());
+  {
+    std::ofstream out(root_ + "/quarantine");
+    out << "not a directory";
+  }
+  EXPECT_EQ(store.TotalBytes().value(), std::string("held bytes").size());
+  auto quarantined = store.QuarantinedIds();
+  ASSERT_FALSE(quarantined.ok());
+  EXPECT_TRUE(quarantined.status().IsIOError());
+  EXPECT_NE(quarantined.status().message().find("quarantine"),
+            std::string::npos);
 }
 
 TEST_F(FileObjectStoreTest, RecoverCatalogOverUnreadableStoreIsNotVacuous) {
@@ -768,10 +785,10 @@ TEST_F(FileObjectStoreTest, CorruptBlobIsQuarantinedOnRead) {
   // The rotten copy moved aside: the store no longer claims the object...
   EXPECT_FALSE(store.Has(*id));
   EXPECT_TRUE(CollectIds(store).empty());
-  EXPECT_EQ(store.TotalBytes(), 0u);
+  EXPECT_EQ(store.TotalBytes().value(), 0u);
   // ...but keeps the evidence for forensics.
-  ASSERT_EQ(store.QuarantinedIds().size(), 1u);
-  EXPECT_EQ(store.QuarantinedIds()[0], *id);
+  ASSERT_EQ(store.QuarantinedIds().value().size(), 1u);
+  EXPECT_EQ(store.QuarantinedIds().value()[0], *id);
   // Re-depositing the original bytes heals the store in place.
   auto healed = store.Put("pristine bytes");
   ASSERT_TRUE(healed.ok());
@@ -818,7 +835,7 @@ TEST(ResilientStoreTest, RetryingOverFaultyConvergesToFaultFree) {
   }
   EXPECT_GT(plan.injected(), 0u);
   EXPECT_EQ(CollectIds(store).size(), CollectIds(reference).size());
-  EXPECT_EQ(store.TotalBytes(), reference.TotalBytes());
+  EXPECT_EQ(store.TotalBytes().value(), reference.TotalBytes().value());
 }
 
 TEST(ResilientStoreTest, PermanentErrorsAreNotRetried) {
@@ -853,8 +870,8 @@ TEST_F(DigestCacheTest, RotAfterCachingForcesRehashAndQuarantine) {
   auto got = store.Get(*id);
   EXPECT_TRUE(got.status().IsCorruption());
   EXPECT_NE(got.status().message().find("quarantine"), std::string::npos);
-  ASSERT_EQ(store.QuarantinedIds().size(), 1u);
-  EXPECT_EQ(store.QuarantinedIds()[0], *id);
+  ASSERT_EQ(store.QuarantinedIds().value().size(), 1u);
+  EXPECT_EQ(store.QuarantinedIds().value()[0], *id);
   // A healed copy reads back.
   auto healed = store.Put("pristine bytes");
   ASSERT_TRUE(healed.ok());
@@ -876,8 +893,8 @@ TEST_F(DigestCacheTest, SizePreservingRotWithRestoredMtimeStillFailsVerify) {
   std::filesystem::last_write_time(path, mtime);
   auto got = store.Get(*id);
   EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
-  ASSERT_EQ(store.QuarantinedIds().size(), 1u);
-  EXPECT_EQ(store.QuarantinedIds()[0], *id);
+  ASSERT_EQ(store.QuarantinedIds().value().size(), 1u);
+  EXPECT_EQ(store.QuarantinedIds().value()[0], *id);
   EXPECT_TRUE(store.Verify(*id).IsNotFound());
 }
 
@@ -1060,8 +1077,8 @@ TEST_F(FileObjectStoreTest, RepeatQuarantinePreservesForensicCopies) {
   EXPECT_TRUE(fs::exists(fs::path(root_) / "quarantine" / *id));
   EXPECT_TRUE(fs::exists(fs::path(root_) / "quarantine" / (*id + ".1")));
   // QuarantinedIds reports the object once, under its base id.
-  ASSERT_EQ(store.QuarantinedIds().size(), 1u);
-  EXPECT_EQ(store.QuarantinedIds()[0], *id);
+  ASSERT_EQ(store.QuarantinedIds().value().size(), 1u);
+  EXPECT_EQ(store.QuarantinedIds().value()[0], *id);
 }
 
 TEST_F(FileObjectStoreTest, FailedQuarantineMoveCountsErrors) {

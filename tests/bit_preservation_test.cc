@@ -114,7 +114,7 @@ TEST_F(BitPreservationTest, SelfHealingReadRepairsRottedReplica) {
     EXPECT_EQ(*replica->Get(*id), "decades-scale custody");
   }
   // Replica 0 kept the forensic copy of the rot it suffered.
-  EXPECT_EQ(r0.QuarantinedIds(), std::vector<std::string>{*id});
+  EXPECT_EQ(r0.QuarantinedIds().value(), std::vector<std::string>{*id});
 }
 
 TEST_F(BitPreservationTest, DegradedReadServesWithWarningCounter) {
@@ -209,7 +209,7 @@ TEST_F(BitPreservationTest, ReplicatedPutBatchReachesEveryReplica) {
   }
   // Enumeration views the union, deduped.
   EXPECT_EQ(CollectIds(store).size(), payloads.size());
-  EXPECT_EQ(store.TotalBytes(), r0.TotalBytes());
+  EXPECT_EQ(store.TotalBytes().value(), r0.TotalBytes().value());
 }
 
 TEST_F(BitPreservationTest, ReplicatedForEachIdUnionsAndReportsWalkErrors) {
@@ -301,8 +301,8 @@ TEST_F(BitPreservationTest, ScrubQuarantinesOnlyWhenUnrepairable) {
   EXPECT_EQ(report->Verdict(), ScrubVerdict::kFail);
   // Both rotted copies were quarantined (by their stores' Verify) — the
   // forensic evidence survives for an operator restore.
-  EXPECT_EQ(r0.QuarantinedIds(), std::vector<std::string>{*id});
-  EXPECT_EQ(r1.QuarantinedIds(), std::vector<std::string>{*id});
+  EXPECT_EQ(r0.QuarantinedIds().value(), std::vector<std::string>{*id});
+  EXPECT_EQ(r1.QuarantinedIds().value(), std::vector<std::string>{*id});
 }
 
 TEST_F(BitPreservationTest, ScrubCursorResumesInterruptedPass) {
@@ -641,7 +641,7 @@ TEST_F(BitPreservationTest, ReadRepairHealsRottedPackReplica) {
   EXPECT_EQ(registry.CounterValue(metric_names::kArchiveReadRepairsTotal),
             repairs_before + 1);
   EXPECT_TRUE(r0.Verify(*id).ok());
-  EXPECT_EQ(r0.QuarantinedIds(), std::vector<std::string>{*id});
+  EXPECT_EQ(r0.QuarantinedIds().value(), std::vector<std::string>{*id});
 }
 
 TEST_F(BitPreservationTest, ScrubHealsRotOnPackReplica) {

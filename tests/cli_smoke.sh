@@ -98,7 +98,7 @@ fi
   | grep -q "fault injection:"
 
 # Observability: --trace-out writes a Chrome trace_event JSON with one span
-# per workflow step; the JSON report carries the registry snapshot; and the
+# per workflow step; chain --json adds the registry snapshot; and the
 # metrics command emits Prometheus text exposition (with and without a
 # workload, including the archive quarantine counter at zero).
 "$DASPOS" chain z_ll 10 7 2 --trace-out="$WORK/trace.json" \
@@ -137,6 +137,17 @@ LHADA
 "$DASPOS" lint --json "$WORK/unused.lhada" | grep -q '"code": "L005"'
 if "$DASPOS" lint --fail-on=warning "$WORK/unused.lhada" >/dev/null; then
   echo "lint --fail-on=warning ignored a warning finding" >&2
+  exit 1
+fi
+# An archive whose quarantine area cannot be listed (a regular file stands
+# where the directory belongs) must not lint clean: G002 and exit 1.
+"$DASPOS" ingest "$WORK/qbroken" "quarantine smoke" "$WORK/dimuon.lhada" \
+  >/dev/null
+echo "not a directory" > "$WORK/qbroken/quarantine"
+rc=0
+"$DASPOS" lint "$WORK/qbroken" > "$WORK/qbroken.lint" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "G002" "$WORK/qbroken.lint"; then
+  echo "lint passed an archive with an unreadable quarantine area" >&2
   exit 1
 fi
 

@@ -1,6 +1,9 @@
 // Tests for the conditions system: IOV algebra, the database backend, the
 // Alice-style snapshot backend, and their behavioural equivalence at the
 // captured run.
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "conditions/global_tag.h"
@@ -137,6 +140,24 @@ TEST(SnapshotTest, CaptureAndServe) {
             *db.GetPayload("calib/detector", 60));
   EXPECT_EQ(*snapshot->GetPayload("beamspot", 60),
             *db.GetPayload("beamspot", 60));
+}
+
+TEST(SnapshotTest, ConcurrentLookupsAreAllCounted) {
+  ConditionsDb db = PopulatedDb();
+  auto snapshot = ConditionsSnapshot::Capture(db, 60, {"beamspot"});
+  ASSERT_TRUE(snapshot.ok());
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&snapshot] {
+      for (int i = 0; i < kLookups; ++i) {
+        (void)snapshot->GetPayload("beamspot", 60);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(snapshot->lookup_count(), uint64_t{kThreads} * kLookups);
 }
 
 TEST(SnapshotTest, WrongRunRefused) {

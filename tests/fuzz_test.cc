@@ -535,7 +535,7 @@ TEST_F(DurableStateFuzzTest, QuarantineLogReplaysAPrefix) {
     std::vector<std::string> condemned(
         ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(whole));
     std::sort(condemned.begin(), condemned.end());
-    EXPECT_EQ(store.QuarantinedIds(), condemned) << "size " << size;
+    EXPECT_EQ(store.QuarantinedIds().value(), condemned) << "size " << size;
     for (size_t i = 0; i < ids.size(); ++i) {
       auto got = store.Get(ids[i]);
       if (i < whole) {
@@ -550,7 +550,7 @@ TEST_F(DurableStateFuzzTest, QuarantineLogReplaysAPrefix) {
   for (int i = 0; i < kRounds; ++i) {
     ASSERT_TRUE(WriteStringToFile(log_path, FlipBit(*text, &rng)).ok());
     PackObjectStore store(Dir("pristine"));
-    EXPECT_LE(store.QuarantinedIds().size(), ids.size());
+    EXPECT_LE(store.QuarantinedIds().value().size(), ids.size());
     for (const std::string& id : ids) {
       auto got = store.Get(id);
       if (got.ok()) {

@@ -537,6 +537,23 @@ TEST(ArchiveCheckTest, G002KeepsFindingsForTheObjectsItReached) {
   std::filesystem::remove_all(root);
 }
 
+TEST(ArchiveCheckTest, G002UnreadableQuarantineArea) {
+  // The walk succeeds, but the quarantine area is a regular file: the A006
+  // pass cannot list what rotted, so the archive must not lint clean.
+  std::string root = (std::filesystem::temp_directory_path() /
+                      ("daspos_lint_g002_quarantine_" +
+                       std::to_string(::getpid())))
+                         .string();
+  std::filesystem::remove_all(root);
+  FileObjectStore store(root);
+  ASSERT_TRUE(store.Put("stray blob nobody claims").ok());
+  ASSERT_TRUE(WriteStringToFile(root + "/quarantine", "not a directory").ok());
+  LintReport report = CheckArchive(store);
+  EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"A003", "G002"}));
+  EXPECT_TRUE(report.HasErrors());
+  std::filesystem::remove_all(root);
+}
+
 // ---------------------------------------------------------- run journal
 
 TEST(JournalCheckTest, CleanJournalHasNoFindings) {

@@ -26,6 +26,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "serialize/json.h"
+#include "support/io.h"
 #include "support/metrics_registry.h"
 #include "support/sha256.h"
 
@@ -148,7 +149,8 @@ TEST(ProtocolTest, ChainAndLintCodecsRoundTrip) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(ServerOptions options = {}) {
+  void StartServer(ServerOptions options = {},
+                   const std::string& backend = "pack") {
     root_ = std::filesystem::path(::testing::TempDir()) /
             ("net_test_" +
              std::to_string(
@@ -157,10 +159,10 @@ class ServerTest : public ::testing::Test {
                        ->current_test_info()
                        ->name());
     std::filesystem::remove_all(root_);
-    auto store = OpenObjectStore("pack:" + root_.string());
+    auto store = OpenObjectStore(backend + ":" + root_.string());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     store_ = std::move(*store);
-    options.backend_name = "pack";
+    options.backend_name = backend;
     server_ = std::make_unique<Server>(store_.get(), options);
     auto started = server_->Start();
     ASSERT_TRUE(started.ok()) << started.ToString();
@@ -401,6 +403,41 @@ TEST_F(ServerTest, StatReportsBackendAndCounts) {
   const std::string kernel = json->Get("sha256_kernel").as_string();
   EXPECT_TRUE(kernel == "sha-ni" || kernel == "portable") << kernel;
   EXPECT_EQ(kernel, Sha256::KernelName());
+}
+
+TEST_F(ServerTest, StatAnswersWithTheStoreError) {
+  StartServer({}, "file");
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->Put("held bytes").ok());
+  // A regular file where the store root was: the store cannot be walked.
+  std::filesystem::remove_all(root_);
+  ASSERT_TRUE(WriteStringToFile(root_.string(), "not a directory").ok());
+  auto stat = client->Stat();
+  ASSERT_FALSE(stat.ok());
+  EXPECT_EQ(stat.status().code(), StatusCode::kIOError)
+      << stat.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());  // the daemon keeps serving
+}
+
+TEST_F(ServerTest, ChainReplyDescribesOnlyThatRun) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(client->Put("earlier traffic " + std::to_string(i)).ok());
+  }
+  auto report = client->Chain("minbias", 20, 7);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  auto json = Json::Parse(*report);
+  ASSERT_TRUE(json.ok());
+  // No daemon-wide registry snapshot: the reply's bytes must not depend on
+  // what other clients did before.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : json->members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"threads", "wall_ms", "pool",
+                                            "steps", "failed", "skipped"}));
+  EXPECT_EQ(json->Get("pool").Get("threads").as_int(), 1);
 }
 
 TEST_F(ServerTest, SixteenConcurrentClientsGetTheirOwnBytesBack) {

@@ -105,7 +105,8 @@ TEST_F(PackStoreTest, ReopenServesSealedSegmentsViaMmap) {
   // every cold read zero-copy from the mapping.
   EXPECT_EQ(CounterNow("daspos_pack_mmap_reads_total"), mmap_before + 5);
   EXPECT_EQ(CounterNow("daspos_pack_index_rebuilds_total"), rebuilds_before);
-  EXPECT_EQ(reopened.TotalBytes(), 5u * std::string("blob number 0").size());
+  EXPECT_EQ(reopened.TotalBytes().value(),
+            5u * std::string("blob number 0").size());
 }
 
 TEST_F(PackStoreTest, MissingSidecarTriggersRebuildScan) {
@@ -168,7 +169,7 @@ TEST_F(PackStoreTest, CompressionRoundtripsAndSavesSpace) {
     id_noise = *noise;
     // Identity is over the raw bytes: compression never changes ids.
     EXPECT_EQ(id_text, Sha256::HashHex(compressible));
-    EXPECT_LT(store.StoredBytes(), store.TotalBytes());
+    EXPECT_LT(store.StoredBytes(), store.TotalBytes().value());
     ASSERT_TRUE(store.Flush().ok());
   }
 
@@ -177,7 +178,7 @@ TEST_F(PackStoreTest, CompressionRoundtripsAndSavesSpace) {
   EXPECT_EQ(*reopened.Get(id_noise), incompressible);
   EXPECT_TRUE(reopened.Verify(id_text).ok());
   EXPECT_TRUE(reopened.Verify(id_noise).ok());
-  EXPECT_EQ(reopened.TotalBytes(),
+  EXPECT_EQ(reopened.TotalBytes().value(),
             compressible.size() + incompressible.size());
 }
 
@@ -226,7 +227,7 @@ TEST_F(PackStoreTest, ChecksumGateQuarantinesRotThenRePutHeals) {
   // remembers it.
   EXPECT_TRUE(store.Get(id).status().IsNotFound());
   EXPECT_FALSE(store.Has(id));
-  EXPECT_EQ(store.QuarantinedIds(), std::vector<std::string>{id});
+  EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
   EXPECT_TRUE(FileExists(Dir("pack") + "/quarantine.jsonl"));
 
   // Re-putting the good bytes appends a superseding record: that IS the
@@ -238,7 +239,7 @@ TEST_F(PackStoreTest, ChecksumGateQuarantinesRotThenRePutHeals) {
   EXPECT_TRUE(store.Verify(id).ok());
   // History survives the heal — the rotted bytes are still on disk as
   // evidence, and QuarantinedIds reports everything ever condemned.
-  EXPECT_EQ(store.QuarantinedIds(), std::vector<std::string>{id});
+  EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
 }
 
 TEST_F(PackStoreTest, QuarantineStandsAcrossReopen) {
@@ -259,7 +260,7 @@ TEST_F(PackStoreTest, QuarantineStandsAcrossReopen) {
   // resurrected by the (still valid-looking) sidecar.
   PackObjectStore reopened(Dir("pack"));
   EXPECT_TRUE(reopened.Get(id).status().IsNotFound());
-  EXPECT_EQ(reopened.QuarantinedIds(), std::vector<std::string>{id});
+  EXPECT_EQ(reopened.QuarantinedIds().value(), std::vector<std::string>{id});
 
   // And a heal survives ITS reopen: the superseding record wins over the
   // replayed quarantine.
@@ -297,7 +298,7 @@ TEST_F(PackStoreTest, QuarantineReplayStopsAtAnInvalidPosition) {
         WriteStringToFile(Dir("pack") + "/quarantine.jsonl", log).ok());
     PackObjectStore reopened(Dir("pack"));
     EXPECT_EQ(*reopened.Get(id), "healthy bytes") << log;
-    EXPECT_TRUE(reopened.QuarantinedIds().empty()) << log;
+    EXPECT_TRUE(reopened.QuarantinedIds().value().empty()) << log;
   }
   // Control: the well-formed line alone does condemn the record.
   ASSERT_TRUE(WriteStringToFile(Dir("pack") + "/quarantine.jsonl",
@@ -331,7 +332,7 @@ TEST_F(PackStoreTest, VerifyCatchesForgedChecksumThatGetMisses) {
   auto verified = store.Verify(id);
   EXPECT_TRUE(verified.IsCorruption());  // the authority does not
   EXPECT_TRUE(store.Get(id).status().IsNotFound());
-  EXPECT_EQ(store.QuarantinedIds(), std::vector<std::string>{id});
+  EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
 }
 
 // A cached mapping of a sealed tail segment goes stale when the segment is
@@ -358,7 +359,7 @@ TEST_F(PackStoreTest, StaleTailMappingRemapsInsteadOfQuarantining) {
   EXPECT_EQ(*store.Get(*second), "appended after the mapping was cached");
   EXPECT_EQ(*store.Get(*first), "first sealed record");
   EXPECT_EQ(CounterNow("daspos_pack_quarantines_total"), quarantines_before);
-  EXPECT_TRUE(store.QuarantinedIds().empty());
+  EXPECT_TRUE(store.QuarantinedIds().value().empty());
   EXPECT_FALSE(FileExists(Dir("pack") + "/quarantine.jsonl"));
 }
 
@@ -386,7 +387,7 @@ TEST_F(PackStoreTest, PutBatchRePutHealsRottedRecord) {
   EXPECT_EQ(*store.Get(id), payload);
   EXPECT_TRUE(store.Verify(id).ok());
   // The condemned record went through quarantine on its way out.
-  EXPECT_EQ(store.QuarantinedIds(), std::vector<std::string>{id});
+  EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
 }
 
 // ------------------------------------------------------ Crash recovery --
@@ -461,7 +462,7 @@ TEST_F(PackStoreTest, FailedAppendDoesNotDesyncLaterOffsets) {
   EXPECT_EQ(*store.Get(*committed), "committed before the failure");
   EXPECT_TRUE(store.Verify(*a).ok());
   EXPECT_TRUE(store.Verify(*b).ok());
-  EXPECT_TRUE(store.QuarantinedIds().empty());
+  EXPECT_TRUE(store.QuarantinedIds().value().empty());
 
   // And the segment log is still internally consistent: a rebuild scan
   // (sidecar dropped) re-indexes everything.

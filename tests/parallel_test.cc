@@ -386,17 +386,61 @@ TEST(WorkflowReportTest, PoolUtilizationIsReported) {
   options.max_threads = 4;
   auto report = workflow.Execute(&context, nullptr, options);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->pool.threads, 4u);
+  EXPECT_EQ(report->threads_used, 4u);
   EXPECT_GE(report->pool.tasks_executed, 1u);
-  EXPECT_GT(report->pool.wall_ms, 0.0);
+  EXPECT_GT(report->wall_ms, 0.0);
   Json json = report->ToJson();
   ASSERT_TRUE(json.Has("pool"));
   EXPECT_EQ(json.Get("pool").Get("threads").as_int(), 4);
-  // The report also carries the global registry state as a metrics block.
-  ASSERT_TRUE(json.Has("metrics"));
-  const Json& counters = json.Get("metrics").Get("counters");
-  EXPECT_GE(counters.Get(metric_names::kWorkflowStepsTotal).as_number(),
-            1.0);
+}
+
+/// A step that runs `tasks` no-op tasks on a pool of its own.
+class PrivatePoolStep : public WorkflowStep {
+ public:
+  explicit PrivatePoolStep(size_t tasks) : tasks_(tasks) {}
+  std::string name() const override { return "private_pool"; }
+  std::string version() const override { return "1"; }
+  Json Config() const override { return Json::Object(); }
+  Result<StepOutput> Run(const std::vector<std::string_view>&,
+                         WorkflowContext*) const override {
+    ThreadPool pool(2);
+    for (size_t i = 0; i < tasks_; ++i) pool.Submit([] {});
+    pool.Wait();
+    return StepOutput{"done", 0};
+  }
+
+ private:
+  size_t tasks_;
+};
+
+TEST(WorkflowReportTest, PrivatePoolTasksStayOutOfTheReport) {
+  Workflow workflow;
+  ASSERT_TRUE(workflow
+                  .AddStep(std::make_shared<PrivatePoolStep>(50), {},
+                           "private_pool_out")
+                  .ok());
+  WorkflowContext context;
+  ExecuteOptions options;
+  options.max_threads = 1;
+  auto report = workflow.Execute(&context, nullptr, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // The engine's pool ran the one step; the step's own 50 tasks belong to
+  // its private pool.
+  EXPECT_EQ(report->pool.tasks_executed, 1u);
+  EXPECT_EQ(report->ToJson().Get("pool").Get("tasks_executed").as_int(), 1);
+}
+
+TEST(ThreadPoolTest, EachPoolCountsOnlyItsOwnTasks) {
+  ThreadPool a(2);
+  ThreadPool b(3);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 10; ++i) a.Submit([&ran] { ran.fetch_add(1); });
+  for (int i = 0; i < 5; ++i) b.Submit([&ran] { ran.fetch_add(1); });
+  a.Wait();
+  b.Wait();
+  EXPECT_EQ(ran.load(), 15);
+  EXPECT_EQ(a.tasks_executed(), 10u);
+  EXPECT_EQ(b.tasks_executed(), 5u);
 }
 
 }  // namespace

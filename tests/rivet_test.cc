@@ -321,6 +321,31 @@ TEST(ValidationTest, DifferentTuneDetected) {
   EXPECT_FALSE(validation->Compatible(3.0));
 }
 
+TEST(ValidationTest, WorstKolmogorovDistanceIsReported) {
+  Histo1D reference("/X/obs", 10, 0.0, 1.0);
+  Histo1D shifted("/X/obs", 10, 0.0, 1.0);
+  Histo1D same("/Y/obs", 10, 0.0, 1.0);
+  for (int i = 0; i < 10; ++i) {
+    reference.Fill(0.05 + 0.1 * i);
+    shifted.Fill(0.05 + 0.1 * (i / 2));
+    same.Fill(0.05 + 0.1 * i);
+  }
+  auto expected = KolmogorovDistance(shifted, reference);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_GT(*expected, 0.0);
+  Histo1D same_reference = same;
+  auto validation =
+      CompareToReference({shifted, same}, {reference, same_reference});
+  ASSERT_TRUE(validation.ok());
+  EXPECT_EQ(validation->histograms_compared, 2);
+  EXPECT_DOUBLE_EQ(validation->worst_ks, *expected);
+  // KS is undefined for an empty histogram: the comparison fails.
+  Histo1D empty("/X/obs", 10, 0.0, 1.0);
+  EXPECT_TRUE(CompareToReference({empty}, {reference})
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST(ValidationTest, MissingHistogramCounted) {
   Histo1D reference("/X/obs", 10, 0.0, 1.0);
   reference.Fill(0.5);

@@ -85,6 +85,28 @@ TEST(CaptureTest, PackageCarriesReferencesAndDigests) {
   }
 }
 
+TEST(CaptureTest, SeedAbove2To63RoundTrips) {
+  const uint64_t seed = (uint64_t{1} << 63) + 2048;
+  MemoryObjectStore store;
+  Archive archive(&store);
+  auto id = CaptureCampaign(&archive, SmallCampaign("big_seed", seed));
+  ASSERT_TRUE(id.ok()) << id.status();
+  // A capture by the earlier writer, which stored the seed as an int64.
+  auto package = archive.Retrieve(*id);
+  ASSERT_TRUE(package.ok());
+  SubmissionPackage legacy = package->content;
+  legacy.context["daspos_campaign"]["seed"] = static_cast<int64_t>(seed);
+  legacy.description += " (int64 seed)";
+  ASSERT_TRUE(archive.Deposit(legacy).ok());
+
+  auto set = EnumerateCampaigns(archive);
+  ASSERT_TRUE(set.ok());
+  EXPECT_TRUE(set->broken.empty());
+  ASSERT_EQ(set->campaigns.size(), 2u);
+  EXPECT_EQ(set->campaigns[0].spec.seed, seed);
+  EXPECT_EQ(set->campaigns[1].spec.seed, seed);
+}
+
 TEST(CaptureTest, EmptyAnalysisListSelectsWholeRegistry) {
   MemoryObjectStore store;
   Archive archive(&store);

@@ -712,6 +712,48 @@ TEST(GeneratorConfigJsonTest, RoundTrip) {
                   .IsInvalidArgument());
 }
 
+TEST(GeneratorConfigJsonTest, SeedAbove2To63RoundTrips) {
+  // 2^63 + 2048 is an exact double, so it survives the JSON number, but
+  // it is past int64's range.
+  const uint64_t seed = (uint64_t{1} << 63) + 2048;
+  GeneratorConfig generator;
+  generator.seed = seed;
+  auto restored = GeneratorConfigFromJson(GeneratorConfigToJson(generator));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->seed, seed);
+  SimulationConfig simulation;
+  simulation.seed = seed;
+  auto sim = SimulationConfigFromJson(SimulationConfigToJson(simulation));
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  EXPECT_EQ(sim->seed, seed);
+}
+
+TEST(GeneratorConfigJsonTest, RejectsWhatItCannotRepresent) {
+  const Json good = GeneratorConfigToJson(GeneratorConfig{});
+  ASSERT_TRUE(GeneratorConfigFromJson(good).ok());
+  auto with = [&good](const char* key, Json value) {
+    Json json = good;
+    json[key] = std::move(value);
+    return GeneratorConfigFromJson(json).status();
+  };
+  // No catalogued process has id 99.
+  EXPECT_TRUE(with("process", 99).IsInvalidArgument());
+  EXPECT_TRUE(with("process", 1.5).IsInvalidArgument());
+  EXPECT_TRUE(with("seed", -1).IsInvalidArgument());
+  EXPECT_TRUE(with("seed", 0.5).IsInvalidArgument());
+  EXPECT_TRUE(with("seed", 0x1p64).IsInvalidArgument());
+  EXPECT_TRUE(with("seed", "7").IsInvalidArgument());
+  EXPECT_TRUE(with("lepton_flavor", 0x1p31).IsInvalidArgument());
+
+  Json geometry = GeometryToJson(DetectorGeometry{});
+  geometry["tracker_layers"] = -0x1p40;
+  EXPECT_TRUE(GeometryFromJson(geometry).status().IsInvalidArgument());
+  Json simulation = SimulationConfigToJson(SimulationConfig{});
+  simulation["minbias_prescale"] = 0x1p32;
+  EXPECT_TRUE(
+      SimulationConfigFromJson(simulation).status().IsInvalidArgument());
+}
+
 // ------------------------------------------------ fault tolerance (PR 3)
 
 /// TagStep that counts Run invocations and can fail its first N attempts —

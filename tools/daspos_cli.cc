@@ -280,21 +280,14 @@ int CmdHoldings(const Args& args, const CliFlags&) {
 int CmdAudit(const Args& args, const CliFlags& flags) {
   auto pool = MakePool(flags.threads);
   if (!pool.ok()) return Fail(pool.status().ToString());
-  // Store-walk errors around catalog recovery + audit: an unreadable store
-  // enumerates as empty, so without this delta the audit of a damaged
-  // archive would pass vacuously.
-  const uint64_t walk_before = MetricsRegistry::Global().CounterValue(
-      metric_names::kArchiveWalkErrorsTotal);
   auto store = OpenObjectStore(args[0]);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
+  // Recovery walks the whole store and fails on any walk error, so an
+  // unreadable store never reaches the audit.
   auto recovered = archive.RecoverCatalog();
   if (!recovered.ok()) return Fail(recovered.status().ToString());
   FixityReport report = archive.AuditFixity(pool->get());
-  const uint64_t walk_errors =
-      MetricsRegistry::Global().CounterValue(
-          metric_names::kArchiveWalkErrorsTotal) -
-      walk_before;
   std::printf("packages: %zu, objects checked: %llu\n", *recovered,
               static_cast<unsigned long long>(report.objects_checked));
   for (const std::string& id : report.corrupted_objects) {
@@ -303,14 +296,8 @@ int CmdAudit(const Args& args, const CliFlags& flags) {
   for (const std::string& id : report.missing_objects) {
     std::printf("MISSING  : %s\n", id.c_str());
   }
-  if (walk_errors > 0) {
-    std::printf("WALK ERRS: %llu (store partially unreadable; audit is "
-                "incomplete)\n",
-                static_cast<unsigned long long>(walk_errors));
-  }
-  const bool clean = report.clean() && walk_errors == 0;
-  std::printf("verdict: %s\n", clean ? "CLEAN" : "DAMAGED");
-  return clean ? 0 : 1;
+  std::printf("verdict: %s\n", report.clean() ? "CLEAN" : "DAMAGED");
+  return report.clean() ? 0 : 1;
 }
 
 // Deposits local files into the archive as one package. With more than one
@@ -476,6 +463,39 @@ int CmdExport(const Args& args, const CliFlags&) {
   return 0;
 }
 
+/// The registry snapshot as JSON for `chain --json`: counters and gauges
+/// as name -> value objects, histograms as name -> {le, buckets, count,
+/// sum}.
+Json MetricsSnapshotJson() {
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  Json json = Json::Object();
+  Json counters = Json::Object();
+  for (const auto& counter : snapshot.counters) {
+    counters[counter.name] = counter.value;
+  }
+  json["counters"] = std::move(counters);
+  Json gauges = Json::Object();
+  for (const auto& gauge : snapshot.gauges) {
+    gauges[gauge.name] = static_cast<double>(gauge.value);
+  }
+  json["gauges"] = std::move(gauges);
+  Json histograms = Json::Object();
+  for (const auto& histogram : snapshot.histograms) {
+    Json entry = Json::Object();
+    Json bounds = Json::Array();
+    for (double bound : histogram.bounds) bounds.push_back(bound);
+    entry["le"] = std::move(bounds);
+    Json buckets = Json::Array();
+    for (uint64_t count : histogram.bucket_counts) buckets.push_back(count);
+    entry["buckets"] = std::move(buckets);
+    entry["count"] = histogram.count;
+    entry["sum"] = histogram.sum;
+    histograms[histogram.name] = std::move(entry);
+  }
+  json["histograms"] = std::move(histograms);
+  return json;
+}
+
 // Runs the standard GEN->RAW->RECO->AOD->derived chain in memory on the
 // parallel workflow engine and prints the per-step timing table (or, with
 // --json, the full execution report as JSON). With a journal the run is
@@ -544,7 +564,10 @@ int CmdChain(const Args& args, const CliFlags& flags) {
   if (!report.ok()) return Fail(report.status().ToString());
 
   if (flags.json) {
-    std::printf("%s\n", report->ToJson().Dump(2).c_str());
+    // The process is this one run, so its registry belongs in the report.
+    Json json = report->ToJson();
+    json["metrics"] = MetricsSnapshotJson();
+    std::printf("%s\n", json.Dump(2).c_str());
     return report->fully_succeeded() ? 0 : 1;
   }
   std::printf("%s\n",
@@ -585,8 +608,6 @@ int CmdChain(const Args& args, const CliFlags& flags) {
 int CmdValidate(const Args& args, const CliFlags& flags) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   RegisterStandardMetrics(registry);
-  const uint64_t walk_before =
-      registry.CounterValue(metric_names::kArchiveWalkErrorsTotal);
   auto store = OpenObjectStore(args[0]);
   if (!store.ok()) return Fail(store.status().ToString());
   Archive archive(store->get());
@@ -649,13 +670,6 @@ int CmdValidate(const Args& args, const CliFlags& flags) {
   } else {
     std::printf("%s", report->RenderText().c_str());
     PrintFaultSummary(faults->get());
-  }
-  const uint64_t walk_errors =
-      registry.CounterValue(metric_names::kArchiveWalkErrorsTotal) -
-      walk_before;
-  if (walk_errors > 0) {
-    return Fail(std::to_string(walk_errors) +
-                " store walk error(s); archive may be unreadable");
   }
   switch (report->Overall()) {
     case validate::Verdict::kPass: return 0;
@@ -836,7 +850,9 @@ int CmdRepack(const Args& args, const CliFlags& flags) {
     return Status::OK();
   });
   if (!walk.ok()) return Fail(walk.ToString());
-  const uint64_t raw = target.TotalBytes();
+  auto total = target.TotalBytes();
+  if (!total.ok()) return Fail(total.status().ToString());
+  const uint64_t raw = *total;
   const uint64_t stored = target.StoredBytes();
   std::printf("packed %zu object(s) into %zu segment(s): %s raw",
               objects, target.SegmentCount(),
