@@ -105,9 +105,10 @@ void BM_ChainStep(benchmark::State& state) {
           SkimSpec::RequireObjects(ObjectType::kMuon, 2, 15.0),
           SlimSpec::LeptonsOnly(15.0), "x");
   }
-  std::vector<std::string_view> step_inputs;
+  // Bytes only: each iteration reads its input as a resumed run would.
+  std::vector<DatasetInput> step_inputs;
   if (index > 0) {
-    step_inputs.push_back(*chain->context.GetDataset(inputs[index]));
+    step_inputs.push_back({*chain->context.GetDataset(inputs[index])});
   }
   for (auto _ : state) {
     auto result = step->Run(step_inputs, &chain->context);

@@ -101,12 +101,14 @@ class ShardStep : public WorkflowStep {
     json["sleep_ms"] = sleep_ms_;
     return json;
   }
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext*) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
     uint64_t checksum = static_cast<uint64_t>(shard_);
-    for (std::string_view input : inputs) {
-      for (char c : input) checksum = checksum * 131 + static_cast<uint8_t>(c);
+    for (const DatasetInput& input : inputs) {
+      for (char c : input.bytes) {
+        checksum = checksum * 131 + static_cast<uint8_t>(c);
+      }
     }
     return StepOutput{std::to_string(checksum)};
   }
@@ -122,11 +124,11 @@ class JoinStep : public WorkflowStep {
   std::string name() const override { return "join"; }
   std::string version() const override { return "1"; }
   Json Config() const override { return Json::Object(); }
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext*) const override {
     std::string out;
-    for (std::string_view input : inputs) {
-      out += std::string(input);
+    for (const DatasetInput& input : inputs) {
+      out += std::string(input.bytes);
       out += '\n';
     }
     return StepOutput{std::move(out)};

@@ -35,6 +35,10 @@ RawEvent DetectorSimulation::Simulate(const GenEvent& truth,
   SimulateMuonSystem(truth, &rng, &raw);
   AddNoise(&rng, &raw);
   raw.trigger_bits = ComputeTrigger(truth, &rng);
+  // The hits were appended one by one, and the event goes to reconstruction
+  // as built rather than decoded at its exact size: drop the spare capacity
+  // instead of carrying it into the next step.
+  raw.hits.shrink_to_fit();
   return raw;
 }
 

@@ -33,9 +33,7 @@ Result<double> KolmogorovDistance(const Histo1D& a, const Histo1D& b) {
   DASPOS_RETURN_IF_ERROR(CheckSameBinning(a, b));
   double ta = a.Integral();
   double tb = b.Integral();
-  if (ta == 0.0 || tb == 0.0) {
-    return Status::InvalidArgument("KS on empty histogram");
-  }
+  if (ta == 0.0 || tb == 0.0) return ta == tb ? 0.0 : 1.0;
   double ca = 0.0;
   double cb = 0.0;
   double dmax = 0.0;

@@ -23,7 +23,9 @@ struct Chi2Result {
 Result<Chi2Result> Chi2Test(const Histo1D& a, const Histo1D& b);
 
 /// Kolmogorov-Smirnov distance between the normalized cumulative
-/// distributions of two histograms with identical binning.
+/// distributions of two histograms with identical binning. Two empty
+/// histograms are the same distribution (distance 0); an empty one against
+/// a filled one is as far apart as KS can tell (distance 1).
 Result<double> KolmogorovDistance(const Histo1D& a, const Histo1D& b);
 
 /// True if every bin agrees within `n_sigma` combined errors; histograms with

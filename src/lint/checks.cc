@@ -257,12 +257,16 @@ LintReport CheckJournal(const JournalSpec& journal,
                         const WorkflowGraphSpec& workflow,
                         const std::string& artifact) {
   LintReport report;
-  std::set<std::string> known;
+  // Step name -> whether it reads any input.
+  std::map<std::string, bool> known;
   for (const WorkflowGraphSpec::Step& step : workflow.steps) {
-    known.insert(step.name);
+    known[step.name] = !step.inputs.empty();
   }
   std::set<std::string> reported;
+  // Resume reads a step's latest entry.
+  std::map<std::string, const JournalSpec::Entry*> latest;
   for (const JournalSpec::Entry& entry : journal.entries) {
+    latest[entry.step] = &entry;
     if (known.count(entry.step) > 0) continue;
     if (!reported.insert(entry.step).second) continue;
     report.Add("W104", artifact, entry.step,
@@ -270,6 +274,14 @@ LintReport CheckJournal(const JournalSpec& journal,
                    "', which the workflow does not contain",
                "the checkpoint is ignored on resume; delete the journal if "
                "the workflow was intentionally restructured");
+  }
+  for (const auto& [step, entry] : latest) {
+    auto it = known.find(step);
+    if (it == known.end() || !it->second || entry->input_digests) continue;
+    report.Add("W105", artifact, step,
+               "journal checkpoint of step '" + step +
+                   "' records no digests of its inputs",
+               "resume re-runs the step; the fresh checkpoint records them");
   }
   return report;
 }

@@ -73,12 +73,17 @@ struct JournalSpec {
   struct Entry {
     std::string step;
     std::string output;
+    /// False for a line written before checkpoints recorded the footer
+    /// digests of their step's inputs.
+    bool input_digests = true;
   };
   std::vector<Entry> entries;
 };
 
 /// W104: journal entries naming steps the workflow no longer contains —
-/// stale checkpoints that resume would silently ignore.
+/// stale checkpoints that resume would silently ignore. W105: a step with
+/// inputs whose latest entry records no input digests — resume cannot tell
+/// what it was computed from, so it re-runs the step.
 LintReport CheckJournal(const JournalSpec& journal,
                         const WorkflowGraphSpec& workflow,
                         const std::string& artifact = "journal");

@@ -148,6 +148,9 @@ const std::vector<CheckInfo>& AllChecks() {
       {"W104", Severity::kWarning,
        "run journal references a step absent from the workflow (stale or "
        "foreign checkpoint)"},
+      {"W105", Severity::kWarning,
+       "run journal checkpoints a step with inputs but records no input "
+       "digests (resume re-runs it)"},
       // LHADA analysis descriptions (Lxxx).
       {"L000", Severity::kError, "description does not parse"},
       {"L001", Severity::kError,

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "serialize/binary.h"
+#include "support/metrics_registry.h"
 #include "support/sha256.h"
 
 namespace daspos {
@@ -15,6 +16,13 @@ constexpr size_t kFooterSize = kMagicLen + 8 + Sha256::kDigestSize;
 /// Appended bytes are hashed once this many are pending: the hash then runs
 /// on bytes that are still in cache, and Finish only digests the tail.
 constexpr size_t kHashBatchBytes = 64 * 1024;
+
+/// Container bytes fed to SHA-256, sealing and verifying alike.
+Counter& HashedBytes() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      metric_names::kContainerHashedBytesTotal);
+  return counter;
+}
 
 }  // namespace
 
@@ -45,6 +53,7 @@ void ContainerWriter::AppendEncodedRecords(std::string_view encoded,
 void ContainerWriter::HashPending(size_t min_bytes) {
   if (buffer_.size() - hashed_bytes_ < min_bytes) return;
   hasher_.Update(std::string_view(buffer_).substr(hashed_bytes_));
+  HashedBytes().Increment(buffer_.size() - hashed_bytes_);
   hashed_bytes_ = buffer_.size();
 }
 
@@ -77,13 +86,18 @@ Status ContainerReader::VerifyFixity(std::string_view data) {
   }
   Sha256 hasher;
   hasher.Update(data.substr(0, data.size() - kFooterSize));
+  HashedBytes().Increment(data.size() - kFooterSize);
   auto digest = hasher.Digest();
   if (std::string_view(reinterpret_cast<const char*>(digest.data()),
-                       digest.size()) !=
-      data.substr(data.size() - Sha256::kDigestSize)) {
+                       digest.size()) != DeclaredDigest(data)) {
     return Status::Corruption("container fixity hash mismatch");
   }
   return Status::OK();
+}
+
+std::string_view ContainerReader::DeclaredDigest(std::string_view data) {
+  if (data.size() < kFooterSize) return {};
+  return data.substr(data.size() - Sha256::kDigestSize);
 }
 
 Result<ContainerReader> ContainerReader::OpenImpl(std::string_view data,

@@ -79,6 +79,10 @@ class ContainerReader {
   /// VerifyFixity does, with the same error.
   static Status VerifyFixity(std::string_view data);
 
+  /// The fixity digest the footer of `data` declares (its last 32 bytes),
+  /// unverified; empty when `data` is shorter than a footer.
+  static std::string_view DeclaredDigest(std::string_view data);
+
   const Json& metadata() const { return metadata_; }
   uint64_t record_count() const { return record_count_; }
 

@@ -151,6 +151,8 @@ constexpr StandardMetric kStandardMetrics[] = {
     {kLintArtifactsTotal, MetricKind::kCounter, "artifacts linted"},
     {kLintFindingsTotal, MetricKind::kCounter, "lint diagnostics emitted"},
     {kRecoEventsTotal, MetricKind::kCounter, "events reconstructed"},
+    {kContainerHashedBytesTotal, MetricKind::kCounter,
+     "dataset container bytes fed to SHA-256 (sealing plus fixity checks)"},
     {kTiersInputEventsTotal, MetricKind::kCounter,
      "AOD events read by derivation"},
     {kTiersOutputEventsTotal, MetricKind::kCounter,

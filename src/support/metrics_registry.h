@@ -304,6 +304,8 @@ inline constexpr char kLintArtifactsTotal[] = "daspos_lint_artifacts_total";
 inline constexpr char kLintFindingsTotal[] = "daspos_lint_findings_total";
 // Step bodies.
 inline constexpr char kRecoEventsTotal[] = "daspos_reco_events_total";
+inline constexpr char kContainerHashedBytesTotal[] =
+    "daspos_container_hashed_bytes_total";
 inline constexpr char kTiersInputEventsTotal[] =
     "daspos_tiers_input_events_total";
 inline constexpr char kTiersOutputEventsTotal[] =

@@ -43,6 +43,27 @@ std::string WriteDataset(const DatasetInfo& info,
   return writer.Finish();
 }
 
+/// The tiers whose records decode as Event. Derived datasets keep the AOD
+/// record layout.
+bool TierHolds(const GenEvent*, DataTier tier) { return tier == DataTier::kGen; }
+bool TierHolds(const RawEvent*, DataTier tier) { return tier == DataTier::kRaw; }
+bool TierHolds(const RecoEvent*, DataTier tier) {
+  return tier == DataTier::kReco;
+}
+bool TierHolds(const AodEvent*, DataTier tier) {
+  return tier == DataTier::kAod || tier == DataTier::kDerived;
+}
+
+template <typename Event>
+Status CheckTier(const DatasetInfo& info) {
+  if (TierHolds(static_cast<const Event*>(nullptr), info.tier)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("dataset '" + info.name + "' has tier " +
+                                 std::string(TierName(info.tier)) +
+                                 ", not the expected one");
+}
+
 /// Opens `blob` and decodes every record, chunked over `pool`. The fixity
 /// hash runs as one more task beside the decode, so it no longer precedes
 /// it on one thread; the decode is speculative and its result is dropped
@@ -52,7 +73,6 @@ std::string WriteDataset(const DatasetInfo& info,
 /// first, and the lowest chunk's error wins).
 template <typename Event>
 Result<std::vector<Event>> ReadDataset(std::string_view blob,
-                                       std::initializer_list<DataTier> allowed,
                                        DatasetInfo* info_out,
                                        ThreadPool* pool) {
   Result<ContainerReader> reader = ContainerReader::OpenUnverified(blob);
@@ -88,15 +108,7 @@ Result<std::vector<Event>> ReadDataset(std::string_view blob,
 
   DASPOS_ASSIGN_OR_RETURN(DatasetInfo info,
                           DatasetInfo::FromJson(reader->metadata()));
-  bool tier_ok = false;
-  for (DataTier tier : allowed) {
-    if (info.tier == tier) tier_ok = true;
-  }
-  if (!tier_ok) {
-    return Status::InvalidArgument(
-        "dataset '" + info.name + "' has tier " +
-        std::string(TierName(info.tier)) + ", not the expected one");
-  }
+  DASPOS_RETURN_IF_ERROR(CheckTier<Event>(info));
   for (Status& error : errors) {
     if (!error.ok()) return std::move(error);
   }
@@ -194,25 +206,50 @@ std::string WriteAodDataset(const DatasetInfo& info,
 Result<std::vector<GenEvent>> ReadGenDataset(std::string_view blob,
                                              DatasetInfo* info,
                                              ThreadPool* pool) {
-  return ReadDataset<GenEvent>(blob, {DataTier::kGen}, info, pool);
+  return ReadDataset<GenEvent>(blob, info, pool);
 }
 Result<std::vector<RawEvent>> ReadRawDataset(std::string_view blob,
                                              DatasetInfo* info,
                                              ThreadPool* pool) {
-  return ReadDataset<RawEvent>(blob, {DataTier::kRaw}, info, pool);
+  return ReadDataset<RawEvent>(blob, info, pool);
 }
 Result<std::vector<RecoEvent>> ReadRecoDataset(std::string_view blob,
                                                DatasetInfo* info,
                                                ThreadPool* pool) {
-  return ReadDataset<RecoEvent>(blob, {DataTier::kReco}, info, pool);
+  return ReadDataset<RecoEvent>(blob, info, pool);
 }
 Result<std::vector<AodEvent>> ReadAodDataset(std::string_view blob,
                                              DatasetInfo* info,
                                              ThreadPool* pool) {
-  // Derived datasets keep the AOD record layout.
-  return ReadDataset<AodEvent>(blob, {DataTier::kAod, DataTier::kDerived},
-                               info, pool);
+  return ReadDataset<AodEvent>(blob, info, pool);
 }
+
+template <typename Event>
+Result<InputEvents<Event>> ReadInput(DatasetInput input, ThreadPool* pool) {
+  InputEvents<Event> out;
+  if (input.payload == nullptr) {
+    DASPOS_ASSIGN_OR_RETURN(std::vector<Event> events,
+                            ReadDataset<Event>(input.bytes, &out.info, pool));
+    out.events = std::make_shared<const std::vector<Event>>(std::move(events));
+    return out;
+  }
+  DASPOS_RETURN_IF_ERROR(CheckTier<Event>(input.payload->info));
+  const auto* events = std::get_if<std::vector<Event>>(&input.payload->events);
+  if (events == nullptr) {
+    return Status::InvalidArgument("dataset '" + input.payload->info.name +
+                                   "' hands over events of another tier");
+  }
+  out.info = input.payload->info;
+  // Aliases the payload: the events live while any step still holds them.
+  out.events = std::shared_ptr<const std::vector<Event>>(
+      std::move(input.payload), events);
+  return out;
+}
+
+template Result<InputEvents<GenEvent>> ReadInput(DatasetInput, ThreadPool*);
+template Result<InputEvents<RawEvent>> ReadInput(DatasetInput, ThreadPool*);
+template Result<InputEvents<RecoEvent>> ReadInput(DatasetInput, ThreadPool*);
+template Result<InputEvents<AodEvent>> ReadInput(DatasetInput, ThreadPool*);
 
 Result<DatasetInfo> ReadDatasetInfo(std::string_view blob) {
   DASPOS_ASSIGN_OR_RETURN(ContainerReader reader, ContainerReader::Open(blob));

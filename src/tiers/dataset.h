@@ -6,7 +6,9 @@
 #define DASPOS_TIERS_DATASET_H_
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "event/aod.h"
@@ -74,6 +76,43 @@ Result<std::vector<RecoEvent>> ReadRecoDataset(std::string_view blob,
 Result<std::vector<AodEvent>> ReadAodDataset(std::string_view blob,
                                              DatasetInfo* info = nullptr,
                                              ThreadPool* pool = nullptr);
+
+/// The events of one dataset as its producing step built them, beside the
+/// info it wrote into their container. Within one Workflow::Execute a step
+/// hands this to its consumers with the sealed bytes, so bytes that never
+/// left the process are neither decoded nor hashed a second time.
+struct DatasetPayload {
+  DatasetInfo info;
+  std::variant<std::vector<GenEvent>, std::vector<RawEvent>,
+               std::vector<RecoEvent>, std::vector<AodEvent>>
+      events;
+};
+
+/// One input of a step: the dataset's bytes, which are the record, and the
+/// producer's payload when the producer ran in this Execute (null when the
+/// bytes came from a journal, from outside the run, or from a step that
+/// hands over none).
+struct DatasetInput {
+  std::string_view bytes;
+  std::shared_ptr<const DatasetPayload> payload = nullptr;
+};
+
+/// Events read through ReadInput. `events` shares the producer's payload or
+/// owns a decoded copy; resetting it releases them.
+template <typename Event>
+struct InputEvents {
+  DatasetInfo info;
+  std::shared_ptr<const std::vector<Event>> events;
+};
+
+/// The one way a step reads an input: the handed-off events when `input`
+/// carries a payload, otherwise Read*Dataset of `input.bytes`, which
+/// verifies fixity, tier and every record. Either way a dataset of a tier
+/// other than Event's fails with InvalidArgument. Defined for GenEvent,
+/// RawEvent, RecoEvent and AodEvent (which also reads derived datasets).
+template <typename Event>
+Result<InputEvents<Event>> ReadInput(DatasetInput input,
+                                     ThreadPool* pool = nullptr);
 
 /// Appends `count` records to `writer`, encoded in parallel chunks over
 /// `pool`. encode(i, record) serializes item i into the empty `record`, or

@@ -152,16 +152,13 @@ Result<SlimSpec> SlimSpec::FromJson(const Json& json) {
   return spec;
 }
 
-Result<std::string> DeriveDataset(std::string_view aod_blob,
+Result<std::string> DeriveDataset(const DatasetInfo& input_info,
+                                  const std::vector<AodEvent>& events,
                                   const std::string& output_name,
                                   const SkimSpec& skim, const SlimSpec& slim,
                                   DerivationStats* stats, ThreadPool* pool) {
   Span span("tiers:derive", "tiers");
   span.AddAttribute("output", output_name);
-  DatasetInfo input_info;
-  DASPOS_ASSIGN_OR_RETURN(std::vector<AodEvent> events,
-                          ReadAodDataset(aod_blob, &input_info, pool));
-
   DatasetInfo output_info;
   output_info.tier = DataTier::kDerived;
   output_info.name = output_name;
@@ -201,10 +198,21 @@ Result<std::string> DeriveDataset(std::string_view aod_blob,
   if (stats != nullptr) {
     stats->input_events = events.size();
     stats->output_events = kept;
-    stats->input_bytes = aod_blob.size();
     stats->output_bytes = blob.size();
   }
   return blob;
+}
+
+Result<std::string> DeriveDataset(std::string_view aod_blob,
+                                  const std::string& output_name,
+                                  const SkimSpec& skim, const SlimSpec& slim,
+                                  DerivationStats* stats, ThreadPool* pool) {
+  DatasetInfo input_info;
+  DASPOS_ASSIGN_OR_RETURN(std::vector<AodEvent> events,
+                          ReadAodDataset(aod_blob, &input_info, pool));
+  if (stats != nullptr) stats->input_bytes = aod_blob.size();
+  return DeriveDataset(input_info, events, output_name, skim, slim, stats,
+                       pool);
 }
 
 }  // namespace daspos

@@ -87,11 +87,22 @@ struct DerivationStats {
   }
 };
 
-/// Runs skim+slim over an AOD dataset blob and produces a derived dataset
-/// blob whose metadata records the logical derivation description. With a
-/// pool, events are filtered and re-encoded in parallel chunks whose record
-/// buffers are merged in chunk order, so the output blob is byte-identical
-/// to the serial run (the skim predicate and slim must be pure).
+/// Runs skim+slim over the events of an AOD (or derived) dataset described
+/// by `input_info` and produces a derived dataset blob whose metadata
+/// records the logical derivation description. With a pool, events are
+/// filtered and re-encoded in parallel chunks whose record buffers are
+/// merged in chunk order, so the output blob is byte-identical to the
+/// serial run (the skim predicate and slim must be pure). Leaves
+/// `stats->input_bytes` alone: there are no input bytes here.
+Result<std::string> DeriveDataset(const DatasetInfo& input_info,
+                                  const std::vector<AodEvent>& events,
+                                  const std::string& output_name,
+                                  const SkimSpec& skim, const SlimSpec& slim,
+                                  DerivationStats* stats = nullptr,
+                                  ThreadPool* pool = nullptr);
+
+/// The same over an AOD dataset blob, read (and verified) by
+/// ReadAodDataset first.
 Result<std::string> DeriveDataset(std::string_view aod_blob,
                                   const std::string& output_name,
                                   const SkimSpec& skim, const SlimSpec& slim,

@@ -10,6 +10,7 @@
 #include <malloc.h>
 #endif
 
+#include "serialize/container.h"
 #include "support/fault.h"
 #include "support/metrics_registry.h"
 #include "support/retry.h"
@@ -202,7 +203,33 @@ struct DispatchState {
   bool failed DASPOS_GUARDED_BY(mutex) = false;
   size_t first_failed_rank DASPOS_GUARDED_BY(mutex) = kNoRank;
   Status failure DASPOS_GUARDED_BY(mutex) = Status::OK();
+  /// The events each step handed over, held until its last reader takes
+  /// them, and the number of its readers (dependent edges) yet to do so.
+  std::vector<std::shared_ptr<const DatasetPayload>> handoff
+      DASPOS_GUARDED_BY(mutex);
+  std::vector<size_t> readers_left DASPOS_GUARDED_BY(mutex);
 };
+
+/// Input name -> the footer digest of its bytes, in hex: what a checkpoint
+/// records of its step's inputs and what resume compares. Every tier is a
+/// container, whose footer already holds the SHA-256 of its contents.
+std::map<std::string, std::string> InputDigests(
+    const std::vector<std::string>& names,
+    const std::vector<std::string_view>& bytes) {
+  std::map<std::string, std::string> digests;
+  for (size_t i = 0; i < names.size(); ++i) {
+    digests[names[i]] = HexEncode(ContainerReader::DeclaredDigest(bytes[i]));
+  }
+  return digests;
+}
+
+/// A checkpoint restores only onto the inputs it was computed from; a
+/// record written without input digests restores only an input-less step.
+bool CheckpointInputsMatch(const RunJournal::Record& record,
+                           const std::map<std::string, std::string>& inputs) {
+  return record.inputs.has_value() ? *record.inputs == inputs
+                                   : inputs.empty();
+}
 
 }  // namespace
 
@@ -315,15 +342,13 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
   WorkflowReport report;
   report.threads_used = threads;
 
-  // Resume pre-pass: a step whose journal record matches its identity (step
-  // name, output, config hash) and whose checkpointed blob still verifies
-  // (the store re-hashes on read) is restored instead of re-executed. Any
-  // mismatch — renamed step, changed config, rotted blob, truncated journal
-  // tail — silently falls back to a normal run of that step.
-  std::vector<std::string> checkpoint_blob(step_count);
-  std::vector<uint64_t> checkpoint_bytes(step_count, 0);
-  std::vector<uint64_t> checkpoint_events(step_count, 0);
-  std::vector<char> checkpointed(step_count, 0);
+  // Resume candidates: a step whose journal record matches its identity
+  // (step name, output, config hash). It is restored instead of re-executed
+  // only if, once its inputs are settled, the record's input digests equal
+  // this run's and the checkpointed blob still verifies (the store re-hashes
+  // on read). Any mismatch — renamed step, changed config or inputs, rotted
+  // blob, truncated journal tail — silently falls back to a normal run.
+  std::vector<std::optional<RunJournal::Record>> checkpoint(step_count);
   if (options.resume && options.journal != nullptr) {
     for (size_t i = 0; i < step_count; ++i) {
       const Binding& binding = bindings_[i];
@@ -334,12 +359,7 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
           Sha256::HashHex(binding.step->Config().Dump())) {
         continue;
       }
-      auto blob = options.journal->LoadBlob(record->digest);
-      if (!blob.ok()) continue;
-      checkpoint_blob[i] = std::move(*blob);
-      checkpoint_bytes[i] = record->bytes;
-      checkpoint_events[i] = record->events;
-      checkpointed[i] = 1;
+      checkpoint[i] = std::move(record);
     }
   }
 
@@ -353,6 +373,10 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
     MutexLock lock(sched.mutex);
     sched.remaining = indegree;
     sched.submitted.assign(step_count, 0);
+    sched.handoff.resize(step_count);
+    for (size_t i = 0; i < step_count; ++i) {
+      sched.readers_left.push_back(dependents[i].size());
+    }
   }
 
   {
@@ -380,69 +404,99 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
                      &step_wall_ms);
       step_span.AddAttribute("output", binding.output);
       Status status = Status::OK();
-      if (checkpointed[index]) {
-        // Restore from the journal: the blob already passed its digest
-        // check in the pre-pass; publishing it is all that remains.
-        slot.bytes = checkpoint_bytes[index];
-        slot.events = checkpoint_events[index];
+      // Settle the inputs: their bytes, and the events each producer of
+      // this run handed over. Taking a producer's events counts this step
+      // off its readers; the last reader's take drops the engine's hold.
+      std::vector<std::string_view> input_bytes;
+      input_bytes.reserve(binding.inputs.size());
+      for (const std::string& input : binding.inputs) {
+        auto blob = context->GetDataset(input);
+        if (!blob.ok()) {
+          status = blob.status();
+          break;
+        }
+        input_bytes.push_back(*blob);
+      }
+      std::vector<std::shared_ptr<const DatasetPayload>> handed(
+          binding.inputs.size());
+      {
+        MutexLock lock(sched.mutex);
+        for (size_t j = 0; j < binding.inputs.size(); ++j) {
+          auto producer = producer_of.find(binding.inputs[j]);
+          if (producer == producer_of.end()) continue;  // external input
+          const size_t p = producer->second;
+          handed[j] = sched.handoff[p];
+          if (--sched.readers_left[p] == 0) sched.handoff[p].reset();
+        }
+      }
+      std::map<std::string, std::string> input_digests;
+      if (status.ok() && options.journal != nullptr) {
+        input_digests = InputDigests(binding.inputs, input_bytes);
+      }
+      std::optional<std::string> restored;
+      if (status.ok() && checkpoint[index].has_value() &&
+          CheckpointInputsMatch(*checkpoint[index], input_digests)) {
+        auto blob = options.journal->LoadBlob(checkpoint[index]->digest);
+        if (blob.ok()) restored = std::move(*blob);
+      }
+      // The output's events, handed to its readers once it is published.
+      std::shared_ptr<const DatasetPayload> payload;
+      if (restored.has_value()) {
+        // Restore from the journal: the blob passed its digest check on
+        // load; publishing it is all that remains. Readers decode it.
+        slot.bytes = checkpoint[index]->bytes;
+        slot.events = checkpoint[index]->events;
         slot.attempts = 0;
         slot.from_checkpoint = true;
         checkpoint_restores.Increment();
         step_span.AddAttribute("from_checkpoint", "true");
-        status = context->PutDataset(binding.output,
-                                     std::move(checkpoint_blob[index]));
-      } else {
-        std::vector<std::string_view> inputs;
-        inputs.reserve(binding.inputs.size());
-        for (const std::string& input : binding.inputs) {
-          auto blob = context->GetDataset(input);
-          if (!blob.ok()) {
-            status = blob.status();
-            break;
-          }
-          inputs.push_back(*blob);
-        }
+        status = context->PutDataset(binding.output, std::move(*restored));
+      } else if (status.ok()) {
         StepOutput produced;
-        if (status.ok()) {
-          // One retry loop per step: transient failures (injected faults,
-          // I/O hiccups, blown deadlines) are re-attempted with exponential
-          // backoff; permanent failures stop immediately.
-          RetryPolicy policy;
-          policy.max_attempts = std::max(0, options.max_step_retries) + 1;
-          policy.backoff_ms = options.retry_backoff_ms;
-          policy.jitter_seed = static_cast<uint64_t>(index) + 1;
-          int attempts_used = 0;
-          status = RetryCall(
-              policy,
-              [&]() -> Status {
-                ++attempts_used;
-                Span attempt_span("attempt:" + binding.step->name(),
-                                  "workflow");
-                attempt_span.AddAttribute(
-                    "attempt", static_cast<uint64_t>(attempts_used));
-                if (options.step_faults != nullptr) {
-                  DASPOS_RETURN_IF_ERROR(options.step_faults->Next(
-                      "step:" + binding.step->name()));
-                }
-                auto output = binding.step->Run(inputs, context);
-                if (!output.ok()) return output.status();
-                if (options.step_timeout_ms > 0.0 &&
-                    attempt_span.ElapsedMillis() > options.step_timeout_ms) {
-                  // A step cannot be killed mid-Run; enforce the budget as
-                  // a post-hoc deadline and discard the late output.
-                  return Status::DeadlineExceeded(
-                      "step '" + binding.step->name() + "' exceeded " +
-                      FormatDouble(options.step_timeout_ms, 4) +
-                      " ms budget");
-                }
-                produced = std::move(*output);
-                return Status::OK();
-              },
-              "step " + binding.step->name());
-          slot.attempts = attempts_used;
-          if (attempts_used > 1) {
-            step_retries.Increment(static_cast<uint64_t>(attempts_used - 1));
-          }
+        // One retry loop per step: transient failures (injected faults,
+        // I/O hiccups, blown deadlines) are re-attempted with exponential
+        // backoff; permanent failures stop immediately.
+        RetryPolicy policy;
+        policy.max_attempts = std::max(0, options.max_step_retries) + 1;
+        policy.backoff_ms = options.retry_backoff_ms;
+        policy.jitter_seed = static_cast<uint64_t>(index) + 1;
+        int attempts_used = 0;
+        status = RetryCall(
+            policy,
+            [&]() -> Status {
+              ++attempts_used;
+              Span attempt_span("attempt:" + binding.step->name(),
+                                "workflow");
+              attempt_span.AddAttribute(
+                  "attempt", static_cast<uint64_t>(attempts_used));
+              if (options.step_faults != nullptr) {
+                DASPOS_RETURN_IF_ERROR(options.step_faults->Next(
+                    "step:" + binding.step->name()));
+              }
+              // The handed-over events go to the first attempt that runs;
+              // a retry reads the bytes.
+              std::vector<DatasetInput> inputs(input_bytes.size());
+              for (size_t j = 0; j < inputs.size(); ++j) {
+                inputs[j] = {input_bytes[j], std::move(handed[j])};
+              }
+              auto output = binding.step->Run(std::move(inputs), context);
+              if (!output.ok()) return output.status();
+              if (options.step_timeout_ms > 0.0 &&
+                  attempt_span.ElapsedMillis() > options.step_timeout_ms) {
+                // A step cannot be killed mid-Run; enforce the budget as
+                // a post-hoc deadline and discard the late output.
+                return Status::DeadlineExceeded(
+                    "step '" + binding.step->name() + "' exceeded " +
+                    FormatDouble(options.step_timeout_ms, 4) +
+                    " ms budget");
+              }
+              produced = std::move(*output);
+              return Status::OK();
+            },
+            "step " + binding.step->name());
+        slot.attempts = attempts_used;
+        if (attempts_used > 1) {
+          step_retries.Increment(static_cast<uint64_t>(attempts_used - 1));
         }
         if (status.ok()) {
           slot.bytes = produced.blob.size();
@@ -457,12 +511,14 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
                 Sha256::HashHex(binding.step->Config().Dump());
             record.bytes = slot.bytes;
             record.events = slot.events;
+            record.inputs = std::move(input_digests);
             status =
                 options.journal->Append(std::move(record), produced.blob);
           }
           if (status.ok()) {
             status = context->PutDataset(binding.output,
                                          std::move(produced.blob));
+            payload = std::move(produced.payload);
           }
         }
       }
@@ -507,6 +563,9 @@ Result<WorkflowReport> Workflow::Execute(WorkflowContext* context,
           sched.failed = true;
         }
       } else if (!sched.failed) {
+        if (!dependents[index].empty()) {
+          sched.handoff[index] = std::move(payload);
+        }
         for (size_t dependent : dependents[index]) {
           if (rank[dependent] == kNoRank) continue;  // permanently blocked
           if (--sched.remaining[dependent] == 0) {

@@ -21,6 +21,7 @@
 #include "serialize/json.h"
 #include "support/result.h"
 #include "support/sync.h"
+#include "tiers/dataset.h"
 #include "workflow/provenance.h"
 
 namespace daspos {
@@ -31,6 +32,9 @@ class ThreadPool;
 
 /// Execution-time environment: dataset storage plus external services
 /// (the conditions database — the paper's canonical external dependency).
+/// Datasets are stored as their sealed container bytes, which are the
+/// record; the events a step hands its consumers stay inside the Execute
+/// that produced them.
 ///
 /// Thread-safe: steps running concurrently may Put and Get datasets. Views
 /// returned by GetDataset stay valid and immutable for the context's
@@ -69,11 +73,14 @@ class WorkflowContext {
   ThreadPool* worker_pool_ = nullptr;
 };
 
-/// What one step run produced: the output dataset blob and the number of
-/// events in it (for provenance accounting; 0 when the step cannot tell).
+/// What one step run produced: the output dataset blob, the number of
+/// events in it (for provenance accounting; 0 when the step cannot tell) and
+/// the events the blob encodes, which the engine hands to this Execute's
+/// consumers of the output (null: they read the bytes).
 struct StepOutput {
   std::string blob;
   uint64_t events = 0;
+  std::shared_ptr<const DatasetPayload> payload = nullptr;
 };
 
 /// One processing step. Implementations are in steps.h; anything honoring
@@ -88,8 +95,10 @@ class WorkflowStep {
   virtual std::string version() const = 0;
   /// Canonical configuration capture; hashed into provenance.
   virtual Json Config() const = 0;
-  /// Consumes the input blobs and returns the output dataset.
-  virtual Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  /// Consumes the inputs, in binding order, and returns the output
+  /// dataset. Steps read an input's events through ReadInput; the inputs
+  /// are the step's own, so it can drop them once it is done with them.
+  virtual Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                                  WorkflowContext* context) const = 0;
 };
 
@@ -171,9 +180,11 @@ struct ExecuteOptions {
   bool keep_going = false;
 
   /// Checkpoint journal (not owned). Every completed step is appended with
-  /// its output blob; with `resume` set, steps whose journaled record still
-  /// matches (same step name, output, config hash) and whose blob digest
-  /// verifies are restored without re-running.
+  /// its output blob and the footer digests of its inputs; with `resume`
+  /// set, a step whose journaled record still matches (same step name,
+  /// output, config hash and input digests, the last compared once its
+  /// inputs are settled) and whose blob digest verifies is restored without
+  /// re-running.
   RunJournal* journal = nullptr;
   bool resume = false;
 

@@ -19,6 +19,11 @@ Json RecordToJson(const RunJournal::Record& record) {
   json["config_hash"] = record.config_hash;
   json["bytes"] = record.bytes;
   json["events"] = record.events;
+  if (record.inputs.has_value()) {
+    Json inputs = Json::Object();
+    for (const auto& [name, digest] : *record.inputs) inputs[name] = digest;
+    json["inputs"] = std::move(inputs);
+  }
   return json;
 }
 
@@ -40,6 +45,15 @@ bool RecordFromJson(const Json& json, RunJournal::Record* out) {
   out->output = json.Get("output").as_string();
   out->digest = json.Get("digest").as_string();
   out->config_hash = json.Get("config_hash").as_string();
+  if (json.Has("inputs")) {
+    const Json& inputs = json.Get("inputs");
+    if (!inputs.is_object()) return false;
+    out->inputs.emplace();
+    for (const auto& [name, digest] : inputs.members()) {
+      if (!digest.is_string()) return false;
+      (*out->inputs)[name] = digest.as_string();
+    }
+  }
   return true;
 }
 

@@ -10,6 +10,7 @@
 #define DASPOS_WORKFLOW_JOURNAL_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,8 +30,10 @@ class RunJournal {
  public:
   /// One completed step. `digest` is the SHA-256 content id of the output
   /// blob in the journal's object store; `config_hash` identifies the step
-  /// configuration so a resumed run never reuses output produced under a
-  /// different config.
+  /// configuration and `inputs` maps each input dataset to its container
+  /// footer digest (hex), so a resumed run never reuses output produced
+  /// under a different config or from different inputs. A line written
+  /// before inputs were recorded reads back with `inputs` unset.
   struct Record {
     std::string step;
     std::string output;
@@ -38,6 +41,7 @@ class RunJournal {
     std::string config_hash;
     uint64_t bytes = 0;
     uint64_t events = 0;
+    std::optional<std::map<std::string, std::string>> inputs;
   };
 
   /// Opens (creating if needed) the journal directory and loads any existing

@@ -14,6 +14,17 @@ ThreadPool* PoolOf(const WorkflowContext* context) {
   return context != nullptr ? context->worker_pool() : nullptr;
 }
 
+/// A step's output: the sealed blob, and the events it encodes for this
+/// run's consumers of the dataset.
+template <typename Event>
+StepOutput WithEvents(std::string blob, DatasetInfo info,
+                      std::vector<Event> events) {
+  const uint64_t count = events.size();
+  return StepOutput{std::move(blob), count,
+                    std::make_shared<const DatasetPayload>(DatasetPayload{
+                        std::move(info), std::move(events)})};
+}
+
 }  // namespace
 
 Json GeneratorConfigToJson(const GeneratorConfig& config) {
@@ -178,8 +189,7 @@ Json GenerationStep::Config() const {
 }
 
 Result<StepOutput> GenerationStep::Run(
-    const std::vector<std::string_view>& inputs,
-    WorkflowContext* context) const {
+    std::vector<DatasetInput> inputs, WorkflowContext* context) const {
   if (!inputs.empty()) {
     return Status::InvalidArgument("generation takes no inputs");
   }
@@ -191,8 +201,8 @@ Result<StepOutput> GenerationStep::Run(
   info.name = dataset_name_;
   info.producer = "generation v1.0";
   info.description = GetProcessInfo(config_.process).description;
-  return StepOutput{WriteGenDataset(info, events, PoolOf(context)),
-                    events.size()};
+  std::string blob = WriteGenDataset(info, events, PoolOf(context));
+  return WithEvents(std::move(blob), std::move(info), std::move(events));
 }
 
 // ------------------------------------------------------------- Simulation
@@ -211,15 +221,14 @@ Json SimulationStep::Config() const {
 }
 
 Result<StepOutput> SimulationStep::Run(
-    const std::vector<std::string_view>& inputs,
-    WorkflowContext* context) const {
+    std::vector<DatasetInput> inputs, WorkflowContext* context) const {
   if (inputs.size() != 1) {
     return Status::InvalidArgument("simulation takes exactly one GEN input");
   }
   ThreadPool* pool = PoolOf(context);
-  DatasetInfo gen_info;
-  DASPOS_ASSIGN_OR_RETURN(std::vector<GenEvent> truth,
-                          ReadGenDataset(inputs[0], &gen_info, pool));
+  DASPOS_ASSIGN_OR_RETURN(InputEvents<GenEvent> gen,
+                          ReadInput<GenEvent>(std::move(inputs[0]), pool));
+  const std::vector<GenEvent>& truth = *gen.events;
   DetectorSimulation simulation(config_);
   // Simulate's randomness is event-local (seeded from the event number), so
   // events digitize independently and in parallel with identical output.
@@ -229,14 +238,16 @@ Result<StepOutput> SimulationStep::Run(
         return simulation.Simulate(truth[i], run_number_);
       },
       /*grain=*/1);
+  gen.events.reset();
 
   DatasetInfo info;
   info.tier = DataTier::kRaw;
   info.name = dataset_name_;
   info.producer = "simulation v1.0";
-  info.parents = {gen_info.name};
+  info.parents = {gen.info.name};
   info.description = "digitized detector response";
-  return StepOutput{WriteRawDataset(info, raw, pool), raw.size()};
+  std::string blob = WriteRawDataset(info, raw, pool);
+  return WithEvents(std::move(blob), std::move(info), std::move(raw));
 }
 
 // --------------------------------------------------------- Reconstruction
@@ -253,8 +264,7 @@ Json ReconstructionStep::Config() const {
 }
 
 Result<StepOutput> ReconstructionStep::Run(
-    const std::vector<std::string_view>& inputs,
-    WorkflowContext* context) const {
+    std::vector<DatasetInput> inputs, WorkflowContext* context) const {
   if (inputs.size() != 1) {
     return Status::InvalidArgument(
         "reconstruction takes exactly one RAW input");
@@ -265,9 +275,9 @@ Result<StepOutput> ReconstructionStep::Run(
         "constants), §3.2");
   }
   ThreadPool* pool = context->worker_pool();
-  DatasetInfo raw_info;
-  DASPOS_ASSIGN_OR_RETURN(std::vector<RawEvent> raw,
-                          ReadRawDataset(inputs[0], &raw_info, pool));
+  DASPOS_ASSIGN_OR_RETURN(InputEvents<RawEvent> input,
+                          ReadInput<RawEvent>(std::move(inputs[0]), pool));
+  const std::vector<RawEvent>& raw = *input.events;
   if (raw.empty()) {
     return Status::InvalidArgument("RAW dataset is empty");
   }
@@ -284,15 +294,17 @@ Result<StepOutput> ReconstructionStep::Run(
   Reconstructor reconstructor(config);
 
   std::vector<RecoEvent> reco = reconstructor.ReconstructAll(raw, pool);
+  input.events.reset();
 
   DatasetInfo info;
   info.tier = DataTier::kReco;
   info.name = dataset_name_;
   info.producer = "reconstruction v1.0 (calib v" +
                   std::to_string(calib.version) + ")";
-  info.parents = {raw_info.name};
+  info.parents = {input.info.name};
   info.description = "tracks, clusters, candidate physics objects";
-  return StepOutput{WriteRecoDataset(info, reco, pool), reco.size()};
+  std::string blob = WriteRecoDataset(info, reco, pool);
+  return WithEvents(std::move(blob), std::move(info), std::move(reco));
 }
 
 // ------------------------------------------------------------- AOD
@@ -307,28 +319,29 @@ Json AodReductionStep::Config() const {
 }
 
 Result<StepOutput> AodReductionStep::Run(
-    const std::vector<std::string_view>& inputs,
-    WorkflowContext* context) const {
+    std::vector<DatasetInput> inputs, WorkflowContext* context) const {
   if (inputs.size() != 1) {
     return Status::InvalidArgument(
         "AOD reduction takes exactly one RECO input");
   }
   ThreadPool* pool = PoolOf(context);
-  DatasetInfo reco_info;
-  DASPOS_ASSIGN_OR_RETURN(std::vector<RecoEvent> reco,
-                          ReadRecoDataset(inputs[0], &reco_info, pool));
+  DASPOS_ASSIGN_OR_RETURN(InputEvents<RecoEvent> input,
+                          ReadInput<RecoEvent>(std::move(inputs[0]), pool));
+  const std::vector<RecoEvent>& reco = *input.events;
   std::vector<AodEvent> aod = ParallelMap<AodEvent>(
       pool, reco.size(),
       [&reco](size_t i) { return AodEvent::FromReco(reco[i]); },
       /*grain=*/8);
+  input.events.reset();
 
   DatasetInfo info;
   info.tier = DataTier::kAod;
   info.name = dataset_name_;
   info.producer = "aod_reduction v1.0";
-  info.parents = {reco_info.name};
+  info.parents = {input.info.name};
   info.description = "refined physics objects only";
-  return StepOutput{WriteAodDataset(info, aod, pool), aod.size()};
+  std::string blob = WriteAodDataset(info, aod, pool);
+  return WithEvents(std::move(blob), std::move(info), std::move(aod));
 }
 
 // ------------------------------------------------------------- Derivation
@@ -347,16 +360,21 @@ Json DerivationStep::Config() const {
 }
 
 Result<StepOutput> DerivationStep::Run(
-    const std::vector<std::string_view>& inputs,
-    WorkflowContext* context) const {
+    std::vector<DatasetInput> inputs, WorkflowContext* context) const {
   if (inputs.size() != 1) {
     return Status::InvalidArgument("derivation takes exactly one AOD input");
   }
+  ThreadPool* pool = PoolOf(context);
+  DASPOS_ASSIGN_OR_RETURN(InputEvents<AodEvent> input,
+                          ReadInput<AodEvent>(std::move(inputs[0]), pool));
+  // Skim and slim run inside the encode, so the input events live until
+  // the derived blob is sealed. The derived events are not handed over:
+  // a reader of a derived dataset decodes it.
   DerivationStats stats;
   DASPOS_ASSIGN_OR_RETURN(
       std::string blob,
-      DeriveDataset(inputs[0], dataset_name_, skim_, slim_, &stats,
-                    PoolOf(context)));
+      DeriveDataset(input.info, *input.events, dataset_name_, skim_, slim_,
+                    &stats, pool));
   return StepOutput{std::move(blob), stats.output_events};
 }
 
@@ -372,8 +390,7 @@ Json MergeStep::Config() const {
 }
 
 Result<StepOutput> MergeStep::Run(
-    const std::vector<std::string_view>& inputs,
-    WorkflowContext* context) const {
+    std::vector<DatasetInput> inputs, WorkflowContext* context) const {
   (void)context;
   if (inputs.empty()) {
     return Status::InvalidArgument("merge needs at least one input");
@@ -382,8 +399,14 @@ Result<StepOutput> MergeStep::Run(
   std::vector<ContainerReader> readers;
   readers.reserve(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    DASPOS_ASSIGN_OR_RETURN(ContainerReader reader,
-                            ContainerReader::Open(inputs[i]));
+    // Bytes handed over with their events were sealed in this Execute, and
+    // hashed then; any other bytes are verified here.
+    DASPOS_ASSIGN_OR_RETURN(
+        ContainerReader reader,
+        inputs[i].payload != nullptr
+            ? ContainerReader::OpenUnverified(inputs[i].bytes)
+            : ContainerReader::Open(inputs[i].bytes));
+    inputs[i].payload.reset();  // records are copied as bytes
     DASPOS_ASSIGN_OR_RETURN(DatasetInfo info,
                             DatasetInfo::FromJson(reader.metadata()));
     if (i == 0) {

@@ -28,7 +28,7 @@ class GenerationStep : public WorkflowStep {
   std::string name() const override { return "generation[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext* context) const override;
 
  private:
@@ -46,7 +46,7 @@ class SimulationStep : public WorkflowStep {
   std::string name() const override { return "simulation[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext* context) const override;
 
  private:
@@ -65,7 +65,7 @@ class ReconstructionStep : public WorkflowStep {
   std::string name() const override { return "reconstruction[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext* context) const override;
 
  private:
@@ -81,7 +81,7 @@ class AodReductionStep : public WorkflowStep {
   std::string name() const override { return "aod_reduction[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext* context) const override;
 
  private:
@@ -96,7 +96,7 @@ class DerivationStep : public WorkflowStep {
   std::string name() const override { return "derivation[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext* context) const override;
 
  private:
@@ -116,7 +116,7 @@ class MergeStep : public WorkflowStep {
   std::string name() const override { return "merge[" + dataset_name_ + "]"; }
   std::string version() const override { return "1.0"; }
   Json Config() const override;
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext* context) const override;
 
  private:

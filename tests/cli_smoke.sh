@@ -92,6 +92,28 @@ if grep -q "stale_after" "$WORK/run2.err"; then
   echo "chain --resume warned about a checkpoint resume never reads" >&2
   exit 1
 fi
+# Resume is keyed on each step's inputs. Seed 8 changes gen's and sim's
+# configs but not reco's, aod's or derived's, so resuming seed 8 from a copy
+# of seed 7's journal must re-run all five steps and journal what a fresh
+# seed-8 run journals.
+"$DASPOS" chain z_ll 50 7 --journal="$WORK/seed7" >/dev/null
+cp -r "$WORK/seed7" "$WORK/seed8"
+"$DASPOS" chain z_ll 50 8 --resume="$WORK/seed8" >"$WORK/seed8.out"
+if grep -q "resumed" "$WORK/seed8.out"; then
+  echo "a seed-8 resume restored checkpoints computed from seed 7" >&2
+  exit 1
+fi
+"$DASPOS" chain z_ll 50 8 --journal="$WORK/fresh8" >/dev/null
+for tier in reco aod derived; do
+  want=$(grep "\"output\":\"$tier\"" "$WORK/fresh8/journal.jsonl" |
+         sed 's/.*"digest":"\([0-9a-f]*\)".*/\1/')
+  got=$(grep "\"output\":\"$tier\"" "$WORK/seed8/journal.jsonl" | tail -n 1 |
+        sed 's/.*"digest":"\([0-9a-f]*\)".*/\1/')
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "resumed seed 8 journaled $tier '$got'; a fresh run '$want'" >&2
+    exit 1
+  fi
+done
 # Chaos mode: injected faults are reported, and with retries the chain
 # still completes.
 "$DASPOS" chain z_ll 10 7 2 --retries=50 --inject-faults=seed=3,rate=0.2 \

@@ -246,10 +246,22 @@ TEST(CompareTest, BinningMismatchIsError) {
   EXPECT_FALSE(CompatibleWithin(a, b, 3.0).ok());
 }
 
-TEST(CompareTest, KsOnEmptyIsError) {
+TEST(CompareTest, KsOnEmptyHistograms) {
   Histo1D a("/a", 10, 0.0, 1.0);
   Histo1D b("/b", 10, 0.0, 1.0);
-  EXPECT_FALSE(KolmogorovDistance(a, b).ok());
+  // Both empty: the same (empty) distribution.
+  auto both = KolmogorovDistance(a, b);
+  ASSERT_TRUE(both.ok()) << both.status();
+  EXPECT_EQ(*both, 0.0);
+  // One side empty: a mismatch, in either order.
+  b.Fill(0.5);
+  auto one = KolmogorovDistance(a, b);
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_EQ(*one, 1.0);
+  EXPECT_EQ(*KolmogorovDistance(b, a), 1.0);
+  // Binning is still checked first.
+  Histo1D c("/c", 11, 0.0, 1.0);
+  EXPECT_FALSE(KolmogorovDistance(a, c).ok());
 }
 
 TEST(CompareTest, CompatibleWithinSigma) {

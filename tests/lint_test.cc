@@ -580,6 +580,25 @@ TEST(JournalCheckTest, W104StaleCheckpoint) {
   EXPECT_EQ(report.diagnostics()[0].severity, Severity::kWarning);
 }
 
+TEST(JournalCheckTest, W105CheckpointWithoutInputDigests) {
+  WorkflowGraphSpec workflow;
+  workflow.steps.push_back(MakeStep("gen", {}, "gen_out"));
+  workflow.steps.push_back(MakeStep("sim", {"gen_out"}, "raw"));
+  workflow.steps.push_back(MakeStep("reco", {"raw"}, "reco_out"));
+  JournalSpec journal;
+  // An input-less step needs no digests; "reco" was re-checkpointed with
+  // them after an older line without, and resume reads the latest line.
+  journal.entries.push_back({"gen", "gen_out", false});
+  journal.entries.push_back({"sim", "raw", false});
+  journal.entries.push_back({"reco", "reco_out", false});
+  journal.entries.push_back({"reco", "reco_out", true});
+  LintReport report = CheckJournal(journal, workflow);
+  EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"W105"}));
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report.diagnostics()[0].subject, "sim");
+  EXPECT_EQ(report.diagnostics()[0].severity, Severity::kWarning);
+}
+
 // ------------------------------------------------------------- conditions
 
 TEST(ConditionsCheckTest, CleanTagHasNoFindings) {
@@ -794,10 +813,10 @@ class NamedStep : public WorkflowStep {
   std::string name() const override { return name_; }
   std::string version() const override { return "1"; }
   Json Config() const override { return Json::Object(); }
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext*) const override {
     std::string out = name_ + ":";
-    for (std::string_view input : inputs) out += std::string(input);
+    for (const DatasetInput& input : inputs) out += std::string(input.bytes);
     return StepOutput{std::move(out)};
   }
 

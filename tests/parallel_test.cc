@@ -401,7 +401,7 @@ class PrivatePoolStep : public WorkflowStep {
   std::string name() const override { return "private_pool"; }
   std::string version() const override { return "1"; }
   Json Config() const override { return Json::Object(); }
-  Result<StepOutput> Run(const std::vector<std::string_view>&,
+  Result<StepOutput> Run(std::vector<DatasetInput>,
                          WorkflowContext*) const override {
     ThreadPool pool(2);
     for (size_t i = 0; i < tasks_; ++i) pool.Submit([] {});

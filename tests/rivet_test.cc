@@ -339,11 +339,16 @@ TEST(ValidationTest, WorstKolmogorovDistanceIsReported) {
   ASSERT_TRUE(validation.ok());
   EXPECT_EQ(validation->histograms_compared, 2);
   EXPECT_DOUBLE_EQ(validation->worst_ks, *expected);
-  // KS is undefined for an empty histogram: the comparison fails.
+  // An empty histogram against a filled reference is as far apart as KS
+  // can tell; reproduced empty, it matches.
   Histo1D empty("/X/obs", 10, 0.0, 1.0);
-  EXPECT_TRUE(CompareToReference({empty}, {reference})
-                  .status()
-                  .IsInvalidArgument());
+  auto one_empty = CompareToReference({empty}, {reference});
+  ASSERT_TRUE(one_empty.ok()) << one_empty.status();
+  EXPECT_EQ(one_empty->worst_ks, 1.0);
+  auto both_empty = CompareToReference({empty}, {empty});
+  ASSERT_TRUE(both_empty.ok()) << both_empty.status();
+  EXPECT_EQ(both_empty->worst_ks, 0.0);
+  EXPECT_TRUE(both_empty->Compatible());
 }
 
 TEST(ValidationTest, MissingHistogramCounted) {

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "support/fault.h"
 #include "support/metrics_registry.h"
 #include "support/threadpool.h"
+#include "hist/yoda_io.h"
 #include "validate/validate.h"
 
 namespace daspos {
@@ -164,6 +166,65 @@ TEST(ValidateTest, RecapturedCampaignReproducesBitIdentically) {
   EXPECT_EQ(
       registry.CounterValue(metric_names::kValidationPassTotal) - pass_before,
       2u);
+}
+
+TEST(ValidateTest, EveryRegisteredAnalysisReproducesIncludingEmptyHistograms) {
+  // A 25-event z_ll campaign over the whole registry: the D-meson and W
+  // asymmetry analyses fill nothing, and an empty histogram reproduced
+  // empty is a pass, not a comparison error.
+  MemoryObjectStore store;
+  Archive archive(&store);
+  CampaignSpec spec = SmallCampaign("all25");
+  spec.analyses.clear();
+  ASSERT_TRUE(CaptureCampaign(&archive, spec).ok());
+  auto report = ValidateArchive(archive);
+  ASSERT_TRUE(report.ok()) << report.status();
+  std::set<std::string> analyses;
+  for (const validate::CellResult& cell : report->cells) {
+    analyses.insert(cell.analysis);
+    EXPECT_EQ(cell.verdict, Verdict::kPass) << cell.analysis << ": "
+                                            << cell.detail;
+    EXPECT_TRUE(cell.chain_identical);
+  }
+  EXPECT_EQ(analyses.count("DASPOS_2014_DMESON"), 1u);
+  EXPECT_EQ(analyses.count("DASPOS_2014_WASYM"), 1u);
+  EXPECT_EQ(report->Overall(), Verdict::kPass);
+}
+
+TEST(ValidateTest, HistogramEmptyOnOneSideFailsTheCell) {
+  // Re-deposit a captured campaign with its reference histograms emptied:
+  // the re-executed analysis fills them, which is a mismatch.
+  MemoryObjectStore capture_store;
+  Archive capture(&capture_store);
+  auto id = CaptureCampaign(&capture, SmallCampaign("emptied"));
+  ASSERT_TRUE(id.ok()) << id.status();
+  auto package = capture.Retrieve(*id);
+  ASSERT_TRUE(package.ok()) << package.status();
+  SubmissionPackage submission = package->content;
+  bool emptied = false;
+  for (PackageFile& file : submission.files) {
+    if (file.logical_name != std::string("validate/") + kZll + ".yoda") {
+      continue;
+    }
+    auto histograms = ReadYoda(file.bytes);
+    ASSERT_TRUE(histograms.ok()) << histograms.status();
+    for (Histo1D& histogram : *histograms) histogram.Reset();
+    file.bytes = WriteYoda(*histograms);
+    emptied = true;
+  }
+  ASSERT_TRUE(emptied);
+  MemoryObjectStore store;
+  Archive archive(&store);
+  ASSERT_TRUE(archive.Deposit(submission).ok());
+
+  auto report = ValidateArchive(archive);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->cells.size(), 1u);
+  EXPECT_EQ(report->cells[0].verdict, Verdict::kFail);
+  EXPECT_EQ(report->cells[0].worst_ks, 1.0);
+  EXPECT_NE(report->cells[0].detail.find("empty on one side"),
+            std::string::npos)
+      << report->cells[0].detail;
 }
 
 TEST(ValidateTest, ConcurrentMatrixMatchesSerialReport) {

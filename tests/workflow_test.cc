@@ -14,8 +14,12 @@
 
 #include "conditions/store.h"
 #include "event/pdg.h"
+#include "serialize/container.h"
 #include "support/fault.h"
+#include "support/io.h"
+#include "support/metrics_registry.h"
 #include "support/sha256.h"
+#include "support/strings.h"
 #include "tiers/dataset.h"
 #include "workflow/engine.h"
 #include "workflow/journal.h"
@@ -128,14 +132,16 @@ class TagStep : public WorkflowStep {
     json["tag"] = tag_;
     return json;
   }
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext*) const override {
     if (sleep_ms_ > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
     }
     if (fail_) return Status::IOError("step failed deliberately");
     std::string out;
-    for (std::string_view input : inputs) out += std::string(input) + "|";
+    for (const DatasetInput& input : inputs) {
+      out += std::string(input.bytes) + "|";
+    }
     return StepOutput{out + tag_};
   }
 
@@ -328,7 +334,7 @@ class SideEffectStep : public WorkflowStep {
     json["tag"] = tag_;
     return json;
   }
-  Result<StepOutput> Run(const std::vector<std::string_view>&,
+  Result<StepOutput> Run(std::vector<DatasetInput>,
                          WorkflowContext* context) const override {
     auto shared = context->GetDataset("shared");
     if (!shared.ok()) return shared.status();
@@ -377,11 +383,11 @@ class ThreadRecordingStep : public WorkflowStep {
   }
   std::string version() const override { return "1"; }
   Json Config() const override { return Json::Object(); }
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext*) const override {
     (*threads_)[slot_] = std::this_thread::get_id();
     return StepOutput{inputs.empty() ? std::string("x")
-                                     : std::string(inputs.front())};
+                                     : std::string(inputs.front().bytes)};
   }
 
  private:
@@ -646,7 +652,18 @@ TEST(MergeStepTest, ConcatenatesSameTierDatasets) {
                   .ok());
   WorkflowContext context;
   ProvenanceStore provenance;
+  const auto hashed = [] {
+    return MetricsRegistry::Global().CounterValue(
+        metric_names::kContainerHashedBytesTotal);
+  };
+  const uint64_t hashed_before = hashed();
   ASSERT_TRUE(workflow.Execute(&context, &provenance).ok());
+  // The merge reads batches sealed in this run: nothing is hashed twice.
+  uint64_t sealed = 0;
+  for (const std::string& name : context.DatasetNames()) {
+    sealed += context.GetDataset(name)->size() - (4 + 8 + 32);
+  }
+  EXPECT_EQ(hashed() - hashed_before, sealed);
 
   DatasetInfo info;
   auto merged = ReadGenDataset(*context.GetDataset("merged"), &info);
@@ -677,15 +694,16 @@ TEST(MergeStepTest, RejectsMixedTiersAndEmptyInput) {
   // A RAW dataset to mix in.
   SimulationConfig sim_config;
   SimulationStep simulate(sim_config, 1, "raw");
-  auto raw_blob = simulate.Run({gen_blob->blob}, &context);
+  auto raw_blob = simulate.Run({DatasetInput{gen_blob->blob}}, &context);
   ASSERT_TRUE(raw_blob.ok());
 
   MergeStep merge("merged");
   EXPECT_TRUE(merge.Run({}, &context).status().IsInvalidArgument());
-  auto mixed = merge.Run({gen_blob->blob, raw_blob->blob}, &context);
+  auto mixed = merge.Run(
+      {DatasetInput{gen_blob->blob}, DatasetInput{raw_blob->blob}}, &context);
   EXPECT_TRUE(mixed.status().IsInvalidArgument());
   // Single input is a valid (if trivial) merge.
-  auto single = merge.Run({gen_blob->blob}, &context);
+  auto single = merge.Run({DatasetInput{gen_blob->blob}}, &context);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(single->events, 5u);
   auto events = ReadGenDataset(single->blob);
@@ -772,7 +790,7 @@ class FlakyStep : public WorkflowStep {
     json["tag"] = tag_;
     return json;
   }
-  Result<StepOutput> Run(const std::vector<std::string_view>& inputs,
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
                          WorkflowContext*) const override {
     int attempt = ++*runs_;
     if (attempt <= failures_before_success_) {
@@ -780,7 +798,9 @@ class FlakyStep : public WorkflowStep {
                              std::to_string(attempt));
     }
     std::string out;
-    for (std::string_view input : inputs) out += std::string(input) + "|";
+    for (const DatasetInput& input : inputs) {
+      out += std::string(input.bytes) + "|";
+    }
     return StepOutput{out + tag_};
   }
 
@@ -1209,6 +1229,319 @@ TEST(JournalTest, ConfigChangeInvalidatesCheckpoint) {
     ASSERT_EQ(report->steps.size(), 1u);
     EXPECT_FALSE(report->steps[0].from_checkpoint);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JournalTest, RecordsTheFooterDigestOfEveryInput) {
+  std::string dir = TempRunDir("inputs");
+  std::filesystem::remove_all(dir);
+  Workflow workflow = StandardChainWorkflow(Process::kZToLL, 20, 7);
+  auto journal = RunJournal::Open(dir);
+  ASSERT_TRUE(journal.ok());
+  WorkflowContext context;
+  ExecuteOptions options;
+  options.journal = journal->get();
+  ASSERT_TRUE(
+      ExecuteChain(workflow, CalibrationSet(), &context, nullptr, options)
+          .ok());
+  auto gen = (*journal)->Find("generation[gen]");
+  ASSERT_TRUE(gen.has_value());
+  ASSERT_TRUE(gen->inputs.has_value());
+  EXPECT_TRUE(gen->inputs->empty());
+  auto reco = (*journal)->Find("reconstruction[reco]");
+  ASSERT_TRUE(reco.has_value());
+  ASSERT_TRUE(reco->inputs.has_value());
+  std::string raw = std::string(*context.GetDataset("raw"));
+  EXPECT_EQ(*reco->inputs,
+            (std::map<std::string, std::string>{
+                {"raw", HexEncode(raw.substr(raw.size() - 32))}}));
+  // The field survives a reopen.
+  auto reopened = RunJournal::Open(dir);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->Find("reconstruction[reco]")->inputs, reco->inputs);
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------- in-process handoff
+
+/// Runs a §3.2 chain and returns the SHA-256 of every dataset it left in
+/// `context`, by name.
+std::map<std::string, std::string> RunChainDigests(
+    const Workflow& workflow, size_t threads, WorkflowContext* context,
+    RunJournal* journal = nullptr, bool resume = false,
+    WorkflowReport* report_out = nullptr) {
+  ExecuteOptions options;
+  options.max_threads = threads;
+  options.journal = journal;
+  options.resume = resume;
+  auto report =
+      ExecuteChain(workflow, CalibrationSet(), context, nullptr, options);
+  EXPECT_TRUE(report.ok()) << report.status();
+  if (report.ok() && report_out != nullptr) *report_out = *report;
+  std::map<std::string, std::string> digests;
+  for (const std::string& name : context->DatasetNames()) {
+    digests[name] = Sha256::HashHex(*context->GetDataset(name));
+  }
+  return digests;
+}
+
+size_t RestoredSteps(const WorkflowReport& report) {
+  size_t restored = 0;
+  for (const WorkflowReport::StepResult& step : report.steps) {
+    if (step.from_checkpoint) ++restored;
+  }
+  return restored;
+}
+
+constexpr size_t kHandoffEvents = 60;
+constexpr uint64_t kHandoffSeed = 11;
+
+TEST(HandoffTest, EveryPathToTheDerivedTierGivesTheSameBytes) {
+  // Fresh runs hand events from step to step; a resumed run and a run fed
+  // GEN from outside decode (and verify) the bytes they start from.
+  WorkflowContext serial_context;
+  const auto serial = RunChainDigests(
+      StandardChainWorkflow(Process::kZToLL, kHandoffEvents, kHandoffSeed),
+      1, &serial_context);
+  ASSERT_EQ(serial.size(), 5u);
+
+  WorkflowContext wide_context;
+  EXPECT_EQ(RunChainDigests(StandardChainWorkflow(Process::kZToLL,
+                                                  kHandoffEvents, kHandoffSeed),
+                            4, &wide_context),
+            serial);
+
+  // Journal GEN and RAW, then resume the whole chain: reco reads RAW from
+  // its checkpoint.
+  std::string dir = TempRunDir("handoff");
+  std::filesystem::remove_all(dir);
+  {
+    auto journal = RunJournal::Open(dir);
+    ASSERT_TRUE(journal.ok());
+    WorkflowContext context;
+    RunChainDigests(StandardChainWorkflow(Process::kZToLL, kHandoffEvents,
+                                          kHandoffSeed, DataTier::kRaw),
+                    2, &context, journal->get());
+  }
+  {
+    auto journal = RunJournal::Open(dir);
+    ASSERT_TRUE(journal.ok());
+    WorkflowContext context;
+    WorkflowReport report;
+    EXPECT_EQ(RunChainDigests(StandardChainWorkflow(Process::kZToLL,
+                                                    kHandoffEvents,
+                                                    kHandoffSeed),
+                              2, &context, journal->get(), /*resume=*/true,
+                              &report),
+              serial);
+    EXPECT_EQ(RestoredSteps(report), 2u);
+  }
+  std::filesystem::remove_all(dir);
+
+  // GEN put into the context from outside; the rest of the chain as
+  // StandardChainWorkflow configures it.
+  SimulationConfig simulation;
+  simulation.seed = kHandoffSeed + 1;
+  Workflow from_gen;
+  ASSERT_TRUE(from_gen
+                  .AddStep(std::make_shared<SimulationStep>(simulation, 1,
+                                                            "raw"),
+                           {"gen"}, "raw")
+                  .ok());
+  ASSERT_TRUE(from_gen
+                  .AddStep(std::make_shared<ReconstructionStep>(
+                               simulation.geometry, "reco"),
+                           {"raw"}, "reco")
+                  .ok());
+  ASSERT_TRUE(from_gen
+                  .AddStep(std::make_shared<AodReductionStep>("aod"),
+                           {"reco"}, "aod")
+                  .ok());
+  ASSERT_TRUE(from_gen
+                  .AddStep(std::make_shared<DerivationStep>(
+                               SkimSpec::RequireObjects(ObjectType::kMuon, 2,
+                                                        10.0),
+                               SlimSpec::LeptonsOnly(10.0), "derived"),
+                           {"aod"}, "derived")
+                  .ok());
+  WorkflowContext external;
+  ASSERT_TRUE(external
+                  .PutDataset("gen",
+                              std::string(*serial_context.GetDataset("gen")))
+                  .ok());
+  EXPECT_EQ(RunChainDigests(from_gen, 2, &external), serial);
+}
+
+TEST(HandoffTest, FanOutDerivationsMatchTheDecodePath) {
+  // Two derivations read one AOD: both take the events AOD handed over.
+  Workflow workflow = StandardChainWorkflow(Process::kZToLL, kHandoffEvents,
+                                            kHandoffSeed, DataTier::kAod);
+  const SkimSpec dimuon = SkimSpec::RequireObjects(ObjectType::kMuon, 2, 10.0);
+  const SlimSpec leptons = SlimSpec::LeptonsOnly(10.0);
+  const SkimSpec all = SkimSpec::All();
+  const SlimSpec none = SlimSpec::None();
+  ASSERT_TRUE(workflow
+                  .AddStep(std::make_shared<DerivationStep>(dimuon, leptons,
+                                                            "dimuon"),
+                           {"aod"}, "dimuon")
+                  .ok());
+  ASSERT_TRUE(
+      workflow
+          .AddStep(std::make_shared<DerivationStep>(all, none, "everything"),
+                   {"aod"}, "everything")
+          .ok());
+  WorkflowContext context;
+  RunChainDigests(workflow, 2, &context);
+  std::string aod = std::string(*context.GetDataset("aod"));
+  auto decoded_dimuon = DeriveDataset(aod, "dimuon", dimuon, leptons);
+  auto decoded_all = DeriveDataset(aod, "everything", all, none);
+  ASSERT_TRUE(decoded_dimuon.ok()) << decoded_dimuon.status();
+  ASSERT_TRUE(decoded_all.ok()) << decoded_all.status();
+  EXPECT_EQ(*context.GetDataset("dimuon"), *decoded_dimuon);
+  EXPECT_EQ(*context.GetDataset("everything"), *decoded_all);
+}
+
+/// Reads its one GEN input through ReadInput and notes whether it was handed
+/// the producer's events and whether dropping them released the last hold.
+class PayloadProbeStep : public WorkflowStep {
+ public:
+  struct Seen {
+    bool handed = false;
+    bool released_in_step = false;
+    std::weak_ptr<const DatasetPayload> payload;
+  };
+  explicit PayloadProbeStep(Seen* seen) : seen_(seen) {}
+  std::string name() const override { return "probe"; }
+  std::string version() const override { return "1"; }
+  Json Config() const override { return Json::Object(); }
+  Result<StepOutput> Run(std::vector<DatasetInput> inputs,
+                         WorkflowContext* context) const override {
+    seen_->handed = inputs[0].payload != nullptr;
+    seen_->payload = inputs[0].payload;
+    DASPOS_ASSIGN_OR_RETURN(
+        InputEvents<GenEvent> gen,
+        ReadInput<GenEvent>(std::move(inputs[0]), context->worker_pool()));
+    const uint64_t events = gen.events->size();
+    gen.events.reset();
+    seen_->released_in_step = seen_->payload.expired();
+    return StepOutput{"probe", events};
+  }
+
+ private:
+  Seen* seen_;
+};
+
+TEST(HandoffTest, InputEventsDoNotOutliveTheirLastReader) {
+  Workflow workflow = StandardChainWorkflow(Process::kZToLL, kHandoffEvents,
+                                            kHandoffSeed, DataTier::kGen);
+  PayloadProbeStep::Seen seen;
+  ASSERT_TRUE(workflow
+                  .AddStep(std::make_shared<PayloadProbeStep>(&seen), {"gen"},
+                           "probe")
+                  .ok());
+  WorkflowContext context;
+  ExecuteOptions options;
+  options.max_threads = 2;
+  auto report = workflow.Execute(&context, nullptr, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->steps.back().output_events, kHandoffEvents);
+  EXPECT_TRUE(seen.handed);
+  // The engine let go when it gave the last reader its input, so the
+  // reader's own drop freed the events.
+  EXPECT_TRUE(seen.released_in_step);
+  EXPECT_TRUE(seen.payload.expired());
+}
+
+TEST(HandoffTest, JournalFreeChainHashesEachTierByteOnce) {
+  // Each container is hashed as it is sealed; a reader of this run's own
+  // output verifies nothing again. The footer (magic, count, digest) is
+  // not hashed.
+  constexpr uint64_t kFooterBytes = 4 + 8 + 32;
+  const auto hashed = [] {
+    return MetricsRegistry::Global().CounterValue(
+        metric_names::kContainerHashedBytesTotal);
+  };
+  WorkflowContext context;
+  const uint64_t before = hashed();
+  RunChainDigests(
+      StandardChainWorkflow(Process::kZToLL, kHandoffEvents, kHandoffSeed),
+      2, &context);
+  const uint64_t after = hashed();
+  uint64_t sealed = 0;
+  for (const std::string& name : context.DatasetNames()) {
+    sealed += context.GetDataset(name)->size() - kFooterBytes;
+  }
+  EXPECT_EQ(context.DatasetNames().size(), 5u);
+  EXPECT_EQ(after - before, sealed);
+}
+
+TEST(JournalTest, ResumeReRunsStepsWhoseInputsChanged) {
+  // Seed 8 changes gen's and sim's configs but not reco's, aod's or
+  // derived's: their checkpoints from seed 7 match by name and config, yet
+  // were computed from other inputs.
+  std::string dir = TempRunDir("reseed");
+  std::filesystem::remove_all(dir);
+  constexpr size_t kEvents = 30;
+  {
+    auto journal = RunJournal::Open(dir);
+    ASSERT_TRUE(journal.ok());
+    WorkflowContext context;
+    RunChainDigests(StandardChainWorkflow(Process::kZToLL, kEvents, 7), 2,
+                    &context, journal->get());
+  }
+  WorkflowContext fresh_context;
+  const auto fresh = RunChainDigests(
+      StandardChainWorkflow(Process::kZToLL, kEvents, 8), 2, &fresh_context);
+  auto journal = RunJournal::Open(dir);
+  ASSERT_TRUE(journal.ok());
+  WorkflowContext context;
+  WorkflowReport report;
+  EXPECT_EQ(RunChainDigests(StandardChainWorkflow(Process::kZToLL, kEvents, 8),
+                            2, &context, journal->get(), /*resume=*/true,
+                            &report),
+            fresh);
+  EXPECT_EQ(RestoredSteps(report), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JournalTest, LineWithoutInputDigestsRestoresOnlyInputlessSteps) {
+  std::string dir = TempRunDir("legacy");
+  std::filesystem::remove_all(dir);
+  constexpr size_t kEvents = 20;
+  std::map<std::string, std::string> first;
+  {
+    auto journal = RunJournal::Open(dir);
+    ASSERT_TRUE(journal.ok());
+    WorkflowContext context;
+    first = RunChainDigests(StandardChainWorkflow(Process::kZToLL, kEvents, 7),
+                            2, &context, journal->get());
+  }
+  // Rewrite every line as it was written before input digests existed.
+  const std::string lines = RunJournal::LinesPath(dir);
+  auto text = ReadFileToString(lines);
+  ASSERT_TRUE(text.ok());
+  std::string legacy;
+  for (const Json& line : ParseJsonLines(*text)) {
+    Json old = Json::Object();
+    for (const auto& [key, value] : line.members()) {
+      if (key != "inputs") old[key] = value;
+    }
+    legacy += old.Dump() + "\n";
+  }
+  ASSERT_EQ(legacy.find("inputs"), std::string::npos);
+  ASSERT_TRUE(WriteStringToFile(lines, legacy).ok());
+
+  auto journal = RunJournal::Open(dir);
+  ASSERT_TRUE(journal.ok());
+  WorkflowContext context;
+  WorkflowReport report;
+  EXPECT_EQ(RunChainDigests(StandardChainWorkflow(Process::kZToLL, kEvents, 7),
+                            2, &context, journal->get(), /*resume=*/true,
+                            &report),
+            first);
+  ASSERT_EQ(report.steps.size(), 5u);
+  EXPECT_TRUE(report.steps[0].from_checkpoint);  // generation: no inputs
+  EXPECT_EQ(RestoredSteps(report), 1u);
   std::filesystem::remove_all(dir);
 }
 

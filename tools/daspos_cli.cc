@@ -527,11 +527,13 @@ int CmdChain(const Args& args, const CliFlags& flags) {
     options.resume = !flags.resume_dir.empty();
   }
   if (options.resume) {
-    // Warn (W104) about checkpoints for steps this workflow does not have;
-    // resume ignores them, but the operator should know they exist.
+    // Warn (W104) about checkpoints for steps this workflow does not have,
+    // and (W105) about checkpoints written without input digests; resume
+    // ignores both, but the operator should know they exist.
     lint::JournalSpec spec;
     for (const RunJournal::Record& record : journal->records()) {
-      spec.entries.push_back({record.step, record.output});
+      spec.entries.push_back(
+          {record.step, record.output, record.inputs.has_value()});
     }
     lint::LintReport journal_lint =
         lint::CheckJournal(spec, workflow->GraphSpec());
