@@ -97,6 +97,9 @@ Result<ValidationResult> CompareToReference(
     DASPOS_ASSIGN_OR_RETURN(Chi2Result chi2, Chi2Test(a, b));
     DASPOS_ASSIGN_OR_RETURN(double ks, KolmogorovDistance(*match, ref));
     ++result.histograms_compared;
+    if ((match->Integral() == 0.0) != (ref.Integral() == 0.0)) {
+      ++result.histograms_empty_on_one_side;
+    }
     result.worst_reduced_chi2 =
         std::max(result.worst_reduced_chi2, chi2.reduced());
     result.worst_ks = std::max(result.worst_ks, ks);

@@ -85,12 +85,17 @@ class AnalysisHandler {
 struct ValidationResult {
   int histograms_compared = 0;
   int histograms_missing = 0;
+  /// Compared pairs where exactly one side has no entries. Normalizing
+  /// leaves such a pair with no shape to compare, and a sparse reference
+  /// can still score a small chi2 against nothing, so these are counted
+  /// apart and fail on their own.
+  int histograms_empty_on_one_side = 0;
   double worst_reduced_chi2 = 0.0;
   /// Largest Kolmogorov distance between a produced histogram and its
   /// reference (informational; Compatible does not gate on it).
   double worst_ks = 0.0;
   bool Compatible(double max_reduced_chi2 = 3.0) const {
-    return histograms_missing == 0 &&
+    return histograms_missing == 0 && histograms_empty_on_one_side == 0 &&
            worst_reduced_chi2 <= max_reduced_chi2;
   }
 };
@@ -98,8 +103,9 @@ struct ValidationResult {
 /// Shape-compares (after normalization) each produced histogram with the
 /// reference histogram of the same path: reduced chi2 and Kolmogorov
 /// distance. References with no produced counterpart count as missing; a
-/// compared pair that is empty on either side fails, since its KS
-/// distance is undefined.
+/// compared pair empty on one side only is counted in
+/// `histograms_empty_on_one_side` (its KS distance is 1), so it is never
+/// Compatible. Two empty histograms match.
 Result<ValidationResult> CompareToReference(
     const std::vector<Histo1D>& produced,
     const std::vector<Histo1D>& reference);

@@ -80,7 +80,9 @@ Status SubmitValidatedAnalysis(AnalysisRegistry* registry,
   if (!validation.Compatible(max_reduced_chi2)) {
     return Status::FailedPrecondition(
         "validation failed: " + std::to_string(validation.histograms_missing) +
-        " histogram(s) missing, worst chi2/ndof " +
+        " histogram(s) missing, " +
+        std::to_string(validation.histograms_empty_on_one_side) +
+        " empty on one side only, worst chi2/ndof " +
         std::to_string(validation.worst_reduced_chi2) +
         " — not admitted to the repository");
   }

@@ -163,10 +163,11 @@ CellResult ValidateCell(const Campaign& campaign, const std::string& analysis,
   if (cell.histograms_compared == 0) {
     return finish(Verdict::kFail, "reference has no histograms");
   }
-  if (cell.worst_ks >= 1.0) {
-    // Only a histogram empty on one side of the comparison reaches 1.
+  if (comparison->histograms_empty_on_one_side > 0) {
     return finish(Verdict::kFail,
-                  "KS distance 1: a histogram is empty on one side only");
+                  std::to_string(comparison->histograms_empty_on_one_side) +
+                      " of " + std::to_string(cell.histograms_compared) +
+                      " histogram(s) empty on one side only");
   }
   if (cell.worst_chi2 > thresholds.fail_chi2) {
     return finish(Verdict::kFail, "reduced chi2 " +

@@ -210,15 +210,20 @@ struct DispatchState {
   std::vector<size_t> readers_left DASPOS_GUARDED_BY(mutex);
 };
 
-/// Input name -> the footer digest of its bytes, in hex: what a checkpoint
-/// records of its step's inputs and what resume compares. Every tier is a
-/// container, whose footer already holds the SHA-256 of its contents.
+/// Input name -> a hex SHA-256 standing for its bytes: what a checkpoint
+/// records of its step's inputs and what resume compares. Bytes that open
+/// as a container (every tier) are keyed on their footer digest, which
+/// already covers their contents, so no tier is hashed again; any other
+/// dataset a step writes is hashed whole.
 std::map<std::string, std::string> InputDigests(
     const std::vector<std::string>& names,
     const std::vector<std::string_view>& bytes) {
   std::map<std::string, std::string> digests;
   for (size_t i = 0; i < names.size(); ++i) {
-    digests[names[i]] = HexEncode(ContainerReader::DeclaredDigest(bytes[i]));
+    digests[names[i]] =
+        ContainerReader::OpenUnverified(bytes[i]).ok()
+            ? HexEncode(ContainerReader::DeclaredDigest(bytes[i]))
+            : Sha256::HashHex(bytes[i]);
   }
   return digests;
 }

@@ -180,7 +180,8 @@ struct ExecuteOptions {
   bool keep_going = false;
 
   /// Checkpoint journal (not owned). Every completed step is appended with
-  /// its output blob and the footer digests of its inputs; with `resume`
+  /// its output blob and a digest of each input (a container's footer
+  /// digest, or the SHA-256 of any other bytes); with `resume`
   /// set, a step whose journaled record still matches (same step name,
   /// output, config hash and input digests, the last compared once its
   /// inputs are settled) and whose blob digest verifies is restored without

@@ -30,10 +30,11 @@ class RunJournal {
  public:
   /// One completed step. `digest` is the SHA-256 content id of the output
   /// blob in the journal's object store; `config_hash` identifies the step
-  /// configuration and `inputs` maps each input dataset to its container
-  /// footer digest (hex), so a resumed run never reuses output produced
-  /// under a different config or from different inputs. A line written
-  /// before inputs were recorded reads back with `inputs` unset.
+  /// configuration and `inputs` maps each input dataset to a hex SHA-256
+  /// of its bytes (a container's footer digest, which covers them, or else
+  /// a hash of the whole dataset), so a resumed run never reuses output
+  /// produced under a different config or from different inputs. A line
+  /// written before inputs were recorded reads back with `inputs` unset.
   struct Record {
     std::string step;
     std::string output;

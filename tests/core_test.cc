@@ -9,6 +9,7 @@
 #include "core/replay.h"
 #include "conditions/store.h"
 #include "event/pdg.h"
+#include "hist/yoda_io.h"
 #include "interview/interview.h"
 #include "recast/frontend.h"
 #include "workflow/steps.h"
@@ -63,6 +64,28 @@ TEST(PreservedAnalysisTest, TamperedReferenceDetected) {
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->validated);
   EXPECT_GT(report->worst_reduced_chi2, 0.0);
+}
+
+TEST(PreservedAnalysisTest, EmptyReExecutionIsNotValidated) {
+  // W charge asymmetry over Z events fills nothing; against a reference
+  // with one entry per bin its chi2 is small, but an empty re-run
+  // reproduces nothing.
+  auto analysis = CaptureAnalysis("wasym-on-z", "DASPOS_2014_WASYM",
+                                  ZConfig(), 100);
+  ASSERT_TRUE(analysis.ok()) << analysis.status();
+  auto reference = ReadYoda(analysis->reference_yoda);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  for (Histo1D& histogram : *reference) {
+    ASSERT_EQ(histogram.Integral(), 0.0) << histogram.path();
+    for (int i = 0; i < histogram.axis().nbins(); ++i) {
+      histogram.Fill(histogram.BinCenter(i));
+    }
+  }
+  analysis->reference_yoda = WriteYoda(*reference);
+  auto report = Reexecute(*analysis);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_LE(report->worst_reduced_chi2, 3.0);
+  EXPECT_FALSE(report->validated);
 }
 
 TEST(PreservedAnalysisTest, ArchiveRoundTrip) {

@@ -345,10 +345,70 @@ TEST(ValidationTest, WorstKolmogorovDistanceIsReported) {
   auto one_empty = CompareToReference({empty}, {reference});
   ASSERT_TRUE(one_empty.ok()) << one_empty.status();
   EXPECT_EQ(one_empty->worst_ks, 1.0);
+  EXPECT_EQ(one_empty->histograms_empty_on_one_side, 1);
+  EXPECT_FALSE(one_empty->Compatible());
   auto both_empty = CompareToReference({empty}, {empty});
   ASSERT_TRUE(both_empty.ok()) << both_empty.status();
   EXPECT_EQ(both_empty->worst_ks, 0.0);
+  EXPECT_EQ(both_empty->histograms_empty_on_one_side, 0);
   EXPECT_TRUE(both_empty->Compatible());
+  // Filled histograms sharing no bin are also KS 1 apart, but neither is
+  // empty: the chi2 threshold decides them.
+  Histo1D low("/X/obs", 10, 0.0, 1.0);
+  Histo1D high("/X/obs", 10, 0.0, 1.0);
+  low.Fill(0.05);
+  high.Fill(0.95);
+  auto disjoint = CompareToReference({low}, {high});
+  ASSERT_TRUE(disjoint.ok()) << disjoint.status();
+  EXPECT_EQ(disjoint->worst_ks, 1.0);
+  EXPECT_EQ(disjoint->histograms_empty_on_one_side, 0);
+}
+
+/// Each histogram's binning with one entry per bin: a sparse reference
+/// that an empty re-run scores a reduced chi2 of about 1 against.
+std::vector<Histo1D> OneEntryPerBin(std::vector<Histo1D> histograms) {
+  for (Histo1D& histogram : histograms) {
+    histogram.Reset();
+    for (int i = 0; i < histogram.axis().nbins(); ++i) {
+      histogram.Fill(histogram.BinCenter(i));
+    }
+  }
+  return histograms;
+}
+
+TEST(RegistryTest, EmptyReRunIsNotAdmitted) {
+  // W charge asymmetry over Z events fills nothing.
+  GeneratorConfig config;
+  config.process = Process::kZToLL;
+  config.lepton_flavor = pdg::kMuon;
+  config.seed = 313;
+  std::vector<GenEvent> events = EventGenerator(config).GenerateMany(100);
+  auto factory = [] {
+    return AnalysisRegistry::Global().Create("DASPOS_2014_WASYM").value();
+  };
+  AnalysisHandler handler;
+  handler.Add(factory());
+  handler.Run(events);
+  std::vector<Histo1D> produced = handler.Finalize();
+  ASSERT_FALSE(produced.empty());
+  for (const Histo1D& histogram : produced) {
+    ASSERT_EQ(histogram.Integral(), 0.0) << histogram.path();
+  }
+  const std::vector<Histo1D> reference = OneEntryPerBin(produced);
+
+  // The chi2 alone would pass this pair; the empty side fails it.
+  auto validation = CompareToReference(produced, reference);
+  ASSERT_TRUE(validation.ok()) << validation.status();
+  EXPECT_LE(validation->worst_reduced_chi2, 3.0);
+  EXPECT_EQ(validation->histograms_empty_on_one_side,
+            static_cast<int>(produced.size()));
+  EXPECT_FALSE(validation->Compatible(3.0));
+
+  AnalysisRegistry repository;
+  Status admitted = SubmitValidatedAnalysis(
+      &repository, "DASPOS_2014_WASYM", factory, events, reference);
+  EXPECT_TRUE(admitted.IsFailedPrecondition()) << admitted;
+  EXPECT_FALSE(repository.Has("DASPOS_2014_WASYM"));
 }
 
 TEST(ValidationTest, MissingHistogramCounted) {

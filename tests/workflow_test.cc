@@ -1475,6 +1475,46 @@ TEST(HandoffTest, JournalFreeChainHashesEachTierByteOnce) {
   EXPECT_EQ(after - before, sealed);
 }
 
+TEST(JournalTest, ChangedPlainInputReRunsItsConsumer) {
+  // TagStep writes plain strings, not containers. The producer's two
+  // outputs differ only in their first byte: once short of a container
+  // footer, once longer than one with equal last 32 bytes.
+  for (const size_t tail_length : {size_t{0}, size_t{64}}) {
+    SCOPED_TRACE(tail_length);
+    const std::string tail(tail_length, 't');
+    std::string dir = TempRunDir("plain");
+    std::filesystem::remove_all(dir);
+    auto run = [&](const std::string& producer_tag, bool resume,
+                   WorkflowContext* context) {
+      Workflow workflow;
+      EXPECT_TRUE(workflow
+                      .AddStep(std::make_shared<TagStep>(producer_tag), {},
+                               "a")
+                      .ok());
+      EXPECT_TRUE(
+          workflow.AddStep(std::make_shared<TagStep>("b"), {"a"}, "b").ok());
+      auto journal = RunJournal::Open(dir);
+      EXPECT_TRUE(journal.ok());
+      ExecuteOptions options;
+      options.journal = journal->get();
+      options.resume = resume;
+      auto report = workflow.Execute(context, nullptr, options);
+      EXPECT_TRUE(report.ok()) << report.status();
+      return report.ok() ? *report : WorkflowReport{};
+    };
+    {
+      WorkflowContext context;
+      run("x" + tail, /*resume=*/false, &context);
+      EXPECT_EQ(*context.GetDataset("b"), "x" + tail + "|b");
+    }
+    WorkflowContext context;
+    WorkflowReport report = run("y" + tail, /*resume=*/true, &context);
+    EXPECT_EQ(*context.GetDataset("b"), "y" + tail + "|b");
+    EXPECT_EQ(RestoredSteps(report), 0u);
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(JournalTest, ResumeReRunsStepsWhoseInputsChanged) {
   // Seed 8 changes gen's and sim's configs but not reco's, aod's or
   // derived's: their checkpoints from seed 7 match by name and config, yet
