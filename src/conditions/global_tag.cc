@@ -41,59 +41,4 @@ Result<GlobalTag> GlobalTag::Parse(const std::string& text) {
   return tag;
 }
 
-Status GlobalTagRegistry::Define(GlobalTag tag) {
-  if (tag.name.empty()) {
-    return Status::InvalidArgument("global tag needs a name");
-  }
-  if (tag.roles.empty()) {
-    return Status::InvalidArgument("global tag '" + tag.name +
-                                   "' maps no roles");
-  }
-  if (tags_.count(tag.name) > 0) {
-    return Status::AlreadyExists(
-        "global tag '" + tag.name +
-        "' already defined (definitions are immutable)");
-  }
-  order_.push_back(tag.name);
-  tags_.emplace(tag.name, std::move(tag));
-  return Status::OK();
-}
-
-Result<GlobalTag> GlobalTagRegistry::Get(const std::string& name) const {
-  auto it = tags_.find(name);
-  if (it == tags_.end()) {
-    return Status::NotFound("no global tag '" + name + "'");
-  }
-  return it->second;
-}
-
-bool GlobalTagRegistry::Has(const std::string& name) const {
-  return tags_.count(name) > 0;
-}
-
-std::vector<std::string> GlobalTagRegistry::Names() const { return order_; }
-
-Result<ConditionsSnapshot> CaptureByGlobalTag(const ConditionsProvider& source,
-                                              uint32_t run,
-                                              const GlobalTag& tag) {
-  std::vector<std::string> tags;
-  tags.reserve(tag.roles.size());
-  for (const auto& [role, underlying] : tag.roles) {
-    (void)role;
-    tags.push_back(underlying);
-  }
-  return ConditionsSnapshot::Capture(source, run, tags);
-}
-
-Result<std::string> GetPayloadByRole(const ConditionsProvider& source,
-                                     const GlobalTag& tag,
-                                     const std::string& role, uint32_t run) {
-  auto it = tag.roles.find(role);
-  if (it == tag.roles.end()) {
-    return Status::NotFound("global tag '" + tag.name + "' has no role '" +
-                            role + "'");
-  }
-  return source.GetPayload(it->second, run);
-}
-
 }  // namespace daspos

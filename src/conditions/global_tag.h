@@ -1,17 +1,15 @@
-// Global tags: named, immutable mappings from detector roles to conditions
-// tags. A processing campaign (and therefore a preserved analysis) is
-// pinned to one global tag, which freezes the complete conditions
-// configuration — the "enumerating and potentially encapsulating these
-// external dependencies" that §3.2 asks preservation to do.
+// Global tags: named mappings from detector roles to conditions tags. A
+// processing campaign (and therefore a preserved analysis) is pinned to one
+// global tag, which names its complete conditions configuration — the
+// "enumerating and potentially encapsulating these external dependencies"
+// that §3.2 asks preservation to do. Conditions dumps carry them, and lint's
+// C004 flags a role whose tag the dump does not hold.
 #ifndef DASPOS_CONDITIONS_GLOBAL_TAG_H_
 #define DASPOS_CONDITIONS_GLOBAL_TAG_H_
 
 #include <map>
 #include <string>
-#include <vector>
 
-#include "conditions/provider.h"
-#include "conditions/snapshot.h"
 #include "support/result.h"
 
 namespace daspos {
@@ -26,32 +24,6 @@ struct GlobalTag {
   std::string Serialize() const;
   static Result<GlobalTag> Parse(const std::string& text);
 };
-
-/// Registry of defined global tags. Definitions are immutable: re-defining
-/// an existing name fails (reproducibility depends on it).
-class GlobalTagRegistry {
- public:
-  Status Define(GlobalTag tag);
-  Result<GlobalTag> Get(const std::string& name) const;
-  bool Has(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, GlobalTag> tags_;
-  std::vector<std::string> order_;
-};
-
-/// Captures a snapshot of every tag a global tag references, valid at
-/// `run` — one call freezes the full conditions configuration of a
-/// campaign into a shippable document.
-Result<ConditionsSnapshot> CaptureByGlobalTag(const ConditionsProvider& source,
-                                              uint32_t run,
-                                              const GlobalTag& tag);
-
-/// Resolves a role through a global tag and fetches its payload.
-Result<std::string> GetPayloadByRole(const ConditionsProvider& source,
-                                     const GlobalTag& tag,
-                                     const std::string& role, uint32_t run);
 
 }  // namespace daspos
 

@@ -66,12 +66,4 @@ std::vector<std::string> ConditionsDb::Tags() const {
   return out;
 }
 
-std::vector<RunRange> ConditionsDb::Intervals(const std::string& tag) const {
-  std::vector<RunRange> out;
-  auto it = tags_.find(tag);
-  if (it == tags_.end()) return out;
-  for (const Entry& entry : it->second) out.push_back(entry.range);
-  return out;
-}
-
 }  // namespace daspos

@@ -50,9 +50,6 @@ class ConditionsDb : public ConditionsProvider {
   /// All registered tags, sorted.
   std::vector<std::string> Tags() const;
 
-  /// IOVs registered under one tag, ordered by first_run.
-  std::vector<RunRange> Intervals(const std::string& tag) const;
-
   /// Number of GetPayload calls served so far (the external-dependency
   /// footprint the paper asks workflows to enumerate). Atomic: steps of a
   /// parallel workflow may consult conditions concurrently.

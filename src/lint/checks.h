@@ -103,8 +103,7 @@ LintReport CheckArchive(const ObjectStore& store,
                         const std::string& artifact = "archive");
 
 /// Execution-free dump of a conditions store: per-tag IOV lists plus the
-/// global tags that reference them. lint::DumpConditions (linter.h) builds
-/// one from a live ConditionsDb; FromJson is deliberately lenient so
+/// global tags that reference them. FromJson is deliberately lenient so
 /// defective dumps (overlaps, inverted ranges) survive into the checks.
 struct ConditionsSpec {
   std::map<std::string, std::vector<RunRange>> tags;

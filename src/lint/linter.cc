@@ -1,7 +1,9 @@
 #include "lint/linter.h"
 
 #include <filesystem>
+#include <memory>
 
+#include "archive/backend.h"
 #include "support/io.h"
 #include "support/metrics_registry.h"
 #include "support/trace.h"
@@ -66,11 +68,15 @@ LintReport LintBytes(const std::string& name, const std::string& bytes) {
 }
 
 LintReport LintPath(const std::string& path) {
+  // An archive is opened the way every command opens a store spec, so the
+  // backend is the one ParseStoreSpec picks. Only an existing root is
+  // opened: opening a missing one would create an empty store.
+  auto spec = ParseStoreSpec(path);
   std::error_code ec;
-  if (std::filesystem::is_directory(path, ec)) {
+  if (spec.ok() && std::filesystem::is_directory(spec->root, ec)) {
     return Traced(path, [&] {
-      FileObjectStore store(path);
-      return CheckArchive(store, path);
+      std::unique_ptr<ObjectStore> store = OpenObjectStore(*spec);
+      return CheckArchive(*store, path);
     });
   }
   auto bytes = ReadFileToString(path);
@@ -80,21 +86,6 @@ LintReport LintPath(const std::string& path) {
     report.Add("G002", path, "", bytes.status().message());
     return report;
   });
-}
-
-ConditionsSpec DumpConditions(const ConditionsDb& db,
-                              const GlobalTagRegistry* registry) {
-  ConditionsSpec spec;
-  for (const std::string& tag : db.Tags()) {
-    spec.tags[tag] = db.Intervals(tag);
-  }
-  if (registry != nullptr) {
-    for (const std::string& name : registry->Names()) {
-      auto tag = registry->Get(name);
-      if (tag.ok()) spec.global_tags.push_back(std::move(*tag));
-    }
-  }
-  return spec;
 }
 
 }  // namespace lint

@@ -7,15 +7,16 @@
 
 #include <string>
 
-#include "conditions/global_tag.h"
-#include "conditions/store.h"
 #include "lint/checks.h"
 
 namespace daspos {
 namespace lint {
 
 /// Lints one artifact path. Type detection:
-///   directory                         -> archive (FileObjectStore root)
+///   directory, or a file:/pack:/pack+z: store spec naming one
+///                                     -> archive, opened through
+///                                        OpenObjectStore (a bare directory
+///                                        is sniffed: pack or loose files)
 ///   anything else                     -> the file's bytes, via LintBytes
 /// Unreadable artifacts yield a G002 finding — the call itself never
 /// fails, so one broken path cannot hide findings from the others.
@@ -26,11 +27,6 @@ LintReport LintPath(const std::string& path);
 ///   JSON object with "tags"           -> conditions dump (other JSON: G001)
 ///   anything else                     -> LHADA analysis description
 LintReport LintBytes(const std::string& name, const std::string& bytes);
-
-/// Builds a lintable conditions dump from a live store (plus, optionally,
-/// every global tag in a registry).
-ConditionsSpec DumpConditions(const ConditionsDb& db,
-                              const GlobalTagRegistry* registry = nullptr);
 
 }  // namespace lint
 }  // namespace daspos

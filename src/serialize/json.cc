@@ -1,6 +1,7 @@
 #include "serialize/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -11,6 +12,7 @@ namespace daspos {
 
 // The range test is written so that NaN fails it; 2^63 is an exact double.
 int64_t Json::as_int() const {
+  if (inexact_magnitude_ != 0) return as_integer<int64_t>().value_or(0);
   const double n = as_number();
   return n >= -0x1p63 && n < 0x1p63 ? static_cast<int64_t>(n) : 0;
 }
@@ -132,7 +134,12 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Type::kNumber:
-      AppendNumber(out, number_);
+      if (inexact_magnitude_ != 0) {
+        if (number_ < 0) out.push_back('-');
+        out += std::to_string(inexact_magnitude_);
+      } else {
+        AppendNumber(out, number_);
+      }
       break;
     case Type::kString:
       AppendEscaped(out, string_);
@@ -204,7 +211,8 @@ bool Json::operator==(const Json& other) const {
     case Type::kBool:
       return bool_ == other.bool_;
     case Type::kNumber:
-      return number_ == other.number_;
+      return number_ == other.number_ &&
+             inexact_magnitude_ == other.inexact_magnitude_;
     case Type::kString:
       return string_ == other.string_;
     case Type::kArray:
@@ -433,9 +441,21 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Fail("expected value");
-    auto parsed = ParseDouble(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
+    auto parsed = ParseDouble(token);
     if (!parsed.ok()) return Fail("bad number");
     *out = Json(*parsed);
+    // An integer literal a double cannot hold keeps its exact value.
+    const bool negative = token.front() == '-';
+    uint64_t magnitude = 0;
+    const char* end = token.data() + token.size();
+    auto [stop, error] =
+        std::from_chars(token.data() + (negative ? 1 : 0), end, magnitude);
+    if (error == std::errc() && stop == end && magnitude > uint64_t{1} << 53 &&
+        (!negative || magnitude <= uint64_t{1} << 63)) {
+      *out = negative ? Json(static_cast<int64_t>(0 - magnitude))
+                      : Json(magnitude);
+    }
     return Status::OK();
   }
 

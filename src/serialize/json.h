@@ -8,6 +8,7 @@
 #ifndef DASPOS_SERIALIZE_JSON_H_
 #define DASPOS_SERIALIZE_JSON_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -26,7 +27,10 @@
 namespace daspos {
 
 /// A JSON document node: null, bool, number (double), string, array, or
-/// object. Objects keep insertion order.
+/// object. Objects keep insertion order. An integer a double cannot hold
+/// (more than 53 significant bits, e.g. a 64-bit seed) also keeps its exact
+/// value, which Dump prints and as_integer reads; every other number dumps
+/// as it always has.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -37,8 +41,15 @@ class Json {
   Json(double n) : type_(Type::kNumber), number_(n) {}
   Json(int n) : type_(Type::kNumber), number_(n) {}
   Json(unsigned int n) : type_(Type::kNumber), number_(n) {}
-  Json(int64_t n) : type_(Type::kNumber), number_(static_cast<double>(n)) {}
-  Json(uint64_t n) : type_(Type::kNumber), number_(static_cast<double>(n)) {}
+  Json(int64_t n)
+      : type_(Type::kNumber),
+        number_(static_cast<double>(n)),
+        inexact_magnitude_(InexactMagnitude(
+            n < 0 ? 0 - static_cast<uint64_t>(n) : static_cast<uint64_t>(n))) {}
+  Json(uint64_t n)
+      : type_(Type::kNumber),
+        number_(static_cast<double>(n)),
+        inexact_magnitude_(InexactMagnitude(n)) {}
   Json(const char* s) : type_(Type::kString), string_(s) {}
   Json(std::string s) : type_(Type::kString), string_(std::move(s)) {}
   Json(std::string_view s) : type_(Type::kString), string_(s) {}
@@ -74,6 +85,17 @@ class Json {
   template <typename T>
   std::optional<T> as_integer() const {
     static_assert(std::is_integral_v<T>);
+    if (inexact_magnitude_ != 0) {
+      // Only an int64_t is held negative, so its magnitude is at most 2^63.
+      if (number_ < 0) {
+        const auto n = static_cast<int64_t>(0 - inexact_magnitude_);
+        return std::in_range<T>(n) ? std::optional<T>(static_cast<T>(n))
+                                   : std::nullopt;
+      }
+      return std::in_range<T>(inexact_magnitude_)
+                 ? std::optional<T>(static_cast<T>(inexact_magnitude_))
+                 : std::nullopt;
+    }
     // Both bounds are exact doubles: the minimum is 0 or -2^k, and the end
     // of the range, max + 1, is 2^k. The tests are written so NaN fails.
     constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
@@ -120,17 +142,28 @@ class Json {
   /// Approximate compact serialized size, used to pre-reserve Dump output.
   size_t DumpSizeHint() const;
 
+  /// `magnitude` when a double cannot hold it exactly, else 0.
+  static constexpr uint64_t InexactMagnitude(uint64_t magnitude) {
+    return static_cast<int>(std::bit_width(magnitude)) -
+                       std::countr_zero(magnitude) >
+                   std::numeric_limits<double>::digits
+               ? magnitude
+               : 0;
+  }
+
   Type type_;
   bool bool_ = false;
   double number_ = 0.0;
+  /// The exact magnitude of an integer that number_ only approximates (the
+  /// sign is number_'s); 0 when number_ is exact.
+  uint64_t inexact_magnitude_ = 0;
   std::string string_;
   std::vector<Json> array_;
   std::vector<std::pair<std::string, Json>> object_;
 };
 
 /// Member `key` of a config object as a T (Json::as_integer), or
-/// InvalidArgument naming the key. A number past 2^53 was already rounded
-/// when it was written.
+/// InvalidArgument naming the key.
 template <typename T>
 Result<T> ReadInteger(const Json& object, std::string_view key) {
   const Json& value = object.Get(key);

@@ -41,19 +41,7 @@ bool IsPathSafeName(const std::string& name) {
   return name != "." && name != "..";
 }
 
-/// Runs the campaign's chain strictly serially (the deterministic reference
-/// path: one thread, no intra-step pool) with the caller's retry/journal/
-/// fault knobs. The conditions live only for the execution, like the
-/// capturing run's did.
-Status RunCampaignChain(const CampaignSpec& spec, ExecuteOptions options,
-                        WorkflowContext* context,
-                        ProvenanceStore* provenance) {
-  options.max_threads = 1;
-  return ExecuteChain(
-             StandardChainWorkflow(spec.process, spec.events, spec.seed),
-             CalibrationSet(), context, provenance, options)
-      .status();
-}
+constexpr char kProvenanceFile[] = "validate/provenance.json";
 
 /// Handles on every validation instrument, resolved once per farm run.
 struct Instruments {
@@ -90,6 +78,17 @@ struct Instruments {
   }
 };
 
+/// The chain a campaign package's provenance records, rebuilt step by step.
+Result<Workflow> RebuildCampaignChain(const SubmissionPackage& package) {
+  for (const PackageFile& file : package.files) {
+    if (file.logical_name != kProvenanceFile) continue;
+    DASPOS_ASSIGN_OR_RETURN(ProvenanceStore provenance,
+                            ProvenanceStore::Parse(file.bytes));
+    return ReplayWorkflow(provenance);
+  }
+  return Status::NotFound(std::string("no ") + kProvenanceFile);
+}
+
 CellResult FailedCell(const std::string& campaign, const std::string& analysis,
                       std::string detail) {
   CellResult cell;
@@ -107,11 +106,11 @@ CellResult ValidateCell(const Campaign& campaign, const std::string& analysis,
                         const std::string& drift_detail,
                         const Thresholds& thresholds) {
   Span span("validate:cell", "validate");
-  span.AddAttribute("campaign", campaign.spec.name);
+  span.AddAttribute("campaign", campaign.name);
   span.AddAttribute("analysis", analysis);
 
   CellResult cell;
-  cell.campaign = campaign.spec.name;
+  cell.campaign = campaign.name;
   cell.analysis = analysis;
   cell.chain_identical = drift_detail.empty();
 
@@ -192,31 +191,35 @@ CellResult ValidateCell(const Campaign& campaign, const std::string& analysis,
   return finish(Verdict::kPass, "");
 }
 
-/// Re-executes one campaign's chain and validates every selected analysis
-/// against it. Chain-level failures fail every cell of the campaign.
+/// Re-executes one campaign's rebuilt chain and validates every selected
+/// analysis against it. Chain-level failures fail every cell of the
+/// campaign.
 std::vector<CellResult> ValidateCampaign(const Campaign& campaign,
                                          const std::vector<std::string>& analyses,
                                          const ValidateOptions& options) {
   Span span("validate:campaign", "validate");
-  span.AddAttribute("campaign", campaign.spec.name);
+  span.AddAttribute("campaign", campaign.name);
 
   auto fail_all = [&](const std::string& detail) {
     std::vector<CellResult> cells;
     cells.reserve(analyses.size());
     for (const std::string& analysis : analyses) {
-      cells.push_back(FailedCell(campaign.spec.name, analysis, detail));
+      cells.push_back(FailedCell(campaign.name, analysis, detail));
     }
     return cells;
   };
 
+  // Strictly serial (the deterministic reference path: one thread, no
+  // intra-step pool) with the caller's retry/journal/fault knobs.
   ExecuteOptions exec;
+  exec.max_threads = 1;
   exec.max_step_retries = options.max_step_retries;
   exec.retry_backoff_ms = options.retry_backoff_ms;
   exec.step_faults = options.step_faults;
   std::unique_ptr<RunJournal> journal;
   if (!options.journal_root.empty()) {
     auto opened =
-        RunJournal::Open(options.journal_root + "/" + campaign.spec.name);
+        RunJournal::Open(options.journal_root + "/" + campaign.name);
     if (!opened.ok()) {
       return fail_all("journal open failed: " + opened.status().ToString());
     }
@@ -225,12 +228,12 @@ std::vector<CellResult> ValidateCampaign(const Campaign& campaign,
     exec.resume = true;
   }
 
+  // The conditions live only for the execution, like the capturing run's.
   WorkflowContext context;
-  ProvenanceStore provenance;
-  if (auto status =
-          RunCampaignChain(campaign.spec, exec, &context, &provenance);
-      !status.ok()) {
-    return fail_all("chain execution failed: " + status.ToString());
+  if (auto report = ExecuteChain(campaign.workflow, CalibrationSet(),
+                                 &context, nullptr, exec);
+      !report.ok()) {
+    return fail_all("chain execution failed: " + report.status().ToString());
   }
 
   // Bit-preservation drift: every dataset the capturing chain archived must
@@ -311,8 +314,12 @@ Result<std::string> CaptureCampaign(Archive* archive, CampaignSpec spec) {
 
   WorkflowContext context;
   ProvenanceStore provenance;
+  ExecuteOptions serial;
+  serial.max_threads = 1;
   DASPOS_RETURN_IF_ERROR(
-      RunCampaignChain(spec, ExecuteOptions{}, &context, &provenance));
+      ExecuteChain(StandardChainWorkflow(spec.process, spec.events, spec.seed),
+                   CalibrationSet(), &context, &provenance, serial)
+          .status());
 
   DASPOS_ASSIGN_OR_RETURN(std::string_view gen_blob,
                           context.GetDataset("gen"));
@@ -325,6 +332,8 @@ Result<std::string> CaptureCampaign(Archive* archive, CampaignSpec spec) {
   submission.description = "continuous-validation campaign " + spec.name;
   submission.keywords = {"validation", "campaign"};
 
+  // The manifest's process/events/seed describe the campaign; the farm
+  // re-executes the provenance chain below.
   Json manifest = Json::Object();
   manifest["schema"] = kManifestSchema;
   manifest["name"] = spec.name;
@@ -357,7 +366,7 @@ Result<std::string> CaptureCampaign(Archive* archive, CampaignSpec spec) {
     submission.files.push_back(std::move(file));
   }
   PackageFile chain_file;
-  chain_file.logical_name = "validate/provenance.json";
+  chain_file.logical_name = kProvenanceFile;
   chain_file.media_type = "application/json";
   chain_file.bytes = provenance.Serialize();
   submission.files.push_back(std::move(chain_file));
@@ -381,42 +390,26 @@ Result<CampaignSet> EnumerateCampaigns(const Archive& archive) {
     }
     const Json& manifest = package->content.context.Get(kManifestKey);
     if (!manifest.is_object() || !manifest.Get("name").is_string() ||
-        !manifest.Get("process").is_string() ||
         !manifest.Get("analyses").is_array()) {
       broken.error = "malformed campaign manifest";
       set.broken.push_back(std::move(broken));
       continue;
     }
-    auto events = ReadInteger<size_t>(manifest, "events");
-    auto seed = ReadInteger<uint64_t>(manifest, "seed");
-    // Earlier captures wrote a seed >= 2^63 as its int64 bit pattern.
-    if (auto legacy = ReadInteger<int64_t>(manifest, "seed");
-        !seed.ok() && legacy.ok()) {
-      seed = static_cast<uint64_t>(*legacy);
-    }
-    const Status invalid = !events.ok() ? events.status() : seed.status();
-    if (!invalid.ok()) {
-      broken.error = "malformed campaign manifest: " + invalid.message();
-      set.broken.push_back(std::move(broken));
-      continue;
-    }
     Campaign campaign;
     campaign.archive_id = holding.archive_id;
-    campaign.spec.name = manifest.Get("name").as_string();
-    auto process = ProcessFromName(manifest.Get("process").as_string());
-    if (!process.ok()) {
-      broken.error = process.status().ToString();
+    campaign.name = manifest.Get("name").as_string();
+    auto workflow = RebuildCampaignChain(package->content);
+    if (!workflow.ok()) {
+      broken.error = workflow.status().ToString();
       set.broken.push_back(std::move(broken));
       continue;
     }
-    campaign.spec.process = *process;
-    campaign.spec.events = *events;
-    campaign.spec.seed = *seed;
+    campaign.workflow = std::move(*workflow);
     const Json& analyses = manifest.Get("analyses");
     for (size_t i = 0; i < analyses.size(); ++i) {
-      campaign.spec.analyses.push_back(analyses.at(i).as_string());
+      campaign.analyses.push_back(analyses.at(i).as_string());
     }
-    std::sort(campaign.spec.analyses.begin(), campaign.spec.analyses.end());
+    std::sort(campaign.analyses.begin(), campaign.analyses.end());
     const Json& digests = manifest.Get("datasets");
     if (digests.is_object()) {
       for (const auto& [name, digest] : digests.members()) {
@@ -437,7 +430,7 @@ Result<CampaignSet> EnumerateCampaigns(const Archive& archive) {
   }
   std::sort(set.campaigns.begin(), set.campaigns.end(),
             [](const Campaign& a, const Campaign& b) {
-              return a.spec.name < b.spec.name;
+              return a.name < b.name;
             });
   std::sort(set.broken.begin(), set.broken.end(),
             [](const BrokenPackage& a, const BrokenPackage& b) {
@@ -518,14 +511,14 @@ Result<ValidationReport> ValidateArchive(const Archive& archive,
   std::vector<const Campaign*> campaigns;
   for (const Campaign& campaign : set.campaigns) {
     if (!options.campaign_filter.empty() &&
-        campaign.spec.name != options.campaign_filter) {
+        campaign.name != options.campaign_filter) {
       continue;
     }
     campaigns.push_back(&campaign);
   }
   std::vector<std::vector<std::string>> selected(campaigns.size());
   for (size_t i = 0; i < campaigns.size(); ++i) {
-    for (const std::string& analysis : campaigns[i]->spec.analyses) {
+    for (const std::string& analysis : campaigns[i]->analyses) {
       if (!options.analysis_filter.empty() &&
           analysis != options.analysis_filter) {
         continue;

@@ -1,10 +1,11 @@
 // Continuous-validation farm: the DPHEP insight (arXiv:1310.7814) that a
 // preserved analysis is only preserved if it is *re-executed on a schedule*
 // and its outputs compared against archived references. A "campaign"
-// package freezes the full configuration of a production chain (process,
-// event count, seed) plus per-analysis reference histograms and dataset
-// digests; `ValidateArchive` re-runs every campaign x analysis cell through
-// the real workflow engine and reports pass/warn/fail per cell.
+// package holds the provenance chain of a production run plus per-analysis
+// reference histograms and dataset digests; `ValidateArchive` rebuilds each
+// campaign's chain from that provenance alone, re-runs it through the real
+// workflow engine, and reports pass/warn/fail per campaign x analysis cell.
+// The manifest's process, event count and seed only describe the campaign.
 //
 // The farm is deliberately built on the same machinery it validates —
 // journal checkpoint/resume, step retries, fault injection, the chi^2/KS
@@ -24,6 +25,7 @@
 #include "mc/process.h"
 #include "serialize/json.h"
 #include "support/result.h"
+#include "workflow/engine.h"
 
 namespace daspos {
 
@@ -32,9 +34,8 @@ class ThreadPool;
 
 namespace validate {
 
-/// Everything needed to re-execute a preserved production chain bit-for-bit:
-/// the §3.2 claim that preservation means capturing "the full provenance"
-/// reduced to the chain's closed set of inputs.
+/// What to capture: the standard chain (StandardChainWorkflow) of `process`
+/// at `seed` over `events` events, and the analyses to validate against it.
 struct CampaignSpec {
   /// Path-safe identifier ([A-Za-z0-9._-]); doubles as the journal subdir.
   std::string name;
@@ -48,8 +49,13 @@ struct CampaignSpec {
 
 /// A campaign as enumerated from the archive.
 struct Campaign {
-  CampaignSpec spec;
+  std::string name;
+  /// Analysis names from the manifest (sorted).
+  std::vector<std::string> analyses;
   std::string archive_id;
+  /// The chain rebuilt from the package's provenance (ReplayWorkflow): the
+  /// §3.2 claim that the preserved provenance chain is the workflow.
+  Workflow workflow;
   /// Analysis name -> archived reference histograms (YODA text).
   std::map<std::string, std::string> reference_yoda;
   /// Dataset name -> SHA-256 of the blob the capturing chain produced;
@@ -57,8 +63,9 @@ struct Campaign {
   std::map<std::string, std::string> dataset_digests;
 };
 
-/// A campaign-shaped package that could not be read back — surfaced as a
-/// failing cell, never silently skipped.
+/// A campaign-shaped package that could not be read back, or whose
+/// provenance is missing or does not rebuild — surfaced as a failing cell,
+/// never silently skipped.
 struct BrokenPackage {
   std::string archive_id;
   std::string name;  // best-effort campaign name (from the holding title)
@@ -73,10 +80,12 @@ struct CampaignSet {
 /// Runs the campaign chain serially (the deterministic reference path),
 /// runs each analysis over the generated events, and deposits the campaign
 /// package: manifest context, per-analysis reference YODA files, the
-/// provenance chain, and per-dataset digests. Returns the archive id.
+/// provenance chain (validate/provenance.json), and per-dataset digests.
+/// Returns the archive id.
 Result<std::string> CaptureCampaign(Archive* archive, CampaignSpec spec);
 
-/// All campaign packages in the archive (by holding title "campaign:<name>").
+/// All campaign packages in the archive (by holding title "campaign:<name>"),
+/// each with its chain rebuilt from the package's provenance.
 Result<CampaignSet> EnumerateCampaigns(const Archive& archive);
 
 enum class Verdict { kPass = 0, kWarn = 1, kFail = 2 };

@@ -8,6 +8,21 @@ namespace daspos {
 
 namespace {
 
+/// Producer kinds. A step's name is its kind qualified by its output
+/// dataset ("generation[batch_a]"), so a workflow can hold several steps of
+/// one kind; provenance records the name, and RebuildStep dispatches on the
+/// kind.
+constexpr char kGenerationKind[] = "generation";
+constexpr char kSimulationKind[] = "simulation";
+constexpr char kReconstructionKind[] = "reconstruction";
+constexpr char kAodReductionKind[] = "aod_reduction";
+constexpr char kDerivationKind[] = "derivation";
+constexpr char kMergeKind[] = "merge";
+
+std::string StepName(const char* kind, const std::string& dataset) {
+  return std::string(kind) + "[" + dataset + "]";
+}
+
 /// The engine's worker pool for a step's parallel loops and codecs; null
 /// (serial) without a context.
 ThreadPool* PoolOf(const WorkflowContext* context) {
@@ -181,6 +196,10 @@ GenerationStep::GenerationStep(GeneratorConfig config, size_t event_count,
       event_count_(event_count),
       dataset_name_(std::move(dataset_name)) {}
 
+std::string GenerationStep::name() const {
+  return StepName(kGenerationKind, dataset_name_);
+}
+
 Json GenerationStep::Config() const {
   Json json = Json::Object();
   json["generator"] = GeneratorConfigToJson(config_);
@@ -212,6 +231,10 @@ SimulationStep::SimulationStep(SimulationConfig config, uint32_t run_number,
     : config_(config),
       run_number_(run_number),
       dataset_name_(std::move(dataset_name)) {}
+
+std::string SimulationStep::name() const {
+  return StepName(kSimulationKind, dataset_name_);
+}
 
 Json SimulationStep::Config() const {
   Json json = Json::Object();
@@ -255,6 +278,10 @@ Result<StepOutput> SimulationStep::Run(
 ReconstructionStep::ReconstructionStep(DetectorGeometry geometry,
                                        std::string dataset_name)
     : geometry_(std::move(geometry)), dataset_name_(std::move(dataset_name)) {}
+
+std::string ReconstructionStep::name() const {
+  return StepName(kReconstructionKind, dataset_name_);
+}
 
 Json ReconstructionStep::Config() const {
   Json json = Json::Object();
@@ -312,6 +339,10 @@ Result<StepOutput> ReconstructionStep::Run(
 AodReductionStep::AodReductionStep(std::string dataset_name)
     : dataset_name_(std::move(dataset_name)) {}
 
+std::string AodReductionStep::name() const {
+  return StepName(kAodReductionKind, dataset_name_);
+}
+
 Json AodReductionStep::Config() const {
   Json json = Json::Object();
   json["drops"] = "tracks, clusters (basic and intermediate categories)";
@@ -352,6 +383,10 @@ DerivationStep::DerivationStep(SkimSpec skim, SlimSpec slim,
       slim_(std::move(slim)),
       dataset_name_(std::move(dataset_name)) {}
 
+std::string DerivationStep::name() const {
+  return StepName(kDerivationKind, dataset_name_);
+}
+
 Json DerivationStep::Config() const {
   Json json = Json::Object();
   json["skim"] = skim_.ToJson();
@@ -382,6 +417,10 @@ Result<StepOutput> DerivationStep::Run(
 
 MergeStep::MergeStep(std::string dataset_name)
     : dataset_name_(std::move(dataset_name)) {}
+
+std::string MergeStep::name() const {
+  return StepName(kMergeKind, dataset_name_);
+}
 
 Json MergeStep::Config() const {
   Json json = Json::Object();
@@ -488,6 +527,59 @@ Result<WorkflowReport> ExecuteChain(const Workflow& workflow,
       workflow.Execute(context, provenance, options);
   context->set_conditions(nullptr);
   return report;
+}
+
+Result<std::shared_ptr<WorkflowStep>> RebuildStep(
+    const ProvenanceRecord& record) {
+  const Json& config = record.config;
+  const std::string kind = record.producer.substr(0, record.producer.find('['));
+  std::shared_ptr<WorkflowStep> step;
+  if (kind == kGenerationKind) {
+    DASPOS_ASSIGN_OR_RETURN(GeneratorConfig generator,
+                            GeneratorConfigFromJson(config.Get("generator")));
+    DASPOS_ASSIGN_OR_RETURN(size_t events,
+                            ReadInteger<size_t>(config, "event_count"));
+    step = std::make_shared<GenerationStep>(generator, events, record.dataset);
+  } else if (kind == kSimulationKind) {
+    DASPOS_ASSIGN_OR_RETURN(
+        SimulationConfig simulation,
+        SimulationConfigFromJson(config.Get("simulation")));
+    DASPOS_ASSIGN_OR_RETURN(uint32_t run,
+                            ReadInteger<uint32_t>(config, "run_number"));
+    step = std::make_shared<SimulationStep>(simulation, run, record.dataset);
+  } else if (kind == kReconstructionKind) {
+    DASPOS_ASSIGN_OR_RETURN(DetectorGeometry geometry,
+                            GeometryFromJson(config.Get("geometry")));
+    step = std::make_shared<ReconstructionStep>(geometry, record.dataset);
+  } else if (kind == kAodReductionKind) {
+    step = std::make_shared<AodReductionStep>(record.dataset);
+  } else if (kind == kDerivationKind) {
+    DASPOS_ASSIGN_OR_RETURN(SkimSpec skim,
+                            SkimSpec::FromJson(config.Get("skim")));
+    DASPOS_ASSIGN_OR_RETURN(SlimSpec slim,
+                            SlimSpec::FromJson(config.Get("slim")));
+    step = std::make_shared<DerivationStep>(skim, slim, record.dataset);
+  } else if (kind == kMergeKind) {
+    step = std::make_shared<MergeStep>(record.dataset);
+  } else {
+    return Status::Unimplemented(
+        "producer '" + record.producer +
+        "' is not machine-reconstructible from provenance; preserve its "
+        "code directly");
+  }
+  return step;
+}
+
+Result<Workflow> ReplayWorkflow(const ProvenanceStore& provenance) {
+  Workflow workflow;
+  for (const std::string& dataset : provenance.Datasets()) {
+    DASPOS_ASSIGN_OR_RETURN(ProvenanceRecord record, provenance.Get(dataset));
+    DASPOS_ASSIGN_OR_RETURN(std::shared_ptr<WorkflowStep> step,
+                            RebuildStep(record));
+    DASPOS_RETURN_IF_ERROR(
+        workflow.AddStep(std::move(step), record.parents, dataset));
+  }
+  return workflow;
 }
 
 }  // namespace daspos

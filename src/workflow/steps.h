@@ -1,10 +1,12 @@
 // Concrete workflow steps for the standard HEP chain of §3.2:
 //   Generation -> Simulation -> Reconstruction -> AOD -> Derivation.
-// Each step captures its full configuration as JSON for provenance.
+// Each step captures its full configuration as JSON for provenance, and
+// RebuildStep turns that capture back into the step.
 #ifndef DASPOS_WORKFLOW_STEPS_H_
 #define DASPOS_WORKFLOW_STEPS_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "detsim/simulation.h"
@@ -13,6 +15,7 @@
 #include "tiers/skimslim.h"
 #include "tiers/tier.h"
 #include "workflow/engine.h"
+#include "workflow/provenance.h"
 
 namespace daspos {
 
@@ -25,7 +28,7 @@ class GenerationStep : public WorkflowStep {
   GenerationStep(GeneratorConfig config, size_t event_count,
                  std::string dataset_name);
 
-  std::string name() const override { return "generation[" + dataset_name_ + "]"; }
+  std::string name() const override;
   std::string version() const override { return "1.0"; }
   Json Config() const override;
   Result<StepOutput> Run(std::vector<DatasetInput> inputs,
@@ -43,7 +46,7 @@ class SimulationStep : public WorkflowStep {
   SimulationStep(SimulationConfig config, uint32_t run_number,
                  std::string dataset_name);
 
-  std::string name() const override { return "simulation[" + dataset_name_ + "]"; }
+  std::string name() const override;
   std::string version() const override { return "1.0"; }
   Json Config() const override;
   Result<StepOutput> Run(std::vector<DatasetInput> inputs,
@@ -62,7 +65,7 @@ class ReconstructionStep : public WorkflowStep {
  public:
   ReconstructionStep(DetectorGeometry geometry, std::string dataset_name);
 
-  std::string name() const override { return "reconstruction[" + dataset_name_ + "]"; }
+  std::string name() const override;
   std::string version() const override { return "1.0"; }
   Json Config() const override;
   Result<StepOutput> Run(std::vector<DatasetInput> inputs,
@@ -78,7 +81,7 @@ class AodReductionStep : public WorkflowStep {
  public:
   explicit AodReductionStep(std::string dataset_name);
 
-  std::string name() const override { return "aod_reduction[" + dataset_name_ + "]"; }
+  std::string name() const override;
   std::string version() const override { return "1.0"; }
   Json Config() const override;
   Result<StepOutput> Run(std::vector<DatasetInput> inputs,
@@ -93,7 +96,7 @@ class DerivationStep : public WorkflowStep {
  public:
   DerivationStep(SkimSpec skim, SlimSpec slim, std::string dataset_name);
 
-  std::string name() const override { return "derivation[" + dataset_name_ + "]"; }
+  std::string name() const override;
   std::string version() const override { return "1.0"; }
   Json Config() const override;
   Result<StepOutput> Run(std::vector<DatasetInput> inputs,
@@ -113,7 +116,7 @@ class MergeStep : public WorkflowStep {
  public:
   explicit MergeStep(std::string dataset_name);
 
-  std::string name() const override { return "merge[" + dataset_name_ + "]"; }
+  std::string name() const override;
   std::string version() const override { return "1.0"; }
   Json Config() const override;
   Result<StepOutput> Run(std::vector<DatasetInput> inputs,
@@ -135,8 +138,8 @@ Workflow ChainWorkflow(const GeneratorConfig& generator,
 
 /// The standard chain: `process` at `seed` through the default detector
 /// (simulation seed `seed + 1`), stopped after `last_tier`. Shared by the
-/// CLI, the service and the continuous-validation farm, so a preserved
-/// campaign re-executes exactly the chain that produced it.
+/// CLI, the service and campaign capture; the validation farm re-executes
+/// a captured campaign from its provenance (ReplayWorkflow).
 Workflow StandardChainWorkflow(Process process, size_t event_count,
                                uint64_t seed,
                                DataTier last_tier = DataTier::kDerived);
@@ -150,8 +153,23 @@ Result<WorkflowReport> ExecuteChain(const Workflow& workflow,
                                     ProvenanceStore* provenance = nullptr,
                                     const ExecuteOptions& options = {});
 
+/// Rebuilds the step that produced a provenance record from the
+/// configuration it captured; the step keeps the record's step name.
+/// Fails with Unimplemented for a producer whose configuration is not
+/// machine-reconstructible (hand-written analyst code — §3.2's "direct
+/// preservation ... is likely the only way" case).
+Result<std::shared_ptr<WorkflowStep>> RebuildStep(
+    const ProvenanceRecord& record);
+
+/// The workflow a preserved provenance chain records: one rebuilt step per
+/// record, in registration order, reading the record's parents and writing
+/// its dataset. This is DASPOS's central claim made executable — the chain
+/// IS the workflow. A parent without a record is left to Execute's lint
+/// gate, which names the missing input (W002).
+Result<Workflow> ReplayWorkflow(const ProvenanceStore& provenance);
+
 /// JSON captures of the substrate configurations (shared with recast/ and
-/// the provenance-replay machinery in core/). All are lossless round trips.
+/// the provenance replay above). All are lossless round trips.
 Json GeneratorConfigToJson(const GeneratorConfig& config);
 Result<GeneratorConfig> GeneratorConfigFromJson(const Json& json);
 Json GeometryToJson(const DetectorGeometry& geometry);

@@ -172,6 +172,25 @@ if [ "$rc" -ne 1 ] || ! grep -q "G002" "$WORK/qbroken.lint"; then
   echo "lint passed an archive with an unreadable quarantine area" >&2
   exit 1
 fi
+# A pack archive lints through the store spec every command takes: clean
+# while intact, and one flipped payload byte fails it (A002, exit 1) both as
+# the sniffed directory and as pack:DIR. Each path gets its own archive,
+# because the read that finds the rot quarantines the object.
+for LPATH in "$WORK/lint_sniffed" "pack:$WORK/lint_spec"; do
+  LROOT="${LPATH#pack:}"
+  "$DASPOS" ingest "pack:$LROOT" "lint pack smoke" "$WORK/dimuon.lhada" \
+    >/dev/null
+  "$DASPOS" lint "$LPATH" | grep -q "1 artifact(s) clean"
+  SEG="$LROOT/segments/000000.seg"
+  AT=$(grep -boa "analysis smoke" "$SEG" | head -n 1 | cut -d: -f1)
+  printf 'X' | dd of="$SEG" bs=1 seek="$AT" conv=notrunc 2>/dev/null
+  rc=0
+  "$DASPOS" lint "$LPATH" > "$WORK/lint_pack.out" || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q "A002" "$WORK/lint_pack.out"; then
+    echo "lint passed a pack archive with a flipped payload byte: $LPATH" >&2
+    exit 1
+  fi
+done
 
 # Continuous-validation farm: capture a campaign into an archive, then
 # re-execute the matrix (clean, with a journal, and under fault injection).

@@ -91,9 +91,6 @@ TEST(ConditionsDbTest, AppendClosesOpenInterval) {
   EXPECT_EQ(*db.GetPayload("t", 99), "v1");
   EXPECT_EQ(*db.GetPayload("t", 100), "v2");
   EXPECT_EQ(*db.GetPayload("t", 1000000), "v2");
-  auto intervals = db.Intervals("t");
-  ASSERT_EQ(intervals.size(), 2u);
-  EXPECT_EQ(intervals[0].last_run, 99u);
 }
 
 TEST(ConditionsDbTest, AppendMustAdvance) {
@@ -252,48 +249,6 @@ TEST(GlobalTagTest, ParseErrors) {
   EXPECT_FALSE(GlobalTag::Parse("detector = x\n").ok());   // no header
   EXPECT_FALSE(GlobalTag::Parse("globaltag: g\nrubbish line\n").ok());
   EXPECT_FALSE(GlobalTag::Parse("globaltag: g\n = x\n").ok());  // empty role
-}
-
-TEST(GlobalTagRegistryTest, DefinitionsAreImmutable) {
-  GlobalTagRegistry registry;
-  ASSERT_TRUE(registry.Define(MakeGlobalTag()).ok());
-  EXPECT_TRUE(registry.Define(MakeGlobalTag()).IsAlreadyExists());
-  EXPECT_TRUE(registry.Has("PRESERVATION_2014_V1"));
-  EXPECT_EQ(registry.Names().size(), 1u);
-  auto tag = registry.Get("PRESERVATION_2014_V1");
-  ASSERT_TRUE(tag.ok());
-  EXPECT_EQ(tag->roles.size(), 2u);
-  EXPECT_TRUE(registry.Get("NOPE").status().IsNotFound());
-
-  GlobalTag invalid;
-  invalid.name = "EMPTY";
-  EXPECT_TRUE(registry.Define(invalid).IsInvalidArgument());
-}
-
-TEST(GlobalTagTest, CaptureByGlobalTagFreezesAllRoles) {
-  ConditionsDb db = PopulatedDb();
-  GlobalTag tag = MakeGlobalTag();
-  auto snapshot = CaptureByGlobalTag(db, 60, tag);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-  EXPECT_EQ(snapshot->Tags().size(), 2u);
-  EXPECT_TRUE(snapshot->GetPayload("calib/detector", 60).ok());
-  EXPECT_TRUE(snapshot->GetPayload("beamspot", 60).ok());
-}
-
-TEST(GlobalTagTest, GetPayloadByRole) {
-  ConditionsDb db = PopulatedDb();
-  GlobalTag tag = MakeGlobalTag();
-  auto payload = GetPayloadByRole(db, tag, "detector", 60);
-  ASSERT_TRUE(payload.ok());
-  EXPECT_EQ(*payload, *db.GetPayload("calib/detector", 60));
-  EXPECT_TRUE(GetPayloadByRole(db, tag, "nope", 60).status().IsNotFound());
-}
-
-TEST(GlobalTagTest, MissingUnderlyingTagFailsCapture) {
-  ConditionsDb db = PopulatedDb();
-  GlobalTag tag = MakeGlobalTag();
-  tag.roles["muon"] = "calib/muon/v9";  // not in the database
-  EXPECT_TRUE(CaptureByGlobalTag(db, 60, tag).status().IsNotFound());
 }
 
 }  // namespace

@@ -6,8 +6,6 @@
 #include "archive/object_store.h"
 #include "core/bridge.h"
 #include "core/preserved_analysis.h"
-#include "core/replay.h"
-#include "conditions/store.h"
 #include "event/pdg.h"
 #include "hist/yoda_io.h"
 #include "interview/interview.h"
@@ -128,115 +126,6 @@ TEST(PreservedAnalysisTest, ForeignPackageRejected) {
   auto id = archive.Deposit(foreign);
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(RetrieveAnalysis(archive, *id).status().IsCorruption());
-}
-
-// ------------------------------------------------------------------ Replay
-
-class ReplayTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    CalibrationSet calib;
-    calib.version = 5;
-    calib.tracker_phi_offset = 0.001;
-    ASSERT_TRUE(conditions_.Append(kCalibrationTag, 1, calib.ToPayload()).ok());
-
-    GeneratorConfig gen_config;
-    gen_config.process = Process::kZToLL;
-    gen_config.lepton_flavor = pdg::kMuon;
-    gen_config.seed = 2025;
-    SimulationConfig sim_config;
-    sim_config.seed = 2026;
-    sim_config.calib = calib;
-
-    Workflow workflow;
-    ASSERT_TRUE(workflow
-                    .AddStep(std::make_shared<GenerationStep>(gen_config, 40,
-                                                              "r_gen"),
-                             {}, "r_gen")
-                    .ok());
-    ASSERT_TRUE(workflow
-                    .AddStep(std::make_shared<SimulationStep>(sim_config, 3,
-                                                              "r_raw"),
-                             {"r_gen"}, "r_raw")
-                    .ok());
-    ASSERT_TRUE(workflow
-                    .AddStep(std::make_shared<ReconstructionStep>(
-                                 sim_config.geometry, "r_reco"),
-                             {"r_raw"}, "r_reco")
-                    .ok());
-    ASSERT_TRUE(workflow
-                    .AddStep(std::make_shared<AodReductionStep>("r_aod"),
-                             {"r_reco"}, "r_aod")
-                    .ok());
-    ASSERT_TRUE(
-        workflow
-            .AddStep(std::make_shared<DerivationStep>(
-                         SkimSpec::RequireObjects(ObjectType::kMuon, 2, 15.0),
-                         SlimSpec::LeptonsOnly(15.0), "r_derived"),
-                     {"r_aod"}, "r_derived")
-            .ok());
-    original_.set_conditions(&conditions_);
-    ASSERT_TRUE(workflow.Execute(&original_, &provenance_).ok());
-  }
-
-  ConditionsDb conditions_;
-  WorkflowContext original_;
-  ProvenanceStore provenance_;
-};
-
-TEST_F(ReplayTest, ChainReplaysByteIdentically) {
-  // "Decades later": only provenance + conditions exist; the chain is
-  // rebuilt from the records and re-run.
-  WorkflowContext replayed;
-  replayed.set_conditions(&conditions_);
-  auto report = ReplayChain(provenance_, "r_derived", &replayed, &original_);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->steps.size(), 5u);
-  EXPECT_EQ(report->datasets_identical, 5);
-  EXPECT_EQ(report->datasets_differing, 0);
-  EXPECT_EQ(*replayed.GetDataset("r_derived"),
-            *original_.GetDataset("r_derived"));
-}
-
-TEST_F(ReplayTest, ReplaySurvivesProvenanceSerialization) {
-  // The provenance store itself round-trips through its archival text form
-  // and still drives a byte-identical replay.
-  auto parsed = ProvenanceStore::Parse(provenance_.Serialize());
-  ASSERT_TRUE(parsed.ok());
-  WorkflowContext replayed;
-  replayed.set_conditions(&conditions_);
-  auto report = ReplayChain(*parsed, "r_derived", &replayed, &original_);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->datasets_identical, 5);
-}
-
-TEST_F(ReplayTest, GapBlocksReplay) {
-  // Remove the middle of the chain: replay must refuse, naming the gap.
-  ProvenanceStore partial;
-  for (const std::string& dataset : provenance_.Datasets()) {
-    if (dataset == "r_raw") continue;  // the lost record
-    ProvenanceRecord record = *provenance_.Get(dataset);
-    ASSERT_TRUE(partial.Add(record).ok());
-  }
-  WorkflowContext replayed;
-  replayed.set_conditions(&conditions_);
-  auto report = ReplayChain(partial, "r_derived", &replayed);
-  EXPECT_TRUE(report.status().IsFailedPrecondition());
-  EXPECT_NE(report.status().message().find("r_raw"), std::string::npos);
-}
-
-TEST_F(ReplayTest, ReplayWithoutConditionsFails) {
-  WorkflowContext replayed;  // no conditions service
-  auto report = ReplayChain(provenance_, "r_derived", &replayed);
-  EXPECT_TRUE(report.status().IsFailedPrecondition());
-}
-
-TEST_F(ReplayTest, UnknownProducerIsHonestlyUnimplemented) {
-  ProvenanceRecord record;
-  record.dataset = "plots";
-  record.producer = "analyst_macro";  // hand-written final-plot code, §3.2
-  record.config = Json::Object();
-  EXPECT_TRUE(RebuildStep(record).status().IsUnimplemented());
 }
 
 TEST(SkimSpecJsonTest, FactorySkimsRoundTrip) {

@@ -680,24 +680,6 @@ TEST(ConditionsCheckTest, JsonRoundTrip) {
   EXPECT_EQ(restored->global_tags[0].roles.at("calibration"), "calib");
 }
 
-TEST(ConditionsCheckTest, DumpConditionsReflectsLiveDb) {
-  ConditionsDb db;
-  ASSERT_TRUE(db.Append("calib", 1, "payload-a").ok());
-  ASSERT_TRUE(db.Append("calib", 50, "payload-b").ok());
-  GlobalTagRegistry registry;
-  GlobalTag tag;
-  tag.name = "GT";
-  tag.roles["calibration"] = "calib";
-  tag.roles["alignment"] = "missing_tag";
-  ASSERT_TRUE(registry.Define(tag).ok());
-
-  ConditionsSpec spec = DumpConditions(db, &registry);
-  ASSERT_EQ(spec.tags.count("calib"), 1u);
-  EXPECT_EQ(spec.tags.at("calib").size(), 2u);
-  LintReport report = CheckConditions(spec);
-  EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"C004"}));
-}
-
 // ---------------------------------------------- LintPath artifact routing
 
 class LintPathTest : public ::testing::Test {
@@ -754,6 +736,36 @@ TEST_F(LintPathTest, RoutesArchiveDirectory) {
   ASSERT_TRUE(store.Put("stray blob").ok());
   LintReport report = LintPath(root_.string());
   EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"A003"}));
+}
+
+TEST_F(LintPathTest, RoutesPackArchivesThroughTheStoreSpec) {
+  // The bare directory is sniffed as a pack store, as `pack:DIR` names it:
+  // each lints an intact archive clean and finds a flipped payload byte.
+  // (The read that finds the rot quarantines the object, so each path gets
+  // its own archive.)
+  for (const bool spec : {false, true}) {
+    const std::string root = (root_ / (spec ? "spec" : "sniffed")).string();
+    const std::string path = spec ? "pack:" + root : root;
+    {
+      PackObjectStore store(root);
+      Archive archive(&store);
+      ASSERT_TRUE(archive.Deposit(MakeSubmission("pkg")).ok());
+    }
+    EXPECT_TRUE(LintPath(path).empty()) << path;
+    auto segment = ReadFileToString(PackSegmentPath(root));
+    ASSERT_TRUE(segment.ok());
+    const size_t payload = segment->find("payload bytes for pkg");
+    ASSERT_NE(payload, std::string::npos);
+    FlipByte(PackSegmentPath(root), payload);
+    LintReport report = LintPath(path);
+    EXPECT_TRUE(HasCode(report, "A002")) << path;
+    EXPECT_TRUE(report.HasErrors()) << path;
+  }
+  // A spec whose root does not exist is unreadable, not a new empty store.
+  const std::string missing = (root_ / "missing").string();
+  EXPECT_EQ(CodesOf(LintPath("pack:" + missing)),
+            (std::vector<std::string>{"G002"}));
+  EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 TEST_F(LintPathTest, G001UnrecognizedJson) {

@@ -159,6 +159,36 @@ TEST(JsonTest, AsUintTakesOnlyIntegralNumbersInRange) {
   EXPECT_EQ(Json().as_uint(), std::nullopt);
 }
 
+TEST(JsonTest, IntegersADoubleCannotHoldStayExact) {
+  // 2^53 + 1 and 2^63 + 2049 round to their neighbours as doubles; built
+  // from an integer or parsed from an integer literal, they keep every digit.
+  const uint64_t above_2_53 = (uint64_t{1} << 53) + 1;
+  const uint64_t above_2_63 = (uint64_t{1} << 63) + 2049;
+  for (uint64_t n : {above_2_53, above_2_63, ~uint64_t{0}}) {
+    const Json json(n);
+    EXPECT_EQ(json.Dump(), std::to_string(n));
+    EXPECT_EQ(json.as_uint(), std::optional<uint64_t>(n));
+    auto parsed = Json::Parse(json.Dump());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_TRUE(*parsed == json);
+    EXPECT_EQ(parsed->as_uint(), std::optional<uint64_t>(n));
+    EXPECT_FALSE(*parsed == Json(n - 1));
+  }
+  const int64_t negative = -static_cast<int64_t>(above_2_53);
+  EXPECT_EQ(Json(negative).Dump(), std::to_string(negative));
+  EXPECT_EQ(Json::Parse(std::to_string(negative))->as_integer<int64_t>(),
+            std::optional<int64_t>(negative));
+  EXPECT_EQ(Json(negative).as_int(), negative);
+  EXPECT_EQ(Json(negative).as_uint(), std::nullopt);
+  EXPECT_EQ(Json(above_2_63).as_int(), 0);  // past int64_t
+  EXPECT_EQ(Json(above_2_63).as_integer<int64_t>(), std::nullopt);
+  // Integers a double holds dump exactly as before.
+  EXPECT_EQ(Json(uint64_t{1} << 53).Dump(), "9007199254740992");
+  EXPECT_EQ(Json((uint64_t{1} << 63) + 2048).Dump(),
+            "9.2233720368547779e+18");
+  EXPECT_EQ(Json(uint64_t{123}).Dump(), "123");
+}
+
 TEST(JsonLinesTest, StopsAtFirstUnparsableLine) {
   std::string text =
       "{\"step\": \"gen\", \"output\": \"gen_out\"}\n"

@@ -1,7 +1,8 @@
 // Tests for the continuous-validation farm: campaign capture/enumeration,
-// matrix re-execution with bit-identical pass verdicts, failure surfacing
-// (missing references, unknown analyses, broken packages), chaos mode
-// through the fault injector, journal reuse, and report determinism.
+// matrix re-execution of each package's provenance with bit-identical pass
+// verdicts, failure surfacing (missing references, unknown analyses, broken
+// packages and provenance), chaos mode through the fault injector, journal
+// reuse, and report determinism.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -43,6 +44,35 @@ CampaignSpec SmallCampaign(const std::string& name, uint64_t seed = 7) {
   return spec;
 }
 
+/// The package CaptureCampaign deposits for `spec`, for tests that
+/// re-deposit it edited.
+void CapturePackage(const CampaignSpec& spec, SubmissionPackage* package) {
+  MemoryObjectStore store;
+  Archive archive(&store);
+  auto id = CaptureCampaign(&archive, spec);
+  ASSERT_TRUE(id.ok()) << id.status();
+  auto retrieved = archive.Retrieve(*id);
+  ASSERT_TRUE(retrieved.ok()) << retrieved.status();
+  *package = retrieved->content;
+}
+
+PackageFile* FindFile(SubmissionPackage* package, const std::string& name) {
+  for (PackageFile& file : package->files) {
+    if (file.logical_name == name) return &file;
+  }
+  return nullptr;
+}
+
+/// Deposits `package` into a fresh archive and validates it.
+ValidationReport ValidatePackage(const SubmissionPackage& package) {
+  MemoryObjectStore store;
+  Archive archive(&store);
+  EXPECT_TRUE(archive.Deposit(package).ok());
+  auto report = ValidateArchive(archive);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return report.ok() ? *report : ValidationReport{};
+}
+
 std::string TempDir(const std::string& label) {
   return (std::filesystem::temp_directory_path() /
           ("daspos_validate_" + label + "_" + std::to_string(::getpid())))
@@ -76,10 +106,10 @@ TEST(CaptureTest, PackageCarriesReferencesAndDigests) {
   ASSERT_EQ(set->campaigns.size(), 1u);
   EXPECT_TRUE(set->broken.empty());
   const validate::Campaign& campaign = set->campaigns[0];
-  EXPECT_EQ(campaign.spec.name, "z25");
-  EXPECT_EQ(campaign.spec.events, 25u);
-  EXPECT_EQ(campaign.spec.seed, 7u);
-  EXPECT_EQ(campaign.spec.analyses, std::vector<std::string>{kZll});
+  EXPECT_EQ(campaign.name, "z25");
+  EXPECT_EQ(campaign.analyses, std::vector<std::string>{kZll});
+  // The chain is rebuilt from the package's provenance: gen to derived.
+  EXPECT_EQ(campaign.workflow.step_count(), 5u);
   EXPECT_EQ(campaign.reference_yoda.count(kZll), 1u);
   // The whole chain's datasets are digest-pinned.
   for (const char* name : {"gen", "raw", "reco", "aod", "derived"}) {
@@ -101,12 +131,14 @@ TEST(CaptureTest, SeedAbove2To63RoundTrips) {
   legacy.description += " (int64 seed)";
   ASSERT_TRUE(archive.Deposit(legacy).ok());
 
-  auto set = EnumerateCampaigns(archive);
-  ASSERT_TRUE(set.ok());
-  EXPECT_TRUE(set->broken.empty());
-  ASSERT_EQ(set->campaigns.size(), 2u);
-  EXPECT_EQ(set->campaigns[0].spec.seed, seed);
-  EXPECT_EQ(set->campaigns[1].spec.seed, seed);
+  // Both re-execute their provenance chain, whatever the manifest says.
+  auto report = ValidateArchive(archive);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->cells.size(), 2u);
+  for (const validate::CellResult& cell : report->cells) {
+    EXPECT_EQ(cell.verdict, Verdict::kPass) << cell.detail;
+    EXPECT_TRUE(cell.chain_identical);
+  }
 }
 
 TEST(CaptureTest, EmptyAnalysisListSelectsWholeRegistry) {
@@ -118,9 +150,9 @@ TEST(CaptureTest, EmptyAnalysisListSelectsWholeRegistry) {
   auto set = EnumerateCampaigns(archive);
   ASSERT_TRUE(set.ok());
   ASSERT_EQ(set->campaigns.size(), 1u);
-  EXPECT_GE(set->campaigns[0].spec.analyses.size(), 5u);
+  EXPECT_GE(set->campaigns[0].analyses.size(), 5u);
   EXPECT_EQ(set->campaigns[0].reference_yoda.size(),
-            set->campaigns[0].spec.analyses.size());
+            set->campaigns[0].analyses.size());
 }
 
 TEST(ValidateTest, EmptyArchivePassesVacuouslyEmpty) {
@@ -194,37 +226,24 @@ TEST(ValidateTest, EveryRegisteredAnalysisReproducesIncludingEmptyHistograms) {
 TEST(ValidateTest, HistogramEmptyOnOneSideFailsTheCell) {
   // Re-deposit a captured campaign with its reference histograms emptied:
   // the re-executed analysis fills them, which is a mismatch.
-  MemoryObjectStore capture_store;
-  Archive capture(&capture_store);
-  auto id = CaptureCampaign(&capture, SmallCampaign("emptied"));
-  ASSERT_TRUE(id.ok()) << id.status();
-  auto package = capture.Retrieve(*id);
-  ASSERT_TRUE(package.ok()) << package.status();
-  SubmissionPackage submission = package->content;
-  bool emptied = false;
-  for (PackageFile& file : submission.files) {
-    if (file.logical_name != std::string("validate/") + kZll + ".yoda") {
-      continue;
-    }
-    auto histograms = ReadYoda(file.bytes);
-    ASSERT_TRUE(histograms.ok()) << histograms.status();
-    for (Histo1D& histogram : *histograms) histogram.Reset();
-    file.bytes = WriteYoda(*histograms);
-    emptied = true;
-  }
-  ASSERT_TRUE(emptied);
-  MemoryObjectStore store;
-  Archive archive(&store);
-  ASSERT_TRUE(archive.Deposit(submission).ok());
+  SubmissionPackage submission;
+  ASSERT_NO_FATAL_FAILURE(
+      CapturePackage(SmallCampaign("emptied"), &submission));
+  PackageFile* file =
+      FindFile(&submission, std::string("validate/") + kZll + ".yoda");
+  ASSERT_NE(file, nullptr);
+  auto histograms = ReadYoda(file->bytes);
+  ASSERT_TRUE(histograms.ok()) << histograms.status();
+  for (Histo1D& histogram : *histograms) histogram.Reset();
+  file->bytes = WriteYoda(*histograms);
 
-  auto report = ValidateArchive(archive);
-  ASSERT_TRUE(report.ok()) << report.status();
-  ASSERT_EQ(report->cells.size(), 1u);
-  EXPECT_EQ(report->cells[0].verdict, Verdict::kFail);
-  EXPECT_EQ(report->cells[0].worst_ks, 1.0);
-  EXPECT_NE(report->cells[0].detail.find("empty on one side"),
+  ValidationReport report = ValidatePackage(submission);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_EQ(report.cells[0].verdict, Verdict::kFail);
+  EXPECT_EQ(report.cells[0].worst_ks, 1.0);
+  EXPECT_NE(report.cells[0].detail.find("empty on one side"),
             std::string::npos)
-      << report->cells[0].detail;
+      << report.cells[0].detail;
 }
 
 TEST(ValidateTest, ConcurrentMatrixMatchesSerialReport) {
@@ -284,9 +303,17 @@ TEST(ValidateTest, MissingReferenceAndUnknownAnalysisFail) {
   Archive archive(&store);
   // Handcraft a campaign whose manifest promises more than the package
   // holds: one analysis with no reference file, one analysis that is not in
-  // the registry at all.
+  // the registry at all. Its chain is a captured one's provenance.
+  SubmissionPackage captured;
+  CampaignSpec spec = SmallCampaign("promises", 1);
+  spec.events = 10;
+  ASSERT_NO_FATAL_FAILURE(CapturePackage(spec, &captured));
+  const PackageFile* provenance =
+      FindFile(&captured, "validate/provenance.json");
+  ASSERT_NE(provenance, nullptr);
   SubmissionPackage submission;
   submission.title = "campaign:promises";
+  submission.files.push_back(*provenance);
   Json manifest = Json::Object();
   manifest["schema"] = 1;
   manifest["name"] = "promises";
@@ -337,6 +364,74 @@ TEST(ValidateTest, MalformedCampaignPackageSurfacesAsFailingCell) {
   EXPECT_EQ(report->cells[0].analysis, "(package)");
   EXPECT_EQ(report->cells[0].verdict, Verdict::kFail);
   EXPECT_NE(report->cells[0].detail.find("unreadable"), std::string::npos);
+}
+
+TEST(ValidateTest, ManifestProcessAndSeedAreDescriptiveOnly) {
+  // The farm re-executes the package's provenance, so a manifest edited to
+  // another process and seed still reproduces bit-identically.
+  SubmissionPackage package;
+  ASSERT_NO_FATAL_FAILURE(CapturePackage(SmallCampaign("edited"), &package));
+  package.context["daspos_campaign"]["seed"] = 8;
+  package.context["daspos_campaign"]["process"] = "minbias";
+  ValidationReport report = ValidatePackage(package);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_EQ(report.cells[0].verdict, Verdict::kPass) << report.cells[0].detail;
+  EXPECT_TRUE(report.cells[0].chain_identical);
+}
+
+TEST(ValidateTest, EditedProvenanceSeedDrifts) {
+  // The generation record's seed is what the farm re-runs: editing it moves
+  // every dataset away from its archived digest.
+  SubmissionPackage package;
+  ASSERT_NO_FATAL_FAILURE(CapturePackage(SmallCampaign("reseeded"), &package));
+  PackageFile* file = FindFile(&package, "validate/provenance.json");
+  ASSERT_NE(file, nullptr);
+  auto chain = Json::Parse(file->bytes);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  Json edited = Json::Array();
+  for (Json record : chain->items()) {
+    if (record.Get("dataset").as_string() == "gen") {
+      record["config"]["generator"]["seed"] = 8;
+    }
+    edited.push_back(std::move(record));
+  }
+  file->bytes = edited.Dump(2);
+  ValidationReport report = ValidatePackage(package);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_NE(report.cells[0].verdict, Verdict::kPass);
+  EXPECT_FALSE(report.cells[0].chain_identical);
+}
+
+TEST(ValidateTest, MissingOrUnrebuildableProvenanceFailsThePackage) {
+  SubmissionPackage package;
+  ASSERT_NO_FATAL_FAILURE(CapturePackage(SmallCampaign("z25"), &package));
+  auto expect_one_failing_package_cell = [](const SubmissionPackage& broken,
+                                            const std::string& reason) {
+    ValidationReport report = ValidatePackage(broken);
+    ASSERT_EQ(report.cells.size(), 1u);
+    EXPECT_EQ(report.cells[0].campaign, "z25");
+    EXPECT_EQ(report.cells[0].analysis, "(package)");
+    EXPECT_EQ(report.cells[0].verdict, Verdict::kFail);
+    EXPECT_NE(report.cells[0].detail.find(reason), std::string::npos)
+        << report.cells[0].detail;
+  };
+
+  SubmissionPackage without = package;
+  std::erase_if(without.files, [](const PackageFile& file) {
+    return file.logical_name == "validate/provenance.json";
+  });
+  expect_one_failing_package_cell(without, "validate/provenance.json");
+
+  // A producer RebuildStep does not know: hand-written code, not a config.
+  SubmissionPackage unknown = package;
+  PackageFile* file = FindFile(&unknown, "validate/provenance.json");
+  ASSERT_NE(file, nullptr);
+  const std::string producer = "\"producer\": \"generation[gen]\"";
+  const size_t at = file->bytes.find(producer);
+  ASSERT_NE(at, std::string::npos);
+  file->bytes.replace(at, producer.size(),
+                      "\"producer\": \"analyst_macro[gen]\"");
+  expect_one_failing_package_cell(unknown, "analyst_macro");
 }
 
 TEST(ValidateTest, InjectedFaultsAbsorbedByRetries) {

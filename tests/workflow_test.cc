@@ -711,6 +711,146 @@ TEST(MergeStepTest, RejectsMixedTiersAndEmptyInput) {
   EXPECT_EQ(events->size(), 5u);
 }
 
+// ------------------------------------------------------------------ Replay
+
+class ReplayTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    calib_.version = 5;
+    calib_.tracker_phi_offset = 0.001;
+
+    GeneratorConfig gen_config;
+    gen_config.process = Process::kZToLL;
+    gen_config.lepton_flavor = pdg::kMuon;
+    gen_config.seed = 2025;
+    SimulationConfig sim_config;
+    sim_config.seed = 2026;
+    sim_config.calib = calib_;
+
+    Workflow workflow;
+    ASSERT_TRUE(workflow
+                    .AddStep(std::make_shared<GenerationStep>(gen_config, 40,
+                                                              "r_gen"),
+                             {}, "r_gen")
+                    .ok());
+    ASSERT_TRUE(workflow
+                    .AddStep(std::make_shared<SimulationStep>(sim_config, 3,
+                                                              "r_raw"),
+                             {"r_gen"}, "r_raw")
+                    .ok());
+    ASSERT_TRUE(workflow
+                    .AddStep(std::make_shared<ReconstructionStep>(
+                                 sim_config.geometry, "r_reco"),
+                             {"r_raw"}, "r_reco")
+                    .ok());
+    ASSERT_TRUE(workflow
+                    .AddStep(std::make_shared<AodReductionStep>("r_aod"),
+                             {"r_reco"}, "r_aod")
+                    .ok());
+    ASSERT_TRUE(
+        workflow
+            .AddStep(std::make_shared<DerivationStep>(
+                         SkimSpec::RequireObjects(ObjectType::kMuon, 2, 15.0),
+                         SlimSpec::LeptonsOnly(15.0), "r_derived"),
+                     {"r_aod"}, "r_derived")
+            .ok());
+    ASSERT_TRUE(
+        ExecuteChain(workflow, calib_, &original_, &provenance_).ok());
+  }
+
+  /// Replays `provenance` into a fresh context and expects every original
+  /// dataset back byte for byte.
+  void ExpectByteIdenticalReplay(const ProvenanceStore& provenance) {
+    auto workflow = ReplayWorkflow(provenance);
+    ASSERT_TRUE(workflow.ok()) << workflow.status();
+    EXPECT_EQ(workflow->step_count(), 5u);
+    WorkflowContext replayed;
+    auto report = ExecuteChain(*workflow, calib_, &replayed);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->steps.size(), 5u);
+    ASSERT_EQ(replayed.DatasetNames(), original_.DatasetNames());
+    for (const std::string& name : original_.DatasetNames()) {
+      EXPECT_EQ(*replayed.GetDataset(name), *original_.GetDataset(name))
+          << name;
+    }
+  }
+
+  CalibrationSet calib_;
+  WorkflowContext original_;
+  ProvenanceStore provenance_;
+};
+
+TEST_F(ReplayTest, ChainReplaysByteIdentically) {
+  // "Decades later": only provenance + calibration exist; the chain is
+  // rebuilt from the records and re-run.
+  ExpectByteIdenticalReplay(provenance_);
+}
+
+TEST_F(ReplayTest, ReplaySurvivesProvenanceSerialization) {
+  // The provenance store itself round-trips through its archival text form
+  // and still drives a byte-identical replay.
+  auto parsed = ProvenanceStore::Parse(provenance_.Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ExpectByteIdenticalReplay(*parsed);
+}
+
+TEST_F(ReplayTest, GapBlocksReplay) {
+  // Remove the middle of the chain: the engine's lint gate refuses the
+  // rebuilt workflow before anything runs, naming the gap.
+  ProvenanceStore partial;
+  for (const std::string& dataset : provenance_.Datasets()) {
+    if (dataset == "r_raw") continue;  // the lost record
+    ASSERT_TRUE(partial.Add(*provenance_.Get(dataset)).ok());
+  }
+  auto workflow = ReplayWorkflow(partial);
+  ASSERT_TRUE(workflow.ok()) << workflow.status();
+  WorkflowContext replayed;
+  auto report = ExecuteChain(*workflow, calib_, &replayed);
+  EXPECT_TRUE(report.status().IsFailedPrecondition()) << report.status();
+  EXPECT_NE(report.status().message().find("r_raw"), std::string::npos);
+  EXPECT_TRUE(replayed.DatasetNames().empty());
+}
+
+TEST_F(ReplayTest, ReplayWithoutConditionsFails) {
+  auto workflow = ReplayWorkflow(provenance_);
+  ASSERT_TRUE(workflow.ok()) << workflow.status();
+  WorkflowContext replayed;  // no conditions service
+  EXPECT_TRUE(workflow->Execute(&replayed).status().IsFailedPrecondition());
+}
+
+TEST_F(ReplayTest, UnknownProducerIsHonestlyUnimplemented) {
+  ProvenanceRecord record;
+  record.dataset = "plots";
+  record.producer = "analyst_macro";  // hand-written final-plot code, §3.2
+  record.config = Json::Object();
+  EXPECT_TRUE(RebuildStep(record).status().IsUnimplemented());
+  ProvenanceStore provenance = provenance_;
+  ASSERT_TRUE(provenance.Add(record).ok());
+  EXPECT_TRUE(ReplayWorkflow(provenance).status().IsUnimplemented());
+}
+
+TEST(StandardChainTest, LargestSeedReplaysFromArchivedProvenance) {
+  // Seed 2^64 - 1 is no double, and its simulation seed wraps to 0: the
+  // archived provenance text must still rebuild the chain exactly.
+  const uint64_t seed = ~uint64_t{0};
+  WorkflowContext original;
+  ProvenanceStore provenance;
+  ASSERT_TRUE(ExecuteChain(StandardChainWorkflow(Process::kZToLL, 20, seed),
+                           CalibrationSet(), &original, &provenance)
+                  .ok());
+  auto parsed = ProvenanceStore::Parse(provenance.Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto workflow = ReplayWorkflow(*parsed);
+  ASSERT_TRUE(workflow.ok()) << workflow.status();
+  WorkflowContext replayed;
+  ASSERT_TRUE(ExecuteChain(*workflow, CalibrationSet(), &replayed).ok());
+  ASSERT_EQ(replayed.DatasetNames(), original.DatasetNames());
+  for (const std::string& name : original.DatasetNames()) {
+    EXPECT_EQ(*replayed.GetDataset(name), *original.GetDataset(name))
+        << name;
+  }
+}
+
 TEST(GeneratorConfigJsonTest, RoundTrip) {
   GeneratorConfig config;
   config.process = Process::kZPrimeToLL;
@@ -744,6 +884,28 @@ TEST(GeneratorConfigJsonTest, SeedAbove2To63RoundTrips) {
   auto sim = SimulationConfigFromJson(SimulationConfigToJson(simulation));
   ASSERT_TRUE(sim.ok()) << sim.status().ToString();
   EXPECT_EQ(sim->seed, seed);
+}
+
+TEST(GeneratorConfigJsonTest, SeedsPast2To53StayDistinctAndRoundTrip) {
+  // 2^53 and 2^53 + 1 are one double: both seeds used to capture the same
+  // configuration, and so the same config hash.
+  GeneratorConfig low;
+  low.seed = uint64_t{1} << 53;
+  GeneratorConfig high = low;
+  high.seed = low.seed + 1;
+  EXPECT_NE(GenerationStep(low, 10, "gen").Config().Dump(),
+            GenerationStep(high, 10, "gen").Config().Dump());
+  auto restored = GeneratorConfigFromJson(
+      *Json::Parse(GeneratorConfigToJson(high).Dump()));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->seed, high.seed);
+  // The standard chain's simulation seed is the generator seed + 1.
+  SimulationConfig simulation;
+  simulation.seed = (uint64_t{1} << 63) + 2049;
+  auto sim = SimulationConfigFromJson(
+      *Json::Parse(SimulationConfigToJson(simulation).Dump()));
+  ASSERT_TRUE(sim.ok()) << sim.status();
+  EXPECT_EQ(sim->seed, simulation.seed);
 }
 
 TEST(GeneratorConfigJsonTest, RejectsWhatItCannotRepresent) {
