@@ -92,35 +92,15 @@ double Charge(int pdg_id) {
   return pdg_id >= 0 ? q : -q;
 }
 
-bool IsChargedLepton(int pdg_id) {
-  int a = std::abs(pdg_id);
-  return a == kElectron || a == kMuon || a == kTau;
-}
-
 bool IsNeutrino(int pdg_id) {
   int a = std::abs(pdg_id);
   return a == kNuE || a == kNuMu || a == kNuTau;
-}
-
-bool IsLepton(int pdg_id) {
-  return IsChargedLepton(pdg_id) || IsNeutrino(pdg_id);
-}
-
-bool IsQuark(int pdg_id) {
-  int a = std::abs(pdg_id);
-  return a >= kDown && a <= kTop;
 }
 
 bool IsHadron(int pdg_id) {
   int a = std::abs(pdg_id);
   return a == kPiPlus || a == kPiZero || a == kKPlus || a == kD0 ||
          a == kDPlus || a == kProton || a == kNeutron;
-}
-
-bool IsDetectorStable(int pdg_id) {
-  int a = std::abs(pdg_id);
-  return a == kElectron || a == kMuon || a == kPhoton || a == kPiPlus ||
-         a == kKPlus || a == kProton || a == kNeutron || IsNeutrino(pdg_id);
 }
 
 bool IsInvisible(int pdg_id) { return IsNeutrino(pdg_id); }

@@ -47,14 +47,8 @@ double Mass(int pdg_id);
 /// Electric charge in units of e (handles antiparticles by sign).
 double Charge(int pdg_id);
 
-bool IsChargedLepton(int pdg_id);
 bool IsNeutrino(int pdg_id);
-bool IsLepton(int pdg_id);
-bool IsQuark(int pdg_id);
 bool IsHadron(int pdg_id);
-/// Stable on detector scales (reaches the detector): e, mu, gamma, pi+-,
-/// K+-, p, n, and neutrinos (which escape).
-bool IsDetectorStable(int pdg_id);
 /// Leaves no detector signal (neutrinos).
 bool IsInvisible(int pdg_id);
 

@@ -45,18 +45,4 @@ Result<double> KolmogorovDistance(const Histo1D& a, const Histo1D& b) {
   return dmax;
 }
 
-Result<bool> CompatibleWithin(const Histo1D& a, const Histo1D& b,
-                              double n_sigma, double abs_tol) {
-  DASPOS_RETURN_IF_ERROR(CheckSameBinning(a, b));
-  for (int i = 0; i < a.axis().nbins(); ++i) {
-    double diff = std::fabs(a.BinContent(i) - b.BinContent(i));
-    double ea = a.BinError(i);
-    double eb = b.BinError(i);
-    double err = std::sqrt(ea * ea + eb * eb);
-    double allowed = err > 0.0 ? n_sigma * err : abs_tol;
-    if (diff > allowed) return false;
-  }
-  return true;
-}
-
 }  // namespace daspos

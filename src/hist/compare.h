@@ -28,11 +28,6 @@ Result<Chi2Result> Chi2Test(const Histo1D& a, const Histo1D& b);
 /// a filled one is as far apart as KS can tell (distance 1).
 Result<double> KolmogorovDistance(const Histo1D& a, const Histo1D& b);
 
-/// True if every bin agrees within `n_sigma` combined errors; histograms with
-/// no error information compare by absolute tolerance `abs_tol`.
-Result<bool> CompatibleWithin(const Histo1D& a, const Histo1D& b,
-                              double n_sigma, double abs_tol = 1e-9);
-
 }  // namespace daspos
 
 #endif  // DASPOS_HIST_COMPARE_H_

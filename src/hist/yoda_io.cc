@@ -122,197 +122,4 @@ Result<std::vector<Histo1D>> ReadYoda(const std::string& text) {
   return out;
 }
 
-std::string WriteYodaDocument(const YodaDocument& document) {
-  std::string out = WriteYoda(document.histos1d);
-  for (const Histo2D& h : document.histos2d) {
-    out += "BEGIN HISTO2D " + h.path() + "\n";
-    out += "xbinning: " + std::to_string(h.xaxis().nbins()) + " " +
-           FormatG17(h.xaxis().lo()) + " " + FormatG17(h.xaxis().hi()) + "\n";
-    out += "ybinning: " + std::to_string(h.yaxis().nbins()) + " " +
-           FormatG17(h.yaxis().lo()) + " " + FormatG17(h.yaxis().hi()) + "\n";
-    out += "outside: " + FormatG17(h.outside()) + "\n";
-    out += "entries: " + std::to_string(h.entries()) + "\n";
-    for (size_t i = 0; i < h.sumw().size(); ++i) {
-      out += FormatG17(h.sumw()[i]) + " " + FormatG17(h.sumw2()[i]) + "\n";
-    }
-    out += "END HISTO2D\n";
-  }
-  for (const Profile1D& p : document.profiles) {
-    out += "BEGIN PROFILE1D " + p.path() + "\n";
-    out += "binning: " + std::to_string(p.axis().nbins()) + " " +
-           FormatG17(p.axis().lo()) + " " + FormatG17(p.axis().hi()) + "\n";
-    out += "entries: " + std::to_string(p.entries()) + "\n";
-    for (size_t i = 0; i < p.sumw().size(); ++i) {
-      out += FormatG17(p.sumw()[i]) + " " + FormatG17(p.sumwy()[i]) + " " +
-             FormatG17(p.sumwy2()[i]) + "\n";
-    }
-    out += "END PROFILE1D\n";
-  }
-  return out;
-}
-
-namespace {
-
-/// Shared line cursor for the document parser.
-class LineCursor {
- public:
-  explicit LineCursor(const std::string& text) : lines_(Split(text, '\n')) {}
-
-  /// Next non-empty, non-comment line, or empty view at end.
-  std::string_view Peek() {
-    while (index_ < lines_.size()) {
-      std::string_view line = Trim(lines_[index_]);
-      if (line.empty() || line[0] == '#') {
-        ++index_;
-        continue;
-      }
-      return line;
-    }
-    return {};
-  }
-  void Advance() { ++index_; }
-
-  /// Whitespace-split non-empty fields of the next content line.
-  Result<std::vector<std::string>> TakeFields(size_t expected,
-                                              const std::string& what) {
-    std::string_view line = Peek();
-    if (line.empty()) return Status::Corruption("truncated " + what);
-    Advance();
-    std::vector<std::string> fields;
-    for (auto& part : Split(std::string(line), ' ')) {
-      if (!Trim(part).empty()) fields.emplace_back(Trim(part));
-    }
-    if (fields.size() != expected) {
-      return Status::Corruption("bad " + what + " line");
-    }
-    return fields;
-  }
-
-  /// Expects "key:" and returns the remainder.
-  Result<std::string> TakeField(const std::string& key) {
-    std::string_view line = Peek();
-    if (line.empty() || !StartsWith(line, key)) {
-      return Status::Corruption("expected field '" + key + "'");
-    }
-    Advance();
-    return std::string(Trim(line.substr(key.size())));
-  }
-
- private:
-  std::vector<std::string> lines_;
-  size_t index_ = 0;
-};
-
-struct Binning {
-  int nbins;
-  double lo;
-  double hi;
-};
-
-Result<Binning> ParseBinning(const std::string& text,
-                             const std::string& what) {
-  std::vector<std::string> fields;
-  for (auto& part : Split(text, ' ')) {
-    if (!Trim(part).empty()) fields.emplace_back(Trim(part));
-  }
-  if (fields.size() != 3) return Status::Corruption("bad " + what);
-  DASPOS_ASSIGN_OR_RETURN(uint64_t nbins, ParseU64(fields[0]));
-  DASPOS_ASSIGN_OR_RETURN(double lo, ParseDouble(fields[1]));
-  DASPOS_ASSIGN_OR_RETURN(double hi, ParseDouble(fields[2]));
-  if (nbins == 0 || hi <= lo) return Status::Corruption("invalid " + what);
-  return Binning{static_cast<int>(nbins), lo, hi};
-}
-
-}  // namespace
-
-Result<YodaDocument> ReadYodaDocument(const std::string& text) {
-  YodaDocument document;
-  LineCursor cursor(text);
-  for (;;) {
-    std::string_view line = cursor.Peek();
-    if (line.empty()) break;
-    if (StartsWith(line, "BEGIN HISTO1D ")) {
-      // Delegate single blocks to the 1D reader by re-serializing the
-      // block; simpler: inline-parse here using the same field logic.
-      std::string path(Trim(line.substr(14)));
-      cursor.Advance();
-      DASPOS_ASSIGN_OR_RETURN(std::string binning_text,
-                              cursor.TakeField("binning:"));
-      DASPOS_ASSIGN_OR_RETURN(Binning binning,
-                              ParseBinning(binning_text, "binning"));
-      DASPOS_ASSIGN_OR_RETURN(std::string uf, cursor.TakeField("underflow:"));
-      DASPOS_ASSIGN_OR_RETURN(double underflow, ParseDouble(uf));
-      DASPOS_ASSIGN_OR_RETURN(std::string of, cursor.TakeField("overflow:"));
-      DASPOS_ASSIGN_OR_RETURN(double overflow, ParseDouble(of));
-      DASPOS_ASSIGN_OR_RETURN(std::string ent, cursor.TakeField("entries:"));
-      DASPOS_ASSIGN_OR_RETURN(uint64_t entries, ParseU64(ent));
-      Histo1D histogram(path, binning.nbins, binning.lo, binning.hi);
-      histogram.SetOutOfRange(underflow, overflow, entries);
-      for (int i = 0; i < binning.nbins; ++i) {
-        DASPOS_ASSIGN_OR_RETURN(auto fields, cursor.TakeFields(2, "bin"));
-        DASPOS_ASSIGN_OR_RETURN(double sw, ParseDouble(fields[0]));
-        DASPOS_ASSIGN_OR_RETURN(double sw2, ParseDouble(fields[1]));
-        histogram.SetBin(i, sw, sw2);
-      }
-      if (cursor.Peek() != "END HISTO1D") {
-        return Status::Corruption("missing END HISTO1D for " + path);
-      }
-      cursor.Advance();
-      document.histos1d.push_back(std::move(histogram));
-    } else if (StartsWith(line, "BEGIN HISTO2D ")) {
-      std::string path(Trim(line.substr(14)));
-      cursor.Advance();
-      DASPOS_ASSIGN_OR_RETURN(std::string xb, cursor.TakeField("xbinning:"));
-      DASPOS_ASSIGN_OR_RETURN(Binning x, ParseBinning(xb, "xbinning"));
-      DASPOS_ASSIGN_OR_RETURN(std::string yb, cursor.TakeField("ybinning:"));
-      DASPOS_ASSIGN_OR_RETURN(Binning y, ParseBinning(yb, "ybinning"));
-      DASPOS_ASSIGN_OR_RETURN(std::string os, cursor.TakeField("outside:"));
-      DASPOS_ASSIGN_OR_RETURN(double outside, ParseDouble(os));
-      DASPOS_ASSIGN_OR_RETURN(std::string ent, cursor.TakeField("entries:"));
-      DASPOS_ASSIGN_OR_RETURN(uint64_t entries, ParseU64(ent));
-      Histo2D histogram(path, x.nbins, x.lo, x.hi, y.nbins, y.lo, y.hi);
-      histogram.SetOutside(outside, entries);
-      for (int iy = 0; iy < y.nbins; ++iy) {
-        for (int ix = 0; ix < x.nbins; ++ix) {
-          DASPOS_ASSIGN_OR_RETURN(auto fields, cursor.TakeFields(2, "cell"));
-          DASPOS_ASSIGN_OR_RETURN(double sw, ParseDouble(fields[0]));
-          DASPOS_ASSIGN_OR_RETURN(double sw2, ParseDouble(fields[1]));
-          histogram.SetBin(ix, iy, sw, sw2);
-        }
-      }
-      if (cursor.Peek() != "END HISTO2D") {
-        return Status::Corruption("missing END HISTO2D for " + path);
-      }
-      cursor.Advance();
-      document.histos2d.push_back(std::move(histogram));
-    } else if (StartsWith(line, "BEGIN PROFILE1D ")) {
-      std::string path(Trim(line.substr(16)));
-      cursor.Advance();
-      DASPOS_ASSIGN_OR_RETURN(std::string b, cursor.TakeField("binning:"));
-      DASPOS_ASSIGN_OR_RETURN(Binning binning, ParseBinning(b, "binning"));
-      DASPOS_ASSIGN_OR_RETURN(std::string ent, cursor.TakeField("entries:"));
-      DASPOS_ASSIGN_OR_RETURN(uint64_t entries, ParseU64(ent));
-      Profile1D profile(path, binning.nbins, binning.lo, binning.hi);
-      profile.set_entries(entries);
-      for (int i = 0; i < binning.nbins; ++i) {
-        DASPOS_ASSIGN_OR_RETURN(auto fields,
-                                cursor.TakeFields(3, "profile bin"));
-        DASPOS_ASSIGN_OR_RETURN(double sw, ParseDouble(fields[0]));
-        DASPOS_ASSIGN_OR_RETURN(double swy, ParseDouble(fields[1]));
-        DASPOS_ASSIGN_OR_RETURN(double swy2, ParseDouble(fields[2]));
-        profile.SetBin(i, sw, swy, swy2);
-      }
-      if (cursor.Peek() != "END PROFILE1D") {
-        return Status::Corruption("missing END PROFILE1D for " + path);
-      }
-      cursor.Advance();
-      document.profiles.push_back(std::move(profile));
-    } else {
-      return Status::Corruption("unexpected document line: " +
-                                std::string(line));
-    }
-  }
-  return document;
-}
-
 }  // namespace daspos

@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "hist/histo1d.h"
-#include "hist/histo2d.h"
-#include "hist/profile1d.h"
 #include "support/result.h"
 
 namespace daspos {
@@ -30,23 +28,8 @@ std::string WriteYoda(const std::vector<Histo1D>& histos);
 
 /// Parses a document produced by WriteYoda (tolerates blank lines and
 /// '#' comments). Fails with Corruption on structural errors, including
-/// the presence of non-HISTO1D blocks (use ReadYodaDocument for those).
+/// the presence of any block that is not HISTO1D.
 Result<std::vector<Histo1D>> ReadYoda(const std::string& text);
-
-/// A mixed preserved-histogram document: 1D, 2D (acceptance grids in mass
-/// planes, §2.3), and profiles (calibration monitoring).
-struct YodaDocument {
-  std::vector<Histo1D> histos1d;
-  std::vector<Histo2D> histos2d;
-  std::vector<Profile1D> profiles;
-};
-
-/// Serializes a mixed document. 2D blocks store cells row-major; profile
-/// blocks store (sumw, sumwy, sumwy2) per bin.
-std::string WriteYodaDocument(const YodaDocument& document);
-
-/// Parses a mixed document (accepts everything WriteYoda emits too).
-Result<YodaDocument> ReadYodaDocument(const std::string& text);
 
 }  // namespace daspos
 

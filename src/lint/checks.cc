@@ -5,6 +5,7 @@
 #include "archive/archive.h"
 #include "conditions/store.h"
 #include "lhada/lhada.h"
+#include "support/sha256.h"
 #include "support/strings.h"
 
 namespace daspos {
@@ -174,6 +175,7 @@ Result<ProvenanceSpec> ProvenanceSpec::FromJson(const Json& json) {
     Record record;
     record.dataset = entry.Get("dataset").as_string();
     record.config_hash = entry.Get("config_hash").as_string();
+    record.config = entry.Get("config");
     const Json& parents = entry.Get("parents");
     for (size_t p = 0; p < parents.size(); ++p) {
       record.parents.push_back(parents.at(p).as_string());
@@ -235,7 +237,8 @@ LintReport CheckProvenance(const ProvenanceSpec& spec,
     }
   }
 
-  // W103: config hash absent or not a SHA-256 hex digest.
+  // W103: config hash absent, not a SHA-256 hex digest, or not the hash of
+  // the record's config (replay refuses such a record).
   for (const ProvenanceSpec::Record& record : spec.records) {
     bool usable = record.config_hash.size() == 64;
     for (char c : record.config_hash) {
@@ -246,6 +249,16 @@ LintReport CheckProvenance(const ProvenanceSpec& spec,
                  "config hash '" + record.config_hash +
                      "' is not a SHA-256 hex digest",
                  "re-capture with the canonical config hashing");
+      continue;
+    }
+    const std::string config_hash = Sha256::HashHex(record.config.Dump());
+    if (config_hash != record.config_hash) {
+      report.Add("W103", artifact, record.dataset,
+                 "config hash '" + record.config_hash +
+                     "' is stale: the recorded config hashes to " +
+                     config_hash,
+                 "the config was edited or rotted after capture; re-capture "
+                 "the chain");
     }
   }
   return report;

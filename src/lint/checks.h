@@ -53,6 +53,8 @@ struct ProvenanceSpec {
     std::string dataset;
     std::vector<std::string> parents;
     std::string config_hash;
+    /// The captured step configuration that `config_hash` names.
+    Json config;
   };
   std::vector<Record> records;
 
@@ -62,7 +64,8 @@ struct ProvenanceSpec {
   static Result<ProvenanceSpec> FromJson(const Json& json);
 };
 
-/// W101 gaps, W102 parentage cycles, W103 missing config hashes.
+/// W101 gaps, W102 parentage cycles, W103 config hashes that are missing
+/// or are not the SHA-256 of the record's config.
 LintReport CheckProvenance(const ProvenanceSpec& spec,
                            const std::string& artifact = "provenance");
 

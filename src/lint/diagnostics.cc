@@ -143,8 +143,8 @@ const std::vector<CheckInfo>& AllChecks() {
       {"W102", Severity::kError,
        "provenance parentage is cyclic: a dataset is its own ancestor"},
       {"W103", Severity::kWarning,
-       "provenance record carries no usable config hash (reproduction "
-       "impossible)"},
+       "provenance record carries no usable config hash, or one that is not "
+       "the SHA-256 of its config (reproduction impossible)"},
       {"W104", Severity::kWarning,
        "run journal references a step absent from the workflow (stale or "
        "foreign checkpoint)"},

@@ -70,75 +70,4 @@ Result<PeakFit> FitGaussianPeak(const Histo1D& histogram, double mean_guess,
   return out;
 }
 
-Result<DecayFit> FitExponentialDecay(const Histo1D& histogram,
-                                     double lifetime_guess) {
-  if (histogram.Integral() <= 0.0) {
-    return Status::InvalidArgument("cannot fit an empty histogram");
-  }
-  if (lifetime_guess <= 0.0) {
-    return Status::InvalidArgument("lifetime guess must be positive");
-  }
-  const Axis& axis = histogram.axis();
-  const double width = axis.width();
-
-  auto nll = [&](const std::vector<double>& p) {
-    double norm = p[0];
-    double tau = p[1];
-    if (norm <= 0.0 || tau <= 0.0) return kHuge;
-    double total = 0.0;
-    for (int i = 0; i < axis.nbins(); ++i) {
-      double x = axis.BinCenter(i);
-      double expected = norm * width / tau * std::exp(-x / tau);
-      total += BinNll(expected, histogram.BinContent(i));
-    }
-    return total;
-  };
-
-  MinimizeResult fit =
-      Minimize(nll, {histogram.Integral(), lifetime_guess});
-  DecayFit out;
-  out.normalization = fit.parameters[0];
-  out.lifetime = fit.parameters[1];
-  out.nll = fit.value;
-  out.converged = fit.converged && fit.value < kHuge;
-  return out;
-}
-
-Result<SubtractionResult> SidebandSubtract(const Histo1D& histogram,
-                                           double signal_lo,
-                                           double signal_hi) {
-  const Axis& axis = histogram.axis();
-  if (signal_lo >= signal_hi || signal_lo <= axis.lo() ||
-      signal_hi >= axis.hi()) {
-    return Status::InvalidArgument(
-        "signal window must lie strictly inside the histogram range");
-  }
-  double signal_sum = 0.0;
-  double signal_sum_w2 = 0.0;
-  int signal_bins = 0;
-  double sideband_sum = 0.0;
-  int sideband_bins = 0;
-  for (int i = 0; i < axis.nbins(); ++i) {
-    double x = axis.BinCenter(i);
-    if (x >= signal_lo && x < signal_hi) {
-      signal_sum += histogram.BinContent(i);
-      double err = histogram.BinError(i);
-      signal_sum_w2 += err * err;
-      ++signal_bins;
-    } else {
-      sideband_sum += histogram.BinContent(i);
-      ++sideband_bins;
-    }
-  }
-  if (sideband_bins == 0) {
-    return Status::InvalidArgument("no sideband bins outside the window");
-  }
-  SubtractionResult out;
-  out.background_estimate =
-      sideband_sum / sideband_bins * signal_bins;
-  out.signal_yield = signal_sum - out.background_estimate;
-  out.signal_error = std::sqrt(signal_sum_w2 + out.background_estimate);
-  return out;
-}
-
 }  // namespace daspos

@@ -1,6 +1,5 @@
-// Binned likelihood fits for the analyses in this repository: a Gaussian
-// peak over linear background (Z and Higgs mass measurements) and an
-// exponential decay (D-meson lifetime master class).
+// Binned likelihood fit for the analyses in this repository: a Gaussian
+// peak over linear background (Z and Higgs mass measurements).
 #ifndef DASPOS_STATS_FITS_H_
 #define DASPOS_STATS_FITS_H_
 
@@ -24,30 +23,6 @@ struct PeakFit {
 /// maximum likelihood. `mean_guess`/`sigma_guess` seed the fit.
 Result<PeakFit> FitGaussianPeak(const Histo1D& histogram, double mean_guess,
                                 double sigma_guess);
-
-/// Result of the exponential decay fit.
-struct DecayFit {
-  double lifetime = 0.0;  // in the x units of the histogram
-  double normalization = 0.0;
-  double nll = 0.0;
-  bool converged = false;
-};
-
-/// Fits N * exp(-x / tau) to a histogram via binned Poisson likelihood.
-Result<DecayFit> FitExponentialDecay(const Histo1D& histogram,
-                                     double lifetime_guess);
-
-/// Sideband background subtraction: estimates the background under
-/// [signal_lo, signal_hi] by linear interpolation from the sidebands and
-/// returns the background-subtracted signal yield. The §2.4 capability
-/// ("background subtraction") that plain RIVET lacks.
-struct SubtractionResult {
-  double signal_yield = 0.0;
-  double background_estimate = 0.0;
-  double signal_error = 0.0;
-};
-Result<SubtractionResult> SidebandSubtract(const Histo1D& histogram,
-                                           double signal_lo, double signal_hi);
 
 }  // namespace daspos
 

@@ -61,14 +61,6 @@ Result<double> UpperLimit(const CountingExperiment& experiment,
   return mu_max;
 }
 
-double DiscoverySignificance(double observed, double background) {
-  if (background <= 0.0 || observed <= background) return 0.0;
-  double z2 =
-      2.0 * (observed * std::log(observed / background) -
-             (observed - background));
-  return z2 > 0.0 ? std::sqrt(z2) : 0.0;
-}
-
 Result<double> ExpectedLimit(const CountingExperiment& experiment,
                              double credibility) {
   CountingExperiment expected = experiment;

@@ -26,11 +26,6 @@ struct CountingExperiment {
 Result<double> UpperLimit(const CountingExperiment& experiment,
                           double credibility = 0.95);
 
-/// Discovery significance of the observation against the background-only
-/// hypothesis, using the asymptotic formula
-///   Z = sqrt(2 (n ln(n/b) - (n - b)))   for n > b, else 0.
-double DiscoverySignificance(double observed, double background);
-
 /// Expected (median) upper limit when observing exactly the background.
 Result<double> ExpectedLimit(const CountingExperiment& experiment,
                              double credibility = 0.95);

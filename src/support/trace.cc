@@ -89,12 +89,6 @@ Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
   return tls_buffer.get();
 }
 
-double Tracer::MicrosSinceEpoch() const {
-  return static_cast<double>(NowNs() -
-                             g_epoch_ns.load(std::memory_order_relaxed)) /
-         1000.0;
-}
-
 std::vector<SpanEvent> Tracer::Drain() {
   std::vector<SpanEvent> spans;
   {

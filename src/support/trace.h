@@ -93,7 +93,6 @@ class Tracer {
   uint64_t NextSpanId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  double MicrosSinceEpoch() const;
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> next_id_{1};

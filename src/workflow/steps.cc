@@ -2,6 +2,7 @@
 
 #include "conditions/store.h"
 #include "support/parallel.h"
+#include "support/sha256.h"
 #include "tiers/dataset.h"
 
 namespace daspos {
@@ -566,6 +567,15 @@ Result<std::shared_ptr<WorkflowStep>> RebuildStep(
         "producer '" + record.producer +
         "' is not machine-reconstructible from provenance; preserve its "
         "code directly");
+  }
+  // The resume gate's identity rule: a rebuilt step is the recorded one
+  // only if its config hashes to the recorded config_hash.
+  const std::string rebuilt_hash = Sha256::HashHex(step->Config().Dump());
+  if (rebuilt_hash != record.config_hash) {
+    return Status::FailedPrecondition(
+        "provenance record '" + record.dataset + "': config_hash '" +
+        record.config_hash + "' is stale, its config hashes to " +
+        rebuilt_hash);
   }
   return step;
 }

@@ -157,7 +157,9 @@ Result<WorkflowReport> ExecuteChain(const Workflow& workflow,
 /// configuration it captured; the step keeps the record's step name.
 /// Fails with Unimplemented for a producer whose configuration is not
 /// machine-reconstructible (hand-written analyst code — §3.2's "direct
-/// preservation ... is likely the only way" case).
+/// preservation ... is likely the only way" case), and with
+/// FailedPrecondition, naming the dataset, when the rebuilt step's config
+/// does not hash to the record's `config_hash` (an edited or rotted config).
 Result<std::shared_ptr<WorkflowStep>> RebuildStep(
     const ProvenanceRecord& record);
 

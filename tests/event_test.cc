@@ -87,14 +87,8 @@ TEST(PdgTest, Charges) {
 }
 
 TEST(PdgTest, Classification) {
-  EXPECT_TRUE(pdg::IsChargedLepton(pdg::kElectron));
   EXPECT_TRUE(pdg::IsNeutrino(-pdg::kNuMu));
-  EXPECT_TRUE(pdg::IsLepton(pdg::kTau));
-  EXPECT_FALSE(pdg::IsLepton(pdg::kPiPlus));
-  EXPECT_TRUE(pdg::IsQuark(pdg::kTop));
   EXPECT_TRUE(pdg::IsHadron(pdg::kProton));
-  EXPECT_TRUE(pdg::IsDetectorStable(pdg::kMuon));
-  EXPECT_FALSE(pdg::IsDetectorStable(pdg::kZ));
   EXPECT_TRUE(pdg::IsInvisible(pdg::kNuE));
   EXPECT_FALSE(pdg::IsInvisible(pdg::kMuon));
 }

@@ -7,8 +7,6 @@
 #include "hist/axis.h"
 #include "hist/compare.h"
 #include "hist/histo1d.h"
-#include "hist/histo2d.h"
-#include "hist/profile1d.h"
 #include "hist/yoda_io.h"
 #include "support/rng.h"
 
@@ -140,63 +138,6 @@ TEST(Histo1DTest, ResetClearsContentKeepsBinning) {
   EXPECT_EQ(h.axis().nbins(), 10);
 }
 
-// --------------------------------------------------------------- Histo2D --
-
-TEST(Histo2DTest, FillAndProjection) {
-  Histo2D h("/t/h2", 4, 0.0, 4.0, 2, 0.0, 2.0);
-  h.Fill(0.5, 0.5);
-  h.Fill(0.5, 1.5, 2.0);
-  h.Fill(3.5, 0.5);
-  EXPECT_DOUBLE_EQ(h.BinContent(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(h.BinContent(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(h.Integral(), 4.0);
-  Histo1D px = h.ProjectionX();
-  EXPECT_DOUBLE_EQ(px.BinContent(0), 3.0);
-  EXPECT_DOUBLE_EQ(px.BinContent(3), 1.0);
-}
-
-TEST(Histo2DTest, OutsideCounted) {
-  Histo2D h("/t/h2", 2, 0.0, 1.0, 2, 0.0, 1.0);
-  h.Fill(-1.0, 0.5);
-  h.Fill(0.5, 2.0, 3.0);
-  EXPECT_DOUBLE_EQ(h.outside(), 4.0);
-  EXPECT_DOUBLE_EQ(h.Integral(), 0.0);
-}
-
-TEST(Histo2DTest, AddChecksBothAxes) {
-  Histo2D a("/a", 2, 0.0, 1.0, 2, 0.0, 1.0);
-  Histo2D b("/b", 2, 0.0, 1.0, 3, 0.0, 1.0);
-  EXPECT_TRUE(a.Add(b).IsInvalidArgument());
-}
-
-// ------------------------------------------------------------- Profile1D --
-
-TEST(Profile1DTest, BinMeans) {
-  Profile1D p("/t/p", 2, 0.0, 2.0);
-  p.Fill(0.5, 10.0);
-  p.Fill(0.5, 20.0);
-  p.Fill(1.5, 5.0);
-  EXPECT_DOUBLE_EQ(p.BinMean(0), 15.0);
-  EXPECT_DOUBLE_EQ(p.BinMean(1), 5.0);
-  EXPECT_DOUBLE_EQ(p.BinRms(0), 5.0);
-  EXPECT_DOUBLE_EQ(p.BinRms(1), 0.0);
-}
-
-TEST(Profile1DTest, EmptyBinIsZero) {
-  Profile1D p("/t/p", 3, 0.0, 3.0);
-  EXPECT_DOUBLE_EQ(p.BinMean(1), 0.0);
-  EXPECT_DOUBLE_EQ(p.BinMeanError(1), 0.0);
-}
-
-TEST(Profile1DTest, MeanErrorShrinksWithStatistics) {
-  Profile1D p("/t/p", 1, 0.0, 1.0);
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) p.Fill(0.5, rng.Gauss(0.0, 1.0));
-  double err100 = p.BinMeanError(0);
-  for (int i = 0; i < 9900; ++i) p.Fill(0.5, rng.Gauss(0.0, 1.0));
-  EXPECT_LT(p.BinMeanError(0), err100);
-}
-
 // --------------------------------------------------------------- Compare --
 
 TEST(CompareTest, IdenticalHistosHaveZeroChi2) {
@@ -243,7 +184,6 @@ TEST(CompareTest, BinningMismatchIsError) {
   Histo1D b("/b", 11, 0.0, 1.0);
   EXPECT_FALSE(Chi2Test(a, b).ok());
   EXPECT_FALSE(KolmogorovDistance(a, b).ok());
-  EXPECT_FALSE(CompatibleWithin(a, b, 3.0).ok());
 }
 
 TEST(CompareTest, KsOnEmptyHistograms) {
@@ -262,19 +202,6 @@ TEST(CompareTest, KsOnEmptyHistograms) {
   // Binning is still checked first.
   Histo1D c("/c", 11, 0.0, 1.0);
   EXPECT_FALSE(KolmogorovDistance(a, c).ok());
-}
-
-TEST(CompareTest, CompatibleWithinSigma) {
-  Histo1D a("/a", 5, 0.0, 5.0);
-  Histo1D b("/b", 5, 0.0, 5.0);
-  for (int i = 0; i < 100; ++i) {
-    a.Fill(2.5);
-    b.Fill(2.5);
-  }
-  b.Fill(2.5);  // one extra entry, well within sqrt(100) errors
-  auto ok = CompatibleWithin(a, b, 3.0);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(*ok);
 }
 
 // ---------------------------------------------------------------- YodaIO --
@@ -327,69 +254,23 @@ TEST(YodaIoTest, StructuralErrorsRejected) {
   EXPECT_FALSE(ReadYoda(text).ok());
 }
 
-TEST(YodaIoTest, MixedDocumentRoundTrip) {
-  YodaDocument document;
-  Histo1D h1("/doc/h1", 10, 0.0, 10.0);
-  Histo2D h2("/doc/grid", 4, 100.0, 500.0, 3, 0.0, 30.0);
-  Profile1D profile("/doc/response", 5, -2.5, 2.5);
-  Rng rng(21);
-  for (int i = 0; i < 500; ++i) {
-    h1.Fill(rng.Uniform(0.0, 10.0));
-    h2.Fill(rng.Uniform(100.0, 500.0), rng.Uniform(0.0, 30.0), 0.3);
-    profile.Fill(rng.Uniform(-2.5, 2.5), rng.Gauss(1.0, 0.1));
-  }
-  h2.Fill(-5.0, 1.0);  // outside
-  document.histos1d.push_back(h1);
-  document.histos2d.push_back(h2);
-  document.profiles.push_back(profile);
-
-  std::string text = WriteYodaDocument(document);
-  auto restored = ReadYodaDocument(text);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  ASSERT_EQ(restored->histos1d.size(), 1u);
-  ASSERT_EQ(restored->histos2d.size(), 1u);
-  ASSERT_EQ(restored->profiles.size(), 1u);
-
-  const Histo2D& r2 = restored->histos2d[0];
-  EXPECT_EQ(r2.path(), "/doc/grid");
-  EXPECT_DOUBLE_EQ(r2.outside(), h2.outside());
-  EXPECT_EQ(r2.entries(), h2.entries());
-  for (int ix = 0; ix < 4; ++ix) {
-    for (int iy = 0; iy < 3; ++iy) {
-      EXPECT_DOUBLE_EQ(r2.BinContent(ix, iy), h2.BinContent(ix, iy));
-      EXPECT_DOUBLE_EQ(r2.BinError(ix, iy), h2.BinError(ix, iy));
-    }
-  }
-  const Profile1D& rp = restored->profiles[0];
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(rp.BinMean(i), profile.BinMean(i));
-    EXPECT_DOUBLE_EQ(rp.BinRms(i), profile.BinRms(i));
-  }
-  // 1D content also survives via the document path.
-  EXPECT_DOUBLE_EQ(restored->histos1d[0].Integral(), h1.Integral());
-}
-
-TEST(YodaIoTest, DocumentReaderAcceptsPlain1DOutput) {
-  Histo1D h("/x", 3, 0.0, 3.0);
-  h.Fill(1.5);
-  auto document = ReadYodaDocument(WriteYoda({h}));
-  ASSERT_TRUE(document.ok());
-  EXPECT_EQ(document->histos1d.size(), 1u);
-  EXPECT_TRUE(document->histos2d.empty());
-}
-
 TEST(YodaIoTest, Plain1DReaderRejects2DBlocks) {
-  YodaDocument document;
-  document.histos2d.emplace_back("/g", 2, 0.0, 1.0, 2, 0.0, 1.0);
-  std::string text = WriteYodaDocument(document);
-  EXPECT_FALSE(ReadYoda(text).ok());
-  EXPECT_TRUE(ReadYodaDocument(text).ok());
-}
-
-TEST(YodaIoTest, DocumentStructuralErrors) {
-  EXPECT_FALSE(ReadYodaDocument("BEGIN HISTO2D /x\n").ok());
-  EXPECT_FALSE(ReadYodaDocument("BEGIN PROFILE1D /x\nbinning: 1 0 1\n").ok());
-  EXPECT_FALSE(ReadYodaDocument("nonsense\n").ok());
+  // A well-formed 2D block, as other YODA writers emit it, is still not a
+  // HISTO1D block.
+  const std::string text =
+      "BEGIN HISTO2D /g\n"
+      "xbinning: 2 0 1\n"
+      "ybinning: 2 0 1\n"
+      "outside: 0\n"
+      "entries: 0\n"
+      "0 0\n0 0\n0 0\n0 0\n"
+      "END HISTO2D\n";
+  auto parsed = ReadYoda(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status();
+  // After a valid 1D block too.
+  Histo1D h("/x", 1, 0.0, 1.0);
+  EXPECT_TRUE(ReadYoda(WriteYoda({h}) + text).status().IsCorruption());
 }
 
 TEST(YodaIoTest, EmptyDocumentYieldsNoHistograms) {

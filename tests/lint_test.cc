@@ -20,9 +20,11 @@
 #include "lint/diagnostics.h"
 #include "lint/linter.h"
 #include "support/io.h"
+#include "support/sha256.h"
 #include "support/strings.h"
 #include "workflow/engine.h"
 #include "workflow/provenance.h"
+#include "workflow/steps.h"
 #include "store_test_util.h"
 
 namespace daspos {
@@ -204,7 +206,9 @@ ProvenanceSpec::Record MakeRecord(std::string dataset,
   ProvenanceSpec::Record record;
   record.dataset = std::move(dataset);
   record.parents = std::move(parents);
-  record.config_hash = std::string(64, 'a');
+  record.config = Json::Object();
+  record.config["step"] = record.dataset;
+  record.config_hash = Sha256::HashHex(record.config.Dump());
   return record;
 }
 
@@ -244,12 +248,30 @@ TEST(ProvenanceCheckTest, W103BadConfigHash) {
   EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"W103"}));
 }
 
+TEST(ProvenanceCheckTest, W103ConfigHashOfAnotherConfig) {
+  // A well-formed digest that names some other config: the record's config
+  // was edited (or rotted) after capture.
+  ProvenanceSpec spec;
+  spec.records.push_back(MakeRecord("gen", {}));
+  spec.records.push_back(MakeRecord("raw", {"gen"}));
+  spec.records.back().config["seed"] = 8;
+  LintReport report = CheckProvenance(spec);
+  ASSERT_EQ(CodesOf(report), (std::vector<std::string>{"W103"}));
+  ASSERT_EQ(report.size(), 1u);
+  const Diagnostic& finding = report.diagnostics()[0];
+  EXPECT_EQ(finding.subject, "raw");
+  EXPECT_NE(finding.message.find(spec.records.back().config_hash),
+            std::string::npos)
+      << finding.message;
+}
+
 TEST(ProvenanceCheckTest, FromJsonReadsStoreSerialization) {
   ProvenanceStore store;
   ProvenanceRecord record;
   record.dataset = "gen";
   record.producer = "generator";
-  record.config_hash = std::string(64, '0');
+  record.config = Json::Object();
+  record.config_hash = Sha256::HashHex(record.config.Dump());
   ASSERT_TRUE(store.Add(std::move(record)).ok());
   auto json = Json::Parse(store.Serialize());
   ASSERT_TRUE(json.ok()) << json.status();
@@ -719,6 +741,35 @@ TEST_F(LintPathTest, RoutesProvenanceArray) {
       "\"parents\": [\"raw\"]}]");
   LintReport report = LintPath(path);
   EXPECT_EQ(CodesOf(report), (std::vector<std::string>{"W101", "W103"}));
+}
+
+TEST_F(LintPathTest, EditedChainConfigIsW103) {
+  // A captured chain's provenance lints clean; editing the generation
+  // record's seed without re-hashing leaves a stale config_hash.
+  WorkflowContext context;
+  ProvenanceStore provenance;
+  ASSERT_TRUE(ExecuteChain(StandardChainWorkflow(Process::kZToLL, 20, 7),
+                           CalibrationSet(), &context, &provenance)
+                  .ok());
+  std::string captured = provenance.Serialize();
+  EXPECT_TRUE(LintPath(WriteArtifact("captured.json", captured)).empty());
+
+  auto chain = Json::Parse(captured);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  Json edited = Json::Array();
+  for (Json record : chain->items()) {
+    if (record.Get("dataset").as_string() == "gen") {
+      record["config"]["generator"]["seed"] = 8;
+    }
+    edited.push_back(std::move(record));
+  }
+  LintReport report = LintPath(WriteArtifact("edited.json", edited.Dump(2)));
+  ASSERT_EQ(CodesOf(report), (std::vector<std::string>{"W103"}));
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report.diagnostics()[0].subject, "gen");
+  EXPECT_NE(report.diagnostics()[0].message.find(
+                provenance.Get("gen")->config_hash),
+            std::string::npos);
 }
 
 TEST_F(LintPathTest, RoutesConditionsDump) {

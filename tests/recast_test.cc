@@ -10,9 +10,7 @@
 #include "event/pdg.h"
 #include "recast/backend.h"
 #include "recast/frontend.h"
-#include "recast/scan.h"
 #include "recast/search.h"
-#include "hist/yoda_io.h"
 #include "reco/reconstruction.h"
 #include "tiers/dataset.h"
 #include "workflow/steps.h"
@@ -134,6 +132,28 @@ TEST(BackEndTest, PassCountsArePinned) {
   EXPECT_EQ(PassCounts(*result),
             (std::map<std::string, uint64_t>{{"SR_mll_400", 27},
                                              {"SR_mll_800", 161}}));
+}
+
+// Exact selection of the full chain for a wide (510 GeV) 1 TeV Z' at seed 77.
+TEST(BackEndTest, PointPassCountIsPinned) {
+  GeneratorConfig model;
+  model.process = Process::kZPrimeToLL;
+  model.zprime_mass = 1000.0;
+  model.zprime_width = 510.0;
+  model.lepton_flavor = pdg::kMuon;
+  model.seed = 77;
+  RecastRequest request;
+  request.search_name = "DASPOS_EXO_14_001";
+  request.requester = "grid-scan";
+  request.model = GeneratorConfigToJson(model);
+  request.model_cross_section_pb = 0.05;
+  request.event_count = 120;
+
+  RecastBackEnd backend = MakeBackEnd();
+  auto result = backend.Process(request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->events_processed, 120u);
+  EXPECT_EQ(PassCounts(*result).at("SR_mll_800"), 46u);
 }
 
 TEST(BackEndTest, MediumResonancePopulatesLowMassRegion) {
@@ -266,100 +286,6 @@ TEST(BackEndTest, ProcessDatasetReRunsOnNewData) {
   EXPECT_TRUE(
       backend.ProcessDataset("NOPE", blob).status().IsNotFound());
   EXPECT_FALSE(backend.ProcessDataset("DASPOS_EXO_14_001", "junk").ok());
-}
-
-TEST(GridScanTest, ProducesAcceptanceAndLimitGrids) {
-  // The §2.3 SUSY-style grid, on the truth bridge for speed semantics are
-  // identical across back ends.
-  RecastBackEnd backend = MakeBackEnd();
-  GridScanConfig config;
-  config.mass_lo = 600.0;
-  config.mass_hi = 1400.0;
-  config.mass_points = 4;
-  config.width_frac_lo = 0.02;
-  config.width_frac_hi = 0.06;
-  config.width_points = 2;
-  config.events_per_point = 80;
-  config.region = "SR_mll_800";
-  config.seed = 77;
-
-  auto scan = ScanZPrimeGrid(&backend, "DASPOS_EXO_14_001", config);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  EXPECT_EQ(scan->events_processed, 80u * 4 * 2);
-  EXPECT_EQ(scan->efficiency.xaxis().nbins(), 4);
-  EXPECT_EQ(scan->efficiency.yaxis().nbins(), 2);
-
-  // Efficiency into the high-mass region rises from threshold.
-  double eff_low = scan->efficiency.BinContent(0, 0);   // ~700 GeV
-  double eff_high = scan->efficiency.BinContent(3, 0);  // ~1300 GeV
-  EXPECT_GT(eff_high, eff_low);
-  EXPECT_GT(eff_high, 0.2);
-  // Limits are positive where efficiency is nonzero, and tighter (smaller)
-  // at higher efficiency.
-  double mu_high = scan->upper_limit.BinContent(3, 0);
-  EXPECT_GT(mu_high, 0.0);
-  if (eff_low > 0.0) {
-    EXPECT_LE(mu_high, scan->upper_limit.BinContent(0, 0));
-  }
-}
-
-// One grid point through the full chain: model seed 77, mass 1 TeV.
-TEST(GridScanTest, PointPassCountIsPinned) {
-  RecastBackEnd backend = MakeBackEnd();
-  GridScanConfig config;
-  config.mass_lo = 900.0;
-  config.mass_hi = 1100.0;
-  config.mass_points = 1;
-  config.width_points = 1;
-  config.events_per_point = 120;
-  config.region = "SR_mll_800";
-  config.seed = 77;
-  auto scan = ScanZPrimeGrid(&backend, "DASPOS_EXO_14_001", config);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  EXPECT_EQ(std::llround(scan->efficiency.BinContent(0, 0) * 120.0), 46);
-}
-
-TEST(GridScanTest, Validation) {
-  RecastBackEnd backend = MakeBackEnd();
-  GridScanConfig config;
-  config.region = "";
-  EXPECT_TRUE(ScanZPrimeGrid(&backend, "DASPOS_EXO_14_001", config)
-                  .status()
-                  .IsInvalidArgument());
-  config.region = "NOPE";
-  config.mass_points = 1;
-  config.width_points = 1;
-  config.events_per_point = 5;
-  EXPECT_TRUE(ScanZPrimeGrid(&backend, "DASPOS_EXO_14_001", config)
-                  .status()
-                  .IsNotFound());
-  config.region = "SR_mll_800";
-  config.mass_hi = config.mass_lo;
-  EXPECT_TRUE(ScanZPrimeGrid(&backend, "DASPOS_EXO_14_001", config)
-                  .status()
-                  .IsInvalidArgument());
-}
-
-TEST(GridScanTest, GridSurvivesYodaPreservation) {
-  // The grid is preservable as a YODA document — the §2.3 "information
-  // needed to replicate a new particle search" travelling as plain text.
-  RecastBackEnd backend = MakeBackEnd();
-  GridScanConfig config;
-  config.mass_points = 2;
-  config.width_points = 1;
-  config.events_per_point = 40;
-  config.region = "SR_mll_800";
-  auto scan = ScanZPrimeGrid(&backend, "DASPOS_EXO_14_001", config);
-  ASSERT_TRUE(scan.ok());
-
-  YodaDocument document;
-  document.histos2d.push_back(scan->efficiency);
-  document.histos2d.push_back(scan->upper_limit);
-  auto restored = ReadYodaDocument(WriteYodaDocument(document));
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->histos2d.size(), 2u);
-  EXPECT_DOUBLE_EQ(restored->histos2d[0].BinContent(1, 0),
-                   scan->efficiency.BinContent(1, 0));
 }
 
 // --------------------------------------------------------------- FrontEnd

@@ -1,5 +1,5 @@
-// Tests for the statistics library: minimizer, likelihood fits, sideband
-// subtraction, and counting limits.
+// Tests for the statistics library: minimizer, the peak fit, and counting
+// limits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,57 +88,6 @@ TEST(FitsTest, PeakFitOnPureBackgroundFindsNoNarrowPeak) {
 TEST(FitsTest, EmptyHistogramRejected) {
   Histo1D histogram("/h", 10, 0.0, 1.0);
   EXPECT_FALSE(FitGaussianPeak(histogram, 0.5, 0.1).ok());
-  EXPECT_FALSE(FitExponentialDecay(histogram, 1.0).ok());
-}
-
-TEST(FitsTest, ExponentialLifetimeRecovered) {
-  Histo1D histogram("/h", 50, 0.0, 2.0);
-  Rng rng(3);
-  for (int i = 0; i < 20000; ++i) histogram.Fill(rng.Exponential(0.35));
-  auto fit = FitExponentialDecay(histogram, 0.5);
-  ASSERT_TRUE(fit.ok());
-  EXPECT_TRUE(fit->converged);
-  EXPECT_NEAR(fit->lifetime, 0.35, 0.02);
-}
-
-TEST(FitsTest, ExponentialBadGuessRejected) {
-  Histo1D histogram("/h", 10, 0.0, 1.0);
-  histogram.Fill(0.5);
-  EXPECT_FALSE(FitExponentialDecay(histogram, -1.0).ok());
-}
-
-class ExponentialLifetimeSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(ExponentialLifetimeSweep, RecoversTrueValue) {
-  double tau = GetParam();
-  Histo1D histogram("/h", 50, 0.0, 5.0 * tau);
-  Rng rng(17);
-  for (int i = 0; i < 30000; ++i) histogram.Fill(rng.Exponential(tau));
-  auto fit = FitExponentialDecay(histogram, tau * 2.0);
-  ASSERT_TRUE(fit.ok());
-  EXPECT_NEAR(fit->lifetime, tau, 0.05 * tau);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ExponentialLifetimeSweep,
-                         ::testing::Values(0.05, 0.123, 0.5, 2.0, 10.0));
-
-TEST(FitsTest, SidebandSubtraction) {
-  Histo1D histogram("/h", 40, 100.0, 180.0);
-  Rng rng(4);
-  for (int i = 0; i < 4000; ++i) histogram.Fill(rng.Uniform(100.0, 180.0));
-  for (int i = 0; i < 600; ++i) histogram.Fill(rng.Gauss(125.0, 1.8));
-  auto result = SidebandSubtract(histogram, 120.0, 130.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->signal_yield, 600.0, 4.0 * result->signal_error);
-  EXPECT_GT(result->background_estimate, 300.0);
-}
-
-TEST(FitsTest, SidebandWindowValidation) {
-  Histo1D histogram("/h", 10, 0.0, 10.0);
-  histogram.Fill(5.0);
-  EXPECT_FALSE(SidebandSubtract(histogram, 6.0, 4.0).ok());
-  EXPECT_FALSE(SidebandSubtract(histogram, -1.0, 4.0).ok());
-  EXPECT_FALSE(SidebandSubtract(histogram, 1.0, 11.0).ok());
 }
 
 // ------------------------------------------------------------------ Limits
@@ -215,17 +164,6 @@ TEST(LimitsTest, ExpectedLimitUsesBackgroundAsObservation) {
   ASSERT_TRUE(observed.ok());
   ASSERT_TRUE(expected.ok());
   EXPECT_GT(*observed, *expected);
-}
-
-TEST(LimitsTest, DiscoverySignificance) {
-  EXPECT_DOUBLE_EQ(DiscoverySignificance(5.0, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(DiscoverySignificance(3.0, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(DiscoverySignificance(5.0, 0.0), 0.0);
-  double z = DiscoverySignificance(25.0, 10.0);
-  EXPECT_GT(z, 3.9);
-  EXPECT_LT(z, 4.8);
-  // More excess -> more significance.
-  EXPECT_GT(DiscoverySignificance(40.0, 10.0), z);
 }
 
 }  // namespace

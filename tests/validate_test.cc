@@ -16,6 +16,7 @@
 #include "archive/object_store.h"
 #include "support/fault.h"
 #include "support/metrics_registry.h"
+#include "support/sha256.h"
 #include "support/threadpool.h"
 #include "hist/yoda_io.h"
 #include "validate/validate.h"
@@ -379,12 +380,10 @@ TEST(ValidateTest, ManifestProcessAndSeedAreDescriptiveOnly) {
   EXPECT_TRUE(report.cells[0].chain_identical);
 }
 
-TEST(ValidateTest, EditedProvenanceSeedDrifts) {
-  // The generation record's seed is what the farm re-runs: editing it moves
-  // every dataset away from its archived digest.
-  SubmissionPackage package;
-  ASSERT_NO_FATAL_FAILURE(CapturePackage(SmallCampaign("reseeded"), &package));
-  PackageFile* file = FindFile(&package, "validate/provenance.json");
+/// The package's provenance with the generation record's seed set to 8;
+/// with `rehash`, its config_hash is recomputed to match the edit.
+void EditGenerationSeed(SubmissionPackage* package, bool rehash) {
+  PackageFile* file = FindFile(package, "validate/provenance.json");
   ASSERT_NE(file, nullptr);
   auto chain = Json::Parse(file->bytes);
   ASSERT_TRUE(chain.ok()) << chain.status();
@@ -392,12 +391,52 @@ TEST(ValidateTest, EditedProvenanceSeedDrifts) {
   for (Json record : chain->items()) {
     if (record.Get("dataset").as_string() == "gen") {
       record["config"]["generator"]["seed"] = 8;
+      if (rehash) {
+        record["config_hash"] = Sha256::HashHex(record.Get("config").Dump());
+      }
     }
     edited.push_back(std::move(record));
   }
   file->bytes = edited.Dump(2);
+}
+
+TEST(ValidateTest, EditedProvenanceSeedDrifts) {
+  // An edited config no longer hashes to its recorded config_hash: the farm
+  // refuses to replay it and names the stale hash, instead of re-running a
+  // chain the package never recorded.
+  SubmissionPackage package;
+  ASSERT_NO_FATAL_FAILURE(CapturePackage(SmallCampaign("reseeded"), &package));
+  PackageFile* file = FindFile(&package, "validate/provenance.json");
+  ASSERT_NE(file, nullptr);
+  auto captured = Json::Parse(file->bytes);
+  ASSERT_TRUE(captured.ok()) << captured.status();
+  std::string gen_hash;
+  for (const Json& record : captured->items()) {
+    if (record.Get("dataset").as_string() == "gen") {
+      gen_hash = record.Get("config_hash").as_string();
+    }
+  }
+  ASSERT_EQ(gen_hash.size(), 64u);
+  ASSERT_NO_FATAL_FAILURE(EditGenerationSeed(&package, /*rehash=*/false));
   ValidationReport report = ValidatePackage(package);
   ASSERT_EQ(report.cells.size(), 1u);
+  const auto& cell = report.cells[0];
+  EXPECT_EQ(cell.analysis, "(package)");
+  EXPECT_EQ(cell.verdict, Verdict::kFail);
+  EXPECT_FALSE(cell.chain_identical);
+  EXPECT_NE(cell.detail.find("'gen'"), std::string::npos) << cell.detail;
+  EXPECT_NE(cell.detail.find(gen_hash), std::string::npos) << cell.detail;
+}
+
+TEST(ValidateTest, EditedAndRehashedProvenanceSeedDrifts) {
+  // The same edit with a consistent hash replays, and every dataset drifts
+  // away from its archived digest.
+  SubmissionPackage package;
+  ASSERT_NO_FATAL_FAILURE(CapturePackage(SmallCampaign("reseeded"), &package));
+  ASSERT_NO_FATAL_FAILURE(EditGenerationSeed(&package, /*rehash=*/true));
+  ValidationReport report = ValidatePackage(package);
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_NE(report.cells[0].analysis, "(package)") << report.cells[0].detail;
   EXPECT_NE(report.cells[0].verdict, Verdict::kPass);
   EXPECT_FALSE(report.cells[0].chain_identical);
 }

@@ -818,6 +818,26 @@ TEST_F(ReplayTest, ReplayWithoutConditionsFails) {
   EXPECT_TRUE(workflow->Execute(&replayed).status().IsFailedPrecondition());
 }
 
+TEST_F(ReplayTest, StaleConfigHashIsRefused) {
+  // A config edited after capture no longer hashes to its config_hash:
+  // replay refuses the record, naming it and the stale hash, instead of
+  // running a chain the provenance never recorded.
+  const ProvenanceRecord original = *provenance_.Get("r_raw");
+  ProvenanceStore edited;
+  for (const std::string& dataset : provenance_.Datasets()) {
+    ProvenanceRecord record = *provenance_.Get(dataset);
+    if (dataset == "r_raw") record.config["run_number"] = 4;
+    ASSERT_TRUE(edited.Add(std::move(record)).ok());
+  }
+  auto workflow = ReplayWorkflow(edited);
+  ASSERT_TRUE(workflow.status().IsFailedPrecondition()) << workflow.status();
+  const std::string& message = workflow.status().message();
+  EXPECT_NE(message.find("'r_raw'"), std::string::npos) << message;
+  EXPECT_NE(message.find(original.config_hash), std::string::npos) << message;
+  // The untouched record still rebuilds.
+  EXPECT_TRUE(RebuildStep(original).ok());
+}
+
 TEST_F(ReplayTest, UnknownProducerIsHonestlyUnimplemented) {
   ProvenanceRecord record;
   record.dataset = "plots";
