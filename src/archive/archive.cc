@@ -1,5 +1,7 @@
 #include "archive/archive.h"
 
+#include <algorithm>
+
 #include "support/parallel.h"
 
 namespace daspos {
@@ -69,14 +71,20 @@ Result<std::string> Archive::Store(const SubmissionPackage& package,
 Result<size_t> Archive::RecoverCatalog() {
   size_t found = 0;
   // Stream the store's ids (ascending) instead of materializing the full
-  // listing. A store whose walk failed now fails recovery outright —
-  // rebuilding a partial catalog that a later audit would certify is worse
-  // than refusing.
+  // listing. A store whose walk or a read failed now fails recovery
+  // outright — rebuilding a partial catalog that a later audit would
+  // certify is worse than refusing. A rotted object is the exception: it
+  // cannot say whether it was a manifest, so it is kept for the audit.
   DASPOS_RETURN_IF_ERROR(store_->ForEachId([&](const std::string& id) {
-    DASPOS_ASSIGN_OR_RETURN(std::string bytes, store_->Get(id));
+    auto bytes = store_->Get(id);
+    if (bytes.status().IsCorruption()) {
+      rotted_.insert(id);
+      return Status::OK();
+    }
+    if (!bytes.ok()) return bytes.status();
     // AIP manifests are recognized by shape; anything else in the store is
     // package payload.
-    auto json = Json::Parse(bytes);
+    auto json = Json::Parse(*bytes);
     if (!json.ok() || !IsAipManifest(*json)) return Status::OK();
     ++found;
     if (sequences_.count(id) == 0) {
@@ -192,6 +200,19 @@ FixityReport Archive::AuditFixity(ThreadPool* pool) const {
       report.missing_objects.push_back(file_objects[i]);
     } else if (!verdicts[i].ok()) {
       report.corrupted_objects.push_back(file_objects[i]);
+    }
+  }
+  // Phase 3: objects recovery found rotted that no manifest above reached
+  // (a rotted manifest, or a payload only it referenced).
+  for (const std::string& id : rotted_) {
+    if (std::find(report.corrupted_objects.begin(),
+                  report.corrupted_objects.end(),
+                  id) != report.corrupted_objects.end()) {
+      continue;
+    }
+    ++report.objects_checked;
+    if (store_->Verify(id).IsCorruption()) {
+      report.corrupted_objects.push_back(id);
     }
   }
   return report;

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -85,7 +86,9 @@ class Archive {
   /// Rebuilds the catalog from the object store by scanning for AIP
   /// manifests — how a fresh process re-adopts a long-lived (disk-backed)
   /// archive. Packages are re-sequenced in object-id order; already-known
-  /// ids are kept. Returns the number of packages found.
+  /// ids are kept. An object that fails fixity is skipped and left for
+  /// AuditFixity to report; any other read or walk error fails recovery.
+  /// Returns the number of packages found.
   Result<size_t> RecoverCatalog();
 
   /// Fetches and fixity-verifies a package.
@@ -94,9 +97,10 @@ class Archive {
   /// All deposited packages, in deposit order.
   std::vector<HoldingSummary> Holdings() const;
 
-  /// Verifies every object referenced by every manifest. With a pool, the
-  /// per-file verifications run concurrently; the report lists objects in
-  /// the same (catalog, manifest) order as the serial audit.
+  /// Verifies every object referenced by every manifest, then every object
+  /// recovery skipped as rotted, listing each corrupted id once. With a
+  /// pool, the per-file verifications run concurrently; the report lists
+  /// objects in the same (catalog, manifest, id) order as the serial audit.
   FixityReport AuditFixity(ThreadPool* pool = nullptr) const;
 
   /// Format migration: applies `transform` to each file of a package and
@@ -122,6 +126,8 @@ class Archive {
   std::vector<std::string> catalog_;
   std::map<std::string, uint64_t> sequences_;
   uint64_t next_sequence_ = 1;
+  /// Objects RecoverCatalog could not read for failed fixity.
+  std::set<std::string> rotted_;
 };
 
 }  // namespace daspos

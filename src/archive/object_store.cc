@@ -186,18 +186,21 @@ std::string FileObjectStore::PathFor(const std::string& id) const {
   return root_ + "/" + id.substr(0, 2) + "/" + id.substr(2);
 }
 
-void FileObjectStore::Quarantine(const std::string& id) const {
+Status FileObjectStore::Quarantine(const std::string& id,
+                                   const std::string& reason) {
+  DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
   quarantines_->Increment();
+  auto fail = [&](const std::string& what, const std::error_code& ec) {
+    quarantine_errors_->Increment();
+    DASPOS_LOG(kError) << "quarantine of " << id << " (" << reason
+                       << ") failed: " << what << ": " << ec.message();
+    return Status::IOError("quarantine of object " + id + " failed: " + what +
+                           ": " + ec.message());
+  };
   std::error_code ec;
   const fs::path quarantine = fs::path(root_) / "quarantine";
   fs::create_directories(quarantine, ec);
-  if (ec) {
-    quarantine_errors_->Increment();
-    DASPOS_LOG(kError) << "quarantine of " << id
-                       << " failed: cannot create " << quarantine.string()
-                       << ": " << ec.message();
-    return;
-  }
+  if (ec) return fail("cannot create " + quarantine.string(), ec);
   // Never clobber an earlier forensic copy: a second rot event for the same
   // id (e.g. after a read-repair healed the primary and it rotted again) is
   // independent evidence. Number the extras <id>.1, <id>.2, ...
@@ -206,11 +209,8 @@ void FileObjectStore::Quarantine(const std::string& id) const {
     dest = quarantine / (id + "." + std::to_string(suffix));
   }
   fs::rename(PathFor(id), dest, ec);
-  if (ec) {
-    quarantine_errors_->Increment();
-    DASPOS_LOG(kError) << "quarantine of " << id << " failed: rename to "
-                       << dest.string() << ": " << ec.message();
-  }
+  if (ec) return fail("rename to " + dest.string(), ec);
+  return Status::OK();
 }
 
 Result<std::string> FileObjectStore::Put(std::string_view bytes) {
@@ -228,7 +228,7 @@ Result<std::string> FileObjectStore::PutImpl(std::string_view bytes) {
   std::string id = Sha256::HashHex(bytes);
   std::string path = PathFor(id);
   // Skip the write only when the existing copy is intact, so re-putting
-  // good bytes heals a rotted object (Verify quarantines the bad copy).
+  // good bytes overwrites a rotted copy and heals the object.
   if (FileExists(path) && Verify(id).ok()) return id;
   DASPOS_RETURN_IF_ERROR(AtomicWriteFile(path, bytes));
   return id;
@@ -249,15 +249,12 @@ Result<std::string> FileObjectStore::Get(const std::string& id) const {
 Result<std::string> FileObjectStore::GetImpl(const std::string& id) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
   // One streaming pass reads and hashes together. Bytes that no longer hash
-  // to their id must never reach a consumer: the rotted blob is moved aside
-  // so future reads fail fast and the linter can report it (A006).
+  // to their id must never reach a consumer.
   std::string hex;
   auto read = ReadFileHashed(PathFor(id), &hex);
   if (!read.ok()) return Status::NotFound("object " + id + " not in store");
   if (hex != id) {
-    Quarantine(id);
-    return Status::Corruption("fixity mismatch for object " + id +
-                              " (moved to quarantine)");
+    return Status::Corruption("fixity mismatch for object " + id);
   }
   return read;
 }
@@ -273,9 +270,7 @@ Status FileObjectStore::Verify(const std::string& id) const {
   auto hex = HashFileHex(PathFor(id));
   if (!hex.ok()) return Status::NotFound("object " + id + " not in store");
   if (*hex != id) {
-    Quarantine(id);
-    return Status::Corruption("fixity mismatch for object " + id +
-                              " (moved to quarantine)");
+    return Status::Corruption("fixity mismatch for object " + id);
   }
   return Status::OK();
 }

@@ -33,12 +33,25 @@ class ObjectStore {
   /// Re-putting identical bytes is a no-op returning the same id.
   virtual Result<std::string> Put(std::string_view bytes) = 0;
 
+  /// Reads never write: Get, Has, Verify, ForEachId, TotalBytes and
+  /// QuarantinedIds change nothing on disk, so a rotted copy fails the
+  /// same way on every read until Quarantine or a re-Put replaces it.
   virtual Result<std::string> Get(const std::string& id) const = 0;
   virtual bool Has(const std::string& id) const = 0;
 
   /// Re-hashes the stored bytes and compares with the id; Corruption on
   /// mismatch (bit rot), NotFound if absent.
   virtual Status Verify(const std::string& id) const = 0;
+
+  /// Sets the stored copy of `id` aside as forensic evidence of `reason`,
+  /// so the store no longer holds it and a later Put stores good bytes
+  /// fresh. The one write that follows a failed read; only scrub and read
+  /// repair call it. Backends without a quarantine area keep nothing (the
+  /// memory store's Put overwrites a rotted copy anyway).
+  virtual Status Quarantine(const std::string& /*id*/,
+                            const std::string& /*reason*/) {
+    return Status::OK();
+  }
 
   /// Streams every stored id in ascending order — the one way to enumerate
   /// a store (scrubs, audits, migrations, lint). `fn` returning non-OK
@@ -54,9 +67,9 @@ class ObjectStore {
   /// Bytes held, or the error that kept the store from counting them all.
   virtual Result<uint64_t> TotalBytes() const = 0;
 
-  /// Ids of blobs that failed fixity and were moved aside (sorted), or the
-  /// error that kept the store from listing them all. Backends without a
-  /// quarantine area return an empty list.
+  /// Ids of blobs that Quarantine set aside (sorted), or the error that
+  /// kept the store from listing them all. Backends without a quarantine
+  /// area return an empty list.
   virtual Result<std::vector<std::string>> QuarantinedIds() const {
     return std::vector<std::string>{};
   }
@@ -97,11 +110,11 @@ class MemoryObjectStore : public ObjectStore {
 };
 
 /// Filesystem backend: objects live at <root>/<id[0:2]>/<id[2:]>. Writes are
-/// crash-safe (temp file + fsync + rename) and every read is fixity-gated;
-/// a blob whose digest no longer matches its id is moved to
-/// <root>/quarantine/<id> and the read fails with Corruption. Keyed lookups
-/// validate the id first, so a hostile id ("../../etc/passwd") can never
-/// address a path outside the store root.
+/// crash-safe (temp file + fsync + rename) and every read is fixity-gated:
+/// a blob whose digest no longer matches its id fails with Corruption and
+/// stays in place until Quarantine moves it to <root>/quarantine/<id> or a
+/// re-Put overwrites it. Keyed lookups validate the id first, so a hostile
+/// id ("../../etc/passwd") can never address a path outside the store root.
 ///
 /// Every Get hashes the bytes it reads in the same streaming pass: media
 /// rot changes neither a file's size nor its mtime, so no stat-based
@@ -122,6 +135,11 @@ class FileObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
+  /// Moves the blob into the quarantine area. A prior forensic copy of the
+  /// same id is never clobbered: repeat quarantines land at `<id>.1`,
+  /// `<id>.2`, ... . A failed mkdir or rename is returned, logged and
+  /// counted in daspos_archive_quarantine_errors_total.
+  Status Quarantine(const std::string& id, const std::string& reason) override;
   /// Streams shard directories one at a time ("00".."ff" in order, ids
   /// sorted within each shard), so peak memory is one shard's worth of
   /// names — ~1/256th of the store — instead of the whole id list.
@@ -142,14 +160,6 @@ class FileObjectStore : public ObjectStore {
   /// walk itself reports the failure to its caller.
   void CountWalkError(const std::string& what,
                       const std::error_code& ec) const;
-  /// Moves the blob at PathFor(id) into the quarantine area. A prior
-  /// forensic copy of the same id is never clobbered:
-  /// repeat quarantines land at `<id>.1`, `<id>.2`, ... . Failures (mkdir,
-  /// rename) are logged and counted in
-  /// daspos_archive_quarantine_errors_total — a rotted blob that could not
-  /// be moved aside must not vanish silently.
-  void Quarantine(const std::string& id) const;
-
   std::string root_;
   // Registry handles resolved once at construction (stable for process
   // life); the instruments themselves are owned by the global registry.

@@ -97,6 +97,12 @@ bool HeaderNames(const char* header, const std::string& id) {
          std::memcmp(header + kPackRecordIdOffset, raw, sizeof(raw)) == 0;
 }
 
+/// What every failed read gate returns: the object and the reason.
+Status RecordRot(const std::string& id, const std::string& reason) {
+  return Status::Corruption("fixity mismatch for object " + id + " (" +
+                            reason + ")");
+}
+
 /// True when the raw bytes of `stored` (decompressed when `compressed`)
 /// are `raw_len` long and hash to `id`.
 bool PayloadHashesTo(std::string_view stored, bool compressed,
@@ -371,7 +377,6 @@ void PackObjectStore::ReplayQuarantineLog() {
     if (it != index_.end() && it->second.segment == *segment &&
         it->second.offset == *offset) {
       index_.erase(it);
-      quarantined_.insert(id);
     }
   }
 }
@@ -545,10 +550,9 @@ Status PackObjectStore::AppendLocked(const Prepared& blob) {
   entry.stored_len = blob.stored.size();
   entry.checksum = blob.checksum;
   active_size_ += need;
+  // A fresh record supersedes a rotted or quarantined one: the re-Put IS
+  // the heal (the condemned bytes stay in their sealed segment).
   index_.insert_or_assign(blob.id, entry);
-  // A fresh record supersedes any quarantined one: the re-Put IS the heal
-  // (the condemned bytes stay in their sealed segment as evidence).
-  quarantined_.erase(blob.id);
   appends_total_->Increment();
   append_bytes_total_->Increment(blob.stored.size());
   if (blob.flags & kPackFlagCompressed) {
@@ -620,11 +624,10 @@ Result<std::string> PackObjectStore::Put(std::string_view bytes) {
     // Dedupe hit — but only when the existing record is still intact, so
     // re-putting good bytes heals silent rot (parity with the loose
     // backend's Put semantics). The checksum gate is cheap; no SHA needed
-    // because identity was established when the record was written.
+    // because identity was established when the record was written. A
+    // record that fails it gets a superseding one appended below.
     bool via_mmap = false;
     if (ReadRecord(prepared.id, existing, &via_mmap).ok()) return prepared.id;
-    // ReadRecord quarantined the rotted record; fall through and append a
-    // superseding one.
   }
   MutexLock lock(mutex_);
   DASPOS_RETURN_IF_ERROR(AppendLocked(prepared));
@@ -671,11 +674,9 @@ Result<std::vector<std::string>> PackObjectStore::PutBatch(
   {
     MutexLock lock(mutex_);
     DASPOS_RETURN_IF_ERROR(open_status_);
-    // A failed gate usually self-erased the condemned entry (quarantine),
-    // making the id a plain index miss; `rotted` additionally covers gate
-    // failures that leave the entry behind (I/O errors). The batch-local
-    // set keeps a duplicate of an already-superseded id from appending
-    // twice.
+    // An id is appended when the index misses it or its record failed the
+    // gate (`rotted`). The batch-local set keeps a duplicate of an
+    // already-superseded id from appending twice.
     std::set<std::string> appended_now;
     for (size_t i = 0; i < prepared.size(); ++i) {
       const Prepared& blob = prepared[i];
@@ -749,8 +750,8 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
     if (!in_bounds) {
       // A mapping cached before this segment was unsealed and grown is
       // shorter than the file; remap at the current size before concluding
-      // the record itself is truncated — quarantining on a stale view
-      // would condemn (and persistently log) perfectly healthy data.
+      // the record itself is truncated — a stale view would report
+      // perfectly healthy data as rotted.
       {
         MutexLock lock(mutex_);
         auto it = mmaps_.find(entry.segment);
@@ -763,11 +764,7 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
       in_bounds = entry.offset <= view.size() &&
                   entry.stored_len <= view.size() - entry.offset;
     }
-    if (!in_bounds) {
-      QuarantineRecord(id, entry, "index points past segment end");
-      return Status::Corruption("fixity mismatch for object " + id +
-                                " (record truncated; quarantined)");
-    }
+    if (!in_bounds) return RecordRot(id, "index points past segment end");
     // Zero-copy: checksum and decompression read straight from the page
     // cache through the mapping; no read buffer is ever allocated.
     header = view.substr(header_offset, kPackRecordHeaderSize);
@@ -786,11 +783,7 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
                                SegmentPath(entry.segment) + ": " +
                                std::strerror(errno));
       }
-      if (got == 0) {
-        QuarantineRecord(id, entry, "record ends past segment end");
-        return Status::Corruption("fixity mismatch for object " + id +
-                                  " (record truncated; quarantined)");
-      }
+      if (got == 0) return RecordRot(id, "record ends past segment end");
       done += static_cast<size_t>(got);
     }
     header = std::string_view(buffer).substr(0, kPackRecordHeaderSize);
@@ -800,22 +793,16 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
   // agree: the checksum covers the payload only, so an index entry whose id
   // rotted would otherwise pass the gate with another object's bytes.
   if (!HeaderNames(header.data(), id)) {
-    QuarantineRecord(id, entry, "record header names another object");
-    return Status::Corruption("fixity mismatch for object " + id +
-                              " (quarantined)");
+    return RecordRot(id, "record header names another object");
   }
   if (Checksum64(stored) != entry.checksum) {
     checksum_failures_->Increment();
-    QuarantineRecord(id, entry, "stored checksum mismatch");
-    return Status::Corruption("fixity mismatch for object " + id +
-                              " (quarantined)");
+    return RecordRot(id, "stored checksum mismatch");
   }
   if (entry.flags & kPackFlagCompressed) {
     auto raw = Decompress(stored);
     if (!raw.ok() || raw->size() != entry.raw_len) {
-      QuarantineRecord(id, entry, "stored payload fails decompression");
-      return Status::Corruption("fixity mismatch for object " + id +
-                                " (quarantined)");
+      return RecordRot(id, "stored payload fails decompression");
     }
     return std::move(*raw);
   }
@@ -824,13 +811,22 @@ Result<std::string> PackObjectStore::ReadRecord(const std::string& id,
   return buffer;
 }
 
-void PackObjectStore::QuarantineRecord(const std::string& id,
-                                       const Entry& entry,
-                                       const std::string& detail) const {
+Status PackObjectStore::Quarantine(const std::string& id,
+                                   const std::string& reason) {
+  DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
+  // Held across the log append, so the line names exactly the record the
+  // index drops, even beside a concurrent re-Put.
+  MutexLock lock(mutex_);
+  DASPOS_RETURN_IF_ERROR(open_status_);
+  auto it = index_.find(id);
+  if (it == index_.end()) {
+    return Status::NotFound("object " + id + " not in store");
+  }
+  const Entry& entry = it->second;
   quarantines_->Increment();
   DASPOS_LOG(kError) << "pack quarantine: object " << id << " in segment "
                      << entry.segment << " @" << entry.offset << ": "
-                     << detail;
+                     << reason;
   // Append-fsynced quarantine line (journal idiom). The condemned bytes
   // stay in their immutable segment — the log IS the forensic pointer.
   Json line = Json::Object();
@@ -838,22 +834,11 @@ void PackObjectStore::QuarantineRecord(const std::string& id,
   line["segment"] = static_cast<uint64_t>(entry.segment);
   line["offset"] = entry.offset;
   line["stored_len"] = entry.stored_len;
-  line["detail"] = detail;
-  if (Status written = AppendJsonLine(root_ + "/" + kQuarantineLog, line);
-      !written.ok()) {
-    DASPOS_LOG(kError) << "pack quarantine log append failed: "
-                       << written.ToString();
-  }
-  MutexLock lock(mutex_);
-  auto it = index_.find(id);
-  // Drop the exact condemned record only: a concurrent re-Put may already
-  // have installed a healthy superseding record.
-  if (it != index_.end() && it->second.segment == entry.segment &&
-      it->second.offset == entry.offset) {
-    index_.erase(it);
-    quarantined_.insert(id);
-  }
+  line["detail"] = reason;
+  DASPOS_RETURN_IF_ERROR(AppendJsonLine(root_ + "/" + kQuarantineLog, line));
+  index_.erase(it);
   quarantine_log_.insert(id);
+  return Status::OK();
 }
 
 Result<std::string> PackObjectStore::Get(const std::string& id) const {
@@ -901,11 +886,7 @@ Status PackObjectStore::Verify(const std::string& id) const {
   // checksum gates reads, but SHA-256 is the preservation-grade authority.
   bool via_mmap = false;
   DASPOS_ASSIGN_OR_RETURN(std::string raw, ReadRecord(id, entry, &via_mmap));
-  if (Sha256::HashHex(raw) != id) {
-    QuarantineRecord(id, entry, "sha-256 fixity mismatch");
-    return Status::Corruption("fixity mismatch for object " + id +
-                              " (quarantined)");
-  }
+  if (Sha256::HashHex(raw) != id) return RecordRot(id, "sha-256 mismatch");
   return Status::OK();
 }
 

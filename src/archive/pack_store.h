@@ -14,9 +14,9 @@
 //                         16-byte header + sorted fixed-width 72-byte
 //                         entries {raw id, offset, raw_len, stored_len,
 //                         checksum, flags}
-//   quarantine.jsonl      append-fsynced log of records that failed a
-//                         checksum/fixity gate (the bad bytes stay in the
-//                         immutable segment as the forensic copy)
+//   quarantine.jsonl      append-fsynced log of records that Quarantine
+//                         set aside (the bad bytes stay in the immutable
+//                         segment as the forensic copy)
 //
 // Integrity model (two tiers, like git's SHA-1 ids + pack CRC32s):
 //   - The SHA-256 id <-> bytes binding is established at Put time (the id
@@ -27,8 +27,8 @@
 //   - Get is gated by a fast 64-bit checksum (support/checksum.h) stored in
 //     the record header and computed over the *stored* (possibly
 //     compressed) payload. It catches media rot and torn writes at memory
-//     bandwidth; a mismatch quarantines the record and fails with
-//     Corruption, never serving the bytes.
+//     bandwidth; a mismatch fails with Corruption, never serving the
+//     bytes, and leaves the record in place for scrub or read repair.
 //   - Compression never changes identity: ids and Verify always apply to
 //     the uncompressed bytes (fixity over raw bytes; "DZ01" streams are a
 //     storage encoding, not content).
@@ -103,9 +103,10 @@ inline constexpr size_t kPackIndexEntrySize = 72;
 /// Packfile backend. Put/Get/Verify/Has/PutBatch are safe to call
 /// concurrently; appends serialize on an internal mutex while reads of
 /// sealed segments run lock-free on long-lived mappings. Re-putting an id
-/// whose earlier record rotted appends a superseding record (the index
-/// always points at the newest), which is what makes replicated read-repair
-/// and scrub healing work unchanged over this backend.
+/// whose record fails the read gate, or that Quarantine dropped, appends a
+/// superseding record (the index always points at the newest), which is
+/// what makes replicated read-repair and scrub healing work over this
+/// backend.
 class PackObjectStore : public ObjectStore {
  public:
   /// Opens (or creates) the store at `root`, loading sealed indexes and
@@ -122,6 +123,10 @@ class PackObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
+  /// Appends one line to quarantine.jsonl for the record the index names
+  /// and drops it from the index. The segment bytes are untouched
+  /// (immutable forensic copy in place).
+  Status Quarantine(const std::string& id, const std::string& reason) override;
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override;
   /// Logical (uncompressed) bytes, mirroring the loose backend's semantics.
@@ -209,30 +214,21 @@ class PackObjectStore : public ObjectStore {
   void RetireMappingLocked(uint32_t segment) const DASPOS_REQUIRES(mutex_);
 
   /// Reads the stored payload of `entry` and returns the raw bytes
-  /// (decompressing if flagged), checksum-gated. `via_mmap` reports whether
-  /// the read was served zero-copy from a sealed mapping.
+  /// (decompressing if flagged), checksum-gated: a failed gate is
+  /// Corruption naming the reason. `via_mmap` reports whether the read was
+  /// served zero-copy from a sealed mapping.
   Result<std::string> ReadRecord(const std::string& id, const Entry& entry,
                                  bool* via_mmap) const
-      DASPOS_EXCLUDES(mutex_);
-  /// Appends one line to quarantine.jsonl, marks the id quarantined in
-  /// memory, and drops it from the index. The segment bytes are untouched
-  /// (immutable forensic copy in place).
-  void QuarantineRecord(const std::string& id, const Entry& entry,
-                        const std::string& detail) const
       DASPOS_EXCLUDES(mutex_);
 
   std::string root_;
   PackOptions options_;
 
   mutable Mutex mutex_;
-  // mutable: a failed read gate (QuarantineRecord, const path) drops the
-  // condemned entry so subsequent reads fail fast with NotFound.
-  mutable std::map<std::string, Entry> index_ DASPOS_GUARDED_BY(mutex_);
-  /// Ids whose newest record failed a gate and has no superseding record.
-  mutable std::set<std::string> quarantined_ DASPOS_GUARDED_BY(mutex_);
+  std::map<std::string, Entry> index_ DASPOS_GUARDED_BY(mutex_);
   /// Every id that ever had a quarantine log line (QuarantinedIds reports
   /// history, matching the loose backend's surviving forensic copies).
-  mutable std::set<std::string> quarantine_log_ DASPOS_GUARDED_BY(mutex_);
+  std::set<std::string> quarantine_log_ DASPOS_GUARDED_BY(mutex_);
   /// Lazily created mappings of sealed segments. Mappings are never evicted
   /// while the store lives, so views handed to readers stay valid without
   /// holding the lock.

@@ -50,11 +50,12 @@ Result<std::string> ReplicatedObjectStore::Put(std::string_view bytes) {
 Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
   Span span("replica:get", "archive");
-  // Walk replicas in order; remember every replica that failed so the
-  // healthy bytes can heal them before the read returns.
+  // Walk replicas in order; remember every replica that failed, and why,
+  // so the healthy bytes can heal them before the read returns.
   struct Unhealthy {
     size_t replica;
-    bool served_forgery;  // bytes that passed its own gate but not SHA-256
+    Status why;  // Corruption: rot, or bytes that passed its gate but not
+                 // SHA-256; anything else: missing or unreachable
   };
   std::vector<Unhealthy> unhealthy;
   Status last_error = Status::NotFound("object " + id + " not in any replica");
@@ -64,23 +65,29 @@ Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
       // The replication layer's own SHA-256 gate: a backend whose Get gate
       // is weaker (the packfile checksum) must still never leak rot.
       if (Sha256::HashHex(*got) != id) {
-        unhealthy.push_back({i, true});
         fallbacks_->Increment();
         last_error =
             Status::Corruption("fixity mismatch for object " + id +
                                " on replica " + std::to_string(i));
+        unhealthy.push_back({i, last_error});
         continue;
       }
       // Read-repair: re-Put the verified bytes into every replica the read
-      // fell past (missing the object or holding rot). Re-Put heals in
-      // place; a FileObjectStore keeps its quarantined forensic copy. A
-      // replica that served a forgery is audited first: its Put would
-      // dedupe on the gate the forgery passes, and the audit quarantines
-      // the forged copy so the Put appends a good one. A repair counts
-      // only once the replica verifies.
+      // fell past (missing the object or holding rot). A rotted or forged
+      // copy is quarantined first, which keeps it as forensic evidence and
+      // makes the Put store fresh bytes (a forgery passes the gate a Put
+      // dedupes on). A repair counts only once the replica verifies.
       for (const Unhealthy& bad : unhealthy) {
         ObjectStore* replica = replicas_[bad.replica];
-        if (bad.served_forgery) (void)replica->Verify(id);
+        if (bad.why.IsCorruption()) {
+          Status set_aside = replica->Quarantine(id, bad.why.message());
+          if (!set_aside.ok()) {
+            DASPOS_LOG(kWarning) << "read-repair of object " << id
+                                 << " on replica " << bad.replica
+                                 << " kept no evidence: "
+                                 << set_aside.ToString();
+          }
+        }
         auto healed = replica->Put(*got);
         Status verified = healed.ok() ? replica->Verify(id) : healed.status();
         if (verified.ok()) {
@@ -103,9 +110,9 @@ Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
       }
       return got;
     }
-    unhealthy.push_back({i, false});
     fallbacks_->Increment();
     last_error = got.status();
+    unhealthy.push_back({i, last_error});
   }
   return last_error;
 }
@@ -120,8 +127,7 @@ bool ReplicatedObjectStore::Has(const std::string& id) const {
 Status ReplicatedObjectStore::Verify(const std::string& id) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
   // An audit, not a repair: the object survives if at least one replica
-  // holds verifying bytes. (FileObjectStore replicas quarantine their own
-  // rotted copies as a side effect; the scrubber is the healer.)
+  // holds verifying bytes. The scrubber is the healer.
   size_t present = 0;
   Status last_error = Status::NotFound("object " + id + " not in any replica");
   for (ObjectStore* replica : replicas_) {

@@ -27,8 +27,8 @@ namespace daspos {
 /// because a backend's own Get gate may be weaker: the packfile backend
 /// checks a 64-bit checksum, which a forged record can match. Every replica
 /// that failed before the healthy one — missing the object or holding rot —
-/// is then *read-repaired* in place by re-putting the healthy bytes (re-Put
-/// heals); a FileObjectStore replica keeps its quarantined forensic copy.
+/// is then *read-repaired*: a rotted or forged copy is quarantined, then
+/// the healthy bytes are re-put.
 /// When the serving replica is in the minority (the read fell past >=
 /// quorum unhealthy replicas), the read still succeeds but is counted in
 /// daspos_archive_degraded_reads_total and logged — degraded mode serves

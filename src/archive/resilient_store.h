@@ -29,8 +29,11 @@ class FaultyObjectStore : public ObjectStore {
   Result<std::string> Get(const std::string& id) const override;
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
-  // Enumeration is bookkeeping, not a keyed operation: it passes through
-  // without drawing fault-plan ordinals.
+  // Quarantine and enumeration pass through without drawing fault-plan
+  // ordinals, so scripted plans keep hitting the same reads and writes.
+  Status Quarantine(const std::string& id, const std::string& reason) override {
+    return backend_->Quarantine(id, reason);
+  }
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override {
     return backend_->ForEachId(fn);
@@ -72,6 +75,9 @@ class RetryingObjectStore : public ObjectStore {
   /// without backoff, before it is believed.
   bool Has(const std::string& id) const override;
   Status Verify(const std::string& id) const override;
+  Status Quarantine(const std::string& id, const std::string& reason) override {
+    return backend_->Quarantine(id, reason);
+  }
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override {
     return backend_->ForEachId(fn);

@@ -110,12 +110,19 @@ ObjectOutcome ScrubObject(const std::vector<ObjectStore*>& replicas,
   std::vector<size_t> unhealthy;
   for (size_t i = 0; i < replicas.size(); ++i) {
     ++outcome.replicas_checked;
-    // Verify always hashes the real bytes; a rotted FileObjectStore copy
-    // is quarantined here.
-    if (replicas[i]->Verify(id).ok()) {
+    // Verify always hashes the real bytes. A rotted copy is set aside as
+    // evidence whether or not a healthy replica can replace it.
+    Status verified = replicas[i]->Verify(id);
+    if (verified.ok()) {
       healthy.push_back(i);
-    } else {
-      unhealthy.push_back(i);
+      continue;
+    }
+    unhealthy.push_back(i);
+    if (!verified.IsCorruption()) continue;
+    Status set_aside = replicas[i]->Quarantine(id, verified.message());
+    if (!set_aside.ok()) {
+      DASPOS_LOG(kWarning) << "scrub of object " << id << " on replica " << i
+                           << " kept no evidence: " << set_aside.ToString();
     }
   }
   if (unhealthy.empty()) return outcome;

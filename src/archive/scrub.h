@@ -46,7 +46,7 @@ enum class ScrubVerdict { kPass = 0, kWarn = 1, kFail = 2 };
 std::string_view ScrubVerdictName(ScrubVerdict verdict);
 
 /// One object the scrubber could not heal: no replica holds verifying
-/// bytes. The rotted copies are quarantined by their stores; healthy bytes
+/// bytes. The scrubber quarantines the rotted copies; healthy bytes
 /// must come from outside (e.g. an operator restoring from cold storage).
 struct UnrepairableObject {
   std::string id;

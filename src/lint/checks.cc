@@ -481,9 +481,9 @@ LintReport CheckArchive(const ObjectStore& store,
                "garbage-collect it or deposit a package that claims it");
   }
 
-  // A006: blobs the store moved aside after a failed fixity check. An
-  // unreadable quarantine area is a G002 of its own unless the walk
-  // already reported the store unreadable.
+  // A006: blobs scrub or read repair set aside after a failed fixity
+  // check. An unreadable quarantine area is a G002 of its own unless the
+  // walk already reported the store unreadable.
   auto quarantined = store.QuarantinedIds();
   if (!quarantined.ok()) {
     if (walk.ok()) {
@@ -493,7 +493,8 @@ LintReport CheckArchive(const ObjectStore& store,
   }
   for (const std::string& id : *quarantined) {
     report.Add("A006", artifact, id,
-               "blob failed fixity on read and sits in quarantine",
+               "blob failed fixity and scrub or read repair set it aside "
+               "in quarantine",
                "restore it from a replica (re-Put the original bytes heals "
                "the store), then delete the quarantined copy");
   }

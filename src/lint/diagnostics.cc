@@ -183,7 +183,8 @@ const std::vector<CheckInfo>& AllChecks() {
       {"A005", Severity::kWarning,
        "package manifest lacks a title (undiscoverable holding)"},
       {"A006", Severity::kWarning,
-       "quarantined blob present in the store (failed fixity on read)"},
+       "quarantined blob present in the store (failed fixity; set aside by "
+       "scrub or read repair)"},
       // Conditions stores and global tags (Cxxx).
       {"C001", Severity::kError,
        "overlapping intervals of validity within one tag (ambiguous "

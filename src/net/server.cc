@@ -196,11 +196,7 @@ void Server::ReadFromConnection(Connection& conn) {
     if (n < 0 && errno == EINTR) continue;
     // EOF or hard error. A partial frame left behind means the client
     // disconnected mid-frame — counted so operators can see torn clients.
-    if (!conn.inbox.empty()) {
-      protocol_errors_total_->Increment();
-      DASPOS_LOG(kInfo) << "dasposd: " << conn.peer << " disconnected with "
-                        << conn.inbox.size() << " unframed byte(s)";
-    }
+    if (!conn.inbox.empty()) protocol_errors_total_->Increment();
     CloseConnection(conn.fd);
     return;
   }
@@ -410,8 +406,6 @@ void Server::UpdateInterest(Connection& conn) {
 void Server::ProtocolError(Connection& conn, uint64_t request_id,
                            const std::string& detail) {
   protocol_errors_total_->Increment();
-  DASPOS_LOG(kInfo) << "dasposd: protocol error from " << conn.peer << ": "
-                    << detail;
   conn.closing = true;
   Enqueue(conn, EncodeFrame(MessageType::kError, request_id,
                             EncodeErrorPayloadWithCode(kWireProtocolError,
@@ -442,8 +436,6 @@ void Server::BeginDrain() {
   if (draining_) return;
   draining_ = true;
   drains_total_->Increment();
-  DASPOS_LOG(kInfo) << "dasposd: drain requested; closing listener, "
-                    << connections_.size() << " connection(s) to flush";
   if (listen_fd_ >= 0) {
     loop_.Remove(listen_fd_);
     close(listen_fd_);

@@ -1,36 +1,12 @@
 #include "support/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace daspos {
-namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-
-LogLevel GetLogLevel() { return g_level.load(); }
 
 void LogMessage(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
-  std::fprintf(stderr, "[daspos %s] %s\n", LevelName(level), message.c_str());
+  std::fprintf(stderr, "[daspos %s] %s\n",
+               level == LogLevel::kError ? "ERROR" : "WARN", message.c_str());
 }
 
 }  // namespace daspos

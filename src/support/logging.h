@@ -1,5 +1,5 @@
-// Minimal leveled logging to stderr. Subsystems log sparingly; the default
-// level is kWarning so tests and benches stay quiet.
+// Minimal logging of warnings and errors to stderr. Subsystems log
+// sparingly, so tests and benches stay quiet.
 #ifndef DASPOS_SUPPORT_LOGGING_H_
 #define DASPOS_SUPPORT_LOGGING_H_
 
@@ -8,13 +8,9 @@
 
 namespace daspos {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
+enum class LogLevel { kWarning, kError };
 
-/// Sets the process-wide minimum level that is emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-/// Emits `message` at `level` if it passes the threshold.
+/// Emits `message` at `level`.
 void LogMessage(LogLevel level, const std::string& message);
 
 namespace internal {

@@ -227,6 +227,66 @@ TYPED_TEST(ObjectStoreContractTest, RotIsCaughtAndRePutHeals) {
   }
 }
 
+/// Every file under `dir` with the SHA-256 of its bytes, and every
+/// directory, sorted (empty when `dir` does not exist).
+std::string TreeDigest(const std::string& dir) {
+  std::vector<std::string> lines;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir, ec)) {
+    const std::string path = entry.path().string();
+    lines.push_back(entry.is_directory()
+                        ? path + "/"
+                        : path + " " +
+                              Sha256::HashHex(ReadFileToString(path).value()));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string digest;
+  for (const std::string& line : lines) digest += line + "\n";
+  return digest;
+}
+
+/// What every read of `store` answers about `ids` and its holdings.
+std::string ReadEverything(const ObjectStore& store,
+                           const std::vector<std::string>& ids) {
+  std::string answers;
+  for (const std::string& id : ids) {
+    auto got = store.Get(id);
+    answers += "get " + (got.ok() ? Sha256::HashHex(*got)
+                                  : got.status().ToString()) +
+               " has " + std::to_string(store.Has(id)) + " verify " +
+               store.Verify(id).ToString() + "\n";
+  }
+  for (const std::string& id : CollectIds(store)) answers += id + "\n";
+  auto total = store.TotalBytes();
+  answers += "total " + (total.ok() ? std::to_string(*total)
+                                    : total.status().ToString()) + "\n";
+  const std::vector<std::string> quarantined = store.QuarantinedIds().value();
+  for (const std::string& id : quarantined) {
+    answers += "quarantined " + id + "\n";
+  }
+  return answers;
+}
+
+// 3b. Reads never write: after rot, every read answers the same each time
+// (Corruption for the rotted copy) and a disk store's files do not change.
+TYPED_TEST(ObjectStoreContractTest, ReadsAfterRotChangeNothing) {
+  ObjectStore& store = this->store();
+  auto rotted = store.Put("bytes that rot");
+  auto healthy = store.Put("bytes that stay");
+  ASSERT_TRUE(rotted.ok() && healthy.ok());
+  ASSERT_NO_FATAL_FAILURE(this->member_->Rot(*rotted));
+  const std::vector<std::string> ids = {*rotted, *healthy};
+  const std::string tree = TreeDigest(this->dir_);
+  const std::string first = ReadEverything(store, ids);
+  EXPECT_TRUE(store.Get(*rotted).status().IsCorruption()) << first;
+  EXPECT_EQ(*store.Get(*healthy), "bytes that stay");
+  for (int round = 1; round < 3; ++round) {
+    EXPECT_EQ(ReadEverything(store, ids), first) << "round " << round;
+    EXPECT_EQ(TreeDigest(this->dir_), tree) << "round " << round;
+  }
+}
+
 // 4. PutBatch returns ids in input order with or without a pool, and a
 // repeated batch changes nothing.
 TYPED_TEST(ObjectStoreContractTest, PutBatchKeepsInputOrderAtAnyPoolSize) {
@@ -753,6 +813,39 @@ TEST_F(FileObjectStoreTest, RecoverCatalogOverUnreadableStoreIsNotVacuous) {
             1u);
 }
 
+TEST_F(FileObjectStoreTest, RecoveryLeavesRottedObjectsToTheAudit) {
+  // Package A's payload and package B's manifest rot. Recovery still
+  // adopts A, and every audit names each rotted object once as corrupted.
+  std::string payload_a, manifest_b;
+  {
+    FileObjectStore store(root_);
+    Archive archive(&store);
+    ASSERT_TRUE(archive.Deposit(MakeSubmission()).ok());
+    SubmissionPackage other = MakeSubmission();
+    other.title = "second package";
+    other.files = {{"notes.txt", "text/plain", "second package notes"}};
+    auto b = archive.Deposit(other);
+    ASSERT_TRUE(b.ok());
+    manifest_b = *b;
+    payload_a = Sha256::HashHex(std::string(500, 'd'));
+  }
+  for (const std::string& id : {payload_a, manifest_b}) {
+    FlipByte(root_ + "/" + id.substr(0, 2) + "/" + id.substr(2), 0);
+  }
+  for (int run = 0; run < 2; ++run) {
+    FileObjectStore store(root_);
+    Archive archive(&store);
+    auto recovered = archive.RecoverCatalog();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(*recovered, 1u);
+    FixityReport audit = archive.AuditFixity();
+    EXPECT_EQ(audit.corrupted_objects,
+              (std::vector<std::string>{payload_a, manifest_b}))
+        << "run " << run;
+    EXPECT_TRUE(audit.missing_objects.empty()) << "run " << run;
+  }
+}
+
 TEST_F(FileObjectStoreTest, AtomicPutLeavesNoTempFiles) {
   FileObjectStore store(root_);
   for (int i = 0; i < 8; ++i) {
@@ -770,18 +863,23 @@ TEST_F(FileObjectStoreTest, AtomicPutLeavesNoTempFiles) {
   EXPECT_EQ(CollectIds(store).size(), 8u);
 }
 
-// --------------------------------------------- Quarantine on read (PR 3) --
+// ------------------------------------------------------- Quarantine --
 
-TEST_F(FileObjectStoreTest, CorruptBlobIsQuarantinedOnRead) {
+TEST_F(FileObjectStoreTest, CorruptBlobFailsEveryReadUntilQuarantined) {
   FileObjectStore store(root_);
   auto id = store.Put("pristine bytes");
   ASSERT_TRUE(id.ok());
   // Rot the backing file behind the store's back.
   std::string path = root_ + "/" + id->substr(0, 2) + "/" + id->substr(2);
   std::ofstream(path, std::ios::binary) << "rotten";
-  auto got = store.Get(*id);
-  EXPECT_TRUE(got.status().IsCorruption());
-  EXPECT_NE(got.status().message().find("quarantine"), std::string::npos);
+  // Reads refuse the rot each time and move nothing.
+  for (int read = 0; read < 2; ++read) {
+    EXPECT_TRUE(store.Get(*id).status().IsCorruption());
+    EXPECT_TRUE(store.Verify(*id).IsCorruption());
+    EXPECT_TRUE(store.Has(*id));
+  }
+  EXPECT_TRUE(store.QuarantinedIds().value().empty());
+  ASSERT_TRUE(store.Quarantine(*id, "fixity mismatch").ok());
   // The rotten copy moved aside: the store no longer claims the object...
   EXPECT_FALSE(store.Has(*id));
   EXPECT_TRUE(CollectIds(store).empty());
@@ -859,9 +957,9 @@ class DigestCacheTest : public FileObjectStoreTest {
   }
 };
 
-TEST_F(DigestCacheTest, RotAfterCachingForcesRehashAndQuarantine) {
+TEST_F(DigestCacheTest, RotAfterCachingForcesRehash) {
   // A blob modified after a successful Get must still be re-hashed on the
-  // next Get, caught, and quarantined.
+  // next Get and caught.
   FileObjectStore store(root_);
   auto id = store.Put("pristine bytes");
   ASSERT_TRUE(id.ok());
@@ -869,10 +967,8 @@ TEST_F(DigestCacheTest, RotAfterCachingForcesRehashAndQuarantine) {
   std::ofstream(BlobPath(*id), std::ios::binary) << "rotten payload!!";
   auto got = store.Get(*id);
   EXPECT_TRUE(got.status().IsCorruption());
-  EXPECT_NE(got.status().message().find("quarantine"), std::string::npos);
-  ASSERT_EQ(store.QuarantinedIds().value().size(), 1u);
-  EXPECT_EQ(store.QuarantinedIds().value()[0], *id);
-  // A healed copy reads back.
+  EXPECT_NE(got.status().message().find("fixity mismatch"), std::string::npos);
+  // A re-Put overwrites the rotted copy, and the healed copy reads back.
   auto healed = store.Put("pristine bytes");
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(*store.Get(*id), "pristine bytes");
@@ -881,7 +977,7 @@ TEST_F(DigestCacheTest, RotAfterCachingForcesRehashAndQuarantine) {
 TEST_F(DigestCacheTest, SizePreservingRotWithRestoredMtimeStillFailsVerify) {
   // Media rot changes neither size nor mtime, so a stat fingerprint cannot
   // see it: a Get after a same-size rewrite with the mtime restored must
-  // hash the bytes, refuse them, and quarantine the blob — as Verify does.
+  // hash the bytes and refuse them — as Verify does.
   FileObjectStore store(root_);
   auto id = store.Put("abcdefghijklmnop");
   ASSERT_TRUE(id.ok());
@@ -893,9 +989,7 @@ TEST_F(DigestCacheTest, SizePreservingRotWithRestoredMtimeStillFailsVerify) {
   std::filesystem::last_write_time(path, mtime);
   auto got = store.Get(*id);
   EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
-  ASSERT_EQ(store.QuarantinedIds().value().size(), 1u);
-  EXPECT_EQ(store.QuarantinedIds().value()[0], *id);
-  EXPECT_TRUE(store.Verify(*id).IsNotFound());
+  EXPECT_TRUE(store.Verify(*id).IsCorruption());
 }
 
 TEST_F(DigestCacheTest, PutDropsStaleCacheEntry) {
@@ -1068,9 +1162,11 @@ TEST_F(FileObjectStoreTest, RepeatQuarantinePreservesForensicCopies) {
 
   std::ofstream(path, std::ios::binary) << "rot A";
   EXPECT_TRUE(store.Get(*id).status().IsCorruption());
+  ASSERT_TRUE(store.Quarantine(*id, "rot A").ok());
   ASSERT_TRUE(store.Put("twice rotted").ok());  // heal
   std::ofstream(path, std::ios::binary) << "rot B";
   EXPECT_TRUE(store.Get(*id).status().IsCorruption());
+  ASSERT_TRUE(store.Quarantine(*id, "rot B").ok());
 
   // Both rot events kept their evidence: <id> and <id>.1.
   namespace fs = std::filesystem;
@@ -1093,7 +1189,7 @@ TEST_F(FileObjectStoreTest, FailedQuarantineMoveCountsErrors) {
   // A regular file where the quarantine directory should be makes both
   // create_directories and the rename fail.
   std::ofstream(root_ + "/quarantine", std::ios::binary) << "in the way";
-  EXPECT_TRUE(store.Get(*id).status().IsCorruption());
+  EXPECT_TRUE(store.Quarantine(*id, "rot").IsIOError());
   EXPECT_GT(registry.CounterValue(metric_names::kArchiveQuarantineErrorsTotal),
             errors_before);
   // The rotted blob stayed in place (the move failed) — it must still be

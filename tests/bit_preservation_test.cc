@@ -165,10 +165,10 @@ TEST_F(BitPreservationTest, ReplicationFixityGateBlocksForgedPackRecord) {
   EXPECT_EQ(*got, payload);
   EXPECT_EQ(registry.CounterValue(metric_names::kArchiveReadRepairsTotal),
             repairs_before + 1);
-  // Read-repair audits the replica that served the forgery before its
-  // re-Put: the audit quarantines the forged record, so the re-Put appends
-  // a good one (a bare re-Put would dedupe on the checksum the forgery
-  // matches) and the pack replica verifies right after the repairing Get.
+  // Read-repair quarantines the forged record before its re-Put, so the
+  // re-Put appends a good one (a bare re-Put would dedupe on the checksum
+  // the forgery matches) and the pack replica verifies right after the
+  // repairing Get.
   EXPECT_TRUE(a.Verify(id).ok());
   EXPECT_EQ(*a.Get(id), payload);
 }
@@ -299,8 +299,8 @@ TEST_F(BitPreservationTest, ScrubQuarantinesOnlyWhenUnrepairable) {
   ASSERT_EQ(report->unrepairable.size(), 1u);
   EXPECT_EQ(report->unrepairable[0].id, *id);
   EXPECT_EQ(report->Verdict(), ScrubVerdict::kFail);
-  // Both rotted copies were quarantined (by their stores' Verify) — the
-  // forensic evidence survives for an operator restore.
+  // Both rotted copies were quarantined (by the scrubber) — the forensic
+  // evidence survives for an operator restore.
   EXPECT_EQ(r0.QuarantinedIds().value(), std::vector<std::string>{*id});
   EXPECT_EQ(r1.QuarantinedIds().value(), std::vector<std::string>{*id});
 }

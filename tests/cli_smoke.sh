@@ -172,22 +172,47 @@ if [ "$rc" -ne 1 ] || ! grep -q "G002" "$WORK/qbroken.lint"; then
   echo "lint passed an archive with an unreadable quarantine area" >&2
   exit 1
 fi
-# A pack archive lints through the store spec every command takes: clean
-# while intact, and one flipped payload byte fails it (A002, exit 1) both as
-# the sniffed directory and as pack:DIR. Each path gets its own archive,
-# because the read that finds the rot quarantines the object.
-for LPATH in "$WORK/lint_sniffed" "pack:$WORK/lint_spec"; do
-  LROOT="${LPATH#pack:}"
-  "$DASPOS" ingest "pack:$LROOT" "lint pack smoke" "$WORK/dimuon.lhada" \
-    >/dev/null
-  "$DASPOS" lint "$LPATH" | grep -q "1 artifact(s) clean"
-  SEG="$LROOT/segments/000000.seg"
-  AT=$(grep -boa "analysis smoke" "$SEG" | head -n 1 | cut -d: -f1)
-  printf 'X' | dd of="$SEG" bs=1 seek="$AT" conv=notrunc 2>/dev/null
-  rc=0
-  "$DASPOS" lint "$LPATH" > "$WORK/lint_pack.out" || rc=$?
-  if [ "$rc" -ne 1 ] || ! grep -q "A002" "$WORK/lint_pack.out"; then
-    echo "lint passed a pack archive with a flipped payload byte: $LPATH" >&2
+# Reads never write. One flipped payload byte in a loose and in a pack
+# store: audit (CORRUPTED, exit 1) and lint (A002 and neither A001 nor A006,
+# exit 1) give the same output on every run, and no file of the store
+# changes. Lint takes the store spec and the bare directory (a pack store
+# is sniffed); both lint the intact store clean.
+tree_hash() { find "$1" -type f | sort | xargs sha256sum; }
+for SPEC in "file:$WORK/rot_file" "pack:$WORK/rot_pack"; do
+  ROOT="${SPEC#*:}"
+  "$DASPOS" ingest "$SPEC" "rot smoke" "$WORK/dimuon.lhada" >/dev/null
+  for LPATH in "$SPEC" "$ROOT"; do
+    "$DASPOS" lint "$LPATH" | grep -q "1 artifact(s) clean"
+  done
+  BLOB=$(grep -rl "analysis smoke" "$ROOT" | head -n 1)
+  AT=$(grep -boa "analysis smoke" "$BLOB" | head -n 1 | cut -d: -f1)
+  printf 'X' | dd of="$BLOB" bs=1 seek="$AT" conv=notrunc 2>/dev/null
+  BEFORE=$(tree_hash "$ROOT")
+  for RUN in 1 2; do
+    rc=0
+    "$DASPOS" audit "$SPEC" > "$WORK/rot_audit.$RUN" || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -q "^CORRUPTED" "$WORK/rot_audit.$RUN"; then
+      echo "audit $RUN of $SPEC did not report CORRUPTED with exit 1" >&2
+      exit 1
+    fi
+    N=0
+    for LPATH in "$SPEC" "$ROOT"; do
+      N=$((N + 1))
+      OUT="$WORK/rot_lint.$RUN.$N"
+      rc=0
+      "$DASPOS" lint "$LPATH" > "$OUT" || rc=$?
+      if [ "$rc" -ne 1 ] || ! grep -q "A002" "$OUT" ||
+         grep -qE "A001|A006" "$OUT"; then
+        echo "lint $RUN of $LPATH did not report A002 alone with exit 1" >&2
+        exit 1
+      fi
+    done
+  done
+  cmp "$WORK/rot_audit.1" "$WORK/rot_audit.2"
+  cmp "$WORK/rot_lint.1.1" "$WORK/rot_lint.2.1"
+  cmp "$WORK/rot_lint.1.2" "$WORK/rot_lint.2.2"
+  if [ "$(tree_hash "$ROOT")" != "$BEFORE" ]; then
+    echo "audit or lint changed the files of $SPEC" >&2
     exit 1
   fi
 done

@@ -498,7 +498,7 @@ TEST_F(DurableStateFuzzTest, ScrubCursorResumesFromAPrefix) {
 
 TEST_F(DurableStateFuzzTest, QuarantineLogReplaysAPrefix) {
   // Three healthy records; a copy of the store with all three rotted
-  // writes the quarantine log (one line per Get, in id order below).
+  // writes the quarantine log (one line per Quarantine, in id order below).
   const std::string payload = "quarantine fuzz payload #";
   std::vector<std::string> ids;
   {
@@ -520,7 +520,9 @@ TEST_F(DurableStateFuzzTest, QuarantineLogReplaysAPrefix) {
   {
     PackObjectStore rotted(Dir("rotted"));
     for (const std::string& id : ids) {
-      ASSERT_TRUE(rotted.Get(id).status().IsCorruption());
+      auto got = rotted.Get(id);
+      ASSERT_TRUE(got.status().IsCorruption());
+      ASSERT_TRUE(rotted.Quarantine(id, got.status().message()).ok());
     }
   }
   auto text = ReadFileToString(Dir("rotted") + "/quarantine.jsonl");

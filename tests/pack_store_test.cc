@@ -201,7 +201,7 @@ TEST_F(PackStoreTest, CompressedStoreReadableWithoutCompressionOption) {
 
 // --------------------------------------------- Integrity gates + heal --
 
-TEST_F(PackStoreTest, ChecksumGateQuarantinesRotThenRePutHeals) {
+TEST_F(PackStoreTest, ChecksumGateRefusesRotAndQuarantineThenRePutHeals) {
   const std::string payload = "bytes that will rot on disk";
   std::string id;
   {
@@ -219,12 +219,22 @@ TEST_F(PackStoreTest, ChecksumGateQuarantinesRotThenRePutHeals) {
   PackObjectStore store(Dir("pack"));
   const uint64_t failures_before =
       CounterNow("daspos_pack_checksum_failures_total");
-  auto rotted = store.Get(id);
-  EXPECT_TRUE(rotted.status().IsCorruption());
+  for (int read = 0; read < 2; ++read) {
+    auto rotted = store.Get(id);
+    EXPECT_TRUE(rotted.status().IsCorruption());
+    EXPECT_NE(rotted.status().message().find("stored checksum mismatch"),
+              std::string::npos);
+  }
   EXPECT_EQ(CounterNow("daspos_pack_checksum_failures_total"),
-            failures_before + 1);
-  // The condemned record is dropped from the index; the quarantine log
-  // remembers it.
+            failures_before + 2);
+  // Reads write nothing: the record stays indexed and no log appears.
+  EXPECT_TRUE(store.Has(id));
+  EXPECT_TRUE(store.QuarantinedIds().value().empty());
+  EXPECT_FALSE(FileExists(Dir("pack") + "/quarantine.jsonl"));
+
+  // Quarantine drops the condemned record from the index; the quarantine
+  // log remembers it.
+  ASSERT_TRUE(store.Quarantine(id, "stored checksum mismatch").ok());
   EXPECT_TRUE(store.Get(id).status().IsNotFound());
   EXPECT_FALSE(store.Has(id));
   EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
@@ -255,6 +265,7 @@ TEST_F(PackStoreTest, QuarantineStandsAcrossReopen) {
   {
     PackObjectStore store(Dir("pack"));
     EXPECT_TRUE(store.Get(id).status().IsCorruption());
+    ASSERT_TRUE(store.Quarantine(id, "stored checksum mismatch").ok());
   }
   // The quarantine log replays on open: the condemned record must not be
   // resurrected by the (still valid-looking) sidecar.
@@ -331,6 +342,8 @@ TEST_F(PackStoreTest, VerifyCatchesForgedChecksumThatGetMisses) {
   EXPECT_EQ(*got, forged);    // ...serving the forged bytes
   auto verified = store.Verify(id);
   EXPECT_TRUE(verified.IsCorruption());  // the authority does not
+  EXPECT_EQ(*store.Get(id), forged);     // and the audit wrote nothing
+  ASSERT_TRUE(store.Quarantine(id, verified.message()).ok());
   EXPECT_TRUE(store.Get(id).status().IsNotFound());
   EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
 }
@@ -386,8 +399,8 @@ TEST_F(PackStoreTest, PutBatchRePutHealsRottedRecord) {
   EXPECT_EQ((*ids)[0], id);
   EXPECT_EQ(*store.Get(id), payload);
   EXPECT_TRUE(store.Verify(id).ok());
-  // The condemned record went through quarantine on its way out.
-  EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
+  // The batch superseded the rotted record without quarantining it.
+  EXPECT_TRUE(store.QuarantinedIds().value().empty());
 }
 
 // ------------------------------------------------------ Crash recovery --

@@ -127,7 +127,7 @@ if [ "$RUN_CHAOS" = 1 ]; then
     'ObjectStoreContractTest/*:DigestCacheTest.*:PutBatchTest.*:FileObjectStoreTest.*'
   # The packfile backend under the race detector: concurrent PutBatch
   # preparation on pool workers, lock-free mmap reads of sealed segments,
-  # and the const quarantine path all share the store mutex.
+  # and the quarantine write all share the store mutex.
   ./build-tsan/tests/pack_store_test
   # The bit-preservation layer under the race detector: quorum writes,
   # read-repair, pool-sharded scrub batches, and parallel copy-verify all
