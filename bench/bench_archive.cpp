@@ -66,7 +66,7 @@ void BM_FixityAudit(benchmark::State& state) {
     (void)archive.Deposit(sip);
   }
   for (auto _ : state) {
-    FixityReport report = archive.AuditFixity();
+    FixityReport report = ArchiveInventory::Take(store).Fixity();
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -137,7 +137,7 @@ void PrintSummary() {
   std::printf("physical store bytes  : %s  (content addressing "
               "deduplicates the shared payload)\n",
               FormatBytes(*store.TotalBytes()).c_str());
-  FixityReport report = archive.AuditFixity();
+  FixityReport report = ArchiveInventory::Take(store).Fixity();
   std::printf("fixity: %llu objects checked, clean=%s\n",
               static_cast<unsigned long long>(report.objects_checked),
               report.clean() ? "yes" : "NO");

@@ -57,13 +57,13 @@ int main() {
               FormatBytes(dataset_blob.size()).c_str());
 
   // --- fixity: clean audit, inject bit rot, audit again -----------------
-  auto clean = archive.AuditFixity();
+  auto clean = ArchiveInventory::Take(store).Fixity();
   std::printf("fixity audit #1: %llu objects, clean=%s\n",
               static_cast<unsigned long long>(clean.objects_checked),
               clean.clean() ? "yes" : "NO");
   std::string data_object_id = Sha256::HashHex(dataset_blob);
   (void)store.CorruptForTesting(data_object_id, dataset_blob.size() / 2);
-  auto dirty = archive.AuditFixity();
+  auto dirty = ArchiveInventory::Take(store).Fixity();
   std::printf("fixity audit #2 (after injected bit flip): corrupted=%zu "
               "-> damage detected: %s\n",
               dirty.corrupted_objects.size(),
@@ -71,7 +71,7 @@ int main() {
   // Repair by re-depositing the good bytes (content addressing heals).
   (void)store.Put(dataset_blob);
   std::printf("re-put pristine bytes: audit #3 clean=%s\n\n",
-              archive.AuditFixity().clean() ? "yes" : "NO");
+              ArchiveInventory::Take(store).Fixity().clean() ? "yes" : "NO");
 
   // --- format migration --------------------------------------------------
   auto migrated_id = archive.Migrate(

@@ -108,7 +108,7 @@ int main() {
     return 1;
   }
   std::printf("deposited as %s\n", archive_id->substr(0, 16).c_str());
-  auto audit = archive.AuditFixity();
+  auto audit = ArchiveInventory::Take(object_store).Fixity();
   std::printf("fixity audit: %llu objects checked, clean=%s\n\n",
               static_cast<unsigned long long>(audit.objects_checked),
               audit.clean() ? "yes" : "NO");

@@ -1,13 +1,94 @@
 #include "archive/archive.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "support/parallel.h"
 
 namespace daspos {
 
+namespace {
+
+/// AIP manifests are recognized by shape; anything else in a store is
+/// package payload.
 bool IsAipManifest(const Json& json) {
   return json.is_object() && json.Has("aip_version") && json.Has("files");
+}
+
+}  // namespace
+
+ArchiveInventory ArchiveInventory::Take(const ObjectStore& store,
+                                        ThreadPool* pool, bool verify) {
+  ArchiveInventory inventory;
+  std::vector<std::string> ids;
+  inventory.walk = store.ForEachId([&ids](const std::string& id) {
+    ids.push_back(id);
+    return Status::OK();
+  });
+  std::vector<std::optional<Json>> manifests(ids.size());
+  std::vector<Object> reads = ParallelMap<Object>(
+      pool, ids.size(),
+      [&](size_t i) {
+        Object object;
+        {  // the bytes are freed before Verify reads the object again
+          auto bytes = store.Get(ids[i]);
+          object.status = bytes.status();
+          if (!bytes.ok()) return object;
+          object.stored_bytes = bytes->size();
+          auto json = Json::Parse(*bytes);
+          if (json.ok() && IsAipManifest(*json)) manifests[i] = *json;
+        }
+        if (verify) object.status = store.Verify(ids[i]);
+        return object;
+      },
+      /*grain=*/1);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Object& object = reads[i];
+    if (!object.status.ok()) {
+      object.kind = Kind::kCorrupted;
+    } else if (manifests[i]) {
+      object.kind = Kind::kManifest;
+      inventory.manifests.emplace(ids[i], std::move(*manifests[i]));
+    }
+    inventory.objects.emplace(ids[i], std::move(object));
+  }
+  for (const auto& [manifest_id, manifest] : inventory.manifests) {
+    const Json& files = manifest.Get("files");
+    for (size_t i = 0; i < files.size(); ++i) {
+      const Json& entry = files.at(i);
+      inventory.references.push_back(
+          {manifest_id, entry.Get("name").as_string(),
+           static_cast<uint64_t>(entry.Get("bytes").as_int()),
+           entry.Get("sha256").as_string()});
+      auto [it, absent] =
+          inventory.objects.try_emplace(inventory.references.back().object_id);
+      if (absent) {
+        it->second.kind = Kind::kMissing;
+      } else if (it->second.kind == Kind::kOrphan) {
+        it->second.kind = Kind::kPayload;
+      }
+    }
+  }
+  auto quarantined = store.QuarantinedIds();
+  inventory.quarantine = quarantined.status();
+  for (const std::string& id : quarantined.value_or({})) {
+    auto [it, absent] = inventory.objects.try_emplace(id);
+    if (absent) it->second.kind = Kind::kQuarantined;
+    it->second.quarantined = true;
+  }
+  return inventory;
+}
+
+FixityReport ArchiveInventory::Fixity() const {
+  FixityReport report;
+  report.objects_checked = objects.size();
+  for (const auto& [id, object] : objects) {
+    if (object.kind == Kind::kCorrupted) {
+      report.corrupted_objects.push_back(id);
+    } else if (object.kind == Kind::kMissing) {
+      report.missing_objects.push_back(id);
+    }
+  }
+  return report;
 }
 
 Result<std::string> Archive::Deposit(const SubmissionPackage& submission,
@@ -68,32 +149,24 @@ Result<std::string> Archive::Store(const SubmissionPackage& package,
   return archive_id;
 }
 
-Result<size_t> Archive::RecoverCatalog() {
-  size_t found = 0;
-  // Stream the store's ids (ascending) instead of materializing the full
-  // listing. A store whose walk or a read failed now fails recovery
-  // outright — rebuilding a partial catalog that a later audit would
-  // certify is worse than refusing. A rotted object is the exception: it
-  // cannot say whether it was a manifest, so it is kept for the audit.
-  DASPOS_RETURN_IF_ERROR(store_->ForEachId([&](const std::string& id) {
-    auto bytes = store_->Get(id);
-    if (bytes.status().IsCorruption()) {
-      rotted_.insert(id);
-      return Status::OK();
-    }
-    if (!bytes.ok()) return bytes.status();
-    // AIP manifests are recognized by shape; anything else in the store is
-    // package payload.
-    auto json = Json::Parse(*bytes);
-    if (!json.ok() || !IsAipManifest(*json)) return Status::OK();
-    ++found;
-    if (sequences_.count(id) == 0) {
-      sequences_[id] = next_sequence_++;
+Result<size_t> Archive::RecoverCatalog(const ArchiveInventory& inventory) {
+  // A partial catalog that a later audit would certify is worse than none.
+  DASPOS_RETURN_IF_ERROR(inventory.walk);
+  for (const auto& [id, object] : inventory.objects) {
+    if (!object.status.IsCorruption()) DASPOS_RETURN_IF_ERROR(object.status);
+  }
+  for (const auto& [id, manifest] : inventory.manifests) {
+    if (sequences_.emplace(id, next_sequence_).second) {
+      ++next_sequence_;
       catalog_.push_back(id);
     }
-    return Status::OK();
-  }));
-  return found;
+  }
+  return inventory.manifests.size();
+}
+
+Result<size_t> Archive::RecoverCatalog() {
+  return RecoverCatalog(
+      ArchiveInventory::Take(*store_, /*pool=*/nullptr, /*verify=*/false));
 }
 
 Result<Json> Archive::LoadManifest(const std::string& archive_id) const {
@@ -139,7 +212,7 @@ std::vector<HoldingSummary> Archive::Holdings() const {
   std::vector<HoldingSummary> out;
   for (const std::string& archive_id : catalog_) {
     auto manifest = LoadManifest(archive_id);
-    if (!manifest.ok()) continue;  // surfaced by AuditFixity instead
+    if (!manifest.ok()) continue;  // surfaced by the audit instead
     HoldingSummary summary;
     summary.archive_id = archive_id;
     summary.title = manifest->Get("title").as_string();
@@ -155,67 +228,6 @@ std::vector<HoldingSummary> Archive::Holdings() const {
     out.push_back(std::move(summary));
   }
   return out;
-}
-
-FixityReport Archive::AuditFixity(ThreadPool* pool) const {
-  FixityReport report;
-  // Phase 1 (serial): verify each manifest and collect the referenced file
-  // objects in (catalog, manifest) order. Manifests are few and small; the
-  // payload blobs dominate the hash cost.
-  std::vector<std::string> file_objects;
-  for (const std::string& archive_id : catalog_) {
-    // The manifest itself is an object too.
-    ++report.objects_checked;
-    Status manifest_status = store_->Verify(archive_id);
-    if (manifest_status.IsNotFound()) {
-      report.missing_objects.push_back(archive_id);
-      continue;
-    }
-    if (!manifest_status.ok()) {
-      report.corrupted_objects.push_back(archive_id);
-      continue;
-    }
-    auto manifest = LoadManifest(archive_id);
-    if (!manifest.ok()) {
-      report.corrupted_objects.push_back(archive_id);
-      continue;
-    }
-    const Json& files = manifest->Get("files");
-    for (size_t i = 0; i < files.size(); ++i) {
-      file_objects.push_back(files.at(i).Get("sha256").as_string());
-    }
-  }
-  // Phase 2: hash every payload blob, concurrently when a pool is given.
-  // Statuses land in a pre-sized vector, so the report classification below
-  // walks them in the same order as the serial audit.
-  std::vector<Status> verdicts = ParallelMap<Status>(
-      pool, file_objects.size(),
-      [this, &file_objects](size_t i) {
-        return store_->Verify(file_objects[i]);
-      },
-      /*grain=*/1);
-  for (size_t i = 0; i < file_objects.size(); ++i) {
-    ++report.objects_checked;
-    if (verdicts[i].IsNotFound()) {
-      report.missing_objects.push_back(file_objects[i]);
-    } else if (!verdicts[i].ok()) {
-      report.corrupted_objects.push_back(file_objects[i]);
-    }
-  }
-  // Phase 3: objects recovery found rotted that no manifest above reached
-  // (a rotted manifest, or a payload only it referenced).
-  for (const std::string& id : rotted_) {
-    if (std::find(report.corrupted_objects.begin(),
-                  report.corrupted_objects.end(),
-                  id) != report.corrupted_objects.end()) {
-      continue;
-    }
-    ++report.objects_checked;
-    if (store_->Verify(id).IsCorruption()) {
-      report.corrupted_objects.push_back(id);
-    }
-  }
-  return report;
 }
 
 Result<std::string> Archive::Migrate(const std::string& archive_id,

@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -56,12 +55,8 @@ struct HoldingSummary {
   std::string migrated_from;
 };
 
-/// True if `json` has the shape of an AIP manifest (a JSON object carrying
-/// aip_version and a file list). Shared by catalog recovery and the
-/// preservation linter, which both scan raw object stores.
-bool IsAipManifest(const Json& json);
-
-/// Result of a fixity audit over all holdings.
+/// Result of a fixity audit: the distinct ids classified (stored, missing,
+/// quarantined), and two lists in ascending id order at every thread count.
 struct FixityReport {
   uint64_t objects_checked = 0;
   std::vector<std::string> corrupted_objects;
@@ -69,6 +64,47 @@ struct FixityReport {
   bool clean() const {
     return corrupted_objects.empty() && missing_objects.empty();
   }
+};
+
+/// One walk of an object store: the facts catalog recovery, `daspos audit`
+/// and lint's A-codes all read, so they cannot disagree. ForEachId runs
+/// once; each walked id gets one Get (an AIP manifest, recognized by shape,
+/// is parsed once) and, when verifying, one Verify, on `pool` when given.
+struct ArchiveInventory {
+  enum class Kind {
+    kManifest,     // an AIP manifest that read (and verified) clean
+    kPayload,      // readable and referenced by a manifest
+    kOrphan,       // readable and referenced by no manifest
+    kMissing,      // referenced by a manifest, absent from the store
+    kCorrupted,    // stored, but its Get or Verify failed
+    kQuarantined,  // only in the quarantine area
+  };
+  struct Object {
+    Kind kind = Kind::kOrphan;
+    uint64_t stored_bytes = 0;  // what Get returned
+    Status status;              // the failed read, for kCorrupted
+    bool quarantined = false;   // listed by QuarantinedIds
+  };
+  /// One file entry of a manifest.
+  struct Reference {
+    std::string manifest_id;
+    std::string name;
+    uint64_t declared_bytes = 0;
+    std::string object_id;
+  };
+
+  /// Without `verify`, only the read gate can find an object corrupted
+  /// (catalog recovery outside the audit).
+  static ArchiveInventory Take(const ObjectStore& store,
+                               ThreadPool* pool = nullptr, bool verify = true);
+  /// The CORRUPTED and MISSING ids `daspos audit` prints.
+  FixityReport Fixity() const;
+
+  std::map<std::string, Object> objects;  // every id classified
+  std::map<std::string, Json> manifests;  // the kManifest objects, parsed
+  std::vector<Reference> references;      // in (manifest id, file) order
+  Status walk;        // ForEachId's: an unreadable store is never empty
+  Status quarantine;  // QuarantinedIds'
 };
 
 class Archive {
@@ -83,12 +119,13 @@ class Archive {
   Result<std::string> Deposit(const SubmissionPackage& submission,
                               ThreadPool* pool = nullptr);
 
-  /// Rebuilds the catalog from the object store by scanning for AIP
-  /// manifests — how a fresh process re-adopts a long-lived (disk-backed)
-  /// archive. Packages are re-sequenced in object-id order; already-known
-  /// ids are kept. An object that fails fixity is skipped and left for
-  /// AuditFixity to report; any other read or walk error fails recovery.
-  /// Returns the number of packages found.
+  /// Rebuilds the catalog from the manifests of `inventory` — how a fresh
+  /// process re-adopts a long-lived (disk-backed) archive. Packages are
+  /// re-sequenced in object-id order; already-known ids are kept. A
+  /// corrupted object is left for the audit; a walk error or any other
+  /// read error fails recovery. Returns the number of packages found.
+  Result<size_t> RecoverCatalog(const ArchiveInventory& inventory);
+  /// The same over an unverified inventory of the store.
   Result<size_t> RecoverCatalog();
 
   /// Fetches and fixity-verifies a package.
@@ -96,12 +133,6 @@ class Archive {
 
   /// All deposited packages, in deposit order.
   std::vector<HoldingSummary> Holdings() const;
-
-  /// Verifies every object referenced by every manifest, then every object
-  /// recovery skipped as rotted, listing each corrupted id once. With a
-  /// pool, the per-file verifications run concurrently; the report lists
-  /// objects in the same (catalog, manifest, id) order as the serial audit.
-  FixityReport AuditFixity(ThreadPool* pool = nullptr) const;
 
   /// Format migration: applies `transform` to each file of a package and
   /// deposits the result as a new package whose manifest records the
@@ -126,8 +157,6 @@ class Archive {
   std::vector<std::string> catalog_;
   std::map<std::string, uint64_t> sequences_;
   uint64_t next_sequence_ = 1;
-  /// Objects RecoverCatalog could not read for failed fixity.
-  std::set<std::string> rotted_;
 };
 
 }  // namespace daspos

@@ -411,92 +411,61 @@ LintReport CheckLhada(const std::string& text, const std::string& artifact) {
 LintReport CheckArchive(const ObjectStore& store,
                         const std::string& artifact) {
   LintReport report;
+  using Kind = ArchiveInventory::Kind;
+  const ArchiveInventory inventory = ArchiveInventory::Take(store);
   // A store that cannot be walked must not lint clean: the objects it did
-  // reach are still checked, and the walk failure itself is a finding.
-  std::vector<std::string> ids;
-  Status walk = store.ForEachId([&ids](const std::string& id) {
-    ids.push_back(id);
-    return Status::OK();
-  });
-  if (!walk.ok()) report.Add("G002", artifact, "", walk.message());
-
-  // Fixity pass over everything, and manifest discovery by shape.
-  std::set<std::string> manifest_ids;
-  std::map<std::string, Json> manifests;
-  for (const std::string& id : ids) {
-    Status verify = store.Verify(id);
-    if (!verify.ok()) {
-      report.Add("A002", artifact, id, verify.message(),
+  // reach are still checked, and the walk failure itself is a finding. An
+  // unreadable quarantine area is a G002 of its own unless the walk
+  // already reported the store unreadable.
+  if (!inventory.walk.ok()) {
+    report.Add("G002", artifact, "", inventory.walk.message());
+  } else if (!inventory.quarantine.ok()) {
+    report.Add("G002", artifact, "", inventory.quarantine.message());
+  }
+  for (const auto& [id, object] : inventory.objects) {
+    if (object.kind == Kind::kCorrupted) {
+      report.Add("A002", artifact, id, object.status.message(),
                  "restore the object from a replica");
+    } else if (object.kind == Kind::kOrphan) {
+      // A corrupted object is A002 alone: its bytes cannot tell whether it
+      // was a manifest.
+      report.Add("A003", artifact, id,
+                 "blob is referenced by no package manifest",
+                 "garbage-collect it or deposit a package that claims it");
     }
-    auto bytes = store.Get(id);
-    if (!bytes.ok()) continue;
-    auto json = Json::Parse(*bytes);
-    if (json.ok() && IsAipManifest(*json)) {
-      manifest_ids.insert(id);
-      manifests.emplace(id, std::move(*json));
+    if (object.quarantined) {
+      report.Add("A006", artifact, id,
+                 "blob failed fixity and scrub or read repair set it aside "
+                 "in quarantine",
+                 "restore it from a replica (re-Put the original bytes "
+                 "heals the store), then delete the quarantined copy");
     }
   }
-
-  // Per-manifest reference checks.
-  std::set<std::string> referenced;
-  for (const auto& [manifest_id, manifest] : manifests) {
+  for (const auto& [manifest_id, manifest] : inventory.manifests) {
     if (manifest.Get("title").as_string().empty()) {
       report.Add("A005", artifact, manifest_id,
                  "package manifest has no title",
                  "deposit packages with descriptive metadata");
     }
-    const Json& files = manifest.Get("files");
-    for (size_t i = 0; i < files.size(); ++i) {
-      const Json& entry = files.at(i);
-      const std::string object_id = entry.Get("sha256").as_string();
-      const std::string name = entry.Get("name").as_string();
-      referenced.insert(object_id);
-      if (!store.Has(object_id)) {
-        report.Add("A001", artifact, object_id,
-                   "referenced by manifest " + manifest_id.substr(0, 12) +
-                       " as '" + name + "' but absent from the store",
-                   "restore the object or re-deposit the package");
-        continue;
-      }
-      auto bytes = store.Get(object_id);
-      if (bytes.ok() &&
-          static_cast<uint64_t>(entry.Get("bytes").as_int()) !=
-              bytes->size()) {
-        report.Add("A004", artifact, object_id,
-                   "manifest " + manifest_id.substr(0, 12) + " declares " +
-                       std::to_string(entry.Get("bytes").as_int()) +
-                       " bytes for '" + name + "' but the store holds " +
-                       std::to_string(bytes->size()),
-                   "re-deposit the package with the corrected manifest");
-      }
+  }
+  for (const ArchiveInventory::Reference& reference : inventory.references) {
+    const ArchiveInventory::Object& object =
+        inventory.objects.at(reference.object_id);
+    const std::string by = "manifest " + reference.manifest_id.substr(0, 12);
+    if (object.kind == Kind::kMissing) {
+      report.Add("A001", artifact, reference.object_id,
+                 "referenced by " + by + " as '" + reference.name +
+                     "' but absent from the store",
+                 "restore the object or re-deposit the package");
+    } else if (object.kind != Kind::kCorrupted &&
+               object.stored_bytes != reference.declared_bytes) {
+      report.Add("A004", artifact, reference.object_id,
+                 by + " declares " + std::to_string(reference.declared_bytes) +
+                     " bytes for '" + reference.name +
+                     "' but the store holds " +
+                     std::to_string(object.stored_bytes),
+                 "re-deposit the package with the corrected manifest");
     }
-  }
-
-  // A003: blobs reachable from no manifest.
-  for (const std::string& id : ids) {
-    if (manifest_ids.count(id) > 0 || referenced.count(id) > 0) continue;
-    report.Add("A003", artifact, id,
-               "blob is referenced by no package manifest",
-               "garbage-collect it or deposit a package that claims it");
-  }
-
-  // A006: blobs scrub or read repair set aside after a failed fixity
-  // check. An unreadable quarantine area is a G002 of its own unless the
-  // walk already reported the store unreadable.
-  auto quarantined = store.QuarantinedIds();
-  if (!quarantined.ok()) {
-    if (walk.ok()) {
-      report.Add("G002", artifact, "", quarantined.status().message());
-    }
-    return report;
-  }
-  for (const std::string& id : *quarantined) {
-    report.Add("A006", artifact, id,
-               "blob failed fixity and scrub or read repair set it aside "
-               "in quarantine",
-               "restore it from a replica (re-Put the original bytes heals "
-               "the store), then delete the quarantined copy");
   }
   return report;
 }

@@ -6,7 +6,7 @@
 // workflow  processing-graph spec             W001..W004
 // workflow  provenance chain (JSON array)     W101..W103
 // lhada     analysis-description text         L000..L008
-// archive   object store + AIP manifests      A001..A005
+// archive   object store + AIP manifests      A001..A006
 // cond      conditions dump (tags, IOVs, GTs) C001..C006
 //
 // The structs here are deliberately plain data (no dependency on the
@@ -99,9 +99,10 @@ LintReport CheckJournal(const JournalSpec& journal,
 LintReport CheckLhada(const std::string& text,
                       const std::string& artifact = "lhada");
 
-/// A001 dangling references, A002 digest mismatches, A003 unreferenced
-/// blobs, A004 size disagreements, A005 untitled packages. Scans every
-/// object; manifests are recognized by shape (see IsAipManifest).
+/// A001 dangling references, A002 objects failing fixity, A003 readable
+/// blobs no manifest claims, A004 size disagreements, A005 untitled
+/// packages, A006 quarantined blobs. Maps the ArchiveInventory `daspos
+/// audit` reads, so A002/A001 name its CORRUPTED/MISSING ids.
 LintReport CheckArchive(const ObjectStore& store,
                         const std::string& artifact = "archive");
 

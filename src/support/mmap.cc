@@ -59,18 +59,4 @@ MemoryMappedFile::MemoryMappedFile(MemoryMappedFile&& other) noexcept
   other.mapped_ = false;
 }
 
-MemoryMappedFile& MemoryMappedFile::operator=(
-    MemoryMappedFile&& other) noexcept {
-  if (this != &other) {
-    if (mapped_ && data_ != nullptr) ::munmap(data_, size_);
-    data_ = other.data_;
-    size_ = other.size_;
-    mapped_ = other.mapped_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.mapped_ = false;
-  }
-  return *this;
-}
-
 }  // namespace daspos

@@ -14,7 +14,7 @@
 
 namespace daspos {
 
-/// Move-only owner of one read-only mapping. The mapping (and every
+/// Move-constructible owner of one read-only mapping. The mapping (and every
 /// string_view derived from view()) stays valid until the object is
 /// destroyed or moved-from. An empty file maps to an empty view.
 class MemoryMappedFile {
@@ -25,7 +25,7 @@ class MemoryMappedFile {
   ~MemoryMappedFile();
 
   MemoryMappedFile(MemoryMappedFile&& other) noexcept;
-  MemoryMappedFile& operator=(MemoryMappedFile&& other) noexcept;
+  MemoryMappedFile& operator=(MemoryMappedFile&&) = delete;
   MemoryMappedFile(const MemoryMappedFile&) = delete;
   MemoryMappedFile& operator=(const MemoryMappedFile&) = delete;
 

@@ -18,6 +18,7 @@
 #include "archive/pack_store.h"
 #include "archive/replicated_store.h"
 #include "archive/resilient_store.h"
+#include "lint/checks.h"
 #include "support/fault.h"
 #include "support/io.h"
 #include "support/metrics_registry.h"
@@ -523,14 +524,14 @@ TEST(ArchiveTest, FixityAuditCleanThenCorrupted) {
   auto id = archive.Deposit(MakeSubmission());
   ASSERT_TRUE(id.ok());
 
-  FixityReport clean = archive.AuditFixity();
+  FixityReport clean = ArchiveInventory::Take(store).Fixity();
   EXPECT_TRUE(clean.clean());
   EXPECT_EQ(clean.objects_checked, 3u);  // manifest + 2 files
 
   // Corrupt the large data object.
   std::string data_id = Sha256::HashHex(std::string(500, 'd'));
   ASSERT_TRUE(store.CorruptForTesting(data_id, 100).ok());
-  FixityReport dirty = archive.AuditFixity();
+  FixityReport dirty = ArchiveInventory::Take(store).Fixity();
   EXPECT_FALSE(dirty.clean());
   ASSERT_EQ(dirty.corrupted_objects.size(), 1u);
   EXPECT_EQ(dirty.corrupted_objects[0], data_id);
@@ -672,7 +673,7 @@ TEST(ArchiveTest, RecoverCatalogFromBareStore) {
   for (const HoldingSummary& holding : holdings) {
     EXPECT_TRUE(fresh.Retrieve(holding.archive_id).ok());
   }
-  EXPECT_TRUE(fresh.AuditFixity().clean());
+  EXPECT_TRUE(ArchiveInventory::Take(store).Fixity().clean());
 }
 
 TEST(ArchiveTest, RetrieveUnknownIdFails) {
@@ -717,7 +718,7 @@ TEST(ArchiveTest, FullLifecycleOverPackBackend) {
                                       &file - package->content.files.data())]
                                   .bytes));
   }
-  FixityReport audit = fresh.AuditFixity();
+  FixityReport audit = ArchiveInventory::Take(store).Fixity();
   EXPECT_TRUE(audit.clean());
   EXPECT_GT(audit.objects_checked, 0u);
   std::filesystem::remove_all(root);
@@ -815,7 +816,8 @@ TEST_F(FileObjectStoreTest, RecoverCatalogOverUnreadableStoreIsNotVacuous) {
 
 TEST_F(FileObjectStoreTest, RecoveryLeavesRottedObjectsToTheAudit) {
   // Package A's payload and package B's manifest rot. Recovery still
-  // adopts A, and every audit names each rotted object once as corrupted.
+  // adopts A, and every audit names each rotted object once as corrupted,
+  // in ascending id order.
   std::string payload_a, manifest_b;
   {
     FileObjectStore store(root_);
@@ -835,12 +837,14 @@ TEST_F(FileObjectStoreTest, RecoveryLeavesRottedObjectsToTheAudit) {
   for (int run = 0; run < 2; ++run) {
     FileObjectStore store(root_);
     Archive archive(&store);
-    auto recovered = archive.RecoverCatalog();
+    const ArchiveInventory inventory = ArchiveInventory::Take(store);
+    auto recovered = archive.RecoverCatalog(inventory);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ(*recovered, 1u);
-    FixityReport audit = archive.AuditFixity();
+    FixityReport audit = inventory.Fixity();
     EXPECT_EQ(audit.corrupted_objects,
-              (std::vector<std::string>{payload_a, manifest_b}))
+              (std::vector<std::string>{std::min(payload_a, manifest_b),
+                                        std::max(payload_a, manifest_b)}))
         << "run " << run;
     EXPECT_TRUE(audit.missing_objects.empty()) << "run " << run;
   }
@@ -1123,8 +1127,9 @@ TEST_F(FileObjectStoreTest, ParallelDepositAndAuditMatchSerial) {
   // Content addressing makes the agreement total: same SIP -> same AIP id.
   EXPECT_EQ(*serial_id, *parallel_id);
 
-  FixityReport serial_audit = serial_archive.AuditFixity();
-  FixityReport parallel_audit = parallel_archive.AuditFixity(&pool);
+  FixityReport serial_audit = ArchiveInventory::Take(serial_store).Fixity();
+  FixityReport parallel_audit =
+      ArchiveInventory::Take(parallel_store, &pool).Fixity();
   EXPECT_TRUE(serial_audit.clean());
   EXPECT_TRUE(parallel_audit.clean());
   EXPECT_EQ(parallel_audit.objects_checked, serial_audit.objects_checked);
@@ -1195,6 +1200,209 @@ TEST_F(FileObjectStoreTest, FailedQuarantineMoveCountsErrors) {
   // The rotted blob stayed in place (the move failed) — it must still be
   // invisible to Get, which keeps failing fixity.
   EXPECT_TRUE(store.Get(*id).status().IsCorruption());
+}
+
+
+// ------------------------------------- One inventory for audit and lint --
+
+// What `daspos audit` does: one inventory rebuilds the catalog and is the
+// fixity report.
+FixityReport AuditLikeTheCli(ObjectStore* store, ThreadPool* pool = nullptr) {
+  const ArchiveInventory inventory = ArchiveInventory::Take(*store, pool);
+  Archive archive(store);
+  auto recovered = archive.RecoverCatalog(inventory);
+  EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+  return inventory.Fixity();
+}
+
+// Sorted subjects of every `code` finding.
+std::vector<std::string> SubjectsOf(const lint::LintReport& report,
+                                    std::string_view code) {
+  std::vector<std::string> subjects;
+  for (const lint::Diagnostic& diagnostic : report.diagnostics()) {
+    if (diagnostic.code == code) subjects.push_back(diagnostic.subject);
+  }
+  std::sort(subjects.begin(), subjects.end());
+  return subjects;
+}
+
+std::vector<std::string> Sorted(std::vector<std::string> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+class ArchiveInventoryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = (std::filesystem::temp_directory_path() /
+             ("daspos_inventory_" + std::to_string(::getpid())))
+                .string();
+    std::filesystem::remove_all(root_);
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  std::unique_ptr<ObjectStore> Open(bool pack) const {
+    if (pack) return std::make_unique<PackObjectStore>(root_);
+    return std::make_unique<FileObjectStore>(root_);
+  }
+
+  // Flips the first byte of `needle` where the store keeps object `id`:
+  // its own file (loose store) or the segment log (pack store).
+  void RotOnDisk(bool pack, const std::string& id, const std::string& needle) {
+    const std::string path =
+        pack ? PackSegmentPath(root_)
+             : root_ + "/" + id.substr(0, 2) + "/" + id.substr(2);
+    auto bytes = ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok()) << path;
+    const size_t at = bytes->find(needle);
+    ASSERT_NE(at, std::string::npos) << needle;
+    FlipByte(path, at);
+  }
+
+  // One store with six defects; audit and lint must name the same ids.
+  void AuditAndLintAgreeOnSixDefects(bool pack);
+
+  std::string root_;
+};
+
+TEST_F(ArchiveInventoryTest, ForgedPackOrphanIsCorruptedToAuditAndLint) {
+  // A record forged past its XXH64 gate passes Get, and no manifest
+  // references it; only the inventory's one Verify per object finds it.
+  const std::string payload = "orphan record forged past its checksum gate";
+  std::string id;
+  {
+    PackObjectStore store(root_);
+    auto put = store.Put(payload);
+    ASSERT_TRUE(put.ok());
+    id = *put;
+  }
+  ForgeFirstPackRecord(root_, payload);
+  PackObjectStore store(root_);
+  ASSERT_TRUE(store.Get(id).ok());
+
+  FixityReport audit = AuditLikeTheCli(&store);
+  EXPECT_FALSE(audit.clean());
+  EXPECT_EQ(audit.corrupted_objects, std::vector<std::string>{id});
+  EXPECT_TRUE(audit.missing_objects.empty());
+  EXPECT_EQ(audit.objects_checked, 1u);
+  EXPECT_EQ(SubjectsOf(lint::CheckArchive(store), "A002"),
+            std::vector<std::string>{id});
+}
+
+void ArchiveInventoryTest::AuditAndLintAgreeOnSixDefects(bool pack) {
+  std::string rotted_manifest, rotted_payload, stranded, quarantined, sized,
+      orphan;
+  const std::string never_stored = Sha256::HashHex("bytes never stored");
+  {
+    std::unique_ptr<ObjectStore> store = Open(pack);
+    Archive archive(store.get());
+    SubmissionPackage kept;
+    kept.title = "kept package";
+    kept.files = {{"rots.dat", "text/plain", "payload bytes that rot"},
+                  {"held.dat", "text/plain", "payload bytes set aside"}};
+    ASSERT_TRUE(archive.Deposit(kept).ok());
+    rotted_payload = Sha256::HashHex("payload bytes that rot");
+    quarantined = Sha256::HashHex("payload bytes set aside");
+
+    SubmissionPackage lost;
+    lost.title = "package whose manifest rots";
+    lost.files = {{"stranded.dat", "text/plain", "payload it alone claims"}};
+    auto lost_id = archive.Deposit(lost);
+    ASSERT_TRUE(lost_id.ok());
+    rotted_manifest = *lost_id;
+    stranded = Sha256::HashHex("payload it alone claims");
+
+    // A hand-built manifest: one file never stored, one declared too big.
+    auto sized_id = store->Put("sized bytes");
+    ASSERT_TRUE(sized_id.ok());
+    sized = *sized_id;
+    Json manifest = Json::Object();
+    manifest["aip_version"] = 1;
+    manifest["title"] = "hand-built package";
+    Json files = Json::Array();
+    auto add_file = [&files](const std::string& name, const std::string& id,
+                             uint64_t bytes) {
+      Json entry = Json::Object();
+      entry["name"] = name;
+      entry["sha256"] = id;
+      entry["bytes"] = bytes;
+      files.push_back(std::move(entry));
+    };
+    add_file("absent.dat", never_stored, 18);
+    add_file("sized.dat", sized, 4096);
+    manifest["files"] = std::move(files);
+    ASSERT_TRUE(store->Put(manifest.Dump(2)).ok());
+
+    auto orphan_id = store->Put("stray blob nobody claims");
+    ASSERT_TRUE(orphan_id.ok());
+    orphan = *orphan_id;
+    ASSERT_TRUE(store->Quarantine(quarantined, "set aside by the test").ok());
+  }
+  RotOnDisk(pack, rotted_payload, "payload bytes that rot");
+  RotOnDisk(pack, rotted_manifest, "package whose manifest rots");
+
+  std::unique_ptr<ObjectStore> store = Open(pack);
+  const std::vector<std::string> corrupted =
+      Sorted({rotted_payload, rotted_manifest});
+  const std::vector<std::string> missing = Sorted({never_stored, quarantined});
+  FixityReport audit = AuditLikeTheCli(store.get());
+  EXPECT_EQ(audit.corrupted_objects, corrupted);
+  EXPECT_EQ(audit.missing_objects, missing);
+  // Seven stored objects, the id never stored and the quarantined one.
+  EXPECT_EQ(audit.objects_checked, 9u);
+  ThreadPool pool(4);
+  FixityReport pooled = AuditLikeTheCli(store.get(), &pool);
+  EXPECT_EQ(pooled.corrupted_objects, audit.corrupted_objects);
+  EXPECT_EQ(pooled.missing_objects, audit.missing_objects);
+  EXPECT_EQ(pooled.objects_checked, audit.objects_checked);
+
+  lint::LintReport lint = lint::CheckArchive(*store);
+  EXPECT_EQ(SubjectsOf(lint, "A002"), audit.corrupted_objects);
+  EXPECT_EQ(SubjectsOf(lint, "A001"), audit.missing_objects);
+  EXPECT_EQ(SubjectsOf(lint, "A003"), Sorted({orphan, stranded}));
+  EXPECT_EQ(SubjectsOf(lint, "A004"), std::vector<std::string>{sized});
+  EXPECT_EQ(SubjectsOf(lint, "A006"), std::vector<std::string>{quarantined});
+  EXPECT_EQ(lint.Codes(), (std::vector<std::string>{"A001", "A002", "A003",
+                                                    "A004", "A006"}));
+}
+
+TEST_F(ArchiveInventoryTest, AuditAndLintAgreeOnSixDefectsInAFileStore) {
+  AuditAndLintAgreeOnSixDefects(/*pack=*/false);
+}
+
+TEST_F(ArchiveInventoryTest, AuditAndLintAgreeOnSixDefectsInAPackStore) {
+  AuditAndLintAgreeOnSixDefects(/*pack=*/true);
+}
+
+TEST(ArchiveInventoryCountTest, AuditAndLintReadEachObjectOnce) {
+  MemoryObjectStore backing;
+  Archive depositor(&backing);
+  ASSERT_TRUE(depositor.Deposit(MakeSubmission()).ok());  // 3 objects
+  ASSERT_TRUE(backing.Put("stray blob nobody claims").ok());
+  CountingObjectStore store(&backing);
+  const std::vector<std::string> ids = CollectIds(backing);
+  ASSERT_EQ(ids.size(), 4u);
+
+  auto expect_once_each = [&](const std::string& what) {
+    std::map<std::string, int> gets = store.gets();
+    std::map<std::string, int> verifies = store.verifies();
+    EXPECT_EQ(gets.size(), ids.size()) << what;
+    EXPECT_EQ(verifies.size(), ids.size()) << what;
+    for (const std::string& id : ids) {
+      EXPECT_EQ(gets[id], 1) << what << " Get " << id;
+      EXPECT_EQ(verifies[id], 1) << what << " Verify " << id;
+    }
+    EXPECT_TRUE(store.has().empty()) << what;
+    store.Reset();
+  };
+  ThreadPool pool(4);
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    EXPECT_TRUE(AuditLikeTheCli(&store, threads).clean());
+    expect_once_each("audit");
+  }
+  EXPECT_EQ(lint::CheckArchive(store).Codes(),
+            std::vector<std::string>{"A003"});
+  expect_once_each("lint");
 }
 
 }  // namespace

@@ -174,9 +174,10 @@ if [ "$rc" -ne 1 ] || ! grep -q "G002" "$WORK/qbroken.lint"; then
 fi
 # Reads never write. One flipped payload byte in a loose and in a pack
 # store: audit (CORRUPTED, exit 1) and lint (A002 and neither A001 nor A006,
-# exit 1) give the same output on every run, and no file of the store
-# changes. Lint takes the store spec and the bare directory (a pack store
-# is sniffed); both lint the intact store clean.
+# exit 1, A002 naming exactly audit's CORRUPTED ids) give the same output on
+# every run, and no file of the store changes. Lint takes the store spec and
+# the bare directory (a pack store is sniffed); both lint the intact store
+# clean.
 tree_hash() { find "$1" -type f | sort | xargs sha256sum; }
 for SPEC in "file:$WORK/rot_file" "pack:$WORK/rot_pack"; do
   ROOT="${SPEC#*:}"
@@ -206,6 +207,11 @@ for SPEC in "file:$WORK/rot_file" "pack:$WORK/rot_pack"; do
         echo "lint $RUN of $LPATH did not report A002 alone with exit 1" >&2
         exit 1
       fi
+      # Audit and lint read one inventory: CORRUPTED ids are A002 subjects.
+      sed -n 's/^CORRUPTED: //p' "$WORK/rot_audit.$RUN" | sort \
+        > "$WORK/rot_corrupted"
+      sed -n 's/.* A002: \([0-9a-f]*\): .*/\1/p' "$OUT" | sort \
+        | diff "$WORK/rot_corrupted" -
     done
   done
   cmp "$WORK/rot_audit.1" "$WORK/rot_audit.2"

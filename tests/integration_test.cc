@@ -146,10 +146,11 @@ TEST(IntegrationTest, DecadesLaterReprocessingFromDiskArchive) {
   Archive archive(&store);
 
   // Re-adopt the long-lived archive and audit everything on disk.
-  auto recovered = archive.RecoverCatalog();
+  const ArchiveInventory inventory = ArchiveInventory::Take(store);
+  auto recovered = archive.RecoverCatalog(inventory);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(*recovered, 2u);  // analysis package + data package
-  FixityReport audit = archive.AuditFixity();
+  FixityReport audit = inventory.Fixity();
   EXPECT_TRUE(audit.clean());
   EXPECT_GT(audit.objects_checked, 4u);
 

@@ -7,6 +7,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -83,6 +86,68 @@ inline std::string ForgeFirstPackRecord(const std::string& root,
   WriteAt(PackIndexPath(root), kPackIndexHeaderSize + 56, checksum);
   return forged;
 }
+
+/// Forwards every call to `inner` and counts the reads: Gets and Verifies
+/// per id, Has calls in total. Thread-safe, so a pooled pass can run on it.
+class CountingObjectStore : public ObjectStore {
+ public:
+  explicit CountingObjectStore(ObjectStore* inner) : inner_(inner) {}
+
+  Result<std::string> Put(std::string_view bytes) override {
+    return inner_->Put(bytes);
+  }
+  Result<std::string> Get(const std::string& id) const override {
+    Count(&gets_, id);
+    return inner_->Get(id);
+  }
+  bool Has(const std::string& id) const override {
+    Count(&has_, id);
+    return inner_->Has(id);
+  }
+  Status Verify(const std::string& id) const override {
+    Count(&verifies_, id);
+    return inner_->Verify(id);
+  }
+  Status Quarantine(const std::string& id,
+                    const std::string& reason) override {
+    return inner_->Quarantine(id, reason);
+  }
+  Status ForEachId(
+      const std::function<Status(const std::string&)>& fn) const override {
+    return inner_->ForEachId(fn);
+  }
+  Result<uint64_t> TotalBytes() const override { return inner_->TotalBytes(); }
+  Result<std::vector<std::string>> QuarantinedIds() const override {
+    return inner_->QuarantinedIds();
+  }
+
+  std::map<std::string, int> gets() const { return Snapshot(gets_); }
+  std::map<std::string, int> verifies() const { return Snapshot(verifies_); }
+  std::map<std::string, int> has() const { return Snapshot(has_); }
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    gets_.clear();
+    verifies_.clear();
+    has_.clear();
+  }
+
+ private:
+  void Count(std::map<std::string, int>* counts, const std::string& id) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(*counts)[id];
+  }
+  std::map<std::string, int> Snapshot(
+      const std::map<std::string, int>& counts) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counts;
+  }
+
+  ObjectStore* inner_;
+  mutable std::mutex mutex_;
+  mutable std::map<std::string, int> gets_;
+  mutable std::map<std::string, int> verifies_;
+  mutable std::map<std::string, int> has_;
+};
 
 }  // namespace daspos
 

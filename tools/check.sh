@@ -122,9 +122,9 @@ if [ "$RUN_CHAOS" = 1 ]; then
     'ChaosTest.*:JournalTest.*:WorkflowRetryTest.*:WorkflowKeepGoingTest.*'
   ./build-tsan/tests/parallel_test
   # The store contract on every backend, the base PutBatch fan-out on the
-  # pool included.
+  # pool included, and the archive inventory's reads on a 4-worker pool.
   run_filtered ./build-tsan/tests/archive_test \
-    'ObjectStoreContractTest/*:DigestCacheTest.*:PutBatchTest.*:FileObjectStoreTest.*'
+    'ObjectStoreContractTest/*:DigestCacheTest.*:PutBatchTest.*:FileObjectStoreTest.*:ArchiveInventory*'
   # The packfile backend under the race detector: concurrent PutBatch
   # preparation on pool workers, lock-free mmap reads of sealed segments,
   # and the quarantine write all share the store mutex.

@@ -282,12 +282,14 @@ int CmdAudit(const Args& args, const CliFlags& flags) {
   if (!pool.ok()) return Fail(pool.status().ToString());
   auto store = OpenObjectStore(args[0]);
   if (!store.ok()) return Fail(store.status().ToString());
+  // One walk of the store is both the catalog and the audit. Recovery
+  // fails on a walk or read error, so an unreadable store is never CLEAN.
+  const ArchiveInventory inventory =
+      ArchiveInventory::Take(**store, pool->get());
   Archive archive(store->get());
-  // Recovery walks the whole store and fails on any walk error, so an
-  // unreadable store never reaches the audit.
-  auto recovered = archive.RecoverCatalog();
+  auto recovered = archive.RecoverCatalog(inventory);
   if (!recovered.ok()) return Fail(recovered.status().ToString());
-  FixityReport report = archive.AuditFixity(pool->get());
+  FixityReport report = inventory.Fixity();
   std::printf("packages: %zu, objects checked: %llu\n", *recovered,
               static_cast<unsigned long long>(report.objects_checked));
   for (const std::string& id : report.corrupted_objects) {
