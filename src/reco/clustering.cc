@@ -14,7 +14,6 @@ struct Cell {
   int eta_cell;
   int phi_cell;
   double eta;
-  double phi;
   double energy;
   /// Position in ascending channel order, where the neighbour index finds
   /// the cell.
@@ -72,9 +71,11 @@ struct ProtoCluster {
 /// `cells` arrive in ascending channel order. A cell's channel is
 /// eta_cell * phi_cells + phi_cell, so a neighbour is found by binary search
 /// for its channel (64-bit: a neighbour of an edge cell may fall outside
-/// uint32).
+/// uint32). A member's phi enters through `phi`, the cos/sin of its
+/// phi-cell centre.
 std::vector<ProtoCluster> ClusterGrid(std::vector<Cell>& cells,
-                                      double seed_threshold, int phi_cells) {
+                                      double seed_threshold, int phi_cells,
+                                      const CaloClusterer::PhiTable& phi) {
   std::vector<int64_t> channels(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     channels[i] = int64_t{cells[i].eta_cell} * phi_cells + cells[i].phi_cell;
@@ -109,8 +110,9 @@ std::vector<ProtoCluster> ClusterGrid(std::vector<Cell>& cells,
         cluster.energy += member.energy;
         ++cluster.cell_count;
         sum_eta += member.energy * member.eta;
-        sum_x += member.energy * std::cos(member.phi);
-        sum_y += member.energy * std::sin(member.phi);
+        const auto cell = static_cast<size_t>(member.phi_cell);
+        sum_x += member.energy * phi.cos[cell];
+        sum_y += member.energy * phi.sin[cell];
       }
     }
     if (cluster.energy <= 0.0) continue;
@@ -121,7 +123,31 @@ std::vector<ProtoCluster> ClusterGrid(std::vector<Cell>& cells,
   return out;
 }
 
+/// The table of the `cells` phi-cell centres `center` places.
+CaloClusterer::PhiTable MakePhiTable(
+    const DetectorGeometry& geometry, int cells,
+    double (DetectorGeometry::*center)(int) const) {
+  CaloClusterer::PhiTable table;
+  for (int cell = 0; cell < cells; ++cell) {
+    const double phi = (geometry.*center)(cell);
+    table.cos.push_back(std::cos(phi));
+    table.sin.push_back(std::sin(phi));
+  }
+  return table;
+}
+
 }  // namespace
+
+CaloClusterer::CaloClusterer(const DetectorGeometry& geometry,
+                             const CalibrationSet& calib,
+                             ClusteringConfig config)
+    : geometry_(geometry),
+      calib_(calib),
+      config_(config),
+      ecal_phi_(MakePhiTable(geometry, geometry.ecal_phi_cells,
+                             &DetectorGeometry::EcalPhiCellCenter)),
+      hcal_phi_(MakePhiTable(geometry, geometry.hcal_phi_cells,
+                             &DetectorGeometry::HcalPhiCellCenter)) {}
 
 std::vector<CaloCluster> CaloClusterer::Cluster(const RawEvent& raw) const {
   // Per-cell energies (several hits can share a cell).
@@ -143,20 +169,22 @@ std::vector<CaloCluster> CaloClusterer::Cluster(const RawEvent& raw) const {
     int eta_cell, phi_cell;
     geometry_.DecodeEcalChannel(channel, &eta_cell, &phi_cell);
     return Cell{eta_cell, phi_cell, geometry_.EcalEtaCellCenter(eta_cell),
-                geometry_.EcalPhiCellCenter(phi_cell), energy};
+                energy};
   };
   auto hcal_cell = [this](uint32_t channel, double energy) {
     int eta_cell, phi_cell;
     geometry_.DecodeHcalChannel(channel, &eta_cell, &phi_cell);
     return Cell{eta_cell, phi_cell, geometry_.HcalEtaCellCenter(eta_cell),
-                geometry_.HcalPhiCellCenter(phi_cell), energy};
+                energy};
   };
   std::vector<Cell> ecal_cells = SumCells(ecal_deposits, ecal_cell);
   std::vector<Cell> hcal_cells = SumCells(hcal_deposits, hcal_cell);
   std::vector<ProtoCluster> em = ClusterGrid(ecal_cells, config_.ecal_seed_gev,
-                                             geometry_.ecal_phi_cells);
-  std::vector<ProtoCluster> had = ClusterGrid(
-      hcal_cells, config_.hcal_seed_gev, geometry_.hcal_phi_cells);
+                                             geometry_.ecal_phi_cells,
+                                             ecal_phi_);
+  std::vector<ProtoCluster> had =
+      ClusterGrid(hcal_cells, config_.hcal_seed_gev, geometry_.hcal_phi_cells,
+                  hcal_phi_);
 
   // Match: each hadronic cluster attaches to the nearest EM cluster within
   // match_dr; leftovers become EM-poor clusters on their own.

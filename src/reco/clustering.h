@@ -30,9 +30,10 @@ struct MuonSegment {
 
 class CaloClusterer {
  public:
+  /// Builds the cos/sin table of every ECAL and HCAL phi-cell centre, so
+  /// construct once per geometry and reuse.
   CaloClusterer(const DetectorGeometry& geometry, const CalibrationSet& calib,
-                ClusteringConfig config = {})
-      : geometry_(geometry), calib_(calib), config_(config) {}
+                ClusteringConfig config = {});
 
   /// Combined ECAL+HCAL clusters of one raw event, energy-descending.
   std::vector<CaloCluster> Cluster(const RawEvent& raw) const;
@@ -40,10 +41,19 @@ class CaloClusterer {
   /// Muon segments (>= 2 chamber layers in one tower).
   std::vector<MuonSegment> MuonSegments(const RawEvent& raw) const;
 
+  /// std::cos and std::sin of each phi-cell centre of one calorimeter,
+  /// indexed by phi cell.
+  struct PhiTable {
+    std::vector<double> cos;
+    std::vector<double> sin;
+  };
+
  private:
-  const DetectorGeometry& geometry_;
-  const CalibrationSet& calib_;
+  DetectorGeometry geometry_;
+  CalibrationSet calib_;
   ClusteringConfig config_;
+  PhiTable ecal_phi_;
+  PhiTable hcal_phi_;
 };
 
 }  // namespace daspos

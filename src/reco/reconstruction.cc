@@ -52,23 +52,36 @@ RecoEvent Reconstructor::Reconstruct(const RawEvent& raw) const {
   TrackFinder track_finder(config_.geometry, config_.calib, config_.tracking);
   event.tracks = track_finder.FindTracks(raw);
 
-  CaloClusterer clusterer(config_.geometry, config_.calib,
-                          config_.clustering);
-  event.clusters = clusterer.Cluster(raw);
-  std::vector<MuonSegment> segments = clusterer.MuonSegments(raw);
+  event.clusters = clusterer_.Cluster(raw);
+  std::vector<MuonSegment> segments = clusterer_.MuonSegments(raw);
 
   // Pileup proxy: soft tracks come ~12 per interaction.
   event.vertex_count =
       std::max(1, static_cast<int>(event.tracks.size()) / 12);
 
+  // Each track's direction and pt, taken once: every match and isolation
+  // cone below reads them.
+  struct TrackAxis {
+    double eta;
+    double phi;
+    double pt;
+  };
+  std::vector<TrackAxis> axes;
+  axes.reserve(event.tracks.size());
+  for (const Track& track : event.tracks) {
+    axes.push_back({track.momentum.Eta(), track.momentum.Phi(),
+                    track.momentum.Pt()});
+  }
+  constexpr size_t kNoTrack = static_cast<size_t>(-1);
+
   // Track isolation helper: scalar pt sum of other tracks in a cone.
-  auto isolation = [&](double eta, double phi, const Track* exclude) {
+  auto isolation = [&](double eta, double phi, size_t exclude) {
     double sum = 0.0;
-    for (const Track& track : event.tracks) {
-      if (&track == exclude) continue;
-      if (AngularDistance(eta, phi, track.momentum.Eta(),
-                          track.momentum.Phi()) < cuts.isolation_dr) {
-        sum += track.momentum.Pt();
+    for (size_t t = 0; t < axes.size(); ++t) {
+      if (t == exclude) continue;
+      if (AngularDistance(eta, phi, axes[t].eta, axes[t].phi) <
+          cuts.isolation_dr) {
+        sum += axes[t].pt;
       }
     }
     return sum;
@@ -84,23 +97,21 @@ RecoEvent Reconstructor::Reconstruct(const RawEvent& raw) const {
     for (size_t t = 0; t < event.tracks.size(); ++t) {
       if (track_used[t]) continue;
       double dr =
-          AngularDistance(segment.eta, segment.phi,
-                          event.tracks[t].momentum.Eta(),
-                          event.tracks[t].momentum.Phi());
+          AngularDistance(segment.eta, segment.phi, axes[t].eta, axes[t].phi);
       if (dr < best_dr) {
         best_dr = dr;
         best = static_cast<int>(t);
       }
     }
     if (best < 0) continue;
-    const Track& track = event.tracks[static_cast<size_t>(best)];
-    track_used[static_cast<size_t>(best)] = true;
+    const auto matched = static_cast<size_t>(best);
+    const Track& track = event.tracks[matched];
+    track_used[matched] = true;
     PhysicsObject muon;
     muon.type = ObjectType::kMuon;
     muon.momentum = track.momentum;
     muon.charge = track.charge;
-    muon.isolation =
-        isolation(track.momentum.Eta(), track.momentum.Phi(), &track);
+    muon.isolation = isolation(axes[matched].eta, axes[matched].phi, matched);
     muon.quality = std::min(1.0, segment.layer_count / 4.0);
     muon.displacement_mm = std::fabs(track.d0_mm);
     event.objects.push_back(muon);
@@ -116,9 +127,8 @@ RecoEvent Reconstructor::Reconstruct(const RawEvent& raw) const {
     double best_dr = cuts.electron_match_dr;
     for (size_t t = 0; t < event.tracks.size(); ++t) {
       if (track_used[t]) continue;
-      double dr = AngularDistance(cluster.eta, cluster.phi,
-                                  event.tracks[t].momentum.Eta(),
-                                  event.tracks[t].momentum.Phi());
+      double dr =
+          AngularDistance(cluster.eta, cluster.phi, axes[t].eta, axes[t].phi);
       if (dr < best_dr) {
         best_dr = dr;
         best = static_cast<int>(t);
@@ -128,16 +138,16 @@ RecoEvent Reconstructor::Reconstruct(const RawEvent& raw) const {
     candidate.momentum = ClusterFourVector(cluster);
     candidate.quality = cluster.em_fraction;
     if (best >= 0) {
-      const Track& track = event.tracks[static_cast<size_t>(best)];
+      const auto matched = static_cast<size_t>(best);
+      const Track& track = event.tracks[matched];
       // Electron-like only if the track momentum is calorimeter-compatible
       // (suppresses soft-hadron overlaps).
       double ep = cluster.energy / std::max(0.1, track.momentum.P());
       if (ep > 0.5) {
-        track_used[static_cast<size_t>(best)] = true;
+        track_used[matched] = true;
         candidate.type = ObjectType::kElectron;
         candidate.charge = track.charge;
-        candidate.isolation =
-            isolation(cluster.eta, cluster.phi, &track);
+        candidate.isolation = isolation(cluster.eta, cluster.phi, matched);
         candidate.displacement_mm = std::fabs(track.d0_mm);
         cluster_used[c] = true;
         event.objects.push_back(candidate);
@@ -146,7 +156,7 @@ RecoEvent Reconstructor::Reconstruct(const RawEvent& raw) const {
     }
     candidate.type = ObjectType::kPhoton;
     candidate.charge = 0;
-    candidate.isolation = isolation(cluster.eta, cluster.phi, nullptr);
+    candidate.isolation = isolation(cluster.eta, cluster.phi, kNoTrack);
     cluster_used[c] = true;
     event.objects.push_back(candidate);
   }

@@ -45,7 +45,8 @@ struct ReconstructionConfig {
 class Reconstructor {
  public:
   explicit Reconstructor(const ReconstructionConfig& config)
-      : config_(config) {}
+      : config_(config),
+        clusterer_(config_.geometry, config_.calib, config_.clustering) {}
 
   RecoEvent Reconstruct(const RawEvent& raw) const;
 
@@ -59,6 +60,8 @@ class Reconstructor {
 
  private:
   ReconstructionConfig config_;
+  /// Built once per geometry: it holds the phi-cell cos/sin tables.
+  CaloClusterer clusterer_;
 };
 
 }  // namespace daspos

@@ -4,6 +4,7 @@
 
 #include "serialize/binary.h"
 #include "support/metrics_registry.h"
+#include "support/parallel.h"
 #include "support/sha256.h"
 
 namespace daspos {
@@ -42,12 +43,26 @@ void ContainerWriter::AddRecord(std::string_view record) {
   HashPending(kHashBatchBytes);
 }
 
-void ContainerWriter::AppendEncodedRecords(std::string_view encoded,
-                                           size_t count) {
+void ContainerWriter::AppendChunks(const std::vector<std::string>& chunks,
+                                   size_t count, ThreadPool* pool) {
   assert(!finished_);
-  buffer_.append(encoded.data(), encoded.size());
+  size_t chunk_bytes = 0;
+  for (const std::string& chunk : chunks) chunk_bytes += chunk.size();
+  std::string sized;
+  ParallelFor(pool, 2, [&](size_t task) {
+    if (task == 0) {
+      HashPending(0);
+      for (const std::string& chunk : chunks) hasher_.Update(chunk);
+      HashedBytes().Increment(chunk_bytes);
+      return;
+    }
+    sized.reserve(buffer_.size() + chunk_bytes + kFooterSize);
+    sized += buffer_;
+    for (const std::string& chunk : chunks) sized += chunk;
+  });
+  buffer_ = std::move(sized);
+  hashed_bytes_ = buffer_.size();
   record_count_ += count;
-  HashPending(kHashBatchBytes);
 }
 
 void ContainerWriter::HashPending(size_t min_bytes) {

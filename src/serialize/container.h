@@ -25,11 +25,16 @@
 
 namespace daspos {
 
+class ThreadPool;
+
 /// Current container layout version.
 inline constexpr uint32_t kContainerVersion = 1;
 
-/// Builds a container in memory. The fixity hash is computed incrementally
-/// as records are appended, so Finish only digests the last few bytes.
+/// Builds a container in memory. Records come one at a time (AddRecord,
+/// hashed in batches as they arrive) or as pre-framed chunks in one
+/// AppendChunks call, which hashes and copies them side by side on a pool.
+/// Either way the bytes, and the bytes hashed, are those of the
+/// record-by-record loop.
 class ContainerWriter {
  public:
   /// `metadata` should carry at least "schema" and "schema_version"; callers
@@ -39,11 +44,16 @@ class ContainerWriter {
   /// Appends one opaque record.
   void AddRecord(std::string_view record);
 
-  /// Appends `count` pre-framed records in one splice. `encoded` must be
-  /// exactly the bytes AddRecord would have produced for those records
-  /// (varint length + payload each) — this is how parallel producers merge
-  /// per-chunk record buffers without re-framing.
-  void AppendEncodedRecords(std::string_view encoded, size_t count);
+  /// Appends `count` records framed in `chunks`, in order. Each chunk must
+  /// be exactly the bytes AddRecord would have produced for its records
+  /// (varint length + payload each). Runs two tasks on `pool` (one after
+  /// the other on the calling thread when it is null): one feeds the
+  /// unhashed bytes and then each chunk to SHA-256, the other copies the
+  /// container into one buffer sized for it and the footer, so the new
+  /// buffer's page faults happen beside the hash. Finish then only writes
+  /// the footer.
+  void AppendChunks(const std::vector<std::string>& chunks, size_t count,
+                    ThreadPool* pool);
 
   size_t record_count() const { return record_count_; }
 

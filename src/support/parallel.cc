@@ -63,17 +63,6 @@ void DrainChunks(const std::shared_ptr<RegionState>& state) {
 
 }  // namespace
 
-void ChunkSequencer::WaitForTurn(size_t chunk) {
-  MutexLock lock(mutex_);
-  while (next_ != chunk) turn_.Wait(mutex_);
-}
-
-void ChunkSequencer::EndTurn() {
-  MutexLock lock(mutex_);
-  ++next_;
-  turn_.NotifyAll();
-}
-
 void ForEachChunk(ThreadPool* pool, size_t count, size_t grain,
                   const std::function<void(size_t, size_t, size_t)>& body) {
   ChunkPlan plan = PlanChunks(count, grain);

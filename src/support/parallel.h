@@ -18,8 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/sync.h"
-
 namespace daspos {
 
 class ThreadPool;
@@ -50,32 +48,6 @@ ChunkPlan PlanChunks(size_t count, size_t grain);
 /// distinct chunks.
 void ForEachChunk(ThreadPool* pool, size_t count, size_t grain,
                   const std::function<void(size_t, size_t, size_t)>& body);
-
-/// Runs one step of each ForEachChunk chunk in chunk order: Run(chunk, fn)
-/// calls fn once every lower chunk's Run has returned, so the calls happen
-/// one at a time, in order (e.g. splicing per-chunk output into one buffer
-/// while later chunks are still computing). Every chunk of the region must
-/// call Run exactly once. ForEachChunk claims chunks in increasing order and
-/// runs each claimed chunk to completion, so a chunk only ever waits on
-/// lower chunks that are already running: the wait cannot deadlock, and a
-/// serial ForEachChunk never waits at all.
-class ChunkSequencer {
- public:
-  template <typename Fn>
-  void Run(size_t chunk, Fn&& fn) {
-    WaitForTurn(chunk);
-    fn();
-    EndTurn();
-  }
-
- private:
-  void WaitForTurn(size_t chunk) DASPOS_EXCLUDES(mutex_);
-  void EndTurn() DASPOS_EXCLUDES(mutex_);
-
-  Mutex mutex_;
-  CondVar turn_;
-  size_t next_ DASPOS_GUARDED_BY(mutex_) = 0;
-};
 
 /// Parallel loop: fn(i) for every i in [0, count). `grain` is the minimum
 /// number of items per chunk (use a larger grain for cheap bodies).

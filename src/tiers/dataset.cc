@@ -120,23 +120,24 @@ Result<std::vector<Event>> ReadDataset(std::string_view blob,
 
 void AppendRecords(ContainerWriter* writer, size_t count, ThreadPool* pool,
                    const std::function<bool(size_t, BinaryWriter*)>& encode) {
-  ChunkSequencer sequencer;
+  ChunkPlan plan = PlanChunks(count, kCodecGrain);
+  std::vector<std::string> chunks(plan.chunk_count);
+  std::vector<size_t> kept(plan.chunk_count, 0);
   ForEachChunk(pool, count, kCodecGrain,
                [&](size_t chunk, size_t begin, size_t end) {
                  BinaryWriter record;
-                 std::string framed;
-                 size_t kept = 0;
+                 std::string& framed = chunks[chunk];
                  for (size_t i = begin; i < end; ++i) {
                    record.Clear();
                    if (!encode(i, &record)) continue;
                    AppendVarint(framed, record.size());
                    framed += record.buffer();
-                   ++kept;
+                   ++kept[chunk];
                  }
-                 sequencer.Run(chunk, [&] {
-                   writer->AppendEncodedRecords(framed, kept);
-                 });
                });
+  size_t records = 0;
+  for (size_t n : kept) records += n;
+  writer->AppendChunks(chunks, records, pool);
 }
 
 Json DatasetInfo::ToJson() const {

@@ -117,9 +117,11 @@ Result<InputEvents<Event>> ReadInput(DatasetInput input,
 /// Appends `count` records to `writer`, encoded in parallel chunks over
 /// `pool`. encode(i, record) serializes item i into the empty `record`, or
 /// returns false to skip the item. Each chunk frames its records into a
-/// buffer of its own and splices it into the container in chunk order, so
-/// the container bytes equal the serial loop's and only one chunk buffer
-/// per worker is alive at a time.
+/// buffer of its own, with no wait on any other chunk; then one
+/// ContainerWriter::AppendChunks hashes the buffers in chunk order beside
+/// their copy into the container. The container bytes equal the serial
+/// loop's; the chunk buffers hold one copy of the records until the copy
+/// is made.
 void AppendRecords(ContainerWriter* writer, size_t count, ThreadPool* pool,
                    const std::function<bool(size_t, BinaryWriter*)>& encode);
 

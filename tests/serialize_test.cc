@@ -7,6 +7,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "serialize/container.h"
 #include "serialize/json.h"
 #include "support/io.h"
+#include "support/threadpool.h"
 
 namespace daspos {
 namespace {
@@ -586,18 +588,30 @@ TEST(ContainerTest, SplicedAndLargeContainersMatchRecordByRecord) {
   for (const std::string& record : records) one_by_one.AddRecord(record);
   const std::string expected = one_by_one.Finish();
 
-  ContainerWriter spliced(TestMetadata());
-  std::string framed;
+  std::vector<std::string> chunks(1);
   for (size_t i = 0; i < records.size(); ++i) {
-    AppendVarint(framed, records[i].size());
-    framed += records[i];
-    if (i % 37 == 36 || i + 1 == records.size()) {
-      spliced.AppendEncodedRecords(framed, i % 37 + 1);
-      framed.clear();
-    }
+    AppendVarint(chunks.back(), records[i].size());
+    chunks.back() += records[i];
+    if (i % 37 == 36) chunks.emplace_back();
   }
-  EXPECT_EQ(spliced.record_count(), records.size());
-  EXPECT_EQ(spliced.Finish(), expected);
+  chunks.insert(chunks.begin() + 3, std::string());  // a chunk that kept none
+  for (size_t width : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (width > 0) pool = std::make_unique<ThreadPool>(width);
+    ContainerWriter spliced(TestMetadata());
+    // A record before the chunks, still in the unhashed tail.
+    spliced.AddRecord(records[0]);
+    spliced.AppendChunks(chunks, records.size(), pool.get());
+    EXPECT_EQ(spliced.record_count(), records.size() + 1);
+    ContainerWriter reference(TestMetadata());
+    reference.AddRecord(records[0]);
+    for (const std::string& record : records) reference.AddRecord(record);
+    EXPECT_EQ(spliced.Finish(), reference.Finish()) << "pool width " << width;
+
+    ContainerWriter only_chunks(TestMetadata());
+    only_chunks.AppendChunks(chunks, records.size(), pool.get());
+    EXPECT_EQ(only_chunks.Finish(), expected) << "pool width " << width;
+  }
 
   auto reader = ContainerReader::Open(expected);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();

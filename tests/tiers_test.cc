@@ -2,6 +2,7 @@
 // skim/slim derivation engine with its reduction accounting.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "event/pdg.h"
 #include "mc/generator.h"
 #include "reco/reconstruction.h"
+#include "support/metrics_registry.h"
 #include "support/sha256.h"
 #include "support/threadpool.h"
 #include "tiers/dataset.h"
@@ -261,6 +263,72 @@ TEST(DatasetTest, ParallelCodecsMatchTheRecordByRecordContainer) {
     ASSERT_EQ(decoded->size(), events.size());
     for (size_t i = 0; i < events.size(); ++i) {
       ASSERT_EQ(EncodeRecord((*decoded)[i]), EncodeRecord(events[i])) << i;
+    }
+  }
+}
+
+/// The container AddRecord builds, one record at a time, from the items
+/// `encode` keeps: the reference every seal is held to.
+std::string RecordByRecord(
+    const Json& metadata, size_t count,
+    const std::function<bool(size_t, BinaryWriter*)>& encode) {
+  ContainerWriter writer(metadata);
+  BinaryWriter record;
+  for (size_t i = 0; i < count; ++i) {
+    record.Clear();
+    if (encode(i, &record)) writer.AddRecord(record.buffer());
+  }
+  return writer.Finish();
+}
+
+TEST(SealTest, ChunkedSealMatchesTheRecordByRecordContainer) {
+  // 2000 events make 64 chunks of 31-32; the skims leave whole chunks with
+  // no record, as a tight skim does.
+  const std::vector<GenEvent> events = SmallSample(2000);
+  DatasetInfo info;
+  info.tier = DataTier::kGen;
+  info.name = "seal";
+  const Json metadata = DatasetMetadata(info);
+  const auto encode_if = [&events](bool (*keep)(size_t)) {
+    return [&events, keep](size_t i, BinaryWriter* record) {
+      if (!keep(i)) return false;
+      EncodeRecord(events[i], record);
+      return true;
+    };
+  };
+  struct Case {
+    const char* name;
+    size_t count;
+    std::function<bool(size_t, BinaryWriter*)> encode;
+  };
+  const std::vector<Case> cases = {
+      {"no records", 0, encode_if([](size_t) { return true; })},
+      {"one record", 1, encode_if([](size_t) { return true; })},
+      {"middle skim", events.size(),
+       encode_if([](size_t i) { return i >= 500 && i < 1500 && i % 7 == 0; })},
+      {"nothing kept", events.size(), encode_if([](size_t) { return false; })},
+      {"2000 gen events", events.size(),
+       encode_if([](size_t) { return true; })},
+  };
+  const auto hashed = [] {
+    return MetricsRegistry::Global().CounterValue(
+        metric_names::kContainerHashedBytesTotal);
+  };
+  for (const Case& c : cases) {
+    const std::string expected =
+        RecordByRecord(metadata, c.count, c.encode);
+    const uint64_t records = ContainerReader::Open(expected)->record_count();
+    for (size_t width : {size_t{1}, size_t{2}, size_t{4}}) {
+      ThreadPool pool(width);
+      ContainerWriter writer(metadata);
+      const uint64_t before = hashed();
+      AppendRecords(&writer, c.count, &pool, c.encode);
+      EXPECT_EQ(writer.record_count(), records) << c.name << " width " << width;
+      const std::string sealed = writer.Finish();
+      EXPECT_EQ(sealed, expected) << c.name << " width " << width;
+      // Every byte but the footer (magic, count, digest) is hashed once.
+      EXPECT_EQ(hashed() - before, sealed.size() - (4 + 8 + 32))
+          << c.name << " width " << width;
     }
   }
 }

@@ -1634,6 +1634,25 @@ TEST(HandoffTest, InputEventsDoNotOutliveTheirLastReader) {
   EXPECT_TRUE(seen.payload.expired());
 }
 
+TEST(HandoffTest, CampaignSizeChainIsByteIdenticalAtEveryWidth) {
+  // 2000 events: every tier seals 64 chunks, so the chunk buffers and the
+  // two-task seal run at full width.
+  constexpr size_t kEvents = 2000;
+  WorkflowContext serial_context;
+  const auto serial = RunChainDigests(
+      StandardChainWorkflow(Process::kZToLL, kEvents, kHandoffSeed), 1,
+      &serial_context);
+  ASSERT_EQ(serial.size(), 5u);
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    WorkflowContext context;
+    EXPECT_EQ(RunChainDigests(StandardChainWorkflow(Process::kZToLL, kEvents,
+                                                    kHandoffSeed),
+                              threads, &context),
+              serial)
+        << threads << " threads";
+  }
+}
+
 TEST(HandoffTest, JournalFreeChainHashesEachTierByteOnce) {
   // Each container is hashed as it is sealed; a reader of this run's own
   // output verifies nothing again. The footer (magic, count, digest) is

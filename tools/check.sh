@@ -78,8 +78,8 @@ if [ "$RUN_TSAN" = 1 ]; then
   # Includes the per-pool task accounting (ThreadPoolTest.*, and
   # WorkflowReportTest.* for the report's pool block).
   ./build-tsan/tests/parallel_test
-  # The tier codecs encode and decode in pool-parallel chunks and splice
-  # encoded chunks into one container in chunk order.
+  # The tier codecs encode and decode in pool-parallel chunks; a seal then
+  # hashes the encoded chunks beside their copy into one container.
   ./build-tsan/tests/tiers_test
   ./build-tsan/tests/serialize_test
   ./build-tsan/tests/event_test
