@@ -29,15 +29,18 @@ ArchiveInventory ArchiveInventory::Take(const ObjectStore& store,
       pool, ids.size(),
       [&](size_t i) {
         Object object;
-        {  // the bytes are freed before Verify reads the object again
-          auto bytes = store.Get(ids[i]);
-          object.status = bytes.status();
-          if (!bytes.ok()) return object;
-          object.stored_bytes = bytes->size();
-          auto json = Json::Parse(*bytes);
-          if (json.ok() && IsAipManifest(*json)) manifests[i] = *json;
+        std::string bytes;
+        if (verify) {
+          object.status = store.Verify(ids[i], &bytes);
+        } else {
+          auto got = store.Get(ids[i]);
+          object.status = got.status();
+          if (got.ok()) bytes = std::move(got).value();
         }
-        if (verify) object.status = store.Verify(ids[i]);
+        if (!object.status.ok()) return object;
+        object.stored_bytes = bytes.size();
+        auto json = Json::Parse(bytes);
+        if (json.ok() && IsAipManifest(*json)) manifests[i] = *json;
         return object;
       },
       /*grain=*/1);
@@ -197,12 +200,10 @@ Result<DisseminationPackage> Archive::Retrieve(
   for (size_t i = 0; i < files.size(); ++i) {
     const Json& entry = files.at(i);
     std::string object_id = entry.Get("sha256").as_string();
-    DASPOS_RETURN_IF_ERROR(store_->Verify(object_id));
-    DASPOS_ASSIGN_OR_RETURN(std::string bytes, store_->Get(object_id));
     PackageFile file;
+    DASPOS_RETURN_IF_ERROR(store_->Verify(object_id, &file.bytes));
     file.logical_name = entry.Get("name").as_string();
     file.media_type = entry.Get("media_type").as_string();
-    file.bytes = std::move(bytes);
     package.content.files.push_back(std::move(file));
   }
   return package;

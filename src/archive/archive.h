@@ -68,20 +68,21 @@ struct FixityReport {
 
 /// One walk of an object store: the facts catalog recovery, `daspos audit`
 /// and lint's A-codes all read, so they cannot disagree. ForEachId runs
-/// once; each walked id gets one Get (an AIP manifest, recognized by shape,
-/// is parsed once) and, when verifying, one Verify, on `pool` when given.
+/// once; each walked id gets one read, on `pool` when given: Verify with
+/// the proven bytes when verifying, Get otherwise. An AIP manifest,
+/// recognized by shape, is parsed once.
 struct ArchiveInventory {
   enum class Kind {
     kManifest,     // an AIP manifest that read (and verified) clean
     kPayload,      // readable and referenced by a manifest
     kOrphan,       // readable and referenced by no manifest
     kMissing,      // referenced by a manifest, absent from the store
-    kCorrupted,    // stored, but its Get or Verify failed
+    kCorrupted,    // stored, but its read failed
     kQuarantined,  // only in the quarantine area
   };
   struct Object {
     Kind kind = Kind::kOrphan;
-    uint64_t stored_bytes = 0;  // what Get returned
+    uint64_t stored_bytes = 0;  // the size of the bytes read
     Status status;              // the failed read, for kCorrupted
     bool quarantined = false;   // listed by QuarantinedIds
   };
@@ -128,7 +129,8 @@ class Archive {
   /// The same over an unverified inventory of the store.
   Result<size_t> RecoverCatalog();
 
-  /// Fetches and fixity-verifies a package.
+  /// Fetches a package: one Get of its manifest, then one proving read
+  /// (Verify with bytes) of each file.
   Result<DisseminationPackage> Retrieve(const std::string& archive_id) const;
 
   /// All deposited packages, in deposit order.

@@ -144,8 +144,17 @@ Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
             return slot;
           }
           // Copy-verify: re-hash the target's copy; a torn or bit-flipped
-          // landing must never count as migrated.
+          // landing must never count as migrated. A copy that still fails
+          // is refused, not set aside: reads never write, and only scrub
+          // and read repair quarantine (a pack record forged past its
+          // checksum gate survives the Put, which dedupes on that gate).
           slot.status = target.Verify(id);
+          if (slot.status.IsCorruption()) {
+            slot.status = Status::Corruption(
+                "object " + id + " does not verify on the target after its "
+                "copy (" + slot.status.message() +
+                "); scrub the target, then rerun the migration");
+          }
           if (!slot.status.ok()) return slot;
           slot.copied = true;
           slot.bytes = bytes->size();

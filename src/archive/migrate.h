@@ -72,7 +72,11 @@ struct MigrateReport {
 ///     left untouched.
 ///
 /// Fails without swapping if any object cannot be copied or verified; the
-/// copies on the target preserve progress for the next attempt.
+/// copies on the target preserve progress for the next attempt. Migration
+/// never quarantines: a target copy that still fails Verify after its
+/// re-Put (a pack record forged past its checksum gate, which the Put
+/// dedupes against) fails the run with Corruption naming the id. Scrub the
+/// target, which sets the copy aside, then rerun.
 Result<MigrateReport> MigrateGeneration(const ObjectStore& source,
                                         ObjectStore& target,
                                         const MigrateOptions& options);

@@ -92,35 +92,26 @@ Result<std::string> MemoryObjectStore::Put(std::string_view bytes) {
 
 Result<std::string> MemoryObjectStore::Get(const std::string& id) const {
   std::string bytes;
+  DASPOS_RETURN_IF_ERROR(Verify(id, &bytes));
+  return bytes;
+}
+
+Status MemoryObjectStore::Verify(const std::string& id,
+                                 std::string* bytes) const {
+  std::string copy;
   {
     MutexLock lock(mutex_);
     auto it = objects_.find(id);
     if (it == objects_.end()) {
       return Status::NotFound("object " + id + " not in store");
     }
-    bytes = it->second;
+    copy = it->second;
   }
   // Bytes that no longer hash to their id must never reach a consumer.
-  if (Sha256::HashHex(bytes) != id) {
+  if (Sha256::HashHex(copy) != id) {
     return Status::Corruption("fixity mismatch for object " + id);
   }
-  return bytes;
-}
-
-bool MemoryObjectStore::Has(const std::string& id) const {
-  MutexLock lock(mutex_);
-  return objects_.count(id) > 0;
-}
-
-Status MemoryObjectStore::Verify(const std::string& id) const {
-  MutexLock lock(mutex_);
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
-    return Status::NotFound("object " + id + " not in store");
-  }
-  if (Sha256::HashHex(it->second) != id) {
-    return Status::Corruption("fixity mismatch for object " + id);
-  }
+  if (bytes != nullptr) *bytes = std::move(copy);
   return Status::OK();
 }
 
@@ -236,42 +227,37 @@ Result<std::string> FileObjectStore::PutImpl(std::string_view bytes) {
 
 Result<std::string> FileObjectStore::Get(const std::string& id) const {
   Span span("archive:get", "archive", get_wall_ms_);
-  Result<std::string> result = GetImpl(id);
+  std::string bytes;
+  Status read = ProvingRead(id, &bytes);
   get_total_->Increment();
-  if (result.ok()) {
-    uint64_t bytes = static_cast<uint64_t>(result.value().size());
-    get_bytes_total_->Increment(bytes);
-    span.AddAttribute("bytes", bytes);
-  }
-  return result;
+  if (!read.ok()) return read;
+  get_bytes_total_->Increment(static_cast<uint64_t>(bytes.size()));
+  span.AddAttribute("bytes", static_cast<uint64_t>(bytes.size()));
+  return bytes;
 }
 
-Result<std::string> FileObjectStore::GetImpl(const std::string& id) const {
-  DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
-  // One streaming pass reads and hashes together. Bytes that no longer hash
-  // to their id must never reach a consumer.
-  std::string hex;
-  auto read = ReadFileHashed(PathFor(id), &hex);
-  if (!read.ok()) return Status::NotFound("object " + id + " not in store");
-  if (hex != id) {
-    return Status::Corruption("fixity mismatch for object " + id);
-  }
-  return read;
-}
-
-bool FileObjectStore::Has(const std::string& id) const {
-  return ValidateObjectId(id).ok() && FileExists(PathFor(id));
-}
-
-Status FileObjectStore::Verify(const std::string& id) const {
+Status FileObjectStore::Verify(const std::string& id,
+                               std::string* bytes) const {
   Span span("archive:verify", "archive");
   verify_total_->Increment();
+  return ProvingRead(id, bytes);
+}
+
+Status FileObjectStore::ProvingRead(const std::string& id,
+                                    std::string* bytes) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
-  auto hex = HashFileHex(PathFor(id));
-  if (!hex.ok()) return Status::NotFound("object " + id + " not in store");
-  if (*hex != id) {
+  // One streaming pass reads and hashes together; without `bytes` it keeps
+  // nothing. Bytes that no longer hash to their id never reach a consumer.
+  Sha256 hasher;
+  std::string read;
+  if (!StreamFile(PathFor(id), hasher, bytes != nullptr ? &read : nullptr)
+           .ok()) {
+    return Status::NotFound("object " + id + " not in store");
+  }
+  if (hasher.HexDigest() != id) {
     return Status::Corruption("fixity mismatch for object " + id);
   }
+  if (bytes != nullptr) *bytes = std::move(read);
   return Status::OK();
 }
 

@@ -33,15 +33,22 @@ class ObjectStore {
   /// Re-putting identical bytes is a no-op returning the same id.
   virtual Result<std::string> Put(std::string_view bytes) = 0;
 
-  /// Reads never write: Get, Has, Verify, ForEachId, TotalBytes and
+  /// The two reads. Get is each backend's read gate and what a daemon
+  /// serves: the memory and file stores gate it by SHA-256, the packfile
+  /// store only by a 64-bit checksum and its record header. Verify is the
+  /// proving read: it re-hashes the stored bytes with SHA-256 on every
+  /// backend and compares them with the id; Corruption on mismatch (bit rot
+  /// or a forgery past a weaker gate), NotFound if absent. When `bytes` is
+  /// given and the proof passes, it holds the proven bytes; any failure
+  /// leaves it untouched. A caller that needs both the bytes and the proof
+  /// makes this one call, so no object is read twice or hashed again.
+  ///
+  /// Reads never write: Get, Verify, ForEachId, TotalBytes and
   /// QuarantinedIds change nothing on disk, so a rotted copy fails the
   /// same way on every read until Quarantine or a re-Put replaces it.
   virtual Result<std::string> Get(const std::string& id) const = 0;
-  virtual bool Has(const std::string& id) const = 0;
-
-  /// Re-hashes the stored bytes and compares with the id; Corruption on
-  /// mismatch (bit rot), NotFound if absent.
-  virtual Status Verify(const std::string& id) const = 0;
+  virtual Status Verify(const std::string& id,
+                        std::string* bytes = nullptr) const = 0;
 
   /// Sets the stored copy of `id` aside as forensic evidence of `reason`,
   /// so the store no longer holds it and a later Put stores good bytes
@@ -59,7 +66,7 @@ class ObjectStore {
   /// walk partially failed keeps going, then returns the first walk error
   /// after visiting everything reachable: callers can heal what they can,
   /// but an unreadable store is never mistaken for an empty one. Callbacks
-  /// may call back into the store (Get/Verify/Has) — implementations must
+  /// may call back into the store (Get/Verify) — implementations must
   /// not hold internal locks while invoking `fn`.
   virtual Status ForEachId(
       const std::function<Status(const std::string&)>& fn) const = 0;
@@ -92,8 +99,8 @@ class MemoryObjectStore : public ObjectStore {
  public:
   Result<std::string> Put(std::string_view bytes) override;
   Result<std::string> Get(const std::string& id) const override;
-  bool Has(const std::string& id) const override;
-  Status Verify(const std::string& id) const override;
+  Status Verify(const std::string& id,
+                std::string* bytes = nullptr) const override;
   /// Snapshots the keys under the lock, then calls `fn` unlocked.
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
       const override;
@@ -116,9 +123,10 @@ class MemoryObjectStore : public ObjectStore {
 /// re-Put overwrites it. Keyed lookups validate the id first, so a hostile
 /// id ("../../etc/passwd") can never address a path outside the store root.
 ///
-/// Every Get hashes the bytes it reads in the same streaming pass: media
-/// rot changes neither a file's size nor its mtime, so no stat-based
-/// shortcut can stand in for the hash.
+/// Get and Verify are one streaming read that hashes the bytes as they
+/// land (a Verify without a buffer keeps none): media rot changes neither a
+/// file's size nor its mtime, so no stat-based shortcut can stand in for
+/// the hash.
 ///
 /// Put, Get, and Verify are safe to call concurrently (the base PutBatch
 /// relies on this): the store keeps no mutable state of its own and on-disk
@@ -133,8 +141,8 @@ class FileObjectStore : public ObjectStore {
 
   Result<std::string> Put(std::string_view bytes) override;
   Result<std::string> Get(const std::string& id) const override;
-  bool Has(const std::string& id) const override;
-  Status Verify(const std::string& id) const override;
+  Status Verify(const std::string& id,
+                std::string* bytes = nullptr) const override;
   /// Moves the blob into the quarantine area. A prior forensic copy of the
   /// same id is never clobbered: repeat quarantines land at `<id>.1`,
   /// `<id>.2`, ... . A failed mkdir or rename is returned, logged and
@@ -150,9 +158,10 @@ class FileObjectStore : public ObjectStore {
   Result<std::vector<std::string>> QuarantinedIds() const override;
 
  private:
-  /// Op bodies behind the instrumented public wrappers.
+  /// Op bodies behind the instrumented public wrappers. Get and Verify
+  /// are both the one streaming read-and-hash of ProvingRead.
   Result<std::string> PutImpl(std::string_view bytes);
-  Result<std::string> GetImpl(const std::string& id) const;
+  Status ProvingRead(const std::string& id, std::string* bytes) const;
 
   std::string PathFor(const std::string& id) const;
   /// Records one store-walk failure (directory unreadable, stat failed):

@@ -841,8 +841,7 @@ Status PackObjectStore::Quarantine(const std::string& id,
   return Status::OK();
 }
 
-Result<std::string> PackObjectStore::Get(const std::string& id) const {
-  Span span("pack:get", "archive", get_wall_ms_);
+Result<std::string> PackObjectStore::ReadIndexed(const std::string& id) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
   Entry entry;
   {
@@ -859,34 +858,27 @@ Result<std::string> PackObjectStore::Get(const std::string& id) const {
     reads_total_->Increment();
     read_bytes_total_->Increment(bytes->size());
     if (via_mmap) mmap_reads_total_->Increment();
+  }
+  return bytes;
+}
+
+Result<std::string> PackObjectStore::Get(const std::string& id) const {
+  Span span("pack:get", "archive", get_wall_ms_);
+  auto bytes = ReadIndexed(id);
+  if (bytes.ok()) {
     span.AddAttribute("bytes", static_cast<uint64_t>(bytes->size()));
   }
   return bytes;
 }
 
-bool PackObjectStore::Has(const std::string& id) const {
-  if (!ValidateObjectId(id).ok()) return false;
-  MutexLock lock(mutex_);
-  return index_.count(id) > 0;
-}
-
-Status PackObjectStore::Verify(const std::string& id) const {
+Status PackObjectStore::Verify(const std::string& id,
+                               std::string* bytes) const {
   Span span("pack:verify", "archive");
-  DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
-  Entry entry;
-  {
-    MutexLock lock(mutex_);
-    auto it = index_.find(id);
-    if (it == index_.end()) {
-      return Status::NotFound("object " + id + " not in store");
-    }
-    entry = it->second;
-  }
+  DASPOS_ASSIGN_OR_RETURN(std::string raw, ReadIndexed(id));
   // An audit always re-hashes the full raw payload: the per-record
   // checksum gates reads, but SHA-256 is the preservation-grade authority.
-  bool via_mmap = false;
-  DASPOS_ASSIGN_OR_RETURN(std::string raw, ReadRecord(id, entry, &via_mmap));
   if (Sha256::HashHex(raw) != id) return RecordRot(id, "sha-256 mismatch");
+  if (bytes != nullptr) *bytes = std::move(raw);
   return Status::OK();
 }
 

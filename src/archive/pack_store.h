@@ -100,7 +100,7 @@ inline constexpr char kPackIndexMagic[8] = {'D', 'P', 'I', 'D',
 inline constexpr size_t kPackIndexHeaderSize = 16;
 inline constexpr size_t kPackIndexEntrySize = 72;
 
-/// Packfile backend. Put/Get/Verify/Has/PutBatch are safe to call
+/// Packfile backend. Put/Get/Verify/PutBatch are safe to call
 /// concurrently; appends serialize on an internal mutex while reads of
 /// sealed segments run lock-free on long-lived mappings. Re-putting an id
 /// whose record fails the read gate, or that Quarantine dropped, appends a
@@ -121,8 +121,8 @@ class PackObjectStore : public ObjectStore {
 
   Result<std::string> Put(std::string_view bytes) override;
   Result<std::string> Get(const std::string& id) const override;
-  bool Has(const std::string& id) const override;
-  Status Verify(const std::string& id) const override;
+  Status Verify(const std::string& id,
+                std::string* bytes = nullptr) const override;
   /// Appends one line to quarantine.jsonl for the record the index names
   /// and drops it from the index. The segment bytes are untouched
   /// (immutable forensic copy in place).
@@ -219,6 +219,11 @@ class PackObjectStore : public ObjectStore {
   /// served zero-copy from a sealed mapping.
   Result<std::string> ReadRecord(const std::string& id, const Entry& entry,
                                  bool* via_mmap) const
+      DASPOS_EXCLUDES(mutex_);
+  /// The one read behind Get and Verify: looks `id` up in the index, reads
+  /// its record through ReadRecord and counts it in daspos_pack_reads_total
+  /// (with its bytes, and whether the mapping served it).
+  Result<std::string> ReadIndexed(const std::string& id) const
       DASPOS_EXCLUDES(mutex_);
 
   std::string root_;

@@ -5,7 +5,6 @@
 
 #include "support/logging.h"
 #include "support/metrics_registry.h"
-#include "support/sha256.h"
 #include "support/trace.h"
 
 namespace daspos {
@@ -47,96 +46,76 @@ Result<std::string> ReplicatedObjectStore::Put(std::string_view bytes) {
                          first_failure.ToString());
 }
 
+size_t ReplicatedObjectStore::FirstProven(const std::string& id,
+                                          std::string* bytes,
+                                          std::vector<Unproven>* unproven)
+    const {
+  for (size_t i = 0; i < replicas_.size(); ++i) {
+    Status proven = replicas_[i]->Verify(id, bytes);
+    if (proven.ok()) return i;
+    unproven->push_back({i, std::move(proven)});
+  }
+  return replicas_.size();
+}
+
 Result<std::string> ReplicatedObjectStore::Get(const std::string& id) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
   Span span("replica:get", "archive");
-  // Walk replicas in order; remember every replica that failed, and why,
-  // so the healthy bytes can heal them before the read returns.
-  struct Unhealthy {
-    size_t replica;
-    Status why;  // Corruption: rot, or bytes that passed its gate but not
-                 // SHA-256; anything else: missing or unreachable
-  };
-  std::vector<Unhealthy> unhealthy;
-  Status last_error = Status::NotFound("object " + id + " not in any replica");
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    auto got = replicas_[i]->Get(id);
-    if (got.ok()) {
-      // The replication layer's own SHA-256 gate: a backend whose Get gate
-      // is weaker (the packfile checksum) must still never leak rot.
-      if (Sha256::HashHex(*got) != id) {
-        fallbacks_->Increment();
-        last_error =
-            Status::Corruption("fixity mismatch for object " + id +
-                               " on replica " + std::to_string(i));
-        unhealthy.push_back({i, last_error});
-        continue;
+  // Every replica is asked for proven bytes, so a backend whose Get gate is
+  // weaker (the packfile checksum, which a forged record can match) never
+  // leaks rot. Every replica the read fell past is remembered, with why,
+  // so the proven bytes can heal it before the read returns.
+  std::string bytes;
+  std::vector<Unproven> unhealthy;
+  const size_t served = FirstProven(id, &bytes, &unhealthy);
+  fallbacks_->Increment(unhealthy.size());
+  if (served == replicas_.size()) return unhealthy.back().why;
+  // Read-repair: re-Put the proven bytes into every replica the read fell
+  // past (missing the object or holding rot). A rotted or forged copy is
+  // quarantined first, which keeps it as forensic evidence and makes the
+  // Put store fresh bytes (a forgery passes the gate a Put dedupes on). A
+  // repair counts only once the replica verifies.
+  for (const Unproven& bad : unhealthy) {
+    ObjectStore* replica = replicas_[bad.replica];
+    if (bad.why.IsCorruption()) {
+      Status set_aside = replica->Quarantine(id, bad.why.message());
+      if (!set_aside.ok()) {
+        DASPOS_LOG(kWarning) << "read-repair of object " << id
+                             << " on replica " << bad.replica
+                             << " kept no evidence: " << set_aside.ToString();
       }
-      // Read-repair: re-Put the verified bytes into every replica the read
-      // fell past (missing the object or holding rot). A rotted or forged
-      // copy is quarantined first, which keeps it as forensic evidence and
-      // makes the Put store fresh bytes (a forgery passes the gate a Put
-      // dedupes on). A repair counts only once the replica verifies.
-      for (const Unhealthy& bad : unhealthy) {
-        ObjectStore* replica = replicas_[bad.replica];
-        if (bad.why.IsCorruption()) {
-          Status set_aside = replica->Quarantine(id, bad.why.message());
-          if (!set_aside.ok()) {
-            DASPOS_LOG(kWarning) << "read-repair of object " << id
-                                 << " on replica " << bad.replica
-                                 << " kept no evidence: "
-                                 << set_aside.ToString();
-          }
-        }
-        auto healed = replica->Put(*got);
-        Status verified = healed.ok() ? replica->Verify(id) : healed.status();
-        if (verified.ok()) {
-          read_repairs_->Increment();
-        } else {
-          DASPOS_LOG(kWarning)
-              << "read-repair of object " << id << " on replica "
-              << bad.replica << " failed: " << verified.ToString();
-        }
-      }
-      // Degraded mode: the serving replica is in the minority once the
-      // read fell past >= quorum replicas. Serve, but warn loudly — the
-      // archive is one failure away from data loss.
-      if (unhealthy.size() >= quorum()) {
-        degraded_reads_->Increment();
-        DASPOS_LOG(kWarning)
-            << "degraded read of object " << id << ": only "
-            << replicas_.size() - unhealthy.size() << "/" << replicas_.size()
-            << " replicas healthy";
-      }
-      return got;
     }
-    fallbacks_->Increment();
-    last_error = got.status();
-    unhealthy.push_back({i, last_error});
+    auto healed = replica->Put(bytes);
+    Status verified = healed.ok() ? replica->Verify(id) : healed.status();
+    if (verified.ok()) {
+      read_repairs_->Increment();
+    } else {
+      DASPOS_LOG(kWarning) << "read-repair of object " << id << " on replica "
+                           << bad.replica << " failed: " << verified.ToString();
+    }
   }
-  return last_error;
+  // Degraded mode: the serving replica is in the minority once the read
+  // fell past >= quorum replicas. Serve, but warn loudly — the archive is
+  // one failure away from data loss.
+  if (unhealthy.size() >= quorum()) {
+    degraded_reads_->Increment();
+    DASPOS_LOG(kWarning) << "degraded read of object " << id << ": only "
+                         << replicas_.size() - unhealthy.size() << "/"
+                         << replicas_.size() << " replicas healthy";
+  }
+  return bytes;
 }
 
-bool ReplicatedObjectStore::Has(const std::string& id) const {
-  for (ObjectStore* replica : replicas_) {
-    if (replica->Has(id)) return true;
-  }
-  return false;
-}
-
-Status ReplicatedObjectStore::Verify(const std::string& id) const {
+Status ReplicatedObjectStore::Verify(const std::string& id,
+                                     std::string* bytes) const {
   DASPOS_RETURN_IF_ERROR(ValidateObjectId(id));
-  // An audit, not a repair: the object survives if at least one replica
-  // holds verifying bytes. The scrubber is the healer.
-  size_t present = 0;
-  Status last_error = Status::NotFound("object " + id + " not in any replica");
-  for (ObjectStore* replica : replicas_) {
-    Status status = replica->Verify(id);
-    if (status.ok()) ++present;
-    if (!status.ok()) last_error = status;
+  // An audit, not a repair: the object survives if one replica proves it.
+  // The scrubber is the healer.
+  std::vector<Unproven> unproven;
+  if (FirstProven(id, bytes, &unproven) < replicas_.size()) {
+    return Status::OK();
   }
-  if (present > 0) return Status::OK();
-  return last_error;
+  return unproven.back().why;
 }
 
 Status ReplicatedObjectStore::ForEachId(

@@ -23,19 +23,19 @@ namespace daspos {
 /// `Put`, so each blob gets full quorum semantics.
 ///
 /// Read path: `Get` walks the replicas in order and serves the first copy
-/// whose bytes re-hash to the id. The SHA-256 gate lives in this layer too
-/// because a backend's own Get gate may be weaker: the packfile backend
-/// checks a 64-bit checksum, which a forged record can match. Every replica
-/// that failed before the healthy one — missing the object or holding rot —
-/// is then *read-repaired*: a rotted or forged copy is quarantined, then
-/// the healthy bytes are re-put.
+/// a replica's `Verify` proves (SHA-256 on every backend, so a forged pack
+/// record that passes its own 64-bit Get gate is never served). Every
+/// replica that failed before the healthy one — missing the object or
+/// holding rot — is then *read-repaired*: a rotted or forged copy is
+/// quarantined, then the proven bytes are re-put.
 /// When the serving replica is in the minority (the read fell past >=
 /// quorum unhealthy replicas), the read still succeeds but is counted in
 /// daspos_archive_degraded_reads_total and logged — degraded mode serves
 /// with warnings rather than refusing.
 ///
-/// `Verify` is an audit: it checks every replica and is clean only when at
-/// least one replica verifies; it never repairs (scrub does that).
+/// `Verify` is an audit: it walks the replicas in the same order and is
+/// clean at the first one that proves the object (handing back its bytes
+/// when asked); it never repairs (scrub does that).
 /// Enumeration unions the replicas: ForEachId/QuarantinedIds merge and
 /// dedupe, TotalBytes reports the most complete replica (healthy replication
 /// makes them equal; during rot or backfill the max is the logical holdings).
@@ -49,8 +49,8 @@ class ReplicatedObjectStore : public ObjectStore {
 
   Result<std::string> Put(std::string_view bytes) override;
   Result<std::string> Get(const std::string& id) const override;
-  bool Has(const std::string& id) const override;
-  Status Verify(const std::string& id) const override;
+  Status Verify(const std::string& id,
+                std::string* bytes = nullptr) const override;
   /// Visits the sorted union of the replicas' walks; returns the first
   /// replica walk error after visiting everything reachable.
   Status ForEachId(const std::function<Status(const std::string&)>& fn)
@@ -60,6 +60,18 @@ class ReplicatedObjectStore : public ObjectStore {
   Result<std::vector<std::string>> QuarantinedIds() const override;
 
  private:
+  /// A replica whose Verify failed, and its status: Corruption for rot or
+  /// a forgery, anything else for missing or unreachable.
+  struct Unproven {
+    size_t replica;
+    Status why;
+  };
+  /// Asks each replica in order to prove `id` (filling `bytes` when given)
+  /// and returns the first that does, or replica_count() when none does.
+  /// Every replica asked before it lands in `unproven`.
+  size_t FirstProven(const std::string& id, std::string* bytes,
+                     std::vector<Unproven>* unproven) const;
+
   std::vector<ObjectStore*> replicas_;
   Counter* read_repairs_;
   Counter* degraded_reads_;

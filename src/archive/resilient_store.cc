@@ -1,7 +1,5 @@
 #include "archive/resilient_store.h"
 
-#include <algorithm>
-
 namespace daspos {
 
 // ---------------------------------------------------------- FaultyObjectStore
@@ -16,16 +14,10 @@ Result<std::string> FaultyObjectStore::Get(const std::string& id) const {
   return backend_->Get(id);
 }
 
-bool FaultyObjectStore::Has(const std::string& id) const {
-  // Has has no error channel; an injected fault reads as "not there yet",
-  // which is exactly how a flaky backend looks to a caller.
-  if (!plan_->Next("has").ok()) return false;
-  return backend_->Has(id);
-}
-
-Status FaultyObjectStore::Verify(const std::string& id) const {
+Status FaultyObjectStore::Verify(const std::string& id,
+                                 std::string* bytes) const {
   DASPOS_RETURN_IF_ERROR(plan_->Next("verify"));
-  return backend_->Verify(id);
+  return backend_->Verify(id, bytes);
 }
 
 Result<std::vector<std::string>> FaultyObjectStore::PutBatch(
@@ -53,17 +45,10 @@ Result<std::string> RetryingObjectStore::Get(const std::string& id) const {
       policy_, [&]() { return backend_->Get(id); }, "object-store get " + id);
 }
 
-bool RetryingObjectStore::Has(const std::string& id) const {
-  const int attempts = std::max(policy_.max_attempts, 1);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (backend_->Has(id)) return true;
-  }
-  return false;
-}
-
-Status RetryingObjectStore::Verify(const std::string& id) const {
+Status RetryingObjectStore::Verify(const std::string& id,
+                                   std::string* bytes) const {
   return RetryCall(
-      policy_, [&]() { return backend_->Verify(id); },
+      policy_, [&]() { return backend_->Verify(id, bytes); },
       "object-store verify " + id);
 }
 

@@ -27,8 +27,8 @@ class FaultyObjectStore : public ObjectStore {
 
   Result<std::string> Put(std::string_view bytes) override;
   Result<std::string> Get(const std::string& id) const override;
-  bool Has(const std::string& id) const override;
-  Status Verify(const std::string& id) const override;
+  Status Verify(const std::string& id,
+                std::string* bytes = nullptr) const override;
   // Quarantine and enumeration pass through without drawing fault-plan
   // ordinals, so scripted plans keep hitting the same reads and writes.
   Status Quarantine(const std::string& id, const std::string& reason) override {
@@ -70,11 +70,8 @@ class RetryingObjectStore : public ObjectStore {
 
   Result<std::string> Put(std::string_view bytes) override;
   Result<std::string> Get(const std::string& id) const override;
-  /// Has has no error channel, so a transient backend failure reads as
-  /// "absent": a false is asked again, up to the policy's attempt count and
-  /// without backoff, before it is believed.
-  bool Has(const std::string& id) const override;
-  Status Verify(const std::string& id) const override;
+  Status Verify(const std::string& id,
+                std::string* bytes = nullptr) const override;
   Status Quarantine(const std::string& id, const std::string& reason) override {
     return backend_->Quarantine(id, reason);
   }

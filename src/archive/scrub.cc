@@ -11,7 +11,6 @@
 #include "support/logging.h"
 #include "support/metrics_registry.h"
 #include "support/parallel.h"
-#include "support/sha256.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -126,18 +125,15 @@ ObjectOutcome ScrubObject(const std::vector<ObjectStore*>& replicas,
     }
   }
   if (unhealthy.empty()) return outcome;
-  // Repair from a replica: fetch healthy bytes and re-Put them into every
-  // replica whose copy rotted or is missing. Only when no replica holds
-  // verifying bytes is the object left quarantined (unrepairable).
+  // Repair from a replica: take proven bytes from a healthy one and re-Put
+  // them into every replica whose copy rotted or is missing. Only when no
+  // replica holds verifying bytes is the object left quarantined
+  // (unrepairable).
   std::string bytes;
   bool have_bytes = false;
   for (size_t i : healthy) {
-    auto got = replicas[i]->Get(id);
-    if (got.ok() && Sha256::HashHex(*got) == id) {
-      bytes = std::move(*got);
-      have_bytes = true;
-      break;
-    }
+    have_bytes = replicas[i]->Verify(id, &bytes).ok();
+    if (have_bytes) break;
   }
   if (!have_bytes) {
     outcome.unrepairable = true;

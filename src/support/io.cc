@@ -21,26 +21,6 @@ namespace {
 // enough that the hash pipeline stays in cache.
 constexpr size_t kHashChunkBytes = 256 * 1024;
 
-/// Shared streaming core: reads `path` chunk by chunk, updating `hasher`
-/// with every chunk; appends the bytes to `*contents` when non-null.
-Status StreamFile(const std::string& path, Sha256& hasher,
-                  std::string* contents) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string chunk(kHashChunkBytes, '\0');
-  for (;;) {
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    std::streamsize got = in.gcount();
-    if (got > 0) {
-      std::string_view view(chunk.data(), static_cast<size_t>(got));
-      hasher.Update(view);
-      if (contents != nullptr) contents->append(view);
-    }
-    if (in.eof()) return Status::OK();
-    if (!in) return Status::IOError("short read: " + path);
-  }
-}
-
 }  // namespace
 
 Result<std::string> ReadFileToString(const std::string& path) {
@@ -57,22 +37,27 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return data;
 }
 
-Result<std::string> ReadFileHashed(const std::string& path,
-                                   std::string* sha256_hex) {
-  Sha256 hasher;
-  std::string contents;
-  std::error_code ec;
-  uintmax_t size = fs::file_size(path, ec);
-  if (!ec) contents.reserve(static_cast<size_t>(size));
-  DASPOS_RETURN_IF_ERROR(StreamFile(path, hasher, &contents));
-  if (sha256_hex != nullptr) *sha256_hex = hasher.HexDigest();
-  return contents;
-}
-
-Result<std::string> HashFileHex(const std::string& path) {
-  Sha256 hasher;
-  DASPOS_RETURN_IF_ERROR(StreamFile(path, hasher, nullptr));
-  return hasher.HexDigest();
+Status StreamFile(const std::string& path, Sha256& hasher,
+                  std::string* contents) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open for read: " + path);
+  if (contents != nullptr) {
+    std::error_code ec;
+    const uintmax_t size = fs::file_size(path, ec);
+    if (!ec) contents->reserve(contents->size() + static_cast<size_t>(size));
+  }
+  std::string chunk(kHashChunkBytes, '\0');
+  for (;;) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    std::streamsize got = in.gcount();
+    if (got > 0) {
+      std::string_view view(chunk.data(), static_cast<size_t>(got));
+      hasher.Update(view);
+      if (contents != nullptr) contents->append(view);
+    }
+    if (in.eof()) return Status::OK();
+    if (!in) return Status::IOError("short read: " + path);
+  }
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view data) {

@@ -10,19 +10,18 @@
 
 namespace daspos {
 
+class Sha256;
+
 /// Reads the entire file at `path` into a string.
 Result<std::string> ReadFileToString(const std::string& path);
 
-/// Reads the file in fixed-size chunks, feeding each chunk to an incremental
-/// SHA-256 as it lands, so the bytes are read and hashed in one pass (no
-/// second full-buffer scan). On success `*sha256_hex` holds the 64-char hex
-/// digest and the return value holds the contents.
-Result<std::string> ReadFileHashed(const std::string& path,
-                                   std::string* sha256_hex);
-
-/// Streaming SHA-256 of the file at `path` without retaining the contents:
-/// constant memory regardless of file size.
-Result<std::string> HashFileHex(const std::string& path);
+/// Reads the file at `path` in fixed-size chunks, feeding each chunk to
+/// `hasher` as it lands, so the bytes are read and hashed in one pass. When
+/// `contents` is non-null the bytes are appended to it too (reserved to the
+/// file's size up front); when null the read keeps nothing, so memory stays
+/// constant whatever the file's size.
+Status StreamFile(const std::string& path, Sha256& hasher,
+                  std::string* contents);
 
 /// Writes `data` to `path`, creating parent directories as needed and
 /// truncating any existing file.

@@ -80,9 +80,12 @@ struct SpecMember {
   static constexpr bool kRejectsMalformedIds = true;
 
   SpecMember(const std::string& scheme, const std::string& dir)
-      : dir_(dir), store_(OpenObjectStore(scheme + dir).value()) {}
+      : spec_(scheme + dir),
+        dir_(dir),
+        store_(OpenObjectStore(spec_).value()) {}
   ObjectStore& store() { return *store_; }
 
+  std::string spec_;
   std::string dir_;
   std::unique_ptr<ObjectStore> store_;
 };
@@ -98,6 +101,14 @@ struct PackMember : SpecMember {
   explicit PackMember(const std::string& dir, const char* scheme = "pack:")
       : SpecMember(scheme, dir) {}
   void Rot(const std::string& id) { RotPackRecord(dir_, id); }
+  /// Closes the store (sealing it), forges its only record past the
+  /// checksum gate, reopens it and returns the forged bytes.
+  std::string Forge(const std::string& payload) {
+    store_.reset();
+    std::string forged = ForgeFirstPackRecord(dir_, payload);
+    store_ = OpenObjectStore(spec_).value();
+    return forged;
+  }
 };
 
 struct PackZMember : PackMember {
@@ -176,7 +187,6 @@ TYPED_TEST(ObjectStoreContractTest, PutGetVerifyIsContentAddressed) {
   auto id = store.Put(payload);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(*id, Sha256::HashHex(payload));
-  EXPECT_TRUE(store.Has(*id));
   EXPECT_EQ(*store.Get(*id), payload);
   EXPECT_TRUE(store.Verify(*id).ok());
   EXPECT_EQ(CollectIds(store), std::vector<std::string>{*id});
@@ -185,7 +195,6 @@ TYPED_TEST(ObjectStoreContractTest, PutGetVerifyIsContentAddressed) {
   const std::string absent = Sha256::HashHex("never stored");
   EXPECT_TRUE(store.Get(absent).status().IsNotFound());
   EXPECT_TRUE(store.Verify(absent).IsNotFound());
-  EXPECT_FALSE(store.Has(absent));
 }
 
 // 2. Identical bytes are stored once.
@@ -255,8 +264,7 @@ std::string ReadEverything(const ObjectStore& store,
     auto got = store.Get(id);
     answers += "get " + (got.ok() ? Sha256::HashHex(*got)
                                   : got.status().ToString()) +
-               " has " + std::to_string(store.Has(id)) + " verify " +
-               store.Verify(id).ToString() + "\n";
+               " verify " + store.Verify(id).ToString() + "\n";
   }
   for (const std::string& id : CollectIds(store)) answers += id + "\n";
   auto total = store.TotalBytes();
@@ -311,7 +319,6 @@ TYPED_TEST(ObjectStoreContractTest, PutBatchKeepsInputOrderAtAnyPoolSize) {
     ASSERT_EQ(ids->size(), blobs->size());
     for (size_t i = 0; i < blobs->size(); ++i) {
       EXPECT_EQ((*ids)[i], Sha256::HashHex((*blobs)[i]));
-      EXPECT_TRUE(store.Has((*ids)[i]));
       EXPECT_EQ(*store.Get((*ids)[i]), (*blobs)[i]);
     }
   }
@@ -394,7 +401,6 @@ TYPED_TEST(ObjectStoreContractTest, MalformedIdsNeverResolve) {
                                  std::string("not-an-id"),
                                  std::string("../../etc/passwd"),
                                  std::string("00ff"), upper}) {
-    EXPECT_FALSE(store.Has(bad)) << bad;
     if (TypeParam::kRejectsMalformedIds) {
       EXPECT_TRUE(store.Get(bad).status().IsInvalidArgument()) << bad;
       EXPECT_TRUE(store.Verify(bad).IsInvalidArgument()) << bad;
@@ -402,6 +408,44 @@ TYPED_TEST(ObjectStoreContractTest, MalformedIdsNeverResolve) {
       EXPECT_TRUE(store.Get(bad).status().IsNotFound()) << bad;
       EXPECT_TRUE(store.Verify(bad).IsNotFound()) << bad;
     }
+  }
+}
+
+// 7. Verify is the proving read: given a buffer, it hands back the bytes it
+// proved, and every failure leaves the buffer as it was. A pack record
+// forged past its checksum gate is served by Get (the documented weaker
+// gate) but never proven.
+TYPED_TEST(ObjectStoreContractTest, VerifyHandsBackTheProvenBytes) {
+  ObjectStore& store = this->store();
+  const std::string payload = "proven bytes, handed back";
+  auto id = store.Put(payload);
+  ASSERT_TRUE(id.ok());
+  std::string bytes = "stale";
+  ASSERT_TRUE(store.Verify(*id, &bytes).ok());
+  EXPECT_EQ(bytes, payload);
+
+  const std::string untouched = "left as it was";
+  bytes = untouched;
+  EXPECT_TRUE(store.Verify(Sha256::HashHex("never stored"), &bytes)
+                  .IsNotFound());
+  EXPECT_EQ(bytes, untouched);
+  Status malformed = store.Verify("../x", &bytes);
+  EXPECT_TRUE(TypeParam::kRejectsMalformedIds ? malformed.IsInvalidArgument()
+                                              : malformed.IsNotFound())
+      << malformed.ToString();
+  EXPECT_EQ(bytes, untouched);
+  ASSERT_NO_FATAL_FAILURE(this->member_->Rot(*id));
+  EXPECT_TRUE(store.Verify(*id, &bytes).IsCorruption());
+  EXPECT_EQ(bytes, untouched);
+
+  if constexpr (requires(TypeParam& member) { member.Forge(payload); }) {
+    const std::string forged = this->member_->Forge(payload);
+    ObjectStore& reopened = this->store();
+    auto got = reopened.Get(*id);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, forged);
+    EXPECT_TRUE(reopened.Verify(*id, &bytes).IsCorruption());
+    EXPECT_EQ(bytes, untouched);
   }
 }
 
@@ -880,12 +924,11 @@ TEST_F(FileObjectStoreTest, CorruptBlobFailsEveryReadUntilQuarantined) {
   for (int read = 0; read < 2; ++read) {
     EXPECT_TRUE(store.Get(*id).status().IsCorruption());
     EXPECT_TRUE(store.Verify(*id).IsCorruption());
-    EXPECT_TRUE(store.Has(*id));
   }
   EXPECT_TRUE(store.QuarantinedIds().value().empty());
   ASSERT_TRUE(store.Quarantine(*id, "fixity mismatch").ok());
   // The rotten copy moved aside: the store no longer claims the object...
-  EXPECT_FALSE(store.Has(*id));
+  EXPECT_TRUE(store.Get(*id).status().IsNotFound());
   EXPECT_TRUE(CollectIds(store).empty());
   EXPECT_EQ(store.TotalBytes().value(), 0u);
   // ...but keeps the evidence for forensics.
@@ -1152,8 +1195,8 @@ TEST(PutBatchTest, FaultyStoreInjectsPerBlobWithDeterministicOrdinals) {
   auto ids = store.PutBatch(blobs, &pool);
   EXPECT_TRUE(ids.status().IsIOError());
   // Blob 1 landed before the injected failure on blob 2 stopped the batch.
-  EXPECT_TRUE(backend.Has(Sha256::HashHex("one")));
-  EXPECT_FALSE(backend.Has(Sha256::HashHex("two")));
+  EXPECT_TRUE(backend.Get(Sha256::HashHex("one")).ok());
+  EXPECT_TRUE(backend.Get(Sha256::HashHex("two")).status().IsNotFound());
   EXPECT_EQ(plan.injected(), 1u);
 }
 
@@ -1383,26 +1426,91 @@ TEST(ArchiveInventoryCountTest, AuditAndLintReadEachObjectOnce) {
   const std::vector<std::string> ids = CollectIds(backing);
   ASSERT_EQ(ids.size(), 4u);
 
-  auto expect_once_each = [&](const std::string& what) {
-    std::map<std::string, int> gets = store.gets();
+  // One proving read per object: Verify hands back the bytes the inventory
+  // classifies, so no Get reads them again.
+  auto expect_one_verify_each = [&](const std::string& what) {
     std::map<std::string, int> verifies = store.verifies();
-    EXPECT_EQ(gets.size(), ids.size()) << what;
+    EXPECT_TRUE(store.gets().empty()) << what;
     EXPECT_EQ(verifies.size(), ids.size()) << what;
     for (const std::string& id : ids) {
-      EXPECT_EQ(gets[id], 1) << what << " Get " << id;
       EXPECT_EQ(verifies[id], 1) << what << " Verify " << id;
     }
-    EXPECT_TRUE(store.has().empty()) << what;
     store.Reset();
   };
   ThreadPool pool(4);
   for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
     EXPECT_TRUE(AuditLikeTheCli(&store, threads).clean());
-    expect_once_each("audit");
+    expect_one_verify_each("audit");
   }
   EXPECT_EQ(lint::CheckArchive(store).Codes(),
             std::vector<std::string>{"A003"});
-  expect_once_each("lint");
+  expect_one_verify_each("lint");
+}
+
+using ReadCounts = std::map<std::string, int>;
+
+TEST(ArchiveReadCountTest, RetrieveGetsTheManifestAndProvesEachFileOnce) {
+  MemoryObjectStore backing;
+  CountingObjectStore store(&backing);
+  Archive archive(&store);
+  const SubmissionPackage sip = MakeSubmission();
+  auto archive_id = archive.Deposit(sip);
+  ASSERT_TRUE(archive_id.ok());
+  store.Reset();
+
+  auto package = archive.Retrieve(*archive_id);
+  ASSERT_TRUE(package.ok()) << package.status().ToString();
+  ASSERT_EQ(package->content.files.size(), 2u);
+  EXPECT_EQ(package->content.files[0].bytes, sip.files[0].bytes);
+  EXPECT_EQ(package->content.files[1].bytes, sip.files[1].bytes);
+  EXPECT_EQ(store.gets(), (ReadCounts{{*archive_id, 1}}));
+  EXPECT_EQ(store.verifies(),
+            (ReadCounts{{Sha256::HashHex(sip.files[0].bytes), 1},
+                        {Sha256::HashHex(sip.files[1].bytes), 1}}));
+  EXPECT_TRUE(store.puts().empty());
+}
+
+TEST(ArchiveReadCountTest, ReplicatedReadsAskEachReplicaOneVerify) {
+  MemoryObjectStore a, b, c;
+  CountingObjectStore count_a(&a), count_b(&b), count_c(&c);
+  const std::vector<CountingObjectStore*> counts = {&count_a, &count_b,
+                                                    &count_c};
+  ReplicatedObjectStore store({&count_a, &count_b, &count_c});
+  const std::string payload = "replicated, proven once";
+  auto id = store.Put(payload);
+  ASSERT_TRUE(id.ok());
+  const ReadCounts once = {{*id, 1}};
+  // Verifies per replica after each step; no replica is ever asked to Get.
+  auto expect_verifies = [&](const std::vector<ReadCounts>& want,
+                             const std::string& what) {
+    for (size_t i = 0; i < counts.size(); ++i) {
+      EXPECT_EQ(counts[i]->verifies(), want[i]) << what << " replica " << i;
+      EXPECT_TRUE(counts[i]->gets().empty()) << what << " replica " << i;
+      counts[i]->Reset();
+    }
+  };
+  expect_verifies({{}, {}, {}}, "put");
+
+  // Healthy: the first replica proves the object and nothing else is asked.
+  EXPECT_EQ(*store.Get(*id), payload);
+  expect_verifies({once, {}, {}}, "get");
+  std::string bytes;
+  ASSERT_TRUE(store.Verify(*id, &bytes).ok());
+  EXPECT_EQ(bytes, payload);
+  expect_verifies({once, {}, {}}, "verify");
+
+  // Replica a rotted: the audit asks a, then b, and repairs nothing.
+  ASSERT_TRUE(a.CorruptForTesting(*id, 0).ok());
+  EXPECT_TRUE(store.Verify(*id).ok());
+  EXPECT_TRUE(count_a.puts().empty());
+  expect_verifies({once, once, {}}, "verify past rot");
+
+  // The read asks a, then b, and repairs a with b's proven bytes: one Put
+  // and the repair's own Verify of a.
+  EXPECT_EQ(*store.Get(*id), payload);
+  EXPECT_EQ(count_a.puts(), once);
+  expect_verifies({{{*id, 2}}, once, {}}, "get past rot");
+  EXPECT_TRUE(a.Verify(*id).ok());
 }
 
 }  // namespace

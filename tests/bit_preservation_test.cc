@@ -18,6 +18,7 @@
 #include "support/fault.h"
 #include "support/io.h"
 #include "support/metrics_registry.h"
+#include "support/parallel.h"
 #include "support/sha256.h"
 #include "support/threadpool.h"
 #include "store_test_util.h"
@@ -68,9 +69,9 @@ TEST_F(BitPreservationTest, QuorumPutSucceedsPastMinorityFailures) {
 
   auto id = store.Put("replicated payload");
   ASSERT_TRUE(id.ok());  // 2/3 accepted >= quorum
-  EXPECT_TRUE(a.Has(*id));
-  EXPECT_TRUE(b.Has(*id));
-  EXPECT_FALSE(c.Has(*id));
+  EXPECT_TRUE(a.Get(*id).ok());
+  EXPECT_TRUE(b.Get(*id).ok());
+  EXPECT_TRUE(c.Get(*id).status().IsNotFound());
 }
 
 TEST_F(BitPreservationTest, PutFailsBelowQuorum) {
@@ -117,6 +118,39 @@ TEST_F(BitPreservationTest, SelfHealingReadRepairsRottedReplica) {
   EXPECT_EQ(r0.QuarantinedIds().value(), std::vector<std::string>{*id});
 }
 
+TEST_F(BitPreservationTest, PooledReadRepairHealsEveryRottedObject) {
+  // Concurrent Gets each prove their object on the healthy replica into a
+  // buffer of their own and heal the rotted copy they fell past. No replica
+  // is asked to Get: the rotted one is asked to Verify for the read and
+  // again for the repair, the healthy one once.
+  FileObjectStore r0(Dir("r0")), r1(Dir("r1"));
+  CountingObjectStore count0(&r0), count1(&r1);
+  ReplicatedObjectStore store({&count0, &count1});
+  std::vector<std::string> payloads, ids;
+  std::map<std::string, int> once, twice;
+  for (int i = 0; i < 16; ++i) {
+    payloads.push_back("pooled read repair " + std::to_string(i));
+    auto id = store.Put(payloads.back());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+    once[*id] = 1;
+    twice[*id] = 2;
+    Rot(Dir("r0"), *id);
+  }
+  ThreadPool pool(4);
+  std::vector<std::string> served = ParallelMap<std::string>(
+      &pool, ids.size(),
+      [&](size_t i) { return store.Get(ids[i]).value_or("read failed"); },
+      /*grain=*/1);
+  EXPECT_EQ(served, payloads);
+  EXPECT_TRUE(count0.gets().empty());
+  EXPECT_TRUE(count1.gets().empty());
+  EXPECT_EQ(count0.verifies(), twice);
+  EXPECT_EQ(count1.verifies(), once);
+  for (const std::string& id : ids) EXPECT_TRUE(r0.Verify(id).ok()) << id;
+  EXPECT_EQ(r0.QuarantinedIds().value().size(), ids.size());
+}
+
 TEST_F(BitPreservationTest, DegradedReadServesWithWarningCounter) {
   // Object lives only on the last replica: the read falls past a majority
   // of unhealthy replicas and must count a degraded read — but still serve.
@@ -134,8 +168,8 @@ TEST_F(BitPreservationTest, DegradedReadServesWithWarningCounter) {
   EXPECT_EQ(registry.CounterValue(metric_names::kArchiveDegradedReadsTotal),
             degraded_before + 1);
   // Read-repair backfilled the two replicas the read fell past.
-  EXPECT_TRUE(a.Has(*id));
-  EXPECT_TRUE(b.Has(*id));
+  EXPECT_TRUE(a.Get(*id).ok());
+  EXPECT_TRUE(b.Get(*id).ok());
 }
 
 TEST_F(BitPreservationTest, ReplicationFixityGateBlocksForgedPackRecord) {
@@ -590,6 +624,54 @@ TEST_F(BitPreservationTest, MigrateRefusesSwapWhenFinalVerifyFails) {
   EXPECT_FALSE(report.ok());
   // No generation marker: the swap never happened.
   EXPECT_EQ(ReadGeneration(Dir("state")), 0u);
+}
+
+TEST_F(BitPreservationTest, MigrateIntoForgedPackTargetRefusesUntilScrubbed) {
+  // Reads never write, so migration quarantines nothing: a target record
+  // forged past its checksum gate survives the copy's Put (which dedupes on
+  // that gate) and fails the copy-verify. The error names the id and the
+  // remedy; a scrub of the target sets the forgery aside, and the rerun
+  // completes.
+  const std::string payload = "bytes forged on the target";
+  FileObjectStore source(Dir("src"));
+  auto id = source.Put(payload);
+  ASSERT_TRUE(id.ok());
+  {
+    PackObjectStore sealed(Dir("pack"));
+    ASSERT_TRUE(sealed.Put(payload).ok());
+    ASSERT_TRUE(sealed.Flush().ok());
+  }
+  ForgeFirstPackRecord(Dir("pack"), payload);
+  PackObjectStore target(Dir("pack"));
+  MigrateOptions options;
+  options.state_dir = Dir("state");
+
+  auto refused = MigrateGeneration(source, target, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsCorruption()) << refused.status().ToString();
+  const std::string& why = refused.status().message();
+  EXPECT_NE(why.find(*id), std::string::npos) << why;
+  EXPECT_NE(why.find("scrub the target"), std::string::npos) << why;
+  EXPECT_EQ(ReadGeneration(Dir("state")), 0u);
+  EXPECT_TRUE(target.QuarantinedIds().value().empty());
+
+  // The target alone has no healthy copy to heal from: the scrub sets the
+  // forgery aside and reports it unrepairable.
+  auto scrub = ScrubReplicas({&target}, {});
+  ASSERT_TRUE(scrub.ok()) << scrub.status().ToString();
+  ASSERT_EQ(scrub->unrepairable.size(), 1u);
+  EXPECT_EQ(scrub->unrepairable[0].id, *id);
+  EXPECT_EQ(target.QuarantinedIds().value(), std::vector<std::string>{*id});
+
+  auto rerun = MigrateGeneration(source, target, options);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_TRUE(rerun->resumed);
+  EXPECT_EQ(rerun->copied, 1u);
+  EXPECT_EQ(rerun->verified, 1u);
+  EXPECT_EQ(ReadGeneration(Dir("state")), 1u);
+  std::string proven;
+  EXPECT_TRUE(target.Verify(*id, &proven).ok());
+  EXPECT_EQ(proven, payload);
 }
 
 TEST_F(BitPreservationTest, MigrateFromReplicatedSourceHealsWhileMoving) {

@@ -284,7 +284,7 @@ TEST_F(ServerTest, PutGetVerifyByteIdentical) {
 
   EXPECT_TRUE(client->Verify(*id).ok());
   // The store behind the wire saw the same object.
-  EXPECT_TRUE(store_->Has(*id));
+  EXPECT_TRUE(*store_->Get(*id) == blob);
 }
 
 TEST_F(ServerTest, MissingObjectMapsToNotFoundAcrossTheWire) {

@@ -109,6 +109,30 @@ TEST_F(PackStoreTest, ReopenServesSealedSegmentsViaMmap) {
             5u * std::string("blob number 0").size());
 }
 
+// A record read counts once whichever read made it: an audit reads
+// through Verify alone, and must show its reads.
+TEST_F(PackStoreTest, GetAndVerifyEachCountOneRecordRead) {
+  const std::string payload = "one sealed record, read twice";
+  std::string id;
+  {
+    PackObjectStore store(Dir("pack"));
+    auto put = store.Put(payload);
+    ASSERT_TRUE(put.ok());
+    id = *put;
+    ASSERT_TRUE(store.Flush().ok());
+  }
+  PackObjectStore store(Dir("pack"));
+  const uint64_t reads_before = CounterNow(metric_names::kPackReadsTotal);
+  const uint64_t bytes_before = CounterNow(metric_names::kPackReadBytesTotal);
+  const uint64_t mmap_before = CounterNow(metric_names::kPackMmapReadsTotal);
+  EXPECT_EQ(*store.Get(id), payload);
+  EXPECT_TRUE(store.Verify(id).ok());
+  EXPECT_EQ(CounterNow(metric_names::kPackReadsTotal), reads_before + 2);
+  EXPECT_EQ(CounterNow(metric_names::kPackMmapReadsTotal), mmap_before + 2);
+  EXPECT_EQ(CounterNow(metric_names::kPackReadBytesTotal),
+            bytes_before + 2 * payload.size());
+}
+
 TEST_F(PackStoreTest, MissingSidecarTriggersRebuildScan) {
   std::string id;
   {
@@ -227,8 +251,9 @@ TEST_F(PackStoreTest, ChecksumGateRefusesRotAndQuarantineThenRePutHeals) {
   }
   EXPECT_EQ(CounterNow("daspos_pack_checksum_failures_total"),
             failures_before + 2);
-  // Reads write nothing: the record stays indexed and no log appears.
-  EXPECT_TRUE(store.Has(id));
+  // Reads write nothing: the record stays indexed (Corruption, not
+  // NotFound) and no log appears.
+  EXPECT_TRUE(store.Verify(id).IsCorruption());
   EXPECT_TRUE(store.QuarantinedIds().value().empty());
   EXPECT_FALSE(FileExists(Dir("pack") + "/quarantine.jsonl"));
 
@@ -236,7 +261,7 @@ TEST_F(PackStoreTest, ChecksumGateRefusesRotAndQuarantineThenRePutHeals) {
   // log remembers it.
   ASSERT_TRUE(store.Quarantine(id, "stored checksum mismatch").ok());
   EXPECT_TRUE(store.Get(id).status().IsNotFound());
-  EXPECT_FALSE(store.Has(id));
+  EXPECT_TRUE(store.Verify(id).IsNotFound());
   EXPECT_EQ(store.QuarantinedIds().value(), std::vector<std::string>{id});
   EXPECT_TRUE(FileExists(Dir("pack") + "/quarantine.jsonl"));
 

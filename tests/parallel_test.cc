@@ -176,22 +176,24 @@ TEST(StreamingHashTest, MatchesInMemoryHash) {
           .string();
   ASSERT_TRUE(WriteStringToFile(path, payload).ok());
 
-  std::string hex;
-  auto contents = ReadFileHashed(path, &hex);
-  ASSERT_TRUE(contents.ok());
-  EXPECT_EQ(*contents, payload);
+  Sha256 kept_hasher;
+  std::string contents;
+  ASSERT_TRUE(StreamFile(path, kept_hasher, &contents).ok());
+  EXPECT_EQ(contents, payload);
+  const std::string hex = kept_hasher.HexDigest();
   EXPECT_EQ(hex, Sha256::HashHex(payload));
 
-  auto hash_only = HashFileHex(path);
-  ASSERT_TRUE(hash_only.ok());
-  EXPECT_EQ(*hash_only, hex);
+  Sha256 hash_only;
+  ASSERT_TRUE(StreamFile(path, hash_only, nullptr).ok());
+  EXPECT_EQ(hash_only.HexDigest(), hex);
   std::filesystem::remove(path);
 }
 
 TEST(StreamingHashTest, MissingFileFails) {
-  EXPECT_FALSE(HashFileHex("/nonexistent/daspos/blob").ok());
-  std::string hex;
-  EXPECT_FALSE(ReadFileHashed("/nonexistent/daspos/blob", &hex).ok());
+  Sha256 hasher;
+  EXPECT_FALSE(StreamFile("/nonexistent/daspos/blob", hasher, nullptr).ok());
+  std::string contents;
+  EXPECT_FALSE(StreamFile("/nonexistent/daspos/blob", hasher, &contents).ok());
 }
 
 // ---------------------------------------------------------------------------

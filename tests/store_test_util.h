@@ -87,26 +87,25 @@ inline std::string ForgeFirstPackRecord(const std::string& root,
   return forged;
 }
 
-/// Forwards every call to `inner` and counts the reads: Gets and Verifies
-/// per id, Has calls in total. Thread-safe, so a pooled pass can run on it.
+/// Forwards every call to `inner` and counts the reads (Gets and Verifies)
+/// and the Puts per id. Thread-safe, so a pooled pass can run on it.
 class CountingObjectStore : public ObjectStore {
  public:
   explicit CountingObjectStore(ObjectStore* inner) : inner_(inner) {}
 
   Result<std::string> Put(std::string_view bytes) override {
-    return inner_->Put(bytes);
+    auto id = inner_->Put(bytes);
+    if (id.ok()) Count(&puts_, *id);
+    return id;
   }
   Result<std::string> Get(const std::string& id) const override {
     Count(&gets_, id);
     return inner_->Get(id);
   }
-  bool Has(const std::string& id) const override {
-    Count(&has_, id);
-    return inner_->Has(id);
-  }
-  Status Verify(const std::string& id) const override {
+  Status Verify(const std::string& id,
+                std::string* bytes = nullptr) const override {
     Count(&verifies_, id);
-    return inner_->Verify(id);
+    return inner_->Verify(id, bytes);
   }
   Status Quarantine(const std::string& id,
                     const std::string& reason) override {
@@ -123,12 +122,12 @@ class CountingObjectStore : public ObjectStore {
 
   std::map<std::string, int> gets() const { return Snapshot(gets_); }
   std::map<std::string, int> verifies() const { return Snapshot(verifies_); }
-  std::map<std::string, int> has() const { return Snapshot(has_); }
+  std::map<std::string, int> puts() const { return Snapshot(puts_); }
   void Reset() {
     std::lock_guard<std::mutex> lock(mutex_);
     gets_.clear();
     verifies_.clear();
-    has_.clear();
+    puts_.clear();
   }
 
  private:
@@ -146,7 +145,7 @@ class CountingObjectStore : public ObjectStore {
   mutable std::mutex mutex_;
   mutable std::map<std::string, int> gets_;
   mutable std::map<std::string, int> verifies_;
-  mutable std::map<std::string, int> has_;
+  mutable std::map<std::string, int> puts_;
 };
 
 }  // namespace daspos

@@ -96,6 +96,11 @@ if [ "$RUN_TSAN" = 1 ]; then
   # store contract's walk properties, on every backend and decorator.
   run_filtered ./build-tsan/tests/archive_test 'ObjectStoreContractTest/*.ForEachId*'
   run_filtered ./build-tsan/tests/bit_preservation_test '*ForEachId*'
+  # Pooled proving reads: the inventory's, scrub's and read repair's pool
+  # tasks each fill a caller-owned buffer from a replica's Verify.
+  run_filtered ./build-tsan/tests/archive_test 'ArchiveInventory*'
+  run_filtered ./build-tsan/tests/bit_preservation_test \
+    '*ScrubSerialAndParallelAgree:*PooledReadRepair*'
   # The RECAST back end runs its chain on the engine's worker pool.
   run_filtered ./build-tsan/tests/recast_test 'BackEndTest.*'
   # Reconstruction on a 4-worker pool: the pileup pins run ReconstructAll
